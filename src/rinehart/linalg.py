@@ -8,7 +8,7 @@ enumeration in Z[i].
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .scalars import Scalar
 
@@ -46,21 +46,16 @@ def matvec(a, v) -> list:
     return [sum((c * x for c, x in zip(row, v) if c and x), Scalar(0)) for row in a]
 
 
-def mat_add(a, b) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s) -> list:
-    s = Scalar.of(s)
-    return [[x * s for x in row] for row in a]
-
-
 def trace(a) -> Scalar:
     return sum((a[i][i] for i in range(len(a))), Scalar(0))
 
 
 def rref(a) -> tuple[list, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
+    """Reduced row echelon form and pivot column indices.
+
+    A pivot row is zero left of its pivot, so each elimination step
+    touches the other rows only at the pivot row's nonzero columns.
+    """
     mat = mat_copy(a)
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
@@ -71,12 +66,17 @@ def rref(a) -> tuple[list, list[int]]:
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Scalar(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        prow = mat[r]
+        support = [j for j in range(c, cols) if prow[j]]
+        inv = Scalar(1) / prow[c]
+        for j in support:
+            prow[j] = prow[j] * inv
         for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            row = mat[i]
+            f = row[c]
+            if i != r and f:
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -177,10 +177,9 @@ def _gaussian_prime_over(p: int):
         y2 = p - x * x
         if y2 < x * x:
             break
-        y = int(y2 ** 0.5)
-        for yy in (y - 1, y, y + 1):
-            if yy > 0 and x * x + yy * yy == p:
-                return [(x, yy), (x, -yy)]
+        y = math.isqrt(y2)
+        if y * y == y2:
+            return [(x, y), (x, -y)]
     raise ArithmeticError(f"no Gaussian prime found over {p}")
 
 
@@ -259,9 +258,7 @@ def rational_roots(coeffs: list[Scalar]) -> list[Scalar]:
     seen = set()
     for u in gaussian_divisors(zc[0]):
         for v in gaussian_divisors(zc[-1]):
-            num = Scalar(Fraction(u[0]), Fraction(u[1]))
-            den = Scalar(Fraction(v[0]), Fraction(v[1]))
-            cand = num / den
+            cand = Scalar(*u) / Scalar(*v)
             key = (cand.re, cand.im)
             if key in seen:
                 continue

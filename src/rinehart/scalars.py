@@ -1,13 +1,25 @@
 """Exact Gaussian-rational scalars.
 
-Every coefficient in this library is a Gaussian rational ``re + im*i``
-with ``Fraction`` components, so equality checks are zero-tolerance.
-No floating point appears anywhere.
+Every coefficient in this library is a Gaussian rational ``re + im*i``,
+so equality checks are zero-tolerance.  Each component is held in
+canonical form: a plain ``int`` when it is integral, a ``Fraction``
+otherwise.  Integer arithmetic therefore never builds a ``Fraction``;
+division always goes through ``Fraction``.  No floating point appears
+anywhere: a ``float`` or ``complex`` component raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _canon(x):
+    """``x`` as an ``int`` when integral, else as a ``Fraction``."""
+    if not isinstance(x, Fraction):
+        if isinstance(x, (float, complex)):
+            raise TypeError(f"Scalar components must be exact, got {x!r}")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Scalar:
@@ -16,8 +28,8 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = re if type(re) is int else _canon(re)
+        self.im = im if type(im) is int else _canon(im)
 
     @staticmethod
     def of(value) -> "Scalar":
@@ -29,42 +41,44 @@ class Scalar:
         return not self.re and not self.im
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.re or self.im)
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)
 
     def __add__(self, other):
-        other = Scalar.of(other)
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
         return Scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Scalar.of(other)
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return Scalar.of(other).__sub__(self)
 
     def __mul__(self, other):
-        other = Scalar.of(other)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            return Scalar(a * c)
+        return Scalar(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar.of(other)
-        norm = other.re * other.re + other.im * other.im
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        norm = Fraction(c * c + d * d)
         if not norm:
             raise ZeroDivisionError("division by zero scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        return Scalar((a * c + b * d) / norm, (b * c - a * d) / norm)
 
     def __rtruediv__(self, other):
         return Scalar.of(other).__truediv__(self)
@@ -76,10 +90,10 @@ class Scalar:
         return self
 
     def __eq__(self, other):
+        if type(other) is Scalar:
+            return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
-        if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
         return NotImplemented
 
     def __hash__(self):

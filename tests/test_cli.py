@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from rinehart.cli import main
 
@@ -54,6 +57,26 @@ def test_check_json_deterministic(capsys):
     assert first == second
     json.loads(first)
 
+
+
+# sha256 of `check all --m M --n N --deg 3 --samples 30 --seed 7 --json`,
+# recorded before the int-or-Fraction scalar kernel and sparse rref; any
+# change to the arithmetic must leave these reports byte-identical.
+GOLDEN_CHECK_ALL = {
+    (1, 1): "4436ec6dc5e0f037212e0ec9de5f1dfc0fc9cb8fc21758b6a7c807dc2fdc6fe3",
+    (1, 2): "6984f1db1044ddf0f35847dbc134d5998bcecf7aab08d52257bb1150df81ac9f",
+    (2, 1): "03969dddd7b503d11498360eed5c7334215be0573aa3c99d23639c601dfee42a",
+    (2, 2): "13227e677acb98cd5f97beec8cc97f7aabe60585ee4d4fc62f7cca41fb4c068d",
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(GOLDEN_CHECK_ALL))
+def test_check_all_json_matches_golden_hash(capsys, m, n):
+    args = ["check", "all", "--m", str(m), "--n", str(n), "--deg", "3",
+            "--samples", "30", "--seed", "7", "--json"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CHECK_ALL[(m, n)]
 
 def test_parse_error_exit_code(capsys):
     assert main(["filt-deg", "--expr", "t0^"]) == 2

@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rinehart.scalars import Scalar, format_scalar
 
 
@@ -38,3 +42,79 @@ def test_format():
     assert format_scalar(Scalar(0, 2)) == "2i"
     assert format_scalar(Scalar(Fraction(1, 2), Fraction(1, 3))) == "1/2+1/3i"
     assert format_scalar(Scalar(Fraction(1, 2), Fraction(-1, 3))) == "1/2-1/3i"
+
+
+def test_components_are_canonical():
+    s = Scalar(Fraction(6, 2), Fraction(0, 5))
+    assert type(s.re) is int and type(s.im) is int
+    assert (s.re, s.im) == (3, 0)
+    half = Scalar(Fraction(1, 2))
+    assert isinstance(half.re, Fraction) and type(half.im) is int
+    assert type((half + half).re) is int
+    assert type((Scalar(1) / 1).re) is int
+
+
+def test_float_and_complex_components_rejected():
+    for bad in ((0.5,), (1, 0.5), (1j,), (1, 2j), (3.0,)):
+        with pytest.raises(TypeError):
+            Scalar(*bad)
+    with pytest.raises(TypeError):
+        Scalar(2) * 0.5
+    with pytest.raises(TypeError):
+        0.5 + Scalar(2)
+
+
+# ---------- property: canonical components under + - * / ----------
+
+rationals = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+)
+gaussians = st.builds(Scalar, rationals, rationals)
+
+
+def assert_canonical(s):
+    for x in (s.re, s.im):
+        if isinstance(x, Fraction):
+            assert x.denominator != 1, s
+        else:
+            assert type(x) is int, s
+
+
+def fraction_pair(s):
+    return Fraction(s.re), Fraction(s.im)
+
+
+def reference(op, a, b):
+    """The same operation on plain Fraction pairs."""
+    (p, q), (r, t) = fraction_pair(a), fraction_pair(b)
+    if op == "+":
+        return p + r, q + t
+    if op == "-":
+        return p - r, q - t
+    if op == "*":
+        return p * r - q * t, p * t + q * r
+    norm = r * r + t * t
+    return (p * r + q * t) / norm, (q * r - p * t) / norm
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=gaussians, b=gaussians)
+def test_arithmetic_keeps_canonical_components(a, b):
+    ops = {"+": a + b, "-": a - b, "*": a * b}
+    if b:
+        ops["/"] = a / b
+    for op, got in ops.items():
+        assert_canonical(got)
+        assert fraction_pair(got) == reference(op, a, b)
+        rebuilt = Scalar(Fraction(got.re), Fraction(got.im))
+        assert rebuilt == got and hash(rebuilt) == hash(got)
+    assert_canonical(-a)
+
+
+def test_integral_value_equal_and_hash_across_representations():
+    assert Scalar(3) == Scalar(Fraction(3))
+    assert hash(Scalar(3)) == hash(Scalar(Fraction(3))) == hash(3)
+    assert Scalar(3, -2) == Scalar(Fraction(6, 2), Fraction(-4, 2))
+    assert hash(Scalar(3, -2)) == hash(Scalar(Fraction(6, 2), Fraction(-4, 2)))
+    assert len({Scalar(3), Scalar(Fraction(3)), Scalar(Fraction(9, 3))}) == 1
