@@ -18,7 +18,7 @@ from .linalg import (
     matvec,
     nullspace,
     rational_roots,
-    solve,
+    solve_columns,
     zeros,
 )
 from .scalars import Scalar
@@ -237,13 +237,9 @@ def weight_decompose(mod: GlModule) -> WeightReport:
         for basis, weights in blocks:
             width = len(basis)
             coords = [[basis[j][i] for j in range(width)] for i in range(mod.dim)]
-            restricted = []
-            for j in range(width):
-                image = matvec(h, basis[j])
-                sol = solve(coords, image)
-                if sol is None:
-                    raise ValueError("diagonal action does not preserve a weight block")
-                restricted.append(sol)
+            restricted = solve_columns(coords, [matvec(h, v) for v in basis])
+            if any(sol is None for sol in restricted):
+                raise ValueError("diagonal action does not preserve a weight block")
             rmat = [[restricted[j][i] for j in range(width)] for i in range(width)]
             split_total = 0
             for lam in sorted(rational_roots(charpoly(rmat)),

@@ -109,18 +109,33 @@ def nullspace(a, cols: int | None = None) -> list[list]:
     return basis
 
 
-def solve(a, b) -> list | None:
-    """One solution of A x = b, or None when inconsistent."""
+def solve_columns(a, bs) -> list:
+    """One solution of A x = b for each b in ``bs`` (None where inconsistent).
+
+    ``[A | b_1 ... b_k]`` is reduced once.  Column k is inconsistent iff a
+    row past the last pivot of A is nonzero at ``cols + k``; a pivot test
+    would miss a repeated inconsistent column, which gets no pivot.
+    """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(rows)]
+    aug = [list(a[i]) + [b[i] for b in bs] for i in range(rows)]
     mat, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Scalar(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = mat[r][cols]
-    return x
+    rank_a = sum(1 for pc in pivots if pc < cols)
+    out = []
+    for k in range(cols, cols + len(bs)):
+        if any(mat[r][k] for r in range(rank_a, rows)):
+            out.append(None)
+            continue
+        x = [Scalar(0)] * cols
+        for r in range(rank_a):
+            x[pivots[r]] = mat[r][k]
+        out.append(x)
+    return out
+
+
+def solve(a, b) -> list | None:
+    """One solution of A x = b, or None when inconsistent."""
+    return solve_columns(a, [b])[0]
 
 
 def charpoly(a) -> list[Scalar]:

@@ -38,15 +38,9 @@ class Sampler:
     def mask(self, n: int) -> int:
         return self.rng.randrange(1 << n)
 
-    def scalar(self, imag: bool = False) -> Scalar:
-        def rat():
-            return Fraction(self.rng.randint(-3, 3), self.rng.randint(1, 3))
-
-        re = rat()
-        im = rat() if imag else Fraction(0)
-        if not re and not im:
-            re = Fraction(1)
-        return Scalar(re, im)
+    def scalar(self) -> Scalar:
+        re = Fraction(self.rng.randint(-3, 3), self.rng.randint(1, 3))
+        return Scalar(re or 1)
 
     def monomial(self, sig: Signature, coeff: bool = True) -> SuperPoly:
         c = self.scalar() if coeff else 1

@@ -22,6 +22,11 @@ def _canon(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _exact(x):
+    """``x`` as a Scalar if it is an ``int`` or ``Fraction``, else None."""
+    return Scalar(x) if isinstance(x, (int, Fraction)) else None
+
+
 class Scalar:
     """Gaussian rational re + im*i.  Immutable by convention, hashable."""
 
@@ -48,22 +53,29 @@ class Scalar:
 
     def __add__(self, other):
         if type(other) is not Scalar:
-            other = Scalar.of(other)
+            other = _exact(other)
+            if other is None:
+                return NotImplemented
         return Scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not Scalar:
-            other = Scalar.of(other)
+            other = _exact(other)
+            if other is None:
+                return NotImplemented
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return Scalar.of(other).__sub__(self)
+        other = _exact(other)
+        return NotImplemented if other is None else other.__sub__(self)
 
     def __mul__(self, other):
         if type(other) is not Scalar:
-            other = Scalar.of(other)
+            other = _exact(other)
+            if other is None:
+                return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         if not b and not d:
             return Scalar(a * c)
@@ -73,7 +85,9 @@ class Scalar:
 
     def __truediv__(self, other):
         if type(other) is not Scalar:
-            other = Scalar.of(other)
+            other = _exact(other)
+            if other is None:
+                return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         norm = Fraction(c * c + d * d)
         if not norm:
@@ -81,7 +95,8 @@ class Scalar:
         return Scalar((a * c + b * d) / norm, (b * c - a * d) / norm)
 
     def __rtruediv__(self, other):
-        return Scalar.of(other).__truediv__(self)
+        other = _exact(other)
+        return NotImplemented if other is None else other.__truediv__(self)
 
     def __neg__(self):
         return Scalar(-self.re, -self.im)

@@ -109,6 +109,8 @@ class Env:
     sig: Signature
     omega: GlModule
     mu: MuVector
+    # Per-μ kernel extractions and induced modules, filled on first use.
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dotted(self) -> Signature:
@@ -218,7 +220,7 @@ def _bracket_checks(name, sample, bracket, parity, samples):
     for _ in range(samples):
         x, y = sample(), sample()
         lhs = bracket(x, y) + (-1) ** (parity(x) * parity(y)) * bracket(y, x)
-        if not _is_zeroish(lhs):
+        if not lhs.is_zero():
             bad = f"x={x!r}, y={y!r}"
             break
     out.append(CheckResult(f"jacobi.{name}.antisymmetry", bad is None, samples, bad))
@@ -228,15 +230,11 @@ def _bracket_checks(name, sample, bracket, parity, samples):
         sign = (-1) ** (parity(x) * parity(y))
         lhs = bracket(bracket(x, y), z)
         rhs = bracket(x, bracket(y, z)) - sign * bracket(y, bracket(x, z))
-        if not _is_zeroish(lhs - rhs):
+        if not (lhs - rhs).is_zero():
             bad = f"x={x!r}, y={y!r}, z={z!r}"
             break
     out.append(CheckResult(f"jacobi.{name}.super_jacobi", bad is None, samples, bad))
     return out
-
-
-def _is_zeroish(v) -> bool:
-    return v.is_zero()
 
 
 def jacobi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
@@ -734,9 +732,20 @@ def _shen_mul(w: TensorVec, g: SuperPoly) -> TensorVec:
 # ---------- induced gl representation ----------
 
 def _omega_setup(env: Env, mu: MuVector):
-    S = env.structure(mu)
-    basis = omega_extract(degree_zero_basis(S), S)
-    return S, basis
+    """The structure for μ and its extracted kernel basis, once per Env."""
+    key = ("omega", mu.values)
+    if key not in env.cache:
+        S = env.structure(mu)
+        env.cache[key] = S, omega_extract(degree_zero_basis(S), S)
+    return env.cache[key]
+
+
+def _induced(env: Env, mu: MuVector) -> GlModule:
+    """The induced module on the kernel for μ, built once per Env."""
+    key = ("induced", mu.values)
+    if key not in env.cache:
+        env.cache[key] = induced_gl_module(*_omega_setup(env, mu))
+    return env.cache[key]
 
 
 def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
@@ -748,7 +757,7 @@ def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     out = []
 
     try:
-        induced = induced_gl_module(S, basis)
+        induced = _induced(env, mu2)
         report = rep_check(induced)
         gl = sig.m + 1 + sig.n
         out.append(
@@ -899,7 +908,7 @@ def iso_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     S, basis = _omega_setup(env, mu2)
     out = []
     try:
-        induced = induced_gl_module(S, basis)
+        induced = _induced(env, mu2)
         rho = rho_of(S, basis)
     except ValueError as exc:
         return [CheckResult("iso.equivariance", False, 0, str(exc))]
@@ -1060,7 +1069,15 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
             raise ValueError(f"unknown suite {name!r}")
     checks = []
     for name in names:
-        checks.extend(SUITES[name](cfg, env))
+        try:
+            checks.extend(SUITES[name](cfg, env))
+        except Exception as exc:  # a library fault, not a config error
+            import traceback
+
+            traceback.print_exc()
+            checks.append(
+                CheckResult(f"{name}.error", False, 0, f"{type(exc).__name__}: {exc}")
+            )
     failures = sum(1 for c in checks if not c.passed)
     report = {
         "m": cfg.m,

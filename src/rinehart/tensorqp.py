@@ -627,6 +627,22 @@ def _coords(vectors: list[TensorVec]):
     return keys, mat
 
 
+def _solve_in(basis: list[TensorVec], targets: list[TensorVec], error: str) -> list:
+    """Coordinates of each target in the span of ``basis`` (unique when the
+    basis is independent), from one reduction; raise ValueError(error) if
+    a target lies outside the span."""
+    from . import linalg
+
+    _, mat = _coords(list(basis) + list(targets))
+    d = len(basis)
+    amat = [row[:d] for row in mat]
+    bs = [[row[d + j] for row in mat] for j in range(len(targets))]
+    sols = linalg.solve_columns(amat, bs)
+    if any(sol is None for sol in sols):
+        raise ValueError(error)
+    return sols
+
+
 def _combine(basis: list[TensorVec], coeffs) -> TensorVec:
     out = TensorVec.zero(basis[0].sig)
     for c, v in zip(coeffs, basis):
@@ -648,28 +664,15 @@ def omega_extract(basis: list[TensorVec], S: QPStructure) -> list[TensorVec]:
     images = []
     for k in range(1, S.sig.n + 1):
         xk = QPElement.from_field(VectorField.basis(S.sig, ("q", k)))
-        images.append([S.psi(xk, v) for v in basis])
-    keys, span_mat = _coords(list(basis) + [w for im in images for w in im])
-    index = {key: i for i, key in enumerate(keys)}
-    amat = [[Scalar(0)] * len(basis) for _ in keys]
-    for j, v in enumerate(basis):
-        for key, c in v.terms.items():
-            amat[index[key]][j] = c
-    stacked = []
-    for im in images:
-        cols = []
-        for w in im:
-            bvec = [Scalar(0)] * len(keys)
-            for key, c in w.terms.items():
-                bvec[index[key]] = c
-            sol = linalg.solve(amat, bvec)
-            if sol is None:
-                raise ValueError("span is not invariant under the odd actions")
-            cols.append(sol)
-        stacked.extend(
-            [cols[j][i] for j in range(len(basis))] for i in range(len(basis))
-        )
-    kernel = linalg.nullspace(stacked, len(basis))
+        images.extend(S.psi(xk, v) for v in basis)
+    cols = _solve_in(basis, images, "span is not invariant under the odd actions")
+    d = len(basis)
+    stacked = [
+        [cols[k + j][i] for j in range(d)]
+        for k in range(0, len(cols), d)
+        for i in range(d)
+    ]
+    kernel = linalg.nullspace(stacked, d)
     candidates = []
     for coeffs in kernel:
         vec = _combine(basis, coeffs)
@@ -677,14 +680,9 @@ def omega_extract(basis: list[TensorVec], S: QPStructure) -> list[TensorVec]:
         for part in (ev, od):
             if not part.is_zero():
                 candidates.append(part)
-    out: list[TensorVec] = []
-    rows: list[list[Scalar]] = []
-    for cand in candidates:
-        trial = out + [cand]
-        _, mat = _coords(trial)
-        if linalg.rank(mat) == len(trial):
-            out.append(cand)
-    return out
+    # A candidate raises the rank of those before it iff its column is a pivot.
+    _, pivots = linalg.rref(_coords(candidates)[1])
+    return [candidates[j] for j in pivots]
 
 
 def omega_greedy(u: TensorVec, S: QPStructure) -> TensorVec:
@@ -763,25 +761,11 @@ def phi_operator(alpha: int, beta: int, S: QPStructure):
 def phi_rep(alpha: int, beta: int, S: QPStructure,
             omega_basis: list[TensorVec]) -> list:
     """Matrix of the induced operator on the extracted kernel basis."""
-    from . import linalg
-
     op = phi_operator(alpha, beta, S)
-    images = [op(v) for v in omega_basis]
-    keys, amat = _coords(list(omega_basis) + images)
-    index = {key: i for i, key in enumerate(keys)}
-    base = [[Scalar(0)] * len(omega_basis) for _ in keys]
-    for j, v in enumerate(omega_basis):
-        for key, c in v.terms.items():
-            base[index[key]][j] = c
-    cols = []
-    for w in images:
-        bvec = [Scalar(0)] * len(keys)
-        for key, c in w.terms.items():
-            bvec[index[key]] = c
-        sol = linalg.solve(base, bvec)
-        if sol is None:
-            raise ValueError("operator does not preserve the extracted kernel")
-        cols.append(sol)
+    cols = _solve_in(
+        omega_basis, [op(v) for v in omega_basis],
+        "operator does not preserve the extracted kernel",
+    )
     d = len(omega_basis)
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 

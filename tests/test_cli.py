@@ -110,3 +110,42 @@ def test_check_with_module_and_mu(tmp_path, capsys):
          "--samples", "5"]
     )
     assert code == 0
+
+
+def test_library_error_in_suite_is_a_failure(monkeypatch, capsys):
+    from rinehart import suites
+
+    def broken(cfg, env):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(suites.SUITES, "koszul", broken)
+    assert main(["check", "koszul", "--samples", "2", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" in captured.err
+    report = json.loads(captured.out)
+    assert report["failures"] == 1
+    assert report["checks"] == [{
+        "id": "koszul.error", "pass": False, "cases": 0,
+        "counterexample": "TypeError: unsupported operand",
+    }]
+
+
+def test_unknown_suite_is_still_a_config_error():
+    from rinehart.suites import SuiteConfig, run_suite
+
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suite(SuiteConfig(suites=("nosuch",)))
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    args = ["check", "koszul", "--samples", "2", "--json"]
+    proc = subprocess.run([sys.executable, "-m", "rinehart", *args],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == main(args) == 0
+    assert proc.stdout == capsys.readouterr().out

@@ -7,7 +7,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rinehart.linalg import _gaussian_prime_over, matvec, nullspace, rank, rref, solve
+from rinehart.linalg import (
+    _gaussian_prime_over,
+    matvec,
+    nullspace,
+    rank,
+    rref,
+    solve,
+    solve_columns,
+)
 from rinehart.scalars import Scalar
 
 MAX_DIM = 12
@@ -127,6 +135,44 @@ def test_solve(a, data):
     assert (x is None) == inconsistent
     if x is not None:
         assert matvec(a, x) == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=sparse_matrices(), data=st.data())
+def test_solve_columns(a, data):
+    """Each column solves or is None exactly when it is inconsistent; a
+    repeated column (inconsistent or not) gets the same answer."""
+    cols = len(a[0])
+    entries = st.builds(Scalar, components, components)
+    bs = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if bs and data.draw(st.booleans()):
+            bs.append(list(data.draw(st.sampled_from(bs))))
+        elif data.draw(st.booleans()):
+            x0 = data.draw(st.lists(entries, min_size=cols, max_size=cols))
+            bs.append(matvec(a, x0))
+        else:
+            bs.append(data.draw(st.lists(entries, min_size=len(a), max_size=len(a))))
+    xs = solve_columns(a, bs)
+    assert len(xs) == len(bs)
+    for b, x in zip(bs, xs):
+        inconsistent = rank([row + [bi] for row, bi in zip(a, b)]) > rank(a)
+        assert (x is None) == inconsistent
+        if x is not None:
+            assert matvec(a, x) == b
+        assert x == solve(a, b)
+
+
+def test_solve_columns_repeated_inconsistent_column():
+    """The second copy of an inconsistent column holds no pivot of the
+    augmented matrix, yet it is inconsistent too."""
+    a = [[Scalar(1), Scalar(0)], [Scalar(0), Scalar(0)]]
+    bad = [Scalar(0), Scalar(1)]
+    good = [Scalar(3), Scalar(0)]
+    assert solve_columns(a, [bad, bad, good, bad]) == [
+        None, None, [Scalar(3), Scalar(0)], None,
+    ]
+    assert solve_columns(a, []) == []
 
 
 def test_rref_keeps_exact_fractions():

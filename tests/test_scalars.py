@@ -62,6 +62,32 @@ def test_float_and_complex_components_rejected():
         Scalar(2) * 0.5
     with pytest.raises(TypeError):
         0.5 + Scalar(2)
+    with pytest.raises(TypeError):
+        Scalar(1) * 1.5
+    with pytest.raises(TypeError):
+        1.5 / Scalar(2)
+
+
+def test_foreign_operands_defer_to_their_type():
+    """A Scalar leaves a product with an algebra element to the element's
+    reflected operator, so both operand orders agree."""
+    from rinehart.superpoly import Signature, SuperPoly
+    from rinehart.tensorqp import TensorVec
+    from rinehart.vectorfields import VectorField
+
+    sig = Signature(1, 1, True)
+    poly = SuperPoly.t_var(sig, 1) + SuperPoly.zeta(sig, 1)
+    field = VectorField.from_poly_tag(poly, ("q", 1))
+    vec = TensorVec.basis(sig, (1, -1), 0b1, 0, 3)
+    c = Scalar(Fraction(2, 3), 1)
+    for x in (poly, field, vec):
+        assert c * x == x * c
+        assert type(c * x) is type(x)
+        assert (c * x).terms == {k: v * c for k, v in x.terms.items()}
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__"):
+        assert getattr(c, op)(poly) is NotImplemented
+        assert getattr(c, op)(1.5) is NotImplemented
 
 
 # ---------- property: canonical components under + - * / ----------

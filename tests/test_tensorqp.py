@@ -271,6 +271,54 @@ def test_omega_extract_rejects_noninvariant(structure12):
         omega_extract([TensorVec.basis(S.sig, S.sig.zero_exps(), 0b1, 0)], S)
 
 
+def _omega_extract_reference(basis, S):
+    """Kernel extraction with one solve per image and a rank test per
+    candidate, the straightforward way."""
+    from rinehart.linalg import nullspace, rank, solve
+
+    keys = sorted({k for v in basis for k in v.terms})
+
+    def coords(v):
+        return [v.terms.get(k, Scalar(0)) for k in keys]
+
+    amat = [list(row) for row in zip(*(coords(v) for v in basis))]
+    stacked = []
+    for k in range(1, S.sig.n + 1):
+        xk = QPElement.from_field(VectorField.basis(S.sig, ("q", k)))
+        cols = [solve(amat, coords(S.psi(xk, v))) for v in basis]
+        stacked.extend([list(row) for row in zip(*cols)])
+    candidates = []
+    for coeffs in nullspace(stacked, len(basis)):
+        vec = TensorVec.zero(S.sig)
+        for c, v in zip(coeffs, basis):
+            vec = vec + v * c
+        candidates.extend(p for p in vec.even_odd(S.omega.parities) if p)
+    out = []
+    for cand in candidates:
+        trial = out + [cand]
+        tkeys = sorted({k for v in trial for k in v.terms})
+        mat = [[v.terms.get(k, Scalar(0)) for v in trial] for k in tkeys]
+        if rank(mat) == len(trial):
+            out.append(cand)
+    return out
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+def test_omega_extract_matches_per_candidate_greedy(m, n):
+    from rinehart.suites import admissible_mus
+
+    for mu in admissible_mus(m, n):
+        S = QPStructure(Signature(m, n, False), natural_module(m, n), mu)
+        basis = degree_zero_basis(S)
+        assert omega_extract(basis, S) == _omega_extract_reference(basis, S)
+        # a dependent spanning set: the kernel candidates are dependent too,
+        # and the filter must drop the same ones
+        mixed = [basis[0] + basis[-1], basis[0], basis[1] + basis[-1]]
+        assert omega_extract(basis + mixed, S) == _omega_extract_reference(
+            basis + mixed, S
+        )
+
+
 def test_omega_greedy(structure12, sampler):
     S = structure12
     z = S.sig.zero_exps()
