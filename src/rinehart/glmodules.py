@@ -178,7 +178,7 @@ def rep_check(mod: GlModule) -> RepReport:
             pcd = mod.entry_parity(c, d)
             lhs = matmul(mab, mcd)
             back = matmul(mcd, mab)
-            sign = -1 if (pab and pcd) else 1
+            sign = Scalar(-1 if (pab and pcd) else 1)
             rhs = zeros(mod.dim, mod.dim)
             if b == c:
                 mad = mod.act[(a, d)]
@@ -189,9 +189,9 @@ def rep_check(mod: GlModule) -> RepReport:
                 mcb = mod.act[(c, b)]
                 for i in range(mod.dim):
                     for j in range(mod.dim):
-                        rhs[i][j] = rhs[i][j] - Scalar.of(sign) * mcb[i][j]
+                        rhs[i][j] = rhs[i][j] - sign * mcb[i][j]
             ok = all(
-                lhs[i][j] - Scalar.of(sign) * back[i][j] == rhs[i][j]
+                lhs[i][j] - sign * back[i][j] == rhs[i][j]
                 for i in range(mod.dim)
                 for j in range(mod.dim)
             )

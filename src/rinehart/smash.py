@@ -21,9 +21,10 @@ from .scalars import Scalar
 from .superpoly import (
     Signature,
     SuperPoly,
-    filt_degree,
     mask_size,
     mods2_linear,
+    mono_apply,
+    mono_mul,
     subsets_of_mask,
 )
 from .vectorfields import VectorField, check_tag, tag_parity, vf_bracket
@@ -162,6 +163,16 @@ class SmashElement:
         return f"<SmashElement {format_smash(self)}>"
 
 
+def _apply_mono(sig: Signature, ae, am, pe, pm, tag, ce, cm):
+    """a·p·δ(c) for monomials a, p, c as (factor, exps, mask); factor 0
+    when it vanishes."""
+    f, e, m = mono_apply(tag, sig, pe, pm, ce, cm)
+    if f:
+        sign, e, m = mono_mul(ae, am, e, m)
+        return f * sign, e, m
+    return 0, e, m
+
+
 def smash_commutator(u: SmashElement, v: SmashElement) -> SmashElement:
     """Lie superbracket of the associative smash product, termwise:
 
@@ -176,44 +187,33 @@ def smash_commutator(u: SmashElement, v: SmashElement) -> SmashElement:
         raise ValueError("signature mismatch")
     sig = u.sig
     out = SmashElement.zero(sig)
-    z = sig.zero_exps()
-
-    def add_poly_with_b(poly: SuperPoly, bexps, bmask, tag, coeff):
-        for (e2, m2), c2 in poly.terms.items():
-            out._iadd_term((e2, m2, bexps, bmask, tag), coeff * c2)
-
     for (ae, am, pe, pm, ta), ca in u.terms.items():
         pa = _term_parity(am, pm, ta)
-        amon = SuperPoly.monomial(sig, ae, am)
         for (ce, cm, qe, qm, tb), cb in v.terms.items():
             pb = _term_parity(cm, qm, tb)
             coef = ca * cb
             big_sign = -1 if (pa & pb) else 1
-            cmon = SuperPoly.monomial(sig, ce, cm)
             if ta is not None:
-                pdelta = VectorField.term(sig, pe, pm, ta)
-                dc = pdelta.apply(cmon)
-                if dc:
-                    add_poly_with_b(amon * dc, qe, qm, tb, coef)
+                f, e, m = _apply_mono(sig, ae, am, pe, pm, ta, ce, cm)
+                if f:
+                    out._iadd_term((e, m, qe, qm, tb), coef * f)
             if tb is not None:
-                qgamma = VectorField.term(sig, qe, qm, tb)
-                ga = qgamma.apply(amon)
-                if ga:
-                    add_poly_with_b(cmon * ga, pe, pm, ta, -coef * big_sign)
+                f, e, m = _apply_mono(sig, ce, cm, qe, qm, tb, ae, am)
+                if f:
+                    out._iadd_term((e, m, pe, pm, ta), coef * (-big_sign * f))
             if ta is not None and tb is not None:
                 p_par = (mask_size(pm) + tag_parity(ta)) & 1
                 c_par = mask_size(cm) & 1
                 sign = -1 if (c_par & p_par) else 1
+                s_ac, e1, m1 = mono_mul(ae, am, ce, cm)
+                if not s_ac:
+                    continue
                 br = vf_bracket(
                     VectorField.term(sig, pe, pm, ta),
                     VectorField.term(sig, qe, qm, tb),
                 )
-                if br.is_zero():
-                    continue
-                ac = amon * cmon
-                for (e1, m1), c1 in ac.terms.items():
-                    for (e2, m2, t2), c2 in br.terms.items():
-                        out._iadd_term((e1, m1, e2, m2, t2), coef * sign * c1 * c2)
+                for (e2, m2, t2), c2 in br.terms.items():
+                    out._iadd_term((e1, m1, e2, m2, t2), coef * (sign * s_ac) * c2)
     return out
 
 
@@ -316,12 +316,13 @@ def theta_project(x: VectorField) -> GlMatrix:
         raise ValueError("the gl projection uses the full signature")
     out = GlMatrix.zero(sig.m, sig.n)
     for tag, coeff in x.to_d().coefficient_polys().items():
-        if filt_degree(coeff) < 1:
+        try:
+            tcoeffs, zcoeffs = mods2_linear(coeff)
+        except ValueError:
             raise ValueError(
                 f"coefficient of {tag} is not in the vanishing ideal"
-            )
+            ) from None
         col = tag[1] if tag[0] == "d" else sig.m + tag[1]
-        tcoeffs, zcoeffs = mods2_linear(coeff)
         for i, c in tcoeffs.items():
             out.rows[i][col] = out.rows[i][col] + c
         for k, c in zcoeffs.items():

@@ -31,6 +31,7 @@ from .superpoly import (
     SuperPoly,
     filt_degree,
     mask_size,
+    mono_mul,
     shift_basis,
     splus_part,
 )
@@ -723,9 +724,11 @@ def _shen_mul(w: TensorVec, g: SuperPoly) -> TensorVec:
     """Algebra action on the full tensor module: g·(h ⊗ v) = gh ⊗ v."""
     out = TensorVec.zero(w.sig)
     for (exps, mask, idx), c in w.terms.items():
-        prod = g * SuperPoly.monomial(w.sig, exps, mask, c)
-        for (e2, m2), c2 in prod.terms.items():
-            out._iadd_term((e2, m2, idx), c2)
+        for (ge, gm), cg in g.terms.items():
+            sign, e2, m2 = mono_mul(ge, gm, exps, mask)
+            if sign:
+                c2 = cg * c
+                out._iadd_term((e2, m2, idx), c2 if sign > 0 else -c2)
     return out
 
 

@@ -7,11 +7,21 @@ to Gaussian-rational coefficients.  Bit k-1 of a mask stands for ζ_k;
 factors are kept in increasing index order and any reordering costs the
 usual (-1)^inversions Koszul sign.  ∂/∂ζ_k is a left superderivation.
 
+Two term-level kernels serve every layer above, so that none of them
+builds throwaway `SuperPoly` monomials.  `mono_mul` multiplies two
+monomials (Koszul sign from the memoised `merge_masks`, exponents
+added); `SuperPoly.__mul__`, `VectorField.apply`/`scale_by_poly`,
+`vf_bracket`, `smash_commutator`, the three `tensorqp` actions and
+`suites._shen_mul` use it.  `derive_mono` applies one basis derivation
+to one monomial; `mono_apply` = monomial · derived monomial is the step
+of `vf_bracket` and `smash_commutator`.
+
 Also here: the filtration S ⊇ S² ⊇ ... by powers of the ideal vanishing
 at t=1, ζ=0, with an exact degree decision procedure (clear denominators
 by a unit power of t, Taylor-shift to u_i = t_i - 1, read the minimal
 total degree), and eigenvalue bookkeeping for the commuting families
-(t_i-1)d/dt_i and ζ_k ∂/∂ζ_k.
+(t_i-1)d/dt_i and ζ_k ∂/∂ζ_k.  Degrees 0 and 1, which decide most
+questions, are read in one pass over the terms (`_taylor01`).
 """
 
 from __future__ import annotations
@@ -19,8 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _iproduct
 from math import comb
+from operator import add
 
 from .scalars import ONE, Scalar
 
@@ -52,6 +64,7 @@ def mask_size(mask: int) -> int:
     return mask.bit_count()
 
 
+@lru_cache(maxsize=1 << 12)
 def merge_masks(ma: int, mb: int) -> tuple[int, int]:
     """Sign and mask of ζ_A · ζ_B.
 
@@ -68,6 +81,14 @@ def merge_masks(ma: int, mb: int) -> tuple[int, int]:
             sign = -sign
         b ^= low
     return sign, ma | mb
+
+
+def mono_mul(ea, ma: int, eb, mb: int):
+    """(sign, exps, mask) of t^ea ζ_ma · t^eb ζ_mb; sign 0 when ζ's repeat."""
+    if ma & mb:
+        return 0, None, 0
+    sign, mask = merge_masks(ma, mb)
+    return sign, tuple(map(add, ea, eb)), mask
 
 
 def subsets_of_mask(mask: int):
@@ -262,14 +283,22 @@ class SuperPoly:
         if not isinstance(other, SuperPoly):
             return NotImplemented
         _check_same_sig(self, other)
-        out = SuperPoly.zero(self.sig)
+        out = SuperPoly(self.sig)
+        terms = out.terms
         for (ea, ma), ca in self.terms.items():
             for (eb, mb), cb in other.terms.items():
-                sign, mm = merge_masks(ma, mb)
-                if sign == 0:
+                sign, exps, mm = mono_mul(ea, ma, eb, mb)
+                if not sign:
                     continue
-                key = (tuple(x + y for x, y in zip(ea, eb)), mm)
-                out._iadd_term(key, ca * cb * sign)
+                c = ca * cb if sign > 0 else -(ca * cb)
+                key = (exps, mm)
+                cur = terms.get(key)
+                if cur is not None:
+                    c = cur + c
+                    if not c:
+                        del terms[key]
+                        continue
+                terms[key] = c
         return out
 
     def __rmul__(self, other):
@@ -361,7 +390,44 @@ def derive(tag, f: SuperPoly) -> SuperPoly:
     return out
 
 
+def derive_mono(tag, sig: Signature, exps, mask: int):
+    """(factor, exps, mask) with tag(t^exps ζ_mask) = factor · t^exps' ζ_mask'.
+
+    The factor is an int, 0 when the derivation kills the monomial.
+    """
+    kind, idx = tag
+    if kind == "d":
+        return exps[sig.tpos(idx)], exps, mask
+    if kind == "dt":
+        p = sig.tpos(idx)
+        e = exps[p]
+        return e, exps[:p] + (e - 1,) + exps[p + 1:], mask
+    if kind == "q":
+        sig.check_zeta(idx)
+        bit = 1 << (idx - 1)
+        if not mask & bit:
+            return 0, exps, mask
+        sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+        return sign, exps, mask ^ bit
+    raise ValueError(f"unknown derivation tag {tag!r}")
+
+
+def mono_apply(tag, sig: Signature, ea, ma: int, eb, mb: int):
+    """(factor, exps, mask) of t^ea ζ_ma · tag(t^eb ζ_mb); factor 0 when
+    it vanishes."""
+    f, e, m = derive_mono(tag, sig, eb, mb)
+    if f:
+        sign, e, m = mono_mul(ea, ma, e, m)
+        return f * sign, e, m
+    return 0, e, m
+
+
 # ---------- Filtration by the ideal vanishing at t=1, ζ=0 ----------
+
+@lru_cache(maxsize=256)
+def _binom_row(e: int) -> tuple[int, ...]:
+    return tuple(comb(e, j) for j in range(e + 1))
+
 
 def shifted_form(f: SuperPoly) -> dict:
     """Rewrite in u_i = t_i - 1; needs nonnegative exponents."""
@@ -369,13 +435,15 @@ def shifted_form(f: SuperPoly) -> dict:
     for (exps, mask), c in f.terms.items():
         if any(e < 0 for e in exps):
             raise ValueError("negative exponent: clear denominators first")
+        rows = [_binom_row(e) for e in exps]
         for js in _iproduct(*(range(e + 1) for e in exps)):
             w = 1
-            for e, j in zip(exps, js):
-                w *= comb(e, j)
+            for row, j in zip(rows, js):
+                w *= row[j]
             key = (js, mask)
+            cw = c if w == 1 else c * w
             cur = out.get(key)
-            new = c * w if cur is None else cur + c * w
+            new = cw if cur is None else cur + cw
             if new:
                 out[key] = new
             elif cur is not None:
@@ -395,10 +463,41 @@ def _cleared(f: SuperPoly) -> SuperPoly:
     return f * SuperPoly.monomial(f.sig, shift)
 
 
+def _taylor01(f: SuperPoly):
+    """Constant and degree-one Taylor data of f at t = 1, ζ = 0.
+
+    Returns (const, lin_t, lin_z): t^e ζ_M · c adds c to const and c·e_p
+    to lin_t[p] (the u_p = t_p - 1 coefficient) when M = ∅, and c to
+    lin_z[k-1] when M = {k}; larger M lie in S².  Negative exponents are
+    fine: the u-expansion of t^e starts 1 + Σ e_p u_p for every integer
+    e.  When const = 0 these are exactly the degree-one data of the
+    cleared form t^N f, whose u_p coefficients shift by N_p · const.
+    """
+    zero = Scalar(0)
+    const = zero
+    lin_t = [zero] * f.sig.nvars
+    lin_z = [zero] * f.sig.n
+    for (exps, mask), c in f.terms.items():
+        if not mask:
+            const = const + c
+            for p, e in enumerate(exps):
+                if e:
+                    lin_t[p] = lin_t[p] + (c if e == 1 else c * e)
+        elif not mask & (mask - 1):
+            k = mask.bit_length() - 1
+            lin_z[k] = lin_z[k] + c
+    return const, lin_t, lin_z
+
+
 def filt_degree(f: SuperPoly):
     """Largest ℓ with f ∈ S^ℓ; 0 if f ∉ S, math.inf for f = 0."""
     if f.is_zero():
         return INFINITE
+    const, lin_t, lin_z = _taylor01(f)
+    if const:
+        return 0
+    if any(lin_t) or any(lin_z):
+        return 1
     sf = shifted_form(_cleared(f))
     return min(sum(ue) + mask_size(mask) for (ue, mask) in sf)
 
@@ -408,24 +507,12 @@ def mods2_linear(f: SuperPoly) -> tuple[dict, dict]:
 
     Requires f ∈ S (the constant Taylor term must vanish).
     """
-    sf = shifted_form(_cleared(f))
-    tvars = list(f.sig.tvars())
-    tcoeffs: dict[int, Scalar] = {}
-    zcoeffs: dict[int, Scalar] = {}
-    for (ue, mask), c in sf.items():
-        deg = sum(ue) + mask_size(mask)
-        if deg == 0:
-            raise ValueError("element is not in the vanishing ideal")
-        if deg != 1:
-            continue
-        if mask:
-            zcoeffs[mask.bit_length()] = zcoeffs.get(mask.bit_length(), Scalar(0)) + c
-        else:
-            i = tvars[ue.index(1)]
-            tcoeffs[i] = tcoeffs.get(i, Scalar(0)) + c
+    const, lin_t, lin_z = _taylor01(f)
+    if const:
+        raise ValueError("element is not in the vanishing ideal")
     return (
-        {i: c for i, c in tcoeffs.items() if c},
-        {k: c for k, c in zcoeffs.items() if c},
+        {i: c for i, c in zip(f.sig.tvars(), lin_t) if c},
+        {k: c for k, c in enumerate(lin_z, 1) if c},
     )
 
 

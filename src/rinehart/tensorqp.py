@@ -25,8 +25,9 @@ from .smash import SmashElement, tau
 from .superpoly import (
     Signature,
     SuperPoly,
+    derive_mono,
     mask_size,
-    merge_masks,
+    mono_mul,
     subsets_of_mask,
 )
 from .vectorfields import (
@@ -275,13 +276,16 @@ def _dir_parity(S: QPStructure, alpha: int) -> int:
     return 1 if alpha > S.sig.m else 0
 
 
+def _dir_tag(S: QPStructure, alpha: int):
+    """Basis derivation of direction α ≥ 1."""
+    return ("d", alpha) if alpha <= S.sig.m else ("q", alpha - S.sig.m)
+
+
 def _dir_derive(S: QPStructure, alpha: int, f: SuperPoly) -> SuperPoly:
     """∂_α(f) with the unit-slot convention ∂_0 := 0 as an operator."""
     if alpha == 0:
         return SuperPoly.zero(S.sig)
-    if alpha <= S.sig.m:
-        return f.derive(("d", alpha))
-    return f.derive(("q", alpha - S.sig.m))
+    return f.derive(_dir_tag(S, alpha))
 
 
 def _phi_default(S: QPStructure, a: SuperPoly, w: TensorVec) -> TensorVec:
@@ -290,11 +294,10 @@ def _phi_default(S: QPStructure, a: SuperPoly, w: TensorVec) -> TensorVec:
     out = TensorVec.zero(S.sig)
     for (ae, am), ca in a.terms.items():
         for (be, bm, idx), cw in w.terms.items():
-            sign, mm = merge_masks(am, bm)
-            if sign == 0:
-                continue
-            key = (tuple(x + y for x, y in zip(ae, be)), mm, idx)
-            out._iadd_term(key, ca * cw * sign)
+            sign, exps, mm = mono_mul(ae, am, be, bm)
+            if sign:
+                c = ca * cw
+                out._iadd_term((exps, mm, idx), c if sign > 0 else -c)
     return out
 
 
@@ -305,48 +308,50 @@ def _psi_default(S: QPStructure, x: QPElement, w: TensorVec) -> TensorVec:
     out = TensorVec.zero(sig)
     for alpha, ae, am, ca in _alpha_parts(S, x):
         p_alpha = _dir_parity(S, alpha)
-        amon = SuperPoly.monomial(sig, ae, am)
         pa = mask_size(am) & 1
-        dparts = []
+        dparts = []  # ∂_β(a) = f · t^e ζ_mask
         for beta in range(1, m + n + 1):
-            da = _dir_derive(S, beta, amon)
-            if da:
-                dparts.append((beta, 1 if beta > m else 0, da))
+            f, e, mask = derive_mono(_dir_tag(S, beta), sig, ae, am)
+            if f:
+                dparts.append((beta, 1 if beta > m else 0, f, e, mask))
         for (be, bm, idx), cw in w.terms.items():
             coef = ca * cw
             pb = mask_size(bm) & 1
             bmon = SuperPoly.monomial(sig, be, bm)
             main = _dir_derive(S, alpha, bmon) + bmon * S.mu[alpha]
-            for (e2, m2), c2 in (amon * main).terms.items():
-                out._iadd_term((e2, m2, idx), coef * c2)
+            for (e2, m2), c2 in main.terms.items():
+                sign, e3, m3 = mono_mul(ae, am, e2, m2)
+                if sign:
+                    c3 = coef * c2
+                    out._iadd_term((e3, m3, idx), c3 if sign > 0 else -c3)
             pab = (pa + pb) & 1
-            for beta, p_beta, da in dparts:
+            for beta, p_beta, f, e, mask in dparts:
                 sgn = (pab & p_beta) + p_beta + (pb & p_alpha)
                 s = -1 if sgn & 1 else 1
-                dab = da * bmon
-                if not dab:
+                sign, e2, m2 = mono_mul(e, mask, be, bm)
+                if not sign:
                     continue
+                c2 = coef * (f * sign)
                 for u, cu in S.omega.column(beta, alpha, idx):
-                    for (e2, m2), c2 in dab.terms.items():
-                        out._iadd_term((e2, m2, u), coef * c2 * cu * s)
+                    out._iadd_term((e2, m2, u), c2 * cu * s)
     return out
 
 
 def _phihat_default(S: QPStructure, x: QPElement, w: TensorVec) -> TensorVec:
     if x.sig != S.sig or w.sig != S.sig:
         raise ValueError("signature mismatch")
-    sig = S.sig
-    out = TensorVec.zero(sig)
+    out = TensorVec.zero(S.sig)
     for alpha, ae, am, ca in _alpha_parts(S, x):
         p_alpha = _dir_parity(S, alpha)
-        amon = SuperPoly.monomial(sig, ae, am)
         for (be, bm, idx), cw in w.terms.items():
             pb = mask_size(bm) & 1
             s = -1 if not (pb and p_alpha) else 1
-            ab = amon * SuperPoly.monomial(sig, be, bm)
+            sign, e2, m2 = mono_mul(ae, am, be, bm)
+            if not sign:
+                continue
+            c2 = ca * cw * (sign * s)
             for u, cu in S.omega.column(0, alpha, idx):
-                for (e2, m2), c2 in ab.terms.items():
-                    out._iadd_term((e2, m2, u), ca * cw * c2 * cu * s)
+                out._iadd_term((e2, m2, u), c2 * cu)
     return out
 
 

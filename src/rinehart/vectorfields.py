@@ -25,7 +25,8 @@ from .superpoly import (
     derive,
     eps,
     mask_size,
-    merge_masks,
+    mono_apply,
+    mono_mul,
     weight_of_poly,
 )
 
@@ -183,11 +184,10 @@ class VectorField:
         out = VectorField.zero(self.sig)
         for (eb, mb, tag), cb in self.terms.items():
             for (ea, ma), ca in p.terms.items():
-                sign, mm = merge_masks(ma, mb)
-                if sign == 0:
-                    continue
-                key = (tuple(x + y for x, y in zip(ea, eb)), mm, tag)
-                out._iadd_term(key, ca * cb * sign)
+                sign, exps, mm = mono_mul(ea, ma, eb, mb)
+                if sign:
+                    c = ca * cb
+                    out._iadd_term((exps, mm, tag), c if sign > 0 else -c)
         return out
 
     # -- basis-mode conversion (exact: d_i = t_i · d/dt_i) --
@@ -232,8 +232,11 @@ class VectorField:
         _check_same_sig(self, f)
         out = SuperPoly.zero(self.sig)
         for (exps, mask, tag), c in self.terms.items():
-            mono = SuperPoly.monomial(self.sig, exps, mask, c)
-            out += mono * derive(tag, f)
+            for (e2, m2), c2 in derive(tag, f).terms.items():
+                sign, e3, m3 = mono_mul(exps, mask, e2, m2)
+                if sign:
+                    c3 = c * c2
+                    out._iadd_term((e3, m3), c3 if sign > 0 else -c3)
         return out
 
     def embed_full(self, t0_exp: int = 0) -> "VectorField":
@@ -270,16 +273,16 @@ def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
     out = VectorField.zero(sig)
     for (ea, ma, ta), ca in xx.terms.items():
         pa = (mask_size(ma) + tag_parity(ta)) & 1
-        amon = SuperPoly.monomial(sig, ea, ma)
         for (eb, mb, tb), cb in yy.terms.items():
             pb = (mask_size(mb) + tag_parity(tb)) & 1
             coef = ca * cb
-            bmon = SuperPoly.monomial(sig, eb, mb)
-            for (e2, m2), c2 in (amon * derive(ta, bmon)).terms.items():
-                out._iadd_term((e2, m2, tb), coef * c2)
-            ksign = -1 if (pa & pb) else 1
-            for (e2, m2), c2 in (bmon * derive(tb, amon)).terms.items():
-                out._iadd_term((e2, m2, ta), coef * c2 * (-ksign))
+            f, e2, m2 = mono_apply(ta, sig, ea, ma, eb, mb)
+            if f:
+                out._iadd_term((e2, m2, tb), coef * f)
+            f, e2, m2 = mono_apply(tb, sig, eb, mb, ea, ma)
+            if f:
+                ksign = 1 if (pa & pb) else -1
+                out._iadd_term((e2, m2, ta), coef * (ksign * f))
     return out
 
 

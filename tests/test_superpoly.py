@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,17 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinehart.scalars import Scalar
+from rinehart.smash import theta_project
 from rinehart.superpoly import (
     Signature,
     SuperPoly,
     derive,
+    derive_mono,
     filt_degree,
     mask_from_indices,
+    mask_indices,
     merge_masks,
+    mods2_linear,
+    mono_apply,
+    mono_mul,
     shift_basis,
+    shifted_form,
     splus_part,
     weight_of_poly,
 )
+from rinehart.vectorfields import VectorField
 
 # ---------- independent Grassmann oracle (ordered index lists) ----------
 
@@ -204,3 +213,143 @@ def test_splus_part_rewrite(sig11, sampler):
             if g:
                 assert filt_degree(g) >= k
             assert filt_degree(f - g) >= kprime
+
+
+# ---------- term-level kernels ----------
+
+def test_mono_mul_against_list_oracle_and_product():
+    rng = random.Random(11)
+    for n in range(1, 5):
+        sig = Signature(1, n, True)
+        for ma in range(1 << n):
+            for mb in range(1 << n):
+                ea = (rng.randint(-3, 3), rng.randint(-3, 3))
+                eb = (rng.randint(-3, 3), rng.randint(-3, 3))
+                sign, exps, mask = mono_mul(ea, ma, eb, mb)
+                want = list_mul(mask_indices(ma), mask_indices(mb))
+                prod = SuperPoly.monomial(sig, ea, ma) * SuperPoly.monomial(sig, eb, mb)
+                if want is None:
+                    assert sign == 0
+                    assert prod.is_zero()
+                    continue
+                assert (sign, mask) == (want[0], mask_from_indices(want[1]))
+                assert exps == (ea[0] + eb[0], ea[1] + eb[1])
+                assert prod == SuperPoly.monomial(sig, exps, mask, sign)
+
+
+def test_derive_mono_and_mono_apply_match_derive():
+    rng = random.Random(12)
+    for sig in (Signature(2, 3, True), Signature(2, 3, False)):
+        tags = [(kind, i) for kind in ("d", "dt") for i in sig.tvars()]
+        tags += [("q", k) for k in range(1, sig.n + 1)]
+        for tag in tags:
+            for mask in range(1 << sig.n):
+                exps = tuple(rng.randint(-3, 3) for _ in range(sig.nvars))
+                factor, e2, m2 = derive_mono(tag, sig, exps, mask)
+                want = derive(tag, SuperPoly.monomial(sig, exps, mask))
+                got = SuperPoly.monomial(sig, e2, m2, factor) if factor else SuperPoly.zero(sig)
+                assert got == want
+                left = tuple(rng.randint(-3, 3) for _ in range(sig.nvars))
+                lmask = rng.randrange(1 << sig.n)
+                factor, e3, m3 = mono_apply(tag, sig, left, lmask, exps, mask)
+                want = SuperPoly.monomial(sig, left, lmask) * want
+                got = SuperPoly.monomial(sig, e3, m3, factor) if factor else SuperPoly.zero(sig)
+                assert got == want
+    with pytest.raises(ValueError):
+        derive_mono(("q", 4), Signature(2, 3, True), (0, 0, 0), 0)
+    with pytest.raises(ValueError):
+        derive_mono(("x", 1), Signature(2, 3, True), (0, 0, 0), 0)
+
+
+# Reference Taylor data, independent of the library's shifted_form:
+# multiply by the unit t^N that clears negative exponents, expand each
+# t^e as Π Σ_j C(e_p, j) u_p^j, and collect by (u-exponents, mask).
+
+def ref_shifted(f):
+    mins = [min([0] + [exps[p] for (exps, _m) in f.terms]) for p in range(f.sig.nvars)]
+    out = {}
+    for (exps, mask), c in f.terms.items():
+        cleared = [e - lo for e, lo in zip(exps, mins)]
+        for js in itertools.product(*(range(e + 1) for e in cleared)):
+            w = math.prod(math.comb(e, j) for e, j in zip(cleared, js))
+            key = (js, mask)
+            out[key] = out.get(key, Scalar(0)) + c * w
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_filt_degree(f):
+    sf = ref_shifted(f)
+    if not sf:
+        return math.inf
+    return min(sum(ue) + bin(mask).count("1") for (ue, mask) in sf)
+
+
+def ref_mods2_linear(f):
+    sf = ref_shifted(f)
+    if any(not any(ue) and not mask for (ue, mask) in sf):
+        raise ValueError("element is not in the vanishing ideal")
+    tvars = list(f.sig.tvars())
+    tco, zco = {}, {}
+    for (ue, mask), c in sf.items():
+        if sum(ue) == 1 and not mask:
+            tco[tvars[ue.index(1)]] = c
+        elif not any(ue) and bin(mask).count("1") == 1:
+            zco[mask.bit_length()] = c
+    return tco, zco
+
+
+gauss = st.builds(
+    lambda re, im, den: Scalar(Fraction(re, den), Fraction(im, den)),
+    st.integers(-4, 4), st.integers(-2, 2), st.integers(1, 3),
+).filter(bool)
+
+
+@st.composite
+def laurent_grassmann(draw):
+    """A random element, optionally pushed into S or S² by construction."""
+    sig = Signature(draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.booleans()))
+    terms = draw(st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(-3, 3)] * sig.nvars),
+            st.integers(0, (1 << sig.n) - 1),
+            gauss,
+        ),
+        min_size=1, max_size=5,
+    ))
+    f = SuperPoly.zero(sig)
+    for exps, mask, c in terms:
+        f += SuperPoly.monomial(sig, exps, mask, c)
+    one = SuperPoly.one(sig)
+    ideal = [SuperPoly.t_var(sig, i) - one for i in sig.tvars()]
+    ideal += [SuperPoly.zeta(sig, k) for k in range(1, sig.n + 1)]
+    for _ in range(draw(st.integers(0, 2))):  # into S, then S²
+        f = f * draw(st.sampled_from(ideal))
+    if draw(st.booleans()):  # subtract the constant Taylor term: into S
+        f = f - SuperPoly.scalar(sig, sum(
+            (c for (_e, m), c in f.terms.items() if not m), Scalar(0)))
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_grassmann())
+def test_taylor_kernel_matches_full_expansion(f):
+    assert filt_degree(f) == ref_filt_degree(f)
+    try:
+        want = ref_mods2_linear(f)
+    except ValueError:
+        with pytest.raises(ValueError, match="not in the vanishing ideal"):
+            mods2_linear(f)
+    else:
+        assert mods2_linear(f) == want
+    if all(e >= 0 for e in f.min_t_exponents()):
+        assert shifted_form(f) == ref_shifted(f)
+
+
+def test_theta_project_rejects_coefficient_outside_s():
+    sig = Signature(1, 1, True)
+    one = SuperPoly.one(sig)
+    x = VectorField.from_poly_tag(SuperPoly.t_var(sig, 1) - one, ("d", 0))
+    x += VectorField.from_poly_tag(SuperPoly.t_var(sig, 1, -1) + one, ("q", 1))
+    with pytest.raises(ValueError) as info:
+        theta_project(x)
+    assert str(info.value) == "coefficient of ('q', 1) is not in the vanishing ideal"

@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rinehart.superpoly import Signature, SuperPoly, filt_degree, shift_basis
+from rinehart.scalars import Scalar
+from rinehart.superpoly import Signature, SuperPoly, derive, filt_degree, shift_basis
 from rinehart.vectorfields import (
     LoopElement,
     QPElement,
@@ -14,6 +18,7 @@ from rinehart.vectorfields import (
     qp_bracket,
     qp_product,
     special_partial,
+    tag_parity,
     vf_bracket,
     weight_of,
 )
@@ -283,3 +288,62 @@ def test_loop_der_correspondence(sig11, sampler):
         )
         f = sampler.monomial(sig11)
         assert loop_apply_to_poly(x, f) == loop_der_correspond(x).apply(f)
+
+
+# ---------- the bracket kernel against SuperPoly temporaries ----------
+
+def bracket_via_temporaries(x, y):
+    """vf_bracket written with SuperPoly monomials and derive."""
+    if x.mode() in ("d", "any") and y.mode() in ("d", "any"):
+        xx, yy = x, y
+    else:
+        xx, yy = x.to_dt(), y.to_dt()
+    sig = x.sig
+    out = VectorField.zero(sig)
+    for (ea, ma, ta), ca in xx.terms.items():
+        pa = (bin(ma).count("1") + tag_parity(ta)) & 1
+        amon = SuperPoly.monomial(sig, ea, ma)
+        for (eb, mb, tb), cb in yy.terms.items():
+            pb = (bin(mb).count("1") + tag_parity(tb)) & 1
+            coef = ca * cb
+            bmon = SuperPoly.monomial(sig, eb, mb)
+            for (e2, m2), c2 in (amon * derive(ta, bmon)).terms.items():
+                out._iadd_term((e2, m2, tb), coef * c2)
+            ksign = -1 if (pa & pb) else 1
+            for (e2, m2), c2 in (bmon * derive(tb, amon)).terms.items():
+                out._iadd_term((e2, m2, ta), coef * c2 * (-ksign))
+    return out
+
+
+@st.composite
+def field_pairs(draw):
+    sig = Signature(draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.booleans()))
+    modes = draw(st.sampled_from(["d", "dt", "mixed"]))
+    kinds = {"d": ["d"], "dt": ["dt"], "mixed": ["d", "dt"]}[modes] + ["q"]
+
+    def field():
+        out = VectorField.zero(sig)
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(kinds))
+            idx = draw(st.sampled_from(
+                list(sig.tvars()) if kind != "q" else list(range(1, sig.n + 1))))
+            out += VectorField.term(
+                sig,
+                draw(st.tuples(*[st.integers(-2, 2)] * sig.nvars)),
+                draw(st.integers(0, (1 << sig.n) - 1)),
+                (kind, idx),
+                Scalar(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
+                       draw(st.integers(-1, 1))),
+            )
+        return out
+
+    return field(), field()
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_pairs())
+def test_vf_bracket_matches_temporaries(pair):
+    x, y = pair
+    got, want = vf_bracket(x, y), bracket_via_temporaries(x, y)
+    # same terms in the same insertion order, not only equal as operators
+    assert list(got.terms.items()) == list(want.terms.items())
