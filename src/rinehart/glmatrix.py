@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import matmul
 from .scalars import Scalar
 
 
@@ -51,26 +52,21 @@ class GlMatrix:
     def entry_parity(self, a: int, b: int) -> int:
         return (self.index_parity(a) + self.index_parity(b)) & 1
 
-    def even_part(self) -> "GlMatrix":
-        out = GlMatrix(self.m, self.n)
-        for a in range(self.dim):
-            for b in range(self.dim):
-                if self.entry_parity(a, b) == 0:
-                    out.rows[a][b] = self.rows[a][b]
-        return out
-
-    def odd_part(self) -> "GlMatrix":
-        out = GlMatrix(self.m, self.n)
-        for a in range(self.dim):
-            for b in range(self.dim):
-                if self.entry_parity(a, b) == 1:
-                    out.rows[a][b] = self.rows[a][b]
-        return out
+    def even_odd(self) -> tuple["GlMatrix", "GlMatrix"]:
+        """The even and the odd part, split in one pass."""
+        m = self.m
+        ev, od = GlMatrix(m, self.n), GlMatrix(m, self.n)
+        for a, row in enumerate(self.rows):
+            for b, c in enumerate(row):
+                if c:
+                    (od if (a > m) != (b > m) else ev).rows[a][b] = c
+        return ev, od
 
     def parity(self):
         """0 or 1 for parity-homogeneous matrices, None otherwise."""
-        has_even = not self.even_part().is_zero()
-        has_odd = not self.odd_part().is_zero()
+        ev, od = self.even_odd()
+        has_even = not ev.is_zero()
+        has_odd = not od.is_zero()
         if has_even and has_odd:
             return None
         if has_odd:
@@ -119,25 +115,6 @@ class GlMatrix:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        if not isinstance(other, GlMatrix):
-            return NotImplemented
-        self._check(other)
-        d = self.dim
-        out = GlMatrix(self.m, self.n)
-        for a in range(d):
-            row = self.rows[a]
-            orow = out.rows[a]
-            for k in range(d):
-                c = row[k]
-                if not c:
-                    continue
-                brow = other.rows[k]
-                for b in range(d):
-                    if brow[b]:
-                        orow[b] = orow[b] + c * brow[b]
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, GlMatrix):
             return NotImplemented
@@ -153,17 +130,21 @@ class GlMatrix:
         return f"<GlMatrix {format_gl_matrix(self)}>"
 
 
+def _nonzero_parts(g: GlMatrix) -> list:
+    """(part, parity) for the nonzero homogeneous parts of g."""
+    return [(p, par) for par, p in enumerate(g.even_odd()) if not p.is_zero()]
+
+
 def gl_bracket(x: GlMatrix, y: GlMatrix) -> GlMatrix:
     """XY - (-1)^{|X||Y|} YX on homogeneous parts, extended bilinearly."""
     x._check(y)
-    out = GlMatrix.zero(x.m, x.n)
-    for xp, px in ((x.even_part(), 0), (x.odd_part(), 1)):
-        if xp.is_zero():
-            continue
-        for yp, py in ((y.even_part(), 0), (y.odd_part(), 1)):
-            if yp.is_zero():
-                continue
-            prod = xp @ yp
-            back = yp @ xp
+    m, n = x.m, x.n
+    xparts = _nonzero_parts(x)
+    yparts = _nonzero_parts(y) if xparts else []
+    out = GlMatrix.zero(m, n)
+    for xp, px in xparts:
+        for yp, py in yparts:
+            prod = GlMatrix(m, n, matmul(xp.rows, yp.rows))
+            back = GlMatrix(m, n, matmul(yp.rows, xp.rows))
             out = out + (prod - back if not (px and py) else prod + back)
     return out

@@ -14,12 +14,11 @@ gl(m+1, n) through the degree-one Taylor data.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .glmatrix import GlMatrix
 from .scalars import Scalar
 from .superpoly import (
     Signature,
+    Sparse,
     SuperPoly,
     mask_size,
     mods2_linear,
@@ -37,31 +36,25 @@ def _term_parity(amask: int, bmask: int, tag) -> int:
     return p & 1
 
 
-class SmashElement:
-    """Sparse element of A # (C ⊕ Der(A)), full signature."""
+class SmashElement(Sparse):
+    """Sparse element of A # (C ⊕ Der(A)), full signature, keyed by
+    (a-exps, a-mask, b-exps, b-mask, tag); tag None is the unit 1."""
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ()
 
     def __init__(self, sig: Signature, terms=None):
         if not sig.includes_t0:
             raise ValueError("smash elements use the full signature")
-        self.sig = sig
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = Scalar.of(c)
-                if not c:
-                    continue
-                _aexps, _amask, bexps, bmask, tag = key
-                if tag is None and (any(bexps) or bmask):
-                    raise ValueError("unit-tagged terms carry no b-monomial")
-                self.terms[key] = c
-
-    # -- constructors --
+        super().__init__(sig, terms)
+        for (_aexps, _amask, bexps, bmask, tag) in self.terms:
+            if tag is None and (any(bexps) or bmask):
+                raise ValueError("unit-tagged terms carry no b-monomial")
 
     @staticmethod
-    def zero(sig: Signature) -> "SmashElement":
-        return SmashElement(sig)
+    def _key_parity(key) -> int:
+        return _term_parity(key[1], key[3], key[4])
+
+    # -- constructors --
 
     @staticmethod
     def a_unit(sig: Signature, aexps, amask: int = 0, coeff=1) -> "SmashElement":
@@ -94,18 +87,6 @@ class SmashElement:
 
     # -- queries --
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def parity(self):
-        seen = {_term_parity(am, bm, tag) for (_, am, _, bm, tag) in self.terms}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
     def degrees(self) -> set:
         """Z^{m+1}-degrees exp(a) + exp(b) present among the terms."""
         return {
@@ -116,46 +97,6 @@ class SmashElement:
     def is_degree_zero(self) -> bool:
         zero = self.sig.zero_exps()
         return all(d == zero for d in self.degrees())
-
-    # -- arithmetic --
-
-    def _iadd_term(self, key, c: Scalar):
-        cur = self.terms.get(key)
-        new = c if cur is None else cur + c
-        if new:
-            self.terms[key] = new
-        elif cur is not None:
-            del self.terms[key]
-
-    def __add__(self, other):
-        if not isinstance(other, SmashElement):
-            return NotImplemented
-        if self.sig != other.sig:
-            raise ValueError("signature mismatch")
-        out = SmashElement(self.sig, dict(self.terms))
-        for key, c in other.terms.items():
-            out._iadd_term(key, c)
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SmashElement(self.sig, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return SmashElement(
-                self.sig, {k: c * other for k, c in self.terms.items()}
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, SmashElement):
-            return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
 
     def __repr__(self):
         from .parser import format_smash

@@ -38,6 +38,7 @@ from .superpoly import (
 from .tensorqp import (
     QPStructure,
     TensorVec,
+    _coords,
     degree_zero_basis,
     full_to_loop,
     induced_gl_module,
@@ -823,7 +824,7 @@ def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
         w = s.tensor(env.dotted, env.omega)
         rbar = s.exps(env.dotted)
         imask = s.mask(env.dotted.n)
-        shifted = _phi_mono(S, rbar, imask, w)
+        shifted = S.phi(SuperPoly.monomial(S.sig, rbar, imask), w)
         if shifted.is_zero():
             continue  # Grassmann collision
         shift = tprime_weight(S, shifted)
@@ -836,10 +837,6 @@ def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
             break
     out.append(CheckResult("phi.weight_shift", bad is None, cfg.samples, bad))
     return out
-
-
-def _phi_mono(S: QPStructure, rbar, imask, w: TensorVec) -> TensorVec:
-    return S.phi(SuperPoly.monomial(S.sig, rbar, imask), w)
 
 
 def annihilate_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
@@ -949,13 +946,7 @@ def iso_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
         for mask in range(1 << dotted.n):
             for j in range(induced.dim):
                 dom.append(TensorVec.basis(dotted, exps, mask, j))
-    images = [theta_transport(v, basis, S) for v in dom]
-    keys = sorted({k for v in images for k in v.terms})
-    index = {k: i for i, k in enumerate(keys)}
-    mat = [[Scalar(0)] * len(dom) for _ in keys]
-    for j, v in enumerate(images):
-        for key, c in v.terms.items():
-            mat[index[key]][j] = c
+    _, mat = _coords([theta_transport(v, basis, S) for v in dom])
     target_dim = (2 * bound + 1) ** dotted.nvars * (1 << dotted.n) * env.omega.dim
     rk = linalg.rank(mat)
     ok = rk == len(dom) == target_dim

@@ -7,6 +7,13 @@ to Gaussian-rational coefficients.  Bit k-1 of a mask stands for ζ_k;
 factors are kept in increasing index order and any reordering costs the
 usual (-1)^inversions Koszul sign.  ∂/∂ζ_k is a left superderivation.
 
+`Sparse` is the one container behind every free module of the package:
+a term map basis key → nonzero coefficient with the shared `+ - neg`,
+scalar `*`, `==` and parity split.  `SuperPoly`, `VectorField`,
+`SmashElement`, `TensorVec`, `LoopElement` and `LoopTensor` subclass it
+and add their key shape, constructors and the hook `_key_parity(key,
+*ctx)` that `parity`/`even_odd` read.
+
 Two term-level kernels serve every layer above, so that none of them
 builds throwaway `SuperPoly` monomials.  `mono_mul` multiplies two
 monomials (Koszul sign from the memoised `merge_masks`, exponents
@@ -150,10 +157,19 @@ def _check_same_sig(a, b):
         raise ValueError("signature mismatch")
 
 
-# ---------- SuperPoly ----------
+# ---------- the shared sparse container ----------
 
-class SuperPoly:
-    """Element of the Laurent-Grassmann algebra as a sparse term map."""
+class Sparse:
+    """Sparse map basis key → nonzero coefficient over one signature.
+
+    The common base of every free module here (`SuperPoly`, `VectorField`,
+    `SmashElement`, `TensorVec` and the loop types): construction with
+    zeros dropped, termwise `+ - neg`, scalar `*`, `==`, and the parity
+    split.  Subclasses fix the key shape and supply `_key_parity(key,
+    *ctx)`, the parity of one basis key (ctx is passed through from
+    `parity`/`even_odd`, e.g. the module parities of a `TensorVec`).
+    Instances are unhashable unless the subclass defines `__hash__`.
+    """
 
     __slots__ = ("sig", "terms")
 
@@ -166,11 +182,89 @@ class SuperPoly:
                 if c:
                     self.terms[key] = c
 
-    # -- constructors --
+    @classmethod
+    def zero(cls, sig: Signature):
+        return cls(sig)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _iadd_term(self, key, c):
+        cur = self.terms.get(key)
+        new = c if cur is None else cur + c
+        if new:
+            self.terms[key] = new
+        elif cur is not None:
+            del self.terms[key]
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        _check_same_sig(self, other)
+        out = type(self)(self.sig, dict(self.terms))
+        for key, c in other.terms.items():
+            out._iadd_term(key, c)
+        return out
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        _check_same_sig(self, other)
+        out = type(self)(self.sig, dict(self.terms))
+        for key, c in other.terms.items():
+            out._iadd_term(key, -c)
+        return out
+
+    def __neg__(self):
+        return type(self)(self.sig, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Scalar)):
+            s = Scalar.of(other)
+            if not s:
+                return type(self)(self.sig)
+            return type(self)(self.sig, {k: c * s for k, c in self.terms.items()})
+        return NotImplemented
+
+    def __rmul__(self, other):
+        # Scalars commute; going through self.__mul__ keeps a subclass's
+        # own __mul__ the single entry point.
+        return self.__mul__(other)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.sig == other.sig and self.terms == other.terms
+
+    def parity(self, *ctx):
+        """0 or 1 when homogeneous, None for 0 or mixed."""
+        seen = {self._key_parity(key, *ctx) for key in self.terms}
+        if len(seen) == 1:
+            return seen.pop()
+        return None
+
+    def even_odd(self, *ctx):
+        ev, od = {}, {}
+        for key, c in self.terms.items():
+            (od if self._key_parity(key, *ctx) else ev)[key] = c
+        return type(self)(self.sig, ev), type(self)(self.sig, od)
+
+
+# ---------- SuperPoly ----------
+
+class SuperPoly(Sparse):
+    """Element of the Laurent-Grassmann algebra, keyed by (exps, mask)."""
+
+    __slots__ = ()
 
     @staticmethod
-    def zero(sig: Signature) -> "SuperPoly":
-        return SuperPoly(sig)
+    def _key_parity(key) -> int:
+        return mask_size(key[1]) & 1
+
+    # -- constructors --
 
     @staticmethod
     def scalar(sig: Signature, c) -> "SuperPoly":
@@ -194,10 +288,6 @@ class SuperPoly:
         return SuperPoly.monomial(sig, exps)
 
     @staticmethod
-    def t_power(sig: Signature, exps) -> "SuperPoly":
-        return SuperPoly.monomial(sig, exps)
-
-    @staticmethod
     def zeta(sig: Signature, k: int) -> "SuperPoly":
         sig.check_zeta(k)
         return SuperPoly.monomial(sig, sig.zero_exps(), 1 << (k - 1))
@@ -208,32 +298,10 @@ class SuperPoly:
             raise ValueError("Grassmann index outside signature")
         return SuperPoly.monomial(sig, sig.zero_exps(), mask)
 
-    # -- basic queries --
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def num_terms(self) -> int:
-        return len(self.terms)
+    # -- queries --
 
     def coefficient(self, exps, mask: int = 0) -> Scalar:
         return self.terms.get((tuple(exps), mask), Scalar(0))
-
-    def parity(self):
-        """0 or 1 when homogeneous, None for 0 or mixed."""
-        seen = {mask_size(mask) & 1 for (_, mask) in self.terms}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
-    def even_odd(self) -> tuple["SuperPoly", "SuperPoly"]:
-        ev, od = {}, {}
-        for (exps, mask), c in self.terms.items():
-            (od if mask_size(mask) & 1 else ev)[(exps, mask)] = c
-        return SuperPoly(self.sig, ev), SuperPoly(self.sig, od)
 
     def min_t_exponents(self) -> tuple[int, ...]:
         mins = [0] * self.sig.nvars
@@ -245,43 +313,9 @@ class SuperPoly:
 
     # -- arithmetic --
 
-    def _iadd_term(self, key, c: Scalar):
-        cur = self.terms.get(key)
-        new = c if cur is None else cur + c
-        if new:
-            self.terms[key] = new
-        elif cur is not None:
-            del self.terms[key]
-
-    def __add__(self, other):
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        _check_same_sig(self, other)
-        out = SuperPoly(self.sig, dict(self.terms))
-        for key, c in other.terms.items():
-            out._iadd_term(key, c)
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        _check_same_sig(self, other)
-        out = SuperPoly(self.sig, dict(self.terms))
-        for key, c in other.terms.items():
-            out._iadd_term(key, -c)
-        return out
-
-    def __neg__(self):
-        return SuperPoly(self.sig, {k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = Scalar.of(other)
-            if not s:
-                return SuperPoly.zero(self.sig)
-            return SuperPoly(self.sig, {k: c * s for k, c in self.terms.items()})
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
+        if type(other) is not SuperPoly:
+            return Sparse.__mul__(self, other)
         _check_same_sig(self, other)
         out = SuperPoly(self.sig)
         terms = out.terms
@@ -301,11 +335,6 @@ class SuperPoly:
                 terms[key] = c
         return out
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.__mul__(other)
-        return NotImplemented
-
     def __pow__(self, power: int):
         if power < 0:
             raise ValueError("negative powers only for unit monomials")
@@ -313,11 +342,6 @@ class SuperPoly:
         for _ in range(power):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.sig, frozenset(self.terms.items())))
@@ -536,10 +560,6 @@ class WeightVector:
             tuple(a - b for a, b in zip(self.hprime, other.hprime)),
             tuple(a - b for a, b in zip(self.h, other.h)),
         )
-
-
-def weight_zero(sig: Signature) -> WeightVector:
-    return WeightVector((0,) * sig.nvars, (0,) * sig.n)
 
 
 def eps(sig: Signature, i: int) -> WeightVector:

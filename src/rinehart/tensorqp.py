@@ -17,13 +17,12 @@ a ⊗ ω to the algebra action of a on ω.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .glmodules import GlModule, MuVector
 from .scalars import Scalar
 from .smash import SmashElement, tau
 from .superpoly import (
     Signature,
+    Sparse,
     SuperPoly,
     derive_mono,
     mask_size,
@@ -39,87 +38,18 @@ from .vectorfields import (
 )
 
 
-class TensorVec:
-    """Sparse element of (algebra) ⊗ Ω."""
+class TensorVec(Sparse):
+    """Sparse element of (algebra) ⊗ Ω, keyed by (exps, mask, module index)."""
 
-    __slots__ = ("sig", "terms")
-
-    def __init__(self, sig: Signature, terms=None):
-        self.sig = sig
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = Scalar.of(c)
-                if c:
-                    self.terms[key] = c
+    __slots__ = ()
 
     @staticmethod
-    def zero(sig: Signature) -> "TensorVec":
-        return TensorVec(sig)
+    def _key_parity(key, parities) -> int:
+        return (mask_size(key[1]) + parities[key[2]]) & 1
 
     @staticmethod
     def basis(sig: Signature, exps, mask: int, idx: int, coeff=1) -> "TensorVec":
         return TensorVec(sig, {(tuple(exps), mask, idx): Scalar.of(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _iadd_term(self, key, c: Scalar):
-        cur = self.terms.get(key)
-        new = c if cur is None else cur + c
-        if new:
-            self.terms[key] = new
-        elif cur is not None:
-            del self.terms[key]
-
-    def __add__(self, other):
-        if not isinstance(other, TensorVec):
-            return NotImplemented
-        if self.sig != other.sig:
-            raise ValueError("signature mismatch")
-        out = TensorVec(self.sig, dict(self.terms))
-        for key, c in other.terms.items():
-            out._iadd_term(key, c)
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorVec(self.sig, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = Scalar.of(other)
-            if not s:
-                return TensorVec.zero(self.sig)
-            return TensorVec(self.sig, {k: c * s for k, c in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorVec):
-            return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
-
-    def parity(self, parities):
-        seen = {
-            (mask_size(mask) + parities[idx]) & 1 for (_, mask, idx) in self.terms
-        }
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
-    def even_odd(self, parities) -> tuple["TensorVec", "TensorVec"]:
-        ev, od = {}, {}
-        for (exps, mask, idx), c in self.terms.items():
-            tgt = od if (mask_size(mask) + parities[idx]) & 1 else ev
-            tgt[(exps, mask, idx)] = c
-        return TensorVec(self.sig, ev), TensorVec(self.sig, od)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -130,65 +60,20 @@ class TensorVec:
         return f"<TensorVec {format_tensor(self)}>"
 
 
-class LoopTensor:
+class LoopTensor(Sparse):
     """Element of C[t_0^{±1}] ⊗ M, keyed by the t_0-exponent."""
 
-    __slots__ = ("sig", "slices")
+    __slots__ = ()
 
-    def __init__(self, sig: Signature, slices=None):
+    def __init__(self, sig: Signature, terms=None):
         if sig.includes_t0:
             raise ValueError("loop tensors carry the dotted signature inside")
         self.sig = sig
-        self.slices = {}
-        if slices:
-            for k, v in slices.items():
-                if not v.is_zero():
-                    self.slices[k] = v
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @staticmethod
     def wrap(k: int, v: TensorVec) -> "LoopTensor":
         return LoopTensor(v.sig, {k: v})
-
-    @staticmethod
-    def zero(sig: Signature) -> "LoopTensor":
-        return LoopTensor(sig)
-
-    def is_zero(self) -> bool:
-        return not self.slices
-
-    def _iadd(self, k: int, v: TensorVec):
-        cur = self.slices.get(k)
-        new = v if cur is None else cur + v
-        if new.is_zero():
-            self.slices.pop(k, None)
-        else:
-            self.slices[k] = new
-
-    def __add__(self, other):
-        if not isinstance(other, LoopTensor):
-            return NotImplemented
-        out = LoopTensor(self.sig, dict(self.slices))
-        for k, v in other.slices.items():
-            out._iadd(k, v)
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LoopTensor(self.sig, {k: -v for k, v in self.slices.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return LoopTensor(self.sig, {k: v * other for k, v in self.slices.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopTensor):
-            return NotImplemented
-        return self.sig == other.sig and self.slices == other.slices
 
 
 def full_to_loop(w: TensorVec) -> LoopTensor:
@@ -198,14 +83,14 @@ def full_to_loop(w: TensorVec) -> LoopTensor:
     dotted = w.sig.dotted()
     out = LoopTensor.zero(dotted)
     for (exps, mask, idx), c in w.terms.items():
-        out._iadd(exps[0], TensorVec.basis(dotted, exps[1:], mask, idx, c))
+        out._iadd_term(exps[0], TensorVec.basis(dotted, exps[1:], mask, idx, c))
     return out
 
 
 def loop_to_full(lw: LoopTensor) -> TensorVec:
     full = lw.sig.full()
     out = TensorVec.zero(full)
-    for k, v in lw.slices.items():
+    for k, v in lw.terms.items():
         for (exps, mask, idx), c in v.terms.items():
             out._iadd_term(((k,) + exps, mask, idx), c)
     return out
@@ -521,13 +406,13 @@ def loop_g_act(u: LoopElement, w: LoopTensor, S: QPStructure) -> LoopTensor:
     """(t_0^r ⊗ x)·(t_0^s ⊗ ω) = t_0^{r+s} ⊗ (ψ_x ω - r φ̂_x ω + s φ_{π(x)} ω)."""
     out = LoopTensor.zero(S.sig)
     for r, x in u.terms.items():
-        for s, v in w.slices.items():
+        for s, v in w.terms.items():
             piece = S.psi(x, v)
             if r:
                 piece = piece - r * S.phihat(x, v)
             if s and not x.a.is_zero():
                 piece = piece + s * S.phi(x.a, v)
-            out._iadd(r + s, piece)
+            out._iadd_term(r + s, piece)
     return out
 
 
@@ -537,8 +422,8 @@ def loop_a_act(f: SuperPoly, w: LoopTensor, S: QPStructure) -> LoopTensor:
         raise ValueError("loop algebra elements use the full signature")
     out = LoopTensor.zero(S.sig)
     for r, a in f.t0_slices().items():
-        for s, v in w.slices.items():
-            out._iadd(r + s, S.phi(a, v))
+        for s, v in w.terms.items():
+            out._iadd_term(r + s, S.phi(a, v))
     return out
 
 
@@ -556,20 +441,20 @@ def loop_smash_act(u: SmashElement, w: LoopTensor, S: QPStructure) -> LoopTensor
         r0, rp = ae[0], ae[1:]
         apoly = SuperPoly.monomial(S.sig, rp, am)
         if tag is None:
-            for k, v in w.slices.items():
-                out._iadd(r0 + k, S.phi(apoly, v) * c)
+            for k, v in w.terms.items():
+                out._iadd_term(r0 + k, S.phi(apoly, v) * c)
             continue
         s0, sp = be[0], be[1:]
         bpoly = SuperPoly.monomial(S.sig, sp, bm)
         sub = _psi_subscript(S, sp, bm, tag)
         hat = _phihat_tag(S, tag)
-        for k, v in w.slices.items():
+        for k, v in w.terms.items():
             inner = S.psi(sub, v)
             if s0:
                 inner = inner - s0 * S.phi(bpoly, S.phihat(hat, v))
             if k and tag == ("d", 0):
                 inner = inner + k * S.phi(bpoly, v)
-            out._iadd(r0 + s0 + k, S.phi(apoly, inner) * c)
+            out._iadd_term(r0 + s0 + k, S.phi(apoly, inner) * c)
     return out
 
 

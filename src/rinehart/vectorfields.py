@@ -19,8 +19,10 @@ from fractions import Fraction
 from .scalars import Scalar
 from .superpoly import (
     Signature,
+    Sparse,
     SuperPoly,
     WeightVector,
+    _check_same_sig,
     delta,
     derive,
     eps,
@@ -46,35 +48,16 @@ def check_tag(sig: Signature, tag):
     return tag
 
 
-def tag_sort_key(tag):
-    kind, idx = tag
-    return ({"d": 0, "dt": 1, "q": 2}[kind], idx)
+class VectorField(Sparse):
+    """A-linear combination of basis derivations, keyed by (exps, mask, tag)."""
 
-
-def _check_same_sig(a, b):
-    if a.sig != b.sig:
-        raise ValueError("signature mismatch")
-
-
-class VectorField:
-    """A-linear combination of basis derivations."""
-
-    __slots__ = ("sig", "terms")
-
-    def __init__(self, sig: Signature, terms=None):
-        self.sig = sig
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = Scalar.of(c)
-                if c:
-                    self.terms[key] = c
-
-    # -- constructors --
+    __slots__ = ()
 
     @staticmethod
-    def zero(sig: Signature) -> "VectorField":
-        return VectorField(sig)
+    def _key_parity(key) -> int:
+        return (mask_size(key[1]) + tag_parity(key[2])) & 1
+
+    # -- constructors --
 
     @staticmethod
     def basis(sig: Signature, tag, coeff=1) -> "VectorField":
@@ -99,12 +82,6 @@ class VectorField:
 
     # -- queries --
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def mode(self) -> str:
         """'d', 'dt', 'any' (no t-derivations at all) or 'mixed'."""
         kinds = {tag[0] for (_, _, tag) in self.terms if tag[0] != "q"}
@@ -116,19 +93,6 @@ class VectorField:
             return "dt"
         return "mixed"
 
-    def parity(self):
-        seen = {(mask_size(mask) + tag_parity(tag)) & 1 for (_, mask, tag) in self.terms}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
-    def even_odd(self) -> tuple["VectorField", "VectorField"]:
-        ev, od = {}, {}
-        for (exps, mask, tag), c in self.terms.items():
-            target = od if (mask_size(mask) + tag_parity(tag)) & 1 else ev
-            target[(exps, mask, tag)] = c
-        return VectorField(self.sig, ev), VectorField(self.sig, od)
-
     def coefficient_polys(self) -> dict:
         """Map tag → coefficient polynomial, using the stored tags."""
         out: dict = {}
@@ -138,45 +102,6 @@ class VectorField:
         return {tag: p for tag, p in out.items() if p}
 
     # -- arithmetic --
-
-    def _iadd_term(self, key, c: Scalar):
-        cur = self.terms.get(key)
-        new = c if cur is None else cur + c
-        if new:
-            self.terms[key] = new
-        elif cur is not None:
-            del self.terms[key]
-
-    def __add__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        _check_same_sig(self, other)
-        out = VectorField(self.sig, dict(self.terms))
-        for key, c in other.terms.items():
-            out._iadd_term(key, c)
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        _check_same_sig(self, other)
-        out = VectorField(self.sig, dict(self.terms))
-        for key, c in other.terms.items():
-            out._iadd_term(key, -c)
-        return out
-
-    def __neg__(self):
-        return VectorField(self.sig, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = Scalar.of(other)
-            if not s:
-                return VectorField.zero(self.sig)
-            return VectorField(self.sig, {k: c * s for k, c in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def scale_by_poly(self, p: SuperPoly) -> "VectorField":
         """Left A-module action p · (aδ) = (p a) δ."""
@@ -409,11 +334,11 @@ class QPElement:
     def from_field(x: VectorField) -> "QPElement":
         return QPElement(SuperPoly.zero(x.sig), x)
 
-    def pi(self) -> SuperPoly:
-        return self.a
-
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.x.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.a) or bool(self.x)
 
     def parity(self):
         seen = set()
@@ -514,66 +439,20 @@ def qp_bracket(x: QPElement, y: QPElement) -> QPElement:
 
 # ---------- the t_0 loop extension ----------
 
-class LoopElement:
+class LoopElement(Sparse):
     """Element of C[t_0^{±1}] ⊗ (Ȧ ⊕ Der(Ȧ)), keyed by the t_0-exponent."""
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ()
 
     def __init__(self, sig: Signature, terms=None):
         if sig.includes_t0:
             raise ValueError("loop elements carry a dotted signature")
         self.sig = sig
-        self.terms = {}
-        if terms:
-            for r, qp in terms.items():
-                if not qp.is_zero():
-                    self.terms[r] = qp
-
-    @staticmethod
-    def zero(sig: Signature) -> "LoopElement":
-        return LoopElement(sig)
+        self.terms = {r: qp for r, qp in (terms or {}).items() if qp}
 
     @staticmethod
     def wrap(r0: int, qp: QPElement) -> "LoopElement":
         return LoopElement(qp.sig, {r0: qp})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _iadd(self, r0: int, qp: QPElement):
-        cur = self.terms.get(r0)
-        new = qp if cur is None else cur + qp
-        if new.is_zero():
-            self.terms.pop(r0, None)
-        else:
-            self.terms[r0] = new
-
-    def __add__(self, other):
-        if not isinstance(other, LoopElement):
-            return NotImplemented
-        _check_same_sig(self, other)
-        out = LoopElement(self.sig, dict(self.terms))
-        for r, qp in other.terms.items():
-            out._iadd(r, qp)
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LoopElement(self.sig, {r: -qp for r, qp in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return LoopElement(self.sig, {r: qp * other for r, qp in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopElement):
-            return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
 
     def parity(self):
         seen = {qp.parity() for qp in self.terms.values()}
@@ -593,7 +472,7 @@ def loop_bracket(u: LoopElement, v: LoopElement) -> LoopElement:
                 z = z - r * qp_product(x, QPElement.from_poly(y.a))
             if s:
                 z = z + s * qp_product(QPElement.from_poly(x.a), y)
-            out._iadd(r + s, z)
+            out._iadd_term(r + s, z)
     return out
 
 

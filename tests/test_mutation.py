@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
-from rinehart import superpoly
+from rinehart import smash, superpoly, tensorqp
 from rinehart.cli import main
+from rinehart.glmodules import MuVector
+from rinehart.tensorqp import QPStructure
 
 
 def plant(monkeypatch, orig, faulty):
@@ -19,6 +21,14 @@ def plant(monkeypatch, orig, faulty):
                     monkeypatch.setattr(mod, attr, faulty)
                     holders += 1
     assert holders, "the fault was planted nowhere"
+
+
+def failed_checks(capsys, suite):
+    """Exit code and failing check ids of ``check suite`` at (1,2)."""
+    code = main(["check", suite, "--m", "1", "--n", "2", "--deg", "2",
+                 "--samples", "20", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    return code, {c["id"] for c in report["checks"] if not c["pass"]}
 
 
 @pytest.mark.parametrize("suite", ["koszul", "jacobi"])
@@ -40,3 +50,25 @@ def test_merge_masks_sign_flip_fails_the_check(monkeypatch, capsys, suite):
               if not c["pass"]]
     assert failed
     assert not any(cid.endswith(".error") for cid in failed)
+
+
+@pytest.mark.parametrize("suite,expected", [
+    ("centralizer", {"centralizer.derivations", "centralizer.algebra"}),
+    ("psi", {"psi.bracket_hom"}),
+])
+def test_tau_zero_fails_the_check(monkeypatch, capsys, suite, expected):
+    assert failed_checks(capsys, suite) == (0, set())
+    plant(monkeypatch, smash.tau, lambda imask, jmask: 0)
+    assert failed_checks(capsys, suite) == (1, expected)
+
+
+def test_psi_without_mu_fails_the_loop_check(monkeypatch, capsys):
+    assert failed_checks(capsys, "loop") == (0, set())
+    orig = tensorqp._psi_default
+
+    def no_mu(S, x, w):
+        zero_mu = MuVector.zero(S.sig.m, S.sig.n)
+        return orig(QPStructure(S.sig, S.omega, zero_mu), x, w)
+
+    plant(monkeypatch, orig, no_mu)
+    assert failed_checks(capsys, "loop") == (1, {"loop.tensor_vs_loop"})

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rinehart.glmatrix import GlMatrix, gl_bracket
 from rinehart.scalars import Scalar
@@ -176,3 +180,33 @@ def test_gl_bracket_examples():
     assert E(0, 2).parity() == 1
     assert E(0, 1).parity() == 0
     assert (E(0, 0) + E(2, 2)).supertrace() == Scalar(0)
+
+
+def _gl_matrices(m, n):
+    d = m + 1 + n
+    row = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    return st.lists(row, min_size=d, max_size=d).map(lambda rows: GlMatrix(m, n, rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+def test_gl_bracket_matches_elementary_expansion(data, shape):
+    """Mixed-parity operands: the bracket equals Σ x_ab y_ce [E_ab, E_ce]
+    with [E_ab, E_ce] = δ_bc E_ae - (-1)^{|ab||ce|} δ_ea E_cb."""
+    m, n = shape
+    x, y = data.draw(_gl_matrices(m, n)), data.draw(_gl_matrices(m, n))
+    d = x.dim
+    par = lambda a, b: ((a > m) + (b > m)) & 1
+    ref = [[Scalar(0)] * d for _ in range(d)]
+    for a, b, c, e in itertools.product(range(d), repeat=4):
+        coef = x.rows[a][b] * y.rows[c][e]
+        if b == c:
+            ref[a][e] = ref[a][e] + coef
+        if e == a:
+            sign = -1 if par(a, b) & par(c, e) else 1
+            ref[c][b] = ref[c][b] - coef * sign
+    assert gl_bracket(x, y) == GlMatrix(m, n, ref)
+    ev, od = x.even_odd()
+    assert ev + od == x
+    for a, b in itertools.product(range(d), repeat=2):
+        assert not (od if par(a, b) == 0 else ev).rows[a][b]

@@ -221,8 +221,8 @@ def test_t_act_is_degree_zero_slice(structure12, sampler):
         gen = sampler.x_generator(full)
         v = sampler.tensor(dot, S.omega)
         looped = loop_smash_act(make_X(full, *gen), LoopTensor.wrap(0, v), S)
-        assert set(looped.slices) <= {0}
-        assert t_act(*gen, v, S) == looped.slices.get(0, TensorVec.zero(dot))
+        assert set(looped.terms) <= {0}
+        assert t_act(*gen, v, S) == looped.terms.get(0, TensorVec.zero(dot))
 
 
 # ---------- generator action at t0-degree zero ----------
