@@ -6,10 +6,8 @@ from .glmatrix import GlMatrix, gl_bracket
 from .glmodules import (
     GlModule,
     MuVector,
-    direct_sum,
     natural_module,
     rep_check,
-    weight_decompose,
     zero_action_module,
 )
 from .parser import ParseError, format_element, parse_element, parse_scalar_literal
@@ -48,14 +46,12 @@ from .tensorqp import (
     omega_greedy,
     phi_operator,
     phi_rep,
-    qp_apply,
     qp_axiom_check,
     qp_axiom_suite,
     rho_of,
     shen_act,
     t_act,
     t_act_gens,
-    theta_map,
     theta_transport,
     tprime_weight,
 )
@@ -70,7 +66,6 @@ from .vectorfields import (
     qp_bracket,
     qp_product,
     special_partial,
-    vf_apply,
     vf_bracket,
     weight_of,
 )

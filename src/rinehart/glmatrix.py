@@ -75,15 +75,6 @@ class GlMatrix:
             return 0
         return None
 
-    def supertrace(self) -> Scalar:
-        out = Scalar(0)
-        for a in range(self.dim):
-            if self.index_parity(a):
-                out = out - self.rows[a][a]
-            else:
-                out = out + self.rows[a][a]
-        return out
-
     def __add__(self, other):
         if not isinstance(other, GlMatrix):
             return NotImplemented
@@ -144,7 +135,11 @@ def gl_bracket(x: GlMatrix, y: GlMatrix) -> GlMatrix:
     out = GlMatrix.zero(m, n)
     for xp, px in xparts:
         for yp, py in yparts:
-            prod = GlMatrix(m, n, matmul(xp.rows, yp.rows))
-            back = GlMatrix(m, n, matmul(yp.rows, xp.rows))
-            out = out + (prod - back if not (px and py) else prod + back)
+            both_odd = px and py
+            prod = matmul(xp.rows, yp.rows)
+            back = matmul(yp.rows, xp.rows)
+            for orow, prow, brow in zip(out.rows, prod, back):
+                for j, (p, b) in enumerate(zip(prow, brow)):
+                    if p or b:
+                        orow[j] = orow[j] + (p + b if both_odd else p - b)
     return out

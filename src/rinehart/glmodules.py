@@ -2,25 +2,14 @@
 
 A module is given by one exact action matrix per elementary matrix,
 with a parity vector over the basis.  `rep_check` validates every
-supercommutator relation and the parity homogeneity of each action;
-`weight_decompose` splits the basis into simultaneous eigenspaces of
-the diagonal actions, which is the desk-scale view of bounded weight
-multiplicities.
+supercommutator relation and the parity homogeneity of each action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import (
-    charpoly,
-    matmul,
-    matvec,
-    nullspace,
-    rational_roots,
-    solve_columns,
-    zeros,
-)
+from .linalg import matmul, matvec, zeros
 from .scalars import Scalar
 
 
@@ -90,9 +79,6 @@ class GlModule:
     def entry_parity(self, a: int, b: int) -> int:
         return (self.index_parity(a) + self.index_parity(b)) & 1
 
-    def matrix(self, a: int, b: int):
-        return self.act[(a, b)]
-
     def apply(self, a: int, b: int, vec):
         return matvec(self.act[(a, b)], vec)
 
@@ -122,24 +108,6 @@ def zero_action_module(m: int, n: int, dim: int, parities=None) -> GlModule:
     gl = m + 1 + n
     act = {(a, b): zeros(dim, dim) for a in range(gl) for b in range(gl)}
     return GlModule(m, n, dim, parities or (0,) * dim, act)
-
-
-def direct_sum(a: GlModule, b: GlModule) -> GlModule:
-    if (a.m, a.n) != (b.m, b.n):
-        raise ValueError("gl dimension mismatch")
-    dim = a.dim + b.dim
-    act = {}
-    for key, ma in a.act.items():
-        mb = b.act[key]
-        mat = zeros(dim, dim)
-        for i in range(a.dim):
-            for j in range(a.dim):
-                mat[i][j] = ma[i][j]
-        for i in range(b.dim):
-            for j in range(b.dim):
-                mat[a.dim + i][a.dim + j] = mb[i][j]
-        act[key] = mat
-    return GlModule(a.m, a.n, dim, a.parities + b.parities, act)
 
 
 @dataclass
@@ -200,77 +168,3 @@ def rep_check(mod: GlModule) -> RepReport:
                     ("commutator", ((a, b), (c, d)), "supercommutator relation fails")
                 )
     return report
-
-
-@dataclass
-class WeightReport:
-    """Simultaneous eigenspace decomposition of the diagonal actions."""
-
-    entries: list  # (eigenvalue tuple, dimension, basis columns)
-    dim: int
-
-    @property
-    def max_multiplicity(self) -> int:
-        return max((d for _, d, _ in self.entries), default=0)
-
-    @property
-    def num_weights(self) -> int:
-        return len(self.entries)
-
-
-def weight_decompose(mod: GlModule) -> WeightReport:
-    """Split the module under the commuting diagonal actions.
-
-    Raises when the diagonal actions fail to commute, or when they are
-    not simultaneously diagonalizable with Gaussian-rational spectra.
-    """
-    if mod.dim == 0:
-        return WeightReport(entries=[], dim=0)
-    hs = [mod.act[(a, a)] for a in range(mod.gl_dim)]
-    for i, hi in enumerate(hs):
-        for hj in hs[i + 1:]:
-            if matmul(hi, hj) != matmul(hj, hi):
-                raise ValueError("diagonal actions do not commute")
-    blocks = [([col(i, mod.dim) for i in range(mod.dim)], ())]
-    for h in hs:
-        new_blocks = []
-        for basis, weights in blocks:
-            width = len(basis)
-            coords = [[basis[j][i] for j in range(width)] for i in range(mod.dim)]
-            restricted = solve_columns(coords, [matvec(h, v) for v in basis])
-            if any(sol is None for sol in restricted):
-                raise ValueError("diagonal action does not preserve a weight block")
-            rmat = [[restricted[j][i] for j in range(width)] for i in range(width)]
-            split_total = 0
-            for lam in sorted(rational_roots(charpoly(rmat)),
-                              key=lambda s: s.sort_key()):
-                shifted = [
-                    [rmat[i][j] - (lam if i == j else Scalar(0)) for j in range(width)]
-                    for i in range(width)
-                ]
-                kernel = nullspace(shifted, width)
-                if not kernel:
-                    continue
-                vecs = [
-                    [
-                        sum((k[j] * basis[j][i] for j in range(width)), Scalar(0))
-                        for i in range(mod.dim)
-                    ]
-                    for k in kernel
-                ]
-                new_blocks.append((vecs, weights + (lam,)))
-                split_total += len(kernel)
-            if split_total != width:
-                raise ValueError(
-                    "diagonal action is not diagonalizable over Gaussian rationals"
-                )
-        blocks = new_blocks
-    entries = sorted(
-        ((w, len(basis), basis) for basis, w in blocks),
-        key=lambda e: tuple(s.sort_key() for s in e[0]),
-    )
-    return WeightReport(entries=entries, dim=mod.dim)
-
-
-def col(i: int, dim: int) -> list:
-    return [Scalar(1 if j == i else 0) for j in range(dim)]

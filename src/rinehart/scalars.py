@@ -48,9 +48,6 @@ class Scalar:
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
     def __add__(self, other):
         if type(other) is not Scalar:
             other = _exact(other)
@@ -115,10 +112,6 @@ class Scalar:
         if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
-
-    def sort_key(self):
-        """Total order used only for deterministic output, not algebra."""
-        return (self.re, self.im)
 
     def __str__(self):
         return format_scalar(self)

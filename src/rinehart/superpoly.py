@@ -48,13 +48,6 @@ INFINITE = math.inf
 
 # ---------- Grassmann bitmask helpers ----------
 
-def mask_from_indices(indices) -> int:
-    mask = 0
-    for k in indices:
-        mask |= 1 << (k - 1)
-    return mask
-
-
 def mask_indices(mask: int) -> list[int]:
     """Variable numbers (1-based) present in the mask, increasing."""
     out = []
@@ -299,9 +292,6 @@ class SuperPoly(Sparse):
         return SuperPoly.monomial(sig, sig.zero_exps(), mask)
 
     # -- queries --
-
-    def coefficient(self, exps, mask: int = 0) -> Scalar:
-        return self.terms.get((tuple(exps), mask), Scalar(0))
 
     def min_t_exponents(self) -> tuple[int, ...]:
         mins = [0] * self.sig.nvars

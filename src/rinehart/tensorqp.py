@@ -75,6 +75,13 @@ class LoopTensor(Sparse):
     def wrap(k: int, v: TensorVec) -> "LoopTensor":
         return LoopTensor(v.sig, {k: v})
 
+    def __repr__(self):
+        from .parser import format_tensor
+
+        body = " + ".join(f"t0^{k}*({format_tensor(v)})"
+                          for k, v in sorted(self.terms.items()))
+        return f"<LoopTensor {body or '0'}>"
+
 
 def full_to_loop(w: TensorVec) -> LoopTensor:
     """t_0^{k} t^{r̄'} ζ_I ⊗ v  ↦  t_0^k ⊗ (t^{r̄'} ζ_I ⊗ v)."""
@@ -238,19 +245,6 @@ def _phihat_default(S: QPStructure, x: QPElement, w: TensorVec) -> TensorVec:
             for u, cu in S.omega.column(0, alpha, idx):
                 out._iadd_term((e2, m2, u), c2 * cu)
     return out
-
-
-def qp_apply(kind: str, x, w: TensorVec, S: QPStructure) -> TensorVec:
-    """Evaluate one of the three actions by name: 'phi', 'psi', 'phihat'."""
-    if kind == "phi":
-        if not isinstance(x, SuperPoly):
-            raise TypeError("the algebra action takes an algebra element")
-        return S.phi(x, w)
-    if kind == "psi":
-        return S.psi(x, w)
-    if kind == "phihat":
-        return S.phihat(x, w)
-    raise ValueError(f"unknown action kind {kind!r}")
 
 
 # ---------- the seven compatibility axioms ----------
@@ -675,11 +669,6 @@ def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec]) -> GlModule:
         for b in range(m + 1 + n)
     }
     return GlModule(m, n, len(omega_basis), parities, act)
-
-
-def theta_map(a: SuperPoly, omega_vec: TensorVec, S: QPStructure) -> TensorVec:
-    """The comparison map a ⊗ ω ↦ φ_a(ω)."""
-    return S.phi(a, omega_vec)
 
 
 def theta_transport(w: TensorVec, omega_basis: list[TensorVec],

@@ -177,10 +177,6 @@ class VectorField(Sparse):
         )
 
 
-def vf_apply(x: VectorField, f: SuperPoly) -> SuperPoly:
-    return x.apply(f)
-
-
 def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
     """Supercommutator [aδ, bγ] = aδ(b)γ - (-1)^{|aδ||bγ|} bγ(a)δ.
 
@@ -453,6 +449,13 @@ class LoopElement(Sparse):
     @staticmethod
     def wrap(r0: int, qp: QPElement) -> "LoopElement":
         return LoopElement(qp.sig, {r0: qp})
+
+    def __repr__(self):
+        from .parser import format_element
+
+        body = " + ".join(f"t0^{r}*({format_element(qp)})"
+                          for r, qp in sorted(self.terms.items()))
+        return f"<LoopElement {body or '0'}>"
 
     def parity(self):
         seen = {qp.parity() for qp in self.terms.values()}

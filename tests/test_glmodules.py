@@ -1,17 +1,12 @@
-from fractions import Fraction
-
 import pytest
 
 from rinehart.glmodules import (
     GlModule,
     MuVector,
-    direct_sum,
     natural_module,
     rep_check,
-    weight_decompose,
     zero_action_module,
 )
-from rinehart.linalg import charpoly, rational_eigenvalues, rational_roots
 from rinehart.scalars import Scalar
 
 
@@ -59,54 +54,6 @@ def test_parity_violation_detected():
     ]
     broken = GlModule(1, 1, 3, mod.parities, act)
     assert any(v[0] == "parity" for v in rep_check(broken).violations)
-
-
-def test_weight_decompose_examples():
-    rep = weight_decompose(natural_module(1, 1))
-    assert rep.num_weights == 3
-    assert rep.max_multiplicity == 1
-    assert sum(d for _, d, _ in rep.entries) == 3
-
-    rep = weight_decompose(direct_sum(natural_module(1, 1), natural_module(1, 1)))
-    assert rep.max_multiplicity == 2
-    assert sum(d for _, d, _ in rep.entries) == 6
-
-    rep = weight_decompose(zero_action_module(1, 1, 5))
-    assert rep.num_weights == 1
-    assert rep.max_multiplicity == 5
-
-
-def test_weight_decompose_rejects_nilpotent_diagonal():
-    act = {(a, b): [[Scalar(0)] * 2 for _ in range(2)] for a in range(3) for b in range(3)}
-    jordan = [[Scalar(0), Scalar(1)], [Scalar(0), Scalar(0)]]
-    act[(0, 0)] = jordan
-    mod = GlModule(1, 1, 2, (0, 0), act)
-    with pytest.raises(ValueError):
-        weight_decompose(mod)
-
-
-def test_gaussian_rational_eigenvalues():
-    rot = [[Scalar(0), Scalar(-1)], [Scalar(1), Scalar(0)]]
-    vals = sorted((v.re, v.im) for v in rational_eigenvalues(rot))
-    assert vals == [(Fraction(0), Fraction(-1)), (Fraction(0), Fraction(1))]
-
-    half = [[Scalar(Fraction(1, 2)), Scalar(0)], [Scalar(0), Scalar(Fraction(-3, 2))]]
-    vals = sorted((v.re, v.im) for v in rational_eigenvalues(half))
-    assert vals == [(Fraction(-3, 2), Fraction(0)), (Fraction(1, 2), Fraction(0))]
-
-    # irrational spectrum yields no rational roots
-    sqrt2 = [[Scalar(0), Scalar(1)], [Scalar(2), Scalar(0)]]
-    assert rational_eigenvalues(sqrt2) == []
-
-
-def test_charpoly():
-    a = [[Scalar(2), Scalar(1)], [Scalar(0), Scalar(3)]]
-    # (x-2)(x-3) = x^2 - 5x + 6
-    assert charpoly(a) == [Scalar(6), Scalar(-5), Scalar(1)]
-    assert rational_roots([Scalar(6), Scalar(-5), Scalar(1)]) in (
-        [Scalar(2), Scalar(3)],
-        [Scalar(3), Scalar(2)],
-    )
 
 
 def test_mu_vector_constraint():

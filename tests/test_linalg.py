@@ -1,14 +1,12 @@
 """Property tests of the exact linear algebra on sparse Gaussian-rational
 matrices, against a naive dense Gauss-Jordan elimination."""
 
-import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinehart.linalg import (
-    _gaussian_prime_over,
     matvec,
     nullspace,
     rank,
@@ -181,27 +179,3 @@ def test_rref_keeps_exact_fractions():
     assert pivots == [0, 1]
     assert (mat[0][2], mat[1][2]) == (Scalar(Fraction(2, 5)), Scalar(Fraction(1, 5)))
 
-
-def _primes_below(n):
-    sieve = bytearray([1]) * n
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytearray(len(range(p * p, n, p)))
-    return [p for p in range(n) if sieve[p]]
-
-
-def test_gaussian_prime_over_every_split_prime_below_10000():
-    split = [p for p in _primes_below(10_000) if p % 4 == 1]
-    assert len(split) > 600
-    for p in split:
-        (x, y), (x2, y2) = _gaussian_prime_over(p)
-        assert x * x + y * y == p
-        assert (x2, y2) == (x, -y)
-        assert 0 < x <= y
-
-
-def test_gaussian_prime_over_ramified_and_inert():
-    assert _gaussian_prime_over(2) == [(1, 1)]
-    for p in (3, 7, 11, 10007):
-        assert _gaussian_prime_over(p) == [(p, 0)]

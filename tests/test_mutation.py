@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rinehart import smash, superpoly, tensorqp
+from rinehart import smash, superpoly, tensorqp, vectorfields
 from rinehart.cli import main
 from rinehart.glmodules import MuVector
 from rinehart.tensorqp import QPStructure
@@ -72,3 +72,19 @@ def test_psi_without_mu_fails_the_loop_check(monkeypatch, capsys):
 
     plant(monkeypatch, orig, no_mu)
     assert failed_checks(capsys, "loop") == (1, {"loop.tensor_vs_loop"})
+
+
+def test_loop_counterexample_is_deterministic(monkeypatch, capsys):
+    """A failing loop check prints the same counterexample on every run."""
+    orig = vectorfields.loop_bracket
+    plant(monkeypatch, orig, lambda u, v: orig(u, v) + u)
+    args = ["check", "jacobi", "--m", "1", "--n", "1", "--deg", "2",
+            "--samples", "10", "--json"]
+    runs = []
+    for _ in range(2):
+        assert main(args) == 1
+        runs.append(capsys.readouterr().out)
+    failed = {c["id"] for c in json.loads(runs[0])["checks"] if not c["pass"]}
+    assert "jacobi.loop.antisymmetry" in failed
+    assert runs[0] == runs[1]
+    assert "0x" not in runs[0]

@@ -22,14 +22,12 @@ from rinehart.tensorqp import (
     omega_extract,
     omega_greedy,
     phi_operator,
-    qp_apply,
     qp_axiom_check,
     qp_axiom_suite,
     rho_of,
     shen_act,
     t_act,
     t_act_gens,
-    theta_map,
     theta_transport,
     tprime_weight,
 )
@@ -73,13 +71,13 @@ def test_qp_apply_examples(structure12):
     dot = S.sig
     v = unit_vec(dot, 1)
     # auxiliary action feeds the 0-th row: phihat_{d_1}(1⊗e_1) = -1⊗E_{0,1}e_1
-    got = qp_apply("phihat", VectorField.basis(dot, ("d", 1)), v, S)
+    got = S.phihat(VectorField.basis(dot, ("d", 1)), v)
     assert got == unit_vec(dot, 0, -1)
     # odd derivations kill the unit slice when the odd shifts vanish
-    got = qp_apply("psi", VectorField.basis(dot, ("q", 1)), unit_vec(dot, 0), S)
+    got = S.psi(VectorField.basis(dot, ("q", 1)), unit_vec(dot, 0))
     assert got.is_zero()
     z1 = SuperPoly.zeta(dot, 1)
-    got = qp_apply("phi", z1, TensorVec.basis(dot, dot.zero_exps(), 0b1, 0), S)
+    got = S.phi(z1, TensorVec.basis(dot, dot.zero_exps(), 0b1, 0))
     assert got.is_zero()
 
 
@@ -454,9 +452,12 @@ def test_operator_identities_random(structure12, sampler):
 def test_theta_map_examples(extracted):
     S, basis = extracted
     omega0 = basis[0]
-    assert theta_map(SuperPoly.one(S.sig), omega0, S) == omega0
+    assert S.phi(SuperPoly.one(S.sig), omega0) == omega0
     t1 = SuperPoly.t_var(S.sig, 1)
-    assert theta_map(t1, omega0, S) == S.phi(t1, omega0)
+    # φ_{t1} shifts the t1-exponent of every term by one
+    shifted = {((e[0] + 1,) + e[1:], mask, idx): c
+               for (e, mask, idx), c in omega0.terms.items()}
+    assert S.phi(t1, omega0) == TensorVec(S.sig, shifted)
 
 
 def test_theta_equivariance_and_bijectivity(extracted, sampler):
