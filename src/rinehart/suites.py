@@ -2,18 +2,25 @@
 
 Every suite draws its cases from a Random seeded by (seed, suite name),
 so a config determines the full case list and two runs with the same
-config produce byte-identical JSON summaries.  Each check reports the
-first counterexample it finds; all comparisons are exact.
+config produce byte-identical JSON summaries.  All comparisons are exact.
+
+A check is a generator of cases run by ``_check``: it stops at the first
+counterexample and reports it.  ``cases`` counts every case the check
+ran, so for a failing check it counts the cases through its first
+counterexample.  The checks of a suite stop independently: one failing
+does not cut short another.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import linalg
-from .config import load_module_config
+from .config import ConfigError, load_module_config
 from .glmatrix import GlMatrix, gl_bracket
 from .glmodules import GlModule, MuVector, natural_module, rep_check
 from .parser import ParseError, format_element, format_gl_matrix, parse_element
@@ -127,8 +134,6 @@ def build_env(cfg: SuiteConfig) -> Env:
     if cfg.module_path:
         omega, mu = load_module_config(cfg.module_path)
         if (omega.m, omega.n) != (cfg.m, cfg.n):
-            from .config import ConfigError
-
             raise ConfigError(
                 f"module config is for gl({omega.m + 1},{omega.n}),"
                 f" run asked for gl({cfg.m + 1},{cfg.n})"
@@ -145,10 +150,20 @@ def _rng(cfg: SuiteConfig, name: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{name}")
 
 
+def _check(check_id: str, outcomes) -> CheckResult:
+    """Run one check over ``outcomes``, which yields None for each case that
+    holds and the counterexample text for one that fails.  Stops at the
+    first counterexample without advancing ``outcomes`` past it."""
+    cases = 0
+    for bad in outcomes:
+        cases += 1
+        if bad is not None:
+            return CheckResult(check_id, False, cases, bad)
+    return CheckResult(check_id, True, cases)
+
+
 def admissible_mus(m: int, n: int) -> tuple[MuVector, MuVector]:
     """Two distinct admissible shift vectors, the second non-real."""
-    from fractions import Fraction
-
     first = MuVector(
         m, n, [Scalar(Fraction(i + 1, 2)) for i in range(m + 1)] + [Scalar(0)] * n
     )
@@ -167,100 +182,77 @@ def koszul_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     rng = _rng(cfg, "koszul")
     s = Sampler(rng, cfg.deg)
     sig = env.sig
-    out = []
 
-    bad = None
-    for _ in range(cfg.samples):
-        f, g = s.monomial(sig), s.monomial(sig)
-        sign = (-1) ** (f.parity() * g.parity())
-        if f * g != sign * (g * f):
-            bad = f"f={format_element(f)}, g={format_element(g)}"
-            break
-    out.append(CheckResult("koszul.supercommutativity", bad is None, cfg.samples, bad))
+    def supercommutativity():
+        for _ in range(cfg.samples):
+            f, g = s.monomial(sig), s.monomial(sig)
+            sign = (-1) ** (f.parity() * g.parity())
+            yield None if f * g == sign * (g * f) else (
+                f"f={format_element(f)}, g={format_element(g)}"
+            )
 
-    bad = None
-    for _ in range(cfg.samples):
-        f, g, h = s.monomial(sig), s.monomial(sig), s.monomial(sig)
-        if (f * g) * h != f * (g * h):
-            bad = f"f={format_element(f)}, g={format_element(g)}, h={format_element(h)}"
-            break
-    out.append(CheckResult("koszul.associativity", bad is None, cfg.samples, bad))
+    def associativity():
+        for _ in range(cfg.samples):
+            f, g, h = s.monomial(sig), s.monomial(sig), s.monomial(sig)
+            yield None if (f * g) * h == f * (g * h) else (
+                f"f={format_element(f)}, g={format_element(g)}, h={format_element(h)}"
+            )
 
     tags = (
         [("d", i) for i in sig.tvars()]
         + [("dt", i) for i in sig.tvars()]
         + [("q", k) for k in range(1, sig.n + 1)]
     )
-    bad = None
-    cases = 0
-    for _ in range(cfg.samples):
-        f, g = s.monomial(sig), s.monomial(sig)
-        pf = f.parity()
-        for tag in tags:
-            cases += 1
-            lhs = (f * g).derive(tag)
-            sign = -1 if tag[0] == "q" and pf else 1
-            rhs = f.derive(tag) * g + sign * (f * g.derive(tag))
-            if lhs != rhs:
-                bad = f"tag={tag}, f={format_element(f)}, g={format_element(g)}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("koszul.leibniz", bad is None, cases, bad))
-    return out
+
+    def leibniz():
+        for _ in range(cfg.samples):
+            f, g = s.monomial(sig), s.monomial(sig)
+            pf = f.parity()
+            for tag in tags:
+                lhs = (f * g).derive(tag)
+                sign = -1 if tag[0] == "q" and pf else 1
+                rhs = f.derive(tag) * g + sign * (f * g.derive(tag))
+                yield None if lhs == rhs else (
+                    f"tag={tag}, f={format_element(f)}, g={format_element(g)}"
+                )
+
+    return [
+        _check("koszul.supercommutativity", supercommutativity()),
+        _check("koszul.associativity", associativity()),
+        _check("koszul.leibniz", leibniz()),
+    ]
 
 
 # ---------- jacobi ----------
 
-def _bracket_checks(name, sample, bracket, parity, samples):
-    out = []
-    bad = None
-    for _ in range(samples):
-        x, y = sample(), sample()
-        lhs = bracket(x, y) + (-1) ** (parity(x) * parity(y)) * bracket(y, x)
-        if not lhs.is_zero():
-            bad = f"x={x!r}, y={y!r}"
-            break
-    out.append(CheckResult(f"jacobi.{name}.antisymmetry", bad is None, samples, bad))
-    bad = None
-    for _ in range(samples):
-        x, y, z = sample(), sample(), sample()
-        sign = (-1) ** (parity(x) * parity(y))
-        lhs = bracket(bracket(x, y), z)
-        rhs = bracket(x, bracket(y, z)) - sign * bracket(y, bracket(x, z))
-        if not (lhs - rhs).is_zero():
-            bad = f"x={x!r}, y={y!r}, z={z!r}"
-            break
-    out.append(CheckResult(f"jacobi.{name}.super_jacobi", bad is None, samples, bad))
-    return out
+def _bracket_checks(name, sample, bracket, samples):
+    def parity(x):
+        return x.parity() or 0  # GlMatrix.parity() is None for mixed parity
+
+    def antisymmetry():
+        for _ in range(samples):
+            x, y = sample(), sample()
+            lhs = bracket(x, y) + (-1) ** (parity(x) * parity(y)) * bracket(y, x)
+            yield None if lhs.is_zero() else f"x={x!r}, y={y!r}"
+
+    def super_jacobi():
+        for _ in range(samples):
+            x, y, z = sample(), sample(), sample()
+            sign = (-1) ** (parity(x) * parity(y))
+            lhs = bracket(bracket(x, y), z)
+            rhs = bracket(x, bracket(y, z)) - sign * bracket(y, bracket(x, z))
+            yield None if (lhs - rhs).is_zero() else f"x={x!r}, y={y!r}, z={z!r}"
+
+    return [
+        _check(f"jacobi.{name}.antisymmetry", antisymmetry()),
+        _check(f"jacobi.{name}.super_jacobi", super_jacobi()),
+    ]
 
 
 def jacobi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     rng = _rng(cfg, "jacobi")
     s = Sampler(rng, cfg.deg)
     sig, dotted = env.sig, env.dotted
-    out = []
-    out += _bracket_checks(
-        "fields",
-        lambda: VectorField(sig, s.field_term(sig).terms),
-        vf_bracket,
-        lambda x: x.parity(),
-        cfg.samples,
-    )
-    out += _bracket_checks(
-        "qp",
-        lambda: s.qp_homogeneous(dotted),
-        qp_bracket,
-        lambda x: x.parity(),
-        cfg.samples,
-    )
-    out += _bracket_checks(
-        "loop",
-        lambda: s.loop_qp(dotted),
-        loop_bracket,
-        lambda x: x.parity(),
-        cfg.samples,
-    )
 
     def gl_sample():
         p = rng.randrange(2)
@@ -274,29 +266,29 @@ def jacobi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
             g.rows[a][b] = g.rows[a][b] + s.scalar()
         return g
 
-    out += _bracket_checks(
-        "gl", gl_sample, gl_bracket, lambda g: g.parity() or 0, cfg.samples
-    )
-    out += _bracket_checks(
-        "smash",
-        lambda: s.smash_homogeneous(sig),
-        smash_commutator,
-        lambda u: u.parity(),
-        cfg.samples,
-    )
+    out = []
+    for name, sample, bracket in (
+        ("fields", lambda: VectorField(sig, s.field_term(sig).terms), vf_bracket),
+        ("qp", lambda: s.qp_homogeneous(dotted), qp_bracket),
+        ("loop", lambda: s.loop_qp(dotted), loop_bracket),
+        ("gl", gl_sample, gl_bracket),
+        ("smash", lambda: s.smash_homogeneous(sig), smash_commutator),
+    ):
+        out += _bracket_checks(name, sample, bracket, cfg.samples)
 
-    bad = None
-    for _ in range(cfg.samples):
-        x = VectorField(sig, s.field_term(sig, kinds="dtq").terms)
-        y = VectorField(sig, s.field_term(sig, kinds="dtq").terms)
-        f = s.monomial(sig)
-        sign = (-1) ** (x.parity() * y.parity())
-        lhs = vf_bracket(x, y).apply(f)
-        rhs = x.apply(y.apply(f)) - sign * y.apply(x.apply(f))
-        if lhs != rhs:
-            bad = f"x={format_element(x)}, y={format_element(y)}, f={format_element(f)}"
-            break
-    out.append(CheckResult("jacobi.fields.faithful", bad is None, cfg.samples, bad))
+    def faithful():
+        for _ in range(cfg.samples):
+            x = VectorField(sig, s.field_term(sig, kinds="dtq").terms)
+            y = VectorField(sig, s.field_term(sig, kinds="dtq").terms)
+            f = s.monomial(sig)
+            sign = (-1) ** (x.parity() * y.parity())
+            lhs = vf_bracket(x, y).apply(f)
+            rhs = x.apply(y.apply(f)) - sign * y.apply(x.apply(f))
+            yield None if lhs == rhs else (
+                f"x={format_element(x)}, y={format_element(y)}, f={format_element(f)}"
+            )
+
+    out.append(_check("jacobi.fields.faithful", faithful()))
     return out
 
 
@@ -307,93 +299,74 @@ def filtration_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     s = Sampler(rng, cfg.deg)
     sig = env.sig
     one = SuperPoly.one(sig)
-    out = []
 
-    bad = None
-    cases = 0
-    for _ in range(cfg.samples):
-        rbar = s.exps(sig)
-        tmon = SuperPoly.monomial(sig, rbar)
-        linear = SuperPoly.zero(sig)
-        for i in sig.tvars():
-            ri = rbar[sig.tpos(i)]
-            if ri:
-                linear += (SuperPoly.t_var(sig, i) - one) * ri
-        cases += 1
-        if filt_degree(tmon - one - linear) < 2:
-            bad = f"rbar={rbar}"
-            break
-        for k in range(1, sig.n + 1):
-            cases += 1
-            zk = SuperPoly.zeta(sig, k)
-            if filt_degree(tmon * zk - zk) < 2:
-                bad = f"rbar={rbar}, k={k}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("filtration.mods2", bad is None, cases, bad))
+    def mods2():
+        for _ in range(cfg.samples):
+            rbar = s.exps(sig)
+            tmon = SuperPoly.monomial(sig, rbar)
+            linear = SuperPoly.zero(sig)
+            for i in sig.tvars():
+                ri = rbar[sig.tpos(i)]
+                if ri:
+                    linear += (SuperPoly.t_var(sig, i) - one) * ri
+            yield None if filt_degree(tmon - one - linear) >= 2 else f"rbar={rbar}"
+            for k in range(1, sig.n + 1):
+                zk = SuperPoly.zeta(sig, k)
+                ok = filt_degree(tmon * zk - zk) >= 2
+                yield None if ok else f"rbar={rbar}, k={k}"
 
     dfield = degree_field(sig)
-    bad = None
-    for _ in range(cfg.samples):
-        pos = s.pos_exps(sig)
-        mask = s.mask(sig.n)
-        f = shift_basis(sig, pos, (0,) * sig.nvars, mask)
-        ell = sum(pos) + mask_size(mask)
-        if dfield.apply(f) != f * ell:
-            bad = f"pos={pos}, mask={mask}"
-            break
-    out.append(CheckResult("filtration.degree_field", bad is None, cfg.samples, bad))
 
-    bad = None
-    cases = 0
-    for k, kprime in ((1, 3), (2, 3)):
-        for _ in range(max(1, cfg.samples // 4)):
+    def degree_field_eigen():
+        for _ in range(cfg.samples):
+            pos = s.pos_exps(sig)
+            mask = s.mask(sig.n)
+            f = shift_basis(sig, pos, (0,) * sig.nvars, mask)
+            ell = sum(pos) + mask_size(mask)
+            yield None if dfield.apply(f) == f * ell else f"pos={pos}, mask={mask}"
+
+    def plus_rewrite():
+        for k, kprime in ((1, 3), (2, 3)):
+            for _ in range(max(1, cfg.samples // 4)):
+                pos, neg, mask = s.shifted_basis(sig, k)
+                f = shift_basis(sig, pos, neg, mask)
+                g = splus_part(sig, pos, neg, mask, kprime)
+                if any(e < 0 for e in g.min_t_exponents()):
+                    yield f"plus part has negative exponents: pos={pos}, neg={neg}"
+                elif g and filt_degree(g) < k:
+                    yield f"plus part too shallow: pos={pos}, neg={neg}, mask={mask}"
+                elif filt_degree(f - g) < kprime:
+                    yield f"remainder below {kprime}: pos={pos}, neg={neg}, mask={mask}"
+                else:
+                    yield None
+
+    def mode_membership():
+        for _ in range(max(1, cfg.samples // 2)):
+            k = rng.choice((1, 2))
             pos, neg, mask = s.shifted_basis(sig, k)
-            f = shift_basis(sig, pos, neg, mask)
-            g = splus_part(sig, pos, neg, mask, kprime)
-            cases += 1
-            if any(e < 0 for e in g.min_t_exponents()):
-                bad = f"plus part has negative exponents: pos={pos}, neg={neg}"
-                break
-            if g and filt_degree(g) < k:
-                bad = f"plus part too shallow: pos={pos}, neg={neg}, mask={mask}"
-                break
-            if filt_degree(f - g) < kprime:
-                bad = f"remainder below {kprime}: pos={pos}, neg={neg}, mask={mask}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("filtration.plus_rewrite", bad is None, cases, bad))
+            coeff = shift_basis(sig, pos, neg, mask)
+            for kinds in ("d", "t"):
+                x = VectorField.from_poly_tag(coeff, s.tag(sig, kinds + "q"))
+                flipped = x.to_dt() if kinds == "d" else x.to_d()
+                degs = [filt_degree(c) for c in flipped.coefficient_polys().values()]
+                yield None if all(d >= k for d in degs) else (
+                    f"k={k}, pos={pos}, neg={neg}, mask={mask}"
+                )
 
-    bad = None
-    cases = 0
-    for _ in range(max(1, cfg.samples // 2)):
-        k = rng.choice((1, 2))
-        pos, neg, mask = s.shifted_basis(sig, k)
-        coeff = shift_basis(sig, pos, neg, mask)
-        for kinds in ("d", "t"):
-            cases += 1
-            x = VectorField.from_poly_tag(coeff, s.tag(sig, kinds + "q"))
-            flipped = x.to_dt() if kinds == "d" else x.to_d()
-            degs = [filt_degree(c) for c in flipped.coefficient_polys().values()]
-            if any(d < k for d in degs):
-                bad = f"k={k}, pos={pos}, neg={neg}, mask={mask}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("filtration.mode_membership", bad is None, cases, bad))
+    def superadditivity():
+        for _ in range(cfg.samples):
+            f, g = s.monomial(sig), s.poly(sig)
+            yield None if filt_degree(f * g) >= filt_degree(f) + filt_degree(g) else (
+                f"f={format_element(f)}, g={format_element(g)}"
+            )
 
-    bad = None
-    for _ in range(cfg.samples):
-        f, g = s.monomial(sig), s.poly(sig)
-        if filt_degree(f * g) < filt_degree(f) + filt_degree(g):
-            bad = f"f={format_element(f)}, g={format_element(g)}"
-            break
-    out.append(
-        CheckResult("filtration.superadditivity", bad is None, cfg.samples, bad)
-    )
-    return out
+    return [
+        _check("filtration.mods2", mods2()),
+        _check("filtration.degree_field", degree_field_eigen()),
+        _check("filtration.plus_rewrite", plus_rewrite()),
+        _check("filtration.mode_membership", mode_membership()),
+        _check("filtration.superadditivity", superadditivity()),
+    ]
 
 
 # ---------- theta ----------
@@ -411,61 +384,58 @@ def theta_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     rng = _rng(cfg, "theta")
     s = Sampler(rng, cfg.deg)
     sig = env.sig
-    out = []
 
-    bad = None
-    for _ in range(cfg.samples):
-        x = _s_coefficient_field(s, sig)
-        y = _s_coefficient_field(s, sig)
-        lhs = theta_project(vf_bracket(x, y))
-        rhs = gl_bracket(theta_project(x), theta_project(y))
-        if lhs != rhs:
-            bad = f"x={format_element(x)}, y={format_element(y)}"
-            break
-    out.append(CheckResult("theta.homomorphism", bad is None, cfg.samples, bad))
+    def homomorphism():
+        for _ in range(cfg.samples):
+            x = _s_coefficient_field(s, sig)
+            y = _s_coefficient_field(s, sig)
+            lhs = theta_project(vf_bracket(x, y))
+            rhs = gl_bracket(theta_project(x), theta_project(y))
+            yield None if lhs == rhs else (
+                f"x={format_element(x)}, y={format_element(y)}"
+            )
 
-    bad = None
-    half = max(1, cfg.samples // 2)
-    for _ in range(half):
-        deep = _s_coefficient_field(s, sig, min_deg=2)
-        if not theta_project(deep).is_zero():
-            bad = f"positive sample not killed: {format_element(deep)}"
-            break
-        i = rng.choice(list(sig.tvars()))
-        pick = rng.random() < 0.5
-        lin = (
-            SuperPoly.t_var(sig, i) - SuperPoly.one(sig)
-            if pick
-            else SuperPoly.zeta(sig, rng.randint(1, sig.n))
-        )
-        shallow = VectorField.from_poly_tag(lin * s.scalar(), s.tag(sig))
-        shallow += _s_coefficient_field(s, sig, min_deg=2)
-        if theta_project(shallow).is_zero():
-            bad = f"negative sample killed: {format_element(shallow)}"
-            break
-    out.append(CheckResult("theta.kernel", bad is None, 2 * half, bad))
+    def kernel():
+        for _ in range(max(1, cfg.samples // 2)):
+            deep = _s_coefficient_field(s, sig, min_deg=2)
+            yield None if theta_project(deep).is_zero() else (
+                f"positive sample not killed: {format_element(deep)}"
+            )
+            i = rng.choice(list(sig.tvars()))
+            pick = rng.random() < 0.5
+            lin = (
+                SuperPoly.t_var(sig, i) - SuperPoly.one(sig)
+                if pick
+                else SuperPoly.zeta(sig, rng.randint(1, sig.n))
+            )
+            shallow = VectorField.from_poly_tag(lin * s.scalar(), s.tag(sig))
+            shallow += _s_coefficient_field(s, sig, min_deg=2)
+            yield None if not theta_project(shallow).is_zero() else (
+                f"negative sample killed: {format_element(shallow)}"
+            )
 
-    bad = None
-    cases = 0
     one = SuperPoly.one(sig)
     gl = sig.m + 1 + sig.n
-    for a in range(gl):
-        for b in range(gl):
-            cases += 1
-            coeff = (
-                SuperPoly.t_var(sig, a) - one
-                if a <= sig.m
-                else SuperPoly.zeta(sig, a - sig.m)
-            )
-            tag = ("d", b) if b <= sig.m else ("q", b - sig.m)
-            g = theta_project(VectorField.from_poly_tag(coeff, tag))
-            if g != GlMatrix.elementary(cfg.m, cfg.n, a, b):
-                bad = f"entry ({a},{b}) gives {format_gl_matrix(g)}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("theta.table", bad is None, cases, bad))
-    return out
+
+    def table():
+        for a in range(gl):
+            for b in range(gl):
+                coeff = (
+                    SuperPoly.t_var(sig, a) - one
+                    if a <= sig.m
+                    else SuperPoly.zeta(sig, a - sig.m)
+                )
+                tag = ("d", b) if b <= sig.m else ("q", b - sig.m)
+                g = theta_project(VectorField.from_poly_tag(coeff, tag))
+                yield None if g == GlMatrix.elementary(cfg.m, cfg.n, a, b) else (
+                    f"entry ({a},{b}) gives {format_gl_matrix(g)}"
+                )
+
+    return [
+        _check("theta.homomorphism", homomorphism()),
+        _check("theta.kernel", kernel()),
+        _check("theta.table", table()),
+    ]
 
 
 # ---------- centralizer and the bracket identification ----------
@@ -474,61 +444,58 @@ def centralizer_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     rng = _rng(cfg, "centralizer")
     s = Sampler(rng, cfg.deg)
     sig = env.sig
-    out = []
     tags = [("d", i) for i in sig.tvars()] + [("q", k) for k in range(1, sig.n + 1)]
-
-    bad_deg = bad_delta = bad_alg = None
-    gens = max(1, cfg.samples // 2)
-    cases_delta = cases_alg = 0
-    for _ in range(gens):
+    # Each generator with the 20 monomials it is tested against, drawn once.
+    drawn = []
+    for _ in range(max(1, cfg.samples // 2)):
         rbar, jmask, tag = s.x_generator(sig)
         x = make_X(sig, rbar, jmask, tag)
-        if not x.is_degree_zero():
-            bad_deg = f"gen={rbar},{jmask},{tag}"
-            break
-        for delta in tags:
-            cases_delta += 1
-            if not smash_commutator(
-                x, SmashElement.from_field(VectorField.basis(sig, delta))
-            ).is_zero():
-                bad_delta = f"gen={rbar},{jmask},{tag}, delta={delta}"
-                break
-        for _ in range(20):
-            cases_alg += 1
-            a = s.monomial(sig)
-            if not smash_commutator(x, SmashElement.from_poly(a)).is_zero():
-                bad_alg = f"gen={rbar},{jmask},{tag}, a={format_element(a)}"
-                break
-        if bad_delta or bad_alg:
-            break
-    out.append(CheckResult("centralizer.degree_zero", bad_deg is None, gens, bad_deg))
-    out.append(
-        CheckResult("centralizer.derivations", bad_delta is None, cases_delta, bad_delta)
-    )
-    out.append(CheckResult("centralizer.algebra", bad_alg is None, cases_alg, bad_alg))
-    return out
+        monomials = [s.monomial(sig) for _ in range(20)]
+        drawn.append((f"gen={rbar},{jmask},{tag}", x, monomials))
+
+    def degree_zero():
+        for gen, x, _ in drawn:
+            yield None if x.is_degree_zero() else gen
+
+    def derivations():
+        for gen, x, _ in drawn:
+            for delta in tags:
+                d = SmashElement.from_field(VectorField.basis(sig, delta))
+                ok = smash_commutator(x, d).is_zero()
+                yield None if ok else f"{gen}, delta={delta}"
+
+    def algebra():
+        for gen, x, monomials in drawn:
+            for a in monomials:
+                ok = smash_commutator(x, SmashElement.from_poly(a)).is_zero()
+                yield None if ok else f"{gen}, a={format_element(a)}"
+
+    return [
+        _check("centralizer.degree_zero", degree_zero()),
+        _check("centralizer.derivations", derivations()),
+        _check("centralizer.algebra", algebra()),
+    ]
 
 
 def psi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     rng = _rng(cfg, "psi")
     s = Sampler(rng, cfg.deg)
     sig = env.sig
-    bad = None
-    for _ in range(cfg.samples):
-        g1 = s.x_generator(sig)
-        g2 = s.x_generator(sig)
-        x1 = make_X(sig, *g1)
-        x2 = make_X(sig, *g2)
-        try:
-            lhs = psi_map(smash_commutator(x1, x2))
-        except ValueError as exc:
-            bad = f"g1={g1}, g2={g2}: {exc}"
-            break
-        rhs = vf_bracket(psi_map({g1: Scalar(1)}, sig), psi_map({g2: Scalar(1)}, sig))
-        if lhs != rhs:
-            bad = f"g1={g1}, g2={g2}"
-            break
-    return [CheckResult("psi.bracket_hom", bad is None, cfg.samples, bad)]
+
+    def bracket_hom():
+        for _ in range(cfg.samples):
+            g1 = s.x_generator(sig)
+            g2 = s.x_generator(sig)
+            try:
+                lhs = psi_map(smash_commutator(make_X(sig, *g1), make_X(sig, *g2)))
+            except ValueError as exc:
+                yield f"g1={g1}, g2={g2}: {exc}"
+                continue
+            one = Scalar(1)
+            rhs = vf_bracket(psi_map({g1: one}, sig), psi_map({g2: one}, sig))
+            yield None if lhs == rhs else f"g1={g1}, g2={g2}"
+
+    return [_check("psi.bracket_hom", bracket_hom())]
 
 
 # ---------- qp axioms ----------
@@ -588,9 +555,8 @@ def equalities_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     mu1, _ = admissible_mus(cfg.m, cfg.n)
     S = env.structure(mu1)
     dotted = env.dotted
-    out = []
-    for which in range(1, 6):
-        bad = None
+
+    def identity(which):
         for case in range(cfg.samples):
             w = s.tensor(dotted, env.omega)
             kwargs = {"w": w}
@@ -605,11 +571,9 @@ def equalities_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
             if which == 4:
                 kwargs["imask"] = s.mask(dotted.n)
             lhs, rhs = operator_identity_check(which, S, **kwargs)
-            if lhs != rhs:
-                bad = f"case {case}"
-                break
-        out.append(CheckResult(f"equalities.{which}", bad is None, cfg.samples, bad))
-    return out
+            yield None if lhs == rhs else f"case {case}"
+
+    return [_check(f"equalities.{which}", identity(which)) for which in range(1, 6)]
 
 
 # ---------- loop module ----------
@@ -637,84 +601,76 @@ def loop_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     rng = _rng(cfg, "loop")
     s = Sampler(rng, cfg.deg)
     sig, dotted = env.sig, env.dotted
-    mu1, mu2 = admissible_mus(cfg.m, cfg.n)
+    _, mu2 = admissible_mus(cfg.m, cfg.n)
     S = env.structure(mu2)
-    out = []
 
-    bad = None
-    for _ in range(cfg.samples):
-        x, y = s.loop_qp(dotted), s.loop_qp(dotted)
-        w = s.loop_tensor(dotted, env.omega)
-        sign = (-1) ** (x.parity() * y.parity())
-        lhs = loop_g_act(loop_bracket(x, y), w, S)
-        rhs = loop_g_act(x, loop_g_act(y, w, S), S) - sign * loop_g_act(
-            y, loop_g_act(x, w, S), S
-        )
-        if lhs != rhs:
-            bad = "module law failed"
-            break
-    out.append(CheckResult("loop.module_law", bad is None, cfg.samples, bad))
+    def module_law():
+        for _ in range(cfg.samples):
+            x, y = s.loop_qp(dotted), s.loop_qp(dotted)
+            w = s.loop_tensor(dotted, env.omega)
+            sign = (-1) ** (x.parity() * y.parity())
+            lhs = loop_g_act(loop_bracket(x, y), w, S)
+            rhs = loop_g_act(x, loop_g_act(y, w, S), S) - sign * loop_g_act(
+                y, loop_g_act(x, w, S), S
+            )
+            yield None if lhs == rhs else "module law failed"
 
-    bad = None
-    for _ in range(cfg.samples):
-        x = s.loop_qp(dotted)
-        a = s.monomial(sig)
-        w = s.loop_tensor(dotted, env.omega)
-        pa = a.parity()
-        sign = (-1) ** (x.parity() * pa)
-        lhs = loop_g_act(x, loop_a_act(a, w, S), S)
-        rhs = loop_a_act(loop_apply_to_poly(x, a), w, S) + sign * loop_a_act(
-            a, loop_g_act(x, w, S), S
-        )
-        if lhs != rhs:
-            bad = f"a={format_element(a)}"
-            break
-    out.append(CheckResult("loop.leibniz", bad is None, cfg.samples, bad))
+    def leibniz():
+        for _ in range(cfg.samples):
+            x = s.loop_qp(dotted)
+            a = s.monomial(sig)
+            w = s.loop_tensor(dotted, env.omega)
+            pa = a.parity()
+            sign = (-1) ** (x.parity() * pa)
+            lhs = loop_g_act(x, loop_a_act(a, w, S), S)
+            rhs = loop_a_act(loop_apply_to_poly(x, a), w, S) + sign * loop_a_act(
+                a, loop_g_act(x, w, S), S
+            )
+            yield None if lhs == rhs else f"a={format_element(a)}"
 
-    bad = None
-    for _ in range(cfg.samples):
-        f = s.monomial(sig, coeff=False)
-        alpha = rng.randrange(sig.m + sig.n + 1)
-        w = s.tensor(sig, env.omega)
-        direct = shen_act(f, alpha, w, S.mu, env.omega)
-        looped = loop_g_act(_loop_g_for(f, alpha), full_to_loop(w), S)
-        if full_to_loop(direct) != looped:
-            bad = f"f={format_element(f)}, alpha={alpha}"
-            break
-    out.append(CheckResult("loop.tensor_vs_loop", bad is None, cfg.samples, bad))
+    def tensor_vs_loop():
+        for _ in range(cfg.samples):
+            f = s.monomial(sig, coeff=False)
+            alpha = rng.randrange(sig.m + sig.n + 1)
+            w = s.tensor(sig, env.omega)
+            direct = shen_act(f, alpha, w, S.mu, env.omega)
+            looped = loop_g_act(_loop_g_for(f, alpha), full_to_loop(w), S)
+            yield None if full_to_loop(direct) == looped else (
+                f"f={format_element(f)}, alpha={alpha}"
+            )
 
-    bad = None
-    for _ in range(cfg.samples):
-        g = s.monomial(sig)
-        w = s.tensor(sig, env.omega)
-        direct = _shen_mul(w, g)
-        looped = loop_a_act(g, full_to_loop(w), S)
-        if full_to_loop(direct) != looped or loop_to_full(looped) != direct:
-            bad = f"g={format_element(g)}"
-            break
-    out.append(CheckResult("loop.algebra_action", bad is None, cfg.samples, bad))
+    def algebra_action():
+        for _ in range(cfg.samples):
+            g = s.monomial(sig)
+            w = s.tensor(sig, env.omega)
+            direct = _shen_mul(w, g)
+            looped = loop_a_act(g, full_to_loop(w), S)
+            same = full_to_loop(direct) == looped and loop_to_full(looped) == direct
+            yield None if same else f"g={format_element(g)}"
 
-    bad = None
-    for _ in range(cfg.samples):
-        x, y = s.loop_qp(dotted), s.loop_qp(dotted)
-        lhs = loop_der_correspond(loop_bracket(x, y))
-        rhs = vf_bracket(loop_der_correspond(x), loop_der_correspond(y))
-        if lhs != rhs:
-            bad = "bracket correspondence failed"
-            break
-    out.append(CheckResult("loop.der_correspond", bad is None, cfg.samples, bad))
+    def der_correspond():
+        for _ in range(cfg.samples):
+            x, y = s.loop_qp(dotted), s.loop_qp(dotted)
+            lhs = loop_der_correspond(loop_bracket(x, y))
+            rhs = vf_bracket(loop_der_correspond(x), loop_der_correspond(y))
+            yield None if lhs == rhs else "bracket correspondence failed"
 
-    bad = None
-    for _ in range(cfg.samples):
-        x = s.loop_qp(dotted)
-        f = s.monomial(sig)
-        lhs = loop_apply_to_poly(x, f)
-        rhs = loop_der_correspond(x).apply(f)
-        if lhs != rhs:
-            bad = f"f={format_element(f)}"
-            break
-    out.append(CheckResult("loop.der_action", bad is None, cfg.samples, bad))
-    return out
+    def der_action():
+        for _ in range(cfg.samples):
+            x = s.loop_qp(dotted)
+            f = s.monomial(sig)
+            lhs = loop_apply_to_poly(x, f)
+            rhs = loop_der_correspond(x).apply(f)
+            yield None if lhs == rhs else f"f={format_element(f)}"
+
+    return [
+        _check("loop.module_law", module_law()),
+        _check("loop.leibniz", leibniz()),
+        _check("loop.tensor_vs_loop", tensor_vs_loop()),
+        _check("loop.algebra_action", algebra_action()),
+        _check("loop.der_correspond", der_correspond()),
+        _check("loop.der_action", der_action()),
+    ]
 
 
 def _shen_mul(w: TensorVec, g: SuperPoly) -> TensorVec:
@@ -752,86 +708,71 @@ def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     rng = _rng(cfg, "phi")
     s = Sampler(rng, cfg.deg)
     sig = env.sig
-    mu1, mu2 = admissible_mus(cfg.m, cfg.n)
+    _, mu2 = admissible_mus(cfg.m, cfg.n)
     S, basis = _omega_setup(env, mu2)
-    out = []
 
     try:
         induced = _induced(env, mu2)
         report = rep_check(induced)
-        gl = sig.m + 1 + sig.n
-        out.append(
-            CheckResult(
-                "phi.gl_relations",
-                report.ok,
-                gl ** 4,
-                None if report.ok else str(report.violations[:3]),
-            )
-        )
     except ValueError as exc:
-        out.append(CheckResult("phi.gl_relations", False, 0, str(exc)))
-        return out
-
-    bad = None
-    cases = 0
-    z = env.dotted.zero_exps()
-    for a in range(induced.gl_dim):
-        for b in range(induced.gl_dim):
-            op = phi_operator(a, b, S)
-            for v in range(env.omega.dim):
-                cases += 1
-                lhs = op(TensorVec.basis(env.dotted, z, 0, v))
-                rhs = TensorVec.zero(env.dotted)
-                for u, cu in env.omega.column(a, b, v):
-                    rhs._iadd_term((z, 0, u), cu)
-                if lhs != rhs:
-                    bad = f"E_{a}_{b} on basis vector {v}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.append(CheckResult("phi.unit_action", bad is None, cases, bad))
-
-    bad = None
-    cases = 0
-    for _ in range(cfg.samples):
-        gen = s.x_generator(sig)
-        field = psi_map({gen: Scalar(1)}, sig)
-        mat = theta_project(field)
-        for u in basis:
-            cases += 1
-            direct = t_act(*gen, u, S)
-            through = TensorVec.zero(env.dotted)
-            for a in range(induced.gl_dim):
-                for b in range(induced.gl_dim):
-                    c = mat.rows[a][b]
-                    if c:
-                        through += phi_operator(a, b, S)(u) * c
-            if direct != through:
-                bad = f"gen={gen}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("phi.bridge", bad is None, cases, bad))
-
-    bad = None
-    for _ in range(cfg.samples):
-        w = s.tensor(env.dotted, env.omega)
-        rbar = s.exps(env.dotted)
-        imask = s.mask(env.dotted.n)
-        shifted = S.phi(SuperPoly.monomial(S.sig, rbar, imask), w)
-        if shifted.is_zero():
-            continue  # Grassmann collision
-        shift = tprime_weight(S, shifted)
-        base = tprime_weight(S, w)
-        expected = (base[0],) + tuple(
-            base[i] + rbar[i - 1] for i in range(1, env.dotted.m + 1)
+        return [CheckResult("phi.gl_relations", False, 0, str(exc))]
+    gl = sig.m + 1 + sig.n
+    out = [
+        CheckResult(
+            "phi.gl_relations",
+            report.ok,
+            gl ** 4,
+            None if report.ok else str(report.violations[:3]),
         )
-        if shift != expected:
-            bad = f"rbar={rbar}"
-            break
-    out.append(CheckResult("phi.weight_shift", bad is None, cfg.samples, bad))
+    ]
+
+    z = env.dotted.zero_exps()
+
+    def unit_action():
+        for a in range(induced.gl_dim):
+            for b in range(induced.gl_dim):
+                op = phi_operator(a, b, S)
+                for v in range(env.omega.dim):
+                    lhs = op(TensorVec.basis(env.dotted, z, 0, v))
+                    rhs = TensorVec.zero(env.dotted)
+                    for u, cu in env.omega.column(a, b, v):
+                        rhs._iadd_term((z, 0, u), cu)
+                    yield None if lhs == rhs else f"E_{a}_{b} on basis vector {v}"
+
+    def bridge():
+        for _ in range(cfg.samples):
+            gen = s.x_generator(sig)
+            field = psi_map({gen: Scalar(1)}, sig)
+            mat = theta_project(field)
+            for u in basis:
+                direct = t_act(*gen, u, S)
+                through = TensorVec.zero(env.dotted)
+                for a in range(induced.gl_dim):
+                    for b in range(induced.gl_dim):
+                        c = mat.rows[a][b]
+                        if c:
+                            through += phi_operator(a, b, S)(u) * c
+                yield None if direct == through else f"gen={gen}"
+
+    def weight_shift():
+        for _ in range(cfg.samples):
+            w = s.tensor(env.dotted, env.omega)
+            rbar = s.exps(env.dotted)
+            imask = s.mask(env.dotted.n)
+            shifted = S.phi(SuperPoly.monomial(S.sig, rbar, imask), w)
+            if shifted.is_zero():
+                yield None  # Grassmann collision
+                continue
+            shift = tprime_weight(S, shifted)
+            base = tprime_weight(S, w)
+            expected = (base[0],) + tuple(
+                base[i] + rbar[i - 1] for i in range(1, env.dotted.m + 1)
+            )
+            yield None if shift == expected else f"rbar={rbar}"
+
+    out.append(_check("phi.unit_action", unit_action()))
+    out.append(_check("phi.bridge", bridge()))
+    out.append(_check("phi.weight_shift", weight_shift()))
     return out
 
 
@@ -839,26 +780,22 @@ def annihilate_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     rng = _rng(cfg, "annihilate")
     s = Sampler(rng, cfg.deg)
     sig = env.sig
-    _mu1, mu2 = admissible_mus(cfg.m, cfg.n)
+    _, mu2 = admissible_mus(cfg.m, cfg.n)
     S, basis = _omega_setup(env, mu2)
-    bad = None
-    cases = 0
-    count = max(1, cfg.samples // 2)
-    for _ in range(count):
-        gens = _random_deep_gens(rng, s, sig)
-        field = psi_map(gens, sig)
-        degs = [filt_degree(c) for c in field.to_d().coefficient_polys().values()]
-        if field and min(degs) < 2:
-            bad = f"sample not in the square ideal: {gens}"
-            break
-        for u in basis:
-            cases += 1
-            if not t_act_gens(gens, u, S).is_zero():
-                bad = f"gens={gens}"
-                break
-        if bad:
-            break
-    return [CheckResult("annihilate.square_ideal", bad is None, cases, bad)]
+
+    def square_ideal():
+        for _ in range(max(1, cfg.samples // 2)):
+            gens = _random_deep_gens(rng, s, sig)
+            field = psi_map(gens, sig)
+            degs = [filt_degree(c) for c in field.to_d().coefficient_polys().values()]
+            if field and min(degs) < 2:
+                # Only a failed membership counts as a case of its own.
+                yield f"sample not in the square ideal: {gens}"
+                continue
+            for u in basis:
+                yield None if t_act_gens(gens, u, S).is_zero() else f"gens={gens}"
+
+    return [_check("annihilate.square_ideal", square_ideal())]
 
 
 def _random_deep_gens(rng: random.Random, s: Sampler, sig: Signature) -> dict:
@@ -900,9 +837,8 @@ def iso_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     rng = _rng(cfg, "iso")
     s = Sampler(rng, cfg.deg)
     dotted = env.dotted
-    mu1, mu2 = admissible_mus(cfg.m, cfg.n)
+    _, mu2 = admissible_mus(cfg.m, cfg.n)
     S, basis = _omega_setup(env, mu2)
-    out = []
     try:
         induced = _induced(env, mu2)
         rho = rho_of(S, basis)
@@ -910,34 +846,27 @@ def iso_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
         return [CheckResult("iso.equivariance", False, 0, str(exc))]
     Sprime = QPStructure(dotted, induced, rho)
 
-    bad = None
-    cases = 0
-    for _ in range(cfg.samples):
-        w = s.tensor(dotted, induced)
-        x = s.qp_homogeneous(dotted)
-        a = s.monomial(dotted)
-        for kind in ("psi", "phihat", "phi"):
-            cases += 1
-            if kind == "psi":
-                lhs = theta_transport(Sprime.psi(x, w), basis, S)
-                rhs = S.psi(x, theta_transport(w, basis, S))
-            elif kind == "phihat":
-                lhs = theta_transport(Sprime.phihat(x, w), basis, S)
-                rhs = S.phihat(x, theta_transport(w, basis, S))
-            else:
-                lhs = theta_transport(Sprime.phi(a, w), basis, S)
-                rhs = S.phi(a, theta_transport(w, basis, S))
-            if lhs != rhs:
-                bad = f"kind={kind}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("iso.equivariance", bad is None, cases, bad))
+    def equivariance():
+        for _ in range(cfg.samples):
+            w = s.tensor(dotted, induced)
+            x = s.qp_homogeneous(dotted)
+            a = s.monomial(dotted)
+            for kind in ("psi", "phihat", "phi"):
+                if kind == "psi":
+                    lhs = theta_transport(Sprime.psi(x, w), basis, S)
+                    rhs = S.psi(x, theta_transport(w, basis, S))
+                elif kind == "phihat":
+                    lhs = theta_transport(Sprime.phihat(x, w), basis, S)
+                    rhs = S.phihat(x, theta_transport(w, basis, S))
+                else:
+                    lhs = theta_transport(Sprime.phi(a, w), basis, S)
+                    rhs = S.phi(a, theta_transport(w, basis, S))
+                yield None if lhs == rhs else f"kind={kind}"
+
+    out = [_check("iso.equivariance", equivariance())]
 
     bound = 1
     dom = []
-    import itertools
-
     for exps in itertools.product(range(-bound, bound + 1), repeat=dotted.nvars):
         for mask in range(1 << dotted.n):
             for j in range(induced.dim):
@@ -988,41 +917,39 @@ def roundtrip_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     s = Sampler(rng, cfg.deg)
     sig = env.sig
     dotted = env.dotted
-    out = []
 
-    bad = None
-    for case in range(cfg.samples):
-        kind = rng.randrange(3)
-        if kind == 0:
-            e = s.poly(sig, terms=rng.randint(1, 4))
-            use = sig
-        elif kind == 1:
-            e = s.field(sig, terms=rng.randint(1, 3))
-            use = sig
-        else:
-            e = QPElement(s.poly(dotted), s.field(dotted))
-            use = dotted
-        text = format_element(e)
-        back = parse_element(text, use, expect="qp" if kind == 2 else None)
-        same = back == e if kind != 2 else (back.a == e.a and back.x == e.x)
-        if not same or format_element(back) != text:
-            bad = f"case {case}: {text}"
-            break
-    out.append(CheckResult("roundtrip.parse_format", bad is None, cfg.samples, bad))
+    def parse_format():
+        for case in range(cfg.samples):
+            kind = rng.randrange(3)
+            if kind == 0:
+                e = s.poly(sig, terms=rng.randint(1, 4))
+                use = sig
+            elif kind == 1:
+                e = s.field(sig, terms=rng.randint(1, 3))
+                use = sig
+            else:
+                e = QPElement(s.poly(dotted), s.field(dotted))
+                use = dotted
+            text = format_element(e)
+            back = parse_element(text, use, expect="qp" if kind == 2 else None)
+            same = back == e if kind != 2 else (back.a == e.a and back.x == e.x)
+            ok = same and format_element(back) == text
+            yield None if ok else f"case {case}: {text}"
 
-    bad = None
-    for text in MALFORMED:
-        try:
-            parse_element(text, sig)
-        except ParseError as exc:
-            if not isinstance(exc.position, int) or "position" not in str(exc):
-                bad = f"no position in diagnostic for {text!r}"
-                break
-        else:
-            bad = f"malformed input accepted: {text!r}"
-            break
-    out.append(CheckResult("roundtrip.malformed", bad is None, len(MALFORMED), bad))
-    return out
+    def malformed():
+        for text in MALFORMED:
+            try:
+                parse_element(text, sig)
+            except ParseError as exc:
+                located = isinstance(exc.position, int) and "position" in str(exc)
+                yield None if located else f"no position in diagnostic for {text!r}"
+            else:
+                yield f"malformed input accepted: {text!r}"
+
+    return [
+        _check("roundtrip.parse_format", parse_format()),
+        _check("roundtrip.malformed", malformed()),
+    ]
 
 
 # ---------- runner ----------

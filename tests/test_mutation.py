@@ -23,12 +23,28 @@ def plant(monkeypatch, orig, faulty):
     assert holders, "the fault was planted nowhere"
 
 
-def failed_checks(capsys, suite):
-    """Exit code and failing check ids of ``check suite`` at (1,2)."""
+def checks_of(capsys, suite):
+    """Exit code and JSON checks of ``check suite`` at (1,2)."""
     code = main(["check", suite, "--m", "1", "--n", "2", "--deg", "2",
                  "--samples", "20", "--json"])
-    report = json.loads(capsys.readouterr().out)
-    return code, {c["id"] for c in report["checks"] if not c["pass"]}
+    return code, json.loads(capsys.readouterr().out)["checks"]
+
+
+def failed_checks(capsys, suite):
+    """Exit code and failing check ids of ``check suite`` at (1,2)."""
+    code, checks = checks_of(capsys, suite)
+    return code, {c["id"] for c in checks if not c["pass"]}
+
+
+def flip_merge_masks(monkeypatch):
+    """Plant a Koszul sign error: two nonempty masks merge with the wrong sign."""
+    orig = superpoly.merge_masks
+
+    def flipped(ma, mb):
+        sign, mask = orig(ma, mb)
+        return (-sign if ma and mb else sign), mask
+
+    plant(monkeypatch, orig, flipped)
 
 
 @pytest.mark.parametrize("suite", ["koszul", "jacobi"])
@@ -37,19 +53,34 @@ def test_merge_masks_sign_flip_fails_the_check(monkeypatch, capsys, suite):
             "--samples", "20", "--json"]
     assert main(args) == 0
     capsys.readouterr()
-
-    orig = superpoly.merge_masks
-
-    def flipped(ma, mb):
-        sign, mask = orig(ma, mb)
-        return (-sign if ma and mb else sign), mask
-
-    plant(monkeypatch, orig, flipped)
+    flip_merge_masks(monkeypatch)
     assert main(args) == 1
     failed = [c["id"] for c in json.loads(capsys.readouterr().out)["checks"]
               if not c["pass"]]
     assert failed
     assert not any(cid.endswith(".error") for cid in failed)
+
+
+def test_failing_check_counts_cases_through_its_counterexample(monkeypatch, capsys):
+    """A failing check stops at its first counterexample and counts the
+    cases it ran, not the cases it would have run."""
+    flip_merge_masks(monkeypatch)
+    code, checks = checks_of(capsys, "equalities")
+    failed = [c for c in checks if not c["pass"]]
+    assert code == 1 and failed
+    for c in failed:
+        prefix, j = c["counterexample"].split(" ")
+        assert prefix == "case"
+        assert c["cases"] == int(j) + 1
+
+
+def test_sibling_failure_does_not_cut_a_centralizer_check(monkeypatch, capsys):
+    flip_merge_masks(monkeypatch)
+    code, checks = checks_of(capsys, "centralizer")
+    results = {c["id"]: (c["pass"], c["cases"]) for c in checks}
+    assert code == 1 and not results["centralizer.algebra"][0]
+    # 10 generators times the 4 derivations ∂_0, ∂_1, Q_1, Q_2.
+    assert results["centralizer.derivations"] == (True, 40)
 
 
 @pytest.mark.parametrize("suite,expected", [
