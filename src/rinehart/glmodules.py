@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import matmul, matvec, zeros
-from .scalars import Scalar
+from .linalg import matvec, zeros
+from .scalars import ONE, ZERO, Scalar
 
 
 class MuVector:
@@ -121,49 +121,53 @@ class RepReport:
         return not self.violations
 
 
+def _accumulate(acc: dict, x: dict, y: dict, sign: int) -> None:
+    """acc += sign·x·y for sparse matrices {row: {column: entry}}."""
+    for i, xrow in x.items():
+        for k, c in xrow.items():
+            for j, e in y.get(k, {}).items():
+                old = acc.get((i, j), ZERO)
+                acc[(i, j)] = old + c * e if sign > 0 else old - c * e
+
+
 def rep_check(mod: GlModule) -> RepReport:
-    """Verify parity homogeneity and every supercommutator relation."""
+    """Verify parity homogeneity and every supercommutator relation.
+
+    Each relation [E_ab, E_cd] = δ_bc E_ad - (-1)^{|ab||cd|} δ_da E_cb is
+    checked on one sparse view of each action, as a difference that must
+    vanish.
+    """
     report = RepReport()
-    gl = mod.gl_dim
-    for (a, b), mat in mod.act.items():
+    par = mod.parities
+    acts = {
+        ab: {u: {v: c for v, c in enumerate(row) if c} for u, row in enumerate(mat) if any(row)}
+        for ab, mat in mod.act.items()
+    }
+    for (a, b), rows in acts.items():
         p = mod.entry_parity(a, b)
-        for u in range(mod.dim):
-            for v in range(mod.dim):
-                if mat[u][v] and (mod.parities[u] + mod.parities[v]) % 2 != p:
-                    report.violations.append(
-                        ("parity", (a, b), f"entry ({u},{v}) breaks parity")
-                    )
-                    break
-            else:
-                continue
-            break
+        bad = next(((u, v) for u, row in rows.items() for v in row
+                    if (par[u] + par[v]) % 2 != p), None)
+        if bad is not None:
+            report.violations.append(
+                ("parity", (a, b), f"entry ({bad[0]},{bad[1]}) breaks parity")
+            )
+    one = {u: {u: ONE} for u in range(mod.dim)}
+    gl = mod.gl_dim
     pairs = [(a, b) for a in range(gl) for b in range(gl)]
     for (a, b) in pairs:
-        mab = mod.act[(a, b)]
+        mab = acts[(a, b)]
         pab = mod.entry_parity(a, b)
         for (c, d) in pairs:
-            mcd = mod.act[(c, d)]
-            pcd = mod.entry_parity(c, d)
-            lhs = matmul(mab, mcd)
-            back = matmul(mcd, mab)
-            sign = Scalar(-1 if (pab and pcd) else 1)
-            rhs = zeros(mod.dim, mod.dim)
+            mcd = acts[(c, d)]
+            sign = -1 if pab and mod.entry_parity(c, d) else 1
+            diff = {}
+            _accumulate(diff, mab, mcd, 1)
+            _accumulate(diff, mcd, mab, -sign)
             if b == c:
-                mad = mod.act[(a, d)]
-                for i in range(mod.dim):
-                    for j in range(mod.dim):
-                        rhs[i][j] = rhs[i][j] + mad[i][j]
+                _accumulate(diff, acts[(a, d)], one, -1)
             if d == a:
-                mcb = mod.act[(c, b)]
-                for i in range(mod.dim):
-                    for j in range(mod.dim):
-                        rhs[i][j] = rhs[i][j] - sign * mcb[i][j]
-            ok = all(
-                lhs[i][j] - sign * back[i][j] == rhs[i][j]
-                for i in range(mod.dim)
-                for j in range(mod.dim)
-            )
-            if not ok:
+                _accumulate(diff, acts[(c, b)], one, sign)
+            if any(diff.values()):
                 report.violations.append(
                     ("commutator", ((a, b), (c, d)), "supercommutator relation fails")
                 )

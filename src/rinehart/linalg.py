@@ -1,19 +1,20 @@
-"""Exact dense linear algebra over Gaussian rationals.
+"""Exact sparse linear algebra over Gaussian rationals.
 
-Matrices are plain lists of rows of Scalars.
+A vector is a dict ``{key: Scalar}`` of its nonzero entries, with any
+hashable keys, e.g. those of ``TensorVec.terms``.  `Echelon` is the one
+elimination kernel; `rank`, `nullspace`, `solve_columns` and the dense
+adapter `rref` run through it.  Dense matrices are lists of rows.
 """
 
 from __future__ import annotations
 
-from .scalars import Scalar
+from heapq import heapify, heappop, heappush
+
+from .scalars import ONE, ZERO, Scalar
 
 
 def zeros(rows: int, cols: int) -> list:
-    return [[Scalar(0)] * cols for _ in range(rows)]
-
-
-def mat_copy(a) -> list:
-    return [list(row) for row in a]
+    return [[ZERO] * cols for _ in range(rows)]
 
 
 def matmul(a, b) -> list:
@@ -37,89 +38,118 @@ def matvec(a, v) -> list:
     return [sum((c * x for c, x in zip(row, v) if c and x), Scalar(0)) for row in a]
 
 
-def rref(a) -> tuple[list, list[int]]:
-    """Reduced row echelon form and pivot column indices.
+def _axpy(acc: dict, c: Scalar, vec: dict) -> None:
+    """acc -= c·vec in place, dropping entries that cancel."""
+    for k, v in vec.items():
+        new = acc[k] - c * v if k in acc else -(c * v)
+        if new:
+            acc[k] = new
+        else:
+            del acc[k]
 
-    A pivot row is zero left of its pivot, so each elimination step
-    touches the other rows only at the pivot row's nonzero columns.
+
+class Echelon:
+    """Pivot rows spanning the vectors added so far.
+
+    ``rows`` maps each pivot key to (position, row, coefficients).  A row
+    is 1 at its pivot key, which it leaves out, and 0 at the pivot keys of
+    lower positions, so subtracting rows by position clears every pivot
+    key and a vector meets only the rows its keys lead to.  With ``track``
+    the coefficients write each row over the added vectors, by index.
     """
-    mat = mat_copy(a)
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        prow = mat[r]
-        support = [j for j in range(c, cols) if prow[j]]
-        inv = Scalar(1) / prow[c]
-        for j in support:
-            prow[j] = prow[j] * inv
-        for i in range(rows):
-            row = mat[i]
-            f = row[c]
-            if i != r and f:
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return mat, pivots
+
+    __slots__ = ("rows", "track", "added")
+
+    def __init__(self, track: bool = False):
+        self.rows: dict = {}
+        self.track = track
+        self.added = 0
+
+    def reduce(self, vec: dict):
+        """(rest, x) with vec = rest + Σ x[i]·(i-th added vector) and no
+        pivot key in ``rest``; ``x`` is None unless tracking."""
+        rest = {k: c for k, c in vec.items() if c}
+        x = {} if self.track else None
+        rows = self.rows
+        heap = [(rows[k][0], k) for k in rest if k in rows]
+        heapify(heap)
+        while heap:
+            key = heappop(heap)[1]
+            c = rest.pop(key, None)
+            if c is None:
+                continue  # cancelled, or a repeated entry
+            _, row, coeffs = rows[key]
+            for k in row:
+                if k not in rest and k in rows:
+                    heappush(heap, (rows[k][0], k))
+            _axpy(rest, c, row)
+            if x is not None:
+                _axpy(x, -c, coeffs)
+        return rest, x
+
+    def add(self, vec: dict):
+        """``reduce(vec)``, keeping ``rest`` as a new pivot row; ``rest`` is
+        empty exactly when vec lies in the span of the earlier vectors."""
+        rest, x = self.reduce(vec)
+        if rest:
+            key = next(iter(rest))
+            inv = ONE / rest[key]
+            row = {k: c * inv for k, c in rest.items() if k != key}
+            coeffs = None if x is None else {
+                **{i: -(c * inv) for i, c in x.items()}, self.added: inv}
+            self.rows[key] = (len(self.rows), row, coeffs)
+        self.added += 1
+        return rest, x
 
 
-def rank(a) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
+def rank(vectors) -> int:
+    """Dimension of the span of the sparse vectors."""
+    ech = Echelon()
+    return sum(1 for v in vectors if ech.add(v)[0])
 
 
-def nullspace(a, cols: int | None = None) -> list[list]:
-    """Basis of the right kernel, as coordinate vectors."""
-    if not a:
-        return [[Scalar(1 if i == j else 0) for j in range(cols or 0)]
-                for i in range(cols or 0)]
-    cols = cols if cols is not None else len(a[0])
-    mat, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Scalar(0)] * cols
-        vec[fc] = Scalar(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def solve_columns(a, bs) -> list:
-    """One solution of A x = b for each b in ``bs`` (None where inconsistent).
-
-    ``[A | b_1 ... b_k]`` is reduced once.  Column k is inconsistent iff a
-    row past the last pivot of A is nonzero at ``cols + k``; a pivot test
-    would miss a repeated inconsistent column, which gets no pivot.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [b[i] for b in bs] for i in range(rows)]
-    mat, pivots = rref(aug)
-    rank_a = sum(1 for pc in pivots if pc < cols)
+def nullspace(vectors) -> list[dict]:
+    """Basis of the relations Σ x_j·vectors[j] = 0, as sparse ``{j: x_j}``:
+    one per vector in the span of those before it, writing it (with
+    coefficient 1) over the earlier independent ones."""
+    ech = Echelon(track=True)
     out = []
-    for k in range(cols, cols + len(bs)):
-        if any(mat[r][k] for r in range(rank_a, rows)):
-            out.append(None)
-            continue
-        x = [Scalar(0)] * cols
-        for r in range(rank_a):
-            x[pivots[r]] = mat[r][k]
-        out.append(x)
+    for j, v in enumerate(vectors):
+        rest, x = ech.add(v)
+        if not rest:
+            out.append({**{i: -c for i, c in x.items()}, j: ONE})
     return out
 
 
-def solve(a, b) -> list | None:
-    """One solution of A x = b, or None when inconsistent."""
-    return solve_columns(a, [b])[0]
+def solve_columns(vectors, targets) -> list:
+    """For each target b, sparse ``{j: x_j}`` with Σ x_j·vectors[j] = b, or
+    None where b is outside the span.  Only vectors independent of those
+    before them get a coordinate, as in a reduced echelon form."""
+    ech = Echelon(track=True)
+    for v in vectors:
+        ech.add(v)
+    return [None if rest else x for rest, x in map(ech.reduce, targets)]
+
+
+def solve(vectors, b) -> dict | None:
+    """One solution of Σ x_j·vectors[j] = b, or None when inconsistent."""
+    return solve_columns(vectors, [b])[0]
+
+
+def rref(a) -> tuple[list, list[int]]:
+    """Reduced row echelon form of the dense matrix ``a`` and its pivot
+    columns: those independent of the columns before them.  Row r of a
+    later column holds its coordinate on the r-th pivot column."""
+    cols = len(a[0]) if a else 0
+    mat = zeros(len(a), cols)
+    pivots = []
+    ech = Echelon(track=True)
+    for j in range(cols):
+        rest, x = ech.add({i: row[j] for i, row in enumerate(a) if row[j]})
+        if rest:
+            mat[len(pivots)][j] = ONE
+            pivots.append(j)
+        else:
+            for r, p in enumerate(pivots):
+                mat[r][j] = x.get(p, ZERO)
+    return mat, pivots

@@ -45,7 +45,6 @@ from .superpoly import (
 from .tensorqp import (
     QPStructure,
     TensorVec,
-    _coords,
     degree_zero_basis,
     full_to_loop,
     induced_gl_module,
@@ -871,9 +870,8 @@ def iso_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
         for mask in range(1 << dotted.n):
             for j in range(induced.dim):
                 dom.append(TensorVec.basis(dotted, exps, mask, j))
-    _, mat = _coords([theta_transport(v, basis, S) for v in dom])
     target_dim = (2 * bound + 1) ** dotted.nvars * (1 << dotted.n) * env.omega.dim
-    rk = linalg.rank(mat)
+    rk = linalg.rank(theta_transport(v, basis, S).terms for v in dom)
     ok = rk == len(dom) == target_dim
     out.append(
         CheckResult(

@@ -17,6 +17,7 @@ a ⊗ ω to the algebra action of a on ω.
 
 from __future__ import annotations
 
+from . import linalg
 from .glmodules import GlModule, MuVector
 from .scalars import Scalar
 from .smash import SmashElement, tau
@@ -501,38 +502,14 @@ def degree_zero_basis(S: QPStructure) -> list[TensorVec]:
     return out
 
 
-def _coords(vectors: list[TensorVec]):
-    keys = sorted({k for v in vectors for k in v.terms})
-    index = {k: i for i, k in enumerate(keys)}
-    mat = [[Scalar(0)] * len(vectors) for _ in keys]
-    for j, v in enumerate(vectors):
-        for k, c in v.terms.items():
-            mat[index[k]][j] = c
-    return keys, mat
-
-
 def _solve_in(basis: list[TensorVec], targets: list[TensorVec], error: str) -> list:
-    """Coordinates of each target in the span of ``basis`` (unique when the
-    basis is independent), from one reduction; raise ValueError(error) if
-    a target lies outside the span."""
-    from . import linalg
-
-    _, mat = _coords(list(basis) + list(targets))
-    d = len(basis)
-    amat = [row[:d] for row in mat]
-    bs = [[row[d + j] for row in mat] for j in range(len(targets))]
-    sols = linalg.solve_columns(amat, bs)
+    """Coordinates ``{i: c}`` of each target in the span of ``basis``
+    (unique when the basis is independent), from one reduction; raise
+    ValueError(error) if a target lies outside the span."""
+    sols = linalg.solve_columns([v.terms for v in basis], [t.terms for t in targets])
     if any(sol is None for sol in sols):
         raise ValueError(error)
     return sols
-
-
-def _combine(basis: list[TensorVec], coeffs) -> TensorVec:
-    out = TensorVec.zero(basis[0].sig)
-    for c, v in zip(coeffs, basis):
-        if c:
-            out += v * c
-    return out
 
 
 def omega_extract(basis: list[TensorVec], S: QPStructure) -> list[TensorVec]:
@@ -541,8 +518,6 @@ def omega_extract(basis: list[TensorVec], S: QPStructure) -> list[TensorVec]:
     The span must be invariant under every ψ_{∂_k}; the result is split
     into parity-homogeneous vectors.
     """
-    from . import linalg
-
     if not basis:
         return []
     images = []
@@ -551,22 +526,20 @@ def omega_extract(basis: list[TensorVec], S: QPStructure) -> list[TensorVec]:
         images.extend(S.psi(xk, v) for v in basis)
     cols = _solve_in(basis, images, "span is not invariant under the odd actions")
     d = len(basis)
+    # Column j stacks the coordinates of every ψ_{∂_k} of basis vector j.
     stacked = [
-        [cols[k + j][i] for j in range(d)]
-        for k in range(0, len(cols), d)
-        for i in range(d)
+        {(k, i): c for k in range(0, len(cols), d) for i, c in cols[k + j].items()}
+        for j in range(d)
     ]
-    kernel = linalg.nullspace(stacked, d)
     candidates = []
-    for coeffs in kernel:
-        vec = _combine(basis, coeffs)
-        ev, od = vec.even_odd(S.omega.parities)
-        for part in (ev, od):
-            if not part.is_zero():
-                candidates.append(part)
-    # A candidate raises the rank of those before it iff its column is a pivot.
-    _, pivots = linalg.rref(_coords(candidates)[1])
-    return [candidates[j] for j in pivots]
+    for coeffs in linalg.nullspace(stacked):
+        vec = TensorVec.zero(S.sig)
+        for j, c in coeffs.items():
+            vec += basis[j] * c
+        candidates.extend(p for p in vec.even_odd(S.omega.parities) if not p.is_zero())
+    # Keep each candidate that raises the rank of those kept before it.
+    ech = linalg.Echelon()
+    return [v for v in candidates if ech.add(v.terms)[0]]
 
 
 def omega_greedy(u: TensorVec, S: QPStructure) -> TensorVec:
@@ -651,7 +624,7 @@ def phi_rep(alpha: int, beta: int, S: QPStructure,
         "operator does not preserve the extracted kernel",
     )
     d = len(omega_basis)
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    return [[cols[j].get(i, Scalar(0)) for j in range(d)] for i in range(d)]
 
 
 def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec]) -> GlModule:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rinehart.glmodules import (
     GlModule,
@@ -7,6 +9,7 @@ from rinehart.glmodules import (
     rep_check,
     zero_action_module,
 )
+from rinehart.linalg import matmul, zeros
 from rinehart.scalars import Scalar
 
 
@@ -65,10 +68,86 @@ def test_mu_vector_constraint():
 
 
 def test_diagonal_actions_commute_after_rep_check(sampler):
-    from rinehart.linalg import matmul
-
     mod = natural_module(2, 1)
     hs = [mod.act[(a, a)] for a in range(4)]
     for i, hi in enumerate(hs):
         for hj in hs[i + 1:]:
             assert matmul(hi, hj) == matmul(hj, hi)
+
+
+def dense_rep_check(mod):
+    """The dense rep_check: two dim x dim products per pair of actions."""
+    violations = []
+    gl = mod.gl_dim
+    for (a, b), mat in mod.act.items():
+        p = mod.entry_parity(a, b)
+        for u in range(mod.dim):
+            for v in range(mod.dim):
+                if mat[u][v] and (mod.parities[u] + mod.parities[v]) % 2 != p:
+                    violations.append(("parity", (a, b), f"entry ({u},{v}) breaks parity"))
+                    break
+            else:
+                continue
+            break
+    pairs = [(a, b) for a in range(gl) for b in range(gl)]
+    for (a, b) in pairs:
+        mab = mod.act[(a, b)]
+        pab = mod.entry_parity(a, b)
+        for (c, d) in pairs:
+            mcd = mod.act[(c, d)]
+            pcd = mod.entry_parity(c, d)
+            lhs = matmul(mab, mcd)
+            back = matmul(mcd, mab)
+            sign = Scalar(-1 if (pab and pcd) else 1)
+            rhs = zeros(mod.dim, mod.dim)
+            if b == c:
+                mad = mod.act[(a, d)]
+                for i in range(mod.dim):
+                    for j in range(mod.dim):
+                        rhs[i][j] = rhs[i][j] + mad[i][j]
+            if d == a:
+                mcb = mod.act[(c, b)]
+                for i in range(mod.dim):
+                    for j in range(mod.dim):
+                        rhs[i][j] = rhs[i][j] - sign * mcb[i][j]
+            ok = all(
+                lhs[i][j] - sign * back[i][j] == rhs[i][j]
+                for i in range(mod.dim)
+                for j in range(mod.dim)
+            )
+            if not ok:
+                violations.append(
+                    ("commutator", ((a, b), (c, d)), "supercommutator relation fails")
+                )
+    return violations
+
+
+small = st.integers(-2, 2)
+
+
+@st.composite
+def perturbed_modules(draw):
+    """Natural and zero modules, some with up to four entries overwritten
+    or rescaled; an entry at the wrong parity breaks homogeneity."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        mod = natural_module(m, n)
+    else:
+        dim = draw(st.integers(1, 4))
+        parities = draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
+        mod = zero_action_module(m, n, dim, parities)
+    act = {ab: [list(row) for row in mat] for ab, mat in mod.act.items()}
+    index = st.integers(0, mod.gl_dim - 1)
+    entry = st.integers(0, mod.dim - 1)
+    for _ in range(draw(st.integers(0, 4))):
+        row = act[(draw(index), draw(index))][draw(entry)]
+        j = draw(entry)
+        c = draw(st.builds(Scalar, small, small))
+        row[j] = row[j] * c if draw(st.booleans()) else c
+    return GlModule(m, n, mod.dim, mod.parities, act)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mod=perturbed_modules())
+def test_rep_check_lists_the_dense_violations_in_order(mod):
+    assert rep_check(mod).violations == dense_rep_check(mod)

@@ -1,4 +1,4 @@
-"""Property tests of the exact linear algebra on sparse Gaussian-rational
+"""Property tests of the exact sparse linear algebra on Gaussian-rational
 matrices, against a naive dense Gauss-Jordan elimination."""
 
 from fractions import Fraction
@@ -86,6 +86,41 @@ def is_zero_vector(v):
     return all(not x for x in v)
 
 
+def rows_of(a):
+    """The rows of a dense matrix as sparse vectors."""
+    return [{j: c for j, c in enumerate(row) if c} for row in a]
+
+
+def cols_of(a):
+    """The columns of a dense matrix as sparse vectors keyed by row."""
+    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(len(a[0]))]
+
+
+def sparse(v):
+    return {i: c for i, c in enumerate(v) if c}
+
+
+def dense(x, n):
+    """A sparse solution {j: c} as a dense list of length n (None stays)."""
+    return None if x is None else [x.get(j, Scalar(0)) for j in range(n)]
+
+
+def dense_rank(a):
+    return rank(rows_of(a))
+
+
+def dense_nullspace(a):
+    return [dense(v, len(a[0])) for v in nullspace(cols_of(a))]
+
+
+def dense_solve_columns(a, bs):
+    return [dense(x, len(a[0])) for x in solve_columns(cols_of(a), [sparse(b) for b in bs])]
+
+
+def dense_solve(a, b):
+    return dense(solve(cols_of(a), sparse(b)), len(a[0]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(a=sparse_matrices())
 def test_rref_is_reduced_echelon_form_and_matches_dense(a):
@@ -106,15 +141,15 @@ def test_rref_is_reduced_echelon_form_and_matches_dense(a):
 @given(a=sparse_matrices())
 def test_rank_and_nullspace(a):
     cols = len(a[0])
-    r = rank(a)
+    r = dense_rank(a)
     assert r == len(naive_rref(a)[1])
-    basis = nullspace(a)
+    basis = dense_nullspace(a)
     assert len(basis) == cols - r
     for v in basis:
         assert len(v) == cols
         assert is_zero_vector(matvec(a, v))
     if basis:
-        assert rank(basis) == len(basis)
+        assert dense_rank(basis) == len(basis)
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,8 +163,8 @@ def test_solve(a, data):
     else:
         b = data.draw(st.lists(st.builds(Scalar, components, components),
                                min_size=len(a), max_size=len(a)))
-    x = solve(a, b)
-    inconsistent = rank([row + [bi] for row, bi in zip(a, b)]) > rank(a)
+    x = dense_solve(a, b)
+    inconsistent = dense_rank([row + [bi] for row, bi in zip(a, b)]) > dense_rank(a)
     assert (x is None) == inconsistent
     if x is not None:
         assert matvec(a, x) == b
@@ -151,14 +186,14 @@ def test_solve_columns(a, data):
             bs.append(matvec(a, x0))
         else:
             bs.append(data.draw(st.lists(entries, min_size=len(a), max_size=len(a))))
-    xs = solve_columns(a, bs)
+    xs = dense_solve_columns(a, bs)
     assert len(xs) == len(bs)
     for b, x in zip(bs, xs):
-        inconsistent = rank([row + [bi] for row, bi in zip(a, b)]) > rank(a)
+        inconsistent = dense_rank([row + [bi] for row, bi in zip(a, b)]) > dense_rank(a)
         assert (x is None) == inconsistent
         if x is not None:
             assert matvec(a, x) == b
-        assert x == solve(a, b)
+        assert x == dense_solve(a, b)
 
 
 def test_solve_columns_repeated_inconsistent_column():
@@ -167,10 +202,10 @@ def test_solve_columns_repeated_inconsistent_column():
     a = [[Scalar(1), Scalar(0)], [Scalar(0), Scalar(0)]]
     bad = [Scalar(0), Scalar(1)]
     good = [Scalar(3), Scalar(0)]
-    assert solve_columns(a, [bad, bad, good, bad]) == [
+    assert dense_solve_columns(a, [bad, bad, good, bad]) == [
         None, None, [Scalar(3), Scalar(0)], None,
     ]
-    assert solve_columns(a, []) == []
+    assert dense_solve_columns(a, []) == []
 
 
 def test_rref_keeps_exact_fractions():
@@ -179,3 +214,108 @@ def test_rref_keeps_exact_fractions():
     assert pivots == [0, 1]
     assert (mat[0][2], mat[1][2]) == (Scalar(Fraction(2, 5)), Scalar(Fraction(1, 5)))
 
+
+
+# ---------- the sparse kernel on keys shaped like TensorVec keys ----------
+
+TENSOR_KEYS = [((e0, e1), mask, idx)
+               for e0 in (-1, 0, 1) for e1 in (0, 2) for mask in (0, 1, 3) for idx in (0, 1)]
+entries = st.builds(Scalar, components, components)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Key rows, sparse vectors and targets keyed like ``TensorVec.terms``.
+
+    The vectors include empty ones and repeated (rescaled) ones, so
+    dependencies are common; the targets include combinations of the
+    vectors, random vectors (mostly outside the span) and repeats of
+    earlier targets, inconsistent ones included.
+    """
+    keys = draw(st.lists(st.sampled_from(TENSOR_KEYS), min_size=1, max_size=8, unique=True))
+
+    def fresh():
+        support = draw(st.sets(st.sampled_from(keys), max_size=len(keys)))
+        return {k: draw(nonzero) for k in support}
+
+    vectors = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(("fresh", "empty", "repeat")))
+        if kind == "repeat" and vectors:
+            f = draw(nonzero)
+            vectors.append({k: f * c for k, c in draw(st.sampled_from(vectors)).items()})
+        else:
+            vectors.append({} if kind == "empty" else fresh())
+    targets = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("span", "fresh", "repeat")))
+        if kind == "repeat" and targets:
+            targets.append(dict(draw(st.sampled_from(targets))))
+        elif kind == "span":
+            b = {}
+            for v in vectors:
+                c = draw(entries)
+                for k, x in v.items():
+                    b[k] = b.get(k, Scalar(0)) + c * x
+            targets.append({k: c for k, c in b.items() if c})
+        else:
+            targets.append(fresh())
+    return sorted(keys), vectors, targets
+
+
+def as_columns(keys, vectors):
+    """Dense matrix with one row per key and one column per vector."""
+    return [[v.get(k, Scalar(0)) for v in vectors] for k in keys]
+
+
+def oracle_nullspace(keys, vectors):
+    """The kernel basis of the dense reduced echelon form: one vector per
+    free column f, with 1 at f and minus column f at the pivots."""
+    n = len(vectors)
+    if not n:
+        return []
+    red, pivots = naive_rref(as_columns(keys, vectors))
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [Scalar(0)] * n
+        v[f] = Scalar(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        out.append(v)
+    return out
+
+
+def oracle_solve_columns(keys, vectors, targets):
+    """Reduce [A | b_1 ... b_k] once; b is inconsistent iff a row past the
+    rank of A is nonzero in its column; free coordinates are zero."""
+    n = len(vectors)
+    if not targets:
+        return []
+    red, pivots = naive_rref(as_columns(keys, vectors + targets))
+    rank_a = sum(1 for p in pivots if p < n)
+    out = []
+    for col in range(n, n + len(targets)):
+        if any(red[r][col] for r in range(rank_a, len(keys))):
+            out.append(None)
+            continue
+        x = [Scalar(0)] * n
+        for r in range(rank_a):
+            x[pivots[r]] = red[r][col]
+        out.append(x)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=sparse_systems())
+def test_sparse_kernel_matches_the_dense_oracle(system):
+    keys, vectors, targets = system
+    n = len(vectors)
+    snapshot = [dict(v) for v in vectors + targets]
+    want_rank = len(naive_rref(as_columns(keys, vectors))[1]) if n else 0
+    assert rank(vectors) == want_rank
+    assert [dense(x, n) for x in nullspace(vectors)] == oracle_nullspace(keys, vectors)
+    assert [dense(x, n) for x in solve_columns(vectors, targets)] == oracle_solve_columns(
+        keys, vectors, targets)
+    assert vectors + targets == snapshot

@@ -7,8 +7,8 @@ import pytest
 
 from rinehart import smash, superpoly, tensorqp, vectorfields
 from rinehart.cli import main
-from rinehart.glmodules import MuVector
-from rinehart.tensorqp import QPStructure
+from rinehart.glmodules import GlModule, MuVector
+from rinehart.tensorqp import QPStructure, TensorVec
 
 
 def plant(monkeypatch, orig, faulty):
@@ -119,3 +119,39 @@ def test_loop_counterexample_is_deterministic(monkeypatch, capsys):
     assert "jacobi.loop.antisymmetry" in failed
     assert runs[0] == runs[1]
     assert "0x" not in runs[0]
+
+
+def test_scaled_induced_entry_fails_the_gl_relations(monkeypatch, capsys):
+    assert failed_checks(capsys, "phi") == (0, set())
+    orig = tensorqp.induced_gl_module
+
+    def scaled(S, omega_basis):
+        mod = orig(S, omega_basis)
+        act = {ab: [list(row) for row in mat] for ab, mat in mod.act.items()}
+        row = next(r for mat in act.values() for r in mat if any(r))
+        j = next(j for j, c in enumerate(row) if c)
+        row[j] = row[j] * 2
+        return GlModule(mod.m, mod.n, mod.dim, mod.parities, act)
+
+    plant(monkeypatch, orig, scaled)
+    assert failed_checks(capsys, "phi") == (1, {"phi.gl_relations"})
+
+
+def test_theta_losing_a_vector_fails_bijectivity(monkeypatch, capsys):
+    code, checks = checks_of(capsys, "iso")
+    assert code == 0
+    total = {c["id"]: c["cases"] for c in checks}["iso.bijective"]
+    orig = tensorqp.theta_transport
+
+    def lossy(w, omega_basis, S):
+        # the first domain vector: t^-1 ⊗ e_0 with no ζ
+        first = TensorVec.basis(w.sig, (-1,) * w.sig.nvars, 0, 0)
+        return TensorVec.zero(S.sig) if w == first else orig(w, omega_basis, S)
+
+    plant(monkeypatch, orig, lossy)
+    code, checks = checks_of(capsys, "iso")
+    failed = {c["id"]: c["counterexample"] for c in checks if not c["pass"]}
+    assert code == 1
+    assert failed == {
+        "iso.bijective": f"rank {total - 1} of {total}, target {total}",
+    }

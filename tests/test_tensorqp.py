@@ -274,6 +274,12 @@ def _omega_extract_reference(basis, S):
     candidate, the straightforward way."""
     from rinehart.linalg import nullspace, rank, solve
 
+    def columns(mat, ncols):
+        return [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(ncols)]
+
+    def dense(x):
+        return None if x is None else [x.get(j, Scalar(0)) for j in range(len(basis))]
+
     keys = sorted({k for v in basis for k in v.terms})
 
     def coords(v):
@@ -283,10 +289,11 @@ def _omega_extract_reference(basis, S):
     stacked = []
     for k in range(1, S.sig.n + 1):
         xk = QPElement.from_field(VectorField.basis(S.sig, ("q", k)))
-        cols = [solve(amat, coords(S.psi(xk, v))) for v in basis]
+        cols = [dense(solve(columns(amat, len(basis)), dict(enumerate(coords(S.psi(xk, v))))))
+                for v in basis]
         stacked.extend([list(row) for row in zip(*cols)])
     candidates = []
-    for coeffs in nullspace(stacked, len(basis)):
+    for coeffs in map(dense, nullspace(columns(stacked, len(basis)))):
         vec = TensorVec.zero(S.sig)
         for c, v in zip(coeffs, basis):
             vec = vec + v * c
@@ -296,7 +303,7 @@ def _omega_extract_reference(basis, S):
         trial = out + [cand]
         tkeys = sorted({k for v in trial for k in v.terms})
         mat = [[v.terms.get(k, Scalar(0)) for v in trial] for k in tkeys]
-        if rank(mat) == len(trial):
+        if rank(columns(mat, len(trial))) == len(trial):
             out.append(cand)
     return out
 
@@ -497,4 +504,4 @@ def test_theta_equivariance_and_bijectivity(extracted, sampler):
     for j, v in enumerate(images):
         for key, c in v.terms.items():
             mat[index[key]][j] = c
-    assert linalg.rank(mat) == len(dom) == 3 * 4 * S.omega.dim
+    assert linalg.rank(dict(enumerate(row)) for row in mat) == len(dom) == 3 * 4 * S.omega.dim

@@ -31,6 +31,7 @@ def test_library_imports_only_the_standard_library():
 # Names that nothing in src/rinehart refers to, kept on purpose.
 EXEMPT = {
     "solve": "perfbench/tracer.py wraps it as the linalg.solve span",
+    "rref": "perfbench/tracer.py wraps it as the linalg.rref span; dense adapter over Echelon",
     "omega_greedy": "paper construction; a suite check would move the golden hashes",
     "loop_smash_act": "paper construction; a suite check would move the golden hashes",
     "special_partial": "paper construction; a suite check would move the golden hashes",
