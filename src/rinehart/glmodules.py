@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import matvec, zeros
+from .linalg import zeros
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -78,9 +78,6 @@ class GlModule:
 
     def entry_parity(self, a: int, b: int) -> int:
         return (self.index_parity(a) + self.index_parity(b)) & 1
-
-    def apply(self, a: int, b: int, vec):
-        return matvec(self.act[(a, b)], vec)
 
     def column(self, a: int, b: int, idx: int):
         """E_{a,b} applied to the idx-th basis vector, as (row, coeff) pairs."""

@@ -34,10 +34,6 @@ def matmul(a, b) -> list:
     return out
 
 
-def matvec(a, v) -> list:
-    return [sum((c * x for c, x in zip(row, v) if c and x), Scalar(0)) for row in a]
-
-
 def _axpy(acc: dict, c: Scalar, vec: dict) -> None:
     """acc -= c·vec in place, dropping entries that cancel."""
     for k, v in vec.items():

@@ -3,13 +3,16 @@
 All checked identities are multilinear, so monomial samples with small
 Laurent exponents and arbitrary Grassmann masks give span coverage at a
 fixed degree window.  Every sampler draws from one `random.Random`, so a
-seed determines the full case list.
+seed determines the full case list.  `shifted_basis` is uniform over the
+triples in its degree window (the law of drawing and rejecting outside
+it), from one draw: the draw is a rank, unranked slot by slot.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .glmodules import GlModule
 from .scalars import Scalar
@@ -123,14 +126,39 @@ class Sampler:
 
     def shifted_basis(self, sig: Signature, min_total: int,
                       max_total: int | None = None):
-        """(pos, neg, mask) powers of a shifted basis product with the
-        total degree in [min_total, max_total]; bounded so products stay
-        small after expansion."""
-        if max_total is None:
-            max_total = min_total + 2
-        while True:
-            pos = tuple(self.rng.randint(0, 2) for _ in range(sig.nvars))
-            neg = tuple(self.rng.randint(0, 2) for _ in range(sig.nvars))
-            mask = self.mask(sig.n)
-            if min_total <= sum(pos) + sum(neg) + mask.bit_count() <= max_total:
-                return pos, neg, mask
+        """(pos, neg, mask) powers of a shifted basis product, pos and neg
+        in {0, 1, 2}^nvars, with the total degree sum(pos) + sum(neg) +
+        |mask| in [min_total, max_total] (default min_total + 2)."""
+        ways = _slot_ways(sig.nvars, sig.n)
+        lo = max(min_total, 0)
+        hi = min_total + 2 if max_total is None else max_total
+        k = self.rng.randrange(sum(ways[0][lo:hi + 1]))
+        total = lo
+        while k >= ways[0][total]:
+            k -= ways[0][total]
+            total += 1
+        vals = []
+        for row in ways[1:]:
+            v = 0
+            while k >= row[total - v]:
+                k -= row[total - v]
+                v += 1
+            vals.append(v)
+            total -= v
+        t = sig.nvars
+        mask = sum(bit << j for j, bit in enumerate(vals[2 * t:]))
+        return tuple(vals[:t]), tuple(vals[t:2 * t]), mask
+
+
+@lru_cache(maxsize=None)
+def _slot_ways(nvars: int, n: int) -> tuple:
+    """ways[i][s]: how many ways slots i.. sum to s, the slots being
+    2·nvars t-powers in 0..2 (pos, then neg) and n ζ bits."""
+    caps = (2,) * (2 * nvars) + (1,) * n
+    size = sum(caps) + 1
+    rows = [(1,) + (0,) * (size - 1)]
+    for cap in reversed(caps):
+        prev = rows[0]
+        rows.insert(0, tuple(sum(prev[s - v] for v in range(min(cap, s) + 1))
+                             for s in range(size)))
+    return tuple(rows)

@@ -69,6 +69,8 @@ class Scalar:
         return NotImplemented if other is None else other.__sub__(self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return Scalar(self.re * other, self.im * other)
         if type(other) is not Scalar:
             other = _exact(other)
             if other is None:

@@ -103,21 +103,32 @@ def subsets_of_mask(mask: int):
 
 # ---------- Signatures ----------
 
-@dataclass(frozen=True)
 class Signature:
-    """Variable bookkeeping: t_0..t_m (or t_1..t_m) and ζ_1..ζ_n."""
+    """Variable bookkeeping: t_0..t_m (or t_1..t_m) and ζ_1..ζ_n.  Interned
+    and immutable: equal arguments give the same object, so `==` is `is`."""
 
-    m: int
-    n: int
-    includes_t0: bool = True
+    __slots__ = ("m", "n", "includes_t0", "nvars")
+    _interned: dict = {}
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("signature needs m >= 1 and n >= 1")
+    def __new__(cls, m: int, n: int, includes_t0: bool = True):
+        sig = cls._interned.get((m, n, includes_t0))
+        if sig is None:
+            if m < 1 or n < 1:
+                raise ValueError("signature needs m >= 1 and n >= 1")
+            sig = object.__new__(cls)
+            sig.m, sig.n, sig.includes_t0 = m, n, includes_t0
+            sig.nvars = m + 1 if includes_t0 else m
+            sig = cls._interned.setdefault((m, n, includes_t0), sig)
+        return sig
 
-    @property
-    def nvars(self) -> int:
-        return self.m + 1 if self.includes_t0 else self.m
+    def __hash__(self):
+        return hash((self.m, self.n, self.includes_t0))
+
+    def __reduce__(self):
+        return Signature, (self.m, self.n, self.includes_t0)
+
+    def __repr__(self):
+        return f"Signature(m={self.m}, n={self.n}, includes_t0={self.includes_t0})"
 
     def tvars(self) -> range:
         """Variable numbers of the even generators."""
@@ -179,6 +190,14 @@ class Sparse:
     def zero(cls, sig: Signature):
         return cls(sig)
 
+    def _trusted(self, terms):
+        """Same type and signature as self; `terms` must hold checked nonzero
+        coefficients, as results of `+ - neg` and scalar `*` do."""
+        out = object.__new__(type(self))
+        out.sig = self.sig
+        out.terms = terms
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -197,7 +216,7 @@ class Sparse:
         if type(other) is not type(self):
             return NotImplemented
         _check_same_sig(self, other)
-        out = type(self)(self.sig, dict(self.terms))
+        out = self._trusted(dict(self.terms))
         for key, c in other.terms.items():
             out._iadd_term(key, c)
         return out
@@ -206,20 +225,20 @@ class Sparse:
         if type(other) is not type(self):
             return NotImplemented
         _check_same_sig(self, other)
-        out = type(self)(self.sig, dict(self.terms))
+        out = self._trusted(dict(self.terms))
         for key, c in other.terms.items():
             out._iadd_term(key, -c)
         return out
 
     def __neg__(self):
-        return type(self)(self.sig, {k: -c for k, c in self.terms.items()})
+        return self._trusted({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             s = Scalar.of(other)
             if not s:
                 return type(self)(self.sig)
-            return type(self)(self.sig, {k: c * s for k, c in self.terms.items()})
+            return self._trusted({k: c * s for k, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinehart.linalg import (
-    matvec,
     nullspace,
     rank,
     rref,
@@ -80,6 +79,10 @@ def naive_rref(a):
         if r == rows:
             break
     return mat, pivots
+
+
+def matvec(a, v) -> list:
+    return [sum((c * x for c, x in zip(row, v) if c and x), Scalar(0)) for row in a]
 
 
 def is_zero_vector(v):

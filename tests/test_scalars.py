@@ -26,6 +26,7 @@ def test_integer_coercion_and_hash():
     assert Scalar(3) == 3
     assert hash(Scalar(3)) == hash(3)
     assert Scalar(3) * 2 == 6
+    assert Scalar(3, 1) * 2 == Scalar(3, 1) * Scalar(2) == Scalar(6, 2)
     assert 1 - Scalar(Fraction(1, 2)) == Scalar(Fraction(1, 2))
 
 
@@ -63,6 +64,8 @@ def test_float_and_complex_components_rejected():
         0.5 + Scalar(2)
     with pytest.raises(TypeError):
         Scalar(1) * 1.5
+    with pytest.raises(TypeError):
+        Scalar(1) * 2.0
     with pytest.raises(TypeError):
         1.5 / Scalar(2)
 
@@ -124,8 +127,8 @@ def reference(op, a, b):
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=gaussians, b=gaussians)
-def test_arithmetic_keeps_canonical_components(a, b):
+@given(a=gaussians, b=gaussians, k=st.integers(-40, 40))
+def test_arithmetic_keeps_canonical_components(a, b, k):
     ops = {"+": a + b, "-": a - b, "*": a * b}
     if b:
         ops["/"] = a / b
@@ -135,6 +138,11 @@ def test_arithmetic_keeps_canonical_components(a, b):
         rebuilt = Scalar(Fraction(got.re), Fraction(got.im))
         assert rebuilt == got and hash(rebuilt) == hash(got)
     assert_canonical(-a)
+    # an int factor takes its own path and must agree with Scalar(k)
+    for got in (a * k, k * a):
+        assert type(got) is Scalar
+        assert_canonical(got)
+        assert fraction_pair(got) == reference("*", a, Scalar(k))
 
 
 def test_integral_value_equal_and_hash_across_representations():

@@ -60,6 +60,8 @@ KINDS = {
     LoopTensor: (DOT, _terms(T0, TENSOR_VALUES)),
 }
 HASHABLE = (SuperPoly, VectorField)
+# coefficient type of each container; Scalar for the others
+VALUE_TYPE = {LoopElement: QPElement, LoopTensor: TensorVec}
 
 
 def _nonzero(c) -> bool:
@@ -81,9 +83,15 @@ def _ref_combine(a: dict, b: dict, sign: int) -> dict:
 
 
 def _check(result, cls, ref: dict):
+    """`+ - neg` and scalar `*` store their results unchecked, so each must
+    hold only nonzero coefficients of the right type, and equal the same
+    terms built through the public constructor."""
     assert type(result) is cls
+    assert result.sig is KINDS[cls][0]
     assert result.terms == ref
     assert all(_nonzero(c) for c in result.terms.values())
+    assert all(type(c) is VALUE_TYPE.get(cls, Scalar) for c in result.terms.values())
+    assert result == cls(result.sig, ref)
     assert bool(result) == bool(ref) == (not result.is_zero())
 
 
@@ -109,6 +117,7 @@ def test_arithmetic_matches_plain_dicts(cls, data):
         _check(s * a, cls, ref)
     assert a == cls(sig, ta)
     assert (a == b) == (ra == rb)
+    _check(a, cls, ra)  # no result shares or changed its operand's terms
 
 
 def _nonzero_element(cls, sig, r=1):

@@ -80,9 +80,9 @@ RNG_DIGESTS = {
     "jacobi":
         "0f295b4b1335f9c1dabd9056d1e6468edbb0af588ae08de1e694d17b13df18e1",
     "filtration":
-        "f8867cbca652e962f8a569bb8cd32e6e16e0ab3371c876131390aa4668e98cc7",
+        "81dbc72087d39a137cf681b56cb10831f44bbaf530fb837b21b0e053d46de967",
     "theta":
-        "d82f0ac56aca1ca765a3891c03f5dac8b4b86a7decd8ff33c840cef020de5a58",
+        "315f2d31770e4364f9ffb60f143fa2fbc7145917ba3217e4ca95d5f791a20991",
     "psi":
         "af60451c90ccace2248fa7f3b2c65c963e8ecb9e6b8e1b9a4453269f92880996",
     "centralizer":

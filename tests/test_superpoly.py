@@ -219,6 +219,25 @@ def test_splus_part_rewrite(sig11, sampler):
             assert filt_degree(f - g) >= kprime
 
 
+def test_signatures_are_interned():
+    sig = Signature(1, 2)
+    assert sig is Signature(1, 2, True) is Signature(m=1, n=2, includes_t0=True)
+    assert sig.dotted() is Signature(1, 2, False)
+    assert sig.dotted().full() is sig
+    assert sig != Signature(2, 1) and sig != sig.dotted()
+    assert hash(sig) == hash((1, 2, True))
+    assert (sig.m, sig.n, sig.includes_t0, sig.nvars) == (1, 2, True, 2)
+    assert sig.dotted().nvars == 1
+
+
+def test_invalid_signature_raises_every_time_and_is_never_cached():
+    for _ in range(3):
+        for m, n in ((0, 1), (1, 0), (-1, 2)):
+            with pytest.raises(ValueError, match="m >= 1 and n >= 1"):
+                Signature(m, n)
+    assert all(sig.m >= 1 and sig.n >= 1 for sig in Signature._interned.values())
+
+
 # ---------- term-level kernels ----------
 
 def test_mono_mul_against_list_oracle_and_product():
