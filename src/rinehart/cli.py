@@ -28,7 +28,7 @@ from .parser import (
     parse_scalar_literal,
 )
 from .smash import make_X, theta_project
-from .superpoly import Signature, SuperPoly, filt_degree
+from .superpoly import Signature, filt_degree
 from .suites import SUITE_NAMES, SuiteConfig, report_json, report_text, run_suite
 from .vectorfields import QPElement, VectorField, qp_bracket, vf_bracket, weight_of
 
@@ -146,15 +146,7 @@ def _cmd_bracket(args) -> int:
         return 0
     if sig.includes_t0:
         raise ParseError("mixed brackets need --dotted", 0)
-
-    def promote(e) -> QPElement:
-        if isinstance(e, QPElement):
-            return e
-        if isinstance(e, SuperPoly):
-            return QPElement.from_poly(e)
-        return QPElement.from_field(e)
-
-    print(format_element(qp_bracket(promote(lhs), promote(rhs))))
+    print(format_element(qp_bracket(QPElement.of(lhs), QPElement.of(rhs))))
     return 0
 
 

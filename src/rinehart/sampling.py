@@ -32,11 +32,8 @@ class Sampler:
             self.rng.randint(-self.deg, self.deg) for _ in range(sig.nvars)
         )
 
-    def pos_exps(self, sig: Signature, total_min: int = 0) -> tuple:
-        while True:
-            out = tuple(self.rng.randint(0, self.deg) for _ in range(sig.nvars))
-            if sum(out) >= total_min:
-                return out
+    def pos_exps(self, sig: Signature) -> tuple:
+        return tuple(self.rng.randint(0, self.deg) for _ in range(sig.nvars))
 
     def mask(self, n: int) -> int:
         return self.rng.randrange(1 << n)
@@ -56,14 +53,7 @@ class Sampler:
         return out
 
     def tag(self, sig: Signature, kinds: str = "dq"):
-        choices = []
-        if "d" in kinds:
-            choices += [("d", i) for i in sig.tvars()]
-        if "t" in kinds:
-            choices += [("dt", i) for i in sig.tvars()]
-        if "q" in kinds:
-            choices += [("q", k) for k in range(1, sig.n + 1)]
-        return self.rng.choice(choices)
+        return self.rng.choice(sig.tags(kinds))
 
     def field_term(self, sig: Signature, kinds: str = "dq") -> VectorField:
         return VectorField.term(
@@ -110,19 +100,13 @@ class Sampler:
             self.mask(sig.n), self.tag(sig), self.scalar(),
         )
 
-    def x_generator(self, sig: Signature, include_d0: bool = True):
+    def x_generator(self, sig: Signature):
         """(r̄, J, ∂) avoiding the degenerate (r̄, J) = (0, ∅)."""
-        kinds = "dq"
-        tags = [("d", i) for i in sig.tvars()] + [
-            ("q", k) for k in range(1, sig.n + 1)
-        ]
-        if not include_d0:
-            tags = [t for t in tags if t != ("d", 0)]
         while True:
             rbar = self.exps(sig)
             jmask = self.mask(sig.n)
             if any(rbar) or jmask:
-                return rbar, jmask, self.rng.choice(tags)
+                return rbar, jmask, self.tag(sig)
 
     def shifted_basis(self, sig: Signature, min_total: int,
                       max_total: int | None = None):

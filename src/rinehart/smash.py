@@ -263,7 +263,7 @@ def theta_project(x: VectorField) -> GlMatrix:
             raise ValueError(
                 f"coefficient of {tag} is not in the vanishing ideal"
             ) from None
-        col = tag[1] if tag[0] == "d" else sig.m + tag[1]
+        col = sig.dir_of(tag)
         for i, c in tcoeffs.items():
             out.rows[i][col] = out.rows[i][col] + c
         for k, c in zcoeffs.items():

@@ -38,7 +38,6 @@ from .superpoly import (
     SuperPoly,
     filt_degree,
     mask_size,
-    mono_mul,
     shift_basis,
     splus_part,
 )
@@ -197,11 +196,7 @@ def koszul_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
                 f"f={format_element(f)}, g={format_element(g)}, h={format_element(h)}"
             )
 
-    tags = (
-        [("d", i) for i in sig.tvars()]
-        + [("dt", i) for i in sig.tvars()]
-        + [("q", k) for k in range(1, sig.n + 1)]
-    )
+    tags = sig.tags("dtq")
 
     def leibniz():
         for _ in range(cfg.samples):
@@ -424,8 +419,7 @@ def theta_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
                     if a <= sig.m
                     else SuperPoly.zeta(sig, a - sig.m)
                 )
-                tag = ("d", b) if b <= sig.m else ("q", b - sig.m)
-                g = theta_project(VectorField.from_poly_tag(coeff, tag))
+                g = theta_project(VectorField.from_poly_tag(coeff, sig.dir_tag(b)))
                 yield None if g == GlMatrix.elementary(cfg.m, cfg.n, a, b) else (
                     f"entry ({a},{b}) gives {format_gl_matrix(g)}"
                 )
@@ -443,7 +437,6 @@ def centralizer_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     rng = _rng(cfg, "centralizer")
     s = Sampler(rng, cfg.deg)
     sig = env.sig
-    tags = [("d", i) for i in sig.tvars()] + [("q", k) for k in range(1, sig.n + 1)]
     # Each generator with the 20 monomials it is tested against, drawn once.
     drawn = []
     for _ in range(max(1, cfg.samples // 2)):
@@ -458,7 +451,7 @@ def centralizer_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
 
     def derivations():
         for gen, x, _ in drawn:
-            for delta in tags:
+            for delta in sig.tags():
                 d = SmashElement.from_field(VectorField.basis(sig, delta))
                 ok = smash_commutator(x, d).is_zero()
                 yield None if ok else f"{gen}, delta={delta}"
@@ -520,9 +513,8 @@ def qp_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     # whose axiom-6 right side keeps a diagonal matrix term).
     s = Sampler(rng, cfg.deg)
     dotted = env.dotted
-    S = QPStructure(dotted, natural_module(cfg.m, cfg.n), mu1).replaced(
-        phihat_fn=lambda S, x, w: TensorVec.zero(S.sig)
-    )
+    S = QPStructure(dotted, natural_module(cfg.m, cfg.n), mu1,
+                    phihat_fn=lambda S, x, w: TensorVec.zero(S.sig))
     report = qp_axiom_suite(S, s, max(1, cfg.samples // 7))
     witness_l, witness_r = qp_axiom_check(
         S,
@@ -579,20 +571,10 @@ def equalities_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
 
 def _loop_g_for(f: SuperPoly, alpha: int) -> LoopElement:
     """The loop element acting as f·∂_α on the loop module."""
-    dotted = f.sig.dotted()
-    out = LoopElement.zero(dotted)
+    tag = f.sig.dir_tag(alpha)
+    out = LoopElement.zero(f.sig.dotted())
     for r0, a in f.t0_slices().items():
-        if alpha == 0:
-            qp = QPElement.from_poly(a)
-        elif alpha <= f.sig.m:
-            qp = QPElement.from_field(
-                VectorField.from_poly_tag(a, ("d", alpha))
-            )
-        else:
-            qp = QPElement.from_field(
-                VectorField.from_poly_tag(a, ("q", alpha - f.sig.m))
-            )
-        out = out + LoopElement.wrap(r0, qp)
+        out = out + LoopElement.wrap(r0, QPElement.along(a, tag))
     return out
 
 
@@ -642,7 +624,7 @@ def loop_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
         for _ in range(cfg.samples):
             g = s.monomial(sig)
             w = s.tensor(sig, env.omega)
-            direct = _shen_mul(w, g)
+            direct = w.left_mul(g)
             looped = loop_a_act(g, full_to_loop(w), S)
             same = full_to_loop(direct) == looped and loop_to_full(looped) == direct
             yield None if same else f"g={format_element(g)}"
@@ -670,18 +652,6 @@ def loop_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
         _check("loop.der_correspond", der_correspond()),
         _check("loop.der_action", der_action()),
     ]
-
-
-def _shen_mul(w: TensorVec, g: SuperPoly) -> TensorVec:
-    """Algebra action on the full tensor module: g·(h ⊗ v) = gh ⊗ v."""
-    out = TensorVec.zero(w.sig)
-    for (exps, mask, idx), c in w.terms.items():
-        for (ge, gm), cg in g.terms.items():
-            sign, e2, m2 = mono_mul(ge, gm, exps, mask)
-            if sign:
-                c2 = cg * c
-                out._iadd_term((e2, m2, idx), c2 if sign > 0 else -c2)
-    return out
 
 
 # ---------- induced gl representation ----------
@@ -801,8 +771,7 @@ def _random_deep_gens(rng: random.Random, s: Sampler, sig: Signature) -> dict:
     """Generator combinations whose field image lies in the square of the
     vanishing ideal: products of two unit-shifted factors, a shifted
     Grassmann factor, or a doubled Grassmann mask."""
-    tags = [("d", i) for i in sig.tvars()] + [("q", k) for k in range(1, sig.n + 1)]
-    tag = rng.choice(tags)
+    tag = rng.choice(sig.tags())
     shape = rng.randrange(3) if sig.n >= 2 else rng.randrange(2)
     one = Scalar(1)
     if shape == 0:

@@ -17,11 +17,17 @@ and add their key shape, constructors and the hook `_key_parity(key,
 Two term-level kernels serve every layer above, so that none of them
 builds throwaway `SuperPoly` monomials.  `mono_mul` multiplies two
 monomials (Koszul sign from the memoised `merge_masks`, exponents
-added); `SuperPoly.__mul__`, `VectorField.apply`/`scale_by_poly`,
-`vf_bracket`, `smash_commutator`, the three `tensorqp` actions and
-`suites._shen_mul` use it.  `derive_mono` applies one basis derivation
-to one monomial; `mono_apply` = monomial · derived monomial is the step
-of `vf_bracket` and `smash_commutator`.
+added); `SuperPoly.__mul__`, `Sparse.left_mul` (p · Σ t^e ζ_M ⊗ label,
+the algebra action on fields and tensor vectors), `VectorField.apply`,
+`vf_bracket`, `smash_commutator` and the `tensorqp` actions use it.
+`derive_mono` applies one basis derivation to one monomial; `mono_apply`
+= monomial · derived monomial is the step of `vf_bracket` and
+`smash_commutator`.
+
+`Signature` owns the gl(m+1, n) direction convention: direction α ≤ m
+is the Euler derivation t_α d/dt_α (tag ('d', α), even), direction
+m + k is ∂/∂ζ_k (tag ('q', k), odd).  `dir_tag`, `dir_of` and
+`dir_parity` map between them, and `tags` lists the basis tags.
 
 Also here: the filtration S ⊇ S² ⊇ ... by powers of the ideal vanishing
 at t=1, ζ=0, with an exact degree decision procedure (clear denominators
@@ -155,6 +161,38 @@ class Signature:
     def full(self) -> "Signature":
         return Signature(self.m, self.n, True)
 
+    # -- the gl(m+1, n) direction convention --
+
+    def dir_tag(self, alpha: int):
+        """Basis derivation of direction α: ('d', α) for α ≤ m, else
+        ('q', α - m).  On the dotted algebra ('d', 0) stands for the
+        algebra summand (see `QPElement.along`)."""
+        return ("d", alpha) if alpha <= self.m else ("q", alpha - self.m)
+
+    def dir_of(self, tag) -> int:
+        """Direction index of an Euler or odd tag; inverse of `dir_tag`."""
+        kind, idx = tag
+        if kind == "d":
+            return idx
+        if kind == "q":
+            return self.m + idx
+        raise ValueError(f"tag {tag!r} has no direction index")
+
+    def dir_parity(self, alpha: int) -> int:
+        return 0 if alpha <= self.m else 1
+
+    def tags(self, kinds: str = "dq") -> list:
+        """Basis tags of the kinds named in `kinds` ('d' Euler, 't' plain
+        d/dt, 'q' odd), always in that order: random draws index it."""
+        out = []
+        if "d" in kinds:
+            out += [("d", i) for i in self.tvars()]
+        if "t" in kinds:
+            out += [("dt", i) for i in self.tvars()]
+        if "q" in kinds:
+            out += [("q", k) for k in range(1, self.n + 1)]
+        return out
+
 
 def _check_same_sig(a, b):
     if a.sig != b.sig:
@@ -245,6 +283,19 @@ class Sparse:
         # Scalars commute; going through self.__mul__ keeps a subclass's
         # own __mul__ the single entry point.
         return self.__mul__(other)
+
+    def left_mul(self, p: "SuperPoly"):
+        """p · self for keys (exps, mask, label): each t^e ζ_M is multiplied
+        on the left by the monomials of p and keeps its label."""
+        _check_same_sig(self, p)
+        out = self._trusted({})
+        for (ea, ma), ca in p.terms.items():
+            for (eb, mb, label), cb in self.terms.items():
+                sign, exps, mm = mono_mul(ea, ma, eb, mb)
+                if sign:
+                    c = ca * cb
+                    out._iadd_term((exps, mm, label), c if sign > 0 else -c)
+        return out
 
     def __eq__(self, other):
         if type(other) is not type(self):

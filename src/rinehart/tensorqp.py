@@ -2,11 +2,12 @@
 
 A tensor vector is a sparse map (monomial, module-basis index) → scalar
 living in Ȧ ⊗ Ω (dotted signature) or A ⊗ Ω (full signature).  A
-`QPStructure` packages a gl(m+1, n)-module Ω, a shift vector μ̄ and the
-triple of evaluators: the algebra action, the twisted derivation action,
-and the auxiliary action that feeds the 0-th matrix row.  The defaults
-implement the twisted tensor-module formulas; individual evaluators can
-be replaced to probe which axioms force which ingredient.
+`QPStructure` packages a gl(m+1, n)-module Ω and a shift vector μ̄, and
+evaluates three actions on them by the twisted tensor-module formulas:
+the algebra action φ, the twisted derivation action ψ, and the auxiliary
+action φ̂ that feeds the 0-th matrix row.  φ̂ can be replaced, to probe
+which axioms force it.  Directions α of gl(m+1, n) follow
+`Signature.dir_tag`; direction 0 is the algebra summand of Ȧ ⊕ Der(Ȧ).
 
 On top of the triple: the seven compatibility axioms, the loop module on
 C[t_0^{±1}] ⊗ M, the action of degree-zero centralizer generators, the
@@ -107,12 +108,13 @@ def loop_to_full(lw: LoopTensor) -> TensorVec:
 # ---------- the structure triple ----------
 
 class QPStructure:
-    """Module Ω, shift vector μ̄, and the three action evaluators."""
+    """Module Ω, shift vector μ̄, and the actions φ, ψ, φ̂ on Ȧ ⊗ Ω;
+    `phihat_fn(S, x, w)`, when given, replaces φ̂."""
 
-    __slots__ = ("sig", "omega", "mu", "_phi", "_psi", "_phihat")
+    __slots__ = ("sig", "omega", "mu", "_phihat")
 
     def __init__(self, sig: Signature, omega: GlModule, mu: MuVector,
-                 phi_fn=None, psi_fn=None, phihat_fn=None):
+                 phihat_fn=None):
         if sig.includes_t0:
             raise ValueError("structures carry the dotted signature")
         if (omega.m, omega.n) != (sig.m, sig.n):
@@ -122,96 +124,53 @@ class QPStructure:
         self.sig = sig
         self.omega = omega
         self.mu = mu
-        self._phi = phi_fn or _phi_default
-        self._psi = psi_fn or _psi_default
         self._phihat = phihat_fn or _phihat_default
 
     def phi(self, a: SuperPoly, w: TensorVec) -> TensorVec:
-        return self._phi(self, a, w)
+        return _phi_default(self, a, w)
 
     def psi(self, x, w: TensorVec) -> TensorVec:
-        return self._psi(self, as_qp(x, self.sig), w)
+        return _psi_default(self, QPElement.of(x), w)
 
     def phihat(self, x, w: TensorVec) -> TensorVec:
-        return self._phihat(self, as_qp(x, self.sig), w)
-
-    def replaced(self, phi_fn=None, psi_fn=None, phihat_fn=None) -> "QPStructure":
-        return QPStructure(
-            self.sig, self.omega, self.mu,
-            phi_fn or self._phi, psi_fn or self._psi, phihat_fn or self._phihat,
-        )
+        return self._phihat(self, QPElement.of(x), w)
 
 
-def as_qp(x, sig: Signature) -> QPElement:
-    if isinstance(x, QPElement):
-        return x
-    if isinstance(x, SuperPoly):
-        return QPElement.from_poly(x)
-    if isinstance(x, VectorField):
-        return QPElement.from_field(x)
-    raise TypeError("expected an algebra element, a field, or their sum")
-
-
-def _alpha_parts(S: QPStructure, x: QPElement):
-    """Decompose a ⊕ Σ b·∂ into (direction index, monomial, coeff) parts.
-
-    Direction 0 is the formal unit slot of the algebra summand; 1..m are
-    the Euler derivations, m+1..m+n the odd ones.
-    """
+def _alpha_parts(x: QPElement):
+    """Decompose a ⊕ Σ b·∂ into (direction index, monomial, coeff) parts;
+    the algebra summand is direction 0."""
     for (exps, mask), c in x.a.terms.items():
         yield 0, exps, mask, c
     for (exps, mask, tag), c in x.x.to_d().terms.items():
-        alpha = tag[1] if tag[0] == "d" else S.sig.m + tag[1]
-        yield alpha, exps, mask, c
-
-
-def _dir_parity(S: QPStructure, alpha: int) -> int:
-    return 1 if alpha > S.sig.m else 0
-
-
-def _dir_tag(S: QPStructure, alpha: int):
-    """Basis derivation of direction α ≥ 1."""
-    return ("d", alpha) if alpha <= S.sig.m else ("q", alpha - S.sig.m)
-
-
-def _dir_derive(S: QPStructure, alpha: int, f: SuperPoly) -> SuperPoly:
-    """∂_α(f) with the unit-slot convention ∂_0 := 0 as an operator."""
-    if alpha == 0:
-        return SuperPoly.zero(S.sig)
-    return f.derive(_dir_tag(S, alpha))
+        yield x.sig.dir_of(tag), exps, mask, c
 
 
 def _phi_default(S: QPStructure, a: SuperPoly, w: TensorVec) -> TensorVec:
     if a.sig != S.sig or w.sig != S.sig:
         raise ValueError("signature mismatch")
-    out = TensorVec.zero(S.sig)
-    for (ae, am), ca in a.terms.items():
-        for (be, bm, idx), cw in w.terms.items():
-            sign, exps, mm = mono_mul(ae, am, be, bm)
-            if sign:
-                c = ca * cw
-                out._iadd_term((exps, mm, idx), c if sign > 0 else -c)
-    return out
+    return w.left_mul(a)
 
 
 def _psi_default(S: QPStructure, x: QPElement, w: TensorVec) -> TensorVec:
     if x.sig != S.sig or w.sig != S.sig:
         raise ValueError("signature mismatch")
-    sig, m, n = S.sig, S.sig.m, S.sig.n
+    sig = S.sig
     out = TensorVec.zero(sig)
-    for alpha, ae, am, ca in _alpha_parts(S, x):
-        p_alpha = _dir_parity(S, alpha)
+    for alpha, ae, am, ca in _alpha_parts(x):
+        p_alpha = sig.dir_parity(alpha)
         pa = mask_size(am) & 1
         dparts = []  # ∂_β(a) = f · t^e ζ_mask
-        for beta in range(1, m + n + 1):
-            f, e, mask = derive_mono(_dir_tag(S, beta), sig, ae, am)
+        for beta in range(1, sig.m + sig.n + 1):
+            f, e, mask = derive_mono(sig.dir_tag(beta), sig, ae, am)
             if f:
-                dparts.append((beta, 1 if beta > m else 0, f, e, mask))
+                dparts.append((beta, sig.dir_parity(beta), f, e, mask))
         for (be, bm, idx), cw in w.terms.items():
             coef = ca * cw
             pb = mask_size(bm) & 1
             bmon = SuperPoly.monomial(sig, be, bm)
-            main = _dir_derive(S, alpha, bmon) + bmon * S.mu[alpha]
+            main = bmon * S.mu[alpha]
+            if alpha:  # the algebra summand does not differentiate
+                main = bmon.derive(sig.dir_tag(alpha)) + main
             for (e2, m2), c2 in main.terms.items():
                 sign, e3, m3 = mono_mul(ae, am, e2, m2)
                 if sign:
@@ -234,8 +193,8 @@ def _phihat_default(S: QPStructure, x: QPElement, w: TensorVec) -> TensorVec:
     if x.sig != S.sig or w.sig != S.sig:
         raise ValueError("signature mismatch")
     out = TensorVec.zero(S.sig)
-    for alpha, ae, am, ca in _alpha_parts(S, x):
-        p_alpha = _dir_parity(S, alpha)
+    for alpha, ae, am, ca in _alpha_parts(x):
+        p_alpha = S.sig.dir_parity(alpha)
         for (be, bm, idx), cw in w.terms.items():
             pb = mask_size(bm) & 1
             s = -1 if not (pb and p_alpha) else 1
@@ -344,16 +303,12 @@ def shen_act(f: SuperPoly, alpha: int, w: TensorVec, mu: MuVector,
         raise ValueError("the full tensor module uses the full signature")
     if w.sig != sig:
         raise ValueError("signature mismatch")
-    m, n = sig.m, sig.n
-    if not 0 <= alpha <= m + n:
+    gl = sig.m + sig.n + 1
+    if not 0 <= alpha < gl:
         raise ValueError("direction index out of range")
-
-    def dtag(beta):
-        return ("d", beta) if beta <= m else ("q", beta - m)
-
-    p_alpha = 0 if alpha <= m else 1
+    p_alpha = sig.dir_parity(alpha)
     out = TensorVec.zero(sig)
-    df = {beta: f.derive(dtag(beta)) for beta in range(m + n + 1)}
+    df = {beta: f.derive(sig.dir_tag(beta)) for beta in range(gl)}
     pf = f.parity()
     if pf is None and not f.is_zero():
         fe, fo = f.even_odd()
@@ -364,13 +319,13 @@ def shen_act(f: SuperPoly, alpha: int, w: TensorVec, mu: MuVector,
     for (ge, gm, idx), cw in w.terms.items():
         pg = mask_size(gm) & 1
         gmon = SuperPoly.monomial(sig, ge, gm)
-        main = f * (gmon.derive(dtag(alpha)) + gmon * mu[alpha])
+        main = f * (gmon.derive(sig.dir_tag(alpha)) + gmon * mu[alpha])
         for (e2, m2), c2 in main.terms.items():
             out._iadd_term((e2, m2, idx), cw * c2)
-        for beta in range(m + n + 1):
+        for beta in range(gl):
             if df[beta].is_zero():
                 continue
-            p_beta = 0 if beta <= m else 1
+            p_beta = sig.dir_parity(beta)
             fg = (pf + pg) & 1 if pf is not None else 0
             sgn = p_beta + (fg & p_beta) + (pg & p_alpha)
             s = -1 if sgn & 1 else 1
@@ -384,17 +339,8 @@ def shen_act(f: SuperPoly, alpha: int, w: TensorVec, mu: MuVector,
 # ---------- loop module structure ----------
 
 def _psi_subscript(S: QPStructure, exps, mask, tag) -> QPElement:
-    """Subscript t^{s̄'}ζ_J ∂ as an element of Ȧ ⊕ Der(Ȧ), where the
-    t_0-Euler tag lands in the algebra summand."""
-    if tag == ("d", 0):
-        return QPElement.from_poly(SuperPoly.monomial(S.sig, exps, mask))
-    return QPElement.from_field(VectorField.term(S.sig, exps, mask, tag))
-
-
-def _phihat_tag(S: QPStructure, tag) -> QPElement:
-    if tag == ("d", 0):
-        return QPElement.from_poly(SuperPoly.one(S.sig))
-    return QPElement.from_field(VectorField.basis(S.sig, tag))
+    """Subscript t^{s̄'}ζ_J ∂ as an element of Ȧ ⊕ Der(Ȧ)."""
+    return QPElement.along(SuperPoly.monomial(S.sig, exps, mask), tag)
 
 
 def loop_g_act(u: LoopElement, w: LoopTensor, S: QPStructure) -> LoopTensor:
@@ -442,7 +388,7 @@ def loop_smash_act(u: SmashElement, w: LoopTensor, S: QPStructure) -> LoopTensor
         s0, sp = be[0], be[1:]
         bpoly = SuperPoly.monomial(S.sig, sp, bm)
         sub = _psi_subscript(S, sp, bm, tag)
-        hat = _phihat_tag(S, tag)
+        hat = QPElement.along(SuperPoly.one(S.sig), tag)
         for k, v in w.terms.items():
             inner = S.psi(sub, v)
             if s0:
@@ -460,16 +406,14 @@ def t_act(rbar, jmask: int, tag, u: TensorVec, S: QPStructure) -> TensorVec:
         raise ValueError("generator exponents live in the full signature")
     r0, rp = rbar[0], rbar[1:]
     neg = tuple(-x for x in rp)
+    hat = QPElement.along(SuperPoly.one(S.sig), tag)
     if jmask == 0:
         tpos = SuperPoly.monomial(S.sig, rp)
         inner = S.psi(_psi_subscript(S, rp, 0, tag), u)
         if r0:
-            inner = inner - r0 * S.phi(tpos, S.phihat(_phihat_tag(S, tag), u))
-        return S.phi(SuperPoly.monomial(S.sig, neg), inner) - S.psi(
-            _psi_subscript(S, S.sig.zero_exps(), 0, tag), u
-        )
+            inner = inner - r0 * S.phi(tpos, S.phihat(hat, u))
+        return S.phi(SuperPoly.monomial(S.sig, neg), inner) - S.psi(hat, u)
     out = TensorVec.zero(S.sig)
-    hat = _phihat_tag(S, tag)
     for jp in subsets_of_mask(jmask):
         rest = jmask ^ jp
         sign = -1 if (mask_size(jp) + tau(jp, rest)) & 1 else 1
@@ -577,19 +521,10 @@ def _eigen_scalar(v: TensorVec, image: TensorVec) -> Scalar:
 
 def rho_of(S: QPStructure, omega_basis: list[TensorVec]) -> MuVector:
     """Shift vector read off the unit/Euler eigenvalues on the kernel."""
-    m, n = S.sig.m, S.sig.n
-    values = []
-    one = QPElement.from_poly(SuperPoly.one(S.sig))
-    subs = [one] + [
-        QPElement.from_field(VectorField.basis(S.sig, ("d", i)))
-        for i in range(1, m + 1)
-    ]
-    for sub in subs:
-        lams = {(_eigen_scalar(v, S.psi(sub, v))) for v in omega_basis}
-        if len(lams) != 1:
-            raise ValueError("kernel is not a single weight slice")
-        values.append(lams.pop())
-    return MuVector(m, n, values + [Scalar(0)] * n)
+    weights = {tprime_weight(S, v) for v in omega_basis}
+    if len(weights) != 1:
+        raise ValueError("kernel is not a single weight slice")
+    return MuVector(S.sig.m, S.sig.n, [*weights.pop()] + [Scalar(0)] * S.sig.n)
 
 
 def phi_operator(alpha: int, beta: int, S: QPStructure):
@@ -597,22 +532,17 @@ def phi_operator(alpha: int, beta: int, S: QPStructure):
     sig, m, n = S.sig, S.sig.m, S.sig.n
     if not (0 <= alpha <= m + n and 0 <= beta <= m + n):
         raise ValueError("elementary index out of range")
-
-    def sub(poly: SuperPoly) -> QPElement:
-        if beta == 0:
-            return QPElement.from_poly(poly)
-        tag = ("d", beta) if beta <= m else ("q", beta - m)
-        return QPElement.from_field(VectorField.from_poly_tag(poly, tag))
-
-    one = SuperPoly.one(sig)
+    tag = sig.dir_tag(beta)
+    unit = QPElement.along(SuperPoly.one(sig), tag)
     if alpha == 0:
-        return lambda w: -S.phihat(sub(one), w)
+        return lambda w: -S.phihat(unit, w)
     if alpha <= m:
-        ti = SuperPoly.t_var(sig, alpha)
         tinv = SuperPoly.t_var(sig, alpha, -1)
-        return lambda w: S.phi(tinv, S.psi(sub(ti), w)) - S.psi(sub(one), w)
+        sub = QPElement.along(SuperPoly.t_var(sig, alpha), tag)
+        return lambda w: S.phi(tinv, S.psi(sub, w)) - S.psi(unit, w)
     zk = SuperPoly.zeta(sig, alpha - m)
-    return lambda w: S.psi(sub(zk), w) - S.phi(zk, S.psi(sub(one), w))
+    sub = QPElement.along(zk, tag)
+    return lambda w: S.psi(sub, w) - S.phi(zk, S.psi(unit, w))
 
 
 def phi_rep(alpha: int, beta: int, S: QPStructure,
@@ -654,13 +584,11 @@ def theta_transport(w: TensorVec, omega_basis: list[TensorVec],
 
 
 def tprime_weight(S: QPStructure, w: TensorVec) -> tuple:
-    """Eigenvalues of the unit and Euler actions on an eigenvector."""
-    one = QPElement.from_poly(SuperPoly.one(S.sig))
-    out = [_eigen_scalar(w, S.psi(one, w))]
-    for i in range(1, S.sig.m + 1):
-        di = QPElement.from_field(VectorField.basis(S.sig, ("d", i)))
-        out.append(_eigen_scalar(w, S.psi(di, w)))
-    return tuple(out)
+    """Eigenvalues on an eigenvector of ψ along directions 0..m: the unit
+    and the Euler derivations."""
+    one = SuperPoly.one(S.sig)
+    return tuple(_eigen_scalar(w, S.psi(QPElement.along(one, S.sig.dir_tag(i)), w))
+                 for i in range(S.sig.m + 1))
 
 
 # ---------- operator identities on a structure ----------

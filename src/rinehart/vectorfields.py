@@ -101,20 +101,6 @@ class VectorField(Sparse):
             poly._iadd_term((exps, mask), c)
         return {tag: p for tag, p in out.items() if p}
 
-    # -- arithmetic --
-
-    def scale_by_poly(self, p: SuperPoly) -> "VectorField":
-        """Left A-module action p · (aδ) = (p a) δ."""
-        _check_same_sig(self, p)
-        out = VectorField.zero(self.sig)
-        for (eb, mb, tag), cb in self.terms.items():
-            for (ea, ma), ca in p.terms.items():
-                sign, exps, mm = mono_mul(ea, ma, eb, mb)
-                if sign:
-                    c = ca * cb
-                    out._iadd_term((exps, mm, tag), c if sign > 0 else -c)
-        return out
-
     # -- basis-mode conversion (exact: d_i = t_i · d/dt_i) --
 
     def to_dt(self) -> "VectorField":
@@ -330,6 +316,25 @@ class QPElement:
     def from_field(x: VectorField) -> "QPElement":
         return QPElement(SuperPoly.zero(x.sig), x)
 
+    @staticmethod
+    def along(p: SuperPoly, tag) -> "QPElement":
+        """p·∂ for a basis tag, where the t_0-Euler tag ('d', 0) (direction
+        0 of gl(m+1, n)) is the algebra summand: p ⊕ 0."""
+        if tag == ("d", 0):
+            return QPElement.from_poly(p)
+        return QPElement.from_field(VectorField.from_poly_tag(p, tag))
+
+    @staticmethod
+    def of(x) -> "QPElement":
+        """An algebra element, a field or a QPElement as a QPElement."""
+        if isinstance(x, QPElement):
+            return x
+        if isinstance(x, SuperPoly):
+            return QPElement.from_poly(x)
+        if isinstance(x, VectorField):
+            return QPElement.from_field(x)
+        raise TypeError("expected an algebra element, a field, or their sum")
+
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.x.is_zero()
 
@@ -407,10 +412,10 @@ def qp_product(x: QPElement, y: QPElement) -> QPElement:
         px = xh.parity()
         if xh.is_zero():
             continue
-        x_out += y.x.scale_by_poly(xh.a)
-        x_out += xh.x.scale_by_poly(be)
+        x_out += y.x.left_mul(xh.a)
+        x_out += xh.x.left_mul(be)
         if not bo.is_zero():
-            scaled = xh.x.scale_by_poly(bo)
+            scaled = xh.x.left_mul(bo)
             x_out += scaled if px == 0 else -scaled
     return QPElement(a_out, x_out)
 

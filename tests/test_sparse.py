@@ -187,3 +187,23 @@ def test_parity_hooks():
     assert [p.parity() for p in x.even_odd()] == [0, 1]
     loop = LoopElement.wrap(0, QPElement.from_field(VectorField.basis(DOT, ("q", 2))))
     assert loop.parity() == 1
+
+
+@pytest.mark.parametrize("cls", [VectorField, TensorVec], ids=lambda c: c.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_left_mul_is_the_product_on_each_label(cls, data):
+    """p · Σ t^e ζ_M ⊗ label multiplies the coefficient polynomial of each
+    label by p, as SuperPoly products."""
+    sig, terms = KINDS[cls]
+    x = cls(sig, data.draw(terms))
+    p = SuperPoly(sig, data.draw(_terms(st.tuples(EXPS_DOT if sig is DOT else EXPS_FULL,
+                                                  MASKS))))
+    by_label = {}
+    for (exps, mask, label), c in x.terms.items():
+        by_label.setdefault(label, {})[(exps, mask)] = c
+    ref = {}
+    for label, coeff in by_label.items():
+        for (exps, mask), c in (p * SuperPoly(sig, coeff)).terms.items():
+            ref[(exps, mask, label)] = c
+    _check(x.left_mul(p), cls, ref)

@@ -238,6 +238,35 @@ def test_invalid_signature_raises_every_time_and_is_never_cached():
     assert all(sig.m >= 1 and sig.n >= 1 for sig in Signature._interned.values())
 
 
+# ---------- the gl(m+1, n) direction convention ----------
+
+SIGS = [Signature(m, n, t0) for m in (1, 2) for n in (1, 2) for t0 in (True, False)]
+
+
+@pytest.mark.parametrize("sig", SIGS, ids=repr)
+def test_direction_tags_round_trip_with_parity(sig):
+    from rinehart.vectorfields import tag_parity
+
+    for alpha in range(sig.m + sig.n + 1):
+        tag = sig.dir_tag(alpha)
+        assert tag == (("d", alpha) if alpha <= sig.m else ("q", alpha - sig.m))
+        assert sig.dir_of(tag) == alpha
+        assert sig.dir_parity(alpha) == tag_parity(tag)
+    with pytest.raises(ValueError, match="no direction index"):
+        sig.dir_of(("dt", 1))
+
+
+@pytest.mark.parametrize("sig", SIGS, ids=repr)
+def test_tag_lists_keep_their_order(sig):
+    euler = [("d", i) for i in sig.tvars()]
+    plain = [("dt", i) for i in sig.tvars()]
+    odd = [("q", k) for k in range(1, sig.n + 1)]
+    assert sig.tags() == sig.tags("dq") == euler + odd
+    assert sig.tags("dtq") == sig.tags("qtd") == euler + plain + odd
+    assert sig.tags("tq") == plain + odd
+    assert sig.tags("d") == euler and sig.tags("q") == odd
+
+
 # ---------- term-level kernels ----------
 
 def test_mono_mul_against_list_oracle_and_product():

@@ -97,7 +97,8 @@ def test_qp_axioms_zero_module():
 
 
 def test_mutation_breaks_axiom_six(structure12):
-    S = structure12.replaced(phihat_fn=lambda S, x, w: TensorVec.zero(S.sig))
+    S = QPStructure(structure12.sig, structure12.omega, structure12.mu,
+                    phihat_fn=lambda S, x, w: TensorVec.zero(S.sig))
     dot = S.sig
     x = QPElement.from_field(VectorField.basis(dot, ("d", 1)))
     y = QPElement.from_poly(SuperPoly.t_var(dot, 1))

@@ -81,3 +81,44 @@ def test_every_library_name_is_reached():
                       if name not in EXEMPT)
     stale = sorted(set(EXEMPT) - set(unreached))
     assert (unexempt, stale) == ([], [])
+
+
+def _annotation_names(tree):
+    """Names read inside string annotations such as ``-> "SuperPoly"``."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+            args = node.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg]:
+                annotations.append(arg and arg.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for ann in filter(None, annotations):
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names |= {n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                          if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_import_is_read():
+    """Each name a src/rinehart module imports is read by that module
+    (``__init__.py`` re-exports, so it is left out)."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}: {name}"
+                   for name in sorted(imported - read - _annotation_names(tree))]
+    assert unused == []

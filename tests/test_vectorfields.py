@@ -347,3 +347,56 @@ def test_vf_bracket_matches_temporaries(pair):
     got, want = vf_bracket(x, y), bracket_via_temporaries(x, y)
     # same terms in the same insertion order, not only equal as operators
     assert list(got.terms.items()) == list(want.terms.items())
+
+
+# ---------- QPElement.along: p·∂ with ('d', 0) as the algebra summand ----------
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_along_matches_the_per_site_constructions(m, n):
+    """QPElement.along agrees with the constructions it replaced: the
+    ψ-subscript and φ̂-tag of the loop module and the loop element of
+    f·∂_α, each spelled out here by cases."""
+    from rinehart.glmodules import MuVector, natural_module
+    from rinehart.suites import _loop_g_for
+    from rinehart.tensorqp import QPStructure, _psi_subscript
+
+    full = Signature(m, n)
+    dot = full.dotted()
+    S = QPStructure(dot, natural_module(m, n), MuVector.zero(m, n))
+    rng = random.Random(m * 10 + n)
+    for tag in full.tags():
+        exps = tuple(rng.randint(-2, 2) for _ in range(dot.nvars))
+        mask = rng.randrange(1 << n)
+        mono = SuperPoly.monomial(dot, exps, mask)
+        if tag == ("d", 0):
+            subscript = QPElement.from_poly(mono)
+            hat = QPElement.from_poly(SuperPoly.one(dot))
+        else:
+            subscript = QPElement.from_field(VectorField.term(dot, exps, mask, tag))
+            hat = QPElement.from_field(VectorField.basis(dot, tag))
+        assert QPElement.along(mono, tag) == _psi_subscript(S, exps, mask, tag) == subscript
+        assert QPElement.along(SuperPoly.one(dot), tag) == hat
+
+    f = SuperPoly.monomial(full, (1,) + (-1,) * m, 1) + SuperPoly.t_var(full, 0, -2)
+    for alpha in range(m + n + 1):
+        want = LoopElement.zero(dot)
+        for r0, a in f.t0_slices().items():
+            if alpha == 0:
+                qp = QPElement.from_poly(a)
+            elif alpha <= m:
+                qp = QPElement.from_field(VectorField.from_poly_tag(a, ("d", alpha)))
+            else:
+                qp = QPElement.from_field(VectorField.from_poly_tag(a, ("q", alpha - m)))
+            want = want + LoopElement.wrap(r0, qp)
+        assert _loop_g_for(f, alpha) == want
+
+
+def test_qp_of_promotes_each_summand():
+    dot = Signature(1, 1, False)
+    t1, d1 = SuperPoly.t_var(dot, 1), VectorField.basis(dot, ("d", 1))
+    both = QPElement(t1, d1)
+    assert QPElement.of(t1) == QPElement.from_poly(t1)
+    assert QPElement.of(d1) == QPElement.from_field(d1)
+    assert QPElement.of(both) is both
+    with pytest.raises(TypeError):
+        QPElement.of(3)
