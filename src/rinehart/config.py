@@ -20,6 +20,7 @@ from pathlib import Path
 from .glmodules import GlModule, MuVector, RepReport, natural_module, rep_check
 from .parser import ParseError, parse_scalar_literal
 from .scalars import Scalar, format_scalar
+from .superpoly import Signature
 
 
 class ConfigError(ValueError):
@@ -82,10 +83,10 @@ def module_from_dict(doc: dict) -> tuple[GlModule, MuVector]:
     action = doc["action"]
     if not isinstance(action, dict):
         raise ConfigError("action must map E_a_b keys to matrices")
-    gl = m + 1 + n
+    dirs = Signature(m, n).directions()
     act = {}
-    for a in range(gl):
-        for b in range(gl):
+    for a in dirs:
+        for b in dirs:
             key = f"E_{a}_{b}"
             if key not in action:
                 raise ConfigError(f"missing action matrix {key}")
@@ -98,7 +99,7 @@ def module_from_dict(doc: dict) -> tuple[GlModule, MuVector]:
                 [_scalar(c, f"{key}[{i}][{j}]") for j, c in enumerate(row)]
                 for i, row in enumerate(rows)
             ]
-    known = {f"E_{a}_{b}" for a in range(gl) for b in range(gl)}
+    known = {f"E_{a}_{b}" for a in dirs for b in dirs}
     extra = set(action) - known
     if extra:
         raise ConfigError(f"unknown action keys: {sorted(extra)}")
@@ -120,11 +121,8 @@ def module_to_dict(mod: GlModule, mu: MuVector) -> dict:
         "parity": list(mod.parities),
         "mu": [format_scalar(v) for v in mu.values],
         "action": {
-            f"E_{a}_{b}": [
-                [format_scalar(c) for c in row] for row in mod.act[(a, b)]
-            ]
-            for a in range(mod.gl_dim)
-            for b in range(mod.gl_dim)
+            f"E_{a}_{b}": [[format_scalar(c) for c in row] for row in mat]
+            for (a, b), mat in mod.act.items()
         },
     }
 

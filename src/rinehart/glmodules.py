@@ -11,20 +11,22 @@ from dataclasses import dataclass, field
 
 from .linalg import zeros
 from .scalars import ONE, ZERO, Scalar
+from .superpoly import Signature
 
 
 class MuVector:
-    """Shift parameters μ(0..m+n); the odd slots μ(m+k) must vanish."""
+    """Shift parameters μ(0..m+n); the odd slots must vanish."""
 
     __slots__ = ("m", "n", "values")
 
     def __init__(self, m: int, n: int, values):
         values = tuple(Scalar.of(v) for v in values)
-        if len(values) != m + n + 1:
+        sig = Signature(m, n)
+        if len(values) != len(sig.directions()):
             raise ValueError("mu vector needs m+n+1 entries")
-        for k in range(1, n + 1):
-            if values[m + k]:
-                raise ValueError(f"mu({m + k}) must be 0 on the odd directions")
+        for alpha in sig.directions():
+            if sig.dir_parity(alpha) and values[alpha]:
+                raise ValueError(f"mu({alpha}) must be 0 on the odd directions")
         self.m = m
         self.n = n
         self.values = values
@@ -46,21 +48,22 @@ class MuVector:
 
 
 class GlModule:
-    """gl(m+1, n)-module by explicit action matrices."""
+    """gl(m+1, n)-module by explicit action matrices; `sig` is
+    Signature(m, n), the home of the gl index rule."""
 
-    __slots__ = ("m", "n", "dim", "parities", "act")
+    __slots__ = ("m", "n", "sig", "dim", "parities", "act")
 
     def __init__(self, m: int, n: int, dim: int, parities, act):
         self.m = m
         self.n = n
+        self.sig = Signature(m, n)
         self.dim = dim
         self.parities = tuple(parities)
         if len(self.parities) != dim or any(p not in (0, 1) for p in self.parities):
             raise ValueError("parity vector must list 0/1 per basis vector")
         self.act = {}
-        gl = m + 1 + n
-        for a in range(gl):
-            for b in range(gl):
+        for a in self.sig.directions():
+            for b in self.sig.directions():
                 mat = act.get((a, b))
                 if mat is None:
                     raise ValueError(f"missing action matrix E_{a}_{b}")
@@ -68,16 +71,6 @@ class GlModule:
                 if len(mat) != dim or any(len(r) != dim for r in mat):
                     raise ValueError(f"action matrix E_{a}_{b} has the wrong size")
                 self.act[(a, b)] = mat
-
-    @property
-    def gl_dim(self) -> int:
-        return self.m + 1 + self.n
-
-    def index_parity(self, alpha: int) -> int:
-        return 0 if alpha <= self.m else 1
-
-    def entry_parity(self, a: int, b: int) -> int:
-        return (self.index_parity(a) + self.index_parity(b)) & 1
 
     def column(self, a: int, b: int, idx: int):
         """E_{a,b} applied to the idx-th basis vector, as (row, coeff) pairs."""
@@ -87,23 +80,22 @@ class GlModule:
 
 def natural_module(m: int, n: int) -> GlModule:
     """The defining module: E_{α,β} e_γ = δ_{β,γ} e_α."""
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    dim = m + 1 + n
+    sig = Signature(m, n)
+    dim = len(sig.directions())
     act = {}
-    for a in range(dim):
-        for b in range(dim):
+    for a in sig.directions():
+        for b in sig.directions():
             mat = zeros(dim, dim)
             mat[a][b] = Scalar(1)
             act[(a, b)] = mat
-    parities = tuple(0 if i <= m else 1 for i in range(dim))
+    parities = tuple(map(sig.dir_parity, sig.directions()))
     return GlModule(m, n, dim, parities, act)
 
 
 def zero_action_module(m: int, n: int, dim: int, parities=None) -> GlModule:
     """dim-dimensional module on which every E_{α,β} acts by zero."""
-    gl = m + 1 + n
-    act = {(a, b): zeros(dim, dim) for a in range(gl) for b in range(gl)}
+    dirs = Signature(m, n).directions()
+    act = {(a, b): zeros(dim, dim) for a in dirs for b in dirs}
     return GlModule(m, n, dim, parities or (0,) * dim, act)
 
 
@@ -136,12 +128,13 @@ def rep_check(mod: GlModule) -> RepReport:
     """
     report = RepReport()
     par = mod.parities
+    gl_parity = mod.sig.gl_parity
     acts = {
         ab: {u: {v: c for v, c in enumerate(row) if c} for u, row in enumerate(mat) if any(row)}
         for ab, mat in mod.act.items()
     }
     for (a, b), rows in acts.items():
-        p = mod.entry_parity(a, b)
+        p = gl_parity(a, b)
         bad = next(((u, v) for u, row in rows.items() for v in row
                     if (par[u] + par[v]) % 2 != p), None)
         if bad is not None:
@@ -149,14 +142,13 @@ def rep_check(mod: GlModule) -> RepReport:
                 ("parity", (a, b), f"entry ({bad[0]},{bad[1]}) breaks parity")
             )
     one = {u: {u: ONE} for u in range(mod.dim)}
-    gl = mod.gl_dim
-    pairs = [(a, b) for a in range(gl) for b in range(gl)]
+    pairs = list(acts)
     for (a, b) in pairs:
         mab = acts[(a, b)]
-        pab = mod.entry_parity(a, b)
+        pab = gl_parity(a, b)
         for (c, d) in pairs:
             mcd = acts[(c, d)]
-            sign = -1 if pab and mod.entry_parity(c, d) else 1
+            sign = -1 if pab and gl_parity(c, d) else 1
             diff = {}
             _accumulate(diff, mab, mcd, 1)
             _accumulate(diff, mcd, mab, -sign)

@@ -353,16 +353,12 @@ def format_smash(u) -> str:
 def format_gl_matrix(g) -> str:
     """Combination of elementary matrices, e.g. 'E_0_0+E_1_0'."""
     entries = []
-    for a in range(g.dim):
-        for b in range(g.dim):
-            c = g.rows[a][b]
-            if not c:
-                continue
-            lead = c.re if c.re else c.im
-            neg = lead < 0
-            cc = -c if neg else c
-            body = f"E_{a}_{b}" if cc == 1 else f"{format_scalar(cc)}*E_{a}_{b}"
-            entries.append(("-" if neg else "+") + body)
+    for (a, b), c in sorted(g.terms.items()):
+        lead = c.re if c.re else c.im
+        neg = lead < 0
+        cc = -c if neg else c
+        body = f"E_{a}_{b}" if cc == 1 else f"{format_scalar(cc)}*E_{a}_{b}"
+        entries.append(("-" if neg else "+") + body)
     if not entries:
         return "0"
     first = entries[0]

@@ -255,7 +255,7 @@ def theta_project(x: VectorField) -> GlMatrix:
     sig = x.sig
     if not sig.includes_t0:
         raise ValueError("the gl projection uses the full signature")
-    out = GlMatrix.zero(sig.m, sig.n)
+    out = GlMatrix.zero(sig)
     for tag, coeff in x.to_d().coefficient_polys().items():
         try:
             tcoeffs, zcoeffs = mods2_linear(coeff)
@@ -265,7 +265,7 @@ def theta_project(x: VectorField) -> GlMatrix:
             ) from None
         col = sig.dir_of(tag)
         for i, c in tcoeffs.items():
-            out.rows[i][col] = out.rows[i][col] + c
+            out._iadd_term((i, col), c)
         for k, c in zcoeffs.items():
-            out.rows[sig.m + k][col] = out.rows[sig.m + k][col] + c
+            out._iadd_term((sig.dir_of(("q", k)), col), c)
     return out

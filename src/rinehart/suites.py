@@ -221,7 +221,7 @@ def koszul_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
 
 def _bracket_checks(name, sample, bracket, samples):
     def parity(x):
-        return x.parity() or 0  # GlMatrix.parity() is None for mixed parity
+        return x.parity() or 0  # None for zero or mixed parity
 
     def antisymmetry():
         for _ in range(samples):
@@ -250,14 +250,15 @@ def jacobi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
 
     def gl_sample():
         p = rng.randrange(2)
-        g = GlMatrix.zero(cfg.m, cfg.n)
+        g = GlMatrix.zero(sig)
+        dim = len(sig.directions())
         for _ in range(2):
             while True:
-                a = rng.randrange(g.dim)
-                b = rng.randrange(g.dim)
-                if g.entry_parity(a, b) == p:
+                a = rng.randrange(dim)
+                b = rng.randrange(dim)
+                if sig.gl_parity(a, b) == p:
                     break
-            g.rows[a][b] = g.rows[a][b] + s.scalar()
+            g._iadd_term((a, b), s.scalar())
         return g
 
     out = []
@@ -409,18 +410,14 @@ def theta_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
             )
 
     one = SuperPoly.one(sig)
-    gl = sig.m + 1 + sig.n
 
     def table():
-        for a in range(gl):
-            for b in range(gl):
-                coeff = (
-                    SuperPoly.t_var(sig, a) - one
-                    if a <= sig.m
-                    else SuperPoly.zeta(sig, a - sig.m)
-                )
+        for a in sig.directions():
+            kind, i = sig.dir_tag(a)
+            coeff = SuperPoly.t_var(sig, i) - one if kind == "d" else SuperPoly.zeta(sig, i)
+            for b in sig.directions():
                 g = theta_project(VectorField.from_poly_tag(coeff, sig.dir_tag(b)))
-                yield None if g == GlMatrix.elementary(cfg.m, cfg.n, a, b) else (
+                yield None if g == GlMatrix.elementary(sig, a, b) else (
                     f"entry ({a},{b}) gives {format_gl_matrix(g)}"
                 )
 
@@ -685,12 +682,11 @@ def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
         report = rep_check(induced)
     except ValueError as exc:
         return [CheckResult("phi.gl_relations", False, 0, str(exc))]
-    gl = sig.m + 1 + sig.n
     out = [
         CheckResult(
             "phi.gl_relations",
             report.ok,
-            gl ** 4,
+            len(sig.directions()) ** 4,
             None if report.ok else str(report.violations[:3]),
         )
     ]
@@ -698,8 +694,8 @@ def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     z = env.dotted.zero_exps()
 
     def unit_action():
-        for a in range(induced.gl_dim):
-            for b in range(induced.gl_dim):
+        for a in sig.directions():
+            for b in sig.directions():
                 op = phi_operator(a, b, S)
                 for v in range(env.omega.dim):
                     lhs = op(TensorVec.basis(env.dotted, z, 0, v))
@@ -716,11 +712,8 @@ def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
             for u in basis:
                 direct = t_act(*gen, u, S)
                 through = TensorVec.zero(env.dotted)
-                for a in range(induced.gl_dim):
-                    for b in range(induced.gl_dim):
-                        c = mat.rows[a][b]
-                        if c:
-                            through += phi_operator(a, b, S)(u) * c
+                for (a, b), c in mat.terms.items():
+                    through += phi_operator(a, b, S)(u) * c
                 yield None if direct == through else f"gen={gen}"
 
     def weight_shift():

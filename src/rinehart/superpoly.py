@@ -10,9 +10,9 @@ usual (-1)^inversions Koszul sign.  ∂/∂ζ_k is a left superderivation.
 `Sparse` is the one container behind every free module of the package:
 a term map basis key → nonzero coefficient with the shared `+ - neg`,
 scalar `*`, `==` and parity split.  `SuperPoly`, `VectorField`,
-`SmashElement`, `TensorVec`, `LoopElement` and `LoopTensor` subclass it
-and add their key shape, constructors and the hook `_key_parity(key,
-*ctx)` that `parity`/`even_odd` read.
+`SmashElement`, `TensorVec`, `LoopElement`, `LoopTensor` and `GlMatrix`
+subclass it and add their key shape, constructors and the hook
+`_key_parity(key, *ctx)` that `parity`/`even_odd` read.
 
 Two term-level kernels serve every layer above, so that none of them
 builds throwaway `SuperPoly` monomials.  `mono_mul` multiplies two
@@ -24,10 +24,12 @@ the algebra action on fields and tensor vectors), `VectorField.apply`,
 = monomial · derived monomial is the step of `vf_bracket` and
 `smash_commutator`.
 
-`Signature` owns the gl(m+1, n) direction convention: direction α ≤ m
+`Signature` owns the gl(m+1, n) index convention: direction α ≤ m
 is the Euler derivation t_α d/dt_α (tag ('d', α), even), direction
 m + k is ∂/∂ζ_k (tag ('q', k), odd).  `dir_tag`, `dir_of` and
-`dir_parity` map between them, and `tags` lists the basis tags.
+`dir_parity` map between them, `directions` is the range 0..m+n,
+`gl_parity` the parity of an elementary matrix E_{α,β}, and `tags`
+lists the basis tags.
 
 Also here: the filtration S ⊇ S² ⊇ ... by powers of the ideal vanishing
 at t=1, ζ=0, with an exact degree decision procedure (clear denominators
@@ -161,7 +163,7 @@ class Signature:
     def full(self) -> "Signature":
         return Signature(self.m, self.n, True)
 
-    # -- the gl(m+1, n) direction convention --
+    # -- the gl(m+1, n) index convention --
 
     def dir_tag(self, alpha: int):
         """Basis derivation of direction α: ('d', α) for α ≤ m, else
@@ -180,6 +182,14 @@ class Signature:
 
     def dir_parity(self, alpha: int) -> int:
         return 0 if alpha <= self.m else 1
+
+    def gl_parity(self, alpha: int, beta: int) -> int:
+        """Parity of the elementary matrix E_{α,β}."""
+        return self.dir_parity(alpha) ^ self.dir_parity(beta)
+
+    def directions(self) -> range:
+        """The direction (gl index) range 0..m+n."""
+        return range(self.m + self.n + 1)
 
     def tags(self, kinds: str = "dq") -> list:
         """Basis tags of the kinds named in `kinds` ('d' Euler, 't' plain

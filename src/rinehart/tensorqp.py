@@ -303,12 +303,12 @@ def shen_act(f: SuperPoly, alpha: int, w: TensorVec, mu: MuVector,
         raise ValueError("the full tensor module uses the full signature")
     if w.sig != sig:
         raise ValueError("signature mismatch")
-    gl = sig.m + sig.n + 1
-    if not 0 <= alpha < gl:
+    dirs = sig.directions()
+    if alpha not in dirs:
         raise ValueError("direction index out of range")
     p_alpha = sig.dir_parity(alpha)
     out = TensorVec.zero(sig)
-    df = {beta: f.derive(sig.dir_tag(beta)) for beta in range(gl)}
+    df = {beta: f.derive(sig.dir_tag(beta)) for beta in dirs}
     pf = f.parity()
     if pf is None and not f.is_zero():
         fe, fo = f.even_odd()
@@ -322,7 +322,7 @@ def shen_act(f: SuperPoly, alpha: int, w: TensorVec, mu: MuVector,
         main = f * (gmon.derive(sig.dir_tag(alpha)) + gmon * mu[alpha])
         for (e2, m2), c2 in main.terms.items():
             out._iadd_term((e2, m2, idx), cw * c2)
-        for beta in range(gl):
+        for beta in dirs:
             if df[beta].is_zero():
                 continue
             p_beta = sig.dir_parity(beta)
@@ -529,18 +529,19 @@ def rho_of(S: QPStructure, omega_basis: list[TensorVec]) -> MuVector:
 
 def phi_operator(alpha: int, beta: int, S: QPStructure):
     """The induced gl-action operator for the elementary index (α, β)."""
-    sig, m, n = S.sig, S.sig.m, S.sig.n
-    if not (0 <= alpha <= m + n and 0 <= beta <= m + n):
+    sig = S.sig
+    if alpha not in sig.directions() or beta not in sig.directions():
         raise ValueError("elementary index out of range")
     tag = sig.dir_tag(beta)
     unit = QPElement.along(SuperPoly.one(sig), tag)
     if alpha == 0:
         return lambda w: -S.phihat(unit, w)
-    if alpha <= m:
-        tinv = SuperPoly.t_var(sig, alpha, -1)
-        sub = QPElement.along(SuperPoly.t_var(sig, alpha), tag)
+    kind, i = sig.dir_tag(alpha)
+    if kind == "d":
+        tinv = SuperPoly.t_var(sig, i, -1)
+        sub = QPElement.along(SuperPoly.t_var(sig, i), tag)
         return lambda w: S.phi(tinv, S.psi(sub, w)) - S.psi(unit, w)
-    zk = SuperPoly.zeta(sig, alpha - m)
+    zk = SuperPoly.zeta(sig, i)
     sub = QPElement.along(zk, tag)
     return lambda w: S.psi(sub, w) - S.phi(zk, S.psi(unit, w))
 
@@ -559,7 +560,7 @@ def phi_rep(alpha: int, beta: int, S: QPStructure,
 
 def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec]) -> GlModule:
     """The kernel basis as an explicit gl(m+1, n)-module."""
-    m, n = S.sig.m, S.sig.n
+    sig = S.sig
     parities = []
     for v in omega_basis:
         p = v.parity(S.omega.parities)
@@ -568,10 +569,10 @@ def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec]) -> GlModule:
         parities.append(p)
     act = {
         (a, b): phi_rep(a, b, S, omega_basis)
-        for a in range(m + 1 + n)
-        for b in range(m + 1 + n)
+        for a in sig.directions()
+        for b in sig.directions()
     }
-    return GlModule(m, n, len(omega_basis), parities, act)
+    return GlModule(sig.m, sig.n, len(omega_basis), parities, act)
 
 
 def theta_transport(w: TensorVec, omega_basis: list[TensorVec],

@@ -150,18 +150,6 @@ class VectorField(Sparse):
                     out._iadd_term((e3, m3), c3 if sign > 0 else -c3)
         return out
 
-    def embed_full(self, t0_exp: int = 0) -> "VectorField":
-        if self.sig.includes_t0:
-            raise ValueError("already in the full signature")
-        full = self.sig.full()
-        return VectorField(
-            full,
-            {
-                ((t0_exp,) + exps, mask, tag): c
-                for (exps, mask, tag), c in self.terms.items()
-            },
-        )
-
 
 def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
     """Supercommutator [aδ, bγ] = aδ(b)γ - (-1)^{|aδ||bγ|} bγ(a)δ.
@@ -303,10 +291,6 @@ class QPElement:
     @property
     def sig(self) -> Signature:
         return self.a.sig
-
-    @staticmethod
-    def zero(sig: Signature) -> "QPElement":
-        return QPElement(SuperPoly.zero(sig), VectorField.zero(sig))
 
     @staticmethod
     def from_poly(a: SuperPoly) -> "QPElement":

@@ -76,11 +76,13 @@ def test_diagonal_actions_commute_after_rep_check(sampler):
 
 
 def dense_rep_check(mod):
-    """The dense rep_check: two dim x dim products per pair of actions."""
+    """The dense rep_check: two dim x dim products per pair of actions.
+    Indices up to m are even, the rest odd, written out here."""
     violations = []
-    gl = mod.gl_dim
+    gl = mod.m + 1 + mod.n
+    par = lambda a, b: ((a > mod.m) + (b > mod.m)) & 1
     for (a, b), mat in mod.act.items():
-        p = mod.entry_parity(a, b)
+        p = par(a, b)
         for u in range(mod.dim):
             for v in range(mod.dim):
                 if mat[u][v] and (mod.parities[u] + mod.parities[v]) % 2 != p:
@@ -92,10 +94,10 @@ def dense_rep_check(mod):
     pairs = [(a, b) for a in range(gl) for b in range(gl)]
     for (a, b) in pairs:
         mab = mod.act[(a, b)]
-        pab = mod.entry_parity(a, b)
+        pab = par(a, b)
         for (c, d) in pairs:
             mcd = mod.act[(c, d)]
-            pcd = mod.entry_parity(c, d)
+            pcd = par(c, d)
             lhs = matmul(mab, mcd)
             back = matmul(mcd, mab)
             sign = Scalar(-1 if (pab and pcd) else 1)
@@ -137,7 +139,7 @@ def perturbed_modules(draw):
         parities = draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
         mod = zero_action_module(m, n, dim, parities)
     act = {ab: [list(row) for row in mat] for ab, mat in mod.act.items()}
-    index = st.integers(0, mod.gl_dim - 1)
+    index = st.integers(0, m + n)
     entry = st.integers(0, mod.dim - 1)
     for _ in range(draw(st.integers(0, 4))):
         row = act[(draw(index), draw(index))][draw(entry)]

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from rinehart import smash, superpoly, tensorqp, vectorfields
+from rinehart import glmatrix, smash, superpoly, tensorqp, vectorfields
 from rinehart.cli import main
+from rinehart.glmatrix import GlMatrix
 from rinehart.glmodules import GlModule, MuVector
 from rinehart.tensorqp import QPStructure, TensorVec
 
@@ -135,6 +136,31 @@ def test_scaled_induced_entry_fails_the_gl_relations(monkeypatch, capsys):
 
     plant(monkeypatch, orig, scaled)
     assert failed_checks(capsys, "phi") == (1, {"phi.gl_relations"})
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_gl_bracket_without_koszul_sign_fails_the_gl_checks(monkeypatch, capsys, n):
+    """[E_ab, E_cd] = δ_bc E_ad - δ_da E_cb, the sign (-1)^{|ab||cd|}
+    dropped, fails both gl bracket checks and no check outside them."""
+    def unsigned(x, y):
+        out = GlMatrix.zero(x.sig)
+        for (a, b), cx in x.terms.items():
+            for (c, d), cy in y.terms.items():
+                if b == c:
+                    out += GlMatrix(x.sig, {(a, d): cx * cy})
+                if d == a:
+                    out -= GlMatrix(x.sig, {(c, b): cx * cy})
+        return out
+
+    args = ["check", "all", "--m", "1", "--n", n, "--deg", "2", "--samples", "20",
+            "--json"]
+    assert main(args) == 0
+    capsys.readouterr()
+    plant(monkeypatch, glmatrix.gl_bracket, unsigned)
+    assert main(args) == 1
+    failed = {c["id"] for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["pass"]}
+    assert failed == {"jacobi.gl.antisymmetry", "jacobi.gl.super_jacobi"}
 
 
 def test_theta_losing_a_vector_fails_bijectivity(monkeypatch, capsys):

@@ -125,15 +125,15 @@ def test_theta_examples(sig11):
     t0, t1 = SuperPoly.t_var(sig, 0), SuperPoly.t_var(sig, 1)
     assert theta_project(
         VectorField.from_poly_tag(t1 - one, ("d", 0))
-    ) == GlMatrix.elementary(1, 1, 1, 0)
+    ) == GlMatrix.elementary(sig, 1, 0)
     got = theta_project(VectorField.from_poly_tag(t0 * t1 - one, ("d", 0)))
-    assert got == GlMatrix.elementary(1, 1, 0, 0) + GlMatrix.elementary(1, 1, 1, 0)
+    assert got == GlMatrix.elementary(sig, 0, 0) + GlMatrix.elementary(sig, 1, 0)
 
     sig2 = Signature(1, 2, True)
     got = theta_project(
         VectorField.from_poly_tag(SuperPoly.zeta(sig2, 1), ("q", 2))
     )
-    assert got == GlMatrix.elementary(1, 2, 2, 3)
+    assert got == GlMatrix.elementary(sig2, 2, 3)
 
     with pytest.raises(ValueError):
         theta_project(VectorField.basis(sig, ("d", 0)))  # coefficient 1 not in S
@@ -149,7 +149,7 @@ def test_theta_surjectivity_table(sig12):
             )
             tag = ("d", b) if b <= 1 else ("q", b - 1)
             got = theta_project(VectorField.from_poly_tag(coeff, tag))
-            assert got == GlMatrix.elementary(1, 2, a, b)
+            assert got == GlMatrix.elementary(sig, a, b)
 
 
 def test_theta_homomorphism_and_kernel(sig11, sampler):
@@ -173,7 +173,7 @@ def test_theta_homomorphism_and_kernel(sig11, sampler):
 
 
 def test_gl_bracket_examples():
-    E = lambda a, b: GlMatrix.elementary(1, 1, a, b)
+    E = lambda a, b: GlMatrix.elementary(Signature(1, 1), a, b)
     assert gl_bracket(E(0, 1), E(1, 0)) == E(0, 0) - E(1, 1)
     assert gl_bracket(E(0, 2), E(2, 0)) == E(0, 0) + E(2, 2)
     assert gl_bracket(E(0, 0), E(0, 1)) == E(0, 1)
@@ -182,9 +182,10 @@ def test_gl_bracket_examples():
 
 
 def _gl_matrices(m, n):
-    d = m + 1 + n
-    row = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
-    return st.lists(row, min_size=d, max_size=d).map(lambda rows: GlMatrix(m, n, rows))
+    index = st.integers(0, m + n)
+    terms = st.dictionaries(st.tuples(index, index), st.integers(-2, 2),
+                            max_size=(m + 1 + n) ** 2)
+    return terms.map(lambda t: GlMatrix(Signature(m, n), t))
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,18 +195,21 @@ def test_gl_bracket_matches_elementary_expansion(data, shape):
     with [E_ab, E_ce] = δ_bc E_ae - (-1)^{|ab||ce|} δ_ea E_cb."""
     m, n = shape
     x, y = data.draw(_gl_matrices(m, n)), data.draw(_gl_matrices(m, n))
-    d = x.dim
+    d = m + 1 + n
+    cells = list(itertools.product(range(d), repeat=2))
+    xd = [[x.terms.get((a, b), Scalar(0)) for b in range(d)] for a in range(d)]
+    yd = [[y.terms.get((a, b), Scalar(0)) for b in range(d)] for a in range(d)]
     par = lambda a, b: ((a > m) + (b > m)) & 1
     ref = [[Scalar(0)] * d for _ in range(d)]
     for a, b, c, e in itertools.product(range(d), repeat=4):
-        coef = x.rows[a][b] * y.rows[c][e]
+        coef = xd[a][b] * yd[c][e]
         if b == c:
             ref[a][e] = ref[a][e] + coef
         if e == a:
             sign = -1 if par(a, b) & par(c, e) else 1
             ref[c][b] = ref[c][b] - coef * sign
-    assert gl_bracket(x, y) == GlMatrix(m, n, ref)
+    assert gl_bracket(x, y) == GlMatrix(x.sig, {(a, b): ref[a][b] for a, b in cells})
     ev, od = x.even_odd()
     assert ev + od == x
-    for a, b in itertools.product(range(d), repeat=2):
-        assert not (od if par(a, b) == 0 else ev).rows[a][b]
+    for a, b in cells:
+        assert (a, b) not in (od if par(a, b) == 0 else ev).terms

@@ -1,4 +1,4 @@
-"""The shared sparse container: one term-map algebra for all six types.
+"""The shared sparse container: one term-map algebra for all seven types.
 
 Every container's `+`, `-`, negation and scalar `*` is compared with the
 same arithmetic done here on plain dicts; signatures, operand types and
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rinehart.glmatrix import GlMatrix
 from rinehart.scalars import Scalar
 from rinehart.smash import SmashElement
 from rinehart.superpoly import Signature, SuperPoly
@@ -31,6 +32,7 @@ SCALARS = st.builds(
     lambda re, im: Scalar(Fraction(re, 2), im), st.integers(-2, 2), st.integers(-1, 1)
 )
 T0 = st.integers(-1, 1)
+GL_INDEX = st.integers(0, FULL.m + FULL.n)
 
 
 def _terms(keys, values=SCALARS):
@@ -58,6 +60,7 @@ KINDS = {
     TensorVec: (DOT, _terms(st.tuples(EXPS_DOT, MASKS, st.integers(0, 2)))),
     LoopElement: (DOT, _terms(T0, QP_VALUES)),
     LoopTensor: (DOT, _terms(T0, TENSOR_VALUES)),
+    GlMatrix: (FULL, _terms(st.tuples(GL_INDEX, GL_INDEX))),
 }
 HASHABLE = (SuperPoly, VectorField)
 # coefficient type of each container; Scalar for the others
@@ -131,6 +134,8 @@ def _nonzero_element(cls, sig, r=1):
         return TensorVec.basis(sig, sig.zero_exps(), 1, 0)
     if cls is LoopElement:
         return LoopElement.wrap(r, QPElement.from_poly(SuperPoly.one(sig)))
+    if cls is GlMatrix:
+        return GlMatrix.elementary(sig, 0, 0)
     return LoopTensor.wrap(r, TensorVec.basis(sig, sig.zero_exps(), 1, 0))
 
 
@@ -187,6 +192,10 @@ def test_parity_hooks():
     assert [p.parity() for p in x.even_odd()] == [0, 1]
     loop = LoopElement.wrap(0, QPElement.from_field(VectorField.basis(DOT, ("q", 2))))
     assert loop.parity() == 1
+    diag, odd = GlMatrix.elementary(FULL, 0, 0), GlMatrix.elementary(FULL, 0, FULL.m + 1)
+    assert (diag.parity(), odd.parity()) == (0, 1)
+    assert (diag + odd).parity() is None
+    assert (diag + odd).even_odd() == (diag, odd)
 
 
 @pytest.mark.parametrize("cls", [VectorField, TensorVec], ids=lambda c: c.__name__)

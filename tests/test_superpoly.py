@@ -247,11 +247,14 @@ SIGS = [Signature(m, n, t0) for m in (1, 2) for n in (1, 2) for t0 in (True, Fal
 def test_direction_tags_round_trip_with_parity(sig):
     from rinehart.vectorfields import tag_parity
 
+    assert list(sig.directions()) == list(range(sig.m + sig.n + 1))
     for alpha in range(sig.m + sig.n + 1):
         tag = sig.dir_tag(alpha)
         assert tag == (("d", alpha) if alpha <= sig.m else ("q", alpha - sig.m))
         assert sig.dir_of(tag) == alpha
         assert sig.dir_parity(alpha) == tag_parity(tag)
+        for beta in range(sig.m + sig.n + 1):
+            assert sig.gl_parity(alpha, beta) == ((alpha > sig.m) != (beta > sig.m))
     with pytest.raises(ValueError, match="no direction index"):
         sig.dir_of(("dt", 1))
 

@@ -386,11 +386,8 @@ def test_bridge_identity(extracted, sampler):
         for u in basis:
             direct = t_act(*gen, u, S)
             through = TensorVec.zero(S.sig)
-            for a in range(4):
-                for b in range(4):
-                    c = mat.rows[a][b]
-                    if c:
-                        through += phi_operator(a, b, S)(u) * c
+            for (a, b), c in mat.terms.items():
+                through += phi_operator(a, b, S)(u) * c
             assert direct == through
 
 
