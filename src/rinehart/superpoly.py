@@ -22,7 +22,8 @@ the algebra action on fields and tensor vectors), `VectorField.apply`,
 `vf_bracket`, `smash_commutator` and the `tensorqp` actions use it.
 `derive_mono` applies one basis derivation to one monomial; `mono_apply`
 = monomial · derived monomial is the step of `vf_bracket` and
-`smash_commutator`.
+`smash_commutator`, and the `tensorqp` twisted action (ψ and `shen_act`)
+takes its derivative terms from `derive_mono` too.
 
 `Signature` owns the gl(m+1, n) index convention: direction α ≤ m
 is the Euler derivation t_α d/dt_α (tag ('d', α), even), direction

@@ -9,6 +9,9 @@ action φ̂ that feeds the 0-th matrix row.  φ̂ can be replaced, to probe
 which axioms force it.  Directions α of gl(m+1, n) follow
 `Signature.dir_tag`; direction 0 is the algebra summand of Ȧ ⊕ Der(Ȧ).
 
+ψ on Ȧ ⊗ Ω and `shen_act` on the full A ⊗ Ω are one kernel, `_twisted`;
+on Ȧ direction 0 is the algebra summand and does not differentiate.
+
 On top of the triple: the seven compatibility axioms, the loop module on
 C[t_0^{±1}] ⊗ M, the action of degree-zero centralizer generators, the
 extraction of the joint kernel of the odd derivation actions, the
@@ -151,42 +154,55 @@ def _phi_default(S: QPStructure, a: SuperPoly, w: TensorVec) -> TensorVec:
     return w.left_mul(a)
 
 
-def _psi_default(S: QPStructure, x: QPElement, w: TensorVec) -> TensorVec:
-    if x.sig != S.sig or w.sig != S.sig:
-        raise ValueError("signature mismatch")
-    sig = S.sig
+def _twisted(sig: Signature, mu: MuVector, omega: GlModule, parts,
+             w: TensorVec) -> TensorVec:
+    """Twisted action of Σ c·t^e ζ_M·∂_α over the parts (α, e, M, c): with
+    a = c·t^e ζ_M, each term b ⊗ v of w goes to a·(∂_α b + μ_α b) ⊗ v +
+    Σ_β (-1)^{|β| + (|a|+|b|)|β| + |b||α|} ∂_β(a)·b ⊗ E_{βα} v.  Without
+    t_0, direction 0 is the algebra summand: neither a ∂_α nor a β."""
+    first = 0 if sig.includes_t0 else 1
     out = TensorVec.zero(sig)
-    for alpha, ae, am, ca in _alpha_parts(x):
+    for alpha, ae, am, ca in parts:
         p_alpha = sig.dir_parity(alpha)
         pa = mask_size(am) & 1
+        tag = sig.dir_tag(alpha) if alpha >= first else None
+        mu_a = mu[alpha]
         dparts = []  # ∂_β(a) = f · t^e ζ_mask
-        for beta in range(1, sig.m + sig.n + 1):
+        for beta in range(first, sig.m + sig.n + 1):
             f, e, mask = derive_mono(sig.dir_tag(beta), sig, ae, am)
             if f:
                 dparts.append((beta, sig.dir_parity(beta), f, e, mask))
         for (be, bm, idx), cw in w.terms.items():
             coef = ca * cw
             pb = mask_size(bm) & 1
-            bmon = SuperPoly.monomial(sig, be, bm)
-            main = bmon * S.mu[alpha]
-            if alpha:  # the algebra summand does not differentiate
-                main = bmon.derive(sig.dir_tag(alpha)) + main
-            for (e2, m2), c2 in main.terms.items():
+            # ∂_α b + μ_α b: an Euler ∂_α keeps b's monomial, an odd one moves it
+            f, e, mask = derive_mono(tag, sig, be, bm) if tag else (0, be, bm)
+            main = (((mu_a + f, be, bm),) if mask == bm
+                    else ((f, e, mask), (mu_a, be, bm)))
+            for c2, e2, m2 in main:
+                if not c2:
+                    continue
                 sign, e3, m3 = mono_mul(ae, am, e2, m2)
                 if sign:
                     c3 = coef * c2
                     out._iadd_term((e3, m3, idx), c3 if sign > 0 else -c3)
             pab = (pa + pb) & 1
             for beta, p_beta, f, e, mask in dparts:
-                sgn = (pab & p_beta) + p_beta + (pb & p_alpha)
-                s = -1 if sgn & 1 else 1
                 sign, e2, m2 = mono_mul(e, mask, be, bm)
                 if not sign:
                     continue
+                if ((pab & p_beta) + p_beta + (pb & p_alpha)) & 1:
+                    sign = -sign
                 c2 = coef * (f * sign)
-                for u, cu in S.omega.column(beta, alpha, idx):
-                    out._iadd_term((e2, m2, u), c2 * cu * s)
+                for u, cu in omega.column(beta, alpha, idx):
+                    out._iadd_term((e2, m2, u), c2 * cu)
     return out
+
+
+def _psi_default(S: QPStructure, x: QPElement, w: TensorVec) -> TensorVec:
+    if x.sig != S.sig or w.sig != S.sig:
+        raise ValueError("signature mismatch")
+    return _twisted(S.sig, S.mu, S.omega, _alpha_parts(x), w)
 
 
 def _phihat_default(S: QPStructure, x: QPElement, w: TensorVec) -> TensorVec:
@@ -303,45 +319,13 @@ def shen_act(f: SuperPoly, alpha: int, w: TensorVec, mu: MuVector,
         raise ValueError("the full tensor module uses the full signature")
     if w.sig != sig:
         raise ValueError("signature mismatch")
-    dirs = sig.directions()
-    if alpha not in dirs:
+    if alpha not in sig.directions():
         raise ValueError("direction index out of range")
-    p_alpha = sig.dir_parity(alpha)
-    out = TensorVec.zero(sig)
-    df = {beta: f.derive(sig.dir_tag(beta)) for beta in dirs}
-    pf = f.parity()
-    if pf is None and not f.is_zero():
-        fe, fo = f.even_odd()
-        return (
-            shen_act(fe, alpha, w, mu, omega)
-            + shen_act(fo, alpha, w, mu, omega)
-        )
-    for (ge, gm, idx), cw in w.terms.items():
-        pg = mask_size(gm) & 1
-        gmon = SuperPoly.monomial(sig, ge, gm)
-        main = f * (gmon.derive(sig.dir_tag(alpha)) + gmon * mu[alpha])
-        for (e2, m2), c2 in main.terms.items():
-            out._iadd_term((e2, m2, idx), cw * c2)
-        for beta in dirs:
-            if df[beta].is_zero():
-                continue
-            p_beta = sig.dir_parity(beta)
-            fg = (pf + pg) & 1 if pf is not None else 0
-            sgn = p_beta + (fg & p_beta) + (pg & p_alpha)
-            s = -1 if sgn & 1 else 1
-            prod = df[beta] * gmon
-            for u, cu in omega.column(beta, alpha, idx):
-                for (e2, m2), c2 in prod.terms.items():
-                    out._iadd_term((e2, m2, u), cw * c2 * cu * s)
-    return out
+    parts = ((alpha, e, mask, c) for (e, mask), c in f.terms.items())
+    return _twisted(sig, mu, omega, parts, w)
 
 
 # ---------- loop module structure ----------
-
-def _psi_subscript(S: QPStructure, exps, mask, tag) -> QPElement:
-    """Subscript t^{s̄'}ζ_J ∂ as an element of Ȧ ⊕ Der(Ȧ)."""
-    return QPElement.along(SuperPoly.monomial(S.sig, exps, mask), tag)
-
 
 def loop_g_act(u: LoopElement, w: LoopTensor, S: QPStructure) -> LoopTensor:
     """(t_0^r ⊗ x)·(t_0^s ⊗ ω) = t_0^{r+s} ⊗ (ψ_x ω - r φ̂_x ω + s φ_{π(x)} ω)."""
@@ -387,7 +371,7 @@ def loop_smash_act(u: SmashElement, w: LoopTensor, S: QPStructure) -> LoopTensor
             continue
         s0, sp = be[0], be[1:]
         bpoly = SuperPoly.monomial(S.sig, sp, bm)
-        sub = _psi_subscript(S, sp, bm, tag)
+        sub = QPElement.along(bpoly, tag)
         hat = QPElement.along(SuperPoly.one(S.sig), tag)
         for k, v in w.terms.items():
             inner = S.psi(sub, v)
@@ -407,22 +391,17 @@ def t_act(rbar, jmask: int, tag, u: TensorVec, S: QPStructure) -> TensorVec:
     r0, rp = rbar[0], rbar[1:]
     neg = tuple(-x for x in rp)
     hat = QPElement.along(SuperPoly.one(S.sig), tag)
-    if jmask == 0:
-        tpos = SuperPoly.monomial(S.sig, rp)
-        inner = S.psi(_psi_subscript(S, rp, 0, tag), u)
-        if r0:
-            inner = inner - r0 * S.phi(tpos, S.phihat(hat, u))
-        return S.phi(SuperPoly.monomial(S.sig, neg), inner) - S.psi(hat, u)
     out = TensorVec.zero(S.sig)
     for jp in subsets_of_mask(jmask):
         rest = jmask ^ jp
         sign = -1 if (mask_size(jp) + tau(jp, rest)) & 1 else 1
-        inner = S.psi(_psi_subscript(S, rp, rest, tag), u)
+        sub = SuperPoly.monomial(S.sig, rp, rest)
+        inner = S.psi(QPElement.along(sub, tag), u)
         if r0:
-            inner = inner - r0 * S.phi(
-                SuperPoly.monomial(S.sig, rp, rest), S.phihat(hat, u)
-            )
+            inner = inner - r0 * S.phi(sub, S.phihat(hat, u))
         out += S.phi(SuperPoly.monomial(S.sig, neg, jp), inner) * sign
+    if jmask == 0:  # the J = ∅ generator carries the correction -1 # ∂
+        out -= S.psi(hat, u)
     return out
 
 

@@ -1,5 +1,6 @@
 """Checks that can fail: each test plants one fault and expects a FAIL."""
 
+import inspect
 import json
 import sys
 
@@ -104,6 +105,33 @@ def test_psi_without_mu_fails_the_loop_check(monkeypatch, capsys):
 
     plant(monkeypatch, orig, no_mu)
     assert failed_checks(capsys, "loop") == (1, {"loop.tensor_vs_loop"})
+
+
+@pytest.mark.parametrize("m,n,expected", [
+    ("1", "1", {"loop.module_law", "loop.leibniz"}),
+    ("1", "2", {"loop.module_law", "loop.tensor_vs_loop", "qp.axiom6[rational]"}),
+    ("2", "2", {"loop.module_law"}),
+])
+def test_kernel_without_the_odd_direction_sign_fails_the_checks(
+        monkeypatch, capsys, m, n, expected):
+    """The Koszul term (-1)^{|b||α|} dropped from the one twisted-action
+    kernel behind ψ and shen_act.  Both sides of loop.tensor_vs_loop then
+    share the fault, so it is caught by the loop module's own laws.  A
+    fault in μ inside the kernel is caught by no check (μ = 0 is a valid
+    structure), only by tests/test_tensorqp.py's written-out formula."""
+    args = ["check", "all", "--m", m, "--n", n, "--deg", "2", "--samples", "20",
+            "--json"]
+    assert main(args) == 0
+    capsys.readouterr()
+    source = inspect.getsource(tensorqp._twisted)
+    assert source.count(" + (pb & p_alpha)") == 1
+    scope = dict(vars(tensorqp))
+    exec(source.replace(" + (pb & p_alpha)", ""), scope)
+    plant(monkeypatch, tensorqp._twisted, scope["_twisted"])
+    assert main(args) == 1
+    failed = {c["id"] for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["pass"]}
+    assert failed == expected
 
 
 def test_loop_counterexample_is_deterministic(monkeypatch, capsys):

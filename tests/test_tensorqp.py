@@ -6,7 +6,8 @@ from rinehart.glmodules import MuVector, natural_module, rep_check
 from rinehart.sampling import Sampler
 from rinehart.scalars import Scalar
 from rinehart.smash import SmashElement, psi_map, theta_project
-from rinehart.superpoly import Signature, SuperPoly
+from rinehart.suites import admissible_mus
+from rinehart.superpoly import Signature, SuperPoly, mask_size
 from rinehart.tensorqp import (
     LoopTensor,
     QPStructure,
@@ -62,6 +63,66 @@ def test_shen_act_examples(sig11):
     mu2 = MuVector(1, 1, (Scalar(3), Scalar(0), Scalar(0)))
     got = shen_act(SuperPoly.one(sig), 0, unit_vec(sig, 1), mu2, omega)
     assert got == unit_vec(sig, 1, 3)
+
+
+def _twisted_reference(f, alpha, w, mu, omega):
+    """f·∂_α acting on w, written with SuperPoly products and derivations:
+    f·(∂_α g + μ_α g) ⊗ v + Σ_β (-1)^{|β| + (|f|+|g|)|β| + |g||α|}
+    ∂_β(f)·g ⊗ E_{βα} v for each term g ⊗ v, an inhomogeneous f split
+    into its even and odd parts.  On the dotted signature direction 0 is
+    the algebra summand: it neither differentiates g nor is a β."""
+    sig = f.sig
+    if f.parity() is None and not f.is_zero():
+        fe, fo = f.even_odd()
+        return (_twisted_reference(fe, alpha, w, mu, omega)
+                + _twisted_reference(fo, alpha, w, mu, omega))
+    first = 0 if sig.includes_t0 else 1
+    p_alpha = sig.dir_parity(alpha)
+    out = TensorVec.zero(sig)
+    for (ge, gm, idx), cw in w.terms.items():
+        g = SuperPoly.monomial(sig, ge, gm)
+        pg = mask_size(gm) & 1
+        inner = g * mu[alpha]
+        if alpha >= first:
+            inner = g.derive(sig.dir_tag(alpha)) + inner
+        for (e, m), c in (f * inner).terms.items():
+            out += TensorVec.basis(sig, e, m, idx, cw * c)
+        for beta in range(first, sig.m + sig.n + 1):
+            df = f.derive(sig.dir_tag(beta))
+            if df.is_zero():
+                continue
+            p_beta = sig.dir_parity(beta)
+            s = (-1) ** (p_beta + ((f.parity() + pg) & p_beta) + (pg & p_alpha))
+            for u, cu in omega.column(beta, alpha, idx):
+                for (e, m), c in (df * g).terms.items():
+                    out += TensorVec.basis(sig, e, m, u, cw * c * cu * s)
+    return out
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])
+def test_twisted_action_matches_the_superpoly_formula(m, n):
+    """shen_act on A ⊗ Ω and ψ on Ȧ ⊗ Ω agree with the formula written out
+    above, on inhomogeneous f and w, for every direction α and the
+    non-real admissible shift vector."""
+    omega = natural_module(m, n)
+    _, mu = admissible_mus(m, n)
+    full = Signature(m, n)
+    S = QPStructure(full.dotted(), omega, mu)
+    s = Sampler(random.Random(100 * m + n), deg=2)
+    mixed = 0
+    for sig in (full, S.sig):
+        for alpha in sig.directions():
+            for _ in range(4):
+                f = s.poly(sig, terms=3)
+                w = s.tensor(sig, omega) + s.tensor(sig, omega) + s.tensor(sig, omega)
+                mixed += f.parity() is None and w.parity(omega.parities) is None
+                want = _twisted_reference(f, alpha, w, mu, omega)
+                if sig.includes_t0:
+                    got = shen_act(f, alpha, w, mu, omega)
+                else:
+                    got = S.psi(QPElement.along(f, sig.dir_tag(alpha)), w)
+                assert got == want, (sig, alpha, f, w)
+    assert mixed
 
 
 # ---------- the structure triple ----------

@@ -356,13 +356,10 @@ def test_along_matches_the_per_site_constructions(m, n):
     """QPElement.along agrees with the constructions it replaced: the
     ψ-subscript and φ̂-tag of the loop module and the loop element of
     f·∂_α, each spelled out here by cases."""
-    from rinehart.glmodules import MuVector, natural_module
     from rinehart.suites import _loop_g_for
-    from rinehart.tensorqp import QPStructure, _psi_subscript
 
     full = Signature(m, n)
     dot = full.dotted()
-    S = QPStructure(dot, natural_module(m, n), MuVector.zero(m, n))
     rng = random.Random(m * 10 + n)
     for tag in full.tags():
         exps = tuple(rng.randint(-2, 2) for _ in range(dot.nvars))
@@ -374,7 +371,7 @@ def test_along_matches_the_per_site_constructions(m, n):
         else:
             subscript = QPElement.from_field(VectorField.term(dot, exps, mask, tag))
             hat = QPElement.from_field(VectorField.basis(dot, tag))
-        assert QPElement.along(mono, tag) == _psi_subscript(S, exps, mask, tag) == subscript
+        assert QPElement.along(mono, tag) == subscript
         assert QPElement.along(SuperPoly.one(dot), tag) == hat
 
     f = SuperPoly.monomial(full, (1,) + (-1,) * m, 1) + SuperPoly.t_var(full, 0, -2)
