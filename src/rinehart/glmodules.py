@@ -51,7 +51,7 @@ class GlModule:
     """gl(m+1, n)-module by explicit action matrices; `sig` is
     Signature(m, n), the home of the gl index rule."""
 
-    __slots__ = ("m", "n", "sig", "dim", "parities", "act")
+    __slots__ = ("m", "n", "sig", "dim", "parities", "act", "_columns")
 
     def __init__(self, m: int, n: int, dim: int, parities, act):
         self.m = m
@@ -71,11 +71,20 @@ class GlModule:
                 if len(mat) != dim or any(len(r) != dim for r in mat):
                     raise ValueError(f"action matrix E_{a}_{b} has the wrong size")
                 self.act[(a, b)] = mat
+        self._columns = {}
 
     def column(self, a: int, b: int, idx: int):
-        """E_{a,b} applied to the idx-th basis vector, as (row, coeff) pairs."""
-        mat = self.act[(a, b)]
-        return [(u, mat[u][idx]) for u in range(self.dim) if mat[u][idx]]
+        """E_{a,b} applied to the idx-th basis vector, as (row, coeff) pairs.
+        Each E_{a,b}'s columns are built on first use and then stored:
+        callers must not mutate the list."""
+        cols = self._columns.get((a, b))
+        if cols is None:
+            mat = self.act[(a, b)]
+            cols = self._columns[(a, b)] = [
+                [(u, mat[u][i]) for u in range(self.dim) if mat[u][i]]
+                for i in range(self.dim)
+            ]
+        return cols[idx]
 
 
 def natural_module(m: int, n: int) -> GlModule:

@@ -276,6 +276,14 @@ def _tag_key(tag):
     return (1, tag[1]) if tag[0] == "d" else (2, tag[1])
 
 
+def _sign_split(c: Scalar) -> tuple[bool, Scalar]:
+    """(negative, c with that sign taken out): a printed term carries the
+    sign of its leading numerator, the real one or, when that is 0, the
+    imaginary one."""
+    neg = (c.p or c.q) < 0
+    return neg, -c if neg else c
+
+
 def _term_text(sig: Signature, coeff: Scalar, exps, mask: int, tag) -> str:
     parts = []
     for i in sig.tvars():
@@ -318,11 +326,9 @@ def format_element(e) -> str:
     terms.sort(key=lambda t: t[:3] == zero_key)
     out = []
     for exps, mask, tag, coeff in terms:
-        lead = coeff.re if coeff.re else coeff.im
-        if lead < 0:
-            out.append("-" + _term_text(sig, -coeff, exps, mask, tag))
-        else:
-            out.append(("+" if out else "") + _term_text(sig, coeff, exps, mask, tag))
+        neg, coeff = _sign_split(coeff)
+        text = _term_text(sig, coeff, exps, mask, tag)
+        out.append("-" + text if neg else ("+" if out else "") + text)
     return "".join(out)
 
 
@@ -336,14 +342,13 @@ def format_smash(u) -> str:
     ))
     pieces = []
     for (ae, am, be, bm, tag), c in items:
-        lead = c.re if c.re else c.im
-        coeff = -c if lead < 0 else c
+        neg, coeff = _sign_split(c)
         left = _term_text(sig, coeff, ae, am, None)
         right = _term_text(sig, Scalar(1), be, bm, tag)
         if right.startswith("1*"):
             right = right[2:]
         text = f"{left} # {right}"
-        if lead < 0:
+        if neg:
             pieces.append(" - " + text if pieces else "-" + text)
         else:
             pieces.append(" + " + text if pieces else text)
@@ -354,9 +359,7 @@ def format_gl_matrix(g) -> str:
     """Combination of elementary matrices, e.g. 'E_0_0+E_1_0'."""
     entries = []
     for (a, b), c in sorted(g.terms.items()):
-        lead = c.re if c.re else c.im
-        neg = lead < 0
-        cc = -c if neg else c
+        neg, cc = _sign_split(c)
         body = f"E_{a}_{b}" if cc == 1 else f"{format_scalar(cc)}*E_{a}_{b}"
         entries.append(("-" if neg else "+") + body)
     if not entries:
@@ -374,10 +377,9 @@ def format_tensor(v) -> str:
     sig = v.sig
     pieces = []
     for (exps, mask, idx), c in v.sorted_terms():
-        lead = c.re if c.re else c.im
-        cc = -c if lead < 0 else c
+        neg, cc = _sign_split(c)
         body = _term_text(sig, cc, exps, mask, None) + f"*e{idx}"
-        if lead < 0:
+        if neg:
             pieces.append("-" + body)
         else:
             pieces.append(("+" if pieces else "") + body)

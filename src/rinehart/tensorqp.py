@@ -556,10 +556,17 @@ def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec]) -> GlModule:
 
 def theta_transport(w: TensorVec, omega_basis: list[TensorVec],
                     S: QPStructure) -> TensorVec:
-    """Push a vector of the rebuilt module through the comparison map."""
+    """Push a vector of the rebuilt module through the comparison map:
+    each c·t^e ζ_M ⊗ e_j goes to c·t^e ζ_M · (the j-th kernel vector)."""
+    if w.sig != S.sig:
+        raise ValueError("signature mismatch")
     out = TensorVec.zero(S.sig)
-    for (exps, mask, j), c in w.terms.items():
-        out += S.phi(SuperPoly.monomial(S.sig, exps, mask), omega_basis[j]) * c
+    for (ea, ma, j), c in w.terms.items():
+        for (eb, mb, idx), cb in omega_basis[j].terms.items():
+            sign, exps, mask = mono_mul(ea, ma, eb, mb)
+            if sign:
+                cc = c * cb
+                out._iadd_term((exps, mask, idx), cc if sign > 0 else -cc)
     return out
 
 

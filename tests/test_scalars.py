@@ -1,3 +1,6 @@
+import copy
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -66,6 +69,8 @@ def test_float_and_complex_components_rejected():
         Scalar(1) * 1.5
     with pytest.raises(TypeError):
         Scalar(1) * 2.0
+    with pytest.raises(TypeError):
+        Scalar(1) / 2.0
     with pytest.raises(TypeError):
         1.5 / Scalar(2)
 
@@ -151,3 +156,52 @@ def test_integral_value_equal_and_hash_across_representations():
     assert Scalar(3, -2) == Scalar(Fraction(6, 2), Fraction(-4, 2))
     assert hash(Scalar(3, -2)) == hash(Scalar(Fraction(6, 2), Fraction(-4, 2)))
     assert len({Scalar(3), Scalar(Fraction(3)), Scalar(Fraction(9, 3))}) == 1
+
+
+# ---------- the (p, q, d) form against int and Fraction ----------
+
+@settings(max_examples=200, deadline=None)
+@given(x=rationals)
+def test_real_scalar_equals_and_hashes_as_its_rational(x):
+    s = Scalar(x)
+    assert s == x and x == s
+    assert hash(s) == hash(x)
+    assert s.re == x and s.im == 0
+    assert s.d > 0 and math.gcd(s.p, s.q, s.d) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=gaussians)
+def test_deepcopy_and_pickle_round_trips(a):
+    for b in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is Scalar
+        assert b == a and hash(b) == hash(a)
+        assert (b.p, b.q, b.d) == (a.p, a.q, a.d)
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                       "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+
+
+def test_suites_never_do_fraction_arithmetic(monkeypatch, capsys):
+    """Scalar arithmetic is integer arithmetic on (p, q, d): a whole
+    `check all` run makes no Fraction arithmetic call."""
+    from rinehart.cli import main
+
+    calls = dict.fromkeys(FRACTION_ARITHMETIC, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and calls["__add__"] == 1
+    calls["__add__"] = 0
+    for m, n in ((1, 1), (1, 2)):
+        assert main(["check", "all", "--m", str(m), "--n", str(n), "--deg", "2",
+                     "--samples", "10", "--json"]) == 0
+    capsys.readouterr()
+    assert calls == dict.fromkeys(FRACTION_ARITHMETIC, 0)
