@@ -11,7 +11,6 @@ it), from one draw: the draw is a rank, unranked slot by slot.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from .glmodules import GlModule
@@ -39,8 +38,10 @@ class Sampler:
         return self.rng.randrange(1 << n)
 
     def scalar(self) -> Scalar:
-        re = Fraction(self.rng.randint(-3, 3), self.rng.randint(1, 3))
-        return Scalar(re or 1)
+        """p/d for p in -3..3 and d in 1..3, drawn in that order; 0 gives 1."""
+        p = self.rng.randint(-3, 3)
+        d = self.rng.randint(1, 3)
+        return Scalar.ratio(p, d) if p else Scalar(1)
 
     def monomial(self, sig: Signature, coeff: bool = True) -> SuperPoly:
         c = self.scalar() if coeff else 1

@@ -92,6 +92,11 @@ class Scalar:
         return _part(self.q, self.d)
 
     @staticmethod
+    def ratio(p: int, d: int) -> "Scalar":
+        """The real number p/d, for ints p and d > 0."""
+        return _reduced(p, 0, d)
+
+    @staticmethod
     def of(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value

@@ -727,10 +727,16 @@ def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
                 continue
             shift = tprime_weight(S, shifted)
             base = tprime_weight(S, w)
+            # w = c·t^e ζ_M ⊗ e_v has weight (μ_0, e_1 + μ_1, ..., e_m + μ_m)
+            (e, _, _), = w.terms
+            own = (mu2[0],) + tuple(ei + mu2[i] for i, ei in enumerate(e, 1))
             expected = (base[0],) + tuple(
                 base[i] + rbar[i - 1] for i in range(1, env.dotted.m + 1)
             )
-            yield None if shift == expected else f"rbar={rbar}"
+            if base != own:
+                yield f"weight of t^{e} is not mu + e"
+            else:
+                yield None if shift == expected else f"rbar={rbar}"
 
     out.append(_check("phi.unit_action", unit_action()))
     out.append(_check("phi.bridge", bridge()))

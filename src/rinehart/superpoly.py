@@ -18,7 +18,8 @@ Two term-level kernels serve every layer above, so that none of them
 builds throwaway `SuperPoly` monomials.  `mono_mul` multiplies two
 monomials (Koszul sign from the memoised `merge_masks`, exponents
 added); `SuperPoly.__mul__`, `Sparse.left_mul` (p · Σ t^e ζ_M ⊗ label,
-the algebra action on fields and tensor vectors), `VectorField.apply`,
+the algebra action on fields and tensor vectors; `left_mul_terms` takes
+p's terms, so a single monomial needs no SuperPoly), `VectorField.apply`,
 `vf_bracket`, `smash_commutator` and the `tensorqp` actions use it.
 `derive_mono` applies one basis derivation to one monomial; `mono_apply`
 = monomial · derived monomial is the step of `vf_bracket` and
@@ -299,8 +300,13 @@ class Sparse:
         """p · self for keys (exps, mask, label): each t^e ζ_M is multiplied
         on the left by the monomials of p and keeps its label."""
         _check_same_sig(self, p)
+        return self.left_mul_terms(p.terms.items())
+
+    def left_mul_terms(self, pterms):
+        """`left_mul` by the algebra element with terms ((e, M), c) in
+        `pterms`, over self's signature; one monomial needs no SuperPoly."""
         out = self._trusted({})
-        for (ea, ma), ca in p.terms.items():
+        for (ea, ma), ca in pterms:
             for (eb, mb, label), cb in self.terms.items():
                 sign, exps, mm = mono_mul(ea, ma, eb, mb)
                 if sign:

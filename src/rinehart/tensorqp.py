@@ -10,7 +10,9 @@ which axioms force it.  Directions α of gl(m+1, n) follow
 `Signature.dir_tag`; direction 0 is the algebra summand of Ȧ ⊕ Der(Ȧ).
 
 ψ on Ȧ ⊗ Ω and `shen_act` on the full A ⊗ Ω are one kernel, `_twisted`;
-on Ȧ direction 0 is the algebra summand and does not differentiate.
+on Ȧ direction 0 is the algebra summand and does not differentiate.  The
+ψ and φ̂ kernels take parts (α, exps, mask, coeff), one per term
+c·t^e ζ_M·∂_α, so the composite actions need not build QPElements.
 
 On top of the triple: the seven compatibility axioms, the loop module on
 C[t_0^{±1}] ⊗ M, the action of degree-zero centralizer generators, the
@@ -21,9 +23,11 @@ a ⊗ ω to the algebra action of a on ω.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import linalg
 from .glmodules import GlModule, MuVector
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .smash import SmashElement, tau
 from .superpoly import (
     Signature,
@@ -37,7 +41,7 @@ from .superpoly import (
 from .vectorfields import (
     LoopElement,
     QPElement,
-    VectorField,
+    check_tag,
     qp_bracket,
     qp_product,
 )
@@ -139,13 +143,24 @@ class QPStructure:
         return self._phihat(self, QPElement.of(x), w)
 
 
+def _dir_part(sig: Signature, tag, exps, mask: int, c):
+    """The part (α, exps, mask, c) of the term c·t^exps ζ_mask·tag: a plain
+    d/dt_i is t_i^{-1}·(t_i d/dt_i), and ('d', 0) is direction 0."""
+    kind, i = tag
+    if kind == "dt":
+        p = sig.tpos(i)
+        exps = exps[:p] + (exps[p] - 1,) + exps[p + 1:]
+        kind = "d"
+    return sig.dir_of((kind, i)), exps, mask, c
+
+
 def _alpha_parts(x: QPElement):
     """Decompose a ⊕ Σ b·∂ into (direction index, monomial, coeff) parts;
     the algebra summand is direction 0."""
     for (exps, mask), c in x.a.terms.items():
         yield 0, exps, mask, c
-    for (exps, mask, tag), c in x.x.to_d().terms.items():
-        yield x.sig.dir_of(tag), exps, mask, c
+    for (exps, mask, tag), c in x.x.terms.items():
+        yield _dir_part(x.sig, tag, exps, mask, c)
 
 
 def _phi_default(S: QPStructure, a: SuperPoly, w: TensorVec) -> TensorVec:
@@ -154,31 +169,50 @@ def _phi_default(S: QPStructure, a: SuperPoly, w: TensorVec) -> TensorVec:
     return w.left_mul(a)
 
 
+@lru_cache(maxsize=64)
+def _directions(sig: Signature) -> tuple:
+    """(parity, tag) of each direction α; the tag is None where α is not a
+    derivation (direction 0 without t_0, the algebra summand)."""
+    first = 0 if sig.includes_t0 else 1
+    return tuple((sig.dir_parity(a), sig.dir_tag(a) if a >= first else None)
+                 for a in sig.directions())
+
+
+@lru_cache(maxsize=1 << 12)
+def _derivatives(sig: Signature, exps, mask: int) -> tuple:
+    """∂_β(t^exps ζ_mask) = f·t^e ζ_m as (β, |β|, f, e, m), over the
+    derivation directions β that do not kill the monomial."""
+    out = []
+    for beta, (p_beta, tag) in enumerate(_directions(sig)):
+        if tag:
+            f, e, m = derive_mono(tag, sig, exps, mask)
+            if f:
+                out.append((beta, p_beta, f, e, m))
+    return tuple(out)
+
+
 def _twisted(sig: Signature, mu: MuVector, omega: GlModule, parts,
              w: TensorVec) -> TensorVec:
     """Twisted action of Σ c·t^e ζ_M·∂_α over the parts (α, e, M, c): with
     a = c·t^e ζ_M, each term b ⊗ v of w goes to a·(∂_α b + μ_α b) ⊗ v +
     Σ_β (-1)^{|β| + (|a|+|b|)|β| + |b||α|} ∂_β(a)·b ⊗ E_{βα} v.  Without
     t_0, direction 0 is the algebra summand: neither a ∂_α nor a β."""
-    first = 0 if sig.includes_t0 else 1
+    table = _directions(sig)
     out = TensorVec.zero(sig)
     for alpha, ae, am, ca in parts:
-        p_alpha = sig.dir_parity(alpha)
+        p_alpha, tag = table[alpha]
         pa = mask_size(am) & 1
-        tag = sig.dir_tag(alpha) if alpha >= first else None
         mu_a = mu[alpha]
-        dparts = []  # ∂_β(a) = f · t^e ζ_mask
-        for beta in range(first, sig.m + sig.n + 1):
-            f, e, mask = derive_mono(sig.dir_tag(beta), sig, ae, am)
-            if f:
-                dparts.append((beta, sig.dir_parity(beta), f, e, mask))
+        dparts = _derivatives(sig, ae, am)
         for (be, bm, idx), cw in w.terms.items():
             coef = ca * cw
             pb = mask_size(bm) & 1
             # ∂_α b + μ_α b: an Euler ∂_α keeps b's monomial, an odd one moves it
             f, e, mask = derive_mono(tag, sig, be, bm) if tag else (0, be, bm)
-            main = (((mu_a + f, be, bm),) if mask == bm
-                    else ((f, e, mask), (mu_a, be, bm)))
+            if mask != bm:
+                main = ((f, e, mask), (mu_a, be, bm))
+            else:
+                main = ((mu_a + f if f else mu_a, be, bm),)
             for c2, e2, m2 in main:
                 if not c2:
                     continue
@@ -188,13 +222,16 @@ def _twisted(sig: Signature, mu: MuVector, omega: GlModule, parts,
                     out._iadd_term((e3, m3, idx), c3 if sign > 0 else -c3)
             pab = (pa + pb) & 1
             for beta, p_beta, f, e, mask in dparts:
+                col = omega.column(beta, alpha, idx)  # E_{βα} v, often 0
+                if not col:
+                    continue
                 sign, e2, m2 = mono_mul(e, mask, be, bm)
                 if not sign:
                     continue
                 if ((pab & p_beta) + p_beta + (pb & p_alpha)) & 1:
                     sign = -sign
                 c2 = coef * (f * sign)
-                for u, cu in omega.column(beta, alpha, idx):
+                for u, cu in col:
                     out._iadd_term((e2, m2, u), c2 * cu)
     return out
 
@@ -205,20 +242,47 @@ def _psi_default(S: QPStructure, x: QPElement, w: TensorVec) -> TensorVec:
     return _twisted(S.sig, S.mu, S.omega, _alpha_parts(x), w)
 
 
+def _psi_part(S: QPStructure, part, w: TensorVec) -> TensorVec:
+    """ψ of the one term (α, e, M, c) on w."""
+    if w.sig != S.sig:
+        raise ValueError("signature mismatch")
+    return _twisted(S.sig, S.mu, S.omega, (part,), w)
+
+
 def _phihat_default(S: QPStructure, x: QPElement, w: TensorVec) -> TensorVec:
     if x.sig != S.sig or w.sig != S.sig:
         raise ValueError("signature mismatch")
+    return _phihat_parts(S, _alpha_parts(x), w)
+
+
+def _phihat_part(S: QPStructure, part, w: TensorVec) -> TensorVec:
+    """φ̂ of the one term (α, e, M, c) on w; a replaced φ̂ gets it as a
+    QPElement."""
+    if S._phihat is not _phihat_default:
+        alpha, e, mask, c = part
+        x = QPElement.along(SuperPoly.monomial(S.sig, e, mask, c),
+                            S.sig.dir_tag(alpha))
+        return S.phihat(x, w)
+    if w.sig != S.sig:
+        raise ValueError("signature mismatch")
+    return _phihat_parts(S, (part,), w)
+
+
+def _phihat_parts(S: QPStructure, parts, w: TensorVec) -> TensorVec:
+    """φ̂ over the parts (α, e, M, c): with a = c·t^e ζ_M, each term b ⊗ v
+    of w goes to -(-1)^{|b||α|} a·b ⊗ E_{0α} v."""
     out = TensorVec.zero(S.sig)
-    for alpha, ae, am, ca in _alpha_parts(x):
+    for alpha, ae, am, ca in parts:
         p_alpha = S.sig.dir_parity(alpha)
         for (be, bm, idx), cw in w.terms.items():
+            col = S.omega.column(0, alpha, idx)
+            sign, e2, m2 = mono_mul(ae, am, be, bm)
+            if not (col and sign):
+                continue
             pb = mask_size(bm) & 1
             s = -1 if not (pb and p_alpha) else 1
-            sign, e2, m2 = mono_mul(ae, am, be, bm)
-            if not sign:
-                continue
             c2 = ca * cw * (sign * s)
-            for u, cu in S.omega.column(0, alpha, idx):
+            for u, cu in col:
                 out._iadd_term((e2, m2, u), c2 * cu)
     return out
 
@@ -384,24 +448,30 @@ def loop_smash_act(u: SmashElement, w: LoopTensor, S: QPStructure) -> LoopTensor
 
 
 def t_act(rbar, jmask: int, tag, u: TensorVec, S: QPStructure) -> TensorVec:
-    """Action of the centralizer generator (r̄, J, ∂) at t_0-degree zero."""
+    """Action of the centralizer generator (r̄, J, ∂) at t_0-degree zero:
+    Σ_{J' ⊆ J} ± t^{-r̄'} ζ_{J'} · (ψ_{t^{r̄'} ζ_{J∖J'} ∂} u
+    - r_0 t^{r̄'} ζ_{J∖J'} · φ̂_∂ u)."""
+    sig = S.sig
     rbar = tuple(rbar)
-    if len(rbar) != S.sig.m + 1:
+    if len(rbar) != sig.m + 1:
         raise ValueError("generator exponents live in the full signature")
+    if tag != ("d", 0):
+        check_tag(sig, tag)
     r0, rp = rbar[0], rbar[1:]
     neg = tuple(-x for x in rp)
-    hat = QPElement.along(SuperPoly.one(S.sig), tag)
-    out = TensorVec.zero(S.sig)
+    z = sig.zero_exps()
+    hat = _dir_part(sig, tag, z, 0, ONE)
+    hat_u = _phihat_part(S, hat, u) if r0 else None
+    out = TensorVec.zero(sig)
     for jp in subsets_of_mask(jmask):
         rest = jmask ^ jp
         sign = -1 if (mask_size(jp) + tau(jp, rest)) & 1 else 1
-        sub = SuperPoly.monomial(S.sig, rp, rest)
-        inner = S.psi(QPElement.along(sub, tag), u)
+        inner = _psi_part(S, _dir_part(sig, tag, rp, rest, ONE), u)
         if r0:
-            inner = inner - r0 * S.phi(sub, S.phihat(hat, u))
-        out += S.phi(SuperPoly.monomial(S.sig, neg, jp), inner) * sign
+            inner += hat_u.left_mul_terms((((rp, rest), Scalar(-r0)),))
+        out += inner.left_mul_terms((((neg, jp), Scalar(sign)),))
     if jmask == 0:  # the J = ∅ generator carries the correction -1 # ∂
-        out -= S.psi(hat, u)
+        out += _psi_part(S, _dir_part(sig, tag, z, 0, Scalar(-1)), u)
     return out
 
 
@@ -443,10 +513,11 @@ def omega_extract(basis: list[TensorVec], S: QPStructure) -> list[TensorVec]:
     """
     if not basis:
         return []
+    z = S.sig.zero_exps()
     images = []
     for k in range(1, S.sig.n + 1):
-        xk = QPElement.from_field(VectorField.basis(S.sig, ("q", k)))
-        images.extend(S.psi(xk, v) for v in basis)
+        dk = (S.sig.dir_of(("q", k)), z, 0, ONE)
+        images.extend(_psi_part(S, dk, v) for v in basis)
     cols = _solve_in(basis, images, "span is not invariant under the odd actions")
     d = len(basis)
     # Column j stacks the coordinates of every ψ_{∂_k} of basis vector j.
@@ -471,16 +542,14 @@ def omega_greedy(u: TensorVec, S: QPStructure) -> TensorVec:
     invariant subspace always meets the kernel."""
     if u.is_zero():
         raise ValueError("needs a nonzero start vector")
-    psis = [
-        QPElement.from_field(VectorField.basis(S.sig, ("q", k)))
-        for k in range(1, S.sig.n + 1)
-    ]
+    z = S.sig.zero_exps()
+    psis = [(S.sig.dir_of(("q", k)), z, 0, ONE) for k in range(1, S.sig.n + 1)]
     best = u
     for mask in sorted(range(1 << S.sig.n), key=mask_size, reverse=True):
         vec = u
         for k in range(1, S.sig.n + 1):
             if mask & (1 << (k - 1)):
-                vec = S.psi(psis[k - 1], vec)
+                vec = _psi_part(S, psis[k - 1], vec)
                 if vec.is_zero():
                     break
         if not vec.is_zero():
@@ -511,18 +580,20 @@ def phi_operator(alpha: int, beta: int, S: QPStructure):
     sig = S.sig
     if alpha not in sig.directions() or beta not in sig.directions():
         raise ValueError("elementary index out of range")
-    tag = sig.dir_tag(beta)
-    unit = QPElement.along(SuperPoly.one(sig), tag)
+    z = sig.zero_exps()
+    minus_unit = (beta, z, 0, Scalar(-1))  # -∂_β, the minus sign in the coefficient
     if alpha == 0:
-        return lambda w: -S.phihat(unit, w)
+        return lambda w: _phihat_part(S, minus_unit, w)
     kind, i = sig.dir_tag(alpha)
     if kind == "d":
-        tinv = SuperPoly.t_var(sig, i, -1)
-        sub = QPElement.along(SuperPoly.t_var(sig, i), tag)
-        return lambda w: S.phi(tinv, S.psi(sub, w)) - S.psi(unit, w)
-    zk = SuperPoly.zeta(sig, i)
-    sub = QPElement.along(zk, tag)
-    return lambda w: S.psi(sub, w) - S.phi(zk, S.psi(unit, w))
+        p = sig.tpos(i)
+        ti = z[:p] + (1,) + z[p + 1:]
+        tinv = (((z[:p] + (-1,) + z[p + 1:], 0), ONE),)
+        return lambda w: (_psi_part(S, (beta, ti, 0, ONE), w).left_mul_terms(tinv)
+                          + _psi_part(S, minus_unit, w))
+    zk = 1 << (i - 1)
+    return lambda w: (_psi_part(S, (beta, z, zk, ONE), w)
+                      + _psi_part(S, minus_unit, w).left_mul_terms((((z, zk), ONE),)))
 
 
 def phi_rep(alpha: int, beta: int, S: QPStructure,
@@ -573,8 +644,8 @@ def theta_transport(w: TensorVec, omega_basis: list[TensorVec],
 def tprime_weight(S: QPStructure, w: TensorVec) -> tuple:
     """Eigenvalues on an eigenvector of ψ along directions 0..m: the unit
     and the Euler derivations."""
-    one = SuperPoly.one(S.sig)
-    return tuple(_eigen_scalar(w, S.psi(QPElement.along(one, S.sig.dir_tag(i)), w))
+    z = S.sig.zero_exps()
+    return tuple(_eigen_scalar(w, _psi_part(S, (i, z, 0, ONE), w))
                  for i in range(S.sig.m + 1))
 
 

@@ -78,6 +78,25 @@ def test_check_all_json_matches_golden_hash(capsys, m, n):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CHECK_ALL[(m, n)]
 
+
+# sha256 of suites.report_json(run_suite(SuiteConfig(2, 3, 2, 20, seed,
+# ("phi", "annihilate", "iso")))), the config of the benchmark's kernel
+# workload, recorded before the tensor-module actions took term parts.
+GOLDEN_KERNEL = {
+    0: "b1c17b1034c683e082976e70c209b0e331eea289fbe0878a89201f6cfed92aff",
+    1: "14a19a8bc5d1190a56adfe0a96fe0c95c9f2ebeaf0631b6a020276e661c08780",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_KERNEL))
+def test_kernel_suites_match_golden_hash(seed):
+    from rinehart.suites import SuiteConfig, report_json, run_suite
+
+    report = run_suite(SuiteConfig(2, 3, 2, 20, seed, ("phi", "annihilate", "iso")))
+    digest = hashlib.sha256(report_json(report).encode()).hexdigest()
+    assert digest == GOLDEN_KERNEL[seed]
+
+
 def test_parse_error_exit_code(capsys):
     assert main(["filt-deg", "--expr", "t0^"]) == 2
     err = capsys.readouterr().err

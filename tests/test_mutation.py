@@ -117,8 +117,8 @@ def test_kernel_without_the_odd_direction_sign_fails_the_checks(
     """The Koszul term (-1)^{|b||α|} dropped from the one twisted-action
     kernel behind ψ and shen_act.  Both sides of loop.tensor_vs_loop then
     share the fault, so it is caught by the loop module's own laws.  A
-    fault in μ inside the kernel is caught by no check (μ = 0 is a valid
-    structure), only by tests/test_tensorqp.py's written-out formula."""
+    fault in μ inside the kernel is caught by phi.weight_shift (see the
+    next test)."""
     args = ["check", "all", "--m", m, "--n", n, "--deg", "2", "--samples", "20",
             "--json"]
     assert main(args) == 0
@@ -132,6 +132,27 @@ def test_kernel_without_the_odd_direction_sign_fails_the_checks(
     failed = {c["id"] for c in json.loads(capsys.readouterr().out)["checks"]
               if not c["pass"]}
     assert failed == expected
+
+
+@pytest.mark.parametrize("m,n", [("1", "1"), ("1", "2"), ("2", "2")])
+def test_kernel_without_mu_fails_the_weight_check(monkeypatch, capsys, m, n):
+    """μ planted as 0 inside the one twisted-action kernel.  Every ψ then
+    acts as for μ = 0, itself a valid structure, so the laws all hold;
+    phi.weight_shift compares the weight of t^e ζ_M ⊗ e_v with μ + e,
+    computed without the kernel, and fails alone."""
+    args = ["check", "all", "--m", m, "--n", n, "--deg", "2", "--samples", "20",
+            "--json"]
+    assert main(args) == 0
+    capsys.readouterr()
+    source = inspect.getsource(tensorqp._twisted)
+    assert source.count("mu_a = mu[alpha]") == 1
+    scope = dict(vars(tensorqp))
+    exec(source.replace("mu_a = mu[alpha]", "mu_a = 0 * mu[alpha]"), scope)
+    plant(monkeypatch, tensorqp._twisted, scope["_twisted"])
+    assert main(args) == 1
+    failed = {c["id"] for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["pass"]}
+    assert failed == {"phi.weight_shift"}
 
 
 def test_loop_counterexample_is_deterministic(monkeypatch, capsys):

@@ -8,10 +8,12 @@ exactly once, which is the uniform law of drawing and rejecting.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from rinehart.sampling import Sampler
+from rinehart.scalars import Scalar
 from rinehart.superpoly import Signature
 
 
@@ -69,3 +71,27 @@ def test_window_past_the_largest_total_is_clipped():
     # an empty window raises instead of drawing forever
     with pytest.raises(ValueError):
         Sampler(random.Random(0)).shifted_basis(sig, 6)
+
+
+class ScriptedRng:
+    """Answers each `randint(a, b)` from a script and records (a, b)."""
+
+    def __init__(self, answers):
+        self.answers = list(answers)
+        self.calls = []
+
+    def randint(self, a, b):
+        self.calls.append((a, b))
+        return self.answers.pop(0)
+
+
+def test_scalar_is_numerator_over_denominator_with_zero_as_one():
+    """`Sampler.scalar` draws p in -3..3, then d in 1..3, and returns p/d,
+    or 1 when p = 0: the value of `Scalar(Fraction(p, d) or 1)`, in the
+    same canonical form."""
+    for p, d in itertools.product(range(-3, 4), range(1, 4)):
+        rng = ScriptedRng([p, d])
+        got = Sampler(rng).scalar()
+        want = Scalar(Fraction(p, d) or 1)
+        assert (got.p, got.q, got.d) == (want.p, want.q, want.d)
+        assert rng.calls == [(-3, 3), (1, 3)]

@@ -1,13 +1,15 @@
+import inspect
 import random
 
 import pytest
 
+from rinehart import tensorqp
 from rinehart.glmodules import MuVector, natural_module, rep_check
 from rinehart.sampling import Sampler
 from rinehart.scalars import Scalar
-from rinehart.smash import SmashElement, psi_map, theta_project
+from rinehart.smash import SmashElement, psi_map, tau, theta_project
 from rinehart.suites import admissible_mus
-from rinehart.superpoly import Signature, SuperPoly, mask_size
+from rinehart.superpoly import Signature, SuperPoly, mask_size, subsets_of_mask
 from rinehart.tensorqp import (
     LoopTensor,
     QPStructure,
@@ -305,6 +307,84 @@ def test_t_act_examples(structure12):
     assert t_act((1, 0), 0b1, ("d", 0), TensorVec.zero(dot), S).is_zero()
 
 
+def _along_d(p, tag):
+    """QPElement.along, a plain d/dt_i rewritten by VectorField.to_d."""
+    if tag[0] != "dt":
+        return QPElement.along(p, tag)
+    return QPElement.from_field(VectorField.from_poly_tag(p, tag).to_d())
+
+
+def _t_act_reference(rbar, jmask, tag, u, S):
+    """t_act built from SuperPoly and QPElement operators and the public
+    ψ, φ and φ̂ of the structure."""
+    r0, rp = rbar[0], tuple(rbar[1:])
+    neg = tuple(-x for x in rp)
+    hat = _along_d(SuperPoly.one(S.sig), tag)
+    out = TensorVec.zero(S.sig)
+    for jp in subsets_of_mask(jmask):
+        rest = jmask ^ jp
+        sign = -1 if (mask_size(jp) + tau(jp, rest)) & 1 else 1
+        sub = SuperPoly.monomial(S.sig, rp, rest)
+        inner = S.psi(_along_d(sub, tag), u)
+        if r0:
+            inner = inner - r0 * S.phi(sub, S.phihat(hat, u))
+        out += S.phi(SuperPoly.monomial(S.sig, neg, jp), inner) * sign
+    if jmask == 0:
+        out -= S.psi(hat, u)
+    return out
+
+
+def _phi_operator_reference(alpha, beta, S):
+    """phi_operator built the same way."""
+    sig = S.sig
+    tag = sig.dir_tag(beta)
+    unit = QPElement.along(SuperPoly.one(sig), tag)
+    if alpha == 0:
+        return lambda w: -S.phihat(unit, w)
+    kind, i = sig.dir_tag(alpha)
+    if kind == "d":
+        tinv = SuperPoly.t_var(sig, i, -1)
+        sub = QPElement.along(SuperPoly.t_var(sig, i), tag)
+        return lambda w: S.phi(tinv, S.psi(sub, w)) - S.psi(unit, w)
+    zk = SuperPoly.zeta(sig, i)
+    sub = QPElement.along(zk, tag)
+    return lambda w: S.psi(sub, w) - S.phi(zk, S.psi(unit, w))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 3)])
+def test_term_level_composites_match_the_wrapper_formulas(m, n):
+    """t_act and phi_operator pass term parts to the kernels; they agree
+    with the same formulas written over SuperPoly and QPElement operators,
+    for every generator tag (the algebra summand ('d', 0), the Euler and
+    plain t-derivations, the odd ones), r_0 zero and nonzero, J empty and
+    not, every elementary index (α, β), and the non-real admissible μ; a
+    replaced φ̂ (here ψ) is followed by both."""
+    omega = natural_module(m, n)
+    _, mu = admissible_mus(m, n)
+    S = QPStructure(Signature(m, n, False), omega, mu)
+    replaced = QPStructure(S.sig, omega, mu, phihat_fn=lambda S, x, w: S.psi(x, w))
+    s = Sampler(random.Random(10 * m + n), deg=2)
+
+    def vector():
+        return s.tensor(S.sig, omega) + s.tensor(S.sig, omega) + s.tensor(S.sig, omega)
+
+    tags = [tag for tag in S.sig.full().tags("dtq") if tag != ("dt", 0)]
+    assert ("d", 0) in tags and ("q", 1) in tags
+    for T in (S, replaced):
+        for tag in tags:
+            for r0 in (0, 2, -1):
+                for jmask in (0, s.mask(n) or 1, (1 << n) - 1):
+                    rbar = (r0,) + s.exps(S.sig)
+                    u = vector()
+                    assert t_act(rbar, jmask, tag, u, T) == _t_act_reference(
+                        rbar, jmask, tag, u, T), (tag, rbar, jmask)
+        for alpha in S.sig.directions():
+            for beta in S.sig.directions():
+                u = vector()
+                assert phi_operator(alpha, beta, T)(u) == _phi_operator_reference(
+                    alpha, beta, T)(u), (alpha, beta)
+
+
 # ---------- kernel extraction ----------
 
 def test_omega_extract_shen_larsson(structure12):
@@ -473,6 +553,35 @@ def test_weight_bookkeeping(structure12, sampler):
         got = tprime_weight(S, shifted)
         assert got[0] == base[0]
         assert got[1:] == tuple(b + r for b, r in zip(base[1:], rbar))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
+def test_tprime_weight_is_mu_plus_the_exponents(monkeypatch, m, n):
+    """On c·t^e ζ_M ⊗ e_v, ψ of the unit is μ_0 and ψ of t_i d/dt_i is
+    e_i + μ_i, whatever M and v; the expected weight is computed
+    from μ and e alone, not through the kernel.  With μ planted as 0
+    inside the kernel, the same comparison fails."""
+    _, mu = admissible_mus(m, n)
+    S = QPStructure(Signature(m, n, False), natural_module(m, n), mu)
+
+    def mismatches():
+        s = Sampler(random.Random(m + 10 * n), deg=2)
+        bad = 0
+        for _ in range(20):
+            e = s.exps(S.sig)
+            w = TensorVec.basis(S.sig, e, s.mask(n), s.rng.randrange(S.omega.dim),
+                                s.scalar())
+            want = (mu[0],) + tuple(e[i - 1] + mu[i] for i in range(1, m + 1))
+            bad += tprime_weight(S, w) != want
+        return bad
+
+    assert mismatches() == 0
+    source = inspect.getsource(tensorqp._twisted)
+    assert source.count("mu_a = mu[alpha]") == 1
+    scope = dict(vars(tensorqp))
+    exec(source.replace("mu_a = mu[alpha]", "mu_a = 0 * mu[alpha]"), scope)
+    monkeypatch.setattr(tensorqp, "_twisted", scope["_twisted"])
+    assert mismatches() == 20
 
 
 # ---------- operator identities ----------

@@ -155,3 +155,40 @@ def test_every_import_is_read():
         unused += [f"{path.name}: {name}"
                    for name in sorted(imported - read - _annotation_names(tree))]
     assert unused == []
+
+
+def _tracer_tables():
+    """SPANS and SCALAR_OPS of perfbench/tracer.py, read without running it."""
+    path = SRC.parents[1] / "perfbench" / "tracer.py"
+    tables = {}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("SPANS", "SCALAR_OPS"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables["SPANS"], tables["SCALAR_OPS"]
+
+
+def test_tracer_targets_resolve():
+    """Every function and method that ``perfbench/run.py --trace 1`` wraps
+    still exists under its name; a rename would otherwise break tracing
+    with no Tier-1 test failing."""
+    import importlib
+
+    from rinehart.scalars import Scalar
+
+    spans, scalar_ops = _tracer_tables()
+    assert spans and scalar_ops
+    missing = []
+    for modname, attr, span in spans:
+        mod = importlib.import_module(f"rinehart.{modname}")
+        owner, _, name = attr.rpartition(".")
+        if owner:  # the tracer replaces a method through vars(cls)[name]
+            cls = getattr(mod, owner, None)
+            found = cls is not None and callable(vars(cls).get(name))
+        else:
+            found = callable(getattr(mod, name, None))
+        if not found:
+            missing.append(span)
+    missing += [f"Scalar.{m}" for m in scalar_ops if not callable(vars(Scalar).get(m))]
+    assert missing == []
