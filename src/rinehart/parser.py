@@ -305,10 +305,7 @@ def _collect_terms(e):
     if isinstance(e, SuperPoly):
         return e.sig, [(exps, mask, None, c) for (exps, mask), c in e.terms.items()]
     if isinstance(e, VectorField):
-        ed = e.to_d()
-        return e.sig, [
-            (exps, mask, tag, c) for (exps, mask, tag), c in ed.terms.items()
-        ]
+        return e.sig, [(exps, mask, tag, c) for (exps, mask, tag), c in e.terms.items()]
     if isinstance(e, QPElement):
         sig, poly_terms = _collect_terms(e.a)
         _, field_terms = _collect_terms(e.x)

@@ -26,7 +26,7 @@ from .superpoly import (
     mono_mul,
     subsets_of_mask,
 )
-from .vectorfields import VectorField, check_tag, tag_parity, vf_bracket
+from .vectorfields import VectorField, check_tag, euler_key, tag_parity, vf_bracket
 
 
 def _term_parity(amask: int, bmask: int, tag) -> int:
@@ -38,17 +38,22 @@ def _term_parity(amask: int, bmask: int, tag) -> int:
 
 class SmashElement(Sparse):
     """Sparse element of A # (C ⊕ Der(A)), full signature, keyed by
-    (a-exps, a-mask, b-exps, b-mask, tag); tag None is the unit 1."""
+    (a-exps, a-mask, b-exps, b-mask, tag); tag None is the unit 1.  The
+    b-side b·∂ is stored like a `VectorField` term (`euler_key`)."""
 
     __slots__ = ()
 
     def __init__(self, sig: Signature, terms=None):
         if not sig.includes_t0:
             raise ValueError("smash elements use the full signature")
-        super().__init__(sig, terms)
-        for (_aexps, _amask, bexps, bmask, tag) in self.terms:
-            if tag is None and (any(bexps) or bmask):
+        self.sig = sig
+        self.terms = {}
+        for (aexps, amask, bexps, bmask, tag), c in (terms or {}).items():
+            if tag is not None:
+                bexps, bmask, tag = euler_key(sig, bexps, bmask, tag)
+            elif any(bexps) or bmask:
                 raise ValueError("unit-tagged terms carry no b-monomial")
+            self._iadd_term((aexps, amask, bexps, bmask, tag), Scalar.of(c))
 
     @staticmethod
     def _key_parity(key) -> int:
@@ -181,14 +186,13 @@ def make_X(sig: Signature, rbar, jmask: int, tag) -> SmashElement:
         raise ValueError("exponent tuple has wrong length")
     neg = tuple(-r for r in rbar)
     out = SmashElement.zero(sig)
-    if jmask == 0:
-        out._iadd_term((neg, 0, rbar, 0, tag), Scalar(1))
-        out._iadd_term((sig.zero_exps(), 0, sig.zero_exps(), 0, tag), Scalar(-1))
-        return out
     for imask in subsets_of_mask(jmask):
         rest = jmask ^ imask
         sign = -1 if (mask_size(imask) + tau(imask, rest)) & 1 else 1
-        out._iadd_term((neg, imask, rbar, rest, tag), Scalar(sign))
+        out._iadd_term((neg, imask) + euler_key(sig, rbar, rest, tag), Scalar(sign))
+    if jmask == 0:  # the correction -1 # ∂
+        zero = sig.zero_exps()
+        out._iadd_term((zero, 0) + euler_key(sig, zero, 0, tag), Scalar(-1))
     return out
 
 
@@ -247,7 +251,7 @@ def psi_map(u, sig: Signature | None = None) -> VectorField:
 def theta_project(x: VectorField) -> GlMatrix:
     """Project a vanishing-ideal field onto gl(m+1, n).
 
-    Works in the Euler basis; each coefficient is reduced to its
+    Reads the stored Euler basis; each coefficient is reduced to its
     degree-one Taylor data (t_i - 1 rows, ζ_k rows) and placed in the
     column of its derivation.  Raises when a coefficient is not in the
     vanishing ideal.
@@ -256,7 +260,7 @@ def theta_project(x: VectorField) -> GlMatrix:
     if not sig.includes_t0:
         raise ValueError("the gl projection uses the full signature")
     out = GlMatrix.zero(sig)
-    for tag, coeff in x.to_d().coefficient_polys().items():
+    for tag, coeff in x.coefficient_polys().items():
         try:
             tcoeffs, zcoeffs = mods2_linear(coeff)
         except ValueError:

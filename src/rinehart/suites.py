@@ -342,8 +342,9 @@ def filtration_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
             coeff = shift_basis(sig, pos, neg, mask)
             for kinds in ("d", "t"):
                 x = VectorField.from_poly_tag(coeff, s.tag(sig, kinds + "q"))
-                flipped = x.to_dt() if kinds == "d" else x.to_d()
-                degs = [filt_degree(c) for c in flipped.coefficient_polys().values()]
+                flipped = (x.plain_coefficient_polys() if kinds == "d"
+                           else x.coefficient_polys())
+                degs = [filt_degree(c) for c in flipped.values()]
                 yield None if all(d >= k for d in degs) else (
                     f"k={k}, pos={pos}, neg={neg}, mask={mask}"
                 )
@@ -755,7 +756,7 @@ def annihilate_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
         for _ in range(max(1, cfg.samples // 2)):
             gens = _random_deep_gens(rng, s, sig)
             field = psi_map(gens, sig)
-            degs = [filt_degree(c) for c in field.to_d().coefficient_polys().values()]
+            degs = [filt_degree(c) for c in field.coefficient_polys().values()]
             if field and min(degs) < 2:
                 # Only a failed membership counts as a case of its own.
                 yield f"sample not in the square ideal: {gens}"

@@ -21,10 +21,12 @@ added); `SuperPoly.__mul__`, `Sparse.left_mul` (p · Σ t^e ζ_M ⊗ label,
 the algebra action on fields and tensor vectors; `left_mul_terms` takes
 p's terms, so a single monomial needs no SuperPoly), `VectorField.apply`,
 `vf_bracket`, `smash_commutator` and the `tensorqp` actions use it.
-`derive_mono` applies one basis derivation to one monomial; `mono_apply`
-= monomial · derived monomial is the step of `vf_bracket` and
+`derive_mono` applies one Euler or odd basis derivation, the stored
+basis of fields and smash terms, to one monomial; `mono_apply` =
+monomial · derived monomial is the step of `vf_bracket` and
 `smash_commutator`, and the `tensorqp` twisted action (ψ and `shen_act`)
-takes its derivative terms from `derive_mono` too.
+takes its derivative terms from `derive_mono` too.  `derive` also takes
+the plain d/dt_i.
 
 `Signature` owns the gl(m+1, n) index convention: direction α ≤ m
 is the Euler derivation t_α d/dt_α (tag ('d', α), even), direction
@@ -492,17 +494,14 @@ def derive(tag, f: SuperPoly) -> SuperPoly:
 
 
 def derive_mono(tag, sig: Signature, exps, mask: int):
-    """(factor, exps, mask) with tag(t^exps ζ_mask) = factor · t^exps' ζ_mask'.
+    """(factor, exps, mask) with tag(t^exps ζ_mask) = factor · t^exps' ζ_mask'
+    for an Euler or odd tag, the stored basis of fields and smash terms.
 
     The factor is an int, 0 when the derivation kills the monomial.
     """
     kind, idx = tag
     if kind == "d":
         return exps[sig.tpos(idx)], exps, mask
-    if kind == "dt":
-        p = sig.tpos(idx)
-        e = exps[p]
-        return e, exps[:p] + (e - 1,) + exps[p + 1:], mask
     if kind == "q":
         sig.check_zeta(idx)
         bit = 1 << (idx - 1)

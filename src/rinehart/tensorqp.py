@@ -42,6 +42,7 @@ from .vectorfields import (
     LoopElement,
     QPElement,
     check_tag,
+    euler_key,
     qp_bracket,
     qp_product,
 )
@@ -144,14 +145,10 @@ class QPStructure:
 
 
 def _dir_part(sig: Signature, tag, exps, mask: int, c):
-    """The part (α, exps, mask, c) of the term c·t^exps ζ_mask·tag: a plain
-    d/dt_i is t_i^{-1}·(t_i d/dt_i), and ('d', 0) is direction 0."""
-    kind, i = tag
-    if kind == "dt":
-        p = sig.tpos(i)
-        exps = exps[:p] + (exps[p] - 1,) + exps[p + 1:]
-        kind = "d"
-    return sig.dir_of((kind, i)), exps, mask, c
+    """The part (α, exps, mask, c) of the term c·t^exps ζ_mask·tag, stored
+    as in a `VectorField` (`euler_key`); ('d', 0) is direction 0."""
+    exps, mask, tag = euler_key(sig, exps, mask, tag)
+    return sig.dir_of(tag), exps, mask, c
 
 
 def _alpha_parts(x: QPElement):
@@ -160,7 +157,7 @@ def _alpha_parts(x: QPElement):
     for (exps, mask), c in x.a.terms.items():
         yield 0, exps, mask, c
     for (exps, mask, tag), c in x.x.terms.items():
-        yield _dir_part(x.sig, tag, exps, mask, c)
+        yield x.sig.dir_of(tag), exps, mask, c
 
 
 def _phi_default(S: QPStructure, a: SuperPoly, w: TensorVec) -> TensorVec:

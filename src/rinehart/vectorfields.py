@@ -2,10 +2,11 @@
 
 A vector field is a sparse map (exponent tuple, Grassmann mask, tag) →
 scalar, where the tag is a basis derivation: ('d', i) for t_i d/dt_i,
-('dt', i) for d/dt_i, ('q', k) for ∂/∂ζ_k.  Both tag families and exact
-conversion between them are supported (d_i = t_i · d/dt_i); distinct
-basis tags of one family supercommute as operators, which the bracket
-exploits.
+('q', k) for ∂/∂ζ_k.  These free generators of Der(A) are the gl(m+1, n)
+directions of `Signature`, and they pairwise supercommute as operators,
+which the bracket exploits.  Constructors also accept the plain tag
+('dt', i) for d/dt_i and store it as t_i^{-1}·(t_i d/dt_i) (`euler_key`);
+`plain_coefficient_polys` reads a field back in the plain basis.
 
 Built on top: the supercommutative product and bracket that live on
 algebra ⊕ derivations, and the t_0-loop extension whose bracket mixes
@@ -48,10 +49,26 @@ def check_tag(sig: Signature, tag):
     return tag
 
 
+def euler_key(sig: Signature, exps, mask: int, tag):
+    """The stored key of t^exps ζ_mask·tag: a plain d/dt_i is
+    t_i^{-1}·(t_i d/dt_i); Euler and odd tags are kept as they are."""
+    if tag[0] == "dt":
+        p = sig.tpos(tag[1])
+        return exps[:p] + (exps[p] - 1,) + exps[p + 1:], mask, ("d", tag[1])
+    return exps, mask, tag
+
+
 class VectorField(Sparse):
-    """A-linear combination of basis derivations, keyed by (exps, mask, tag)."""
+    """A-linear combination of basis derivations, keyed by (exps, mask, tag)
+    with Euler and odd tags only: plain keys are rewritten by `euler_key`."""
 
     __slots__ = ()
+
+    def __init__(self, sig: Signature, terms=None):
+        self.sig = sig
+        self.terms = {}
+        for (exps, mask, tag), c in (terms or {}).items():
+            self._iadd_term(euler_key(sig, exps, mask, tag), Scalar.of(c))
 
     @staticmethod
     def _key_parity(key) -> int:
@@ -82,17 +99,6 @@ class VectorField(Sparse):
 
     # -- queries --
 
-    def mode(self) -> str:
-        """'d', 'dt', 'any' (no t-derivations at all) or 'mixed'."""
-        kinds = {tag[0] for (_, _, tag) in self.terms if tag[0] != "q"}
-        if not kinds:
-            return "any"
-        if kinds == {"d"}:
-            return "d"
-        if kinds == {"dt"}:
-            return "dt"
-        return "mixed"
-
     def coefficient_polys(self) -> dict:
         """Map tag → coefficient polynomial, using the stored tags."""
         out: dict = {}
@@ -101,36 +107,19 @@ class VectorField(Sparse):
             poly._iadd_term((exps, mask), c)
         return {tag: p for tag, p in out.items() if p}
 
-    # -- basis-mode conversion (exact: d_i = t_i · d/dt_i) --
-
-    def to_dt(self) -> "VectorField":
-        out = VectorField.zero(self.sig)
-        for (exps, mask, tag), c in self.terms.items():
-            if tag[0] == "d":
-                p = self.sig.tpos(tag[1])
-                exps = exps[:p] + (exps[p] + 1,) + exps[p + 1:]
-                tag = ("dt", tag[1])
-            out._iadd_term((exps, mask, tag), c)
+    def plain_coefficient_polys(self) -> dict:
+        """Map ('dt', i)/('q', k) → coefficient polynomial in the plain basis:
+        t_i d/dt_i = t_i·(d/dt_i), so an Euler coefficient gains a t_i."""
+        out = {}
+        for (kind, i), poly in self.coefficient_polys().items():
+            if kind == "d":
+                out[("dt", i)] = poly * SuperPoly.t_var(self.sig, i)
+            else:
+                out[(kind, i)] = poly
         return out
-
-    def to_d(self) -> "VectorField":
-        out = VectorField.zero(self.sig)
-        for (exps, mask, tag), c in self.terms.items():
-            if tag[0] == "dt":
-                p = self.sig.tpos(tag[1])
-                exps = exps[:p] + (exps[p] - 1,) + exps[p + 1:]
-                tag = ("d", tag[1])
-            out._iadd_term((exps, mask, tag), c)
-        return out
-
-    def __eq__(self, other):
-        """Equality as operators: compare the d/dt_i normal forms."""
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.sig == other.sig and self.to_dt().terms == other.to_dt().terms
 
     def __hash__(self):
-        return hash((self.sig, frozenset(self.to_dt().terms.items())))
+        return hash((self.sig, frozenset(self.terms.items())))
 
     def __repr__(self):
         from .parser import format_element
@@ -154,21 +143,14 @@ class VectorField(Sparse):
 def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
     """Supercommutator [aδ, bγ] = aδ(b)γ - (-1)^{|aδ||bγ|} bγ(a)δ.
 
-    Distinct basis tags of one family supercommute, so the [δ,γ] term
-    vanishes once both operands use the same family; mixed inputs are
-    converted to the d/dt family first.
+    The stored basis derivations supercommute, so the [δ,γ] term vanishes.
     """
     _check_same_sig(x, y)
-    mx, my = x.mode(), y.mode()
-    if mx in ("d", "any") and my in ("d", "any"):
-        xx, yy = x, y
-    else:
-        xx, yy = x.to_dt(), y.to_dt()
     sig = x.sig
     out = VectorField.zero(sig)
-    for (ea, ma, ta), ca in xx.terms.items():
+    for (ea, ma, ta), ca in x.terms.items():
         pa = (mask_size(ma) + tag_parity(ta)) & 1
-        for (eb, mb, tb), cb in yy.terms.items():
+        for (eb, mb, tb), cb in y.terms.items():
             pb = (mask_size(mb) + tag_parity(tb)) & 1
             coef = ca * cb
             f, e2, m2 = mono_apply(ta, sig, ea, ma, eb, mb)
@@ -195,7 +177,7 @@ def weight_of(x) -> WeightVector:
         raise ValueError("the zero element has no weight")
     sig = x.sig
     weights = set()
-    for tag, poly in x.to_dt().coefficient_polys().items():
+    for tag, poly in x.plain_coefficient_polys().items():
         base = weight_of_poly(poly)
         if tag[0] == "dt":
             base = base - eps(sig, tag[1])

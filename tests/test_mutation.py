@@ -155,6 +155,27 @@ def test_kernel_without_mu_fails_the_weight_check(monkeypatch, capsys, m, n):
     assert failed == {"phi.weight_shift"}
 
 
+@pytest.mark.parametrize("m,n", [("1", "1"), ("1", "2"), ("2", "2")])
+def test_euler_key_off_by_one_fails_the_degree_field_check(monkeypatch, capsys, m, n):
+    """A plain d/dt_i stored as t_i^{-2}·(t_i d/dt_i).  Every field built
+    from plain tags moves by the same fault, so the brackets and the
+    smash and tensor-module laws all hold; degree_field, written with
+    d/dt_i, then no longer scales by the filtration degree."""
+    args = ["check", "all", "--m", m, "--n", n, "--deg", "2", "--samples", "20",
+            "--json"]
+    assert main(args) == 0
+    capsys.readouterr()
+    source = inspect.getsource(vectorfields.euler_key)
+    assert source.count("exps[p] - 1") == 1
+    scope = dict(vars(vectorfields))
+    exec(source.replace("exps[p] - 1", "exps[p] - 2"), scope)
+    plant(monkeypatch, vectorfields.euler_key, scope["euler_key"])
+    assert main(args) == 1
+    failed = {c["id"] for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["pass"]}
+    assert failed == {"filtration.degree_field"}
+
+
 def test_loop_counterexample_is_deterministic(monkeypatch, capsys):
     """A failing loop check prints the same counterexample on every run."""
     orig = vectorfields.loop_bracket

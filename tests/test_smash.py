@@ -15,6 +15,7 @@ from rinehart.smash import (
     theta_project,
     x_decompose,
 )
+from rinehart.parser import format_smash
 from rinehart.superpoly import Signature, SuperPoly
 from rinehart.vectorfields import VectorField, vf_bracket
 
@@ -62,6 +63,40 @@ def test_make_x_examples(sig11):
     assert make_X(sig, (0, 0), 0, ("d", 1)).is_zero()
 
 
+def test_make_x_prints_a_plain_tag_as_euler_terms():
+    """X(r̄, ∅, d/dt_1) = t^{-r̄} # t^{r̄}·d/dt_1 - 1 # d/dt_1 keeps its
+    b-sides as Euler terms, so no b-side prints as the odd tag Q."""
+    x = make_X(Signature(1, 1), (0, 1), 0, ("dt", 1))
+    assert {key[4] for key in x.terms} == {("d", 1)}
+    assert format_smash(x) == "1*t1^-1 # D1 - 1 # t1^-1*D1"
+
+
+def test_plain_tag_degree_counts_the_lowered_exponent():
+    """d/dt_1 lowers the t_1-degree by one, so X((0, 1), ∅, d/dt_1) has
+    degree -e_1: it is not degree zero, and 1 # D1 does not commute with it."""
+    sig = Signature(1, 1)
+    x = make_X(sig, (0, 1), 0, ("dt", 1))
+    d1 = SmashElement.from_field(VectorField.basis(sig, ("d", 1)))
+    assert x.degrees() == {(0, -1)}
+    assert not x.is_degree_zero()
+    assert not smash_commutator(x, d1).is_zero()
+
+
+def test_smash_terms_store_no_plain_tag(sig12, sampler):
+    """a_tensor and the commutator's bracket part keep Euler and odd tags."""
+    sig = sig12
+
+    def draw():
+        return SmashElement.a_tensor(
+            sig, sampler.exps(sig), sampler.mask(sig.n), sampler.exps(sig),
+            sampler.mask(sig.n), sampler.tag(sig, "dtq"), sampler.scalar())
+
+    for _ in range(60):
+        u, v = draw(), draw()
+        for w in (u, v, smash_commutator(u, v)):
+            assert all(key[4][0] != "dt" for key in w.terms)
+
+
 def test_degree_zero_and_centralizer(sig12, sampler):
     sig = sig12
     tags = [("d", i) for i in sig.tvars()] + [("q", k) for k in (1, 2)]
@@ -90,7 +125,7 @@ def test_psi_map_examples(sig11):
     assert psi_map(make_X(sig, (2, -1), 0b1, ("d", 0))) == VectorField.from_poly_tag(
         SuperPoly.monomial(sig, (2, -1), 0b1), ("d", 0)
     )
-    # displayed special cases, checked in the d/dt mode they are stated in
+    # displayed special cases, stated with d/dt_1
     sp = SmashElement.a_tensor(sig, (0, 1), 0, (0, -1), 0, ("d", 1)) - (
         SmashElement.from_field(VectorField.basis(sig, ("d", 1)))
     )

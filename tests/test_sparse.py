@@ -2,7 +2,9 @@
 
 Every container's `+`, `-`, negation and scalar `*` is compared with the
 same arithmetic done here on plain dicts; signatures, operand types and
-hashability are checked type by type.
+hashability are checked type by type.  A field and a smash b-side store a
+plain d/dt_i as t_i^{-1}·(t_i d/dt_i); the reference applies the same
+rewrite to its dicts.
 """
 
 import itertools
@@ -77,6 +79,21 @@ def _ref_build(terms: dict) -> dict:
     return {k: c for k, c in terms.items() if _nonzero(c)}
 
 
+def _ref_stored(cls, terms: dict) -> dict:
+    """The terms as `cls` stores them: in a VectorField or SmashElement
+    key (..., exps, mask, ('dt', i)) becomes (..., exps - e_i, mask,
+    ('d', i)), and keys that meet are summed.  Both use FULL, where t_i
+    sits at position i."""
+    out = {}
+    for key, c in terms.items():
+        if cls in (VectorField, SmashElement) and key[-1] and key[-1][0] == "dt":
+            *head, exps, mask, (_, i) = key
+            exps = tuple(e - (p == i) for p, e in enumerate(exps))
+            key = (*head, exps, mask, ("d", i))
+        out[key] = out[key] + c if key in out else c
+    return out
+
+
 def _ref_combine(a: dict, b: dict, sign: int) -> dict:
     out = dict(a)
     for k, c in b.items():
@@ -107,7 +124,7 @@ def test_arithmetic_matches_plain_dicts(cls, data):
     if data.draw(st.booleans()):  # force cancellations
         tb.update({k: c * -1 for k, c in ta.items()})
     a, b = cls(sig, ta), cls(sig, tb)
-    ra, rb = _ref_build(ta), _ref_build(tb)
+    ra, rb = _ref_build(_ref_stored(cls, ta)), _ref_build(_ref_stored(cls, tb))
     _check(a, cls, ra)
     _check(cls.zero(sig), cls, {})
     _check(a + b, cls, _ref_combine(ra, rb, 1))

@@ -295,9 +295,7 @@ def test_mono_mul_against_list_oracle_and_product():
 def test_derive_mono_and_mono_apply_match_derive():
     rng = random.Random(12)
     for sig in (Signature(2, 3, True), Signature(2, 3, False)):
-        tags = [(kind, i) for kind in ("d", "dt") for i in sig.tvars()]
-        tags += [("q", k) for k in range(1, sig.n + 1)]
-        for tag in tags:
+        for tag in sig.tags():
             for mask in range(1 << sig.n):
                 exps = tuple(rng.randint(-3, 3) for _ in range(sig.nvars))
                 factor, e2, m2 = derive_mono(tag, sig, exps, mask)
@@ -314,6 +312,9 @@ def test_derive_mono_and_mono_apply_match_derive():
         derive_mono(("q", 4), Signature(2, 3, True), (0, 0, 0), 0)
     with pytest.raises(ValueError):
         derive_mono(("x", 1), Signature(2, 3, True), (0, 0, 0), 0)
+    # fields and smash terms store no plain d/dt_i, so derive_mono takes none
+    with pytest.raises(ValueError):
+        derive_mono(("dt", 1), Signature(2, 3, True), (0, 0, 0), 0)
 
 
 # Reference Taylor data, independent of the library's shifted_form:

@@ -307,25 +307,18 @@ def test_t_act_examples(structure12):
     assert t_act((1, 0), 0b1, ("d", 0), TensorVec.zero(dot), S).is_zero()
 
 
-def _along_d(p, tag):
-    """QPElement.along, a plain d/dt_i rewritten by VectorField.to_d."""
-    if tag[0] != "dt":
-        return QPElement.along(p, tag)
-    return QPElement.from_field(VectorField.from_poly_tag(p, tag).to_d())
-
-
 def _t_act_reference(rbar, jmask, tag, u, S):
     """t_act built from SuperPoly and QPElement operators and the public
     ψ, φ and φ̂ of the structure."""
     r0, rp = rbar[0], tuple(rbar[1:])
     neg = tuple(-x for x in rp)
-    hat = _along_d(SuperPoly.one(S.sig), tag)
+    hat = QPElement.along(SuperPoly.one(S.sig), tag)
     out = TensorVec.zero(S.sig)
     for jp in subsets_of_mask(jmask):
         rest = jmask ^ jp
         sign = -1 if (mask_size(jp) + tau(jp, rest)) & 1 else 1
         sub = SuperPoly.monomial(S.sig, rp, rest)
-        inner = S.psi(_along_d(sub, tag), u)
+        inner = S.psi(QPElement.along(sub, tag), u)
         if r0:
             inner = inner - r0 * S.phi(sub, S.phihat(hat, u))
         out += S.phi(SuperPoly.monomial(S.sig, neg, jp), inner) * sign

@@ -192,3 +192,17 @@ def test_tracer_targets_resolve():
             missing.append(span)
     missing += [f"Scalar.{m}" for m in scalar_ops if not callable(vars(Scalar).get(m))]
     assert missing == []
+
+
+def test_plain_tag_has_two_homes():
+    """The plain tag "dt" is named only where it is listed and derived
+    (superpoly.py: `Signature.tags`, `derive`) and where a field stores
+    it in the Euler basis (vectorfields.py: `euler_key` and the plain
+    view).  Every other module reads the stored Euler and odd tags."""
+    named = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if any(isinstance(node, ast.Constant) and node.value == "dt"
+               for node in ast.walk(ast.parse(path.read_text(), str(path))))
+    )
+    assert named == ["superpoly.py", "vectorfields.py"]

@@ -89,20 +89,60 @@ def test_bracket_represents_composition(sig12, sampler):
         )
 
 
-def test_mode_conversion_involution(sig12, sampler):
+def _plain_terms(sampler, sig, count):
+    """Random terms (exps, mask, tag, coeff) over all three tag kinds."""
+    return [
+        (sampler.exps(sig), sampler.mask(sig.n), sampler.tag(sig, "dtq"),
+         sampler.scalar())
+        for _ in range(count)
+    ]
+
+
+def test_plain_tags_are_stored_in_the_euler_basis(sig12, sampler):
+    """A field holds no ('dt', i) key: t^e ζ_M d/dt_i is stored as
+    t^{e - e_i} ζ_M t_i d/dt_i, and keys that meet there merge."""
     for _ in range(100):
-        x = sampler.field(sig12, kinds="d")
-        assert x.to_dt().to_d().terms == x.terms
-        y = sampler.field(sig12, kinds="t")
-        assert y.to_d().to_dt().terms == y.terms
-        assert x.to_dt() == x  # operator equality across modes
+        x = VectorField.zero(sig12)
+        for exps, mask, tag, c in _plain_terms(sampler, sig12, 3):
+            x += VectorField.term(sig12, exps, mask, tag, c)
+        assert all(tag[0] != "dt" for (_, _, tag) in x.terms)
+    e = (2, -1)
+    x = VectorField.term(sig12, e, 0b01, ("dt", 1), 3)
+    assert x.terms == {((2, -2), 0b01, ("d", 1)): 3}
+    assert (x - VectorField.term(sig12, (2, -2), 0b01, ("d", 1), 3)).is_zero()
+    both = {(e, 0, ("dt", 0)): 1, ((1, -1), 0, ("d", 0)): -1}
+    assert VectorField(sig12, both).is_zero()
 
 
-def test_mode_conversion_commutes_with_bracket(sig12, sampler):
-    for _ in range(60):
-        x = sampler.field(sig12, kinds="d")
-        y = sampler.field(sig12, kinds="d")
-        assert vf_bracket(x.to_dt(), y.to_dt()) == vf_bracket(x, y)
+def test_plain_view_round_trip(sig12, sampler):
+    """plain_coefficient_polys gives back the coefficients of a field
+    built from plain tags, and rebuilding from it gives the field."""
+    for _ in range(100):
+        coeff = sampler.poly(sig12)
+        tag = sampler.tag(sig12, "tq")
+        x = VectorField.from_poly_tag(coeff, tag)
+        assert x.plain_coefficient_polys() == ({tag: coeff} if coeff else {})
+        y = sampler.field(sig12, kinds="dtq")
+        rebuilt = VectorField.zero(sig12)
+        for t, p in y.plain_coefficient_polys().items():
+            assert t[0] in ("dt", "q")
+            rebuilt += VectorField.from_poly_tag(p, t)
+        assert rebuilt == y
+
+
+def test_apply_matches_the_plain_formula(sig12, sampler):
+    """(Σ c·t^e ζ_M·∂)(f) = Σ c·t^e ζ_M·∂(f) with each ∂ as it was given,
+    d/dt_i included, on random monomials f."""
+    for _ in range(100):
+        terms = _plain_terms(sampler, sig12, 3)
+        x = VectorField.zero(sig12)
+        for exps, mask, tag, c in terms:
+            x += VectorField.term(sig12, exps, mask, tag, c)
+        f = sampler.monomial(sig12)
+        want = SuperPoly.zero(sig12)
+        for exps, mask, tag, c in terms:
+            want += SuperPoly.monomial(sig12, exps, mask, c) * derive(tag, f)
+        assert x.apply(f) == want
 
 
 def test_mode_membership_both_directions(sig12, sampler):
@@ -110,11 +150,9 @@ def test_mode_membership_both_directions(sig12, sampler):
         k = random.Random(3).choice((1, 2))
         pos, neg, mask = sampler.shifted_basis(sig12, k)
         coeff = shift_basis(sig12, pos, neg, mask)
-        x = VectorField.from_poly_tag(coeff, sampler.tag(sig12))
-        for flipped in (x.to_dt(), x.to_d()):
-            assert all(
-                filt_degree(c) >= k for c in flipped.coefficient_polys().values()
-            )
+        x = VectorField.from_poly_tag(coeff, sampler.tag(sig12, "dtq"))
+        for polys in (x.coefficient_polys(), x.plain_coefficient_polys()):
+            assert all(filt_degree(c) >= k for c in polys.values())
 
 
 def test_special_partial_instances():
@@ -292,27 +330,43 @@ def test_loop_der_correspondence(sig11, sampler):
 
 # ---------- the bracket kernel against SuperPoly temporaries ----------
 
-def bracket_via_temporaries(x, y):
-    """vf_bracket written with SuperPoly monomials and derive."""
-    if x.mode() in ("d", "any") and y.mode() in ("d", "any"):
-        xx, yy = x, y
-    else:
-        xx, yy = x.to_dt(), y.to_dt()
-    sig = x.sig
-    out = VectorField.zero(sig)
-    for (ea, ma, ta), ca in xx.terms.items():
+def to_plain(x):
+    """The terms of x in the plain basis d/dt_i, ∂/∂ζ_k, rewritten here:
+    t_i d/dt_i = t_i·(d/dt_i)."""
+    out = {}
+    for (exps, mask, (kind, i)), c in x.terms.items():
+        if kind == "d":
+            p = x.sig.tpos(i)
+            exps, kind = exps[:p] + (exps[p] + 1,) + exps[p + 1:], "dt"
+        out[(exps, mask, (kind, i))] = c
+    return out
+
+
+def bracket_via_temporaries(sig, xterms, yterms):
+    """vf_bracket written with SuperPoly monomials and derive, over two
+    term maps whose tags all supercommute (one basis family)."""
+    out = {}
+
+    def add(key, c):  # as Sparse._iadd_term: a key keeps its place
+        new = out[key] + c if key in out else c
+        if new:
+            out[key] = new
+        else:
+            out.pop(key, None)
+
+    for (ea, ma, ta), ca in xterms.items():
         pa = (bin(ma).count("1") + tag_parity(ta)) & 1
         amon = SuperPoly.monomial(sig, ea, ma)
-        for (eb, mb, tb), cb in yy.terms.items():
+        for (eb, mb, tb), cb in yterms.items():
             pb = (bin(mb).count("1") + tag_parity(tb)) & 1
             coef = ca * cb
             bmon = SuperPoly.monomial(sig, eb, mb)
             for (e2, m2), c2 in (amon * derive(ta, bmon)).terms.items():
-                out._iadd_term((e2, m2, tb), coef * c2)
+                add((e2, m2, tb), coef * c2)
             ksign = -1 if (pa & pb) else 1
             for (e2, m2), c2 in (bmon * derive(tb, amon)).terms.items():
-                out._iadd_term((e2, m2, ta), coef * c2 * (-ksign))
-    return out
+                add((e2, m2, ta), coef * c2 * (-ksign))
+    return VectorField(sig, out)
 
 
 @st.composite
@@ -344,9 +398,12 @@ def field_pairs(draw):
 @given(field_pairs())
 def test_vf_bracket_matches_temporaries(pair):
     x, y = pair
-    got, want = vf_bracket(x, y), bracket_via_temporaries(x, y)
-    # same terms in the same insertion order, not only equal as operators
+    got = vf_bracket(x, y)
+    # over the stored terms: the same terms in the same insertion order
+    want = bracket_via_temporaries(x.sig, x.terms, y.terms)
     assert list(got.terms.items()) == list(want.terms.items())
+    # over the plain basis: the same operator
+    assert got == bracket_via_temporaries(x.sig, to_plain(x), to_plain(y))
 
 
 # ---------- QPElement.along: p·∂ with ('d', 0) as the algebra summand ----------
