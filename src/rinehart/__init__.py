@@ -3,13 +3,7 @@ their smash products, and tensor modules, with zero-tolerance
 verification suites over Gaussian rationals."""
 
 from .glmatrix import GlMatrix, gl_bracket
-from .glmodules import (
-    GlModule,
-    MuVector,
-    natural_module,
-    rep_check,
-    zero_action_module,
-)
+from .glmodules import GlModule, MuVector, natural_module, rep_check
 from .parser import ParseError, format_element, parse_element, parse_scalar_literal
 from .scalars import Scalar
 from .smash import (

@@ -8,8 +8,10 @@ A config is a JSON document
      "action": {"E_0_0": [["1","0","0"], ...], ...}}
 
 with every scalar a string like "p/q" or "p/q+r/si" so exactness
-survives the round trip.  Loading validates shapes, enforces the
-vanishing odd shift entries, and runs the representation-axiom check.
+survives the round trip.  The file lists each action as dense rows;
+`GlModule` stores sparse columns, so the conversion happens here and
+nowhere else.  Loading validates shapes, enforces the vanishing odd
+shift entries, and runs the representation-axiom check.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .glmodules import GlModule, MuVector, RepReport, natural_module, rep_check
+from .glmodules import GlModule, MuVector, RepReport, rep_check
 from .parser import ParseError, parse_scalar_literal
 from .scalars import Scalar, format_scalar
 from .superpoly import Signature
@@ -84,7 +86,7 @@ def module_from_dict(doc: dict) -> tuple[GlModule, MuVector]:
     if not isinstance(action, dict):
         raise ConfigError("action must map E_a_b keys to matrices")
     dirs = Signature(m, n).directions()
-    act = {}
+    columns = {}
     for a in dirs:
         for b in dirs:
             key = f"E_{a}_{b}"
@@ -95,22 +97,30 @@ def module_from_dict(doc: dict) -> tuple[GlModule, MuVector]:
                 not isinstance(r, list) or len(r) != dim for r in rows
             ):
                 raise ConfigError(f"{key} must be a {dim}x{dim} matrix")
-            act[(a, b)] = [
-                [_scalar(c, f"{key}[{i}][{j}]") for j, c in enumerate(row)]
-                for i, row in enumerate(rows)
-            ]
+            mat = [[_scalar(c, f"{key}[{i}][{j}]") for j, c in enumerate(row)]
+                   for i, row in enumerate(rows)]
+            columns[(a, b)] = [[(i, row[j]) for i, row in enumerate(mat) if row[j]]
+                               for j in range(dim)]
     known = {f"E_{a}_{b}" for a in dirs for b in dirs}
     extra = set(action) - known
     if extra:
         raise ConfigError(f"unknown action keys: {sorted(extra)}")
     try:
-        mod = GlModule(m, n, dim, parity, act)
+        mod = GlModule(m, n, dim, parity, columns)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = rep_check(mod)
     if not report.ok:
         raise RepCheckFailure(report)
     return mod, mu
+
+
+def _dense_rows(cols: list, dim: int) -> list:
+    rows = [["0"] * dim for _ in range(dim)]
+    for j, col in enumerate(cols):
+        for i, c in col:
+            rows[i][j] = format_scalar(c)
+    return rows
 
 
 def module_to_dict(mod: GlModule, mu: MuVector) -> dict:
@@ -121,16 +131,7 @@ def module_to_dict(mod: GlModule, mu: MuVector) -> dict:
         "parity": list(mod.parities),
         "mu": [format_scalar(v) for v in mu.values],
         "action": {
-            f"E_{a}_{b}": [[format_scalar(c) for c in row] for row in mat]
-            for (a, b), mat in mod.act.items()
+            f"E_{a}_{b}": _dense_rows(cols, mod.dim)
+            for (a, b), cols in mod.columns.items()
         },
     }
-
-
-def natural_config_dict(m: int, n: int, mu: MuVector | None = None) -> dict:
-    mod = natural_module(m, n)
-    return module_to_dict(mod, mu or MuVector.zero(m, n))
-
-
-def write_natural_config(path, m: int, n: int):
-    Path(path).write_text(json.dumps(natural_config_dict(m, n), indent=1))

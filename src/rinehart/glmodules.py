@@ -1,15 +1,16 @@
 """Finite-dimensional weight modules over gl(m+1, n).
 
-A module is given by one exact action matrix per elementary matrix,
-with a parity vector over the basis.  `rep_check` validates every
-supercommutator relation and the parity homogeneity of each action.
+A module stores each elementary matrix's action once, as sparse columns
+over a basis with a parity vector: the form the tensor-module kernels
+read.  Dense rows exist only in the config file format.  `rep_check`
+validates every supercommutator relation and the parity homogeneity of
+each action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import zeros
 from .scalars import ONE, ZERO, Scalar
 from .superpoly import Signature
 
@@ -48,12 +49,17 @@ class MuVector:
 
 
 class GlModule:
-    """gl(m+1, n)-module by explicit action matrices; `sig` is
-    Signature(m, n), the home of the gl index rule."""
+    """gl(m+1, n)-module by explicit actions; `sig` is Signature(m, n), the
+    home of the gl index rule.
 
-    __slots__ = ("m", "n", "sig", "dim", "parities", "act", "_columns")
+    ``columns[(a, b)][i]`` is E_{a,b} applied to the i-th basis vector: its
+    nonzero entries as (row, coeff) pairs, rows ascending.  Callers must
+    not mutate the lists.
+    """
 
-    def __init__(self, m: int, n: int, dim: int, parities, act):
+    __slots__ = ("m", "n", "sig", "dim", "parities", "columns")
+
+    def __init__(self, m: int, n: int, dim: int, parities, columns):
         self.m = m
         self.n = n
         self.sig = Signature(m, n)
@@ -61,51 +67,34 @@ class GlModule:
         self.parities = tuple(parities)
         if len(self.parities) != dim or any(p not in (0, 1) for p in self.parities):
             raise ValueError("parity vector must list 0/1 per basis vector")
-        self.act = {}
+        self.columns = {}
         for a in self.sig.directions():
             for b in self.sig.directions():
-                mat = act.get((a, b))
-                if mat is None:
-                    raise ValueError(f"missing action matrix E_{a}_{b}")
-                mat = [[Scalar.of(c) for c in row] for row in mat]
-                if len(mat) != dim or any(len(r) != dim for r in mat):
-                    raise ValueError(f"action matrix E_{a}_{b} has the wrong size")
-                self.act[(a, b)] = mat
-        self._columns = {}
+                cols = columns.get((a, b))
+                if cols is None:
+                    raise ValueError(f"missing action E_{a}_{b}")
+                if len(cols) != dim:
+                    raise ValueError(f"action E_{a}_{b} needs {dim} columns")
+                for col in cols:
+                    rows = [u for u, c in col if c]
+                    if rows != sorted(set(rows)) or len(rows) < len(col) or any(
+                            not 0 <= u < dim for u in rows):
+                        raise ValueError(f"action E_{a}_{b} needs nonzero entries "
+                                         f"at ascending rows in 0..{dim - 1}")
+                self.columns[(a, b)] = cols
 
     def column(self, a: int, b: int, idx: int):
-        """E_{a,b} applied to the idx-th basis vector, as (row, coeff) pairs.
-        Each E_{a,b}'s columns are built on first use and then stored:
-        callers must not mutate the list."""
-        cols = self._columns.get((a, b))
-        if cols is None:
-            mat = self.act[(a, b)]
-            cols = self._columns[(a, b)] = [
-                [(u, mat[u][i]) for u in range(self.dim) if mat[u][i]]
-                for i in range(self.dim)
-            ]
-        return cols[idx]
+        """E_{a,b} applied to the idx-th basis vector, as (row, coeff) pairs."""
+        return self.columns[(a, b)][idx]
 
 
 def natural_module(m: int, n: int) -> GlModule:
     """The defining module: E_{α,β} e_γ = δ_{β,γ} e_α."""
     sig = Signature(m, n)
-    dim = len(sig.directions())
-    act = {}
-    for a in sig.directions():
-        for b in sig.directions():
-            mat = zeros(dim, dim)
-            mat[a][b] = Scalar(1)
-            act[(a, b)] = mat
-    parities = tuple(map(sig.dir_parity, sig.directions()))
-    return GlModule(m, n, dim, parities, act)
-
-
-def zero_action_module(m: int, n: int, dim: int, parities=None) -> GlModule:
-    """dim-dimensional module on which every E_{α,β} acts by zero."""
-    dirs = Signature(m, n).directions()
-    act = {(a, b): zeros(dim, dim) for a in dirs for b in dirs}
-    return GlModule(m, n, dim, parities or (0,) * dim, act)
+    dirs = sig.directions()
+    columns = {(a, b): [[(a, ONE)] if g == b else [] for g in dirs]
+               for a in dirs for b in dirs}
+    return GlModule(m, n, len(dirs), map(sig.dir_parity, dirs), columns)
 
 
 @dataclass
@@ -119,11 +108,11 @@ class RepReport:
         return not self.violations
 
 
-def _accumulate(acc: dict, x: dict, y: dict, sign: int) -> None:
-    """acc += sign·x·y for sparse matrices {row: {column: entry}}."""
-    for i, xrow in x.items():
-        for k, c in xrow.items():
-            for j, e in y.get(k, {}).items():
+def _accumulate(acc: dict, x: list, y: list, sign: int) -> None:
+    """acc += sign·x·y for matrices given by their sparse columns."""
+    for j, ycol in enumerate(y):
+        for k, e in ycol:
+            for i, c in x[k]:
                 old = acc.get((i, j), ZERO)
                 acc[(i, j)] = old + c * e if sign > 0 else old - c * e
 
@@ -132,25 +121,22 @@ def rep_check(mod: GlModule) -> RepReport:
     """Verify parity homogeneity and every supercommutator relation.
 
     Each relation [E_ab, E_cd] = δ_bc E_ad - (-1)^{|ab||cd|} δ_da E_cb is
-    checked on one sparse view of each action, as a difference that must
-    vanish.
+    checked on the stored columns, as a difference that must vanish.  A
+    parity violation names the action's first bad entry in row-major order.
     """
     report = RepReport()
     par = mod.parities
     gl_parity = mod.sig.gl_parity
-    acts = {
-        ab: {u: {v: c for v, c in enumerate(row) if c} for u, row in enumerate(mat) if any(row)}
-        for ab, mat in mod.act.items()
-    }
-    for (a, b), rows in acts.items():
+    acts = mod.columns
+    for (a, b), cols in acts.items():
         p = gl_parity(a, b)
-        bad = next(((u, v) for u, row in rows.items() for v in row
-                    if (par[u] + par[v]) % 2 != p), None)
+        bad = min(((u, v) for v, col in enumerate(cols) for u, _ in col
+                   if (par[u] + par[v]) % 2 != p), default=None)
         if bad is not None:
             report.violations.append(
                 ("parity", (a, b), f"entry ({bad[0]},{bad[1]}) breaks parity")
             )
-    one = {u: {u: ONE} for u in range(mod.dim)}
+    one = [[(u, ONE)] for u in range(mod.dim)]
     pairs = list(acts)
     for (a, b) in pairs:
         mab = acts[(a, b)]

@@ -92,8 +92,8 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_rat(self) -> Fraction:
-        num = self.take("int")[1]
+    def parse_rat(self, sign: int = 1) -> Fraction:
+        num = sign * self.take("int")[1]
         if self.peek()[0] == "/":
             self.take()
             dtok = self.take("int")
@@ -102,19 +102,20 @@ class _Parser:
             return Fraction(num, dtok[1])
         return Fraction(num)
 
-    def parse_scalar(self) -> Scalar:
-        r1 = self.parse_rat()
+    def parse_scalar(self, sign: int = 1) -> Scalar:
+        """p/q, p/qi or p/q±r/si; ``sign`` applies to the first part only."""
+        r1 = self.parse_rat(sign)
         if self.peek()[0] == "imag":
             self.take()
             return Scalar(0, r1)
         if self.peek()[0] in ("+", "-"):
             mark = self.pos
-            sign = 1 if self.take()[0] == "+" else -1
+            s2 = 1 if self.take()[0] == "+" else -1
             if self.peek()[0] == "int":
-                r2 = self.parse_rat()
+                r2 = self.parse_rat(s2)
                 if self.peek()[0] == "imag":
                     self.take()
-                    return Scalar(r1, sign * r2)
+                    return Scalar(r1, r2)
             self.pos = mark
         return Scalar(r1)
 
@@ -257,7 +258,7 @@ def parse_scalar_literal(text: str) -> Scalar:
     sign = 1
     if parser.peek()[0] in ("+", "-"):
         sign = 1 if parser.take()[0] == "+" else -1
-    value = parser.parse_scalar()
+    value = parser.parse_scalar(sign)
     tail = parser.peek()
     if tail[0] in ("+", "-"):
         # unmerged imaginary tail, e.g. '1/2+1/3i' parsed greedily failed
@@ -265,7 +266,7 @@ def parse_scalar_literal(text: str) -> Scalar:
         second = parser.parse_scalar()
         value = value + Scalar.of(s2) * second
     parser.take("end")
-    return Scalar.of(sign) * value
+    return value
 
 
 # ---------- canonical formatting ----------

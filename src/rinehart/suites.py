@@ -263,7 +263,7 @@ def jacobi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
 
     out = []
     for name, sample, bracket in (
-        ("fields", lambda: VectorField(sig, s.field_term(sig).terms), vf_bracket),
+        ("fields", lambda: s.field_term(sig), vf_bracket),
         ("qp", lambda: s.qp_homogeneous(dotted), qp_bracket),
         ("loop", lambda: s.loop_qp(dotted), loop_bracket),
         ("gl", gl_sample, gl_bracket),
@@ -273,8 +273,8 @@ def jacobi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
 
     def faithful():
         for _ in range(cfg.samples):
-            x = VectorField(sig, s.field_term(sig, kinds="dtq").terms)
-            y = VectorField(sig, s.field_term(sig, kinds="dtq").terms)
+            x = s.field_term(sig, kinds="dtq")
+            y = s.field_term(sig, kinds="dtq")
             f = s.monomial(sig)
             sign = (-1) ** (x.parity() * y.parity())
             lhs = vf_bracket(x, y).apply(f)

@@ -595,14 +595,14 @@ def phi_operator(alpha: int, beta: int, S: QPStructure):
 
 def phi_rep(alpha: int, beta: int, S: QPStructure,
             omega_basis: list[TensorVec]) -> list:
-    """Matrix of the induced operator on the extracted kernel basis."""
+    """Columns of the induced operator on the extracted kernel basis, in
+    the form `GlModule` stores: (row, coeff) pairs, rows ascending."""
     op = phi_operator(alpha, beta, S)
     cols = _solve_in(
         omega_basis, [op(v) for v in omega_basis],
         "operator does not preserve the extracted kernel",
     )
-    d = len(omega_basis)
-    return [[cols[j].get(i, Scalar(0)) for j in range(d)] for i in range(d)]
+    return [sorted(col.items()) for col in cols]
 
 
 def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec]) -> GlModule:
@@ -614,12 +614,12 @@ def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec]) -> GlModule:
         if p is None:
             raise ValueError("kernel basis must be parity-homogeneous")
         parities.append(p)
-    act = {
+    columns = {
         (a, b): phi_rep(a, b, S, omega_basis)
         for a in sig.directions()
         for b in sig.directions()
     }
-    return GlModule(sig.m, sig.n, len(omega_basis), parities, act)
+    return GlModule(sig.m, sig.n, len(omega_basis), parities, columns)
 
 
 def theta_transport(w: TensorVec, omega_basis: list[TensorVec],

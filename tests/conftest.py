@@ -1,9 +1,27 @@
+import json
 import random
 
 import pytest
 
-from rinehart import MuVector, QPStructure, Signature, natural_module
+from rinehart import GlModule, MuVector, QPStructure, Signature, natural_module
+from rinehart.config import module_to_dict
 from rinehart.sampling import Sampler
+
+
+def zero_action_module(m, n, dim, parities=None):
+    """dim-dimensional module on which every E_{α,β} acts by zero."""
+    dirs = Signature(m, n).directions()
+    return GlModule(m, n, dim, parities or (0,) * dim,
+                    {(a, b): [[]] * dim for a in dirs for b in dirs})
+
+
+def natural_config_dict(m, n):
+    """The config document of the natural module at (m, n), μ = 0."""
+    return module_to_dict(natural_module(m, n), MuVector.zero(m, n))
+
+
+def write_natural_config(path, m, n):
+    path.write_text(json.dumps(natural_config_dict(m, n), indent=1))
 
 
 @pytest.fixture

@@ -110,7 +110,7 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 def test_rep_check_failure_exit_code(tmp_path, capsys):
-    from rinehart.config import natural_config_dict
+    from conftest import natural_config_dict
 
     doc = natural_config_dict(1, 1)
     doc["action"]["E_0_1"][0][1] = "2"
@@ -120,7 +120,7 @@ def test_rep_check_failure_exit_code(tmp_path, capsys):
 
 
 def test_check_with_module_and_mu(tmp_path, capsys):
-    from rinehart.config import write_natural_config
+    from conftest import write_natural_config
 
     path = tmp_path / "nat.json"
     write_natural_config(path, 1, 1)

@@ -2,15 +2,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rinehart.glmodules import (
-    GlModule,
-    MuVector,
-    natural_module,
-    rep_check,
-    zero_action_module,
-)
+from conftest import zero_action_module
+from rinehart.glmodules import GlModule, MuVector, natural_module, rep_check
 from rinehart.linalg import matmul, zeros
 from rinehart.scalars import Scalar
+
+
+def dense(mod):
+    """Each action of ``mod`` as dense rows, the reference form."""
+    act = {}
+    for ab, cols in mod.columns.items():
+        act[ab] = zeros(mod.dim, mod.dim)
+        for j, col in enumerate(cols):
+            for i, c in col:
+                act[ab][i][j] = c
+    return act
+
+
+def from_dense(m, n, parities, act):
+    """The module whose actions have the dense rows ``act``."""
+    dim = len(parities)
+    columns = {ab: [[(i, row[j]) for i, row in enumerate(mat) if row[j]]
+                    for j in range(dim)]
+               for ab, mat in act.items()}
+    return GlModule(m, n, dim, parities, columns)
 
 
 def test_natural_module_shape():
@@ -33,11 +48,9 @@ def test_rep_check_catches_perturbation():
     mod = natural_module(1, 1)
     # recompute the relation with a perturbed entry: E_{0,1}e_1 = 2e_0 breaks
     # [E_{0,1}, E_{1,0}] = E_{0,0} - E_{1,1}
-    act = dict(mod.act)
-    bad = [[Scalar(0)] * 3 for _ in range(3)]
-    bad[0][1] = Scalar(2)
-    act[(0, 1)] = bad
-    broken = GlModule(1, 1, 3, mod.parities, act)
+    columns = dict(mod.columns)
+    columns[(0, 1)] = [[], [(0, Scalar(2))], []]
+    broken = GlModule(1, 1, 3, mod.parities, columns)
     report = rep_check(broken)
     assert not report.ok
     assert any(v[1] == ((0, 1), (1, 0)) for v in report.violations)
@@ -49,13 +62,10 @@ def test_rep_check_zero_action_passes():
 
 def test_parity_violation_detected():
     mod = natural_module(1, 1)
-    act = dict(mod.act)
-    bad = [[Scalar(0)] * 3 for _ in range(3)]
-    bad[2][0] = Scalar(1)  # odd entry inside an even action
-    act[(0, 0)] = [
-        [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(act[(0, 0)], bad)
-    ]
-    broken = GlModule(1, 1, 3, mod.parities, act)
+    columns = dict(mod.columns)
+    # an odd entry (2,0) inside the even action E_{0,0}
+    columns[(0, 0)] = [[(0, Scalar(1)), (2, Scalar(1))], [], []]
+    broken = GlModule(1, 1, 3, mod.parities, columns)
     assert any(v[0] == "parity" for v in rep_check(broken).violations)
 
 
@@ -69,7 +79,8 @@ def test_mu_vector_constraint():
 
 def test_diagonal_actions_commute_after_rep_check(sampler):
     mod = natural_module(2, 1)
-    hs = [mod.act[(a, a)] for a in range(4)]
+    act = dense(mod)
+    hs = [act[(a, a)] for a in range(4)]
     for i, hi in enumerate(hs):
         for hj in hs[i + 1:]:
             assert matmul(hi, hj) == matmul(hj, hi)
@@ -79,9 +90,10 @@ def dense_rep_check(mod):
     """The dense rep_check: two dim x dim products per pair of actions.
     Indices up to m are even, the rest odd, written out here."""
     violations = []
+    act = dense(mod)
     gl = mod.m + 1 + mod.n
     par = lambda a, b: ((a > mod.m) + (b > mod.m)) & 1
-    for (a, b), mat in mod.act.items():
+    for (a, b), mat in act.items():
         p = par(a, b)
         for u in range(mod.dim):
             for v in range(mod.dim):
@@ -93,22 +105,22 @@ def dense_rep_check(mod):
             break
     pairs = [(a, b) for a in range(gl) for b in range(gl)]
     for (a, b) in pairs:
-        mab = mod.act[(a, b)]
+        mab = act[(a, b)]
         pab = par(a, b)
         for (c, d) in pairs:
-            mcd = mod.act[(c, d)]
+            mcd = act[(c, d)]
             pcd = par(c, d)
             lhs = matmul(mab, mcd)
             back = matmul(mcd, mab)
             sign = Scalar(-1 if (pab and pcd) else 1)
             rhs = zeros(mod.dim, mod.dim)
             if b == c:
-                mad = mod.act[(a, d)]
+                mad = act[(a, d)]
                 for i in range(mod.dim):
                     for j in range(mod.dim):
                         rhs[i][j] = rhs[i][j] + mad[i][j]
             if d == a:
-                mcb = mod.act[(c, b)]
+                mcb = act[(c, b)]
                 for i in range(mod.dim):
                     for j in range(mod.dim):
                         rhs[i][j] = rhs[i][j] - sign * mcb[i][j]
@@ -138,7 +150,7 @@ def perturbed_modules(draw):
         dim = draw(st.integers(1, 4))
         parities = draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
         mod = zero_action_module(m, n, dim, parities)
-    act = {ab: [list(row) for row in mat] for ab, mat in mod.act.items()}
+    act = dense(mod)
     index = st.integers(0, m + n)
     entry = st.integers(0, mod.dim - 1)
     for _ in range(draw(st.integers(0, 4))):
@@ -146,10 +158,27 @@ def perturbed_modules(draw):
         j = draw(entry)
         c = draw(st.builds(Scalar, small, small))
         row[j] = row[j] * c if draw(st.booleans()) else c
-    return GlModule(m, n, mod.dim, mod.parities, act)
+    return from_dense(m, n, mod.parities, act)
 
 
 @settings(max_examples=150, deadline=None)
 @given(mod=perturbed_modules())
 def test_rep_check_lists_the_dense_violations_in_order(mod):
     assert rep_check(mod).violations == dense_rep_check(mod)
+
+
+@pytest.mark.parametrize("broken, message", [
+    (lambda cols: cols.pop((1, 0)), "missing action E_1_0"),
+    (lambda cols: cols[(0, 1)].pop(), "needs 3 columns"),
+    (lambda cols: cols[(0, 1)].__setitem__(1, [(3, Scalar(1))]), "ascending rows"),
+    (lambda cols: cols[(0, 1)].__setitem__(1, [(-1, Scalar(1))]), "ascending rows"),
+    (lambda cols: cols[(0, 1)].__setitem__(1, [(1, Scalar(1)), (0, Scalar(1))]),
+     "ascending rows"),
+    (lambda cols: cols[(0, 1)].__setitem__(1, [(0, Scalar(0))]), "nonzero entries"),
+])
+def test_constructor_rejects_malformed_columns(broken, message):
+    mod = natural_module(1, 1)
+    columns = {ab: list(cols) for ab, cols in mod.columns.items()}
+    broken(columns)
+    with pytest.raises(ValueError, match=message):
+        GlModule(1, 1, 3, mod.parities, columns)

@@ -155,6 +155,40 @@ def test_kernel_without_mu_fails_the_weight_check(monkeypatch, capsys, m, n):
     assert failed == {"phi.weight_shift"}
 
 
+def shifted_mu(S, slot):
+    """S.mu with 1 added at ``slot``; an odd slot gets past MuVector's guard."""
+    values = list(S.mu.values)
+    values[slot] = values[slot] + 1
+    mu = MuVector.zero(S.sig.m, S.sig.n)
+    mu.values = tuple(values)
+    return mu
+
+
+@pytest.mark.parametrize("slot,expected", [
+    (0, {}),
+    (-1, {"iso.equivariance": "kernel is not a single weight slice"}),
+])
+def test_kernel_extraction_with_a_shifted_mu(monkeypatch, capsys, slot, expected):
+    """omega_extract run on a structure whose μ is shifted at one slot.
+    The kernel is cut out by the odd actions ψ_{∂_k}, which read only the
+    odd slots of μ, so an even shift (slot 0) is an equivalent mutant that
+    no check can see.  An odd shift (the last slot) turns each ψ_{∂_k}
+    into ∂_k + 1, whose kernel is 0; rho_of then finds no weight and
+    iso.equivariance fails.  phi.unit_action never reads the extracted
+    kernel, so it cannot fail here."""
+    orig = tensorqp.omega_extract
+
+    def shifted(basis, S):
+        return orig(basis, QPStructure(S.sig, S.omega, shifted_mu(S, slot)))
+
+    plant(monkeypatch, orig, shifted)
+    code = main(["check", "all", "--m", "1", "--n", "2", "--deg", "2",
+                 "--samples", "20", "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == (1 if expected else 0)
+    assert {c["id"]: c["counterexample"] for c in checks if not c["pass"]} == expected
+
+
 @pytest.mark.parametrize("m,n", [("1", "1"), ("1", "2"), ("2", "2")])
 def test_euler_key_off_by_one_fails_the_degree_field_check(monkeypatch, capsys, m, n):
     """A plain d/dt_i stored as t_i^{-2}·(t_i d/dt_i).  Every field built
@@ -198,11 +232,13 @@ def test_scaled_induced_entry_fails_the_gl_relations(monkeypatch, capsys):
 
     def scaled(S, omega_basis):
         mod = orig(S, omega_basis)
-        act = {ab: [list(row) for row in mat] for ab, mat in mod.act.items()}
-        row = next(r for mat in act.values() for r in mat if any(r))
-        j = next(j for j, c in enumerate(row) if c)
-        row[j] = row[j] * 2
-        return GlModule(mod.m, mod.n, mod.dim, mod.parities, act)
+        # the first nonzero entry, in row-major order, of the first nonzero action
+        ab, cols = next((ab, cols) for ab, cols in mod.columns.items() if any(cols))
+        first = min((u, j) for j, col in enumerate(cols) for u, _ in col)
+        columns = dict(mod.columns)
+        columns[ab] = [[(u, c * 2 if (u, j) == first else c) for u, c in col]
+                       for j, col in enumerate(cols)]
+        return GlModule(mod.m, mod.n, mod.dim, mod.parities, columns)
 
     plant(monkeypatch, orig, scaled)
     assert failed_checks(capsys, "phi") == (1, {"phi.gl_relations"})

@@ -6,7 +6,10 @@ from rinehart.parser import (
     parse_element,
     parse_scalar_literal,
 )
-from rinehart.scalars import Scalar
+from hypothesis import given
+from hypothesis import strategies as st
+
+from rinehart.scalars import Scalar, format_scalar
 from rinehart.superpoly import SuperPoly
 from rinehart.vectorfields import QPElement, VectorField
 from fractions import Fraction
@@ -41,6 +44,15 @@ def test_parse_scalars(sig11):
     )
     assert parse_scalar_literal("-3/2") == Scalar(Fraction(-3, 2))
     assert parse_scalar_literal("1/2-1/3i") == Scalar(Fraction(1, 2), Fraction(-1, 3))
+    assert parse_scalar_literal("-1/3+2i") == Scalar(Fraction(-1, 3), 2)
+
+
+@given(st.fractions(), st.fractions())
+def test_scalar_literal_reads_its_canonical_text(re, im):
+    """A leading minus belongs to the real part: format then parse is the
+    identity, as a config file's round trip needs."""
+    value = Scalar(re, im)
+    assert parse_scalar_literal(format_scalar(value)) == value
 
 
 def test_parse_parenthesized_polynomial_factor(sig11):

@@ -150,7 +150,7 @@ def test_qp_axioms_all_pass(structure12, sampler):
 
 
 def test_qp_axioms_zero_module():
-    from rinehart.glmodules import zero_action_module
+    from conftest import zero_action_module
 
     dot = Signature(1, 1, False)
     zero = QPStructure(dot, zero_action_module(1, 1, 0), MuVector.zero(1, 1))

@@ -35,8 +35,7 @@ EXEMPT = {
     "omega_greedy": "paper construction; a suite check would move the golden hashes",
     "loop_smash_act": "paper construction; a suite check would move the golden hashes",
     "special_partial": "paper construction; a suite check would move the golden hashes",
-    "zero_action_module": "test fixture; moving it to tests/ removes nothing",
-    "write_natural_config": "test fixture; moving it to tests/ removes nothing",
+    "module_to_dict": "the config writer, inverse of module_from_dict; only tests write configs",
     "matmul": "perfbench/tracer.py wraps it as linalg.matmul; tests/test_glmodules.py's dense reference",
 }
 
