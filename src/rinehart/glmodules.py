@@ -9,8 +9,6 @@ each action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .scalars import ONE, ZERO, Scalar
 from .superpoly import Signature
 
@@ -97,11 +95,11 @@ def natural_module(m: int, n: int) -> GlModule:
     return GlModule(m, n, len(dirs), map(sig.dir_parity, dirs), columns)
 
 
-@dataclass
 class RepReport:
     """Outcome of the representation-axiom check."""
 
-    violations: list = field(default_factory=list)
+    def __init__(self):
+        self.violations = []
 
     @property
     def ok(self) -> bool:

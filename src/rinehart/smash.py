@@ -178,9 +178,10 @@ def make_X(sig: Signature, rbar, jmask: int, tag) -> SmashElement:
     """Degree-zero centralizer generator.
 
     With J ≠ ∅ this is Σ_{I⊆J} (-1)^{|I|+τ(I,J\\I)} t^{-r̄} ζ_I # t^{r̄} ζ_{J\\I} ∂;
-    with J = ∅ it is t^{-r̄} # t^{r̄}∂ - 1 # ∂.
+    with J = ∅ it is t^{-r̄} # t^{r̄}∂ - 1 # ∂.  The tag ∂ must be an Euler
+    or odd tag (a gl direction); a plain d/dt_i raises ValueError.
     """
-    check_tag(sig, tag)
+    sig.dir_of(check_tag(sig, tag))
     rbar = tuple(rbar)
     if len(rbar) != sig.nvars:
         raise ValueError("exponent tuple has wrong length")
@@ -189,10 +190,10 @@ def make_X(sig: Signature, rbar, jmask: int, tag) -> SmashElement:
     for imask in subsets_of_mask(jmask):
         rest = jmask ^ imask
         sign = -1 if (mask_size(imask) + tau(imask, rest)) & 1 else 1
-        out._iadd_term((neg, imask) + euler_key(sig, rbar, rest, tag), Scalar(sign))
+        out._iadd_term((neg, imask, rbar, rest, tag), Scalar(sign))
     if jmask == 0:  # the correction -1 # ∂
         zero = sig.zero_exps()
-        out._iadd_term((zero, 0) + euler_key(sig, zero, 0, tag), Scalar(-1))
+        out._iadd_term((zero, 0, zero, 0, tag), Scalar(-1))
     return out
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -91,33 +90,42 @@ SUITE_NAMES = (
 )
 
 
-@dataclass
 class SuiteConfig:
-    m: int = 1
-    n: int = 1
-    deg: int = 2
-    samples: int = 100
-    seed: int = 0
-    suites: tuple = ("all",)
-    module_path: str | None = None
-    mu: tuple | None = None
+    """One `check` run: the signature (m, n), the sampling degree and size,
+    the seed, the suites, and an optional module config file and μ."""
+
+    def __init__(self, m: int = 1, n: int = 1, deg: int = 2, samples: int = 100,
+                 seed: int = 0, suites: tuple = ("all",),
+                 module_path: str | None = None, mu: tuple | None = None):
+        self.m, self.n, self.deg, self.samples, self.seed = m, n, deg, samples, seed
+        self.suites, self.module_path, self.mu = suites, module_path, mu
 
 
-@dataclass
 class CheckResult:
-    check: str
-    passed: bool
-    cases: int
-    counterexample: str | None = None
+    """Outcome of one check id; equal by value."""
+
+    def __init__(self, check: str, passed: bool, cases: int,
+                 counterexample: str | None = None):
+        self.check, self.passed = check, passed
+        self.cases, self.counterexample = cases, counterexample
+
+    def _fields(self):
+        return self.check, self.passed, self.cases, self.counterexample
+
+    def __eq__(self, other):
+        return type(other) is CheckResult and self._fields() == other._fields()
+
+    def __repr__(self):
+        return "CheckResult(%r, %r, %r, %r)" % self._fields()
 
 
-@dataclass
 class Env:
-    sig: Signature
-    omega: GlModule
-    mu: MuVector
-    # Per-μ kernel extractions and induced modules, filled on first use.
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
+    """Per-run state shared by the suites: signature, module and μ."""
+
+    def __init__(self, sig: Signature, omega: GlModule, mu: MuVector):
+        self.sig, self.omega, self.mu = sig, omega, mu
+        # Per-μ kernel extractions and induced modules, filled on first use.
+        self.cache = {}
 
     @property
     def dotted(self) -> Signature:
@@ -663,12 +671,27 @@ def _omega_setup(env: Env, mu: MuVector):
     return env.cache[key]
 
 
+EMPTY_KERNEL = "kernel basis is empty"
+
+
 def _induced(env: Env, mu: MuVector) -> GlModule:
-    """The induced module on the kernel for μ, built once per Env."""
+    """The induced module on the kernel for μ, built once per Env; raises
+    ValueError on an empty kernel basis."""
     key = ("induced", mu.values)
     if key not in env.cache:
-        env.cache[key] = induced_gl_module(*_omega_setup(env, mu))
+        S, basis = _omega_setup(env, mu)
+        if not basis:
+            raise ValueError(EMPTY_KERNEL)
+        env.cache[key] = induced_gl_module(S, basis)
     return env.cache[key]
+
+
+def _over_kernel(basis: list, check_id: str, outcomes) -> CheckResult:
+    """`_check` for a check over the kernel basis.  An empty basis fails it:
+    a valid structure's kernel has dimension dim Ω."""
+    if not basis:
+        return CheckResult(check_id, False, 0, EMPTY_KERNEL)
+    return _check(check_id, outcomes)
 
 
 def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
@@ -679,18 +702,12 @@ def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     S, basis = _omega_setup(env, mu2)
 
     try:
-        induced = _induced(env, mu2)
-        report = rep_check(induced)
+        report = rep_check(_induced(env, mu2))
     except ValueError as exc:
-        return [CheckResult("phi.gl_relations", False, 0, str(exc))]
-    out = [
-        CheckResult(
-            "phi.gl_relations",
-            report.ok,
-            len(sig.directions()) ** 4,
-            None if report.ok else str(report.violations[:3]),
-        )
-    ]
+        out = [CheckResult("phi.gl_relations", False, 0, str(exc))]
+    else:
+        out = [CheckResult("phi.gl_relations", report.ok, len(sig.directions()) ** 4,
+                           None if report.ok else str(report.violations[:3]))]
 
     z = env.dotted.zero_exps()
 
@@ -740,7 +757,7 @@ def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
                 yield None if shift == expected else f"rbar={rbar}"
 
     out.append(_check("phi.unit_action", unit_action()))
-    out.append(_check("phi.bridge", bridge()))
+    out.append(_over_kernel(basis, "phi.bridge", bridge()))
     out.append(_check("phi.weight_shift", weight_shift()))
     return out
 
@@ -764,7 +781,7 @@ def annihilate_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
             for u in basis:
                 yield None if t_act_gens(gens, u, S).is_zero() else f"gens={gens}"
 
-    return [_check("annihilate.square_ideal", square_ideal())]
+    return [_over_kernel(basis, "annihilate.square_ideal", square_ideal())]
 
 
 def _random_deep_gens(rng: random.Random, s: Sampler, sig: Signature) -> dict:
@@ -807,12 +824,6 @@ def iso_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     dotted = env.dotted
     _, mu2 = admissible_mus(cfg.m, cfg.n)
     S, basis = _omega_setup(env, mu2)
-    try:
-        induced = _induced(env, mu2)
-        rho = rho_of(S, basis)
-    except ValueError as exc:
-        return [CheckResult("iso.equivariance", False, 0, str(exc))]
-    Sprime = QPStructure(dotted, induced, rho)
 
     def equivariance():
         for _ in range(cfg.samples):
@@ -831,13 +842,21 @@ def iso_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
                     rhs = S.phi(a, theta_transport(w, basis, S))
                 yield None if lhs == rhs else f"kind={kind}"
 
-    out = [_check("iso.equivariance", equivariance())]
+    try:
+        induced = _induced(env, mu2)
+        Sprime = QPStructure(dotted, induced, rho_of(S, basis))
+    except ValueError as exc:
+        out = [CheckResult("iso.equivariance", False, 0, str(exc))]
+    else:
+        out = [_check("iso.equivariance", equivariance())]
+    if not basis:
+        return out + [CheckResult("iso.bijective", False, 0, EMPTY_KERNEL)]
 
     bound = 1
     dom = []
     for exps in itertools.product(range(-bound, bound + 1), repeat=dotted.nvars):
         for mask in range(1 << dotted.n):
-            for j in range(induced.dim):
+            for j in range(len(basis)):
                 dom.append(TensorVec.basis(dotted, exps, mask, j))
     target_dim = (2 * bound + 1) ** dotted.nvars * (1 << dotted.n) * env.omega.dim
     rk = linalg.rank(theta_transport(v, basis, S).terms for v in dom)

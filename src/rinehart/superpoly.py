@@ -20,13 +20,14 @@ monomials (Koszul sign from the memoised `merge_masks`, exponents
 added); `SuperPoly.__mul__`, `Sparse.left_mul` (p · Σ t^e ζ_M ⊗ label,
 the algebra action on fields and tensor vectors; `left_mul_terms` takes
 p's terms, so a single monomial needs no SuperPoly), `VectorField.apply`,
-`vf_bracket`, `smash_commutator` and the `tensorqp` actions use it.
+`vf_bracket`, `smash_commutator`, the quasi-Poisson and loop products
+(`qp_product`, `loop_bracket`) and the `tensorqp` actions use it.
 `derive_mono` applies one Euler or odd basis derivation, the stored
 basis of fields and smash terms, to one monomial; `mono_apply` =
-monomial · derived monomial is the step of `vf_bracket` and
-`smash_commutator`, and the `tensorqp` twisted action (ψ and `shen_act`)
-takes its derivative terms from `derive_mono` too.  `derive` also takes
-the plain d/dt_i.
+monomial · derived monomial is the step of `vf_bracket`, `qp_bracket`
+and `smash_commutator`, and the `tensorqp` twisted action (ψ and
+`shen_act`) takes its derivative terms from `derive_mono` too.  `derive`
+also takes the plain d/dt_i.
 
 `Signature` owns the gl(m+1, n) index convention: direction α ≤ m
 is the Euler derivation t_α d/dt_α (tag ('d', α), even), direction
@@ -46,7 +47,6 @@ questions, are read in one pass over the terms (`_taylor01`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
@@ -618,12 +618,24 @@ def mods2_linear(f: SuperPoly) -> tuple[dict, dict]:
 
 # ---------- Weights under (t_i-1)d/dt_i and ζ_k ∂/∂ζ_k ----------
 
-@dataclass(frozen=True)
 class WeightVector:
-    """Eigenvalue vectors: hprime indexed along sig.tvars(), h along ζ's."""
+    """Eigenvalue vectors: hprime indexed along sig.tvars(), h along ζ's;
+    equal and hashed by value."""
 
-    hprime: tuple
-    h: tuple
+    __slots__ = ("hprime", "h")
+
+    def __init__(self, hprime: tuple, h: tuple):
+        self.hprime, self.h = hprime, h
+
+    def __eq__(self, other):
+        return (type(other) is WeightVector
+                and (self.hprime, self.h) == (other.hprime, other.h))
+
+    def __hash__(self):
+        return hash((self.hprime, self.h))
+
+    def __repr__(self):
+        return f"WeightVector(hprime={self.hprime!r}, h={self.h!r})"
 
     def __add__(self, other: "WeightVector") -> "WeightVector":
         return WeightVector(
@@ -673,15 +685,29 @@ def weight_of_poly(f: SuperPoly) -> WeightVector:
 
 # ---------- Shifted-basis products and the plus-part rewrite ----------
 
+@lru_cache(maxsize=256)
+def _laurent_factor(p: int, s: int) -> tuple:
+    """(t-1)^p (t^{-1}-1)^s as (exponent, int coefficient) pairs:
+    Σ_{a,b} C(p,a) C(s,b) (-1)^{p-a+s-b} t^{a-b}, a and b descending."""
+    out: dict = {}
+    for a, b in _iproduct(range(p, -1, -1), range(s, -1, -1)):
+        c = comb(p, a) * comb(s, b) * (-1) ** (p - a + s - b)
+        out[a - b] = out.get(a - b, 0) + c
+    return tuple(out.items())
+
+
 def shift_basis(sig: Signature, pos, neg, mask: int = 0) -> SuperPoly:
     """Expand Π(t_i-1)^{pos_i} · Π(t_i^{-1}-1)^{neg_i} · ζ_mask exactly."""
-    one = SuperPoly.one(sig)
-    out = SuperPoly.zeta_mask(sig, mask)
-    for i, (p, s) in zip(sig.tvars(), zip(pos, neg)):
-        if p:
-            out = out * (SuperPoly.t_var(sig, i) - one) ** p
-        if s:
-            out = out * (SuperPoly.t_var(sig, i, -1) - one) ** s
+    if not len(pos) == len(neg) == sig.nvars:
+        raise ValueError("exponent tuple has wrong length")
+    if mask >> sig.n:
+        raise ValueError("Grassmann index outside signature")
+    out = SuperPoly(sig)
+    # One term per combination: the exponent tuples differ and no
+    # coefficient is 0, so the terms are stored without merging.
+    for combo in _iproduct(*map(_laurent_factor, pos, neg)):
+        exps, coeffs = zip(*combo)
+        out.terms[(exps, mask)] = Scalar(math.prod(coeffs))
     return out
 
 

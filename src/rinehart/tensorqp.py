@@ -42,7 +42,6 @@ from .vectorfields import (
     LoopElement,
     QPElement,
     check_tag,
-    euler_key,
     qp_bracket,
     qp_product,
 )
@@ -142,13 +141,6 @@ class QPStructure:
 
     def phihat(self, x, w: TensorVec) -> TensorVec:
         return self._phihat(self, QPElement.of(x), w)
-
-
-def _dir_part(sig: Signature, tag, exps, mask: int, c):
-    """The part (α, exps, mask, c) of the term c·t^exps ζ_mask·tag, stored
-    as in a `VectorField` (`euler_key`); ('d', 0) is direction 0."""
-    exps, mask, tag = euler_key(sig, exps, mask, tag)
-    return sig.dir_of(tag), exps, mask, c
 
 
 def _alpha_parts(x: QPElement):
@@ -447,28 +439,28 @@ def loop_smash_act(u: SmashElement, w: LoopTensor, S: QPStructure) -> LoopTensor
 def t_act(rbar, jmask: int, tag, u: TensorVec, S: QPStructure) -> TensorVec:
     """Action of the centralizer generator (r̄, J, ∂) at t_0-degree zero:
     Σ_{J' ⊆ J} ± t^{-r̄'} ζ_{J'} · (ψ_{t^{r̄'} ζ_{J∖J'} ∂} u
-    - r_0 t^{r̄'} ζ_{J∖J'} · φ̂_∂ u)."""
+    - r_0 t^{r̄'} ζ_{J∖J'} · φ̂_∂ u), for an Euler or odd tag ∂."""
     sig = S.sig
     rbar = tuple(rbar)
     if len(rbar) != sig.m + 1:
         raise ValueError("generator exponents live in the full signature")
     if tag != ("d", 0):
         check_tag(sig, tag)
+    alpha = sig.dir_of(tag)
     r0, rp = rbar[0], rbar[1:]
     neg = tuple(-x for x in rp)
     z = sig.zero_exps()
-    hat = _dir_part(sig, tag, z, 0, ONE)
-    hat_u = _phihat_part(S, hat, u) if r0 else None
+    hat_u = _phihat_part(S, (alpha, z, 0, ONE), u) if r0 else None
     out = TensorVec.zero(sig)
     for jp in subsets_of_mask(jmask):
         rest = jmask ^ jp
         sign = -1 if (mask_size(jp) + tau(jp, rest)) & 1 else 1
-        inner = _psi_part(S, _dir_part(sig, tag, rp, rest, ONE), u)
+        inner = _psi_part(S, (alpha, rp, rest, ONE), u)
         if r0:
             inner += hat_u.left_mul_terms((((rp, rest), Scalar(-r0)),))
         out += inner.left_mul_terms((((neg, jp), Scalar(sign)),))
     if jmask == 0:  # the J = ∅ generator carries the correction -1 # ∂
-        out += _psi_part(S, _dir_part(sig, tag, z, 0, Scalar(-1)), u)
+        out += _psi_part(S, (alpha, z, 0, Scalar(-1)), u)
     return out
 
 

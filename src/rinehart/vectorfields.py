@@ -10,7 +10,8 @@ which the bracket exploits.  Constructors also accept the plain tag
 
 Built on top: the supercommutative product and bracket that live on
 algebra ⊕ derivations, and the t_0-loop extension whose bracket mixes
-the two summands through the t_0-exponents.
+the two summands through the t_0-exponents.  All three are loops over
+term pairs that accumulate into one output, like `vf_bracket`.
 """
 
 from __future__ import annotations
@@ -308,25 +309,10 @@ class QPElement:
         return bool(self.a) or bool(self.x)
 
     def parity(self):
-        seen = set()
-        pa = self.a.parity()
-        px = self.x.parity()
-        if pa is not None:
-            seen.add(pa)
-        if px is not None:
-            seen.add(px)
-        if not self.a.is_zero() and pa is None:
-            return None
-        if not self.x.is_zero() and px is None:
-            return None
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
-    def even_odd(self) -> tuple["QPElement", "QPElement"]:
-        ae, ao = self.a.even_odd()
-        xe, xo = self.x.even_odd()
-        return QPElement(ae, xe), QPElement(ao, xo)
+        """0 or 1 when homogeneous, None for 0 or mixed."""
+        seen = {SuperPoly._key_parity(k) for k in self.a.terms}
+        seen.update(VectorField._key_parity(k) for k in self.x.terms)
+        return seen.pop() if len(seen) == 1 else None
 
     def __add__(self, other):
         if not isinstance(other, QPElement):
@@ -366,41 +352,51 @@ class QPElement:
         return self.x.apply(b)
 
 
+def _add_qp_fields(out: VectorField, x: QPElement, y: QPElement, ka: int, kb: int):
+    """out += ka·Σ a·σ + kb·Σ (-1)^{|b||δ|} b·δ over the terms a of x.a, σ of
+    y.x, b of y.a and δ of x.x: the field parts of ka·π(x)·y + kb·x·π(y)."""
+    if ka:
+        for (ea, ma), ca in x.a.terms.items():
+            for (es, ms, ts), cs in y.x.terms.items():
+                sign, e, m = mono_mul(ea, ma, es, ms)
+                if sign:
+                    out._iadd_term((e, m, ts), ca * cs * (sign * ka))
+    if kb:
+        for (eb, mb), cb in y.a.terms.items():
+            odd_b = mb.bit_count() & 1
+            for (ed, md, td), cd in x.x.terms.items():
+                sign, e, m = mono_mul(eb, mb, ed, md)
+                if sign:
+                    if odd_b and (md.bit_count() + tag_parity(td)) & 1:
+                        sign = -sign
+                    out._iadd_term((e, m, td), cb * cd * (sign * kb))
+    return out
+
+
 def qp_product(x: QPElement, y: QPElement) -> QPElement:
-    """(a ⊕ δ)·(b ⊕ σ) = ab ⊕ (aσ + (-1)^{|b||x|} bδ), bilinearly."""
-    if x.sig != y.sig:
-        raise ValueError("signature mismatch")
-    sig = x.sig
-    a_out = x.a * y.a
-    x_out = VectorField.zero(sig)
-    be, bo = y.a.even_odd()
-    for xh in x.even_odd():
-        px = xh.parity()
-        if xh.is_zero():
-            continue
-        x_out += y.x.left_mul(xh.a)
-        x_out += xh.x.left_mul(be)
-        if not bo.is_zero():
-            scaled = xh.x.left_mul(bo)
-            x_out += scaled if px == 0 else -scaled
-    return QPElement(a_out, x_out)
+    """(a ⊕ δ)·(b ⊕ σ) = ab ⊕ (aσ + (-1)^{|b||δ|} bδ), bilinearly."""
+    _check_same_sig(x, y)
+    return QPElement(x.a * y.a, _add_qp_fields(VectorField.zero(x.sig), x, y, 1, 1))
 
 
 def qp_bracket(x: QPElement, y: QPElement) -> QPElement:
-    """{a ⊕ δ, b ⊕ σ} = (δ(b) - (-1)^{|a||σ|} σ(a)) ⊕ [δ, σ]."""
-    if x.sig != y.sig:
-        raise ValueError("signature mismatch")
-    a_out = x.x.apply(y.a)
-    ae, ao = x.a.even_odd()
-    se, so = y.x.even_odd()
-    for apart, pa in ((ae, 0), (ao, 1)):
-        if apart.is_zero():
-            continue
-        for spart, ps in ((se, 0), (so, 1)):
-            if spart.is_zero():
-                continue
-            sign = -1 if (pa & ps) else 1
-            a_out -= spart.apply(apart) * sign
+    """{a ⊕ δ, b ⊕ σ} = (δ(b) - (-1)^{|a||σ|} σ(a)) ⊕ [δ, σ], the algebra
+    part term by term."""
+    _check_same_sig(x, y)
+    sig = x.sig
+    a_out = SuperPoly.zero(sig)
+    for (ed, md, td), cd in x.x.terms.items():
+        for (eb, mb), cb in y.a.terms.items():
+            f, e, m = mono_apply(td, sig, ed, md, eb, mb)
+            if f:
+                a_out._iadd_term((e, m), cd * cb * f)
+    for (es, ms, ts), cs in y.x.terms.items():
+        odd_s = (ms.bit_count() + tag_parity(ts)) & 1
+        for (ea, ma), ca in x.a.terms.items():
+            f, e, m = mono_apply(ts, sig, es, ms, ea, ma)
+            if f:
+                ksign = 1 if odd_s and ma.bit_count() & 1 else -1
+                a_out._iadd_term((e, m), cs * ca * (ksign * f))
     return QPElement(a_out, vf_bracket(x.x, y.x))
 
 
@@ -436,16 +432,17 @@ class LoopElement(Sparse):
 
 
 def loop_bracket(u: LoopElement, v: LoopElement) -> LoopElement:
-    """[t_0^r ⊗ x, t_0^s ⊗ y] = t_0^{r+s} ⊗ ({x,y} - r·x·π(y) + s·π(x)·y)."""
+    """[t_0^r ⊗ x, t_0^s ⊗ y] = t_0^{r+s} ⊗ ({x,y} - r·x·π(y) + s·π(x)·y),
+    where π(x) = x.a ⊕ 0, so the two products add (s - r)·x.a·y.a to the
+    algebra part and their `_add_qp_fields` terms to the field part."""
     _check_same_sig(u, v)
     out = LoopElement.zero(u.sig)
     for r, x in u.terms.items():
         for s, y in v.terms.items():
             z = qp_bracket(x, y)
-            if r:
-                z = z - r * qp_product(x, QPElement.from_poly(y.a))
-            if s:
-                z = z + s * qp_product(QPElement.from_poly(x.a), y)
+            _add_qp_fields(z.x, x, y, s, -r)
+            if s != r and x.a and y.a:
+                z.a += x.a * y.a * (s - r)
             out._iadd_term(r + s, z)
     return out
 

@@ -25,6 +25,30 @@ def plant(monkeypatch, orig, faulty):
     assert holders, "the fault was planted nowhere"
 
 
+def plant_edit(monkeypatch, module, fn, old, new):
+    """Plant ``fn`` with its one occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1
+    scope = dict(vars(module))
+    exec(source.replace(old, new), scope)
+    plant(monkeypatch, fn, scope[fn.__name__])
+
+
+def all_failed(capsys, m, n, fault):
+    """Failing ids of ``check all`` at (m, n): none before ``fault()`` plants
+    its fault, and the returned set after."""
+    args = ["check", "all", "--m", m, "--n", n, "--deg", "2", "--samples", "20",
+            "--json"]
+    assert main(args) == 0
+    capsys.readouterr()
+    fault()
+    code = main(args)
+    failed = {c["id"] for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["pass"]}
+    assert code == (1 if failed else 0)
+    return failed
+
+
 def checks_of(capsys, suite):
     """Exit code and JSON checks of ``check suite`` at (1,2)."""
     code = main(["check", suite, "--m", "1", "--n", "2", "--deg", "2",
@@ -119,19 +143,8 @@ def test_kernel_without_the_odd_direction_sign_fails_the_checks(
     share the fault, so it is caught by the loop module's own laws.  A
     fault in μ inside the kernel is caught by phi.weight_shift (see the
     next test)."""
-    args = ["check", "all", "--m", m, "--n", n, "--deg", "2", "--samples", "20",
-            "--json"]
-    assert main(args) == 0
-    capsys.readouterr()
-    source = inspect.getsource(tensorqp._twisted)
-    assert source.count(" + (pb & p_alpha)") == 1
-    scope = dict(vars(tensorqp))
-    exec(source.replace(" + (pb & p_alpha)", ""), scope)
-    plant(monkeypatch, tensorqp._twisted, scope["_twisted"])
-    assert main(args) == 1
-    failed = {c["id"] for c in json.loads(capsys.readouterr().out)["checks"]
-              if not c["pass"]}
-    assert failed == expected
+    assert all_failed(capsys, m, n, lambda: plant_edit(
+        monkeypatch, tensorqp, tensorqp._twisted, " + (pb & p_alpha)", "")) == expected
 
 
 @pytest.mark.parametrize("m,n", [("1", "1"), ("1", "2"), ("2", "2")])
@@ -140,19 +153,9 @@ def test_kernel_without_mu_fails_the_weight_check(monkeypatch, capsys, m, n):
     acts as for μ = 0, itself a valid structure, so the laws all hold;
     phi.weight_shift compares the weight of t^e ζ_M ⊗ e_v with μ + e,
     computed without the kernel, and fails alone."""
-    args = ["check", "all", "--m", m, "--n", n, "--deg", "2", "--samples", "20",
-            "--json"]
-    assert main(args) == 0
-    capsys.readouterr()
-    source = inspect.getsource(tensorqp._twisted)
-    assert source.count("mu_a = mu[alpha]") == 1
-    scope = dict(vars(tensorqp))
-    exec(source.replace("mu_a = mu[alpha]", "mu_a = 0 * mu[alpha]"), scope)
-    plant(monkeypatch, tensorqp._twisted, scope["_twisted"])
-    assert main(args) == 1
-    failed = {c["id"] for c in json.loads(capsys.readouterr().out)["checks"]
-              if not c["pass"]}
-    assert failed == {"phi.weight_shift"}
+    assert all_failed(capsys, m, n, lambda: plant_edit(
+        monkeypatch, tensorqp, tensorqp._twisted, "mu_a = mu[alpha]",
+        "mu_a = 0 * mu[alpha]")) == {"phi.weight_shift"}
 
 
 def shifted_mu(S, slot):
@@ -164,18 +167,24 @@ def shifted_mu(S, slot):
     return mu
 
 
+EMPTY = "kernel basis is empty"
+
+
 @pytest.mark.parametrize("slot,expected", [
     (0, {}),
-    (-1, {"iso.equivariance": "kernel is not a single weight slice"}),
+    (-1, {check: EMPTY for check in ("phi.gl_relations", "phi.bridge",
+                                     "annihilate.square_ideal", "iso.equivariance",
+                                     "iso.bijective")}),
 ])
 def test_kernel_extraction_with_a_shifted_mu(monkeypatch, capsys, slot, expected):
     """omega_extract run on a structure whose μ is shifted at one slot.
     The kernel is cut out by the odd actions ψ_{∂_k}, which read only the
     odd slots of μ, so an even shift (slot 0) is an equivalent mutant that
     no check can see.  An odd shift (the last slot) turns each ψ_{∂_k}
-    into ∂_k + 1, whose kernel is 0; rho_of then finds no weight and
-    iso.equivariance fails.  phi.unit_action never reads the extracted
-    kernel, so it cannot fail here."""
+    into ∂_k + 1, whose kernel is 0; every check over the kernel basis
+    then fails on the empty basis, and none of them passes vacuously.
+    phi.unit_action and phi.weight_shift never read the extracted kernel,
+    so they cannot fail here."""
     orig = tensorqp.omega_extract
 
     def shifted(basis, S):
@@ -195,19 +204,57 @@ def test_euler_key_off_by_one_fails_the_degree_field_check(monkeypatch, capsys, 
     from plain tags moves by the same fault, so the brackets and the
     smash and tensor-module laws all hold; degree_field, written with
     d/dt_i, then no longer scales by the filtration degree."""
-    args = ["check", "all", "--m", m, "--n", n, "--deg", "2", "--samples", "20",
-            "--json"]
-    assert main(args) == 0
-    capsys.readouterr()
-    source = inspect.getsource(vectorfields.euler_key)
-    assert source.count("exps[p] - 1") == 1
-    scope = dict(vars(vectorfields))
-    exec(source.replace("exps[p] - 1", "exps[p] - 2"), scope)
-    plant(monkeypatch, vectorfields.euler_key, scope["euler_key"])
-    assert main(args) == 1
-    failed = {c["id"] for c in json.loads(capsys.readouterr().out)["checks"]
-              if not c["pass"]}
-    assert failed == {"filtration.degree_field"}
+    assert all_failed(capsys, m, n, lambda: plant_edit(
+        monkeypatch, vectorfields, vectorfields.euler_key, "exps[p] - 1",
+        "exps[p] - 2")) == {"filtration.degree_field"}
+
+
+@pytest.mark.parametrize("m,n,expected", [
+    ("1", "1", {"jacobi.loop.antisymmetry"}),
+    ("1", "2", {"jacobi.loop.antisymmetry", "jacobi.loop.super_jacobi"}),
+    ("2", "2", {"jacobi.loop.super_jacobi", "loop.der_correspond"}),
+])
+def test_qp_product_without_its_koszul_sign_fails_the_loop_checks(
+        monkeypatch, capsys, m, n, expected):
+    """The sign (-1)^{|b||δ|} dropped from the b·δ loop that qp_product and
+    loop_bracket share.  Only an odd b times an odd δ sees it.  The qp and
+    equalities suites pass with it, and the loop bracket's antisymmetry,
+    super-Jacobi identity or derivation correspondence breaks."""
+    assert all_failed(capsys, m, n, lambda: plant_edit(
+        monkeypatch, vectorfields, vectorfields._add_qp_fields,
+        "if odd_b and (md.bit_count() + tag_parity(td)) & 1:",
+        "if False:")) == expected
+
+
+@pytest.mark.parametrize("m,n", [("1", "1"), ("1", "2"), ("2", "2")])
+def test_shift_basis_with_a_flipped_inverse_power_fails_the_plus_rewrite(
+        monkeypatch, capsys, m, n):
+    """(t_i^{-1} - 1)^s expanded as (1 - t_i^{-1})^s, a sign flip for odd s.
+    Filtration degrees do not see a sign, so only the plus-part rewrite,
+    which compares the expansion with splus_part, fails."""
+    assert all_failed(capsys, m, n, lambda: plant_edit(
+        monkeypatch, superpoly, superpoly._laurent_factor, "(p - a + s - b)",
+        "(p - a + 2 * s - b)")) == {"filtration.plus_rewrite"}
+
+
+@pytest.mark.parametrize("m,n,expected", [
+    ("1", "1", {"annihilate.square_ideal", "filtration.mode_membership",
+                "filtration.mods2", "filtration.plus_rewrite"}),
+    ("1", "2", {"annihilate.square_ideal", "filtration.mods2",
+                "filtration.plus_rewrite", "filtration.superadditivity"}),
+    ("2", "2", {"annihilate.square_ideal", "filtration.mode_membership",
+                "filtration.mods2", "filtration.plus_rewrite",
+                "filtration.superadditivity"}),
+])
+def test_filt_degree_off_by_one_fails_the_filtration_checks(
+        monkeypatch, capsys, m, n, expected):
+    """filt_degree reads the full Taylor-shift procedure's degree one too
+    low, so an element of S^ℓ (ℓ ≥ 2) is placed in S^{ℓ-1} only.  The
+    opposite fault, one too high, passes every suite; the Tier-1 oracle
+    tests/test_superpoly.py::test_filt_degree_examples catches it."""
+    assert all_failed(capsys, m, n, lambda: plant_edit(
+        monkeypatch, superpoly, superpoly.filt_degree, "for (ue, mask) in sf)",
+        "for (ue, mask) in sf) - 1")) == expected
 
 
 def test_loop_counterexample_is_deterministic(monkeypatch, capsys):

@@ -15,7 +15,6 @@ from rinehart.smash import (
     theta_project,
     x_decompose,
 )
-from rinehart.parser import format_smash
 from rinehart.superpoly import Signature, SuperPoly
 from rinehart.vectorfields import VectorField, vf_bracket
 
@@ -63,23 +62,20 @@ def test_make_x_examples(sig11):
     assert make_X(sig, (0, 0), 0, ("d", 1)).is_zero()
 
 
-def test_make_x_prints_a_plain_tag_as_euler_terms():
-    """X(r̄, ∅, d/dt_1) = t^{-r̄} # t^{r̄}·d/dt_1 - 1 # d/dt_1 keeps its
-    b-sides as Euler terms, so no b-side prints as the odd tag Q."""
-    x = make_X(Signature(1, 1), (0, 1), 0, ("dt", 1))
-    assert {key[4] for key in x.terms} == {("d", 1)}
-    assert format_smash(x) == "1*t1^-1 # D1 - 1 # t1^-1*D1"
+def test_make_x_and_t_act_reject_a_plain_tag(structure12):
+    """A centralizer generator's tag is a gl direction: an Euler or odd tag.
+    A plain d/dt_1 would give X((0, 1), ∅, d/dt_1) of degree -e_1, not a
+    degree-zero generator, so make_X and t_act refuse it."""
+    from rinehart.tensorqp import TensorVec, t_act
 
-
-def test_plain_tag_degree_counts_the_lowered_exponent():
-    """d/dt_1 lowers the t_1-degree by one, so X((0, 1), ∅, d/dt_1) has
-    degree -e_1: it is not degree zero, and 1 # D1 does not commute with it."""
-    sig = Signature(1, 1)
-    x = make_X(sig, (0, 1), 0, ("dt", 1))
-    d1 = SmashElement.from_field(VectorField.basis(sig, ("d", 1)))
-    assert x.degrees() == {(0, -1)}
-    assert not x.is_degree_zero()
-    assert not smash_commutator(x, d1).is_zero()
+    S = structure12
+    u = TensorVec.basis(S.sig, (0,), 0, 0)
+    with pytest.raises(ValueError, match="no direction"):
+        make_X(Signature(1, 1), (0, 1), 0, ("dt", 1))
+    with pytest.raises(ValueError, match="no direction"):
+        t_act((0, 1), 0, ("dt", 1), u, S)
+    assert make_X(Signature(1, 1), (0, 1), 0, ("d", 1)).is_degree_zero()
+    assert isinstance(t_act((0, 1), 0, ("d", 1), u, S), TensorVec)
 
 
 def test_smash_terms_store_no_plain_tag(sig12, sampler):

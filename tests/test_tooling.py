@@ -47,7 +47,6 @@ SHARED = {
     "basis": "TensorVec.basis and VectorField.basis both build basis vectors in suites",
     "derive": "the module function; the SuperPoly.derive method delegates to it",
     "dotted": "Signature.dotted; the suites' Env.dotted wraps it",
-    "even_odd": "Sparse.even_odd; QPElement.even_odd splits both summands with it",
     "from_field": "SmashElement.from_field in the centralizer suite; QPElement.from_field in along",
     "from_poly": "SmashElement.from_poly in the centralizer suite; QPElement.from_poly in along",
     "is_zero": "Scalar, Sparse and QPElement each test their own zero",
@@ -81,6 +80,22 @@ def _reads(node):
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute))
     )
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    """Every run compiles src/ on start unless bytecode is cached, so the
+    import path stays lean: importing the package and its suites loads
+    neither `dataclasses` nor the `inspect` it pulls in (with `ast`, `dis`
+    and `tokenize`).  -S keeps site-packages' own imports out."""
+    import os
+    import subprocess
+
+    code = ("import rinehart, rinehart.suites, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_every_library_name_is_reached():
