@@ -3,9 +3,12 @@
 All checked identities are multilinear, so monomial samples with small
 Laurent exponents and arbitrary Grassmann masks give span coverage at a
 fixed degree window.  Every sampler draws from one `random.Random`, so a
-seed determines the full case list.  `shifted_basis` is uniform over the
-triples in its degree window (the law of drawing and rejecting outside
-it), from one draw: the draw is a rank, unranked slot by slot.
+seed determines the full case list; every bounded draw is `Sampler.below`,
+which replays `randrange` on `getrandbits`.  Samples are one-term
+containers built from parts valid by construction (`Sparse._term`), not
+re-checked by the public constructors.  `shifted_basis` is uniform over
+the triples in its degree window (the law of drawing and rejecting
+outside it), from one draw: the draw is a rank, unranked slot by slot.
 """
 
 from __future__ import annotations
@@ -14,58 +17,72 @@ import random
 from functools import lru_cache
 
 from .glmodules import GlModule
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .smash import SmashElement
 from .superpoly import Signature, SuperPoly
 from .tensorqp import LoopTensor, TensorVec
-from .vectorfields import LoopElement, QPElement, VectorField
+from .vectorfields import LoopElement, QPElement, VectorField, euler_key
 
 
 class Sampler:
     def __init__(self, rng: random.Random, deg: int = 2):
         self.rng = rng
         self.deg = deg
+        self._bits = rng.getrandbits
+
+    def below(self, n: int) -> int:
+        """A uniform draw from range(n): the value `rng.randrange(n)` gives,
+        leaving the same stream state, from the same rejection loop on
+        `getrandbits` (k = n.bit_length() bits, redrawn while ≥ n).  The
+        one bounded draw of the suites."""
+        if n < 1:
+            raise ValueError(f"empty range for a draw below {n}")
+        k = n.bit_length()
+        r = self._bits(k)
+        while r >= n:
+            r = self._bits(k)
+        return r
 
     def exps(self, sig: Signature) -> tuple:
-        return tuple(
-            self.rng.randint(-self.deg, self.deg) for _ in range(sig.nvars)
-        )
+        below, d = self.below, self.deg
+        return tuple([below(2 * d + 1) - d for _ in range(sig.nvars)])
 
     def pos_exps(self, sig: Signature) -> tuple:
-        return tuple(self.rng.randint(0, self.deg) for _ in range(sig.nvars))
+        return tuple([self.below(self.deg + 1) for _ in range(sig.nvars)])
 
     def mask(self, n: int) -> int:
-        return self.rng.randrange(1 << n)
+        return self.below(1 << n)
 
     def scalar(self) -> Scalar:
         """p/d for p in -3..3 and d in 1..3, drawn in that order; 0 gives 1."""
-        p = self.rng.randint(-3, 3)
-        d = self.rng.randint(1, 3)
-        return Scalar.ratio(p, d) if p else Scalar(1)
+        return _SCALARS[self.below(7) * 3 + self.below(3)]
 
     def monomial(self, sig: Signature, coeff: bool = True) -> SuperPoly:
-        c = self.scalar() if coeff else 1
-        return SuperPoly.monomial(sig, self.exps(sig), self.mask(sig.n), c)
+        c = self.scalar() if coeff else ONE
+        return SuperPoly._term(sig, (self.exps(sig), self.mask(sig.n)), c)
 
     def poly(self, sig: Signature, terms: int = 2) -> SuperPoly:
         out = SuperPoly.zero(sig)
         for _ in range(terms):
-            out += self.monomial(sig)
+            c = self.scalar()
+            out._iadd_term((self.exps(sig), self.mask(sig.n)), c)
         return out
 
     def tag(self, sig: Signature, kinds: str = "dq"):
-        return self.rng.choice(sig.tags(kinds))
+        tags = _tags(sig, kinds)
+        return tags[self.below(len(tags))]
+
+    def _field_key(self, sig: Signature, kinds: str) -> tuple:
+        """The stored key (`euler_key`) of a drawn t^exps ζ_mask·tag."""
+        return euler_key(sig, self.exps(sig), self.mask(sig.n), self.tag(sig, kinds))
 
     def field_term(self, sig: Signature, kinds: str = "dq") -> VectorField:
-        return VectorField.term(
-            sig, self.exps(sig), self.mask(sig.n), self.tag(sig, kinds),
-            self.scalar(),
-        )
+        return VectorField._term(sig, self._field_key(sig, kinds), self.scalar())
 
     def field(self, sig: Signature, terms: int = 2, kinds: str = "dq") -> VectorField:
         out = VectorField.zero(sig)
         for _ in range(terms):
-            out += self.field_term(sig, kinds)
+            out._iadd_term(self._field_key(sig, kinds), self.scalar())
         return out
 
     def qp_homogeneous(self, sig: Signature) -> QPElement:
@@ -74,32 +91,26 @@ class Sampler:
         return QPElement.from_field(self.field_term(sig))
 
     def loop_qp(self, sig: Signature) -> LoopElement:
-        return LoopElement.wrap(
-            self.rng.randint(-self.deg, self.deg), self.qp_homogeneous(sig)
-        )
+        r0 = self.below(2 * self.deg + 1) - self.deg
+        return LoopElement.wrap(r0, self.qp_homogeneous(sig))
 
     def tensor(self, sig: Signature, omega: GlModule) -> TensorVec:
         if omega.dim == 0:
             return TensorVec.zero(sig)
-        return TensorVec.basis(
-            sig, self.exps(sig), self.mask(sig.n),
-            self.rng.randrange(omega.dim), self.scalar(),
-        )
+        key = (self.exps(sig), self.mask(sig.n), self.below(omega.dim))
+        return TensorVec._term(sig, key, self.scalar())
 
     def loop_tensor(self, sig: Signature, omega: GlModule) -> LoopTensor:
-        return LoopTensor.wrap(
-            self.rng.randint(-self.deg, self.deg), self.tensor(sig, omega)
-        )
+        k = self.below(2 * self.deg + 1) - self.deg
+        return LoopTensor.wrap(k, self.tensor(sig, omega))
 
     def smash_homogeneous(self, sig: Signature) -> SmashElement:
+        """a # 1, or a # b·∂ with the b-side stored like a field term."""
         if self.rng.random() < 0.25:
-            return SmashElement.a_unit(
-                sig, self.exps(sig), self.mask(sig.n), self.scalar()
-            )
-        return SmashElement.a_tensor(
-            sig, self.exps(sig), self.mask(sig.n), self.exps(sig),
-            self.mask(sig.n), self.tag(sig), self.scalar(),
-        )
+            key = (self.exps(sig), self.mask(sig.n), sig.zero_exps(), 0, None)
+        else:
+            key = (self.exps(sig), self.mask(sig.n)) + self._field_key(sig, "dq")
+        return SmashElement._term(sig, key, self.scalar())
 
     def x_generator(self, sig: Signature):
         """(r̄, J, ∂) avoiding the degenerate (r̄, J) = (0, ∅)."""
@@ -117,7 +128,7 @@ class Sampler:
         ways = _slot_ways(sig.nvars, sig.n)
         lo = max(min_total, 0)
         hi = min_total + 2 if max_total is None else max_total
-        k = self.rng.randrange(sum(ways[0][lo:hi + 1]))
+        k = self.below(sum(ways[0][lo:hi + 1]))
         total = lo
         while k >= ways[0][total]:
             k -= ways[0][total]
@@ -133,6 +144,15 @@ class Sampler:
         t = sig.nvars
         mask = sum(bit << j for j, bit in enumerate(vals[2 * t:]))
         return tuple(vals[:t]), tuple(vals[t:2 * t]), mask
+
+
+_SCALARS = tuple(Scalar.ratio(p, d) if p else ONE
+                 for p in range(-3, 4) for d in range(1, 4))
+
+
+@lru_cache(maxsize=None)
+def _tags(sig: Signature, kinds: str) -> tuple:
+    return tuple(sig.tags(kinds))
 
 
 @lru_cache(maxsize=None)

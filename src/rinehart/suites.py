@@ -136,6 +136,9 @@ class Env:
 
 
 def build_env(cfg: SuiteConfig) -> Env:
+    if cfg.deg < 1 or cfg.samples < 1:  # deg 0 never draws a nonzero exponent
+        raise ConfigError(f"--deg and --samples must be at least 1, got"
+                          f" deg={cfg.deg}, samples={cfg.samples}")
     sig = Signature(cfg.m, cfg.n, True)
     if cfg.module_path:
         omega, mu = load_module_config(cfg.module_path)
@@ -257,13 +260,13 @@ def jacobi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     sig, dotted = env.sig, env.dotted
 
     def gl_sample():
-        p = rng.randrange(2)
+        p = s.below(2)
         g = GlMatrix.zero(sig)
         dim = len(sig.directions())
         for _ in range(2):
             while True:
-                a = rng.randrange(dim)
-                b = rng.randrange(dim)
+                a = s.below(dim)
+                b = s.below(dim)
                 if sig.gl_parity(a, b) == p:
                     break
             g._iadd_term((a, b), s.scalar())
@@ -345,7 +348,7 @@ def filtration_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
 
     def mode_membership():
         for _ in range(max(1, cfg.samples // 2)):
-            k = rng.choice((1, 2))
+            k = 1 + s.below(2)
             pos, neg, mask = s.shifted_basis(sig, k)
             coeff = shift_basis(sig, pos, neg, mask)
             for kinds in ("d", "t"):
@@ -405,12 +408,13 @@ def theta_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
             yield None if theta_project(deep).is_zero() else (
                 f"positive sample not killed: {format_element(deep)}"
             )
-            i = rng.choice(list(sig.tvars()))
+            tvars = sig.tvars()
+            i = tvars[s.below(len(tvars))]
             pick = rng.random() < 0.5
             lin = (
                 SuperPoly.t_var(sig, i) - SuperPoly.one(sig)
                 if pick
-                else SuperPoly.zeta(sig, rng.randint(1, sig.n))
+                else SuperPoly.zeta(sig, 1 + s.below(sig.n))
             )
             shallow = VectorField.from_poly_tag(lin * s.scalar(), s.tag(sig))
             shallow += _s_coefficient_field(s, sig, min_deg=2)
@@ -618,7 +622,7 @@ def loop_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     def tensor_vs_loop():
         for _ in range(cfg.samples):
             f = s.monomial(sig, coeff=False)
-            alpha = rng.randrange(sig.m + sig.n + 1)
+            alpha = s.below(sig.m + sig.n + 1)
             w = s.tensor(sig, env.omega)
             direct = shen_act(f, alpha, w, S.mu, env.omega)
             looped = loop_g_act(_loop_g_for(f, alpha), full_to_loop(w), S)
@@ -771,7 +775,7 @@ def annihilate_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
 
     def square_ideal():
         for _ in range(max(1, cfg.samples // 2)):
-            gens = _random_deep_gens(rng, s, sig)
+            gens = _random_deep_gens(s, sig)
             field = psi_map(gens, sig)
             degs = [filt_degree(c) for c in field.coefficient_polys().values()]
             if field and min(degs) < 2:
@@ -784,12 +788,12 @@ def annihilate_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     return [_over_kernel(basis, "annihilate.square_ideal", square_ideal())]
 
 
-def _random_deep_gens(rng: random.Random, s: Sampler, sig: Signature) -> dict:
+def _random_deep_gens(s: Sampler, sig: Signature) -> dict:
     """Generator combinations whose field image lies in the square of the
     vanishing ideal: products of two unit-shifted factors, a shifted
     Grassmann factor, or a doubled Grassmann mask."""
-    tag = rng.choice(sig.tags())
-    shape = rng.randrange(3) if sig.n >= 2 else rng.randrange(2)
+    tag = s.tag(sig)
+    shape = s.below(3 if sig.n >= 2 else 2)
     one = Scalar(1)
     if shape == 0:
         while True:
@@ -809,7 +813,7 @@ def _random_deep_gens(rng: random.Random, s: Sampler, sig: Signature) -> dict:
             rbar = s.exps(sig)
             if any(rbar):
                 break
-        jmask = 1 << rng.randrange(sig.n)
+        jmask = 1 << s.below(sig.n)
         return {(rbar, jmask, tag): one, (sig.zero_exps(), jmask, tag): -one}
     while True:
         jmask = s.mask(sig.n)
@@ -906,12 +910,12 @@ def roundtrip_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
 
     def parse_format():
         for case in range(cfg.samples):
-            kind = rng.randrange(3)
+            kind = s.below(3)
             if kind == 0:
-                e = s.poly(sig, terms=rng.randint(1, 4))
+                e = s.poly(sig, terms=1 + s.below(4))
                 use = sig
             elif kind == 1:
-                e = s.field(sig, terms=rng.randint(1, 3))
+                e = s.field(sig, terms=1 + s.below(3))
                 use = sig
             else:
                 e = QPElement(s.poly(dotted), s.field(dotted))

@@ -242,6 +242,15 @@ class Sparse:
     def zero(cls, sig: Signature):
         return cls(sig)
 
+    @classmethod
+    def _term(cls, sig: Signature, key, c: Scalar):
+        """The one-term element c·key, unchecked: `key` must have this
+        type's stored shape and `c` must be a nonzero Scalar."""
+        out = object.__new__(cls)
+        out.sig = sig
+        out.terms = {key: c}
+        return out
+
     def _trusted(self, terms):
         """Same type and signature as self; `terms` must hold checked nonzero
         coefficients, as results of `+ - neg` and scalar `*` do."""

@@ -168,3 +168,28 @@ def test_python_dash_m_runs_the_cli(capsys):
                           capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == main(args) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    # deg 0 draws only zero exponents; annihilate waited for a nonzero one
+    ["annihilate", "--m", "1", "--n", "1", "--deg", "0", "--samples", "4"],
+    # a negative deg was reported as the library fault annihilate.error
+    ["annihilate", "--m", "1", "--n", "1", "--deg", "-1", "--samples", "4"],
+    # no samples passed every check with 0 cases
+    ["koszul", "--samples", "-3"],
+])
+def test_degenerate_deg_or_samples_is_a_config_error(args):
+    """Rejected before any suite runs, with exit 2 and no report.  Run in a
+    child with a timeout, since a deg-0 draw loop would never end."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "rinehart", "check", *args, "--json"],
+                          capture_output=True, text=True, env=env, check=False,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "must be at least 1" in proc.stderr

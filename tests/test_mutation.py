@@ -3,13 +3,15 @@
 import inspect
 import json
 import sys
+import textwrap
 
 import pytest
 
-from rinehart import glmatrix, smash, superpoly, tensorqp, vectorfields
+from rinehart import glmatrix, sampling, smash, superpoly, tensorqp, vectorfields
 from rinehart.cli import main
 from rinehart.glmatrix import GlMatrix
 from rinehart.glmodules import GlModule, MuVector
+from rinehart.sampling import Sampler
 from rinehart.tensorqp import QPStructure, TensorVec
 
 
@@ -334,3 +336,60 @@ def test_theta_losing_a_vector_fails_bijectivity(monkeypatch, capsys):
     assert failed == {
         "iso.bijective": f"rank {total - 1} of {total}, target {total}",
     }
+
+
+@pytest.mark.parametrize("which,old,new", [
+    (1, "+ (-1) ** (pa * pb) * S.phi(b, psi_poly(a))",
+        "- (-1) ** (pa * pb) * S.phi(b, psi_poly(a))"),
+    (2, "+ sign * S.phi(a, S.psi(x, w))", "- sign * S.phi(a, S.psi(x, w))"),
+    (3, "inner = S.phi(tjinv, psi_poly(tj)) - S.psi(unit, w)",
+        "inner = S.phi(tjinv, psi_poly(tj)) + S.psi(unit, w)"),
+    (4, "inner = -psi_poly(zp) + S.phi(zp, S.psi(unit, w))",
+        "inner = psi_poly(zp) + S.phi(zp, S.psi(unit, w))"),
+    (5, "rhs = rhs + (-1) ** (pa + 1) * S.phi(da, inner)",
+        "rhs = rhs + (-1) ** pa * S.phi(da, inner)"),
+])
+def test_a_flipped_sign_in_one_operator_identity_fails_that_identity(
+        monkeypatch, capsys, which, old, new):
+    """One sign flipped on the right-hand side of derived identity k
+    fails equalities.k and no other check."""
+    assert all_failed(capsys, "1", "2", lambda: plant_edit(
+        monkeypatch, tensorqp, tensorqp.operator_identity_check, old, new)) == {
+        f"equalities.{which}"}
+
+
+@pytest.mark.parametrize("m,n,expected", [
+    ("1", "1", {"annihilate.square_ideal", "phi.bridge"}),
+    ("1", "2", {"annihilate.square_ideal"}),
+    ("2", "2", {"annihilate.square_ideal", "phi.bridge"}),
+])
+def test_t_act_without_the_empty_j_correction_fails_the_square_ideal(
+        monkeypatch, capsys, m, n, expected):
+    """The -1 # ∂ term of a J = ∅ generator dropped from t_act.  The
+    square-ideal combinations then no longer annihilate the kernel;
+    phi.bridge, which compares t_act with the φ operators of θ(ψ(gen)),
+    sees it when a J = ∅ generator is drawn."""
+    assert all_failed(capsys, m, n, lambda: plant_edit(
+        monkeypatch, tensorqp, tensorqp.t_act,
+        "out += _psi_part(S, (alpha, z, 0, Scalar(-1)), u)", "pass")) == expected
+
+
+@pytest.mark.parametrize("m,n", [("1", "1"), ("1", "2"), ("2", "2")])
+def test_sampled_field_without_euler_key_fails_the_jacobi_suite(
+        monkeypatch, capsys, m, n):
+    """Sampler.field_term storing a drawn plain ('dt', i) key as it is,
+    not rewritten by euler_key.  Only jacobi.fields.faithful draws plain
+    tags; the bracket it takes refuses the unknown stored tag, a library
+    fault reported as jacobi.error.  Tier-1's
+    tests/test_sampling.py::test_sampled_elements_equal_the_validated_constructions
+    sees the fault without running a suite."""
+    def fault():
+        fn = Sampler._field_key
+        source = textwrap.dedent(inspect.getsource(fn))
+        old = "return euler_key(sig, "
+        assert source.count(old) == 1
+        scope = dict(vars(sampling))
+        exec(source.replace(old, "return ("), scope)
+        monkeypatch.setattr(Sampler, "_field_key", scope["_field_key"])
+
+    assert all_failed(capsys, m, n, fault) == {"jacobi.error"}

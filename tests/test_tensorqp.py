@@ -531,7 +531,7 @@ def test_square_ideal_annihilates_kernel(extracted, sampler):
     S, basis = extracted
     sig = S.sig.full()
     for _ in range(30):
-        gens = _random_deep_gens(sampler.rng, sampler, sig)
+        gens = _random_deep_gens(sampler, sig)
         for u in basis:
             assert t_act_gens(gens, u, S).is_zero()
 

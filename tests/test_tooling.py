@@ -37,6 +37,10 @@ EXEMPT = {
     "special_partial": "paper construction; a suite check would move the golden hashes",
     "module_to_dict": "the config writer, inverse of module_from_dict; only tests write configs",
     "matmul": "perfbench/tracer.py wraps it as linalg.matmul; tests/test_glmodules.py's dense reference",
+    "a_unit": "validated one-term smash constructor; the Sampler builds its terms directly, and"
+              " tests/test_sampling.py checks that build against this one",
+    "a_tensor": "validated one-term smash constructor; the Sampler builds its terms directly, and"
+                " tests/test_sampling.py checks that build against this one",
 }
 
 # Definition names that two or more src/rinehart definitions share.  The
