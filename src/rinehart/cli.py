@@ -158,7 +158,10 @@ def _cmd_x_element(args) -> int:
         for p in args.J.split(","):
             k = int(p)
             sig.check_zeta(k)
-            jmask |= 1 << (k - 1)
+            bit = 1 << (k - 1)
+            if jmask & bit:
+                raise ConfigError(f"--J names the Grassmann index {k} twice")
+            jmask |= bit
     tag = _parse_tag(args.tag, sig)
     print(format_smash(make_X(sig, rbar, jmask, tag)))
     return 0

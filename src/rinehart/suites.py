@@ -735,7 +735,7 @@ def phi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
                 direct = t_act(*gen, u, S)
                 through = TensorVec.zero(env.dotted)
                 for (a, b), c in mat.terms.items():
-                    through += phi_operator(a, b, S)(u) * c
+                    through._iadd(phi_operator(a, b, S)(u), c)
                 yield None if direct == through else f"gen={gen}"
 
     def weight_shift():

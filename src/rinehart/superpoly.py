@@ -19,7 +19,8 @@ builds throwaway `SuperPoly` monomials.  `mono_mul` multiplies two
 monomials (Koszul sign from the memoised `merge_masks`, exponents
 added); `SuperPoly.__mul__`, `Sparse.left_mul` (p · Σ t^e ζ_M ⊗ label,
 the algebra action on fields and tensor vectors; `left_mul_terms` takes
-p's terms, so a single monomial needs no SuperPoly), `VectorField.apply`,
+p's terms, so a single monomial needs no SuperPoly; `_iadd` adds one
+scaled or monomial-multiplied element in place), `VectorField.apply`,
 `vf_bracket`, `smash_commutator`, the quasi-Poisson and loop products
 (`qp_product`, `loop_bracket`) and the `tensorqp` actions use it.
 `derive_mono` applies one Euler or odd basis derivation, the stored
@@ -317,13 +318,27 @@ class Sparse:
         """`left_mul` by the algebra element with terms ((e, M), c) in
         `pterms`, over self's signature; one monomial needs no SuperPoly."""
         out = self._trusted({})
-        for (ea, ma), ca in pterms:
-            for (eb, mb, label), cb in self.terms.items():
-                sign, exps, mm = mono_mul(ea, ma, eb, mb)
-                if sign:
-                    c = ca * cb
-                    out._iadd_term((exps, mm, label), c if sign > 0 else -c)
+        for mono, c in pterms:
+            out._iadd(self, c, mono)
         return out
+
+    def _iadd(self, other, c=ONE, mono=None):
+        """self += c·other in place, or c·t^e ζ_M·other for mono = (e, M)
+        and keys (exps, mask, label).  The inserts and cancellations are
+        those of `self + other * c` (or of `self + other.left_mul_terms(
+        ((mono, c),))`: one monomial maps distinct keys to distinct keys),
+        in other's term order, with neither container built.  self must
+        be a container the caller owns, and not other."""
+        if mono is None:
+            for key, cb in other.terms.items():
+                self._iadd_term(key, cb if c is ONE else cb * c)
+            return
+        ea, ma = mono
+        for (eb, mb, label), cb in other.terms.items():
+            sign, exps, mm = mono_mul(ea, ma, eb, mb)
+            if sign:
+                cc = cb if c is ONE else c * cb
+                self._iadd_term((exps, mm, label), cc if sign > 0 else -cc)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -12,7 +12,10 @@ which axioms force it.  Directions α of gl(m+1, n) follow
 ψ on Ȧ ⊗ Ω and `shen_act` on the full A ⊗ Ω are one kernel, `_twisted`;
 on Ȧ direction 0 is the algebra summand and does not differentiate.  The
 ψ and φ̂ kernels take parts (α, exps, mask, coeff), one per term
-c·t^e ζ_M·∂_α, so the composite actions need not build QPElements.
+c·t^e ζ_M·∂_α, so the composite actions need not build QPElements, and
+the composites add each summand into one output with `Sparse._iadd`, in
+the term order that sums of containers would give: term order reaches
+`Echelon`'s pivot choice and the reports.
 
 On top of the triple: the seven compatibility axioms, the loop module on
 C[t_0^{±1}] ⊗ M, the action of degree-zero centralizer generators, the
@@ -187,6 +190,7 @@ def _twisted(sig: Signature, mu: MuVector, omega: GlModule, parts,
     Σ_β (-1)^{|β| + (|a|+|b|)|β| + |b||α|} ∂_β(a)·b ⊗ E_{βα} v.  Without
     t_0, direction 0 is the algebra summand: neither a ∂_α nor a β."""
     table = _directions(sig)
+    columns = omega.columns
     out = TensorVec.zero(sig)
     for alpha, ae, am, ca in parts:
         p_alpha, tag = table[alpha]
@@ -194,7 +198,7 @@ def _twisted(sig: Signature, mu: MuVector, omega: GlModule, parts,
         mu_a = mu[alpha]
         dparts = _derivatives(sig, ae, am)
         for (be, bm, idx), cw in w.terms.items():
-            coef = ca * cw
+            coef = cw if ca is ONE else ca * cw
             pb = mask_size(bm) & 1
             # ∂_α b + μ_α b: an Euler ∂_α keeps b's monomial, an odd one moves it
             f, e, mask = derive_mono(tag, sig, be, bm) if tag else (0, be, bm)
@@ -211,7 +215,7 @@ def _twisted(sig: Signature, mu: MuVector, omega: GlModule, parts,
                     out._iadd_term((e3, m3, idx), c3 if sign > 0 else -c3)
             pab = (pa + pb) & 1
             for beta, p_beta, f, e, mask in dparts:
-                col = omega.column(beta, alpha, idx)  # E_{βα} v, often 0
+                col = columns[beta, alpha][idx]  # E_{βα} v, often 0
                 if not col:
                     continue
                 sign, e2, m2 = mono_mul(e, mask, be, bm)
@@ -454,13 +458,13 @@ def t_act(rbar, jmask: int, tag, u: TensorVec, S: QPStructure) -> TensorVec:
     out = TensorVec.zero(sig)
     for jp in subsets_of_mask(jmask):
         rest = jmask ^ jp
-        sign = -1 if (mask_size(jp) + tau(jp, rest)) & 1 else 1
-        inner = _psi_part(S, (alpha, rp, rest, ONE), u)
+        sign = Scalar(-1) if (mask_size(jp) + tau(jp, rest)) & 1 else ONE
+        inner = _psi_part(S, (alpha, rp, rest, ONE), u)  # a fresh container
         if r0:
-            inner += hat_u.left_mul_terms((((rp, rest), Scalar(-r0)),))
-        out += inner.left_mul_terms((((neg, jp), Scalar(sign)),))
+            inner._iadd(hat_u, Scalar(-r0), (rp, rest))
+        out._iadd(inner, sign, (neg, jp))
     if jmask == 0:  # the J = ∅ generator carries the correction -1 # ∂
-        out += _psi_part(S, (alpha, z, 0, Scalar(-1)), u)
+        out._iadd(_psi_part(S, (alpha, z, 0, Scalar(-1)), u))
     return out
 
 
@@ -468,7 +472,7 @@ def t_act_gens(gens: dict, u: TensorVec, S: QPStructure) -> TensorVec:
     """Extend t_act linearly over generator-coefficient dictionaries."""
     out = TensorVec.zero(S.sig)
     for (rbar, jmask, tag), c in gens.items():
-        out += t_act(rbar, jmask, tag, u, S) * c
+        out._iadd(t_act(rbar, jmask, tag, u, S), Scalar.of(c))
     return out
 
 
@@ -577,12 +581,21 @@ def phi_operator(alpha: int, beta: int, S: QPStructure):
     if kind == "d":
         p = sig.tpos(i)
         ti = z[:p] + (1,) + z[p + 1:]
-        tinv = (((z[:p] + (-1,) + z[p + 1:], 0), ONE),)
-        return lambda w: (_psi_part(S, (beta, ti, 0, ONE), w).left_mul_terms(tinv)
-                          + _psi_part(S, minus_unit, w))
-    zk = 1 << (i - 1)
-    return lambda w: (_psi_part(S, (beta, z, zk, ONE), w)
-                      + _psi_part(S, minus_unit, w).left_mul_terms((((z, zk), ONE),)))
+        tinv = (z[:p] + (-1,) + z[p + 1:], 0)
+
+        def op(w):  # t_i^{-1}·ψ_{t_i ∂_β} w - ψ_{∂_β} w
+            out = TensorVec.zero(sig)
+            out._iadd(_psi_part(S, (beta, ti, 0, ONE), w), ONE, tinv)
+            out._iadd(_psi_part(S, minus_unit, w))
+            return out
+        return op
+    zi = 1 << (i - 1)
+
+    def op(w):  # ψ_{ζ_i ∂_β} w - ζ_i·ψ_{∂_β} w, into the fresh first term
+        out = _psi_part(S, (beta, z, zi, ONE), w)
+        out._iadd(_psi_part(S, minus_unit, w), ONE, (z, zi))
+        return out
+    return op
 
 
 def phi_rep(alpha: int, beta: int, S: QPStructure,

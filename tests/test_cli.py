@@ -37,6 +37,20 @@ def test_x_element(capsys):
     assert "#" in out and "Q1" in out
 
 
+def test_x_element_rejects_a_repeated_index(capsys):
+    """J is a subset of {1..n}: a repeated index is a config error, not
+    the generator for J = {1}."""
+    assert main(["x-element", "--r", "1,0", "--J", "1,1", "--tag", "Q1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "index 1 twice" in captured.err
+    assert main(["x-element", "--m", "1", "--n", "2", "--r", "1,0",
+                 "--J", "2,1,2", "--tag", "Q1"]) == 2
+    assert "index 2 twice" in capsys.readouterr().err
+    assert main(["x-element", "--m", "1", "--n", "2", "--r", "1,0",
+                 "--J", "2,1", "--tag", "Q1"]) == 0
+
+
 def test_weights(capsys):
     assert main(["weights", "--expr", "z1*Q1"]) == 0
     assert capsys.readouterr().out.strip() == "hprime=0,0 h=0"

@@ -371,7 +371,19 @@ def test_t_act_without_the_empty_j_correction_fails_the_square_ideal(
     sees it when a J = ∅ generator is drawn."""
     assert all_failed(capsys, m, n, lambda: plant_edit(
         monkeypatch, tensorqp, tensorqp.t_act,
-        "out += _psi_part(S, (alpha, z, 0, Scalar(-1)), u)", "pass")) == expected
+        "out._iadd(_psi_part(S, (alpha, z, 0, Scalar(-1)), u))", "pass")) == expected
+
+
+def test_t_act_adding_into_its_input_fails_the_aliasing_guard(monkeypatch):
+    """t_act accumulating into the vector u it acts on, not into a fresh
+    output: the Tier-1 guard sees u changed after the call."""
+    from test_tensorqp import composites_keep_their_inputs
+
+    composites_keep_their_inputs(1, 2)
+    plant_edit(monkeypatch, tensorqp, tensorqp.t_act,
+               "out = TensorVec.zero(sig)", "out = u")
+    with pytest.raises(AssertionError):
+        composites_keep_their_inputs(1, 2)
 
 
 @pytest.mark.parametrize("m,n", [("1", "1"), ("1", "2"), ("2", "2")])

@@ -1,5 +1,7 @@
+import copy
 import inspect
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -125,6 +127,33 @@ def test_twisted_action_matches_the_superpoly_formula(m, n):
                     got = S.psi(QPElement.along(f, sig.dir_tag(alpha)), w)
                 assert got == want, (sig, alpha, f, w)
     assert mixed
+
+
+def _times_e0(p):
+    """p ⊗ e_0 for a one-dimensional Ω."""
+    return TensorVec(p.sig, {(e, mask, 0): c for (e, mask), c in p.terms.items()})
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
+def test_shen_act_on_functions_is_f_times_the_shifted_derivative(m, n):
+    """Functions and densities: for the trivial 1-dim Ω, f·∂_α acts on
+    A ⊗ Ω as b ⊗ e_0 ↦ f·(∂_α b + μ_α b) ⊗ e_0.  The expected value is
+    written with `derive` and `*`, not through the twisted-action kernel,
+    for every direction α and the non-real admissible μ."""
+    from conftest import zero_action_module
+
+    sig = Signature(m, n)
+    omega = zero_action_module(m, n, 1)
+    _, mu = admissible_mus(m, n)
+    assert any(v.im for v in mu.values)
+    s = Sampler(random.Random(7 * m + n), deg=2)
+    for alpha in sig.directions():
+        for _ in range(5):
+            f = s.poly(sig, terms=3)
+            b = s.poly(sig, terms=3)
+            image = f * (b.derive(sig.dir_tag(alpha)) + b * mu[alpha])
+            assert shen_act(f, alpha, _times_e0(b), mu, omega) == _times_e0(image), (
+                alpha, f, b)
 
 
 # ---------- the structure triple ----------
@@ -344,14 +373,63 @@ def _phi_operator_reference(alpha, beta, S):
     return lambda w: S.psi(sub, w) - S.phi(zk, S.psi(unit, w))
 
 
+def _t_act_chain(rbar, jmask, tag, u, S):
+    """t_act as a chain of containers: every summand built by `+`, `+=`
+    and `left_mul_terms`.  Its term order is the one t_act must keep,
+    since term order reaches Echelon's pivot choice and the reports."""
+    sig = S.sig
+    alpha = sig.dir_of(tag)
+    r0, rp = rbar[0], tuple(rbar[1:])
+    neg = tuple(-x for x in rp)
+    z = sig.zero_exps()
+    hat_u = tensorqp._phihat_part(S, (alpha, z, 0, Scalar(1)), u) if r0 else None
+    out = TensorVec.zero(sig)
+    for jp in subsets_of_mask(jmask):
+        rest = jmask ^ jp
+        sign = -1 if (mask_size(jp) + tau(jp, rest)) & 1 else 1
+        inner = tensorqp._psi_part(S, (alpha, rp, rest, Scalar(1)), u)
+        if r0:
+            inner += hat_u.left_mul_terms((((rp, rest), Scalar(-r0)),))
+        out += inner.left_mul_terms((((neg, jp), Scalar(sign)),))
+    if jmask == 0:
+        out += tensorqp._psi_part(S, (alpha, z, 0, Scalar(-1)), u)
+    return out
+
+
+def _phi_operator_chain(alpha, beta, S):
+    """phi_operator as the same kind of container chain."""
+    sig = S.sig
+    psi = tensorqp._psi_part
+    z = sig.zero_exps()
+    minus_unit = (beta, z, 0, Scalar(-1))
+    if alpha == 0:
+        return lambda w: tensorqp._phihat_part(S, minus_unit, w)
+    kind, i = sig.dir_tag(alpha)
+    if kind == "d":
+        p = sig.tpos(i)
+        ti = z[:p] + (1,) + z[p + 1:]
+        tinv = (((z[:p] + (-1,) + z[p + 1:], 0), Scalar(1)),)
+        return lambda w: (psi(S, (beta, ti, 0, Scalar(1)), w).left_mul_terms(tinv)
+                          + psi(S, minus_unit, w))
+    zk = 1 << (i - 1)
+    return lambda w: (psi(S, (beta, z, zk, Scalar(1)), w)
+                      + psi(S, minus_unit, w).left_mul_terms((((z, zk), Scalar(1)),)))
+
+
+def _terms(x):
+    return list(x.terms.items())
+
+
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 3)])
 def test_term_level_composites_match_the_wrapper_formulas(m, n):
-    """t_act and phi_operator pass term parts to the kernels; they agree
-    with the same formulas written over SuperPoly and QPElement operators,
-    for every generator tag (the algebra summand ('d', 0), the Euler
-    t-derivations, the odd ones), r_0 zero and nonzero, J empty and
-    not, every elementary index (α, β), and the non-real admissible μ; a
-    replaced φ̂ (here ψ) is followed by both."""
+    """t_act, t_act_gens and phi_operator pass term parts to the kernels
+    and add into one output; they agree with the same formulas written
+    over SuperPoly and QPElement operators, for every generator tag (the
+    algebra summand ('d', 0), the Euler t-derivations, the odd ones), r_0
+    zero and nonzero, J empty and not, generator coefficients 0, 1, -1
+    and non-real, every elementary index (α, β), and the non-real
+    admissible μ; a replaced φ̂ (here ψ) is followed by all three.  Their
+    terms come in the order of the container chains above."""
     omega = natural_module(m, n)
     _, mu = admissible_mus(m, n)
     S = QPStructure(Signature(m, n, False), omega, mu)
@@ -363,19 +441,67 @@ def test_term_level_composites_match_the_wrapper_formulas(m, n):
 
     tags = S.sig.full().tags("dq")
     assert ("d", 0) in tags and ("q", 1) in tags
+    coeffs = (Scalar(0), 1, Scalar(-1), Scalar(Fraction(1, 2), Fraction(-2, 3)))
     for T in (S, replaced):
         for tag in tags:
             for r0 in (0, 2, -1):
                 for jmask in (0, s.mask(n) or 1, (1 << n) - 1):
                     rbar = (r0,) + s.exps(S.sig)
                     u = vector()
-                    assert t_act(rbar, jmask, tag, u, T) == _t_act_reference(
-                        rbar, jmask, tag, u, T), (tag, rbar, jmask)
+                    got = t_act(rbar, jmask, tag, u, T)
+                    assert got == _t_act_reference(rbar, jmask, tag, u, T), (
+                        tag, rbar, jmask)
+                    assert _terms(got) == _terms(_t_act_chain(rbar, jmask, tag, u, T))
+        for _ in range(3):
+            gens = {}
+            while len(gens) < len(coeffs):
+                gens[s.x_generator(S.sig.full())] = coeffs[len(gens)]
+            u = vector()
+            got = t_act_gens(gens, u, T)
+            want, chain = TensorVec.zero(S.sig), TensorVec.zero(S.sig)
+            for gen, c in gens.items():
+                want += _t_act_reference(*gen, u, T) * c
+                chain += _t_act_chain(*gen, u, T) * c
+            assert got == want and _terms(got) == _terms(chain), gens
         for alpha in S.sig.directions():
             for beta in S.sig.directions():
                 u = vector()
-                assert phi_operator(alpha, beta, T)(u) == _phi_operator_reference(
-                    alpha, beta, T)(u), (alpha, beta)
+                got = phi_operator(alpha, beta, T)(u)
+                assert got == _phi_operator_reference(alpha, beta, T)(u), (alpha, beta)
+                assert _terms(got) == _terms(_phi_operator_chain(alpha, beta, T)(u))
+
+
+def composites_keep_their_inputs(m, n):
+    """Run t_act, t_act_gens and every φ operator on the extracted kernel
+    basis at (m, n).  The composites add into containers of their own, so
+    the basis vectors (each also the u acted on) and the module's stored
+    columns must come out equal, in term order too, to deep copies taken
+    before.  Calls go through the module, so a planted t_act is seen."""
+    omega = natural_module(m, n)
+    _, mu = admissible_mus(m, n)
+    S = QPStructure(Signature(m, n, False), omega, mu)
+    basis = omega_extract(degree_zero_basis(S), S)
+    assert len(basis) == omega.dim
+    s = Sampler(random.Random(31 * m + n), deg=2)
+    gens = {}
+    for tag in S.sig.full().tags("dq"):
+        for r0 in (0, 1):
+            for jmask in (0, (1 << n) - 1):
+                gens[((r0,) + s.exps(S.sig), jmask, tag)] = s.scalar()
+    before = copy.deepcopy(([_terms(v) for v in basis], omega.columns))
+    for u in basis:
+        for gen in gens:
+            tensorqp.t_act(*gen, u, S)
+        tensorqp.t_act_gens(gens, u, S)
+        for alpha in S.sig.directions():
+            for beta in S.sig.directions():
+                tensorqp.phi_operator(alpha, beta, S)(u)
+    assert ([_terms(v) for v in basis], omega.columns) == before
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 3)])
+def test_composites_leave_their_inputs_alone(m, n):
+    composites_keep_their_inputs(m, n)
 
 
 # ---------- kernel extraction ----------
