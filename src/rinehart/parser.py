@@ -242,29 +242,24 @@ def parse_element(text: str, sig: Signature, expect: str | None = None,
     if expect == "qp":
         if sig.includes_t0:
             raise ParseError("algebra ⊕ derivation elements are t0-free", 0)
-        return QPElement(poly, field)
+        return QPElement.pair(poly, field)
     if field.is_zero():
         return poly
     if poly.is_zero():
         return field
     if sig.includes_t0:
         raise ParseError("mixed element needs the t0-free signature", 0)
-    return QPElement(poly, field)
+    return QPElement.pair(poly, field)
 
 
 def parse_scalar_literal(text: str) -> Scalar:
-    """Parse a standalone scalar such as '-3/2' or '1/2+1/3i'."""
+    """Parse a standalone scalar such as '-3/2' or '1/2+1/3i': the grammar's
+    ['+'|'-'] scalar, and nothing after it."""
     parser = _Parser(text, Signature(1, 1))
     sign = 1
     if parser.peek()[0] in ("+", "-"):
         sign = 1 if parser.take()[0] == "+" else -1
     value = parser.parse_scalar(sign)
-    tail = parser.peek()
-    if tail[0] in ("+", "-"):
-        # unmerged imaginary tail, e.g. '1/2+1/3i' parsed greedily failed
-        s2 = 1 if parser.take()[0] == "+" else -1
-        second = parser.parse_scalar()
-        value = value + Scalar.of(s2) * second
     parser.take("end")
     return value
 
@@ -303,15 +298,15 @@ def _term_text(sig: Signature, coeff: Scalar, exps, mask: int, tag) -> str:
 
 
 def _collect_terms(e):
+    """(exps, mask, tag, coeff) of each term; tag None for the algebra
+    part, which a QPElement stores under ('d', 0)."""
     if isinstance(e, SuperPoly):
         return e.sig, [(exps, mask, None, c) for (exps, mask), c in e.terms.items()]
-    if isinstance(e, VectorField):
-        return e.sig, [(exps, mask, tag, c) for (exps, mask, tag), c in e.terms.items()]
-    if isinstance(e, QPElement):
-        sig, poly_terms = _collect_terms(e.a)
-        _, field_terms = _collect_terms(e.x)
-        return sig, poly_terms + field_terms
-    raise TypeError("cannot format this element kind")
+    if not isinstance(e, (VectorField, QPElement)):
+        raise TypeError("cannot format this element kind")
+    algebra = ("d", 0) if isinstance(e, QPElement) else None
+    return e.sig, [(exps, mask, None if tag == algebra else tag, c)
+                   for (exps, mask, tag), c in e.terms.items()]
 
 
 def format_element(e) -> str:

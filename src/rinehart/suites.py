@@ -502,6 +502,15 @@ def psi_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
 
 # ---------- qp axioms ----------
 
+class _NoPhihat(QPStructure):
+    """The structure with φ̂ killed: the qp suite's self-test mutant."""
+
+    __slots__ = ()
+
+    def phihat_parts(self, parts, w):
+        return TensorVec.zero(self.sig)
+
+
 def qp_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     rng = _rng(cfg, "qp")
     out = []
@@ -523,8 +532,7 @@ def qp_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
     # whose axiom-6 right side keeps a diagonal matrix term).
     s = Sampler(rng, cfg.deg)
     dotted = env.dotted
-    S = QPStructure(dotted, natural_module(cfg.m, cfg.n), mu1,
-                    phihat_fn=lambda S, x, w: TensorVec.zero(S.sig))
+    S = _NoPhihat(dotted, natural_module(cfg.m, cfg.n), mu1)
     report = qp_axiom_suite(S, s, max(1, cfg.samples // 7))
     witness_l, witness_r = qp_axiom_check(
         S,
@@ -918,12 +926,11 @@ def roundtrip_suite(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
                 e = s.field(sig, terms=1 + s.below(3))
                 use = sig
             else:
-                e = QPElement(s.poly(dotted), s.field(dotted))
+                e = QPElement.pair(s.poly(dotted), s.field(dotted))
                 use = dotted
             text = format_element(e)
             back = parse_element(text, use, expect="qp" if kind == 2 else None)
-            same = back == e if kind != 2 else (back.a == e.a and back.x == e.x)
-            ok = same and format_element(back) == text
+            ok = back == e and format_element(back) == text
             yield None if ok else f"case {case}: {text}"
 
     def malformed():

@@ -10,9 +10,9 @@ usual (-1)^inversions Koszul sign.  ∂/∂ζ_k is a left superderivation.
 `Sparse` is the one container behind every free module of the package:
 a term map basis key → nonzero coefficient with the shared `+ - neg`,
 scalar `*`, `==` and parity split.  `SuperPoly`, `VectorField`,
-`SmashElement`, `TensorVec`, `LoopElement`, `LoopTensor` and `GlMatrix`
-subclass it and add their key shape, constructors and the hook
-`_key_parity(key, *ctx)` that `parity`/`even_odd` read.
+`QPElement`, `SmashElement`, `TensorVec`, `LoopElement`, `LoopTensor` and
+`GlMatrix` subclass it and add their key shape, constructors and the
+hook `_key_parity(key, *ctx)` that `parity`/`even_odd` read.
 
 Two term-level kernels serve every layer above, so that none of them
 builds throwaway `SuperPoly` monomials.  `mono_mul` multiplies two
@@ -24,8 +24,10 @@ scaled or monomial-multiplied element in place), `VectorField.apply`,
 `vf_bracket`, `smash_commutator`, the quasi-Poisson and loop products
 (`qp_product`, `loop_bracket`) and the `tensorqp` actions use it.
 `derive_mono` applies one Euler or odd basis derivation, the stored
-basis of fields and smash terms, to one monomial; `mono_apply` =
-monomial · derived monomial is the step of `vf_bracket`, `qp_bracket`
+basis of fields and smash terms, to one monomial (on the dotted
+algebra, ('d', 0) is the algebra summand's tag and gives 0);
+`mono_apply` = monomial · derived monomial is the step of
+`VectorField.apply`, `vf_bracket` (also the bracket of `QPElement`s)
 and `smash_commutator`, and the `tensorqp` twisted action (ψ and
 `shen_act`) takes its derivative terms from `derive_mono` too.  `derive`
 also takes the plain d/dt_i.
@@ -120,7 +122,7 @@ class Signature:
     """Variable bookkeeping: t_0..t_m (or t_1..t_m) and ζ_1..ζ_n.  Interned
     and immutable: equal arguments give the same object, so `==` is `is`."""
 
-    __slots__ = ("m", "n", "includes_t0", "nvars")
+    __slots__ = ("m", "n", "includes_t0", "nvars", "_hash")
     _interned: dict = {}
 
     def __new__(cls, m: int, n: int, includes_t0: bool = True):
@@ -131,11 +133,12 @@ class Signature:
             sig = object.__new__(cls)
             sig.m, sig.n, sig.includes_t0 = m, n, includes_t0
             sig.nvars = m + 1 if includes_t0 else m
+            sig._hash = hash((m, n, includes_t0))
             sig = cls._interned.setdefault((m, n, includes_t0), sig)
         return sig
 
     def __hash__(self):
-        return hash((self.m, self.n, self.includes_t0))
+        return self._hash
 
     def __reduce__(self):
         return Signature, (self.m, self.n, self.includes_t0)
@@ -172,8 +175,8 @@ class Signature:
 
     def dir_tag(self, alpha: int):
         """Basis derivation of direction α: ('d', α) for α ≤ m, else
-        ('q', α - m).  On the dotted algebra ('d', 0) stands for the
-        algebra summand (see `QPElement.along`)."""
+        ('q', α - m).  On the dotted algebra ('d', 0) is the tag of the
+        algebra summand of Ȧ ⊕ Der(Ȧ) (see `QPElement`)."""
         return ("d", alpha) if alpha <= self.m else ("q", alpha - self.m)
 
     def dir_of(self, tag) -> int:
@@ -220,12 +223,13 @@ class Sparse:
     """Sparse map basis key → nonzero coefficient over one signature.
 
     The common base of every free module here (`SuperPoly`, `VectorField`,
-    `SmashElement`, `TensorVec` and the loop types): construction with
-    zeros dropped, termwise `+ - neg`, scalar `*`, `==`, and the parity
-    split.  Subclasses fix the key shape and supply `_key_parity(key,
-    *ctx)`, the parity of one basis key (ctx is passed through from
-    `parity`/`even_odd`, e.g. the module parities of a `TensorVec`).
-    Instances are unhashable unless the subclass defines `__hash__`.
+    `QPElement`, `SmashElement`, `TensorVec` and the loop types):
+    construction with zeros dropped, termwise `+ - neg`, scalar `*`, `==`,
+    and the parity split.  Subclasses fix the key shape and supply
+    `_key_parity(key, *ctx)`, the parity of one basis key (ctx is passed
+    through from `parity`/`even_odd`, e.g. the module parities of a
+    `TensorVec`).  Instances are unhashable unless the subclass defines
+    `__hash__`.
     """
 
     __slots__ = ("sig", "terms")
@@ -521,11 +525,15 @@ def derive_mono(tag, sig: Signature, exps, mask: int):
     """(factor, exps, mask) with tag(t^exps ζ_mask) = factor · t^exps' ζ_mask'
     for an Euler or odd tag, the stored basis of fields and smash terms.
 
-    The factor is an int, 0 when the derivation kills the monomial.
+    The factor is an int, 0 when the derivation kills the monomial.  On a
+    t_0-free signature ('d', 0), the tag of the algebra summand of
+    Ȧ ⊕ Der(Ȧ), is t_0 d/dt_0 and kills every monomial.
     """
     kind, idx = tag
     if kind == "d":
-        return exps[sig.tpos(idx)], exps, mask
+        if idx or sig.includes_t0:
+            return exps[sig.tpos(idx)], exps, mask
+        return 0, exps, mask
     if kind == "q":
         sig.check_zeta(idx)
         bit = 1 << (idx - 1)

@@ -5,17 +5,18 @@ living in Ȧ ⊗ Ω (dotted signature) or A ⊗ Ω (full signature).  A
 `QPStructure` packages a gl(m+1, n)-module Ω and a shift vector μ̄, and
 evaluates three actions on them by the twisted tensor-module formulas:
 the algebra action φ, the twisted derivation action ψ, and the auxiliary
-action φ̂ that feeds the 0-th matrix row.  φ̂ can be replaced, to probe
-which axioms force it.  Directions α of gl(m+1, n) follow
-`Signature.dir_tag`; direction 0 is the algebra summand of Ȧ ⊕ Der(Ȧ).
+action φ̂ that feeds the 0-th matrix row.  Directions α of gl(m+1, n)
+follow `Signature.dir_tag`; direction 0 is the algebra summand of
+Ȧ ⊕ Der(Ȧ), which a `QPElement` stores under the t_0-Euler tag ('d', 0).
 
 ψ on Ȧ ⊗ Ω and `shen_act` on the full A ⊗ Ω are one kernel, `_twisted`;
-on Ȧ direction 0 is the algebra summand and does not differentiate.  The
-ψ and φ̂ kernels take parts (α, exps, mask, coeff), one per term
-c·t^e ζ_M·∂_α, so the composite actions need not build QPElements, and
-the composites add each summand into one output with `Sparse._iadd`, in
-the term order that sums of containers would give: term order reaches
-`Echelon`'s pivot choice and the reports.
+on Ȧ direction 0 is the algebra summand, and `derive_mono` makes its
+derivative 0.  ψ and φ̂ (`QPStructure.psi_parts`, `phihat_parts`) take
+parts (α, exps, mask, coeff), one per term c·t^e ζ_M·∂_α, so the
+composite actions need not build QPElements, and the composites add each
+summand into one output with `Sparse._iadd`, in the term order that sums
+of containers would give: term order reaches `Echelon`'s pivot choice
+and the reports.
 
 On top of the triple: the seven compatibility axioms, the loop module on
 C[t_0^{±1}] ⊗ M, the action of degree-zero centralizer generators, the
@@ -118,13 +119,13 @@ def loop_to_full(lw: LoopTensor) -> TensorVec:
 # ---------- the structure triple ----------
 
 class QPStructure:
-    """Module Ω, shift vector μ̄, and the actions φ, ψ, φ̂ on Ȧ ⊗ Ω;
-    `phihat_fn(S, x, w)`, when given, replaces φ̂."""
+    """Module Ω, shift vector μ̄, and the actions φ, ψ, φ̂ on Ȧ ⊗ Ω.  ψ and
+    φ̂ take an element (`psi`, `phihat`) or its parts (α, e, M, c), one per
+    term c·t^e ζ_M·∂_α (`psi_parts`, `phihat_parts`)."""
 
-    __slots__ = ("sig", "omega", "mu", "_phihat")
+    __slots__ = ("sig", "omega", "mu")
 
-    def __init__(self, sig: Signature, omega: GlModule, mu: MuVector,
-                 phihat_fn=None):
+    def __init__(self, sig: Signature, omega: GlModule, mu: MuVector):
         if sig.includes_t0:
             raise ValueError("structures carry the dotted signature")
         if (omega.m, omega.n) != (sig.m, sig.n):
@@ -134,52 +135,71 @@ class QPStructure:
         self.sig = sig
         self.omega = omega
         self.mu = mu
-        self._phihat = phihat_fn or _phihat_default
 
     def phi(self, a: SuperPoly, w: TensorVec) -> TensorVec:
-        return _phi_default(self, a, w)
+        if a.sig != self.sig or w.sig != self.sig:
+            raise ValueError("signature mismatch")
+        return w.left_mul(a)
 
     def psi(self, x, w: TensorVec) -> TensorVec:
-        return _psi_default(self, QPElement.of(x), w)
+        return self.psi_parts(_alpha_parts(self.sig, x), w)
 
     def phihat(self, x, w: TensorVec) -> TensorVec:
-        return self._phihat(self, QPElement.of(x), w)
+        return self.phihat_parts(_alpha_parts(self.sig, x), w)
+
+    def psi_parts(self, parts, w: TensorVec) -> TensorVec:
+        if w.sig != self.sig:
+            raise ValueError("signature mismatch")
+        return _twisted(self.sig, self.mu, self.omega, parts, w)
+
+    def phihat_parts(self, parts, w: TensorVec) -> TensorVec:
+        """With a = c·t^e ζ_M, each term b ⊗ v of w goes to
+        -(-1)^{|b||α|} a·b ⊗ E_{0α} v."""
+        sig = self.sig
+        if w.sig != sig:
+            raise ValueError("signature mismatch")
+        columns = self.omega.columns
+        out = TensorVec.zero(sig)
+        for alpha, ae, am, ca in parts:
+            p_alpha = sig.dir_parity(alpha)
+            cols = columns[0, alpha]
+            for (be, bm, idx), cw in w.terms.items():
+                col = cols[idx]
+                sign, e2, m2 = mono_mul(ae, am, be, bm)
+                if not (col and sign):
+                    continue
+                if not (mask_size(bm) & 1 and p_alpha):
+                    sign = -sign
+                c2 = (cw if ca is ONE else ca * cw) * sign
+                for u, cu in col:
+                    out._iadd_term((e2, m2, u), c2 * cu)
+        return out
 
 
-def _alpha_parts(x: QPElement):
-    """Decompose a ⊕ Σ b·∂ into (direction index, monomial, coeff) parts;
-    the algebra summand is direction 0."""
-    for (exps, mask), c in x.a.terms.items():
-        yield 0, exps, mask, c
-    for (exps, mask, tag), c in x.x.terms.items():
-        yield x.sig.dir_of(tag), exps, mask, c
-
-
-def _phi_default(S: QPStructure, a: SuperPoly, w: TensorVec) -> TensorVec:
-    if a.sig != S.sig or w.sig != S.sig:
+def _alpha_parts(sig: Signature, x):
+    """The parts (α, exps, mask, coeff) of an algebra element, a field or
+    a QPElement x; the algebra summand's tag ('d', 0) is direction 0."""
+    x = QPElement.of(x)
+    if x.sig != sig:
         raise ValueError("signature mismatch")
-    return w.left_mul(a)
+    return [(sig.dir_of(tag), exps, mask, c) for (exps, mask, tag), c in x.terms.items()]
 
 
 @lru_cache(maxsize=64)
 def _directions(sig: Signature) -> tuple:
-    """(parity, tag) of each direction α; the tag is None where α is not a
-    derivation (direction 0 without t_0, the algebra summand)."""
-    first = 0 if sig.includes_t0 else 1
-    return tuple((sig.dir_parity(a), sig.dir_tag(a) if a >= first else None)
-                 for a in sig.directions())
+    """(parity, tag) of each direction α."""
+    return tuple((sig.dir_parity(a), sig.dir_tag(a)) for a in sig.directions())
 
 
 @lru_cache(maxsize=1 << 12)
 def _derivatives(sig: Signature, exps, mask: int) -> tuple:
     """∂_β(t^exps ζ_mask) = f·t^e ζ_m as (β, |β|, f, e, m), over the
-    derivation directions β that do not kill the monomial."""
+    directions β that do not kill the monomial."""
     out = []
     for beta, (p_beta, tag) in enumerate(_directions(sig)):
-        if tag:
-            f, e, m = derive_mono(tag, sig, exps, mask)
-            if f:
-                out.append((beta, p_beta, f, e, m))
+        f, e, m = derive_mono(tag, sig, exps, mask)
+        if f:
+            out.append((beta, p_beta, f, e, m))
     return tuple(out)
 
 
@@ -188,7 +208,7 @@ def _twisted(sig: Signature, mu: MuVector, omega: GlModule, parts,
     """Twisted action of Σ c·t^e ζ_M·∂_α over the parts (α, e, M, c): with
     a = c·t^e ζ_M, each term b ⊗ v of w goes to a·(∂_α b + μ_α b) ⊗ v +
     Σ_β (-1)^{|β| + (|a|+|b|)|β| + |b||α|} ∂_β(a)·b ⊗ E_{βα} v.  Without
-    t_0, direction 0 is the algebra summand: neither a ∂_α nor a β."""
+    t_0, ∂_0 is the algebra summand's ('d', 0), which `derive_mono` makes 0."""
     table = _directions(sig)
     columns = omega.columns
     out = TensorVec.zero(sig)
@@ -201,7 +221,7 @@ def _twisted(sig: Signature, mu: MuVector, omega: GlModule, parts,
             coef = cw if ca is ONE else ca * cw
             pb = mask_size(bm) & 1
             # ∂_α b + μ_α b: an Euler ∂_α keeps b's monomial, an odd one moves it
-            f, e, mask = derive_mono(tag, sig, be, bm) if tag else (0, be, bm)
+            f, e, mask = derive_mono(tag, sig, be, bm)
             if mask != bm:
                 main = ((f, e, mask), (mu_a, be, bm))
             else:
@@ -226,57 +246,6 @@ def _twisted(sig: Signature, mu: MuVector, omega: GlModule, parts,
                 c2 = coef * (f * sign)
                 for u, cu in col:
                     out._iadd_term((e2, m2, u), c2 * cu)
-    return out
-
-
-def _psi_default(S: QPStructure, x: QPElement, w: TensorVec) -> TensorVec:
-    if x.sig != S.sig or w.sig != S.sig:
-        raise ValueError("signature mismatch")
-    return _twisted(S.sig, S.mu, S.omega, _alpha_parts(x), w)
-
-
-def _psi_part(S: QPStructure, part, w: TensorVec) -> TensorVec:
-    """ψ of the one term (α, e, M, c) on w."""
-    if w.sig != S.sig:
-        raise ValueError("signature mismatch")
-    return _twisted(S.sig, S.mu, S.omega, (part,), w)
-
-
-def _phihat_default(S: QPStructure, x: QPElement, w: TensorVec) -> TensorVec:
-    if x.sig != S.sig or w.sig != S.sig:
-        raise ValueError("signature mismatch")
-    return _phihat_parts(S, _alpha_parts(x), w)
-
-
-def _phihat_part(S: QPStructure, part, w: TensorVec) -> TensorVec:
-    """φ̂ of the one term (α, e, M, c) on w; a replaced φ̂ gets it as a
-    QPElement."""
-    if S._phihat is not _phihat_default:
-        alpha, e, mask, c = part
-        x = QPElement.along(SuperPoly.monomial(S.sig, e, mask, c),
-                            S.sig.dir_tag(alpha))
-        return S.phihat(x, w)
-    if w.sig != S.sig:
-        raise ValueError("signature mismatch")
-    return _phihat_parts(S, (part,), w)
-
-
-def _phihat_parts(S: QPStructure, parts, w: TensorVec) -> TensorVec:
-    """φ̂ over the parts (α, e, M, c): with a = c·t^e ζ_M, each term b ⊗ v
-    of w goes to -(-1)^{|b||α|} a·b ⊗ E_{0α} v."""
-    out = TensorVec.zero(S.sig)
-    for alpha, ae, am, ca in parts:
-        p_alpha = S.sig.dir_parity(alpha)
-        for (be, bm, idx), cw in w.terms.items():
-            col = S.omega.column(0, alpha, idx)
-            sign, e2, m2 = mono_mul(ae, am, be, bm)
-            if not (col and sign):
-                continue
-            pb = mask_size(bm) & 1
-            s = -1 if not (pb and p_alpha) else 1
-            c2 = ca * cw * (sign * s)
-            for u, cu in col:
-                out._iadd_term((e2, m2, u), c2 * cu)
     return out
 
 
@@ -326,7 +295,7 @@ def qp_axiom_check(S: QPStructure, axiom: int, *, a=None, b=None,
     elif axiom == 7:
         px, pa = _hom_parity(x), _hom_parity(a)
         lhs = S.psi(x, S.phi(a, w)) - (-1) ** (px * pa) * S.phi(a, S.psi(x, w))
-        rhs = S.phi(x.act_on_poly(a), w)
+        rhs = S.phi(x.apply(a), w)
     else:
         raise ValueError("axioms are numbered 1..7")
     return lhs, rhs
@@ -388,12 +357,13 @@ def loop_g_act(u: LoopElement, w: LoopTensor, S: QPStructure) -> LoopTensor:
     """(t_0^r ⊗ x)·(t_0^s ⊗ ω) = t_0^{r+s} ⊗ (ψ_x ω - r φ̂_x ω + s φ_{π(x)} ω)."""
     out = LoopTensor.zero(S.sig)
     for r, x in u.terms.items():
+        a = x.a
         for s, v in w.terms.items():
             piece = S.psi(x, v)
             if r:
                 piece = piece - r * S.phihat(x, v)
-            if s and not x.a.is_zero():
-                piece = piece + s * S.phi(x.a, v)
+            if s and a:
+                piece = piece + s * S.phi(a, v)
             out._iadd_term(r + s, piece)
     return out
 
@@ -454,17 +424,17 @@ def t_act(rbar, jmask: int, tag, u: TensorVec, S: QPStructure) -> TensorVec:
     r0, rp = rbar[0], rbar[1:]
     neg = tuple(-x for x in rp)
     z = sig.zero_exps()
-    hat_u = _phihat_part(S, (alpha, z, 0, ONE), u) if r0 else None
+    hat_u = S.phihat_parts(((alpha, z, 0, ONE),), u) if r0 else None
     out = TensorVec.zero(sig)
     for jp in subsets_of_mask(jmask):
         rest = jmask ^ jp
         sign = Scalar(-1) if (mask_size(jp) + tau(jp, rest)) & 1 else ONE
-        inner = _psi_part(S, (alpha, rp, rest, ONE), u)  # a fresh container
+        inner = S.psi_parts(((alpha, rp, rest, ONE),), u)  # a fresh container
         if r0:
             inner._iadd(hat_u, Scalar(-r0), (rp, rest))
         out._iadd(inner, sign, (neg, jp))
     if jmask == 0:  # the J = ∅ generator carries the correction -1 # ∂
-        out._iadd(_psi_part(S, (alpha, z, 0, Scalar(-1)), u))
+        out._iadd(S.psi_parts(((alpha, z, 0, Scalar(-1)),), u))
     return out
 
 
@@ -509,8 +479,8 @@ def omega_extract(basis: list[TensorVec], S: QPStructure) -> list[TensorVec]:
     z = S.sig.zero_exps()
     images = []
     for k in range(1, S.sig.n + 1):
-        dk = (S.sig.dir_of(("q", k)), z, 0, ONE)
-        images.extend(_psi_part(S, dk, v) for v in basis)
+        dk = ((S.sig.dir_of(("q", k)), z, 0, ONE),)
+        images.extend(S.psi_parts(dk, v) for v in basis)
     cols = _solve_in(basis, images, "span is not invariant under the odd actions")
     d = len(basis)
     # Column j stacks the coordinates of every ψ_{∂_k} of basis vector j.
@@ -536,13 +506,13 @@ def omega_greedy(u: TensorVec, S: QPStructure) -> TensorVec:
     if u.is_zero():
         raise ValueError("needs a nonzero start vector")
     z = S.sig.zero_exps()
-    psis = [(S.sig.dir_of(("q", k)), z, 0, ONE) for k in range(1, S.sig.n + 1)]
+    psis = [((S.sig.dir_of(("q", k)), z, 0, ONE),) for k in range(1, S.sig.n + 1)]
     best = u
     for mask in sorted(range(1 << S.sig.n), key=mask_size, reverse=True):
         vec = u
         for k in range(1, S.sig.n + 1):
             if mask & (1 << (k - 1)):
-                vec = _psi_part(S, psis[k - 1], vec)
+                vec = S.psi_parts(psis[k - 1], vec)
                 if vec.is_zero():
                     break
         if not vec.is_zero():
@@ -574,9 +544,9 @@ def phi_operator(alpha: int, beta: int, S: QPStructure):
     if alpha not in sig.directions() or beta not in sig.directions():
         raise ValueError("elementary index out of range")
     z = sig.zero_exps()
-    minus_unit = (beta, z, 0, Scalar(-1))  # -∂_β, the minus sign in the coefficient
+    minus_unit = ((beta, z, 0, Scalar(-1)),)  # -∂_β, the minus sign in the coefficient
     if alpha == 0:
-        return lambda w: _phihat_part(S, minus_unit, w)
+        return lambda w: S.phihat_parts(minus_unit, w)
     kind, i = sig.dir_tag(alpha)
     if kind == "d":
         p = sig.tpos(i)
@@ -585,15 +555,15 @@ def phi_operator(alpha: int, beta: int, S: QPStructure):
 
         def op(w):  # t_i^{-1}·ψ_{t_i ∂_β} w - ψ_{∂_β} w
             out = TensorVec.zero(sig)
-            out._iadd(_psi_part(S, (beta, ti, 0, ONE), w), ONE, tinv)
-            out._iadd(_psi_part(S, minus_unit, w))
+            out._iadd(S.psi_parts(((beta, ti, 0, ONE),), w), ONE, tinv)
+            out._iadd(S.psi_parts(minus_unit, w))
             return out
         return op
     zi = 1 << (i - 1)
 
     def op(w):  # ψ_{ζ_i ∂_β} w - ζ_i·ψ_{∂_β} w, into the fresh first term
-        out = _psi_part(S, (beta, z, zi, ONE), w)
-        out._iadd(_psi_part(S, minus_unit, w), ONE, (z, zi))
+        out = S.psi_parts(((beta, z, zi, ONE),), w)
+        out._iadd(S.psi_parts(minus_unit, w), ONE, (z, zi))
         return out
     return op
 
@@ -647,7 +617,7 @@ def tprime_weight(S: QPStructure, w: TensorVec) -> tuple:
     """Eigenvalues on an eigenvector of ψ along directions 0..m: the unit
     and the Euler derivations."""
     z = S.sig.zero_exps()
-    return tuple(_eigen_scalar(w, _psi_part(S, (i, z, 0, ONE), w))
+    return tuple(_eigen_scalar(w, S.psi_parts(((i, z, 0, ONE),), w))
                  for i in range(S.sig.m + 1))
 
 
@@ -677,7 +647,7 @@ def operator_identity_check(which: int, S: QPStructure, w: TensorVec, *,
     if which == 2:
         pa, px = _hom_parity(a), _hom_parity(x)
         sign = (-1) ** (pa * px)
-        lhs = S.phihat(QPElement.from_poly(x.act_on_poly(a)), w)
+        lhs = S.phihat(QPElement.from_poly(x.apply(a)), w)
         rhs = (
             S.phihat(x, psi_poly(a))
             - sign * S.psi(QPElement.from_poly(a), S.phihat(x, w))

@@ -8,15 +8,14 @@ which the bracket exploits.  Constructors also accept the plain tag
 ('dt', i) for d/dt_i and store it as t_i^{-1}·(t_i d/dt_i) (`euler_key`);
 `plain_coefficient_polys` reads a field back in the plain basis.
 
-Built on top: the supercommutative product and bracket that live on
-algebra ⊕ derivations, and the t_0-loop extension whose bracket mixes
-the two summands through the t_0-exponents.  All three are loops over
-term pairs that accumulate into one output, like `vf_bracket`.
+Built on top: algebra ⊕ derivations, `QPElement`, keyed like a field
+with the algebra summand under the t_0-Euler tag ('d', 0), which acts on
+t_0-free monomials as 0; so its bracket is `vf_bracket`, and its product
+is one loop over term pairs.  The t_0-loop extension's bracket mixes the
+two summands through the t_0-exponents, with that same pair loop.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .scalars import Scalar
 from .superpoly import (
@@ -26,7 +25,6 @@ from .superpoly import (
     WeightVector,
     _check_same_sig,
     delta,
-    derive,
     eps,
     mask_size,
     mono_apply,
@@ -131,24 +129,25 @@ class VectorField(Sparse):
 
     def apply(self, f: SuperPoly) -> SuperPoly:
         _check_same_sig(self, f)
-        out = SuperPoly.zero(self.sig)
+        sig = self.sig
+        out = SuperPoly.zero(sig)
         for (exps, mask, tag), c in self.terms.items():
-            for (e2, m2), c2 in derive(tag, f).terms.items():
-                sign, e3, m3 = mono_mul(exps, mask, e2, m2)
-                if sign:
-                    c3 = c * c2
-                    out._iadd_term((e3, m3), c3 if sign > 0 else -c3)
+            for (e2, m2), c2 in f.terms.items():
+                k, e3, m3 = mono_apply(tag, sig, exps, mask, e2, m2)
+                if k:
+                    out._iadd_term((e3, m3), c * c2 * k)
         return out
 
 
 def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Supercommutator [aδ, bγ] = aδ(b)γ - (-1)^{|aδ||bγ|} bγ(a)δ.
+    """Supercommutator [aδ, bγ] = aδ(b)γ - (-1)^{|aδ||bγ|} bγ(a)δ, of x's
+    type (a VectorField or a QPElement).
 
     The stored basis derivations supercommute, so the [δ,γ] term vanishes.
     """
     _check_same_sig(x, y)
     sig = x.sig
-    out = VectorField.zero(sig)
+    out = x._trusted({})
     for (ea, ma, ta), ca in x.terms.items():
         pa = (mask_size(ma) + tag_parity(ta)) & 1
         for (eb, mb, tb), cb in y.terms.items():
@@ -258,38 +257,60 @@ def special_partial(sig: Signature, kind: str, *, i=None, j=None, p=None,
 
 # ---------- algebra ⊕ derivations ----------
 
-class QPElement:
-    """Element a ⊕ x of Ȧ ⊕ Der(Ȧ) (dotted signature only)."""
+class QPElement(Sparse):
+    """Element a ⊕ x of Ȧ ⊕ Der(Ȧ) (dotted signature only), keyed like a
+    field by (exps, mask, tag).  The algebra summand a is stored under the
+    t_0-Euler tag ('d', 0), the tag of gl direction 0: a ⊕ 0 is the field
+    a·t_0 d/dt_0, which kills every t_0-free monomial (`derive_mono`).  So
+    the bracket is `vf_bracket` and the action on Ȧ is `apply`; `a` and
+    `x` are copies of the two summands, for the formulas that need
+    π(a ⊕ x) = a ⊕ 0."""
 
-    __slots__ = ("a", "x")
+    __slots__ = ()
 
-    def __init__(self, a: SuperPoly, x: VectorField):
-        if a.sig != x.sig:
-            raise ValueError("signature mismatch")
-        if a.sig.includes_t0:
+    def __init__(self, sig: Signature, terms=None):
+        if sig.includes_t0:
             raise ValueError("algebra ⊕ derivations uses the dotted signature")
-        self.a = a
-        self.x = x
+        Sparse.__init__(self, sig, terms)
+
+    _key_parity = staticmethod(VectorField._key_parity)
+
+    def apply(self, f: SuperPoly) -> SuperPoly:
+        """{a ⊕ δ, f ⊕ 0} = δ(f), by `VectorField.apply`: a call, not an
+        alias, so that perfbench/tracer.py's span for it counts this one."""
+        return VectorField.apply(self, f)
 
     @property
-    def sig(self) -> Signature:
-        return self.a.sig
+    def a(self) -> SuperPoly:
+        return SuperPoly(self.sig, {(e, m): c for (e, m, tag), c in self.terms.items()
+                                    if tag == ("d", 0)})
+
+    @property
+    def x(self) -> VectorField:
+        return VectorField(self.sig, {key: c for key, c in self.terms.items()
+                                      if key[2] != ("d", 0)})
+
+    @staticmethod
+    def pair(a: SuperPoly, x: VectorField) -> "QPElement":
+        """a ⊕ x."""
+        return QPElement.from_poly(a) + QPElement.from_field(x)
 
     @staticmethod
     def from_poly(a: SuperPoly) -> "QPElement":
-        return QPElement(a, VectorField.zero(a.sig))
+        return QPElement.along(a, ("d", 0))
 
     @staticmethod
     def from_field(x: VectorField) -> "QPElement":
-        return QPElement(SuperPoly.zero(x.sig), x)
+        return QPElement(x.sig, x.terms)
 
     @staticmethod
     def along(p: SuperPoly, tag) -> "QPElement":
-        """p·∂ for a basis tag, where the t_0-Euler tag ('d', 0) (direction
-        0 of gl(m+1, n)) is the algebra summand: p ⊕ 0."""
-        if tag == ("d", 0):
-            return QPElement.from_poly(p)
-        return QPElement.from_field(VectorField.from_poly_tag(p, tag))
+        """p·∂ for a basis tag; the t_0-Euler tag ('d', 0) gives p ⊕ 0."""
+        sig = p.sig
+        if tag != ("d", 0):
+            check_tag(sig, tag)
+        return QPElement(sig, {euler_key(sig, e, m, tag): c
+                               for (e, m), c in p.terms.items()})
 
     @staticmethod
     def of(x) -> "QPElement":
@@ -302,102 +323,47 @@ class QPElement:
             return QPElement.from_field(x)
         raise TypeError("expected an algebra element, a field, or their sum")
 
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.x.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.x)
-
-    def parity(self):
-        """0 or 1 when homogeneous, None for 0 or mixed."""
-        seen = {SuperPoly._key_parity(k) for k in self.a.terms}
-        seen.update(VectorField._key_parity(k) for k in self.x.terms)
-        return seen.pop() if len(seen) == 1 else None
-
-    def __add__(self, other):
-        if not isinstance(other, QPElement):
-            return NotImplemented
-        return QPElement(self.a + other.a, self.x + other.x)
-
-    def __sub__(self, other):
-        if not isinstance(other, QPElement):
-            return NotImplemented
-        return QPElement(self.a - other.a, self.x - other.x)
-
-    def __neg__(self):
-        return QPElement(-self.a, -self.x)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return QPElement(self.a * other, self.x * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, QPElement):
-            return NotImplemented
-        return self.a == other.a and self.x == other.x
-
-    def __hash__(self):
-        return hash((self.a, self.x))
-
     def __repr__(self):
         from .parser import format_element
 
         return f"<QPElement {format_element(self)}>"
 
-    def act_on_poly(self, b: SuperPoly) -> SuperPoly:
-        """Bracket against an algebra element: {a ⊕ δ, b ⊕ 0} = δ(b)."""
-        return self.x.apply(b)
 
-
-def _add_qp_fields(out: VectorField, x: QPElement, y: QPElement, ka: int, kb: int):
-    """out += ka·Σ a·σ + kb·Σ (-1)^{|b||δ|} b·δ over the terms a of x.a, σ of
-    y.x, b of y.a and δ of x.x: the field parts of ka·π(x)·y + kb·x·π(y)."""
-    if ka:
-        for (ea, ma), ca in x.a.terms.items():
-            for (es, ms, ts), cs in y.x.terms.items():
-                sign, e, m = mono_mul(ea, ma, es, ms)
-                if sign:
-                    out._iadd_term((e, m, ts), ca * cs * (sign * ka))
-    if kb:
-        for (eb, mb), cb in y.a.terms.items():
-            odd_b = mb.bit_count() & 1
-            for (ed, md, td), cd in x.x.terms.items():
-                sign, e, m = mono_mul(eb, mb, ed, md)
-                if sign:
-                    if odd_b and (md.bit_count() + tag_parity(td)) & 1:
-                        sign = -sign
-                    out._iadd_term((e, m, td), cb * cd * (sign * kb))
+def _add_products(out: QPElement, x: QPElement, y: QPElement, k_ab, k_a, k_b):
+    """out += k_ab·ab ⊕ (k_a·aσ + k_b·(-1)^{|b||δ|} bδ) over the term pairs
+    of x = a ⊕ δ and y = b ⊕ σ.  (1, 1, 1) is the product x·y, and
+    (s - r, s, -r) is s·π(x)·y - r·x·π(y) in the loop bracket."""
+    for (ex, mx, tx), cx in x.terms.items():
+        for (ey, my, ty), cy in y.terms.items():
+            if tx == ("d", 0):
+                k, tag = (k_ab if ty == ("d", 0) else k_a), ty
+                if not k:
+                    continue
+                sign, e, m = mono_mul(ex, mx, ey, my)
+            elif ty == ("d", 0):
+                k, tag = k_b, tx
+                if not k:
+                    continue
+                sign, e, m = mono_mul(ey, my, ex, mx)
+                if my.bit_count() & 1 and (mx.bit_count() + tag_parity(tx)) & 1:
+                    sign = -sign
+            else:
+                continue
+            if sign:
+                out._iadd_term((e, m, tag), cx * cy * (sign * k))
     return out
 
 
 def qp_product(x: QPElement, y: QPElement) -> QPElement:
     """(a ⊕ δ)·(b ⊕ σ) = ab ⊕ (aσ + (-1)^{|b||δ|} bδ), bilinearly."""
     _check_same_sig(x, y)
-    return QPElement(x.a * y.a, _add_qp_fields(VectorField.zero(x.sig), x, y, 1, 1))
+    return _add_products(QPElement.zero(x.sig), x, y, 1, 1, 1)
 
 
 def qp_bracket(x: QPElement, y: QPElement) -> QPElement:
-    """{a ⊕ δ, b ⊕ σ} = (δ(b) - (-1)^{|a||σ|} σ(a)) ⊕ [δ, σ], the algebra
-    part term by term."""
-    _check_same_sig(x, y)
-    sig = x.sig
-    a_out = SuperPoly.zero(sig)
-    for (ed, md, td), cd in x.x.terms.items():
-        for (eb, mb), cb in y.a.terms.items():
-            f, e, m = mono_apply(td, sig, ed, md, eb, mb)
-            if f:
-                a_out._iadd_term((e, m), cd * cb * f)
-    for (es, ms, ts), cs in y.x.terms.items():
-        odd_s = (ms.bit_count() + tag_parity(ts)) & 1
-        for (ea, ma), ca in x.a.terms.items():
-            f, e, m = mono_apply(ts, sig, es, ms, ea, ma)
-            if f:
-                ksign = 1 if odd_s and ma.bit_count() & 1 else -1
-                a_out._iadd_term((e, m), cs * ca * (ksign * f))
-    return QPElement(a_out, vf_bracket(x.x, y.x))
+    """{a ⊕ δ, b ⊕ σ} = (δ(b) - (-1)^{|a||σ|} σ(a)) ⊕ [δ, σ]: the field
+    bracket, as a ⊕ 0 is the field a·t_0 d/dt_0."""
+    return vf_bracket(x, y)
 
 
 # ---------- the t_0 loop extension ----------
@@ -433,17 +399,12 @@ class LoopElement(Sparse):
 
 def loop_bracket(u: LoopElement, v: LoopElement) -> LoopElement:
     """[t_0^r ⊗ x, t_0^s ⊗ y] = t_0^{r+s} ⊗ ({x,y} - r·x·π(y) + s·π(x)·y),
-    where π(x) = x.a ⊕ 0, so the two products add (s - r)·x.a·y.a to the
-    algebra part and their `_add_qp_fields` terms to the field part."""
+    where π(a ⊕ δ) = a ⊕ 0; the two products are one `_add_products`."""
     _check_same_sig(u, v)
     out = LoopElement.zero(u.sig)
     for r, x in u.terms.items():
         for s, y in v.terms.items():
-            z = qp_bracket(x, y)
-            _add_qp_fields(z.x, x, y, s, -r)
-            if s != r and x.a and y.a:
-                z.a += x.a * y.a * (s - r)
-            out._iadd_term(r + s, z)
+            out._iadd_term(r + s, _add_products(qp_bracket(x, y), x, y, s - r, s, -r))
     return out
 
 
@@ -457,22 +418,20 @@ def loop_apply_to_poly(u: LoopElement, f: SuperPoly) -> SuperPoly:
     out = SuperPoly.zero(f.sig)
     slices = f.t0_slices()
     for r, x in u.terms.items():
+        a = x.a
         for s, b in slices.items():
-            piece = x.act_on_poly(b)
+            piece = x.apply(b)
             if s:
-                piece = piece + x.a * b * s
+                piece = piece + a * b * s
             out += piece.embed_full(r + s)
     return out
 
 
 def loop_der_correspond(u: LoopElement) -> VectorField:
-    """Identify with a derivation of the full algebra:
-    t_0^r ⊗ (a ⊕ 0) ↦ t_0^r · a · (t_0 d/dt_0) and t_0^r ⊗ (0 ⊕ δ) ↦ t_0^r δ."""
-    full = u.sig.full()
-    out = VectorField.zero(full)
+    """Identify with a derivation of the full algebra: t_0^r ⊗ x ↦ t_0^r x,
+    where the algebra summand's tag ('d', 0) becomes t_0 d/dt_0."""
+    out = VectorField.zero(u.sig.full())
     for r, qp in u.terms.items():
-        for (exps, mask), c in qp.a.terms.items():
-            out._iadd_term(((r,) + exps, mask, ("d", 0)), c)
-        for (exps, mask, tag), c in qp.x.terms.items():
+        for (exps, mask, tag), c in qp.terms.items():
             out._iadd_term(((r,) + exps, mask, tag), c)
     return out

@@ -145,6 +145,27 @@ def test_check_with_module_and_mu(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("mu", ["1+2,0,0", "0,2i+3i,0", "0,0,2i+1"])
+def test_mu_entry_with_a_tail_is_a_config_error(capsys, mu):
+    """Each entry of --mu is one scalar literal; '1+2' used to read as 3."""
+    assert main(["check", "qp", "--mu", mu, "--samples", "2"]) == 2
+    assert "expected 'end'" in capsys.readouterr().err
+
+
+def test_config_scalar_with_a_tail_is_a_config_error():
+    from conftest import natural_config_dict
+    from rinehart.config import ConfigError, module_from_dict
+
+    doc = natural_config_dict(1, 1)
+    doc["action"]["E_0_0"][0][0] = "1+0"  # the entry 1, spelled with a tail
+    with pytest.raises(ConfigError, match="E_0_0"):
+        module_from_dict(doc)
+    doc = natural_config_dict(1, 1)
+    doc["mu"] = ["1+2", "0", "0"]
+    with pytest.raises(ConfigError):
+        module_from_dict(doc)
+
+
 def test_library_error_in_suite_is_a_failure(monkeypatch, capsys):
     from rinehart import suites
 

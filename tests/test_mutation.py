@@ -123,13 +123,13 @@ def test_tau_zero_fails_the_check(monkeypatch, capsys, suite, expected):
 
 def test_psi_without_mu_fails_the_loop_check(monkeypatch, capsys):
     assert failed_checks(capsys, "loop") == (0, set())
-    orig = tensorqp._psi_default
+    orig = QPStructure.psi
 
     def no_mu(S, x, w):
         zero_mu = MuVector.zero(S.sig.m, S.sig.n)
         return orig(QPStructure(S.sig, S.omega, zero_mu), x, w)
 
-    plant(monkeypatch, orig, no_mu)
+    monkeypatch.setattr(QPStructure, "psi", no_mu)
     assert failed_checks(capsys, "loop") == (1, {"loop.tensor_vs_loop"})
 
 
@@ -218,13 +218,13 @@ def test_euler_key_off_by_one_fails_the_degree_field_check(monkeypatch, capsys, 
 ])
 def test_qp_product_without_its_koszul_sign_fails_the_loop_checks(
         monkeypatch, capsys, m, n, expected):
-    """The sign (-1)^{|b||δ|} dropped from the b·δ loop that qp_product and
+    """The sign (-1)^{|b||δ|} dropped from the pair loop that qp_product and
     loop_bracket share.  Only an odd b times an odd δ sees it.  The qp and
     equalities suites pass with it, and the loop bracket's antisymmetry,
     super-Jacobi identity or derivation correspondence breaks."""
     assert all_failed(capsys, m, n, lambda: plant_edit(
-        monkeypatch, vectorfields, vectorfields._add_qp_fields,
-        "if odd_b and (md.bit_count() + tag_parity(td)) & 1:",
+        monkeypatch, vectorfields, vectorfields._add_products,
+        "if my.bit_count() & 1 and (mx.bit_count() + tag_parity(tx)) & 1:",
         "if False:")) == expected
 
 
@@ -371,7 +371,7 @@ def test_t_act_without_the_empty_j_correction_fails_the_square_ideal(
     sees it when a J = ∅ generator is drawn."""
     assert all_failed(capsys, m, n, lambda: plant_edit(
         monkeypatch, tensorqp, tensorqp.t_act,
-        "out._iadd(_psi_part(S, (alpha, z, 0, Scalar(-1)), u))", "pass")) == expected
+        "out._iadd(S.psi_parts(((alpha, z, 0, Scalar(-1)),), u))", "pass")) == expected
 
 
 def test_t_act_adding_into_its_input_fails_the_aliasing_guard(monkeypatch):

@@ -47,6 +47,14 @@ def test_parse_scalars(sig11):
     assert parse_scalar_literal("-1/3+2i") == Scalar(Fraction(-1, 3), 2)
 
 
+@pytest.mark.parametrize("text", ["1+2", "2i+3i", "2i+1", "1+2i+3", "1/2+1/3i-1"])
+def test_scalar_literal_refuses_a_tail(text):
+    """A standalone scalar is [±]RAT[i] or [±]RAT(±)RAT i; anything after
+    it is an error, never a second scalar added on."""
+    with pytest.raises(ParseError):
+        parse_scalar_literal(text)
+
+
 @given(st.fractions(), st.fractions())
 def test_scalar_literal_reads_its_canonical_text(re, im):
     """A leading minus belongs to the real part: format then parse is the
@@ -130,10 +138,7 @@ def test_roundtrip_random(sig12, sampler):
             e = sampler.field(sig12, 3)
             back = parse_element(format_element(e), sig12)
         else:
-            e = QPElement(sampler.poly(dotted), sampler.field(dotted))
+            e = QPElement.pair(sampler.poly(dotted), sampler.field(dotted))
             back = parse_element(format_element(e), dotted, expect="qp")
-        if kind == 2:
-            assert back.a == e.a and back.x == e.x
-        else:
-            assert back == e
+        assert back == e
         assert format_element(back) == format_element(e)

@@ -194,9 +194,7 @@ class Validated:
 
 def stored(x):
     """Type, signature and stored (key, coefficient) pairs in order, nested
-    elements (QPElement, loop values) opened up."""
-    if isinstance(x, QPElement):
-        return "qp", stored(x.a), stored(x.x)
+    elements (loop values) opened up."""
     items = []
     for key, c in x.terms.items():
         if isinstance(c, (QPElement, TensorVec)):

@@ -1,4 +1,4 @@
-"""The shared sparse container: one term-map algebra for all seven types.
+"""The shared sparse container: one term-map algebra for all eight types.
 
 Every container's `+`, `-`, negation and scalar `*` is compared with the
 same arithmetic done here on plain dicts; signatures, operand types and
@@ -29,6 +29,8 @@ EXPS_DOT = st.tuples(st.integers(-1, 1))
 MASKS = st.integers(0, 3)
 TAGS = st.sampled_from([("d", 0), ("d", 1), ("dt", 1), ("q", 1), ("q", 2)])
 DOT_TAGS = st.sampled_from([("d", 1), ("dt", 1), ("q", 1), ("q", 2)])
+# a QPElement's algebra summand is stored under the t_0-Euler tag ('d', 0)
+QP_TAGS = st.sampled_from([("d", 0), ("d", 1), ("q", 1), ("q", 2)])
 # small values, zero included, so that sums cancel often
 SCALARS = st.builds(
     lambda re, im: Scalar(Fraction(re, 2), im), st.integers(-2, 2), st.integers(-1, 1)
@@ -42,7 +44,7 @@ def _terms(keys, values=SCALARS):
 
 
 QP_VALUES = st.builds(
-    lambda a, x: QPElement(SuperPoly(DOT, a), VectorField(DOT, x)),
+    lambda a, x: QPElement.pair(SuperPoly(DOT, a), VectorField(DOT, x)),
     _terms(st.tuples(EXPS_DOT, MASKS)),
     _terms(st.tuples(EXPS_DOT, MASKS, DOT_TAGS)),
 )
@@ -58,6 +60,7 @@ SMASH_KEYS = st.one_of(
 KINDS = {
     SuperPoly: (FULL, _terms(st.tuples(EXPS_FULL, MASKS))),
     VectorField: (FULL, _terms(st.tuples(EXPS_FULL, MASKS, TAGS))),
+    QPElement: (DOT, _terms(st.tuples(EXPS_DOT, MASKS, QP_TAGS))),
     SmashElement: (FULL, _terms(SMASH_KEYS)),
     TensorVec: (DOT, _terms(st.tuples(EXPS_DOT, MASKS, st.integers(0, 2)))),
     LoopElement: (DOT, _terms(T0, QP_VALUES)),
@@ -145,6 +148,8 @@ def _nonzero_element(cls, sig, r=1):
         return SuperPoly.one(sig)
     if cls is VectorField:
         return VectorField.basis(sig, ("q", 1))
+    if cls is QPElement:
+        return QPElement.from_poly(SuperPoly.one(sig))
     if cls is SmashElement:
         return SmashElement.a_unit(sig, sig.zero_exps())
     if cls is TensorVec:

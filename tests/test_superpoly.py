@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -226,6 +228,9 @@ def test_signatures_are_interned():
     assert sig.dotted().full() is sig
     assert sig != Signature(2, 1) and sig != sig.dotted()
     assert hash(sig) == hash((1, 2, True))
+    # the hash is stored once, at interning; a copy or a pickle is the same object
+    assert copy.copy(sig) is sig and pickle.loads(pickle.dumps(sig)) is sig
+    assert sig._hash == hash(copy.deepcopy(sig)) == hash((1, 2, True))
     assert (sig.m, sig.n, sig.includes_t0, sig.nvars) == (1, 2, True, 2)
     assert sig.dotted().nvars == 1
 

@@ -189,8 +189,9 @@ def test_qp_axioms_zero_module():
 
 
 def test_mutation_breaks_axiom_six(structure12):
-    S = QPStructure(structure12.sig, structure12.omega, structure12.mu,
-                    phihat_fn=lambda S, x, w: TensorVec.zero(S.sig))
+    from rinehart.suites import _NoPhihat
+
+    S = _NoPhihat(structure12.sig, structure12.omega, structure12.mu)
     dot = S.sig
     x = QPElement.from_field(VectorField.basis(dot, ("d", 1)))
     y = QPElement.from_poly(SuperPoly.t_var(dot, 1))
@@ -382,42 +383,51 @@ def _t_act_chain(rbar, jmask, tag, u, S):
     r0, rp = rbar[0], tuple(rbar[1:])
     neg = tuple(-x for x in rp)
     z = sig.zero_exps()
-    hat_u = tensorqp._phihat_part(S, (alpha, z, 0, Scalar(1)), u) if r0 else None
+    hat_u = S.phihat_parts(((alpha, z, 0, Scalar(1)),), u) if r0 else None
     out = TensorVec.zero(sig)
     for jp in subsets_of_mask(jmask):
         rest = jmask ^ jp
         sign = -1 if (mask_size(jp) + tau(jp, rest)) & 1 else 1
-        inner = tensorqp._psi_part(S, (alpha, rp, rest, Scalar(1)), u)
+        inner = S.psi_parts(((alpha, rp, rest, Scalar(1)),), u)
         if r0:
             inner += hat_u.left_mul_terms((((rp, rest), Scalar(-r0)),))
         out += inner.left_mul_terms((((neg, jp), Scalar(sign)),))
     if jmask == 0:
-        out += tensorqp._psi_part(S, (alpha, z, 0, Scalar(-1)), u)
+        out += S.psi_parts(((alpha, z, 0, Scalar(-1)),), u)
     return out
 
 
 def _phi_operator_chain(alpha, beta, S):
     """phi_operator as the same kind of container chain."""
     sig = S.sig
-    psi = tensorqp._psi_part
+    psi = S.psi_parts
     z = sig.zero_exps()
-    minus_unit = (beta, z, 0, Scalar(-1))
+    minus_unit = ((beta, z, 0, Scalar(-1)),)
     if alpha == 0:
-        return lambda w: tensorqp._phihat_part(S, minus_unit, w)
+        return lambda w: S.phihat_parts(minus_unit, w)
     kind, i = sig.dir_tag(alpha)
     if kind == "d":
         p = sig.tpos(i)
         ti = z[:p] + (1,) + z[p + 1:]
         tinv = (((z[:p] + (-1,) + z[p + 1:], 0), Scalar(1)),)
-        return lambda w: (psi(S, (beta, ti, 0, Scalar(1)), w).left_mul_terms(tinv)
-                          + psi(S, minus_unit, w))
+        return lambda w: (psi(((beta, ti, 0, Scalar(1)),), w).left_mul_terms(tinv)
+                          + psi(minus_unit, w))
     zk = 1 << (i - 1)
-    return lambda w: (psi(S, (beta, z, zk, Scalar(1)), w)
-                      + psi(S, minus_unit, w).left_mul_terms((((z, zk), Scalar(1)),)))
+    return lambda w: (psi(((beta, z, zk, Scalar(1)),), w)
+                      + psi(minus_unit, w).left_mul_terms((((z, zk), Scalar(1)),)))
 
 
 def _terms(x):
     return list(x.terms.items())
+
+
+class _PsiAsPhihat(QPStructure):
+    """A structure whose φ̂ is replaced, here by ψ."""
+
+    __slots__ = ()
+
+    def phihat_parts(self, parts, w):
+        return self.psi_parts(parts, w)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 3)])
@@ -433,7 +443,7 @@ def test_term_level_composites_match_the_wrapper_formulas(m, n):
     omega = natural_module(m, n)
     _, mu = admissible_mus(m, n)
     S = QPStructure(Signature(m, n, False), omega, mu)
-    replaced = QPStructure(S.sig, omega, mu, phihat_fn=lambda S, x, w: S.psi(x, w))
+    replaced = _PsiAsPhihat(S.sig, omega, mu)
     s = Sampler(random.Random(10 * m + n), deg=2)
 
     def vector():

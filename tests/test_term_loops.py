@@ -39,7 +39,7 @@ def shift_basis_reference(sig, pos, neg, mask=0):
 def _even_odd(x):
     ae, ao = x.a.even_odd()
     xe, xo = x.x.even_odd()
-    return QPElement(ae, xe), QPElement(ao, xo)
+    return QPElement.pair(ae, xe), QPElement.pair(ao, xo)
 
 
 def qp_product_reference(x, y):
@@ -56,7 +56,7 @@ def qp_product_reference(x, y):
         if not bo.is_zero():
             scaled = xh.x.left_mul(bo)
             x_out += scaled if px == 0 else -scaled
-    return QPElement(a_out, x_out)
+    return QPElement.pair(a_out, x_out)
 
 
 def qp_bracket_reference(x, y):
@@ -71,7 +71,7 @@ def qp_bracket_reference(x, y):
                 continue
             sign = -1 if (pa & ps) else 1
             a_out -= spart.apply(apart) * sign
-    return QPElement(a_out, vf_bracket(x.x, y.x))
+    return QPElement.pair(a_out, vf_bracket(x.x, y.x))
 
 
 def loop_bracket_reference(u, v):
@@ -114,7 +114,7 @@ def fields(sig):
 @st.composite
 def qp_pairs(draw):
     sig = draw(st.sampled_from(SIGS))
-    x, y = (QPElement(draw(polys(sig)), draw(fields(sig))) for _ in range(2))
+    x, y = (QPElement.pair(draw(polys(sig)), draw(fields(sig))) for _ in range(2))
     return x, y
 
 
@@ -124,16 +124,11 @@ def loop_pairs(draw):
 
     def loop():
         return LoopElement(sig, {
-            r: QPElement(draw(polys(sig)), draw(fields(sig)))
+            r: QPElement.pair(draw(polys(sig)), draw(fields(sig)))
             for r in draw(st.sets(st.integers(-2, 2), max_size=2))
         })
 
     return loop(), loop()
-
-
-def same(got, want):
-    """Equal QPElements, summand by summand."""
-    return got.a == want.a and got.x == want.x
 
 
 # ---------- properties ----------
@@ -142,23 +137,21 @@ def same(got, want):
 @given(qp_pairs())
 def test_qp_product_matches_its_container_form(pair):
     x, y = pair
-    assert same(qp_product(x, y), qp_product_reference(x, y))
+    assert qp_product(x, y) == qp_product_reference(x, y)
 
 
 @settings(max_examples=150, deadline=None)
 @given(qp_pairs())
 def test_qp_bracket_matches_its_container_form(pair):
     x, y = pair
-    assert same(qp_bracket(x, y), qp_bracket_reference(x, y))
+    assert qp_bracket(x, y) == qp_bracket_reference(x, y)
 
 
 @settings(max_examples=100, deadline=None)
 @given(loop_pairs())
 def test_loop_bracket_matches_its_container_form(pair):
     u, v = pair
-    got, want = loop_bracket(u, v), loop_bracket_reference(u, v)
-    assert got.terms.keys() == want.terms.keys()
-    assert all(same(got.terms[r], want.terms[r]) for r in want.terms)
+    assert loop_bracket(u, v) == loop_bracket_reference(u, v)
 
 
 @pytest.mark.parametrize("sig", SIGS + [s.full() for s in SIGS], ids=repr)

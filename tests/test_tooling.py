@@ -47,16 +47,21 @@ EXEMPT = {
 # reachability guard counts reads by bare name, so it cannot tell such
 # definitions apart; each entry says where every one of them is read.
 SHARED = {
+    "apply": "VectorField.apply; QPElement.apply delegates to it",
     "_key_parity": "the Sparse hook: Sparse.parity/even_odd call it on each subclass",
     "basis": "TensorVec.basis and VectorField.basis both build basis vectors in suites",
     "derive": "the module function; the SuperPoly.derive method delegates to it",
     "dotted": "Signature.dotted; the suites' Env.dotted wraps it",
-    "from_field": "SmashElement.from_field in the centralizer suite; QPElement.from_field in along",
-    "from_poly": "SmashElement.from_poly in the centralizer suite; QPElement.from_poly in along",
-    "is_zero": "Scalar, Sparse and QPElement each test their own zero",
+    "from_field": "SmashElement.from_field in the centralizer suite; QPElement.from_field in"
+                  " QPElement.of and the Sampler",
+    "from_poly": "SmashElement.from_poly in the centralizer suite; QPElement.from_poly in"
+                 " QPElement.of, QPElement.pair, the Sampler and the qp axioms",
+    "is_zero": "Scalar and Sparse each test their own zero",
     "monomial": "Sampler.monomial draws one at random; SuperPoly.monomial builds one",
     "of": "Scalar.of and QPElement.of each coerce into their own type",
-    "parity": "Sparse.parity; QPElement.parity and LoopElement.parity combine it",
+    "parity": "Sparse.parity; LoopElement.parity combines it",
+    "phihat_parts": "QPStructure.phihat_parts, read by t_act and phi_operator; the qp suite's"
+                    " self-test mutant overrides it",
     "scalar": "Sampler.scalar draws one at random; SuperPoly.scalar builds one",
     "wrap": "LoopElement.wrap and LoopTensor.wrap, both read by the Sampler",
     "zero": "Sparse.zero; MuVector.zero is the default shift of suites.build_env",
@@ -224,3 +229,25 @@ def test_plain_tag_has_two_homes():
                for node in ast.walk(ast.parse(path.read_text(), str(path))))
     )
     assert named == ["superpoly.py", "vectorfields.py"]
+
+
+def test_container_arithmetic_has_one_home():
+    """Every container is a `Sparse`, so `+`, `-` and negation are defined
+    in src/rinehart only by `Sparse` and the two value types `Scalar` and
+    `WeightVector`."""
+    ops = {"__add__", "__sub__", "__neg__"}
+    owners = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = {sub.name}
+                elif isinstance(sub, ast.Assign):
+                    names = {t.id for t in sub.targets if isinstance(t, ast.Name)}
+                else:
+                    continue
+                if names & ops:
+                    owners.add(node.name)
+    assert owners == {"Sparse", "Scalar", "WeightVector"}

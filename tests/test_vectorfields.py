@@ -5,12 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rinehart.parser import parse_element
 from rinehart.scalars import Scalar
-from rinehart.superpoly import Signature, SuperPoly, derive, filt_degree, shift_basis
+from rinehart.superpoly import (
+    Signature,
+    SuperPoly,
+    derive,
+    derive_mono,
+    filt_degree,
+    shift_basis,
+)
 from rinehart.vectorfields import (
     LoopElement,
     QPElement,
     VectorField,
+    check_tag,
     degree_field,
     loop_apply_to_poly,
     loop_bracket,
@@ -261,8 +270,8 @@ def test_qp_product_examples():
         QPElement.from_poly(t1), QPElement.from_field(d1)
     ) == QPElement.from_field(VectorField.from_poly_tag(t1, ("d", 1)))
     assert qp_product(QPElement.from_poly(z1), QPElement.from_poly(z1)).is_zero()
-    got = qp_product(QPElement(one, d1), QPElement(one, d2))
-    assert got == QPElement(one, d1 + d2)
+    got = qp_product(QPElement.pair(one, d1), QPElement.pair(one, d2))
+    assert got == QPElement.pair(one, d1 + d2)
 
 
 def test_qp_bracket_examples():
@@ -445,10 +454,30 @@ def test_along_matches_the_per_site_constructions(m, n):
         assert _loop_g_for(f, alpha) == want
 
 
+def test_algebra_tag_is_the_zero_derivation_only_inside_derive_mono():
+    """On the dotted algebra ('d', 0) is the tag of the algebra summand of a
+    QPElement: `derive_mono` makes it the zero derivation, so the field
+    bracket is the quasi-Poisson bracket.  Everywhere else it is still no
+    derivation of the dotted algebra."""
+    dot = Signature(2, 2, False)
+    for exps, mask in (((0, 0), 0), ((1, -2), 0b11), ((3, 0), 0b10)):
+        assert derive_mono(("d", 0), dot, exps, mask) == (0, exps, mask)
+    assert derive_mono(("d", 0), dot.full(), (2, 1, 0), 0) == (2, (2, 1, 0), 0)
+    f = SuperPoly.t_var(dot, 1)
+    for refuse in (lambda: check_tag(dot, ("d", 0)),
+                   lambda: VectorField.basis(dot, ("d", 0)),
+                   lambda: derive(("d", 0), f),
+                   lambda: parse_element("D0", dot)):
+        with pytest.raises(ValueError):
+            refuse()
+    x = QPElement.pair(f, VectorField.basis(dot, ("d", 1)))
+    assert x.apply(f) == f and set(x.terms) == {((1, 0), 0, ("d", 0)), ((0, 0), 0, ("d", 1))}
+
+
 def test_qp_of_promotes_each_summand():
     dot = Signature(1, 1, False)
     t1, d1 = SuperPoly.t_var(dot, 1), VectorField.basis(dot, ("d", 1))
-    both = QPElement(t1, d1)
+    both = QPElement.pair(t1, d1)
     assert QPElement.of(t1) == QPElement.from_poly(t1)
     assert QPElement.of(d1) == QPElement.from_field(d1)
     assert QPElement.of(both) is both
