@@ -41,7 +41,6 @@ from .tensorqp import (
     phi_operator,
     phi_rep,
     qp_axiom_check,
-    qp_axiom_suite,
     rho_of,
     shen_act,
     t_act,

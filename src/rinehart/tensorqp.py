@@ -301,40 +301,6 @@ def qp_axiom_check(S: QPStructure, axiom: int, *, a=None, b=None,
     return lhs, rhs
 
 
-def qp_axiom_suite(S: QPStructure, sampler, samples: int) -> dict:
-    """Sample every axiom; report pass/fail and a first counterexample."""
-    report = {}
-    for axiom in range(1, 8):
-        failure = None
-        for case in range(samples):
-            a = sampler.monomial(S.sig)
-            b = sampler.monomial(S.sig)
-            x = sampler.qp_homogeneous(S.sig)
-            y = sampler.qp_homogeneous(S.sig)
-            w = sampler.tensor(S.sig, S.omega)
-            lhs, rhs = qp_axiom_check(S, axiom, a=a, b=b, x=x, y=y, w=w)
-            if lhs != rhs:
-                failure = _describe_case(axiom, case, a=a, b=b, x=x, y=y, w=w)
-                break
-        report[axiom] = {"pass": failure is None, "cases": samples,
-                         "counterexample": failure}
-    return report
-
-
-def _describe_case(axiom, case, **kw) -> str:
-    from .parser import format_element, format_tensor
-
-    parts = []
-    for name, val in kw.items():
-        if val is None:
-            continue
-        if isinstance(val, TensorVec):
-            parts.append(f"{name}={format_tensor(val)}")
-        else:
-            parts.append(f"{name}={format_element(val)}")
-    return f"axiom {axiom} case {case}: " + ", ".join(parts)
-
-
 # ---------- the twisted action on the full tensor module ----------
 
 def shen_act(f: SuperPoly, alpha: int, w: TensorVec, mu: MuVector,

@@ -1,5 +1,6 @@
 """Checks that can fail: each test plants one fault and expects a FAIL."""
 
+import hashlib
 import inspect
 import json
 import sys
@@ -12,6 +13,7 @@ from rinehart.cli import main
 from rinehart.glmatrix import GlMatrix
 from rinehart.glmodules import GlModule, MuVector
 from rinehart.sampling import Sampler
+from rinehart.suites import _NoPhihat
 from rinehart.tensorqp import QPStructure, TensorVec
 
 
@@ -91,7 +93,9 @@ def test_merge_masks_sign_flip_fails_the_check(monkeypatch, capsys, suite):
 
 def test_failing_check_counts_cases_through_its_counterexample(monkeypatch, capsys):
     """A failing check stops at its first counterexample and counts the
-    cases it ran, not the cases it would have run."""
+    cases it ran, not the cases it would have run: the equalities under a
+    Koszul sign error, and the qp axioms with φ̂ killed (as the qp suite's
+    own mutant kills it), where axiom 6 fails at its third draw of ten."""
     flip_merge_masks(monkeypatch)
     code, checks = checks_of(capsys, "equalities")
     failed = [c for c in checks if not c["pass"]]
@@ -100,6 +104,36 @@ def test_failing_check_counts_cases_through_its_counterexample(monkeypatch, caps
         prefix, j = c["counterexample"].split(" ")
         assert prefix == "case"
         assert c["cases"] == int(j) + 1
+
+    monkeypatch.undo()
+    monkeypatch.setattr(QPStructure, "phihat_parts", _NoPhihat.phihat_parts)
+    assert main(["check", "qp", "--m", "1", "--n", "2", "--samples", "70",
+                 "--json"]) == 1
+    failed = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["pass"]}
+    assert failed["qp.axiom6[rational]"]["cases"] == 3
+    assert failed["qp.axiom6[rational]"]["counterexample"].startswith("axiom 6 case 2:")
+    for c in failed.values():
+        j = c["counterexample"].split(":")[0].split(" ")[-1]
+        assert c["cases"] == int(j) + 1, c
+
+
+# sha256 of `check all --m 1 --n 2 --deg 2 --samples 20 --json` with
+# merge_masks sign-flipped.  Eleven ids fail; each stops at its first
+# counterexample, and the checks after it in its suite draw from there.
+FLIPPED_MERGE_MASKS = "1f121c63de8539aab751f9344813ab9cc2289be7f13a70edbd9abd5ff3c25313"
+
+
+def test_failing_report_is_pinned(monkeypatch, capsys):
+    """Every golden hash comes from a passing run; this one pins where
+    failing checks stop and what the checks after them draw."""
+    flip_merge_masks(monkeypatch)
+    assert main(["check", "all", "--m", "1", "--n", "2", "--deg", "2",
+                 "--samples", "20", "--json"]) == 1
+    out = capsys.readouterr().out
+    failed = [c["id"] for c in json.loads(out)["checks"] if not c["pass"]]
+    assert len(failed) == 11 and not any(cid.startswith("qp.") for cid in failed)
+    assert hashlib.sha256(out.encode()).hexdigest() == FLIPPED_MERGE_MASKS
 
 
 def test_sibling_failure_does_not_cut_a_centralizer_check(monkeypatch, capsys):

@@ -60,16 +60,32 @@ def test_failed_induced_module_fails_both_suites(monkeypatch):
 
 
 def test_check_driver():
-    assert _check("c.all", iter([None] * 5)) == CheckResult("c.all", True, 5)
-    assert _check("c.none", iter([])) == CheckResult("c.none", True, 0)
+    """The driver counts the verdicts of each row's draws, passes a row
+    with none, and stops a failing row at its first counterexample
+    without drawing again or resuming the draw."""
+    draws = []
 
-    def stops_at_first():
-        yield None
-        yield None
+    def fails_on_third_draw():
+        draws.append(None)
+        if len(draws) < 3:
+            yield None
+            return
         yield "case 2"
         raise AssertionError("resumed past the first counterexample")
 
-    assert _check("c.fail", stops_at_first()) == CheckResult("c.fail", False, 3, "case 2")
+    def rows(cfg, env, s):
+        return [
+            ("c.all", 5, lambda: iter([None])),
+            ("c.none", 4, lambda: iter([])),
+            ("c.fail", 10, fails_on_third_draw),
+        ]
+
+    assert _check(SuiteConfig(), None, "c", rows) == [
+        CheckResult("c.all", True, 5),
+        CheckResult("c.none", True, 0),
+        CheckResult("c.fail", False, 3, "case 2"),
+    ]
+    assert len(draws) == 3
 
 
 # sha256 of repr(rng.getstate()) per suite after

@@ -28,7 +28,6 @@ from rinehart.tensorqp import (
     omega_greedy,
     phi_operator,
     qp_axiom_check,
-    qp_axiom_suite,
     rho_of,
     shen_act,
     t_act,
@@ -173,9 +172,19 @@ def test_qp_apply_examples(structure12):
     assert got.is_zero()
 
 
-def test_qp_axioms_all_pass(structure12, sampler):
-    report = qp_axiom_suite(structure12, sampler, 40)
-    assert all(report[a]["pass"] for a in range(1, 8)), report
+def axiom_results(S, draws, seed):
+    """The seven axiom rows on S, run by the suite driver on its Sampler."""
+    from rinehart.suites import SuiteConfig, _axiom_rows, _check
+
+    def rows(cfg, env, s):
+        return _axiom_rows(S, s, draws)
+
+    return {r.check: r for r in _check(SuiteConfig(seed=seed), None, "qp", rows)}
+
+
+def test_qp_axioms_all_pass(structure12):
+    results = axiom_results(structure12, 40, 20240601)
+    assert len(results) == 7 and all(r.passed for r in results.values()), results
 
 
 def test_qp_axioms_zero_module():
@@ -183,9 +192,8 @@ def test_qp_axioms_zero_module():
 
     dot = Signature(1, 1, False)
     zero = QPStructure(dot, zero_action_module(1, 1, 0), MuVector.zero(1, 1))
-    s = Sampler(random.Random(4), 2)
-    report = qp_axiom_suite(zero, s, 10)
-    assert all(report[a]["pass"] for a in range(1, 8))
+    results = axiom_results(zero, 10, 4)
+    assert len(results) == 7 and all(r.passed for r in results.values()), results
 
 
 def test_mutation_breaks_axiom_six(structure12):
@@ -198,10 +206,9 @@ def test_mutation_breaks_axiom_six(structure12):
     lhs, rhs = qp_axiom_check(S, 6, x=x, y=y, w=unit_vec(dot, 1))
     assert lhs != rhs
     # the other axioms survive the mutation
-    s = Sampler(random.Random(11), 2)
-    report = qp_axiom_suite(S, s, 25)
+    results = axiom_results(S, 25, 11)
     for a in (1, 2, 3, 4, 5, 7):
-        assert report[a]["pass"], (a, report[a])
+        assert results[f"qp.axiom{a}"].passed, results[f"qp.axiom{a}"]
 
 
 # ---------- loop module ----------

@@ -107,9 +107,22 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert out.strip() == "[]"
 
 
+# Decorators that register the definition they decorate, which is then
+# reached through the registry instead of by name.
+REGISTRARS = {
+    "_suite": "suites._suite puts the suite into suites.SUITES, which run_suite reads",
+}
+
+
+def _registered(node):
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) in REGISTRARS
+               for d in getattr(node, "decorator_list", ()))
+
+
 def test_every_library_name_is_reached():
     """Each definition in src/rinehart is read by library code other than
-    the package exports and its own body, or is exempt with a reason."""
+    the package exports and its own body, is registered by a decorator in
+    REGISTRARS, or is exempt with a reason."""
     trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
     reads = Counter()
     for name, tree in trees.items():
@@ -119,7 +132,7 @@ def test_every_library_name_is_reached():
         node.name: name
         for name, tree in trees.items()
         for node in _definitions(tree)
-        if reads[node.name] == _reads(node)[node.name]
+        if reads[node.name] == _reads(node)[node.name] and not _registered(node)
     }
     unexempt = sorted(f"{mod}: {name}" for name, mod in unreached.items()
                       if name not in EXEMPT)
@@ -229,6 +242,36 @@ def test_plain_tag_has_two_homes():
                for node in ast.walk(ast.parse(path.read_text(), str(path))))
     )
     assert named == ["superpoly.py", "vectorfields.py"]
+
+
+# CheckResults that suites.py builds outside the driver, keyed by the
+# building function and the id expression.
+RESULTS_OUTSIDE_THE_DRIVER = {
+    ("run_suite", "f'{name}.error'"): "a suite that raised: its library fault under one id",
+}
+
+
+def test_suites_have_one_driver():
+    """In suites.py only the driver `_check` seeds a suite's rng, builds
+    its one `Sampler` and builds `CheckResult`s, apart from the named
+    exemptions above; only `_rng` builds a `Random`."""
+    tree = ast.parse((SRC / "suites.py").read_text())
+    calls = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("_rng", "Sampler", "CheckResult", "Random"):
+                    first = ast.unparse(node.args[0]) if node.args else None
+                    calls.append((getattr(top, "name", None), name, first))
+    owners = {name: {top for top, called, _ in calls if called == name}
+              for name in ("_rng", "Sampler", "CheckResult", "Random")}
+    assert owners == {"_rng": {"_check"}, "Sampler": {"_check"},
+                      "CheckResult": {"_check", "run_suite"}, "Random": {"_rng"}}
+    outside = {(top, first) for top, name, first in calls
+               if name == "CheckResult" and top != "_check"}
+    assert outside == set(RESULTS_OUTSIDE_THE_DRIVER)
 
 
 def test_container_arithmetic_has_one_home():
