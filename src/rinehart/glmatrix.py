@@ -7,6 +7,7 @@ E_{α,β} read from `Signature.gl_parity`.
 
 from __future__ import annotations
 
+from .scalars import Scalar
 from .superpoly import Signature, Sparse, _check_same_sig
 
 
@@ -17,6 +18,14 @@ class GlMatrix(Sparse):
 
     def _key_parity(self, key) -> int:
         return self.sig.gl_parity(*key)
+
+    @staticmethod
+    def _entry(sig: Signature, key, c):
+        a, b = key
+        dirs = sig.directions()
+        if a not in dirs or b not in dirs:
+            raise ValueError(f"E_{a}_{b} outside gl({sig.m + 1}, {sig.n})")
+        return key, Scalar.of(c)
 
     @staticmethod
     def elementary(sig: Signature, a: int, b: int) -> "GlMatrix":
@@ -33,7 +42,7 @@ def gl_bracket(x: GlMatrix, y: GlMatrix) -> GlMatrix:
     [E_ab, E_cd] = δ_bc E_ad - (-1)^{|ab||cd|} δ_da E_cb."""
     _check_same_sig(x, y)
     par = x.sig.gl_parity
-    out = x._trusted({})
+    out = x._trusted(x.sig, {})
     for (a, b), cx in x.terms.items():
         pab = par(a, b)
         for (c, d), cy in y.terms.items():

@@ -5,8 +5,8 @@ Laurent exponents and arbitrary Grassmann masks give span coverage at a
 fixed degree window.  Every sampler draws from one `random.Random`, so a
 seed determines the full case list; every bounded draw is `Sampler.below`,
 which replays `randrange` on `getrandbits`.  Samples are one-term
-containers built from parts valid by construction (`Sparse._term`), not
-re-checked by the public constructors.  `shifted_basis` is uniform over
+containers built from parts valid by construction (`Sparse._trusted`),
+not re-checked by the key hook of the public constructor.  `shifted_basis` is uniform over
 the triples in its degree window (the law of drawing and rejecting
 outside it), from one draw: the draw is a rank, unranked slot by slot.
 """
@@ -59,7 +59,7 @@ class Sampler:
 
     def monomial(self, sig: Signature, coeff: bool = True) -> SuperPoly:
         c = self.scalar() if coeff else ONE
-        return SuperPoly._term(sig, (self.exps(sig), self.mask(sig.n)), c)
+        return SuperPoly._trusted(sig, {(self.exps(sig), self.mask(sig.n)): c})
 
     def poly(self, sig: Signature, terms: int = 2) -> SuperPoly:
         out = SuperPoly.zero(sig)
@@ -77,7 +77,7 @@ class Sampler:
         return euler_key(sig, self.exps(sig), self.mask(sig.n), self.tag(sig, kinds))
 
     def field_term(self, sig: Signature, kinds: str = "dq") -> VectorField:
-        return VectorField._term(sig, self._field_key(sig, kinds), self.scalar())
+        return VectorField._trusted(sig, {self._field_key(sig, kinds): self.scalar()})
 
     def field(self, sig: Signature, terms: int = 2, kinds: str = "dq") -> VectorField:
         out = VectorField.zero(sig)
@@ -98,7 +98,7 @@ class Sampler:
         if omega.dim == 0:
             return TensorVec.zero(sig)
         key = (self.exps(sig), self.mask(sig.n), self.below(omega.dim))
-        return TensorVec._term(sig, key, self.scalar())
+        return TensorVec._trusted(sig, {key: self.scalar()})
 
     def loop_tensor(self, sig: Signature, omega: GlModule) -> LoopTensor:
         k = self.below(2 * self.deg + 1) - self.deg
@@ -110,7 +110,7 @@ class Sampler:
             key = (self.exps(sig), self.mask(sig.n), sig.zero_exps(), 0, None)
         else:
             key = (self.exps(sig), self.mask(sig.n)) + self._field_key(sig, "dq")
-        return SmashElement._term(sig, key, self.scalar())
+        return SmashElement._trusted(sig, {key: self.scalar()})
 
     def x_generator(self, sig: Signature):
         """(r̄, J, ∂) avoiding the degenerate (r̄, J) = (0, ∅)."""
@@ -120,15 +120,13 @@ class Sampler:
             if any(rbar) or jmask:
                 return rbar, jmask, self.tag(sig)
 
-    def shifted_basis(self, sig: Signature, min_total: int,
-                      max_total: int | None = None):
+    def shifted_basis(self, sig: Signature, min_total: int):
         """(pos, neg, mask) powers of a shifted basis product, pos and neg
         in {0, 1, 2}^nvars, with the total degree sum(pos) + sum(neg) +
-        |mask| in [min_total, max_total] (default min_total + 2)."""
+        |mask| in [min_total, min_total + 2]."""
         ways = _slot_ways(sig.nvars, sig.n)
         lo = max(min_total, 0)
-        hi = min_total + 2 if max_total is None else max_total
-        k = self.below(sum(ways[0][lo:hi + 1]))
+        k = self.below(sum(ways[0][lo:min_total + 3]))
         total = lo
         while k >= ways[0][total]:
             k -= ways[0][total]

@@ -15,7 +15,7 @@ gl(m+1, n) through the degree-one Taylor data.
 from __future__ import annotations
 
 from .glmatrix import GlMatrix
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .superpoly import (
     Signature,
     Sparse,
@@ -26,7 +26,7 @@ from .superpoly import (
     mono_mul,
     subsets_of_mask,
 )
-from .vectorfields import VectorField, check_tag, euler_key, tag_parity, vf_bracket
+from .vectorfields import VectorField, field_entry, tag_parity, vf_bracket
 
 
 def _term_parity(amask: int, bmask: int, tag) -> int:
@@ -42,35 +42,25 @@ class SmashElement(Sparse):
     b-side b·∂ is stored like a `VectorField` term (`euler_key`)."""
 
     __slots__ = ()
+    _full = True
 
-    def __init__(self, sig: Signature, terms=None):
-        if not sig.includes_t0:
-            raise ValueError("smash elements use the full signature")
-        self.sig = sig
-        self.terms = {}
-        for (aexps, amask, bexps, bmask, tag), c in (terms or {}).items():
-            if tag is not None:
-                bexps, bmask, tag = euler_key(sig, bexps, bmask, tag)
-            elif any(bexps) or bmask:
+    @staticmethod
+    def _entry(sig: Signature, key, c):
+        """a # b·∂ with b·∂ a field's key, or a # 1 (tag None, b = 1)."""
+        aexps, amask, bexps, bmask, tag = key
+        sig.check_mono(aexps, amask)
+        if tag is None:
+            if bexps != sig.zero_exps() or bmask:
                 raise ValueError("unit-tagged terms carry no b-monomial")
-            self._iadd_term((aexps, amask, bexps, bmask, tag), Scalar.of(c))
+            return key, Scalar.of(c)
+        bkey, c = field_entry(sig, (bexps, bmask, tag), c)
+        return (aexps, amask) + bkey, c
 
     @staticmethod
     def _key_parity(key) -> int:
         return _term_parity(key[1], key[3], key[4])
 
     # -- constructors --
-
-    @staticmethod
-    def a_unit(sig: Signature, aexps, amask: int = 0, coeff=1) -> "SmashElement":
-        key = (tuple(aexps), amask, sig.zero_exps(), 0, None)
-        return SmashElement(sig, {key: Scalar.of(coeff)})
-
-    @staticmethod
-    def a_tensor(sig: Signature, aexps, amask, bexps, bmask, tag, coeff=1):
-        check_tag(sig, tag)
-        key = (tuple(aexps), amask, tuple(bexps), bmask, tag)
-        return SmashElement(sig, {key: Scalar.of(coeff)})
 
     @staticmethod
     def from_field(x: VectorField) -> "SmashElement":
@@ -155,8 +145,8 @@ def smash_commutator(u: SmashElement, v: SmashElement) -> SmashElement:
                 if not s_ac:
                     continue
                 br = vf_bracket(
-                    VectorField.term(sig, pe, pm, ta),
-                    VectorField.term(sig, qe, qm, tb),
+                    VectorField._trusted(sig, {(pe, pm, ta): ONE}),
+                    VectorField._trusted(sig, {(qe, qm, tb): ONE}),
                 )
                 for (e2, m2, t2), c2 in br.terms.items():
                     out._iadd_term((e1, m1, e2, m2, t2), coef * (sign * s_ac) * c2)
@@ -181,10 +171,9 @@ def make_X(sig: Signature, rbar, jmask: int, tag) -> SmashElement:
     with J = ∅ it is t^{-r̄} # t^{r̄}∂ - 1 # ∂.  The tag ∂ must be an Euler
     or odd tag (a gl direction); a plain d/dt_i raises ValueError.
     """
-    sig.dir_of(check_tag(sig, tag))
+    sig.dir_of(sig.check_tag(tag))
     rbar = tuple(rbar)
-    if len(rbar) != sig.nvars:
-        raise ValueError("exponent tuple has wrong length")
+    sig.check_mono(rbar, jmask)
     neg = tuple(-r for r in rbar)
     out = SmashElement.zero(sig)
     for imask in subsets_of_mask(jmask):

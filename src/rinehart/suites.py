@@ -36,7 +36,7 @@ from .parser import (
     parse_element,
 )
 from .sampling import Sampler
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .smash import (
     SmashElement,
     make_X,
@@ -891,7 +891,7 @@ def iso_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
         for exps in itertools.product(range(-bound, bound + 1), repeat=dotted.nvars):
             for mask in range(1 << dotted.n):
                 for j in range(len(basis)):
-                    dom.append(TensorVec.basis(dotted, exps, mask, j))
+                    dom.append(TensorVec._trusted(dotted, {(exps, mask, j): ONE}))
         target_dim = (2 * bound + 1) ** dotted.nvars * (1 << dotted.n) * env.omega.dim
         rk = linalg.rank(theta_transport(v, basis, S).terms for v in dom)
         ok = rk == len(dom) == target_dim

@@ -11,8 +11,12 @@ usual (-1)^inversions Koszul sign.  ∂/∂ζ_k is a left superderivation.
 a term map basis key → nonzero coefficient with the shared `+ - neg`,
 scalar `*`, `==` and parity split.  `SuperPoly`, `VectorField`,
 `QPElement`, `SmashElement`, `TensorVec`, `LoopElement`, `LoopTensor` and
-`GlMatrix` subclass it and add their key shape, constructors and the
-hook `_key_parity(key, *ctx)` that `parity`/`even_odd` read.
+`GlMatrix` subclass it and add two hooks: `_entry(sig, key, c)`, which
+`Sparse.__init__`, the one public constructor, runs on every input term
+to refuse a key that is no basis key of the type and to store it
+normalised, and `_key_parity(key, *ctx)`, which `parity`/`even_odd`
+read.  Parts valid by construction (samples, summands copied out,
+products' operands) are stored unchecked by `Sparse._trusted`.
 
 Two term-level kernels serve every layer above, so that none of them
 builds throwaway `SuperPoly` monomials.  `mono_mul` multiplies two
@@ -122,7 +126,7 @@ class Signature:
     """Variable bookkeeping: t_0..t_m (or t_1..t_m) and ζ_1..ζ_n.  Interned
     and immutable: equal arguments give the same object, so `==` is `is`."""
 
-    __slots__ = ("m", "n", "includes_t0", "nvars", "_hash")
+    __slots__ = ("m", "n", "includes_t0", "nvars", "_hash", "_tags")
     _interned: dict = {}
 
     def __new__(cls, m: int, n: int, includes_t0: bool = True):
@@ -134,6 +138,7 @@ class Signature:
             sig.m, sig.n, sig.includes_t0 = m, n, includes_t0
             sig.nvars = m + 1 if includes_t0 else m
             sig._hash = hash((m, n, includes_t0))
+            sig._tags = frozenset(sig.tags("dtq"))
             sig = cls._interned.setdefault((m, n, includes_t0), sig)
         return sig
 
@@ -161,6 +166,21 @@ class Signature:
         if not 1 <= k <= self.n:
             raise ValueError(f"variable z{k} outside signature")
         return k
+
+    def check_mono(self, exps, mask: int):
+        """Refuse (ValueError) an exponent tuple or Grassmann mask that is
+        not one of a monomial t^exps ζ_mask here."""
+        if len(exps) != self.nvars:
+            raise ValueError("exponent tuple has wrong length")
+        if mask >> self.n:  # also every negative mask
+            raise ValueError("Grassmann index outside signature")
+
+    def check_tag(self, tag):
+        """`tag` if it is a basis derivation here, one of `tags("dtq")`;
+        else ValueError.  On the dotted algebra ('d', 0) is none."""
+        if tag not in self._tags:
+            raise ValueError(f"unknown derivation tag {tag!r}")
+        return tag
 
     def zero_exps(self) -> tuple[int, ...]:
         return (0,) * self.nvars
@@ -223,44 +243,45 @@ class Sparse:
     """Sparse map basis key → nonzero coefficient over one signature.
 
     The common base of every free module here (`SuperPoly`, `VectorField`,
-    `QPElement`, `SmashElement`, `TensorVec` and the loop types):
-    construction with zeros dropped, termwise `+ - neg`, scalar `*`, `==`,
-    and the parity split.  Subclasses fix the key shape and supply
-    `_key_parity(key, *ctx)`, the parity of one basis key (ctx is passed
+    `QPElement`, `SmashElement`, `TensorVec`, the loop types and
+    `GlMatrix`): construction with zeros dropped, termwise `+ - neg`,
+    scalar `*`, `==`, and the parity split.  Subclasses supply two hooks.
+    `_entry(sig, key, c)` returns the stored key and coefficient of one
+    input term, or raises ValueError for a key that is no basis key of
+    the type; the class attribute `_full` names the signature kind the
+    type needs (True full, False t_0-free, None either).
+    `_key_parity(key, *ctx)` is the parity of one basis key (ctx is passed
     through from `parity`/`even_odd`, e.g. the module parities of a
     `TensorVec`).  Instances are unhashable unless the subclass defines
     `__hash__`.
     """
 
     __slots__ = ("sig", "terms")
+    _full = None
 
     def __init__(self, sig: Signature, terms=None):
+        if self._full is not None and sig.includes_t0 != self._full:
+            kind = "full" if self._full else "t_0-free"
+            raise ValueError(f"{type(self).__name__} needs the {kind} signature")
         self.sig = sig
         self.terms = {}
         if terms:
+            entry = self._entry
             for key, c in terms.items():
-                c = Scalar.of(c)
-                if c:
-                    self.terms[key] = c
+                self._iadd_term(*entry(sig, key, c))
 
     @classmethod
     def zero(cls, sig: Signature):
         return cls(sig)
 
     @classmethod
-    def _term(cls, sig: Signature, key, c: Scalar):
-        """The one-term element c·key, unchecked: `key` must have this
-        type's stored shape and `c` must be a nonzero Scalar."""
+    def _trusted(cls, sig: Signature, terms: dict):
+        """The element with exactly these terms, unchecked: each key must be
+        stored as `_entry` stores it, each coefficient nonzero and of the
+        stored type (a Scalar, or an element in the loop types), and
+        `terms` a dict no one else holds."""
         out = object.__new__(cls)
         out.sig = sig
-        out.terms = {key: c}
-        return out
-
-    def _trusted(self, terms):
-        """Same type and signature as self; `terms` must hold checked nonzero
-        coefficients, as results of `+ - neg` and scalar `*` do."""
-        out = object.__new__(type(self))
-        out.sig = self.sig
         out.terms = terms
         return out
 
@@ -282,7 +303,7 @@ class Sparse:
         if type(other) is not type(self):
             return NotImplemented
         _check_same_sig(self, other)
-        out = self._trusted(dict(self.terms))
+        out = self._trusted(self.sig, dict(self.terms))
         for key, c in other.terms.items():
             out._iadd_term(key, c)
         return out
@@ -291,20 +312,20 @@ class Sparse:
         if type(other) is not type(self):
             return NotImplemented
         _check_same_sig(self, other)
-        out = self._trusted(dict(self.terms))
+        out = self._trusted(self.sig, dict(self.terms))
         for key, c in other.terms.items():
             out._iadd_term(key, -c)
         return out
 
     def __neg__(self):
-        return self._trusted({k: -c for k, c in self.terms.items()})
+        return self._trusted(self.sig, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             s = Scalar.of(other)
             if not s:
                 return type(self)(self.sig)
-            return self._trusted({k: c * s for k, c in self.terms.items()})
+            return self._trusted(self.sig, {k: c * s for k, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -321,7 +342,7 @@ class Sparse:
     def left_mul_terms(self, pterms):
         """`left_mul` by the algebra element with terms ((e, M), c) in
         `pterms`, over self's signature; one monomial needs no SuperPoly."""
-        out = self._trusted({})
+        out = self._trusted(self.sig, {})
         for mono, c in pterms:
             out._iadd(self, c, mono)
         return out
@@ -360,7 +381,7 @@ class Sparse:
         ev, od = {}, {}
         for key, c in self.terms.items():
             (od if self._key_parity(key, *ctx) else ev)[key] = c
-        return type(self)(self.sig, ev), type(self)(self.sig, od)
+        return self._trusted(self.sig, ev), self._trusted(self.sig, od)
 
 
 # ---------- SuperPoly ----------
@@ -374,11 +395,16 @@ class SuperPoly(Sparse):
     def _key_parity(key) -> int:
         return mask_size(key[1]) & 1
 
+    @staticmethod
+    def _entry(sig: Signature, key, c):
+        sig.check_mono(*key)
+        return key, Scalar.of(c)
+
     # -- constructors --
 
     @staticmethod
     def scalar(sig: Signature, c) -> "SuperPoly":
-        return SuperPoly(sig, {(sig.zero_exps(), 0): Scalar.of(c)})
+        return SuperPoly(sig, {(sig.zero_exps(), 0): c})
 
     @staticmethod
     def one(sig: Signature) -> "SuperPoly":
@@ -386,10 +412,7 @@ class SuperPoly(Sparse):
 
     @staticmethod
     def monomial(sig: Signature, exps, mask: int = 0, coeff=1) -> "SuperPoly":
-        exps = tuple(exps)
-        if len(exps) != sig.nvars:
-            raise ValueError("exponent tuple has wrong length")
-        return SuperPoly(sig, {(exps, mask): Scalar.of(coeff)})
+        return SuperPoly(sig, {(tuple(exps), mask): coeff})
 
     @staticmethod
     def t_var(sig: Signature, i: int, power: int = 1) -> "SuperPoly":
@@ -404,8 +427,6 @@ class SuperPoly(Sparse):
 
     @staticmethod
     def zeta_mask(sig: Signature, mask: int) -> "SuperPoly":
-        if mask >> sig.n:
-            raise ValueError("Grassmann index outside signature")
         return SuperPoly.monomial(sig, sig.zero_exps(), mask)
 
     # -- queries --
@@ -469,9 +490,8 @@ class SuperPoly(Sparse):
         """View a dotted element inside the full algebra times t_0^k."""
         if self.sig.includes_t0:
             raise ValueError("already in the full signature")
-        full = self.sig.full()
-        return SuperPoly(
-            full,
+        return SuperPoly._trusted(
+            self.sig.full(),
             {((t0_exp,) + exps, mask): c for (exps, mask), c in self.terms.items()},
         )
 
@@ -491,33 +511,24 @@ def derive(tag, f: SuperPoly) -> SuperPoly:
     """Apply a basis derivation.
 
     Tags: ('d', i) is the Euler derivation t_i d/dt_i, ('dt', i) is the
-    plain d/dt_i, ('q', k) is the left superderivation ∂/∂ζ_k.
+    plain d/dt_i, ('q', k) is the left superderivation ∂/∂ζ_k; the Euler
+    and odd ones are `derive_mono`'s.
     """
-    kind, idx = tag
     sig = f.sig
+    kind, idx = sig.check_tag(tag)
     out = SuperPoly.zero(sig)
-    if kind == "d":
-        p = sig.tpos(idx)
-        for (exps, mask), c in f.terms.items():
-            if exps[p]:
-                out._iadd_term((exps, mask), c * exps[p])
-    elif kind == "dt":
+    if kind == "dt":
         p = sig.tpos(idx)
         for (exps, mask), c in f.terms.items():
             e = exps[p]
             if e:
                 shifted = exps[:p] + (e - 1,) + exps[p + 1:]
                 out._iadd_term((shifted, mask), c * e)
-    elif kind == "q":
-        sig.check_zeta(idx)
-        bit = 1 << (idx - 1)
-        for (exps, mask), c in f.terms.items():
-            if mask & bit:
-                below = mask & (bit - 1)
-                sign = -1 if below.bit_count() & 1 else 1
-                out._iadd_term((exps, mask ^ bit), c * sign)
-    else:
-        raise ValueError(f"unknown derivation tag {tag!r}")
+        return out
+    for (exps, mask), c in f.terms.items():
+        k, e, m = derive_mono(tag, sig, exps, mask)
+        if k:
+            out._iadd_term((e, m), c * k)
     return out
 
 
@@ -592,7 +603,7 @@ def _cleared(f: SuperPoly) -> SuperPoly:
     if not any(mins):
         return f
     shift = tuple(-e for e in mins)
-    return f * SuperPoly.monomial(f.sig, shift)
+    return f * SuperPoly._trusted(f.sig, {(shift, 0): ONE})
 
 
 def _taylor01(f: SuperPoly):
@@ -730,10 +741,8 @@ def _laurent_factor(p: int, s: int) -> tuple:
 
 def shift_basis(sig: Signature, pos, neg, mask: int = 0) -> SuperPoly:
     """Expand Π(t_i-1)^{pos_i} · Π(t_i^{-1}-1)^{neg_i} · ζ_mask exactly."""
-    if not len(pos) == len(neg) == sig.nvars:
-        raise ValueError("exponent tuple has wrong length")
-    if mask >> sig.n:
-        raise ValueError("Grassmann index outside signature")
+    sig.check_mono(pos, mask)
+    sig.check_mono(neg, 0)
     out = SuperPoly(sig)
     # One term per combination: the exponent tuples differ and no
     # coefficient is 0, so the terms are stored without merging.

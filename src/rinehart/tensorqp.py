@@ -43,9 +43,9 @@ from .superpoly import (
     subsets_of_mask,
 )
 from .vectorfields import (
+    Loop,
     LoopElement,
     QPElement,
-    check_tag,
     qp_bracket,
     qp_product,
 )
@@ -61,8 +61,16 @@ class TensorVec(Sparse):
         return (mask_size(key[1]) + parities[key[2]]) & 1
 
     @staticmethod
+    def _entry(sig: Signature, key, c):
+        exps, mask, idx = key
+        sig.check_mono(exps, mask)
+        if type(idx) is not int or idx < 0:
+            raise ValueError(f"module index {idx!r} is not a natural number")
+        return key, Scalar.of(c)
+
+    @staticmethod
     def basis(sig: Signature, exps, mask: int, idx: int, coeff=1) -> "TensorVec":
-        return TensorVec(sig, {(tuple(exps), mask, idx): Scalar.of(coeff)})
+        return TensorVec(sig, {(tuple(exps), mask, idx): coeff})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -73,20 +81,11 @@ class TensorVec(Sparse):
         return f"<TensorVec {format_tensor(self)}>"
 
 
-class LoopTensor(Sparse):
+class LoopTensor(Loop):
     """Element of C[t_0^{±1}] ⊗ M, keyed by the t_0-exponent."""
 
     __slots__ = ()
-
-    def __init__(self, sig: Signature, terms=None):
-        if sig.includes_t0:
-            raise ValueError("loop tensors carry the dotted signature inside")
-        self.sig = sig
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @staticmethod
-    def wrap(k: int, v: TensorVec) -> "LoopTensor":
-        return LoopTensor(v.sig, {k: v})
+    _value = TensorVec
 
     def __repr__(self):
         from .parser import format_tensor
@@ -103,7 +102,7 @@ def full_to_loop(w: TensorVec) -> LoopTensor:
     dotted = w.sig.dotted()
     out = LoopTensor.zero(dotted)
     for (exps, mask, idx), c in w.terms.items():
-        out._iadd_term(exps[0], TensorVec.basis(dotted, exps[1:], mask, idx, c))
+        out._iadd_term(exps[0], TensorVec._trusted(dotted, {(exps[1:], mask, idx): c}))
     return out
 
 
@@ -380,13 +379,10 @@ def t_act(rbar, jmask: int, tag, u: TensorVec, S: QPStructure) -> TensorVec:
     """Action of the centralizer generator (r̄, J, ∂) at t_0-degree zero:
     Σ_{J' ⊆ J} ± t^{-r̄'} ζ_{J'} · (ψ_{t^{r̄'} ζ_{J∖J'} ∂} u
     - r_0 t^{r̄'} ζ_{J∖J'} · φ̂_∂ u), for an Euler or odd tag ∂."""
-    sig = S.sig
+    sig, full = S.sig, S.sig.full()
     rbar = tuple(rbar)
-    if len(rbar) != sig.m + 1:
-        raise ValueError("generator exponents live in the full signature")
-    if tag != ("d", 0):
-        check_tag(sig, tag)
-    alpha = sig.dir_of(tag)
+    full.check_mono(rbar, jmask)  # a generator of the full algebra's centralizer
+    alpha = sig.dir_of(full.check_tag(tag))
     r0, rp = rbar[0], rbar[1:]
     neg = tuple(-x for x in rp)
     z = sig.zero_exps()
@@ -571,11 +567,7 @@ def theta_transport(w: TensorVec, omega_basis: list[TensorVec],
         raise ValueError("signature mismatch")
     out = TensorVec.zero(S.sig)
     for (ea, ma, j), c in w.terms.items():
-        for (eb, mb, idx), cb in omega_basis[j].terms.items():
-            sign, exps, mask = mono_mul(ea, ma, eb, mb)
-            if sign:
-                cc = c * cb
-                out._iadd_term((exps, mask, idx), cc if sign > 0 else -cc)
+        out._iadd(omega_basis[j], c, (ea, ma))
     return out
 
 

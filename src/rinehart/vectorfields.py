@@ -4,9 +4,10 @@ A vector field is a sparse map (exponent tuple, Grassmann mask, tag) →
 scalar, where the tag is a basis derivation: ('d', i) for t_i d/dt_i,
 ('q', k) for ∂/∂ζ_k.  These free generators of Der(A) are the gl(m+1, n)
 directions of `Signature`, and they pairwise supercommute as operators,
-which the bracket exploits.  Constructors also accept the plain tag
-('dt', i) for d/dt_i and store it as t_i^{-1}·(t_i d/dt_i) (`euler_key`);
-`plain_coefficient_polys` reads a field back in the plain basis.
+which the bracket exploits.  The constructor also accepts the plain tag
+('dt', i) for d/dt_i and stores it as t_i^{-1}·(t_i d/dt_i) (`euler_key`,
+in the key hook `field_entry`); `plain_coefficient_polys` reads a field
+back in the plain basis.
 
 Built on top: algebra ⊕ derivations, `QPElement`, keyed like a field
 with the algebra summand under the t_0-Euler tag ('d', 0), which acts on
@@ -37,17 +38,6 @@ def tag_parity(tag) -> int:
     return 1 if tag[0] == "q" else 0
 
 
-def check_tag(sig: Signature, tag):
-    kind, idx = tag
-    if kind in ("d", "dt"):
-        sig.tpos(idx)
-    elif kind == "q":
-        sig.check_zeta(idx)
-    else:
-        raise ValueError(f"unknown derivation tag {tag!r}")
-    return tag
-
-
 def euler_key(sig: Signature, exps, mask: int, tag):
     """The stored key of t^exps ζ_mask·tag: a plain d/dt_i is
     t_i^{-1}·(t_i d/dt_i); Euler and odd tags are kept as they are."""
@@ -57,17 +47,20 @@ def euler_key(sig: Signature, exps, mask: int, tag):
     return exps, mask, tag
 
 
+def field_entry(sig: Signature, key, c):
+    """The key hook of fields: t^exps ζ_mask·tag for a basis tag of sig,
+    stored by `euler_key`."""
+    exps, mask, tag = key
+    sig.check_mono(exps, mask)
+    return euler_key(sig, exps, mask, sig.check_tag(tag)), Scalar.of(c)
+
+
 class VectorField(Sparse):
     """A-linear combination of basis derivations, keyed by (exps, mask, tag)
     with Euler and odd tags only: plain keys are rewritten by `euler_key`."""
 
     __slots__ = ()
-
-    def __init__(self, sig: Signature, terms=None):
-        self.sig = sig
-        self.terms = {}
-        for (exps, mask, tag), c in (terms or {}).items():
-            self._iadd_term(euler_key(sig, exps, mask, tag), Scalar.of(c))
+    _entry = staticmethod(field_entry)
 
     @staticmethod
     def _key_parity(key) -> int:
@@ -77,24 +70,12 @@ class VectorField(Sparse):
 
     @staticmethod
     def basis(sig: Signature, tag, coeff=1) -> "VectorField":
-        check_tag(sig, tag)
-        return VectorField(sig, {(sig.zero_exps(), 0, tag): Scalar.of(coeff)})
-
-    @staticmethod
-    def term(sig: Signature, exps, mask: int, tag, coeff=1) -> "VectorField":
-        check_tag(sig, tag)
-        exps = tuple(exps)
-        if len(exps) != sig.nvars:
-            raise ValueError("exponent tuple has wrong length")
-        return VectorField(sig, {(exps, mask, tag): Scalar.of(coeff)})
+        return VectorField(sig, {(sig.zero_exps(), 0, tag): coeff})
 
     @staticmethod
     def from_poly_tag(coeff_poly: SuperPoly, tag) -> "VectorField":
-        sig = coeff_poly.sig
-        check_tag(sig, tag)
-        return VectorField(
-            sig, {(exps, mask, tag): c for (exps, mask), c in coeff_poly.terms.items()}
-        )
+        terms = {(exps, mask, tag): c for (exps, mask), c in coeff_poly.terms.items()}
+        return VectorField(coeff_poly.sig, terms)
 
     # -- queries --
 
@@ -147,7 +128,7 @@ def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
     """
     _check_same_sig(x, y)
     sig = x.sig
-    out = x._trusted({})
+    out = x._trusted(x.sig, {})
     for (ea, ma, ta), ca in x.terms.items():
         pa = (mask_size(ma) + tag_parity(ta)) & 1
         for (eb, mb, tb), cb in y.terms.items():
@@ -267,13 +248,18 @@ class QPElement(Sparse):
     π(a ⊕ x) = a ⊕ 0."""
 
     __slots__ = ()
-
-    def __init__(self, sig: Signature, terms=None):
-        if sig.includes_t0:
-            raise ValueError("algebra ⊕ derivations uses the dotted signature")
-        Sparse.__init__(self, sig, terms)
-
+    _full = False
     _key_parity = staticmethod(VectorField._key_parity)
+
+    @staticmethod
+    def _entry(sig: Signature, key, c):
+        """A field's key, or t^exps ζ_mask under ('d', 0) for the algebra
+        summand."""
+        exps, mask, tag = key
+        if tag == ("d", 0):
+            sig.check_mono(exps, mask)
+            return key, Scalar.of(c)
+        return field_entry(sig, key, c)
 
     def apply(self, f: SuperPoly) -> SuperPoly:
         """{a ⊕ δ, f ⊕ 0} = δ(f), by `VectorField.apply`: a call, not an
@@ -282,13 +268,13 @@ class QPElement(Sparse):
 
     @property
     def a(self) -> SuperPoly:
-        return SuperPoly(self.sig, {(e, m): c for (e, m, tag), c in self.terms.items()
-                                    if tag == ("d", 0)})
+        return SuperPoly._trusted(self.sig, {(e, m): c for (e, m, tag), c
+                                             in self.terms.items() if tag == ("d", 0)})
 
     @property
     def x(self) -> VectorField:
-        return VectorField(self.sig, {key: c for key, c in self.terms.items()
-                                      if key[2] != ("d", 0)})
+        return VectorField._trusted(self.sig, {key: c for key, c in self.terms.items()
+                                               if key[2] != ("d", 0)})
 
     @staticmethod
     def pair(a: SuperPoly, x: VectorField) -> "QPElement":
@@ -301,16 +287,14 @@ class QPElement(Sparse):
 
     @staticmethod
     def from_field(x: VectorField) -> "QPElement":
-        return QPElement(x.sig, x.terms)
+        out = QPElement(x.sig)  # refuses a full signature
+        out._iadd(x)
+        return out
 
     @staticmethod
     def along(p: SuperPoly, tag) -> "QPElement":
         """p·∂ for a basis tag; the t_0-Euler tag ('d', 0) gives p ⊕ 0."""
-        sig = p.sig
-        if tag != ("d", 0):
-            check_tag(sig, tag)
-        return QPElement(sig, {euler_key(sig, e, m, tag): c
-                               for (e, m), c in p.terms.items()})
+        return QPElement(p.sig, {(e, m, tag): c for (e, m), c in p.terms.items()})
 
     @staticmethod
     def of(x) -> "QPElement":
@@ -368,20 +352,31 @@ def qp_bracket(x: QPElement, y: QPElement) -> QPElement:
 
 # ---------- the t_0 loop extension ----------
 
-class LoopElement(Sparse):
+class Loop(Sparse):
+    """C[t_0^{±1}] ⊗ V over a t_0-free signature: a map t_0-exponent →
+    nonzero element of V, whose type is the class attribute `_value`."""
+
+    __slots__ = ()
+    _full = False
+
+    @classmethod
+    def _entry(cls, sig: Signature, r, v):
+        if type(r) is not int or type(v) is not cls._value or v.sig is not sig:
+            raise ValueError(f"a {cls.__name__} term is an int t_0-exponent and"
+                             f" a {cls._value.__name__} over {sig!r}")
+        return r, v
+
+    @classmethod
+    def wrap(cls, r: int, v):
+        """t_0^r ⊗ v."""
+        return cls(v.sig, {r: v})
+
+
+class LoopElement(Loop):
     """Element of C[t_0^{±1}] ⊗ (Ȧ ⊕ Der(Ȧ)), keyed by the t_0-exponent."""
 
     __slots__ = ()
-
-    def __init__(self, sig: Signature, terms=None):
-        if sig.includes_t0:
-            raise ValueError("loop elements carry a dotted signature")
-        self.sig = sig
-        self.terms = {r: qp for r, qp in (terms or {}).items() if qp}
-
-    @staticmethod
-    def wrap(r0: int, qp: QPElement) -> "LoopElement":
-        return LoopElement(qp.sig, {r0: qp})
+    _value = QPElement
 
     def __repr__(self):
         from .parser import format_element

@@ -22,11 +22,9 @@ from rinehart.vectorfields import VectorField, vf_bracket
 def test_commutator_examples(sig11):
     sig = sig11
     t1 = (0, 1)
-    x = SmashElement.a_tensor(sig, t1, 0, (0, 0), 0, ("d", 1))  # t1 # d1
+    x = SmashElement(sig, {(t1, 0, (0, 0), 0, ("d", 1)): 1})  # t1 # d1
     y = SmashElement.from_field(VectorField.basis(sig, ("d", 1)))
-    assert smash_commutator(x, y) == SmashElement.a_tensor(
-        sig, t1, 0, (0, 0), 0, ("d", 1), -1
-    )
+    assert smash_commutator(x, y) == SmashElement(sig, {(t1, 0, (0, 0), 0, ("d", 1)): -1})
     q1 = SmashElement.from_field(VectorField.basis(sig, ("q", 1)))
     q1b = SmashElement.from_field(VectorField.basis(sig, ("q", 1)))
     assert smash_commutator(q1, q1b).is_zero()
@@ -49,14 +47,13 @@ def test_tau_example():
 def test_make_x_examples(sig11):
     sig = sig11
     x = make_X(sig, (1, 0), 0, ("q", 1))
-    assert x == SmashElement.a_tensor(sig, (-1, 0), 0, (1, 0), 0, ("q", 1)) - (
+    assert x == SmashElement(sig, {((-1, 0), 0, (1, 0), 0, ("q", 1)): 1}) - (
         SmashElement.from_field(VectorField.basis(sig, ("q", 1)))
     )
     sig2 = Signature(1, 2, True)
     x = make_X(sig2, (0, 0), 0b01, ("q", 2))
-    want = SmashElement.a_tensor(sig2, (0, 0), 0, (0, 0), 0b01, ("q", 2)) - (
-        SmashElement.a_tensor(sig2, (0, 0), 0b01, (0, 0), 0, ("q", 2))
-    )
+    want = SmashElement(sig2, {((0, 0), 0, (0, 0), 0b01, ("q", 2)): 1,
+                               ((0, 0), 0b01, (0, 0), 0, ("q", 2)): -1})
     assert x == want
     assert x.is_degree_zero()
     assert make_X(sig, (0, 0), 0, ("d", 1)).is_zero()
@@ -79,13 +76,14 @@ def test_make_x_and_t_act_reject_a_plain_tag(structure12):
 
 
 def test_smash_terms_store_no_plain_tag(sig12, sampler):
-    """a_tensor and the commutator's bracket part keep Euler and odd tags."""
+    """The constructor and the commutator's bracket part keep Euler and odd
+    tags."""
     sig = sig12
 
     def draw():
-        return SmashElement.a_tensor(
-            sig, sampler.exps(sig), sampler.mask(sig.n), sampler.exps(sig),
-            sampler.mask(sig.n), sampler.tag(sig, "dtq"), sampler.scalar())
+        key = (sampler.exps(sig), sampler.mask(sig.n), sampler.exps(sig),
+               sampler.mask(sig.n), sampler.tag(sig, "dtq"))
+        return SmashElement(sig, {key: sampler.scalar()})
 
     for _ in range(60):
         u, v = draw(), draw()
@@ -122,18 +120,18 @@ def test_psi_map_examples(sig11):
         SuperPoly.monomial(sig, (2, -1), 0b1), ("d", 0)
     )
     # displayed special cases, stated with d/dt_1
-    sp = SmashElement.a_tensor(sig, (0, 1), 0, (0, -1), 0, ("d", 1)) - (
+    sp = SmashElement(sig, {((0, 1), 0, (0, -1), 0, ("d", 1)): 1}) - (
         SmashElement.from_field(VectorField.basis(sig, ("d", 1)))
     )
     assert psi_map(sp) == VectorField.from_poly_tag(-(t1 - one), ("dt", 1))
-    spz = SmashElement.a_tensor(sig, (0, 0), 0b1, (0, 0), 0, ("q", 1)) - (
+    spz = SmashElement(sig, {((0, 0), 0b1, (0, 0), 0, ("q", 1)): 1}) - (
         SmashElement.from_field(VectorField.from_poly_tag(z1, ("q", 1)))
     )
     assert psi_map(spz) == VectorField.from_poly_tag(-z1, ("q", 1))
 
 
 def test_x_decompose_rejects_outsiders(sig11):
-    stray = SmashElement.a_tensor(sig11, (1, 0), 0, (1, 0), 0, ("d", 1))
+    stray = SmashElement(sig11, {((1, 0), 0, (1, 0), 0, ("d", 1)): 1})
     with pytest.raises(ValueError):
         x_decompose(stray)
 

@@ -151,7 +151,7 @@ def _nonzero_element(cls, sig, r=1):
     if cls is QPElement:
         return QPElement.from_poly(SuperPoly.one(sig))
     if cls is SmashElement:
-        return SmashElement.a_unit(sig, sig.zero_exps())
+        return SmashElement(sig, {(sig.zero_exps(), 0, sig.zero_exps(), 0, None): 1})
     if cls is TensorVec:
         return TensorVec.basis(sig, sig.zero_exps(), 1, 0)
     if cls is LoopElement:
@@ -206,7 +206,7 @@ def test_parity_hooks():
     assert tv.parity([0, 0, 0]) is None
     ev, od = tv.even_odd([0, 0, 0])
     assert (ev, od) == (TensorVec.basis(DOT, (0,), 0, 1), TensorVec.basis(DOT, (0,), 1, 0))
-    unit = SmashElement.a_unit(FULL, (0, 0), 1)
+    unit = SmashElement(FULL, {((0, 0), 1, (0, 0), 0, None): 1})
     assert unit.parity() == 1
     assert SmashElement.zero(FULL).parity() is None
     x = VectorField.basis(FULL, ("q", 1)) + VectorField.basis(FULL, ("d", 1))
@@ -238,3 +238,133 @@ def test_left_mul_is_the_product_on_each_label(cls, data):
         for (exps, mask), c in (p * SuperPoly(sig, coeff)).terms.items():
             ref[(exps, mask, label)] = c
     _check(x.left_mul(p), cls, ref)
+
+
+# One t and one ζ, t_0-free: the Ȧ at (m, n) = (1, 1).
+DOT11 = Signature(1, 1, False)
+# (type, signature, key or (t_0-exponent, value)) that the constructor refuses
+MALFORMED = {
+    "poly: short exponents": (SuperPoly, FULL, ((0,), 0)),
+    "poly: long exponents": (SuperPoly, FULL, ((0, 0, 0), 0)),
+    "poly: mask 8 at n = 1": (SuperPoly, Signature(1, 1), ((0, 0), 8)),
+    "poly: negative mask": (SuperPoly, FULL, ((0, 0), -1)),
+    "field: 3 exponents on one t": (VectorField, DOT11, ((0, 0, 0), 0, ("d", 1))),
+    "field: mask 4 at n = 2": (VectorField, FULL, ((0, 0), 4, ("q", 1))),
+    "field: negative mask": (VectorField, FULL, ((0, 0), -2, ("q", 1))),
+    "field: unknown tag": (VectorField, DOT11, ((0,), 0, ("x", 3))),
+    "field: t0-Euler on dotted": (VectorField, DOT11, ((0,), 0, ("d", 0))),
+    "field: plain t0 on dotted": (VectorField, DOT11, ((0,), 0, ("dt", 0))),
+    "field: t_2 at m = 1": (VectorField, FULL, ((0, 0), 0, ("d", 2))),
+    "field: z0": (VectorField, FULL, ((0, 0), 0, ("q", 0))),
+    "field: z3 at n = 2": (VectorField, FULL, ((0, 0), 0, ("q", 3))),
+    "field: no tag": (VectorField, FULL, ((0, 0), 0, None)),
+    "qp: short exponents": (QPElement, DOT, ((), 0, ("d", 0))),
+    "qp: mask 4 at n = 2": (QPElement, DOT, ((0,), 4, ("d", 0))),
+    "qp: unknown tag": (QPElement, DOT, ((0,), 0, ("x", 3))),
+    "qp: z3 at n = 2": (QPElement, DOT, ((0,), 0, ("q", 3))),
+    "qp: full signature": (QPElement, FULL, ((0, 0), 0, ("d", 1))),
+    "smash: short a-exponents": (SmashElement, FULL, ((0,), 0, (0, 0), 0, ("d", 1))),
+    "smash: short b-exponents": (SmashElement, FULL, ((0, 0), 0, (0,), 0, ("d", 1))),
+    "smash: a-mask 4": (SmashElement, FULL, ((0, 0), 4, (0, 0), 0, ("d", 1))),
+    "smash: b-mask 4": (SmashElement, FULL, ((0, 0), 0, (0, 0), 4, ("q", 1))),
+    "smash: unknown tag": (SmashElement, FULL, ((0, 0), 0, (0, 0), 0, ("x", 3))),
+    "smash: unit with b-exponents": (SmashElement, FULL, ((0, 0), 0, (1, 0), 0, None)),
+    "smash: unit with b-mask": (SmashElement, FULL, ((0, 0), 0, (0, 0), 1, None)),
+    "smash: unit with short b-exponents": (SmashElement, FULL, ((0, 0), 0, (0,), 0, None)),
+    "smash: dotted signature": (SmashElement, DOT, ((0,), 0, (0,), 0, ("q", 1))),
+    "tensor: short exponents": (TensorVec, DOT, ((), 0, 0)),
+    "tensor: mask 4 at n = 2": (TensorVec, DOT, ((0,), 4, 0)),
+    "tensor: index -4": (TensorVec, DOT, ((0,), 0, -4)),
+    "tensor: index 1/2": (TensorVec, DOT, ((0,), 0, Fraction(1, 2))),
+    "gl: E_7_9 in gl(2, 1)": (GlMatrix, Signature(1, 1), (7, 9)),
+    "gl: E_-1_0": (GlMatrix, FULL, (-1, 0)),
+    "gl: E_0_4 in gl(2, 2)": (GlMatrix, FULL, (0, 4)),
+}
+LOOP_VALUE = {LoopElement: QPElement.from_poly(SuperPoly.one(DOT)),
+              LoopTensor: TensorVec.basis(DOT, (0,), 0, 0)}
+MALFORMED_LOOPS = {
+    "full signature": lambda cls: (FULL, 0, LOOP_VALUE[cls]),
+    "value over another signature": lambda cls: (
+        DOT11, 0, LOOP_VALUE[cls]),
+    "value of the other loop's type": lambda cls: (
+        DOT, 0, LOOP_VALUE[LoopTensor if cls is LoopElement else LoopElement]),
+    "scalar value": lambda cls: (DOT, 0, Scalar(1)),
+    "exponent 1/2": lambda cls: (DOT, Fraction(1, 2), LOOP_VALUE[cls]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("c", [1, 0])
+def test_constructor_refuses_a_malformed_key(case, c):
+    """Each type's key hook refuses, with ValueError, a key that is no basis
+    key of the type, before the zero coefficient is dropped."""
+    cls, sig, key = MALFORMED[case]
+    with pytest.raises(ValueError):
+        cls(sig, {key: c})
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LOOPS))
+@pytest.mark.parametrize("cls", [LoopElement, LoopTensor], ids=lambda c: c.__name__)
+def test_loop_constructor_refuses_a_malformed_term(cls, case):
+    sig, r, v = MALFORMED_LOOPS[case](cls)
+    with pytest.raises(ValueError):
+        cls(sig, {r: v})
+
+
+def test_keys_on_the_edge_are_accepted():
+    """The t_0-Euler tag is a field's on the full algebra and the algebra
+    summand's on Ȧ; the extreme masks, directions and index 0 are in range."""
+    assert VectorField(FULL, {((0, 0), 3, ("d", 0)): 1}).terms == {
+        ((0, 0), 3, ("d", 0)): 1}
+    assert QPElement(DOT, {((0,), 3, ("d", 0)): 1}) == QPElement.from_poly(
+        SuperPoly.zeta_mask(DOT, 3))
+    assert QPElement(DOT, {((1,), 0, ("dt", 1)): 1}).terms == {((0,), 0, ("d", 1)): 1}
+    assert SmashElement(FULL, {((0, 0), 3, (0, 0), 0, None): 1}).parity() == 0
+    assert GlMatrix(FULL, {(3, 0): 1, (0, 3): 1}).parity() == 1
+    assert TensorVec(DOT, {((0,), 3, 0): 1}).parity([0]) == 0
+
+
+# sha256 of `check all --m 1 --n 2 --deg 2 --samples 20 --json`, as the
+# library reports it with every key checked only where it enters.
+CHECK_ALL_12 = "4cc35d08df703e4b01fc9beea41bb4cb583798b88b0b7d787da0c769aabcd004"
+
+
+def test_trusted_constructions_hold_only_stored_keys(monkeypatch, capsys):
+    """Run the key hook on everything the library builds unchecked: each
+    term handed to `Sparse._trusted` or added by `_iadd_term` must pass
+    its type's `_entry` unchanged (already in stored form, coefficient of
+    the stored type), over a signature of the type's kind.  The report is
+    the same with the audit in place."""
+    import hashlib
+
+    from rinehart.cli import main
+    from rinehart.superpoly import Sparse
+
+    seen = set()
+    iadd_term = Sparse._iadd_term
+
+    def audit(cls, sig, key, c):
+        assert cls._full is None or sig.includes_t0 == cls._full, cls
+        assert type(c) is VALUE_TYPE.get(cls, Scalar), (cls, key, c)
+        assert cls._entry(sig, key, c) == (key, c), (cls, key)
+        seen.add(cls)
+
+    def trusted(cls, sig, terms):
+        for key, c in terms.items():
+            audit(cls, sig, key, c)
+        out = object.__new__(cls)
+        out.sig, out.terms = sig, terms
+        return out
+
+    def checked_iadd_term(self, key, c):
+        audit(type(self), self.sig, key, c)
+        iadd_term(self, key, c)
+
+    monkeypatch.setattr(Sparse, "_trusted", classmethod(trusted))
+    monkeypatch.setattr(Sparse, "_iadd_term", checked_iadd_term)
+    args = ["check", "all", "--m", "1", "--n", "2", "--deg", "2", "--samples", "20",
+            "--json"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_12
+    assert seen == set(KINDS)

@@ -414,3 +414,30 @@ def test_theta_project_rejects_coefficient_outside_s():
     with pytest.raises(ValueError) as info:
         theta_project(x)
     assert str(info.value) == "coefficient of ('q', 1) is not in the vanishing ideal"
+
+
+def test_derive_refuses_a_foreign_tag_even_on_zero():
+    """derive checks its tag before it reads a term: ('d', 0) and ('dt', 0)
+    are no derivations of the dotted algebra, and an unknown or
+    out-of-range tag is none anywhere."""
+    dot = Signature(2, 2, False)
+    full = dot.full()
+    for sig, tag in ((dot, ("d", 0)), (dot, ("dt", 0)), (dot, ("x", 1)),
+                     (dot, ("q", 3)), (full, ("d", 3)), (full, ("q", 0))):
+        for f in (SuperPoly.zero(sig), SuperPoly.one(sig)):
+            with pytest.raises(ValueError):
+                derive(tag, f)
+
+
+def test_euler_derivation_is_t_times_the_plain_one():
+    """t_i d/dt_i = t_i · d/dt_i: derive's Euler case, which `derive_mono`
+    computes, against its own plain exponent shift."""
+    rng = random.Random(5)
+    for sig in (Signature(2, 2, True), Signature(2, 2, False)):
+        for _ in range(40):
+            f = SuperPoly(sig, {
+                (tuple(rng.randint(-3, 3) for _ in range(sig.nvars)),
+                 rng.randrange(1 << sig.n)): rng.randint(-3, 3)
+                for _ in range(4)})
+            for i in sig.tvars():
+                assert derive(("d", i), f) == SuperPoly.t_var(sig, i) * derive(("dt", i), f)

@@ -298,7 +298,7 @@ def test_loop_smash_act_factors(structure12, sampler):
         ae, am = sampler.exps(full), sampler.mask(full.n)
         be, bm = sampler.exps(full), sampler.mask(full.n)
         tag = sampler.tag(full)
-        u = SmashElement.a_tensor(full, ae, am, be, bm, tag)
+        u = SmashElement(full, {(ae, am, be, bm, tag): 1})
         w = sampler.loop_tensor(dot, S.omega)
         bpoly = SuperPoly.monomial(dot, be[1:], bm)
         if tag == ("d", 0):

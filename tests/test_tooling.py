@@ -37,10 +37,6 @@ EXEMPT = {
     "special_partial": "paper construction; a suite check would move the golden hashes",
     "module_to_dict": "the config writer, inverse of module_from_dict; only tests write configs",
     "matmul": "perfbench/tracer.py wraps it as linalg.matmul; tests/test_glmodules.py's dense reference",
-    "a_unit": "validated one-term smash constructor; the Sampler builds its terms directly, and"
-              " tests/test_sampling.py checks that build against this one",
-    "a_tensor": "validated one-term smash constructor; the Sampler builds its terms directly, and"
-                " tests/test_sampling.py checks that build against this one",
 }
 
 # Definition names that two or more src/rinehart definitions share.  The
@@ -48,6 +44,7 @@ EXEMPT = {
 # definitions apart; each entry says where every one of them is read.
 SHARED = {
     "apply": "VectorField.apply; QPElement.apply delegates to it",
+    "_entry": "the Sparse key hook: Sparse.__init__ calls it on each subclass",
     "_key_parity": "the Sparse hook: Sparse.parity/even_odd call it on each subclass",
     "basis": "TensorVec.basis and VectorField.basis both build basis vectors in suites",
     "derive": "the module function; the SuperPoly.derive method delegates to it",
@@ -63,7 +60,6 @@ SHARED = {
     "phihat_parts": "QPStructure.phihat_parts, read by t_act and phi_operator; the qp suite's"
                     " self-test mutant overrides it",
     "scalar": "Sampler.scalar draws one at random; SuperPoly.scalar builds one",
-    "wrap": "LoopElement.wrap and LoopTensor.wrap, both read by the Sampler",
     "zero": "Sparse.zero; MuVector.zero is the default shift of suites.build_env",
 }
 
@@ -294,3 +290,27 @@ def test_container_arithmetic_has_one_home():
                 if names & ops:
                     owners.add(node.name)
     assert owners == {"Sparse", "Scalar", "WeightVector"}
+
+
+def test_sparse_types_have_one_constructor():
+    """`Sparse.__init__` is the one public constructor: no class that
+    derives from `Sparse` in src/rinehart, directly or through another,
+    defines `__init__`; a type states its keys in the `_entry` hook."""
+    bases = {}
+    inits = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+                if any(isinstance(sub, ast.FunctionDef) and sub.name == "__init__"
+                       for sub in node.body):
+                    inits.add(node.name)
+    derived = set()
+    while True:
+        more = {name for name, bs in bases.items() if bs & (derived | {"Sparse"})}
+        if more <= derived:
+            break
+        derived |= more
+    assert {"SuperPoly", "VectorField", "QPElement", "SmashElement", "TensorVec",
+            "LoopElement", "LoopTensor", "GlMatrix"} <= derived
+    assert sorted(derived & inits) == []
