@@ -38,8 +38,8 @@ from .tensorqp import (
     loop_to_full,
     omega_extract,
     omega_greedy,
+    phi_images,
     phi_operator,
-    phi_rep,
     qp_axiom_check,
     rho_of,
     shen_act,

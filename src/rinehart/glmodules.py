@@ -106,21 +106,33 @@ class RepReport:
         return not self.violations
 
 
+def _entries(cols: list) -> list:
+    """The nonzero entries of an action as (row, column, coeff) triples."""
+    return [(k, j, e) for j, col in enumerate(cols) for k, e in col]
+
+
 def _accumulate(acc: dict, x: list, y: list, sign: int) -> None:
-    """acc += sign·x·y for matrices given by their sparse columns."""
-    for j, ycol in enumerate(y):
-        for k, e in ycol:
-            for i, c in x[k]:
-                old = acc.get((i, j), ZERO)
-                acc[(i, j)] = old + c * e if sign > 0 else old - c * e
+    """acc += sign·x·y, x given by its sparse columns and y by its entries."""
+    for k, j, e in y:
+        for i, c in x[k]:
+            old = acc.get((i, j), ZERO)
+            acc[(i, j)] = old + c * e if sign > 0 else old - c * e
 
 
 def rep_check(mod: GlModule) -> RepReport:
     """Verify parity homogeneity and every supercommutator relation.
 
     Each relation [E_ab, E_cd] = δ_bc E_ad - (-1)^{|ab||cd|} δ_da E_cb is
-    checked on the stored columns, as a difference that must vanish.  A
-    parity violation names the action's first bad entry in row-major order.
+    checked on the stored columns, as a difference R(ab, cd) that must
+    vanish.  With s = (-1)^{|ab||cd|} and s² = 1,
+
+        R(cd, ab) = M_cd M_ab - s M_ab M_cd - δ_da M_cb + s δ_bc M_ad
+                  = -s R(ab, cd),
+
+    so each unordered pair {ab, cd} is evaluated once and both ordered
+    pairs fail together; the violations list them in row-major order of
+    (ab, cd), after the parity violations.  A parity violation names the
+    action's first bad entry in row-major order.
     """
     report = RepReport()
     par = mod.parities
@@ -135,22 +147,26 @@ def rep_check(mod: GlModule) -> RepReport:
                 ("parity", (a, b), f"entry ({bad[0]},{bad[1]}) breaks parity")
             )
     one = [[(u, ONE)] for u in range(mod.dim)]
+    entries = {ab: _entries(cols) for ab, cols in acts.items()}
     pairs = list(acts)
-    for (a, b) in pairs:
-        mab = acts[(a, b)]
+    failing = set()
+    for i, (a, b) in enumerate(pairs):
+        mab, eab = acts[(a, b)], entries[(a, b)]
         pab = gl_parity(a, b)
-        for (c, d) in pairs:
-            mcd = acts[(c, d)]
+        for j in range(i, len(pairs)):
+            c, d = pairs[j]
             sign = -1 if pab and gl_parity(c, d) else 1
             diff = {}
-            _accumulate(diff, mab, mcd, 1)
-            _accumulate(diff, mcd, mab, -sign)
+            _accumulate(diff, mab, entries[(c, d)], 1)
+            _accumulate(diff, acts[(c, d)], eab, -sign)
             if b == c:
-                _accumulate(diff, acts[(a, d)], one, -1)
+                _accumulate(diff, one, entries[(a, d)], -1)
             if d == a:
-                _accumulate(diff, acts[(c, b)], one, sign)
+                _accumulate(diff, one, entries[(c, b)], sign)
             if any(diff.values()):
-                report.violations.append(
-                    ("commutator", ((a, b), (c, d)), "supercommutator relation fails")
-                )
+                failing.update(((i, j), (j, i)))
+    for i, j in sorted(failing):
+        report.violations.append(
+            ("commutator", (pairs[i], pairs[j]), "supercommutator relation fails")
+        )
     return report

@@ -124,6 +124,8 @@ class Sampler:
         """(pos, neg, mask) powers of a shifted basis product, pos and neg
         in {0, 1, 2}^nvars, with the total degree sum(pos) + sum(neg) +
         |mask| in [min_total, min_total + 2]."""
+        if min_total + 2 < 0:  # no total is negative; also keeps the slice stop ≥ 1
+            raise ValueError(f"no total lies in [{min_total}, {min_total + 2}]")
         ways = _slot_ways(sig.nvars, sig.n)
         lo = max(min_total, 0)
         k = self.below(sum(ways[0][lo:min_total + 3]))

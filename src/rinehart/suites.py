@@ -63,6 +63,7 @@ from .tensorqp import (
     loop_g_act,
     loop_to_full,
     omega_extract,
+    phi_images,
     phi_operator,
     qp_axiom_check,
     rho_of,
@@ -723,12 +724,23 @@ def _refused(build):
         raise _NoKernel(str(exc)) from exc
 
 
+def _images(env: Env, mu: MuVector) -> dict:
+    """φ_ab of each kernel basis vector for μ, built once per Env: the
+    induced module solves for them and phi.bridge sums them."""
+    key = ("phi", mu.values)
+    if key not in env.cache:
+        S, basis = _kernel(env, mu)
+        env.cache[key] = phi_images(S, basis)
+    return env.cache[key]
+
+
 def _induced(env: Env, mu: MuVector) -> GlModule:
     """The induced module on the kernel for μ, built once per Env."""
     key = ("induced", mu.values)
     if key not in env.cache:
         S, basis = _kernel(env, mu)
-        env.cache[key] = _refused(lambda: induced_gl_module(S, basis))
+        images = _images(env, mu)
+        env.cache[key] = _refused(lambda: induced_gl_module(S, basis, images))
     return env.cache[key]
 
 
@@ -759,14 +771,15 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
 
     def bridge():
         _, basis = kernel()
+        phi = _images(env, mu2)
         gen = s.x_generator(sig)
         field = psi_map({gen: Scalar(1)}, sig)
         mat = theta_project(field)
-        for u in basis:
+        for j, u in enumerate(basis):
             direct = t_act(*gen, u, S)
             through = TensorVec.zero(dotted)
-            for (a, b), c in mat.terms.items():
-                through._iadd(phi_operator(a, b, S)(u), c)
+            for ab, c in mat.terms.items():
+                through._iadd(phi[ab][j], c)
             yield None if direct == through else f"gen={gen}"
 
     def weight_shift():

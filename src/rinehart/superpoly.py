@@ -15,8 +15,9 @@ scalar `*`, `==` and parity split.  `SuperPoly`, `VectorField`,
 `Sparse.__init__`, the one public constructor, runs on every input term
 to refuse a key that is no basis key of the type and to store it
 normalised, and `_key_parity(key, *ctx)`, which `parity`/`even_odd`
-read.  Parts valid by construction (samples, summands copied out,
-products' operands) are stored unchecked by `Sparse._trusted`.
+read; the loop types, whose values are elements, override those two to
+ask each value instead.  Parts valid by construction (samples, summands
+copied out, products' operands) are stored unchecked by `Sparse._trusted`.
 
 Two term-level kernels serve every layer above, so that none of them
 builds throwaway `SuperPoly` monomials.  `mono_mul` multiplies two
@@ -252,8 +253,8 @@ class Sparse:
     type needs (True full, False t_0-free, None either).
     `_key_parity(key, *ctx)` is the parity of one basis key (ctx is passed
     through from `parity`/`even_odd`, e.g. the module parities of a
-    `TensorVec`).  Instances are unhashable unless the subclass defines
-    `__hash__`.
+    `TensorVec`); `Loop` overrides `parity`/`even_odd` instead.
+    Instances are unhashable unless the subclass defines `__hash__`.
     """
 
     __slots__ = ("sig", "terms")

@@ -530,20 +530,23 @@ def phi_operator(alpha: int, beta: int, S: QPStructure):
     return op
 
 
-def phi_rep(alpha: int, beta: int, S: QPStructure,
-            omega_basis: list[TensorVec]) -> list:
-    """Columns of the induced operator on the extracted kernel basis, in
-    the form `GlModule` stores: (row, coeff) pairs, rows ascending."""
-    op = phi_operator(alpha, beta, S)
-    cols = _solve_in(
-        omega_basis, [op(v) for v in omega_basis],
-        "operator does not preserve the extracted kernel",
-    )
-    return [sorted(col.items()) for col in cols]
+def phi_images(S: QPStructure, omega_basis: list[TensorVec]) -> dict:
+    """φ_ab of each kernel basis vector: ``{(a, b): [φ_ab(u_0), ...]}``."""
+    dirs = S.sig.directions()
+    images = {}
+    for a in dirs:
+        for b in dirs:
+            op = phi_operator(a, b, S)
+            images[(a, b)] = [op(v) for v in omega_basis]
+    return images
 
 
-def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec]) -> GlModule:
-    """The kernel basis as an explicit gl(m+1, n)-module."""
+def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec],
+                      images: dict | None = None) -> GlModule:
+    """The kernel basis as an explicit gl(m+1, n)-module.  ``images`` are
+    `phi_images(S, omega_basis)`, built here unless passed; every image is
+    solved in one reduction of the basis, whose coordinates are unique
+    because the basis is independent."""
     sig = S.sig
     parities = []
     for v in omega_basis:
@@ -551,11 +554,14 @@ def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec]) -> GlModule:
         if p is None:
             raise ValueError("kernel basis must be parity-homogeneous")
         parities.append(p)
-    columns = {
-        (a, b): phi_rep(a, b, S, omega_basis)
-        for a in sig.directions()
-        for b in sig.directions()
-    }
+    if images is None:
+        images = phi_images(S, omega_basis)
+    cols = iter(_solve_in(
+        omega_basis, [w for ws in images.values() for w in ws],
+        "operator does not preserve the extracted kernel",
+    ))
+    columns = {ab: [sorted(next(cols).items()) for _ in ws]
+               for ab, ws in images.items()}
     return GlModule(sig.m, sig.n, len(omega_basis), parities, columns)
 
 
@@ -573,7 +579,10 @@ def theta_transport(w: TensorVec, omega_basis: list[TensorVec],
 
 def tprime_weight(S: QPStructure, w: TensorVec) -> tuple:
     """Eigenvalues on an eigenvector of ψ along directions 0..m: the unit
-    and the Euler derivations."""
+    and the Euler derivations.  ValueError for the zero vector or a
+    vector that is no eigenvector."""
+    if w.is_zero():
+        raise ValueError("the zero vector has no weight")
     z = S.sig.zero_exps()
     return tuple(_eigen_scalar(w, S.psi_parts(((i, z, 0, ONE),), w))
                  for i in range(S.sig.m + 1))

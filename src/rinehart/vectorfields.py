@@ -371,6 +371,23 @@ class Loop(Sparse):
         """t_0^r ⊗ v."""
         return cls(v.sig, {r: v})
 
+    def parity(self, *ctx):
+        """0 or 1 when every value is homogeneous of that parity, None for
+        0 or mixed; ctx is passed to each value's `parity`."""
+        seen = {v.parity(*ctx) for v in self.terms.values()}
+        if len(seen) == 1:
+            return seen.pop()
+        return None
+
+    def even_odd(self, *ctx):
+        """The even and odd parts, split value by value."""
+        ev, od = {}, {}
+        for r, v in self.terms.items():
+            for part, v_part in zip((ev, od), v.even_odd(*ctx)):
+                if not v_part.is_zero():
+                    part[r] = v_part
+        return self._trusted(self.sig, ev), self._trusted(self.sig, od)
+
 
 class LoopElement(Loop):
     """Element of C[t_0^{±1}] ⊗ (Ȧ ⊕ Der(Ȧ)), keyed by the t_0-exponent."""
@@ -384,12 +401,6 @@ class LoopElement(Loop):
         body = " + ".join(f"t0^{r}*({format_element(qp)})"
                           for r, qp in sorted(self.terms.items()))
         return f"<LoopElement {body or '0'}>"
-
-    def parity(self):
-        seen = {qp.parity() for qp in self.terms.values()}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
 
 
 def loop_bracket(u: LoopElement, v: LoopElement) -> LoopElement:

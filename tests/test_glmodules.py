@@ -1,8 +1,11 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import zero_action_module
+from rinehart import glmodules
 from rinehart.glmodules import GlModule, MuVector, natural_module, rep_check
 from rinehart.linalg import matmul, zeros
 from rinehart.scalars import Scalar
@@ -165,6 +168,33 @@ def perturbed_modules(draw):
 @given(mod=perturbed_modules())
 def test_rep_check_lists_the_dense_violations_in_order(mod):
     assert rep_check(mod).violations == dense_rep_check(mod)
+
+
+def test_a_failing_pair_is_listed_in_both_orders():
+    """E_11 = 2 on the one-dimensional zero module of gl(2,1) breaks the
+    unordered pairs {E_01, E_10} and {E_12, E_21} and no other: each is
+    evaluated once, and both of its orders are listed, row-major.  (A
+    search over single-entry perturbations of the small natural and zero
+    modules found none that breaks only one unordered pair ab ≠ cd.)"""
+    mod = zero_action_module(1, 1, 1)
+    columns = dict(mod.columns)
+    columns[(1, 1)] = [[(0, Scalar(2))]]
+    broken = GlModule(1, 1, 1, mod.parities, columns)
+    violations = rep_check(broken).violations
+    assert [v[1] for v in violations] == [
+        ((0, 1), (1, 0)), ((1, 0), (0, 1)), ((1, 2), (2, 1)), ((2, 1), (1, 2))]
+    assert violations == dense_rep_check(broken)
+
+
+def test_a_rep_check_dropping_the_mirrored_pair_is_caught(monkeypatch):
+    source = inspect.getsource(glmodules.rep_check)
+    old = "failing.update(((i, j), (j, i)))"
+    assert source.count(old) == 1
+    scope = dict(vars(glmodules))
+    exec(source.replace(old, "failing.add((i, j))"), scope)
+    monkeypatch.setitem(globals(), "rep_check", scope["rep_check"])
+    with pytest.raises(AssertionError):
+        test_a_failing_pair_is_listed_in_both_orders()
 
 
 @pytest.mark.parametrize("broken, message", [

@@ -69,7 +69,7 @@ def test_window_past_the_largest_total_is_clipped():
     that (pos, neg, mask) reach at one t and one ζ."""
     sig = Signature(1, 1, False)
     sampler = StubSampler()
-    for min_total, lo, hi in ((-1, 0, 1), (4, 4, 5)):
+    for min_total, lo, hi in ((-2, 0, 0), (-1, 0, 1), (4, 4, 5)):
         window = admissible(sig, lo, hi)
         drawn = set()
         for k in range(len(window)):
@@ -79,6 +79,15 @@ def test_window_past_the_largest_total_is_clipped():
     # an empty window raises instead of drawing forever
     with pytest.raises(ValueError):
         Sampler(random.Random(0)).shifted_basis(sig, 6)
+
+
+@pytest.mark.parametrize("min_total", range(-10, -2))
+def test_a_window_below_total_zero_raises_before_any_draw(min_total):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="no total lies in"):
+        Sampler(rng).shifted_basis(Signature(1, 1, False), min_total)
+    assert rng.getstate() == state
 
 
 class ScriptedSampler(Sampler):

@@ -1,11 +1,13 @@
-"""The suite runner: its per-μ cache of the kernel extraction and the
-induced module, and the rng stream each suite draws."""
+"""The suite runner: its per-μ cache of the kernel extraction, the φ
+images and the induced module, and the rng stream each suite draws."""
 
 import hashlib
+import sys
+from collections import Counter
 
 import pytest
 
-from rinehart import suites
+from rinehart import suites, tensorqp
 from rinehart.cli import main
 from rinehart.suites import CheckResult, SuiteConfig, _check, build_env, run_suite
 
@@ -14,9 +16,10 @@ KERNEL_SUITES = ("phi", "annihilate", "iso")
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count the calls the suites make to the extraction and the induced
-    module (the suites look both names up in their own module)."""
-    calls = {"omega_extract": 0, "induced_gl_module": 0}
+    """Count the calls the suites make to the extraction, the φ images
+    and the induced module (the suites look the names up in their own
+    module)."""
+    calls = {"omega_extract": 0, "phi_images": 0, "induced_gl_module": 0}
     for name in calls:
         orig = getattr(suites, name)
 
@@ -32,22 +35,39 @@ def test_kernel_suites_extract_once(counted):
     cfg = SuiteConfig(m=1, n=2, samples=3, seed=4, suites=KERNEL_SUITES)
     code, report = run_suite(cfg)
     assert code == 0 and report["failures"] == 0
-    assert counted == {"omega_extract": 1, "induced_gl_module": 1}
+    assert counted == {"omega_extract": 1, "phi_images": 1, "induced_gl_module": 1}
 
 
 def test_build_env_computes_nothing(counted):
     env = build_env(SuiteConfig(m=1, n=2))
     assert env.cache == {}
-    assert counted == {"omega_extract": 0, "induced_gl_module": 0}
+    assert counted == {"omega_extract": 0, "phi_images": 0, "induced_gl_module": 0}
 
 
 def test_annihilate_alone_builds_no_induced_module(counted):
     run_suite(SuiteConfig(m=1, n=2, samples=2, suites=("annihilate",)))
-    assert counted == {"omega_extract": 1, "induced_gl_module": 0}
+    assert counted == {"omega_extract": 1, "phi_images": 0, "induced_gl_module": 0}
+
+
+def test_check_phi_applies_phi_operator_only_for_the_images_and_unit_action(
+        monkeypatch):
+    """phi.bridge sums the cached images instead of applying φ again."""
+    callers = Counter()
+    orig = tensorqp.phi_operator
+
+    def recorded(*args):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return orig(*args)
+
+    for module in (tensorqp, suites):
+        monkeypatch.setattr(module, "phi_operator", recorded)
+    code, report = run_suite(SuiteConfig(m=1, n=2, samples=3, seed=4, suites=("phi",)))
+    assert code == 0 and report["failures"] == 0
+    assert callers == {"phi_images": 16, "unit_action": 16}
 
 
 def test_failed_induced_module_fails_both_suites(monkeypatch):
-    def broken(S, basis):
+    def broken(*args):
         raise ValueError("operator does not preserve the extracted kernel")
 
     monkeypatch.setattr(suites, "induced_gl_module", broken)

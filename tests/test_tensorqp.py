@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rinehart import tensorqp
+from rinehart import linalg, tensorqp
 from rinehart.glmodules import MuVector, natural_module, rep_check
 from rinehart.sampling import Sampler
 from rinehart.scalars import Scalar
@@ -26,6 +26,7 @@ from rinehart.tensorqp import (
     loop_to_full,
     omega_extract,
     omega_greedy,
+    phi_images,
     phi_operator,
     qp_axiom_check,
     rho_of,
@@ -35,7 +36,7 @@ from rinehart.tensorqp import (
     theta_transport,
     tprime_weight,
 )
-from rinehart.vectorfields import QPElement, VectorField
+from rinehart.vectorfields import LoopElement, QPElement, VectorField
 
 
 def unit_vec(sig, idx, coeff=1):
@@ -646,6 +647,49 @@ def test_phi_is_representation(extracted):
     assert rep_check(induced).ok
 
 
+def _phi_rep_reference(alpha, beta, S, basis):
+    """The columns of one induced operator, each image solved on its own."""
+    op = phi_operator(alpha, beta, S)
+    cols = []
+    for v in basis:
+        coords = linalg.solve([u.terms for u in basis], op(v).terms)
+        assert coords is not None, "the image leaves the kernel span"
+        cols.append(sorted(coords.items()))
+    return cols
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
+def test_induced_module_equals_the_per_operator_solves(m, n):
+    """One reduction for every image gives each operator's own solve,
+    column for column, whether the images are passed or built."""
+    _, mu = admissible_mus(m, n)
+    S = QPStructure(Signature(m, n, False), natural_module(m, n), mu)
+    basis = omega_extract(degree_zero_basis(S), S)
+    induced = induced_gl_module(S, basis)
+    dirs = S.sig.directions()
+    assert list(induced.columns) == [(a, b) for a in dirs for b in dirs]
+    for (a, b), cols in induced.columns.items():
+        assert cols == _phi_rep_reference(a, b, S, basis), (a, b)
+    images = phi_images(S, basis)
+    assert induced_gl_module(S, basis, images).columns == induced.columns
+
+
+def test_induced_module_refuses_an_operator_leaving_the_kernel(monkeypatch, extracted):
+    S, basis = extracted
+    orig = tensorqp.phi_operator
+    t1 = SuperPoly.t_var(S.sig, 1)
+
+    def leaving(alpha, beta, S):
+        op = orig(alpha, beta, S)
+        if (alpha, beta) != (1, 0):
+            return op
+        return lambda w: op(w) + S.phi(t1, w)  # t_1·w lies outside degree zero
+
+    monkeypatch.setattr(tensorqp, "phi_operator", leaving)
+    with pytest.raises(ValueError, match="operator does not preserve the extracted kernel"):
+        induced_gl_module(S, basis)
+
+
 def test_phi_rejects_bad_index(extracted):
     S, _ = extracted
     with pytest.raises(ValueError):
@@ -689,6 +733,11 @@ def test_weight_bookkeeping(structure12, sampler):
         got = tprime_weight(S, shifted)
         assert got[0] == base[0]
         assert got[1:] == tuple(b + r for b, r in zip(base[1:], rbar))
+
+
+def test_tprime_weight_refuses_the_zero_vector(structure12):
+    with pytest.raises(ValueError, match="the zero vector has no weight"):
+        tprime_weight(structure12, TensorVec.zero(structure12.sig))
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
@@ -809,3 +858,29 @@ def test_theta_equivariance_and_bijectivity(extracted, sampler):
         for key, c in v.terms.items():
             mat[index[key]][j] = c
     assert linalg.rank(dict(enumerate(row)) for row in mat) == len(dom) == 3 * 4 * S.omega.dim
+
+
+# ---------- parity of the loop types ----------
+
+def test_loop_parity_and_even_odd_read_the_values():
+    """Both loop types take their parity and their even/odd split from
+    their values, passing ctx on: the module parities for a LoopTensor."""
+    sig = Signature(1, 1, False)
+    parities = natural_module(1, 1).parities  # (0, 0, 1)
+    even, odd = unit_vec(sig, 0), unit_vec(sig, 2)
+    w = LoopTensor.wrap(0, even)
+    assert w.parity(parities) == 0
+    assert LoopTensor.wrap(2, odd).parity(parities) == 1
+    mixed = LoopTensor(sig, {0: even, 1: odd + unit_vec(sig, 1)})
+    assert mixed.parity(parities) is None
+    assert LoopTensor.zero(sig).parity(parities) is None
+    assert mixed.even_odd(parities) == (
+        LoopTensor(sig, {0: even, 1: unit_vec(sig, 1)}), LoopTensor.wrap(1, odd))
+    assert w.even_odd(parities) == (w, LoopTensor.zero(sig))
+
+    one = QPElement.from_poly(SuperPoly.one(sig))
+    dz = QPElement.from_field(VectorField.basis(sig, ("q", 1)))
+    assert LoopElement.wrap(3, dz).parity() == 1
+    x = LoopElement(sig, {0: one, 1: one + dz})
+    assert x.parity() is None
+    assert x.even_odd() == (LoopElement(sig, {0: one, 1: one}), LoopElement.wrap(1, dz))
