@@ -25,17 +25,14 @@ from .superpoly import (
     splus_part,
 )
 from .tensorqp import (
-    LoopTensor,
     QPStructure,
     TensorVec,
     degree_zero_basis,
-    full_to_loop,
     induced_gl_module,
     operator_identity_check,
     loop_a_act,
     loop_g_act,
     loop_smash_act,
-    loop_to_full,
     omega_extract,
     omega_greedy,
     phi_images,
@@ -49,16 +46,16 @@ from .tensorqp import (
     tprime_weight,
 )
 from .vectorfields import (
-    LoopElement,
     QPElement,
     VectorField,
     degree_field,
     loop_apply_to_poly,
     loop_bracket,
-    loop_der_correspond,
     qp_bracket,
     qp_product,
     special_partial,
+    t0_embed,
+    t0_slices,
     vf_bracket,
     weight_of,
 )

@@ -94,14 +94,14 @@ def _sig(args) -> Signature:
 
 
 def _parse_tag(text: str, sig: Signature):
-    if len(text) < 2 or text[0] not in "DQ":
-        raise ParseError("tag must look like D0 or Q1", 0)
-    idx = int(text[1:])
-    if text[0] == "D":
-        sig.tpos(idx)
-        return ("d", idx)
-    sig.check_zeta(idx)
-    return ("q", idx)
+    """The tag of a derivation literal such as D0 or Q1, read by the element
+    grammar: a field of one basis derivation with coefficient 1."""
+    terms = parse_element(text, sig, expect="field").terms
+    if len(terms) == 1:
+        ((exps, mask, tag), c), = terms.items()
+        if (exps, mask, c) == (sig.zero_exps(), 0, 1):
+            return tag
+    raise ParseError("tag must be one derivation such as D0 or Q1", 0)
 
 
 def _cmd_check(args) -> int:

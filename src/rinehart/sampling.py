@@ -20,8 +20,8 @@ from .glmodules import GlModule
 from .scalars import ONE, Scalar
 from .smash import SmashElement
 from .superpoly import Signature, SuperPoly
-from .tensorqp import LoopTensor, TensorVec
-from .vectorfields import LoopElement, QPElement, VectorField, euler_key
+from .tensorqp import TensorVec
+from .vectorfields import QPElement, VectorField, euler_key, t0_embed
 
 
 class Sampler:
@@ -90,9 +90,11 @@ class Sampler:
             return QPElement.from_poly(self.monomial(sig))
         return QPElement.from_field(self.field_term(sig))
 
-    def loop_qp(self, sig: Signature) -> LoopElement:
+    def loop_qp(self, sig: Signature) -> VectorField:
+        """t_0^r ⊗ x for a drawn r, then x = `qp_homogeneous` over Ȧ,
+        stored as a field over the full signature sig (`t0_embed`)."""
         r0 = self.below(2 * self.deg + 1) - self.deg
-        return LoopElement.wrap(r0, self.qp_homogeneous(sig))
+        return t0_embed(r0, self.qp_homogeneous(sig.dotted()))
 
     def tensor(self, sig: Signature, omega: GlModule) -> TensorVec:
         if omega.dim == 0:
@@ -100,9 +102,11 @@ class Sampler:
         key = (self.exps(sig), self.mask(sig.n), self.below(omega.dim))
         return TensorVec._trusted(sig, {key: self.scalar()})
 
-    def loop_tensor(self, sig: Signature, omega: GlModule) -> LoopTensor:
+    def loop_tensor(self, sig: Signature, omega: GlModule) -> TensorVec:
+        """t_0^k ⊗ w for a drawn k, then w = `tensor` over Ȧ ⊗ Ω, stored
+        over the full signature sig."""
         k = self.below(2 * self.deg + 1) - self.deg
-        return LoopTensor.wrap(k, self.tensor(sig, omega))
+        return t0_embed(k, self.tensor(sig.dotted(), omega))
 
     def smash_homogeneous(self, sig: Signature) -> SmashElement:
         """a # 1, or a # b·∂ with the b-side stored like a field term."""

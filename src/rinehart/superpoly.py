@@ -8,16 +8,15 @@ factors are kept in increasing index order and any reordering costs the
 usual (-1)^inversions Koszul sign.  ∂/∂ζ_k is a left superderivation.
 
 `Sparse` is the one container behind every free module of the package:
-a term map basis key → nonzero coefficient with the shared `+ - neg`,
+a term map basis key → nonzero `Scalar` with the shared `+ - neg`,
 scalar `*`, `==` and parity split.  `SuperPoly`, `VectorField`,
-`QPElement`, `SmashElement`, `TensorVec`, `LoopElement`, `LoopTensor` and
-`GlMatrix` subclass it and add two hooks: `_entry(sig, key, c)`, which
-`Sparse.__init__`, the one public constructor, runs on every input term
-to refuse a key that is no basis key of the type and to store it
-normalised, and `_key_parity(key, *ctx)`, which `parity`/`even_odd`
-read; the loop types, whose values are elements, override those two to
-ask each value instead.  Parts valid by construction (samples, summands
-copied out, products' operands) are stored unchecked by `Sparse._trusted`.
+`QPElement`, `SmashElement`, `TensorVec` and `GlMatrix` subclass it and
+add two hooks: `_entry(sig, key, c)`, which `Sparse.__init__`, the one
+public constructor, runs on every input term to refuse a key that is no
+basis key of the type and to store it normalised, and
+`_key_parity(key, *ctx)`, which `parity`/`even_odd` read.  Parts valid
+by construction (samples, summands copied out, products' operands, t_0
+slices) are stored unchecked by `Sparse._trusted`.
 
 Two term-level kernels serve every layer above, so that none of them
 builds throwaway `SuperPoly` monomials.  `mono_mul` multiplies two
@@ -244,8 +243,7 @@ class Sparse:
     """Sparse map basis key → nonzero coefficient over one signature.
 
     The common base of every free module here (`SuperPoly`, `VectorField`,
-    `QPElement`, `SmashElement`, `TensorVec`, the loop types and
-    `GlMatrix`): construction with zeros dropped, termwise `+ - neg`,
+    `QPElement`, `SmashElement`, `TensorVec` and `GlMatrix`): construction with zeros dropped, termwise `+ - neg`,
     scalar `*`, `==`, and the parity split.  Subclasses supply two hooks.
     `_entry(sig, key, c)` returns the stored key and coefficient of one
     input term, or raises ValueError for a key that is no basis key of
@@ -253,7 +251,7 @@ class Sparse:
     type needs (True full, False t_0-free, None either).
     `_key_parity(key, *ctx)` is the parity of one basis key (ctx is passed
     through from `parity`/`even_odd`, e.g. the module parities of a
-    `TensorVec`); `Loop` overrides `parity`/`even_odd` instead.
+    `TensorVec`).
     Instances are unhashable unless the subclass defines `__hash__`.
     """
 
@@ -278,9 +276,8 @@ class Sparse:
     @classmethod
     def _trusted(cls, sig: Signature, terms: dict):
         """The element with exactly these terms, unchecked: each key must be
-        stored as `_entry` stores it, each coefficient nonzero and of the
-        stored type (a Scalar, or an element in the loop types), and
-        `terms` a dict no one else holds."""
+        stored as `_entry` stores it, each coefficient a nonzero Scalar,
+        and `terms` a dict no one else holds."""
         out = object.__new__(cls)
         out.sig = sig
         out.terms = terms
@@ -484,28 +481,6 @@ class SuperPoly(Sparse):
 
     def derive(self, tag) -> "SuperPoly":
         return derive(tag, self)
-
-    # -- signature changes --
-
-    def embed_full(self, t0_exp: int = 0) -> "SuperPoly":
-        """View a dotted element inside the full algebra times t_0^k."""
-        if self.sig.includes_t0:
-            raise ValueError("already in the full signature")
-        return SuperPoly._trusted(
-            self.sig.full(),
-            {((t0_exp,) + exps, mask): c for (exps, mask), c in self.terms.items()},
-        )
-
-    def t0_slices(self) -> dict[int, "SuperPoly"]:
-        """Split a full-signature element by its t_0 exponent."""
-        if not self.sig.includes_t0:
-            raise ValueError("needs the full signature")
-        dotted = self.sig.dotted()
-        out: dict[int, SuperPoly] = {}
-        for (exps, mask), c in self.terms.items():
-            sl = out.setdefault(exps[0], SuperPoly.zero(dotted))
-            sl._iadd_term((exps[1:], mask), c)
-        return out
 
 
 def derive(tag, f: SuperPoly) -> SuperPoly:

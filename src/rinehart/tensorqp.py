@@ -18,11 +18,14 @@ summand into one output with `Sparse._iadd`, in the term order that sums
 of containers would give: term order reaches `Echelon`'s pivot choice
 and the reports.
 
-On top of the triple: the seven compatibility axioms, the loop module on
-C[t_0^{±1}] ⊗ M, the action of degree-zero centralizer generators, the
-extraction of the joint kernel of the odd derivation actions, the
-induced gl-representation on that kernel, and the comparison map sending
-a ⊗ ω to the algebra action of a on ω.
+On top of the triple: the seven compatibility axioms; the loop module
+C[t_0^{±1}] ⊗ (Ȧ ⊗ Ω), stored flat as the full A ⊗ Ω and acted on slice
+by slice (`vectorfields.t0_slices`), so that a check compares the loop
+action with `shen_act` and `left_mul` on one type; the action of
+degree-zero centralizer generators; the extraction of the joint kernel
+of the odd derivation actions; the induced gl-representation on that
+kernel; and the comparison map sending a ⊗ ω to the algebra action of a
+on ω.
 """
 
 from __future__ import annotations
@@ -43,11 +46,12 @@ from .superpoly import (
     subsets_of_mask,
 )
 from .vectorfields import (
-    Loop,
-    LoopElement,
     QPElement,
+    VectorField,
     qp_bracket,
     qp_product,
+    t0_embed,
+    t0_slices,
 )
 
 
@@ -79,40 +83,6 @@ class TensorVec(Sparse):
         from .parser import format_tensor
 
         return f"<TensorVec {format_tensor(self)}>"
-
-
-class LoopTensor(Loop):
-    """Element of C[t_0^{±1}] ⊗ M, keyed by the t_0-exponent."""
-
-    __slots__ = ()
-    _value = TensorVec
-
-    def __repr__(self):
-        from .parser import format_tensor
-
-        body = " + ".join(f"t0^{k}*({format_tensor(v)})"
-                          for k, v in sorted(self.terms.items()))
-        return f"<LoopTensor {body or '0'}>"
-
-
-def full_to_loop(w: TensorVec) -> LoopTensor:
-    """t_0^{k} t^{r̄'} ζ_I ⊗ v  ↦  t_0^k ⊗ (t^{r̄'} ζ_I ⊗ v)."""
-    if not w.sig.includes_t0:
-        raise ValueError("needs a full-signature tensor")
-    dotted = w.sig.dotted()
-    out = LoopTensor.zero(dotted)
-    for (exps, mask, idx), c in w.terms.items():
-        out._iadd_term(exps[0], TensorVec._trusted(dotted, {(exps[1:], mask, idx): c}))
-    return out
-
-
-def loop_to_full(lw: LoopTensor) -> TensorVec:
-    full = lw.sig.full()
-    out = TensorVec.zero(full)
-    for k, v in lw.terms.items():
-        for (exps, mask, idx), c in v.terms.items():
-            out._iadd_term(((k,) + exps, mask, idx), c)
-    return out
 
 
 # ---------- the structure triple ----------
@@ -318,60 +288,66 @@ def shen_act(f: SuperPoly, alpha: int, w: TensorVec, mu: MuVector,
 
 # ---------- loop module structure ----------
 
-def loop_g_act(u: LoopElement, w: LoopTensor, S: QPStructure) -> LoopTensor:
-    """(t_0^r ⊗ x)·(t_0^s ⊗ ω) = t_0^{r+s} ⊗ (ψ_x ω - r φ̂_x ω + s φ_{π(x)} ω)."""
-    out = LoopTensor.zero(S.sig)
-    for r, x in u.terms.items():
+def loop_g_act(u: VectorField, w: TensorVec, S: QPStructure) -> TensorVec:
+    """The loop algebra (stored as Der(A), see `vectorfields.loop_bracket`)
+    on the loop module C[t_0^{±1}] ⊗ (Ȧ ⊗ Ω), stored as A ⊗ Ω, on the t_0
+    slices: (t_0^r ⊗ x)·(t_0^s ⊗ ω) = t_0^{r+s} ⊗ (ψ_x ω - r φ̂_x ω +
+    s φ_{π(x)} ω)."""
+    out = TensorVec.zero(w.sig)
+    vs = t0_slices(w)
+    for r, x in t0_slices(u).items():
         a = x.a
-        for s, v in w.terms.items():
+        for s, v in vs.items():
             piece = S.psi(x, v)
             if r:
                 piece = piece - r * S.phihat(x, v)
             if s and a:
                 piece = piece + s * S.phi(a, v)
-            out._iadd_term(r + s, piece)
+            out._iadd(t0_embed(r + s, piece))
     return out
 
 
-def loop_a_act(f: SuperPoly, w: LoopTensor, S: QPStructure) -> LoopTensor:
-    """(t_0^r ⊗ a)·(t_0^s ⊗ ω) = t_0^{r+s} ⊗ φ_a(ω) for full-signature f."""
-    if not f.sig.includes_t0:
-        raise ValueError("loop algebra elements use the full signature")
-    out = LoopTensor.zero(S.sig)
-    for r, a in f.t0_slices().items():
-        for s, v in w.terms.items():
-            out._iadd_term(r + s, S.phi(a, v))
+def loop_a_act(f: SuperPoly, w: TensorVec, S: QPStructure) -> TensorVec:
+    """(t_0^r ⊗ a)·(t_0^s ⊗ ω) = t_0^{r+s} ⊗ φ_a(ω), on the t_0 slices of the
+    full-signature f and w."""
+    out = TensorVec.zero(w.sig)
+    vs = t0_slices(w)
+    for r, a in t0_slices(f).items():
+        for s, v in vs.items():
+            out._iadd(t0_embed(r + s, S.phi(a, v)))
     return out
 
 
-def loop_smash_act(u: SmashElement, w: LoopTensor, S: QPStructure) -> LoopTensor:
-    """Action of A # (C ⊕ Der A) on the loop module, termwise:
+def loop_smash_act(u: SmashElement, w: TensorVec, S: QPStructure) -> TensorVec:
+    """Action of A # (C ⊕ Der A) on the loop module A ⊗ Ω, termwise on the
+    t_0 slices of w:
 
     (t^{r̄}ζ_I # t^{s̄}ζ_J ∂) ∗ (t_0^k ⊗ v) = t_0^{r_0+s_0+k} ⊗
        φ_{t^{r̄'}ζ_I}( ψ_{t^{s̄'}ζ_J∂} v - s_0 φ_{t^{s̄'}ζ_J} φ̂_∂ v
                        + k·[∂ = t_0-Euler]·φ_{t^{s̄'}ζ_J} v ).
     """
-    if u.sig.dotted() != S.sig:
+    if u.sig != w.sig or u.sig.dotted() != S.sig:
         raise ValueError("signature mismatch")
-    out = LoopTensor.zero(S.sig)
+    out = TensorVec.zero(w.sig)
+    vs = t0_slices(w)
     for (ae, am, be, bm, tag), c in u.terms.items():
         r0, rp = ae[0], ae[1:]
         apoly = SuperPoly.monomial(S.sig, rp, am)
         if tag is None:
-            for k, v in w.terms.items():
-                out._iadd_term(r0 + k, S.phi(apoly, v) * c)
+            for k, v in vs.items():
+                out._iadd(t0_embed(r0 + k, S.phi(apoly, v)), c)
             continue
         s0, sp = be[0], be[1:]
         bpoly = SuperPoly.monomial(S.sig, sp, bm)
         sub = QPElement.along(bpoly, tag)
         hat = QPElement.along(SuperPoly.one(S.sig), tag)
-        for k, v in w.terms.items():
+        for k, v in vs.items():
             inner = S.psi(sub, v)
             if s0:
                 inner = inner - s0 * S.phi(bpoly, S.phihat(hat, v))
             if k and tag == ("d", 0):
                 inner = inner + k * S.phi(bpoly, v)
-            out._iadd_term(r0 + s0 + k, S.phi(apoly, inner) * c)
+            out._iadd(t0_embed(r0 + s0 + k, S.phi(apoly, inner)), c)
     return out
 
 

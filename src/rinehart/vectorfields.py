@@ -12,8 +12,14 @@ back in the plain basis.
 Built on top: algebra ⊕ derivations, `QPElement`, keyed like a field
 with the algebra summand under the t_0-Euler tag ('d', 0), which acts on
 t_0-free monomials as 0; so its bracket is `vf_bracket`, and its product
-is one loop over term pairs.  The t_0-loop extension's bracket mixes the
-two summands through the t_0-exponents, with that same pair loop.
+is one loop over term pairs.  The t_0-loop extension C[t_0^{±1}] ⊗
+(Ȧ ⊕ Der(Ȧ)) is stored flat, as Der(A): t_0^r ⊗ (a ⊕ x) is the field
+t_0^r·a·t_0 d/dt_0 + t_0^r·x, keyed alike.  `t0_slices` and `t0_embed`
+move any element keyed (exps, mask[, label]) between the full signature and
+its t_0 slices.  The loop bracket and the loop action on A are computed
+slice by slice, the bracket mixing the two summands through the t_0
+exponents with that same pair loop, so a check can compare them with
+`vf_bracket` and `VectorField.apply`.
 """
 
 from __future__ import annotations
@@ -352,92 +358,58 @@ def qp_bracket(x: QPElement, y: QPElement) -> QPElement:
 
 # ---------- the t_0 loop extension ----------
 
-class Loop(Sparse):
-    """C[t_0^{±1}] ⊗ V over a t_0-free signature: a map t_0-exponent →
-    nonzero element of V, whose type is the class attribute `_value`."""
-
-    __slots__ = ()
-    _full = False
-
-    @classmethod
-    def _entry(cls, sig: Signature, r, v):
-        if type(r) is not int or type(v) is not cls._value or v.sig is not sig:
-            raise ValueError(f"a {cls.__name__} term is an int t_0-exponent and"
-                             f" a {cls._value.__name__} over {sig!r}")
-        return r, v
-
-    @classmethod
-    def wrap(cls, r: int, v):
-        """t_0^r ⊗ v."""
-        return cls(v.sig, {r: v})
-
-    def parity(self, *ctx):
-        """0 or 1 when every value is homogeneous of that parity, None for
-        0 or mixed; ctx is passed to each value's `parity`."""
-        seen = {v.parity(*ctx) for v in self.terms.values()}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
-    def even_odd(self, *ctx):
-        """The even and odd parts, split value by value."""
-        ev, od = {}, {}
-        for r, v in self.terms.items():
-            for part, v_part in zip((ev, od), v.even_odd(*ctx)):
-                if not v_part.is_zero():
-                    part[r] = v_part
-        return self._trusted(self.sig, ev), self._trusted(self.sig, od)
+def t0_slices(x) -> dict:
+    """Split a full-signature element keyed (exps, mask[, label]) by its t_0
+    exponent: {r: the t_0^r part over the t_0-free signature}.  A field's
+    slices are QPElements, its t_0 d/dt_0 terms their algebra summands
+    (both stored under ('d', 0)); every other type slices to itself."""
+    if not x.sig.includes_t0:
+        raise ValueError("t0_slices needs the full signature")
+    parts: dict = {}
+    for key, c in x.terms.items():
+        exps = key[0]
+        parts.setdefault(exps[0], {})[(exps[1:],) + key[1:]] = c
+    cls = QPElement if type(x) is VectorField else type(x)
+    dotted = x.sig.dotted()
+    return {r: cls._trusted(dotted, terms) for r, terms in parts.items()}
 
 
-class LoopElement(Loop):
-    """Element of C[t_0^{±1}] ⊗ (Ȧ ⊕ Der(Ȧ)), keyed by the t_0-exponent."""
-
-    __slots__ = ()
-    _value = QPElement
-
-    def __repr__(self):
-        from .parser import format_element
-
-        body = " + ".join(f"t0^{r}*({format_element(qp)})"
-                          for r, qp in sorted(self.terms.items()))
-        return f"<LoopElement {body or '0'}>"
+def t0_embed(r: int, x):
+    """t_0^r·x over the full signature, for a t_0-free element x keyed
+    (exps, mask[, label]): a QPElement embeds as a field, every other type as
+    itself.  The inverse of `t0_slices`."""
+    if x.sig.includes_t0:
+        raise ValueError("t0_embed needs the t_0-free signature")
+    cls = VectorField if type(x) is QPElement else type(x)
+    return cls._trusted(x.sig.full(), {((r,) + key[0],) + key[1:]: c
+                                       for key, c in x.terms.items()})
 
 
-def loop_bracket(u: LoopElement, v: LoopElement) -> LoopElement:
-    """[t_0^r ⊗ x, t_0^s ⊗ y] = t_0^{r+s} ⊗ ({x,y} - r·x·π(y) + s·π(x)·y),
-    where π(a ⊕ δ) = a ⊕ 0; the two products are one `_add_products`."""
+def loop_bracket(u: VectorField, v: VectorField) -> VectorField:
+    """Bracket of the loop algebra C[t_0^{±1}] ⊗ (Ȧ ⊕ Der(Ȧ)), stored as
+    Der(A): on the t_0 slices, [t_0^r ⊗ x, t_0^s ⊗ y] = t_0^{r+s} ⊗
+    ({x,y} - r·x·π(y) + s·π(x)·y), where π(a ⊕ δ) = a ⊕ 0; the two
+    products are one `_add_products`."""
     _check_same_sig(u, v)
-    out = LoopElement.zero(u.sig)
-    for r, x in u.terms.items():
-        for s, y in v.terms.items():
-            out._iadd_term(r + s, _add_products(qp_bracket(x, y), x, y, s - r, s, -r))
+    out = VectorField.zero(u.sig)
+    ys = t0_slices(v)
+    for r, x in t0_slices(u).items():
+        for s, y in ys.items():
+            out._iadd(t0_embed(r + s, _add_products(qp_bracket(x, y), x, y, s - r, s, -r)))
     return out
 
 
-def loop_apply_to_poly(u: LoopElement, f: SuperPoly) -> SuperPoly:
-    """Action on the loop algebra: (t_0^r ⊗ x)(t_0^s ⊗ b) =
-    t_0^{r+s} ⊗ (s·π(x)·b + {x, b})."""
-    if not f.sig.includes_t0:
-        raise ValueError("needs a full-signature element")
-    if f.sig.dotted() != u.sig:
-        raise ValueError("signature mismatch")
+def loop_apply_to_poly(u: VectorField, f: SuperPoly) -> SuperPoly:
+    """Action of the loop algebra on A, on the t_0 slices: (t_0^r ⊗ x)(t_0^s
+    ⊗ b) = t_0^{r+s} ⊗ (s·π(x)·b + {x, b})."""
+    _check_same_sig(u, f)
     out = SuperPoly.zero(f.sig)
-    slices = f.t0_slices()
-    for r, x in u.terms.items():
+    bs = t0_slices(f)
+    for r, x in t0_slices(u).items():
         a = x.a
-        for s, b in slices.items():
+        for s, b in bs.items():
             piece = x.apply(b)
             if s:
                 piece = piece + a * b * s
-            out += piece.embed_full(r + s)
-    return out
-
-
-def loop_der_correspond(u: LoopElement) -> VectorField:
-    """Identify with a derivation of the full algebra: t_0^r ⊗ x ↦ t_0^r x,
-    where the algebra summand's tag ('d', 0) becomes t_0 d/dt_0."""
-    out = VectorField.zero(u.sig.full())
-    for r, qp in u.terms.items():
-        for (exps, mask, tag), c in qp.terms.items():
-            out._iadd_term(((r,) + exps, mask, tag), c)
+            out._iadd(t0_embed(r + s, piece))
     return out

@@ -51,6 +51,27 @@ def test_x_element_rejects_a_repeated_index(capsys):
                  "--J", "2,1", "--tag", "Q1"]) == 0
 
 
+@pytest.mark.parametrize("tag", ["D+1", "Q 1", "Dx"])
+def test_x_element_reads_the_tag_by_the_element_grammar(capsys, tag):
+    """--tag is a derivation literal: text that is not one is a positioned
+    parse error (exit 2), never a generator and never a Python message."""
+    assert main(["x-element", "--r", "1,0", "--tag", tag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expected an index after")
+    assert captured.err.rstrip().endswith("(at position 0)")
+
+
+def test_x_element_tag_is_one_unit_derivation(capsys):
+    assert main(["x-element", "--r", "1,0", "--tag", "D0"]) == 0
+    assert "D0" in capsys.readouterr().out
+    for tag in ("2*D1", "t1*D1", "D1+Q1", "0"):
+        assert main(["x-element", "--r", "1,0", "--tag", tag]) == 2
+        assert "tag must be one derivation" in capsys.readouterr().err
+    assert main(["x-element", "--r", "1,0", "--tag", "Q2"]) == 2
+    assert "index Q2 out of signature" in capsys.readouterr().err
+
+
 def test_weights(capsys):
     assert main(["weights", "--expr", "z1*Q1"]) == 0
     assert capsys.readouterr().out.strip() == "hprime=0,0 h=0"

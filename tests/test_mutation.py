@@ -12,8 +12,10 @@ from rinehart import glmatrix, sampling, smash, superpoly, tensorqp, vectorfield
 from rinehart.cli import main
 from rinehart.glmatrix import GlMatrix
 from rinehart.glmodules import GlModule, MuVector
+from rinehart.parser import parse_element
 from rinehart.sampling import Sampler
 from rinehart.suites import _NoPhihat
+from rinehart.superpoly import Signature
 from rinehart.tensorqp import QPStructure, TensorVec
 
 
@@ -121,7 +123,7 @@ def test_failing_check_counts_cases_through_its_counterexample(monkeypatch, caps
 # sha256 of `check all --m 1 --n 2 --deg 2 --samples 20 --json` with
 # merge_masks sign-flipped.  Eleven ids fail; each stops at its first
 # counterexample, and the checks after it in its suite draw from there.
-FLIPPED_MERGE_MASKS = "1f121c63de8539aab751f9344813ab9cc2289be7f13a70edbd9abd5ff3c25313"
+FLIPPED_MERGE_MASKS = "2a1a1a922a7e0d8337a7960cea07d8deec545b7eaae8b03795ce8e7b17beb353"
 
 
 def test_failing_report_is_pinned(monkeypatch, capsys):
@@ -131,9 +133,15 @@ def test_failing_report_is_pinned(monkeypatch, capsys):
     assert main(["check", "all", "--m", "1", "--n", "2", "--deg", "2",
                  "--samples", "20", "--json"]) == 1
     out = capsys.readouterr().out
-    failed = [c["id"] for c in json.loads(out)["checks"] if not c["pass"]]
+    failed = {c["id"]: c for c in json.loads(out)["checks"] if not c["pass"]}
     assert len(failed) == 11 and not any(cid.startswith("qp.") for cid in failed)
     assert hashlib.sha256(out.encode()).hexdigest() == FLIPPED_MERGE_MASKS
+    # a loop element prints as the field that stores it, a literal that reads back
+    text = failed["jacobi.loop.super_jacobi"]["counterexample"]
+    literal = text.removeprefix("x=<VectorField ").partition(">")[0]
+    assert literal == "2/3*t0*t1^-1*z1*z2*Q1"
+    monkeypatch.undo()  # the parser multiplies z1*z2 with merge_masks
+    assert repr(parse_element(literal, Signature(1, 2))) == f"<VectorField {literal}>"
 
 
 def test_sibling_failure_does_not_cut_a_centralizer_check(monkeypatch, capsys):
@@ -291,6 +299,27 @@ def test_filt_degree_off_by_one_fails_the_filtration_checks(
     assert all_failed(capsys, m, n, lambda: plant_edit(
         monkeypatch, superpoly, superpoly.filt_degree, "for (ue, mask) in sf)",
         "for (ue, mask) in sf) - 1")) == expected
+
+
+LOOP_ACTION_FAULTS = {
+    "algebra": (tensorqp, "loop_a_act", "t0_embed(r + s, S.phi(a, v))",
+                "t0_embed(r, S.phi(a, v))", {"loop.algebra_action", "loop.leibniz"}),
+    "derivation": (vectorfields, "loop_apply_to_poly", "a * b * s", "a * b * -s",
+                   {"loop.der_action", "loop.leibniz"}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LOOP_ACTION_FAULTS))
+@pytest.mark.parametrize("m,n", [("1", "1"), ("1", "2"), ("2", "2")])
+def test_loop_action_fault_fails_its_full_signature_check(monkeypatch, capsys, m, n, fault):
+    """A fault in one slice-by-slice loop action: `loop_a_act` adding φ_a(ω)
+    at t_0^r instead of t_0^{r+s}, or `loop_apply_to_poly` with -s·π(x)·b.
+    The same action on the same stored type, computed without the t_0
+    split (`left_mul`, `VectorField.apply`), fails loop.algebra_action or
+    loop.der_action; loop.leibniz, which uses both loop actions, fails too."""
+    module, name, old, new, expected = LOOP_ACTION_FAULTS[fault]
+    assert all_failed(capsys, m, n, lambda: plant_edit(
+        monkeypatch, module, getattr(module, name), old, new)) == expected
 
 
 def test_loop_counterexample_is_deterministic(monkeypatch, capsys):

@@ -21,8 +21,8 @@ from rinehart.sampling import Sampler
 from rinehart.scalars import Scalar
 from rinehart.smash import SmashElement
 from rinehart.superpoly import Signature, SuperPoly
-from rinehart.tensorqp import LoopTensor, TensorVec
-from rinehart.vectorfields import LoopElement, QPElement, VectorField
+from rinehart.tensorqp import TensorVec
+from rinehart.vectorfields import QPElement, VectorField
 
 
 class StubSampler(Sampler):
@@ -184,7 +184,9 @@ class Validated:
         return QPElement.from_field(self.field_term(sig))
 
     def loop_qp(self, sig):
-        return LoopElement.wrap(self._loop_exp(), self.qp_homogeneous(sig))
+        r = self._loop_exp()
+        x = self.qp_homogeneous(sig.dotted())
+        return VectorField(sig, {((r,) + e, m, tag): c for (e, m, tag), c in x.terms.items()})
 
     def tensor(self, sig, omega):
         s = self.s
@@ -192,7 +194,9 @@ class Validated:
                                s.scalar())
 
     def loop_tensor(self, sig, omega):
-        return LoopTensor.wrap(self._loop_exp(), self.tensor(sig, omega))
+        r = self._loop_exp()
+        w = self.tensor(sig.dotted(), omega)
+        return TensorVec(sig, {((r,) + e, m, idx): c for (e, m, idx), c in w.terms.items()})
 
     def smash_homogeneous(self, sig):
         s = self.s
@@ -204,16 +208,9 @@ class Validated:
 
 
 def stored(x):
-    """Type, signature and stored (key, coefficient) pairs in order, nested
-    elements (loop values) opened up."""
-    items = []
-    for key, c in x.terms.items():
-        if isinstance(c, (QPElement, TensorVec)):
-            c = stored(c)
-        else:
-            assert type(c) is Scalar and c
-        items.append((key, c))
-    return type(x), x.sig, items
+    """Type, signature and stored (key, coefficient) pairs in order."""
+    assert all(type(c) is Scalar and c for c in x.terms.values())
+    return type(x), x.sig, list(x.terms.items())
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 3)])
@@ -232,10 +229,10 @@ def test_sampled_elements_equal_the_validated_constructions(m, n, full, deg, kin
         ("tensor", (sig, omega)),
     ]
     if full:
-        draws.append(("smash_homogeneous", (sig,)))
-    else:
-        draws += [("qp_homogeneous", (sig,)), ("loop_qp", (sig,)),
+        draws += [("smash_homogeneous", (sig,)), ("loop_qp", (sig,)),
                   ("loop_tensor", (sig, omega))]
+    else:
+        draws.append(("qp_homogeneous", (sig,)))
     seed = f"{m}:{n}:{full}:{deg}:{kinds}"
     fast = Sampler(random.Random(seed), deg)
     ref = Validated(Sampler(random.Random(seed), deg))

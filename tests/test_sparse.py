@@ -1,4 +1,4 @@
-"""The shared sparse container: one term-map algebra for all eight types.
+"""The shared sparse container: one term-map algebra for all six types.
 
 Every container's `+`, `-`, negation and scalar `*` is compared with the
 same arithmetic done here on plain dicts; signatures, operand types and
@@ -18,8 +18,8 @@ from rinehart.glmatrix import GlMatrix
 from rinehart.scalars import Scalar
 from rinehart.smash import SmashElement
 from rinehart.superpoly import Signature, SuperPoly
-from rinehart.tensorqp import LoopTensor, TensorVec
-from rinehart.vectorfields import LoopElement, QPElement, VectorField
+from rinehart.tensorqp import TensorVec
+from rinehart.vectorfields import QPElement, VectorField
 
 FULL = Signature(1, 2)
 DOT = FULL.dotted()
@@ -28,14 +28,12 @@ EXPS_FULL = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
 EXPS_DOT = st.tuples(st.integers(-1, 1))
 MASKS = st.integers(0, 3)
 TAGS = st.sampled_from([("d", 0), ("d", 1), ("dt", 1), ("q", 1), ("q", 2)])
-DOT_TAGS = st.sampled_from([("d", 1), ("dt", 1), ("q", 1), ("q", 2)])
 # a QPElement's algebra summand is stored under the t_0-Euler tag ('d', 0)
 QP_TAGS = st.sampled_from([("d", 0), ("d", 1), ("q", 1), ("q", 2)])
 # small values, zero included, so that sums cancel often
 SCALARS = st.builds(
     lambda re, im: Scalar(Fraction(re, 2), im), st.integers(-2, 2), st.integers(-1, 1)
 )
-T0 = st.integers(-1, 1)
 GL_INDEX = st.integers(0, FULL.m + FULL.n)
 
 
@@ -43,14 +41,6 @@ def _terms(keys, values=SCALARS):
     return st.dictionaries(keys, values, max_size=5)
 
 
-QP_VALUES = st.builds(
-    lambda a, x: QPElement.pair(SuperPoly(DOT, a), VectorField(DOT, x)),
-    _terms(st.tuples(EXPS_DOT, MASKS)),
-    _terms(st.tuples(EXPS_DOT, MASKS, DOT_TAGS)),
-)
-TENSOR_VALUES = st.builds(
-    lambda t: TensorVec(DOT, t), _terms(st.tuples(EXPS_DOT, MASKS, st.integers(0, 2)))
-)
 SMASH_KEYS = st.one_of(
     st.tuples(EXPS_FULL, MASKS, EXPS_FULL, MASKS, TAGS),
     st.tuples(EXPS_FULL, MASKS, st.just((0, 0)), st.just(0), st.just(None)),
@@ -63,23 +53,13 @@ KINDS = {
     QPElement: (DOT, _terms(st.tuples(EXPS_DOT, MASKS, QP_TAGS))),
     SmashElement: (FULL, _terms(SMASH_KEYS)),
     TensorVec: (DOT, _terms(st.tuples(EXPS_DOT, MASKS, st.integers(0, 2)))),
-    LoopElement: (DOT, _terms(T0, QP_VALUES)),
-    LoopTensor: (DOT, _terms(T0, TENSOR_VALUES)),
     GlMatrix: (FULL, _terms(st.tuples(GL_INDEX, GL_INDEX))),
 }
 HASHABLE = (SuperPoly, VectorField)
-# coefficient type of each container; Scalar for the others
-VALUE_TYPE = {LoopElement: QPElement, LoopTensor: TensorVec}
-
-
-def _nonzero(c) -> bool:
-    if isinstance(c, Scalar):
-        return c != 0
-    return not c.is_zero()
 
 
 def _ref_build(terms: dict) -> dict:
-    return {k: c for k, c in terms.items() if _nonzero(c)}
+    return {k: c for k, c in terms.items() if c != 0}
 
 
 def _ref_stored(cls, terms: dict) -> dict:
@@ -107,13 +87,12 @@ def _ref_combine(a: dict, b: dict, sign: int) -> dict:
 
 def _check(result, cls, ref: dict):
     """`+ - neg` and scalar `*` store their results unchecked, so each must
-    hold only nonzero coefficients of the right type, and equal the same
-    terms built through the public constructor."""
+    hold only nonzero Scalar coefficients, and equal the same terms built
+    through the public constructor."""
     assert type(result) is cls
     assert result.sig is KINDS[cls][0]
     assert result.terms == ref
-    assert all(_nonzero(c) for c in result.terms.values())
-    assert all(type(c) is VALUE_TYPE.get(cls, Scalar) for c in result.terms.values())
+    assert all(type(c) is Scalar and c != 0 for c in result.terms.values())
     assert result == cls(result.sig, ref)
     assert bool(result) == bool(ref) == (not result.is_zero())
 
@@ -143,7 +122,7 @@ def test_arithmetic_matches_plain_dicts(cls, data):
     _check(a, cls, ra)  # no result shares or changed its operand's terms
 
 
-def _nonzero_element(cls, sig, r=1):
+def _nonzero_element(cls, sig):
     if cls is SuperPoly:
         return SuperPoly.one(sig)
     if cls is VectorField:
@@ -154,19 +133,14 @@ def _nonzero_element(cls, sig, r=1):
         return SmashElement(sig, {(sig.zero_exps(), 0, sig.zero_exps(), 0, None): 1})
     if cls is TensorVec:
         return TensorVec.basis(sig, sig.zero_exps(), 1, 0)
-    if cls is LoopElement:
-        return LoopElement.wrap(r, QPElement.from_poly(SuperPoly.one(sig)))
-    if cls is GlMatrix:
-        return GlMatrix.elementary(sig, 0, 0)
-    return LoopTensor.wrap(r, TensorVec.basis(sig, sig.zero_exps(), 1, 0))
+    return GlMatrix.elementary(sig, 0, 0)
 
 
 @pytest.mark.parametrize("cls", list(KINDS), ids=lambda c: c.__name__)
 def test_signature_mismatch_raises(cls):
     full = KINDS[cls][0].includes_t0
     s1, s2 = Signature(1, 1, full), Signature(1, 2, full)
-    # distinct t_0-exponents, so that no two loop slices meet
-    x, y = _nonzero_element(cls, s1, 1), _nonzero_element(cls, s2, 2)
+    x, y = _nonzero_element(cls, s1), _nonzero_element(cls, s2)
     for op in (lambda u, v: u + v, lambda u, v: u - v):
         with pytest.raises(ValueError, match="signature mismatch"):
             op(x, y)
@@ -212,8 +186,6 @@ def test_parity_hooks():
     x = VectorField.basis(FULL, ("q", 1)) + VectorField.basis(FULL, ("d", 1))
     assert x.parity() is None
     assert [p.parity() for p in x.even_odd()] == [0, 1]
-    loop = LoopElement.wrap(0, QPElement.from_field(VectorField.basis(DOT, ("q", 2))))
-    assert loop.parity() == 1
     diag, odd = GlMatrix.elementary(FULL, 0, 0), GlMatrix.elementary(FULL, 0, FULL.m + 1)
     assert (diag.parity(), odd.parity()) == (0, 1)
     assert (diag + odd).parity() is None
@@ -242,7 +214,7 @@ def test_left_mul_is_the_product_on_each_label(cls, data):
 
 # One t and one ζ, t_0-free: the Ȧ at (m, n) = (1, 1).
 DOT11 = Signature(1, 1, False)
-# (type, signature, key or (t_0-exponent, value)) that the constructor refuses
+# (type, signature, key) that the constructor refuses
 MALFORMED = {
     "poly: short exponents": (SuperPoly, FULL, ((0,), 0)),
     "poly: long exponents": (SuperPoly, FULL, ((0, 0, 0), 0)),
@@ -280,18 +252,6 @@ MALFORMED = {
     "gl: E_-1_0": (GlMatrix, FULL, (-1, 0)),
     "gl: E_0_4 in gl(2, 2)": (GlMatrix, FULL, (0, 4)),
 }
-LOOP_VALUE = {LoopElement: QPElement.from_poly(SuperPoly.one(DOT)),
-              LoopTensor: TensorVec.basis(DOT, (0,), 0, 0)}
-MALFORMED_LOOPS = {
-    "full signature": lambda cls: (FULL, 0, LOOP_VALUE[cls]),
-    "value over another signature": lambda cls: (
-        DOT11, 0, LOOP_VALUE[cls]),
-    "value of the other loop's type": lambda cls: (
-        DOT, 0, LOOP_VALUE[LoopTensor if cls is LoopElement else LoopElement]),
-    "scalar value": lambda cls: (DOT, 0, Scalar(1)),
-    "exponent 1/2": lambda cls: (DOT, Fraction(1, 2), LOOP_VALUE[cls]),
-}
-
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 @pytest.mark.parametrize("c", [1, 0])
@@ -301,14 +261,6 @@ def test_constructor_refuses_a_malformed_key(case, c):
     cls, sig, key = MALFORMED[case]
     with pytest.raises(ValueError):
         cls(sig, {key: c})
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_LOOPS))
-@pytest.mark.parametrize("cls", [LoopElement, LoopTensor], ids=lambda c: c.__name__)
-def test_loop_constructor_refuses_a_malformed_term(cls, case):
-    sig, r, v = MALFORMED_LOOPS[case](cls)
-    with pytest.raises(ValueError):
-        cls(sig, {r: v})
 
 
 def test_keys_on_the_edge_are_accepted():
@@ -345,7 +297,7 @@ def test_trusted_constructions_hold_only_stored_keys(monkeypatch, capsys):
 
     def audit(cls, sig, key, c):
         assert cls._full is None or sig.includes_t0 == cls._full, cls
-        assert type(c) is VALUE_TYPE.get(cls, Scalar), (cls, key, c)
+        assert type(c) is Scalar, (cls, key, c)
         assert cls._entry(sig, key, c) == (key, c), (cls, key)
         seen.add(cls)
 

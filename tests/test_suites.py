@@ -67,7 +67,12 @@ def test_check_phi_applies_phi_operator_only_for_the_images_and_unit_action(
 
 
 def test_failed_induced_module_fails_both_suites(monkeypatch):
+    """A refused induced module is built once: the refusal is cached, and
+    each check that needs the module fails with its text."""
+    calls = []
+
     def broken(*args):
+        calls.append(args)
         raise ValueError("operator does not preserve the extracted kernel")
 
     monkeypatch.setattr(suites, "induced_gl_module", broken)
@@ -77,6 +82,7 @@ def test_failed_induced_module_fails_both_suites(monkeypatch):
               for c in report["checks"] if not c["pass"]]
     message = "operator does not preserve the extracted kernel"
     assert failed == [("phi.gl_relations", 0, message), ("iso.equivariance", 0, message)]
+    assert len(calls) == 1
 
 
 def test_check_driver():

@@ -13,17 +13,14 @@ from rinehart.smash import SmashElement, psi_map, tau, theta_project
 from rinehart.suites import admissible_mus
 from rinehart.superpoly import Signature, SuperPoly, mask_size, subsets_of_mask
 from rinehart.tensorqp import (
-    LoopTensor,
     QPStructure,
     TensorVec,
     degree_zero_basis,
-    full_to_loop,
     induced_gl_module,
     operator_identity_check,
     loop_a_act,
     loop_g_act,
     loop_smash_act,
-    loop_to_full,
     omega_extract,
     omega_greedy,
     phi_images,
@@ -36,7 +33,14 @@ from rinehart.tensorqp import (
     theta_transport,
     tprime_weight,
 )
-from rinehart.vectorfields import LoopElement, QPElement, VectorField
+from rinehart.vectorfields import (
+    QPElement,
+    VectorField,
+    loop_apply_to_poly,
+    loop_bracket,
+    t0_embed,
+    t0_slices,
+)
 
 
 def unit_vec(sig, idx, coeff=1):
@@ -226,37 +230,34 @@ def test_loop_smash_act_examples(structure12, sampler):
 
         x = make_X(full, (1, 0), 0, tag)
         u = sampler.tensor(dot, S.omega)
-        got = loop_smash_act(x, LoopTensor.wrap(0, u), S)
+        got = loop_smash_act(x, t0_embed(0, u), S)
         hat = one_qp if tag == ("d", 0) else QPElement.from_field(
             VectorField.basis(dot, tag)
         )
-        assert got == LoopTensor.wrap(0, -S.phihat(hat, u))
+        assert got == t0_embed(0, -S.phihat(hat, u))
 
     # (1 # d0) ∗ (t0 ⊗ u) = t0 ⊗ (psi_1(u) + phi_1(u))
     u = sampler.tensor(dot, S.omega)
     got = loop_smash_act(
         SmashElement.from_field(VectorField.basis(full, ("d", 0))),
-        LoopTensor.wrap(1, u),
+        t0_embed(1, u),
         S,
     )
-    assert got == LoopTensor.wrap(1, S.psi(one_qp, u) + u)
+    assert got == t0_embed(1, S.psi(one_qp, u) + u)
 
     # algebra terms multiply through the algebra action
     a = SuperPoly.monomial(full, (2, -1), 0b1)
-    w = LoopTensor.wrap(3, u)
+    w = t0_embed(3, u)
     assert loop_smash_act(SmashElement.from_poly(a), w, S) == loop_a_act(a, w, S)
 
 
 def test_loop_module_law_and_leibniz(structure12, sampler):
     S = structure12
-    dot = S.sig
-    full = dot.full()
+    full = S.sig.full()
     for _ in range(60):
-        x, y = sampler.loop_qp(dot), sampler.loop_qp(dot)
-        w = sampler.loop_tensor(dot, S.omega)
+        x, y = sampler.loop_qp(full), sampler.loop_qp(full)
+        w = sampler.loop_tensor(full, S.omega)
         sign = (-1) ** (x.parity() * y.parity())
-        from rinehart.vectorfields import loop_apply_to_poly, loop_bracket
-
         assert loop_g_act(loop_bracket(x, y), w, S) == loop_g_act(
             x, loop_g_act(y, w, S), S
         ) - sign * loop_g_act(y, loop_g_act(x, w, S), S)
@@ -271,27 +272,23 @@ def test_loop_module_law_and_leibniz(structure12, sampler):
 
 
 def test_full_module_matches_loop_module(structure12, sampler):
-    """The identification t0^k t^r ζ ⊗ v ↔ t0^k ⊗ (t^r ζ ⊗ v) intertwines
-    the twisted action with the loop action."""
+    """The identification t0^k t^r ζ ⊗ v ↔ t0^k ⊗ (t^r ζ ⊗ v), under which
+    the loop module is stored as A ⊗ Ω, intertwines the twisted action with
+    the loop action, computed on the t_0 slices."""
     S = structure12
     full = S.sig.full()
-    from rinehart.suites import _loop_g_for
-
     for _ in range(60):
         f = sampler.monomial(full, coeff=False)
         alpha = sampler.rng.randrange(full.m + full.n + 1)
-        w = sampler.tensor(full, S.omega)
+        w = sampler.tensor(full, S.omega) + sampler.loop_tensor(full, S.omega)
         direct = shen_act(f, alpha, w, S.mu, S.omega)
-        looped = loop_g_act(_loop_g_for(f, alpha), full_to_loop(w), S)
-        assert full_to_loop(direct) == looped
-        assert loop_to_full(looped) == direct
+        looped = loop_g_act(VectorField.from_poly_tag(f, full.dir_tag(alpha)), w, S)
+        assert looped == direct
 
 
 def test_loop_smash_act_factors(structure12, sampler):
     """a # b∂ acts as (algebra action of a) ∘ (derivation action of b∂);
     the one-line action formula must agree with the two-step route."""
-    from rinehart.vectorfields import LoopElement
-
     S = structure12
     dot = S.sig
     full = dot.full()
@@ -300,13 +297,13 @@ def test_loop_smash_act_factors(structure12, sampler):
         be, bm = sampler.exps(full), sampler.mask(full.n)
         tag = sampler.tag(full)
         u = SmashElement(full, {(ae, am, be, bm, tag): 1})
-        w = sampler.loop_tensor(dot, S.omega)
+        w = sampler.loop_tensor(full, S.omega)
         bpoly = SuperPoly.monomial(dot, be[1:], bm)
         if tag == ("d", 0):
             qp = QPElement.from_poly(bpoly)
         else:
             qp = QPElement.from_field(VectorField.from_poly_tag(bpoly, tag))
-        via_g = loop_g_act(LoopElement.wrap(be[0], qp), w, S)
+        via_g = loop_g_act(t0_embed(be[0], qp), w, S)
         want = loop_a_act(SuperPoly.monomial(full, ae, am), via_g, S)
         assert loop_smash_act(u, w, S) == want
 
@@ -320,9 +317,9 @@ def test_t_act_is_degree_zero_slice(structure12, sampler):
     for _ in range(60):
         gen = sampler.x_generator(full)
         v = sampler.tensor(dot, S.omega)
-        looped = loop_smash_act(make_X(full, *gen), LoopTensor.wrap(0, v), S)
-        assert set(looped.terms) <= {0}
-        assert t_act(*gen, v, S) == looped.terms.get(0, TensorVec.zero(dot))
+        looped = t0_slices(loop_smash_act(make_X(full, *gen), t0_embed(0, v), S))
+        assert set(looped) <= {0}
+        assert t_act(*gen, v, S) == looped.get(0, TensorVec.zero(dot))
 
 
 # ---------- generator action at t0-degree zero ----------
@@ -858,29 +855,3 @@ def test_theta_equivariance_and_bijectivity(extracted, sampler):
         for key, c in v.terms.items():
             mat[index[key]][j] = c
     assert linalg.rank(dict(enumerate(row)) for row in mat) == len(dom) == 3 * 4 * S.omega.dim
-
-
-# ---------- parity of the loop types ----------
-
-def test_loop_parity_and_even_odd_read_the_values():
-    """Both loop types take their parity and their even/odd split from
-    their values, passing ctx on: the module parities for a LoopTensor."""
-    sig = Signature(1, 1, False)
-    parities = natural_module(1, 1).parities  # (0, 0, 1)
-    even, odd = unit_vec(sig, 0), unit_vec(sig, 2)
-    w = LoopTensor.wrap(0, even)
-    assert w.parity(parities) == 0
-    assert LoopTensor.wrap(2, odd).parity(parities) == 1
-    mixed = LoopTensor(sig, {0: even, 1: odd + unit_vec(sig, 1)})
-    assert mixed.parity(parities) is None
-    assert LoopTensor.zero(sig).parity(parities) is None
-    assert mixed.even_odd(parities) == (
-        LoopTensor(sig, {0: even, 1: unit_vec(sig, 1)}), LoopTensor.wrap(1, odd))
-    assert w.even_odd(parities) == (w, LoopTensor.zero(sig))
-
-    one = QPElement.from_poly(SuperPoly.one(sig))
-    dz = QPElement.from_field(VectorField.basis(sig, ("q", 1)))
-    assert LoopElement.wrap(3, dz).parity() == 1
-    x = LoopElement(sig, {0: one, 1: one + dz})
-    assert x.parity() is None
-    assert x.even_odd() == (LoopElement(sig, {0: one, 1: one}), LoopElement.wrap(1, dz))

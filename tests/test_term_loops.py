@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from rinehart.scalars import Scalar
 from rinehart.superpoly import Signature, SuperPoly, shift_basis
 from rinehart.vectorfields import (
-    LoopElement,
     QPElement,
     VectorField,
     loop_bracket,
@@ -74,16 +73,26 @@ def qp_bracket_reference(x, y):
     return QPElement.pair(a_out, vf_bracket(x.x, y.x))
 
 
+def loop_slices(u):
+    """{r: QPElement} of a full-signature field, split here by hand: the
+    t_0 d/dt_0 terms become the algebra summand, stored under ('d', 0)."""
+    out = {}
+    for (exps, mask, tag), c in u.terms.items():
+        out.setdefault(exps[0], {})[(exps[1:], mask, tag)] = c
+    return {r: QPElement(u.sig.dotted(), terms) for r, terms in out.items()}
+
+
 def loop_bracket_reference(u, v):
-    out = LoopElement.zero(u.sig)
-    for r, x in u.terms.items():
-        for s, y in v.terms.items():
+    out = VectorField.zero(u.sig)
+    for r, x in loop_slices(u).items():
+        for s, y in loop_slices(v).items():
             z = qp_bracket_reference(x, y)
             if r:
                 z = z - r * qp_product_reference(x, QPElement.from_poly(y.a))
             if s:
                 z = z + s * qp_product_reference(QPElement.from_poly(x.a), y)
-            out._iadd_term(r + s, z)
+            out += VectorField(u.sig, {((r + s,) + e, m, tag): c
+                                       for (e, m, tag), c in z.terms.items()})
     return out
 
 
@@ -122,11 +131,12 @@ def qp_pairs(draw):
 def loop_pairs(draw):
     sig = draw(st.sampled_from(SIGS))
 
-    def loop():
-        return LoopElement(sig, {
-            r: QPElement.pair(draw(polys(sig)), draw(fields(sig)))
-            for r in draw(st.sets(st.integers(-2, 2), max_size=2))
-        })
+    def loop():  # Σ_r t_0^r ⊗ (a_r ⊕ x_r), stored as a field over the full signature
+        terms = {}
+        for r in draw(st.sets(st.integers(-2, 2), max_size=2)):
+            qp = QPElement.pair(draw(polys(sig)), draw(fields(sig)))
+            terms.update({((r,) + e, m, tag): c for (e, m, tag), c in qp.terms.items()})
+        return VectorField(sig.full(), terms)
 
     return loop(), loop()
 

@@ -49,7 +49,6 @@ SHARED = {
     "basis": "TensorVec.basis and VectorField.basis both build basis vectors in suites",
     "derive": "the module function; the SuperPoly.derive method delegates to it",
     "dotted": "Signature.dotted; the suites' Env.dotted wraps it",
-    "even_odd": "Sparse.even_odd; Loop.even_odd splits each value with it",
     "from_field": "SmashElement.from_field in the centralizer suite; QPElement.from_field in"
                   " QPElement.of and the Sampler",
     "from_poly": "SmashElement.from_poly in the centralizer suite; QPElement.from_poly in"
@@ -57,7 +56,6 @@ SHARED = {
     "is_zero": "Scalar and Sparse each test their own zero",
     "monomial": "Sampler.monomial draws one at random; SuperPoly.monomial builds one",
     "of": "Scalar.of and QPElement.of each coerce into their own type",
-    "parity": "Sparse.parity; Loop.parity combines it over the values",
     "phihat_parts": "QPStructure.phihat_parts, read by t_act and phi_operator; the qp suite's"
                     " self-test mutant overrides it",
     "scalar": "Sampler.scalar draws one at random; SuperPoly.scalar builds one",
@@ -313,5 +311,5 @@ def test_sparse_types_have_one_constructor():
             break
         derived |= more
     assert {"SuperPoly", "VectorField", "QPElement", "SmashElement", "TensorVec",
-            "LoopElement", "LoopTensor", "GlMatrix"} <= derived
+            "GlMatrix"} <= derived
     assert sorted(derived & inits) == []

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rinehart.glmodules import natural_module
 from rinehart.parser import parse_element
+from rinehart.sampling import Sampler
 from rinehart.scalars import Scalar
 from rinehart.superpoly import (
     Signature,
@@ -15,17 +17,18 @@ from rinehart.superpoly import (
     filt_degree,
     shift_basis,
 )
+from rinehart.tensorqp import TensorVec
 from rinehart.vectorfields import (
-    LoopElement,
     QPElement,
     VectorField,
     degree_field,
     loop_apply_to_poly,
     loop_bracket,
-    loop_der_correspond,
     qp_bracket,
     qp_product,
     special_partial,
+    t0_embed,
+    t0_slices,
     tag_parity,
     vf_bracket,
     weight_of,
@@ -304,36 +307,91 @@ def test_qp_algebra_laws(sampler):
 def test_loop_bracket_examples():
     dot = Signature(1, 1, False)
     one = QPElement.from_poly(SuperPoly.one(dot))
-    u = LoopElement.wrap(1, one)
-    v = LoopElement.wrap(-1, one)
-    assert loop_bracket(u, v) == LoopElement.wrap(0, one * (-2))
+    u = t0_embed(1, one)
+    v = t0_embed(-1, one)
+    assert loop_bracket(u, v) == t0_embed(0, one * (-2))
 
     x = QPElement.from_field(VectorField.basis(dot, ("q", 1)))
     y = QPElement.from_field(VectorField.from_poly_tag(SuperPoly.zeta(dot, 1), ("q", 1)))
-    got = loop_bracket(LoopElement.wrap(2, x), LoopElement.wrap(3, y))
-    assert got == LoopElement.wrap(5, qp_bracket(x, y))
-    got = loop_bracket(LoopElement.wrap(0, x), LoopElement.wrap(0, y))
-    assert got == LoopElement.wrap(0, qp_bracket(x, y))
+    got = loop_bracket(t0_embed(2, x), t0_embed(3, y))
+    assert got == t0_embed(5, qp_bracket(x, y))
+    got = loop_bracket(t0_embed(0, x), t0_embed(0, y))
+    assert got == t0_embed(0, qp_bracket(x, y))
 
 
 def test_loop_der_correspondence(sig11, sampler):
+    """t_0^r ⊗ (a ⊕ x) is stored as the field t_0^r·a·t_0 d/dt_0 + t_0^r·x.
+    The loop bracket and action, computed slice by slice, are then the
+    field bracket and action of the full algebra."""
     dot = sig11.dotted()
     one = QPElement.from_poly(SuperPoly.one(dot))
-    u = LoopElement.wrap(1, one)
-    assert loop_der_correspond(u) == VectorField.from_poly_tag(
+    assert t0_embed(1, one) == VectorField.from_poly_tag(
         SuperPoly.t_var(sig11, 0), ("d", 0)
     )
-    q = LoopElement.wrap(0, QPElement.from_field(VectorField.basis(dot, ("q", 1))))
-    assert loop_der_correspond(q) == VectorField.basis(sig11, ("q", 1))
-    # oracle: the full-signature bracket
+    q = QPElement.from_field(VectorField.basis(dot, ("q", 1)))
+    assert t0_embed(0, q) == VectorField.basis(sig11, ("q", 1))
+    # oracle: the full-signature bracket and action
     for _ in range(80):
-        x = sampler.loop_qp(dot)
-        y = sampler.loop_qp(dot)
-        assert loop_der_correspond(loop_bracket(x, y)) == vf_bracket(
-            loop_der_correspond(x), loop_der_correspond(y)
-        )
+        x = sampler.loop_qp(sig11)
+        y = sampler.loop_qp(sig11)
+        assert loop_bracket(x, y) == vf_bracket(x, y)
         f = sampler.monomial(sig11)
-        assert loop_apply_to_poly(x, f) == loop_der_correspond(x).apply(f)
+        assert loop_apply_to_poly(x, f) == x.apply(f)
+
+
+# ---------- the t_0 split ----------
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 3)])
+def test_t0_slices_and_t0_embed_are_inverse(m, n):
+    """Slicing a sampled element by its t_0 exponent and embedding each
+    slice back gives the element; a slice embedded and sliced again is
+    itself.  A field slices to QPElements, every other type to itself."""
+    full = Signature(m, n)
+    omega = natural_module(m, n)
+    s = Sampler(random.Random(f"t0:{m}:{n}"), 2)
+    for _ in range(30):
+        tensor = s.tensor(full, omega) + s.loop_tensor(full, omega) + s.tensor(full, omega)
+        for x in (s.poly(full, 3), s.field(full, 3, "dtq"), s.loop_qp(full), tensor):
+            slices = t0_slices(x)
+            kind = QPElement if type(x) is VectorField else type(x)
+            back = type(x).zero(full)
+            for r, v in slices.items():
+                assert type(v) is kind and v.sig is full.dotted() and v
+                assert t0_slices(t0_embed(r, v)) == {r: v}
+                back += t0_embed(r, v)
+            assert back == x
+
+
+def test_field_slices_keep_t0_euler_terms_as_the_algebra_summand():
+    """A field's t_0 d/dt_0 terms and a QPElement's algebra summand share
+    the tag ('d', 0), so each slice's `a` is the field's t_0 d/dt_0
+    coefficient at that t_0 power."""
+    full = Signature(1, 2)
+    dot = full.dotted()
+    x = VectorField(full, {((2, -1), 1, ("d", 0)): 3, ((2, 0), 0, ("q", 2)): 1,
+                           ((-1, 1), 0, ("d", 1)): 2, ((-1, 0), 2, ("d", 0)): 5})
+    assert t0_slices(x) == {
+        2: QPElement.pair(SuperPoly.monomial(dot, (-1,), 1, 3),
+                          VectorField.basis(dot, ("q", 2))),
+        -1: QPElement.pair(SuperPoly.monomial(dot, (0,), 2, 5),
+                           VectorField(dot, {((1,), 0, ("d", 1)): 2})),
+    }
+    d0 = x.coefficient_polys()[("d", 0)]
+    for r, qp in t0_slices(x).items():
+        assert qp.a == t0_slices(d0)[r]
+
+
+def test_t0_helpers_refuse_the_wrong_signature():
+    full = Signature(1, 1)
+    dot = full.dotted()
+    for x in (SuperPoly.one(dot), VectorField.basis(dot, ("q", 1)),
+              QPElement.from_poly(SuperPoly.one(dot)), TensorVec.basis(dot, (0,), 0, 0)):
+        with pytest.raises(ValueError, match="full signature"):
+            t0_slices(x)
+    for x in (SuperPoly.one(full), VectorField.basis(full, ("d", 0)),
+              TensorVec.basis(full, (0, 0), 0, 0)):
+        with pytest.raises(ValueError, match="t_0-free signature"):
+            t0_embed(0, x)
 
 
 # ---------- the bracket kernel against SuperPoly temporaries ----------
@@ -415,11 +473,10 @@ def test_vf_bracket_matches_temporaries(pair):
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_along_matches_the_per_site_constructions(m, n):
-    """QPElement.along agrees with the constructions it replaced: the
-    ψ-subscript and φ̂-tag of the loop module and the loop element of
-    f·∂_α, each spelled out here by cases."""
-    from rinehart.suites import _loop_g_for
-
+    """QPElement.along agrees with the constructions it replaced, the
+    ψ-subscript and φ̂-tag of the loop module; and the field f·∂_α by which
+    the loop module acts slices into the QPElements spelled out here by
+    cases."""
     full = Signature(m, n)
     dot = full.dotted()
     rng = random.Random(m * 10 + n)
@@ -438,16 +495,16 @@ def test_along_matches_the_per_site_constructions(m, n):
 
     f = SuperPoly.monomial(full, (1,) + (-1,) * m, 1) + SuperPoly.t_var(full, 0, -2)
     for alpha in range(m + n + 1):
-        want = LoopElement.zero(dot)
-        for r0, a in f.t0_slices().items():
+        want = {}
+        for r0, a in t0_slices(f).items():
             if alpha == 0:
                 qp = QPElement.from_poly(a)
             elif alpha <= m:
                 qp = QPElement.from_field(VectorField.from_poly_tag(a, ("d", alpha)))
             else:
                 qp = QPElement.from_field(VectorField.from_poly_tag(a, ("q", alpha - m)))
-            want = want + LoopElement.wrap(r0, qp)
-        assert _loop_g_for(f, alpha) == want
+            want[r0] = qp
+        assert t0_slices(VectorField.from_poly_tag(f, full.dir_tag(alpha))) == want
 
 
 def test_algebra_tag_is_the_zero_derivation_only_inside_derive_mono():
