@@ -150,13 +150,26 @@ def _cmd_bracket(args) -> int:
     return 0
 
 
+def _csv_ints(text: str, option: str) -> list[int]:
+    """The comma-separated integers of an option; a part that is none is a
+    ParseError at its position in the text."""
+    out, pos = [], 0
+    for part in text.split(","):
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise ParseError(f"{option} expects comma-separated integers, got"
+                             f" {part.strip()!r}", pos + len(part) - len(part.lstrip())) from None
+        pos += len(part) + 1
+    return out
+
+
 def _cmd_x_element(args) -> int:
     sig = _sig(args)
-    rbar = tuple(int(p) for p in args.r.split(","))
+    rbar = tuple(_csv_ints(args.r, "--r"))
     jmask = 0
     if args.J.strip():
-        for p in args.J.split(","):
-            k = int(p)
+        for k in _csv_ints(args.J, "--J"):
             sig.check_zeta(k)
             bit = 1 << (k - 1)
             if jmask & bit:

@@ -15,18 +15,17 @@ gl(m+1, n) through the degree-one Taylor data.
 from __future__ import annotations
 
 from .glmatrix import GlMatrix
-from .scalars import ONE, Scalar
+from .scalars import ZERO, Scalar
 from .superpoly import (
     Signature,
     Sparse,
     SuperPoly,
     mask_size,
-    mods2_linear,
     mono_apply,
     mono_mul,
     subsets_of_mask,
 )
-from .vectorfields import VectorField, field_entry, tag_parity, vf_bracket
+from .vectorfields import VectorField, field_entry, tag_parity
 
 
 def _term_parity(amask: int, bmask: int, tag) -> int:
@@ -118,6 +117,9 @@ def smash_commutator(u: SmashElement, v: SmashElement) -> SmashElement:
       [a # pδ, c # 1]  = a·p·δ(c) # 1
       [a # 1,  c # qγ] = -(-1)^{|A||B|} c·q·γ(a) # 1
       [a # 1,  c # 1]  = 0
+
+    [pδ, qγ] = p·δ(q)·γ - (-1)^{|pδ||qγ|} q·γ(p)·δ is `vf_bracket` of two
+    single terms, computed inline with its terms in that order.
     """
     if u.sig != v.sig:
         raise ValueError("signature mismatch")
@@ -125,6 +127,7 @@ def smash_commutator(u: SmashElement, v: SmashElement) -> SmashElement:
     out = SmashElement.zero(sig)
     for (ae, am, pe, pm, ta), ca in u.terms.items():
         pa = _term_parity(am, pm, ta)
+        p_par = ta is not None and (mask_size(pm) + tag_parity(ta)) & 1
         for (ce, cm, qe, qm, tb), cb in v.terms.items():
             pb = _term_parity(cm, qm, tb)
             coef = ca * cb
@@ -138,18 +141,21 @@ def smash_commutator(u: SmashElement, v: SmashElement) -> SmashElement:
                 if f:
                     out._iadd_term((e, m, pe, pm, ta), coef * (-big_sign * f))
             if ta is not None and tb is not None:
-                p_par = (mask_size(pm) + tag_parity(ta)) & 1
-                c_par = mask_size(cm) & 1
-                sign = -1 if (c_par & p_par) else 1
                 s_ac, e1, m1 = mono_mul(ae, am, ce, cm)
                 if not s_ac:
                     continue
-                br = vf_bracket(
-                    VectorField._trusted(sig, {(pe, pm, ta): ONE}),
-                    VectorField._trusted(sig, {(qe, qm, tb): ONE}),
-                )
-                for (e2, m2, t2), c2 in br.terms.items():
-                    out._iadd_term((e1, m1, e2, m2, t2), coef * (sign * s_ac) * c2)
+                if mask_size(cm) & p_par:
+                    s_ac = -s_ac
+                f, e2, m2 = mono_apply(ta, sig, pe, pm, qe, qm)
+                g, e3, m3 = mono_apply(tb, sig, qe, qm, pe, pm)
+                if not p_par & (mask_size(qm) + tag_parity(tb)):
+                    g = -g
+                if f and g and (e2, m2, tb) == (e3, m3, ta):
+                    f, g = f + g, 0
+                if f:
+                    out._iadd_term((e1, m1, e2, m2, tb), coef * (s_ac * f))
+                if g:
+                    out._iadd_term((e1, m1, e3, m3, ta), coef * (s_ac * g))
     return out
 
 
@@ -241,25 +247,36 @@ def psi_map(u, sig: Signature | None = None) -> VectorField:
 def theta_project(x: VectorField) -> GlMatrix:
     """Project a vanishing-ideal field onto gl(m+1, n).
 
-    Reads the stored Euler basis; each coefficient is reduced to its
-    degree-one Taylor data (t_i - 1 rows, ζ_k rows) and placed in the
-    column of its derivation.  Raises when a coefficient is not in the
-    vanishing ideal.
+    Reads the stored Euler basis in one pass over the field's terms: each
+    coefficient's constant and degree-one Taylor data (the t_i - 1 rows,
+    then the ζ_k rows, as `superpoly._taylor01` reads them) is gathered
+    in the column of its derivation, tags in the order they first occur.
+    Raises, naming the first such tag, when a coefficient is not in the
+    vanishing ideal (its constant term is nonzero).
     """
     sig = x.sig
     if not sig.includes_t0:
         raise ValueError("the gl projection uses the full signature")
-    out = GlMatrix.zero(sig)
-    for tag, coeff in x.coefficient_polys().items():
-        try:
-            tcoeffs, zcoeffs = mods2_linear(coeff)
-        except ValueError:
-            raise ValueError(
-                f"coefficient of {tag} is not in the vanishing ideal"
-            ) from None
+    m = sig.m
+    cols: dict = {}  # tag -> [const, row 0, ..., row m + n]
+    for (exps, mask, tag), c in x.terms.items():
+        data = cols.get(tag)
+        if data is None:
+            data = cols[tag] = [ZERO] * (m + sig.n + 2)
+        if not mask:
+            data[0] = data[0] + c
+            for p, e in enumerate(exps, 1):
+                if e:
+                    data[p] = data[p] + (c if e == 1 else c * e)
+        elif not mask & (mask - 1):
+            row = m + mask.bit_length() + 1
+            data[row] = data[row] + c
+    terms = {}
+    for tag, data in cols.items():
+        if data[0]:
+            raise ValueError(f"coefficient of {tag} is not in the vanishing ideal")
         col = sig.dir_of(tag)
-        for i, c in tcoeffs.items():
-            out._iadd_term((i, col), c)
-        for k, c in zcoeffs.items():
-            out._iadd_term((sig.dir_of(("q", k)), col), c)
-    return out
+        for row, c in enumerate(data[1:]):
+            if c:
+                terms[(row, col)] = c
+    return GlMatrix._trusted(sig, terms)

@@ -31,8 +31,9 @@ scaled or monomial-multiplied element in place), `VectorField.apply`,
 basis of fields and smash terms, to one monomial (on the dotted
 algebra, ('d', 0) is the algebra summand's tag and gives 0);
 `mono_apply` = monomial · derived monomial is the step of
-`VectorField.apply`, `vf_bracket` (also the bracket of `QPElement`s)
-and `smash_commutator`, and the `tensorqp` twisted action (ψ and
+`VectorField.apply` and `smash_commutator`, `vf_bracket` (also the
+bracket of `QPElement`s) takes the same two steps and multiplies only a
+surviving derivative, and the `tensorqp` twisted action (ψ and
 `shen_act`) takes its derivative terms from `derive_mono` too.  `derive`
 also takes the plain d/dt_i.
 
@@ -44,11 +45,14 @@ m + k is ∂/∂ζ_k (tag ('q', k), odd).  `dir_tag`, `dir_of` and
 lists the basis tags.
 
 Also here: the filtration S ⊇ S² ⊇ ... by powers of the ideal vanishing
-at t=1, ζ=0, with an exact degree decision procedure (clear denominators
-by a unit power of t, Taylor-shift to u_i = t_i - 1, read the minimal
-total degree), and eigenvalue bookkeeping for the commuting families
-(t_i-1)d/dt_i and ζ_k ∂/∂ζ_k.  Degrees 0 and 1, which decide most
-questions, are read in one pass over the terms (`_taylor01`).
+at t=1, ζ=0, with an exact degree decision procedure: the order of the
+Taylor expansion in u_i = t_i - 1, found as the first nonzero
+homogeneous component, each computed alone with generalized binomials
+(t^e = Σ_j C(e, j) u^j for every integer e, so no denominator is
+cleared and no full expansion built), and eigenvalue bookkeeping for
+the commuting families (t_i-1)d/dt_i and ζ_k ∂/∂ζ_k.  Orders 0 and 1,
+which decide most questions, are read in one pass over the terms
+(`_taylor01`).
 """
 
 from __future__ import annotations
@@ -126,7 +130,7 @@ class Signature:
     """Variable bookkeeping: t_0..t_m (or t_1..t_m) and ζ_1..ζ_n.  Interned
     and immutable: equal arguments give the same object, so `==` is `is`."""
 
-    __slots__ = ("m", "n", "includes_t0", "nvars", "_hash", "_tags")
+    __slots__ = ("m", "n", "includes_t0", "nvars", "_hash", "_tags", "_partner")
     _interned: dict = {}
 
     def __new__(cls, m: int, n: int, includes_t0: bool = True):
@@ -139,6 +143,7 @@ class Signature:
             sig.nvars = m + 1 if includes_t0 else m
             sig._hash = hash((m, n, includes_t0))
             sig._tags = frozenset(sig.tags("dtq"))
+            sig._partner = None
             sig = cls._interned.setdefault((m, n, includes_t0), sig)
         return sig
 
@@ -185,11 +190,19 @@ class Signature:
     def zero_exps(self) -> tuple[int, ...]:
         return (0,) * self.nvars
 
+    def _other(self) -> "Signature":
+        """The signature of the other kind, interned once and then kept."""
+        other = self._partner
+        if other is None:
+            other = Signature(self.m, self.n, not self.includes_t0)
+            self._partner, other._partner = other, self
+        return other
+
     def dotted(self) -> "Signature":
-        return Signature(self.m, self.n, False)
+        return self._other() if self.includes_t0 else self
 
     def full(self) -> "Signature":
-        return Signature(self.m, self.n, True)
+        return self if self.includes_t0 else self._other()
 
     # -- the gl(m+1, n) index convention --
 
@@ -570,18 +583,6 @@ def shifted_form(f: SuperPoly) -> dict:
     return out
 
 
-def _cleared(f: SuperPoly) -> SuperPoly:
-    """Multiply by the unit t^N that clears negative exponents.
-
-    t^N ≡ 1 mod S, so membership in every S^ℓ is unchanged.
-    """
-    mins = f.min_t_exponents()
-    if not any(mins):
-        return f
-    shift = tuple(-e for e in mins)
-    return f * SuperPoly._trusted(f.sig, {(shift, 0): ONE})
-
-
 def _taylor01(f: SuperPoly):
     """Constant and degree-one Taylor data of f at t = 1, ζ = 0.
 
@@ -589,8 +590,7 @@ def _taylor01(f: SuperPoly):
     to lin_t[p] (the u_p = t_p - 1 coefficient) when M = ∅, and c to
     lin_z[k-1] when M = {k}; larger M lie in S².  Negative exponents are
     fine: the u-expansion of t^e starts 1 + Σ e_p u_p for every integer
-    e.  When const = 0 these are exactly the degree-one data of the
-    cleared form t^N f, whose u_p coefficients shift by N_p · const.
+    e (see `filt_degree`).
     """
     zero = Scalar(0)
     const = zero
@@ -608,8 +608,51 @@ def _taylor01(f: SuperPoly):
     return const, lin_t, lin_z
 
 
+@lru_cache(maxsize=1 << 10)
+def _gbinom(e: int, j: int) -> int:
+    """The generalized binomial C(e, j) = e(e-1)⋯(e-j+1)/j!, for every
+    integer e: t^e = (1 + u)^e = Σ_j C(e, j) u^j holds for e < 0 too."""
+    return math.prod(range(e - j + 1, e + 1)) // math.factorial(j)
+
+
+@lru_cache(maxsize=1 << 10)
+def _compositions(total: int, parts: int) -> tuple:
+    """Every tuple of `parts` nonnegative ints with sum `total`."""
+    if not parts:
+        return ((),) if not total else ()
+    return tuple((j,) + rest for j in range(total, -1, -1)
+                 for rest in _compositions(total - j, parts - 1))
+
+
+def _taylor_component(f: SuperPoly, k: int) -> bool:
+    """Whether Σ c·Π C(e_i, j_i) u^j ζ_M over the terms t^e ζ_M·c and
+    |j| + |M| = k, f's degree-k Taylor component, is nonzero.  u^j is
+    keyed by its (position, power) pairs; C(0, j) = 0 for j > 0."""
+    comp: dict = {}
+    for (exps, mask), c in f.terms.items():
+        rest = k - mask.bit_count()
+        if rest < 0:
+            continue
+        nz = [(p, e) for p, e in enumerate(exps) if e]
+        for js in _compositions(rest, len(nz)):
+            w = 1
+            for (_p, e), j in zip(nz, js):
+                if j:
+                    w *= _gbinom(e, j)
+            if w:
+                key = (tuple((p, j) for (p, _e), j in zip(nz, js) if j), mask)
+                cur = comp.get(key)
+                comp[key] = c * w if cur is None else cur + c * w
+    return any(comp.values())
+
+
 def filt_degree(f: SuperPoly):
-    """Largest ℓ with f ∈ S^ℓ; 0 if f ∉ S, math.inf for f = 0."""
+    """Largest ℓ with f ∈ S^ℓ; 0 if f ∉ S, math.inf for f = 0: the order
+    of f's Taylor expansion in u_i = t_i - 1.  Orders 0 and 1 are read in
+    one pass (`_taylor01`), then the components k = 2, 3, ... one at a
+    time until one is nonzero.  As t^e = Σ_j C(e, j) u^j for every integer
+    e, no unit t^N need clear denominators (it would not move the order),
+    and the loop ends: a nonzero f has a nonzero expansion."""
     if f.is_zero():
         return INFINITE
     const, lin_t, lin_z = _taylor01(f)
@@ -617,22 +660,10 @@ def filt_degree(f: SuperPoly):
         return 0
     if any(lin_t) or any(lin_z):
         return 1
-    sf = shifted_form(_cleared(f))
-    return min(sum(ue) + mask_size(mask) for (ue, mask) in sf)
-
-
-def mods2_linear(f: SuperPoly) -> tuple[dict, dict]:
-    """Degree-one data of f modulo S²: ({t_i: c}, {ζ_k: c}).
-
-    Requires f ∈ S (the constant Taylor term must vanish).
-    """
-    const, lin_t, lin_z = _taylor01(f)
-    if const:
-        raise ValueError("element is not in the vanishing ideal")
-    return (
-        {i: c for i, c in zip(f.sig.tvars(), lin_t) if c},
-        {k: c for k, c in enumerate(lin_z, 1) if c},
-    )
+    k = 2
+    while not _taylor_component(f, k):
+        k += 1
+    return k
 
 
 # ---------- Weights under (t_i-1)d/dt_i and ζ_k ∂/∂ζ_k ----------

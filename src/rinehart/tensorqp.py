@@ -20,7 +20,8 @@ and the reports.
 
 On top of the triple: the seven compatibility axioms; the loop module
 C[t_0^{±1}] ⊗ (Ȧ ⊗ Ω), stored flat as the full A ⊗ Ω and acted on slice
-by slice (`vectorfields.t0_slices`), so that a check compares the loop
+by slice (`vectorfields.t0_slices`, each piece added back by
+`vectorfields._t0_iadd`), so that a check compares the loop
 action with `shen_act` and `left_mul` on one type; the action of
 degree-zero centralizer generators; the extraction of the joint kernel
 of the odd derivation actions; the induced gl-representation on that
@@ -48,9 +49,9 @@ from .superpoly import (
 from .vectorfields import (
     QPElement,
     VectorField,
+    _t0_iadd,
     qp_bracket,
     qp_product,
-    t0_embed,
     t0_slices,
 )
 
@@ -303,7 +304,7 @@ def loop_g_act(u: VectorField, w: TensorVec, S: QPStructure) -> TensorVec:
                 piece = piece - r * S.phihat(x, v)
             if s and a:
                 piece = piece + s * S.phi(a, v)
-            out._iadd(t0_embed(r + s, piece))
+            _t0_iadd(out, r + s, piece)
     return out
 
 
@@ -314,7 +315,7 @@ def loop_a_act(f: SuperPoly, w: TensorVec, S: QPStructure) -> TensorVec:
     vs = t0_slices(w)
     for r, a in t0_slices(f).items():
         for s, v in vs.items():
-            out._iadd(t0_embed(r + s, S.phi(a, v)))
+            _t0_iadd(out, r + s, S.phi(a, v))
     return out
 
 
@@ -335,7 +336,7 @@ def loop_smash_act(u: SmashElement, w: TensorVec, S: QPStructure) -> TensorVec:
         apoly = SuperPoly.monomial(S.sig, rp, am)
         if tag is None:
             for k, v in vs.items():
-                out._iadd(t0_embed(r0 + k, S.phi(apoly, v)), c)
+                _t0_iadd(out, r0 + k, S.phi(apoly, v), c)
             continue
         s0, sp = be[0], be[1:]
         bpoly = SuperPoly.monomial(S.sig, sp, bm)
@@ -347,7 +348,7 @@ def loop_smash_act(u: SmashElement, w: TensorVec, S: QPStructure) -> TensorVec:
                 inner = inner - s0 * S.phi(bpoly, S.phihat(hat, v))
             if k and tag == ("d", 0):
                 inner = inner + k * S.phi(bpoly, v)
-            out._iadd(t0_embed(r0 + s0 + k, S.phi(apoly, inner)), c)
+            _t0_iadd(out, r0 + s0 + k, S.phi(apoly, inner), c)
     return out
 
 

@@ -16,15 +16,16 @@ is one loop over term pairs.  The t_0-loop extension C[t_0^{±1}] ⊗
 (Ȧ ⊕ Der(Ȧ)) is stored flat, as Der(A): t_0^r ⊗ (a ⊕ x) is the field
 t_0^r·a·t_0 d/dt_0 + t_0^r·x, keyed alike.  `t0_slices` and `t0_embed`
 move any element keyed (exps, mask[, label]) between the full signature and
-its t_0 slices.  The loop bracket and the loop action on A are computed
-slice by slice, the bracket mixing the two summands through the t_0
-exponents with that same pair loop, so a check can compare them with
+its t_0 slices, and `_t0_iadd` adds a slice at t_0^r straight into a
+full-signature output.  The loop bracket and the loop action on A are
+computed slice by slice, the bracket mixing the two summands through the
+t_0 exponents with that same pair loop, so a check can compare them with
 `vf_bracket` and `VectorField.apply`.
 """
 
 from __future__ import annotations
 
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .superpoly import (
     Signature,
     Sparse,
@@ -32,6 +33,7 @@ from .superpoly import (
     WeightVector,
     _check_same_sig,
     delta,
+    derive_mono,
     eps,
     mask_size,
     mono_apply,
@@ -131,22 +133,28 @@ def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
     type (a VectorField or a QPElement).
 
     The stored basis derivations supercommute, so the [δ,γ] term vanishes.
+    The parities of y's terms are read once, and ca·cb is formed only for
+    a derivative that survives.
     """
     _check_same_sig(x, y)
     sig = x.sig
     out = x._trusted(x.sig, {})
+    ys = [(eb, mb, tb, cb, (mask_size(mb) + tag_parity(tb)) & 1)
+          for (eb, mb, tb), cb in y.terms.items()]
     for (ea, ma, ta), ca in x.terms.items():
         pa = (mask_size(ma) + tag_parity(ta)) & 1
-        for (eb, mb, tb), cb in y.terms.items():
-            pb = (mask_size(mb) + tag_parity(tb)) & 1
-            coef = ca * cb
-            f, e2, m2 = mono_apply(ta, sig, ea, ma, eb, mb)
+        for eb, mb, tb, cb, pb in ys:
+            f, e, m = derive_mono(ta, sig, eb, mb)
             if f:
-                out._iadd_term((e2, m2, tb), coef * f)
-            f, e2, m2 = mono_apply(tb, sig, eb, mb, ea, ma)
+                sign, e2, m2 = mono_mul(ea, ma, e, m)
+                if sign:
+                    out._iadd_term((e2, m2, tb), ca * cb * (f * sign))
+            f, e, m = derive_mono(tb, sig, ea, ma)
             if f:
-                ksign = 1 if (pa & pb) else -1
-                out._iadd_term((e2, m2, ta), coef * (ksign * f))
+                sign, e2, m2 = mono_mul(eb, mb, e, m)
+                if sign:
+                    f *= sign
+                    out._iadd_term((e2, m2, ta), ca * cb * (f if pa & pb else -f))
     return out
 
 
@@ -381,8 +389,17 @@ def t0_embed(r: int, x):
     if x.sig.includes_t0:
         raise ValueError("t0_embed needs the t_0-free signature")
     cls = VectorField if type(x) is QPElement else type(x)
-    return cls._trusted(x.sig.full(), {((r,) + key[0],) + key[1:]: c
-                                       for key, c in x.terms.items()})
+    out = cls._trusted(x.sig.full(), {})
+    _t0_iadd(out, r, x)
+    return out
+
+
+def _t0_iadd(out, r: int, x, c=ONE):
+    """out += c·t_0^r·x in place, for a t_0-free x keyed (exps, mask[,
+    label]) and a full-signature out: the inserts and cancellations of
+    `Sparse._iadd` of x embedded at t_0^r, with no container built."""
+    for key, cx in x.terms.items():
+        out._iadd_term(((r,) + key[0],) + key[1:], cx if c is ONE else cx * c)
 
 
 def loop_bracket(u: VectorField, v: VectorField) -> VectorField:
@@ -395,7 +412,7 @@ def loop_bracket(u: VectorField, v: VectorField) -> VectorField:
     ys = t0_slices(v)
     for r, x in t0_slices(u).items():
         for s, y in ys.items():
-            out._iadd(t0_embed(r + s, _add_products(qp_bracket(x, y), x, y, s - r, s, -r)))
+            _t0_iadd(out, r + s, _add_products(qp_bracket(x, y), x, y, s - r, s, -r))
     return out
 
 
@@ -411,5 +428,5 @@ def loop_apply_to_poly(u: VectorField, f: SuperPoly) -> SuperPoly:
             piece = x.apply(b)
             if s:
                 piece = piece + a * b * s
-            out._iadd(t0_embed(r + s, piece))
+            _t0_iadd(out, r + s, piece)
     return out

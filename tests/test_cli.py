@@ -51,6 +51,27 @@ def test_x_element_rejects_a_repeated_index(capsys):
                  "--J", "2,1", "--tag", "Q1"]) == 0
 
 
+@pytest.mark.parametrize("option,text,at", [("--r", "1,x", 2), ("--r", "1, 2.5", 3)])
+def test_x_element_reads_r_as_integers(capsys, option, text, at):
+    """A part of --r that is no integer is a positioned parse error (exit
+    2), never Python's int() message."""
+    assert main(["x-element", "--m", "1", "--n", "1", option, text, "--tag", "Q1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = text.split(",")[-1].strip()
+    assert captured.err == (f"error: {option} expects comma-separated integers,"
+                            f" got {bad!r} (at position {at})\n")
+
+
+def test_x_element_reads_j_as_integers(capsys):
+    assert main(["x-element", "--m", "1", "--n", "1", "--r", "1,0", "--J", "1,y",
+                 "--tag", "Q1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --J expects comma-separated integers,"
+                            " got 'y' (at position 2)\n")
+
+
 @pytest.mark.parametrize("tag", ["D+1", "Q 1", "Dx"])
 def test_x_element_reads_the_tag_by_the_element_grammar(capsys, tag):
     """--tag is a derivation literal: text that is not one is a positioned

@@ -292,18 +292,17 @@ def test_shift_basis_with_a_flipped_inverse_power_fails_the_plus_rewrite(
 ])
 def test_filt_degree_off_by_one_fails_the_filtration_checks(
         monkeypatch, capsys, m, n, expected):
-    """filt_degree reads the full Taylor-shift procedure's degree one too
-    low, so an element of S^ℓ (ℓ ≥ 2) is placed in S^{ℓ-1} only.  The
+    """filt_degree reads the order of the truncated Taylor expansion one
+    too low, so an element of S^ℓ (ℓ ≥ 2) is placed in S^{ℓ-1} only.  The
     opposite fault, one too high, passes every suite; the Tier-1 oracle
     tests/test_superpoly.py::test_filt_degree_examples catches it."""
     assert all_failed(capsys, m, n, lambda: plant_edit(
-        monkeypatch, superpoly, superpoly.filt_degree, "for (ue, mask) in sf)",
-        "for (ue, mask) in sf) - 1")) == expected
+        monkeypatch, superpoly, superpoly.filt_degree, "return k", "return k - 1")) == expected
 
 
 LOOP_ACTION_FAULTS = {
-    "algebra": (tensorqp, "loop_a_act", "t0_embed(r + s, S.phi(a, v))",
-                "t0_embed(r, S.phi(a, v))", {"loop.algebra_action", "loop.leibniz"}),
+    "algebra": (tensorqp, "loop_a_act", "_t0_iadd(out, r + s, S.phi(a, v))",
+                "_t0_iadd(out, r, S.phi(a, v))", {"loop.algebra_action", "loop.leibniz"}),
     "derivation": (vectorfields, "loop_apply_to_poly", "a * b * s", "a * b * -s",
                    {"loop.der_action", "loop.leibniz"}),
 }
@@ -320,6 +319,26 @@ def test_loop_action_fault_fails_its_full_signature_check(monkeypatch, capsys, m
     module, name, old, new, expected = LOOP_ACTION_FAULTS[fault]
     assert all_failed(capsys, m, n, lambda: plant_edit(
         monkeypatch, module, getattr(module, name), old, new)) == expected
+
+
+@pytest.mark.parametrize("m,n,expected", [
+    ("1", "1", {"centralizer.derivations", "jacobi.smash.antisymmetry",
+                "jacobi.smash.super_jacobi", "psi.bracket_hom"}),
+    ("1", "2", {"centralizer.derivations", "jacobi.smash.antisymmetry",
+                "jacobi.smash.super_jacobi", "psi.bracket_hom"}),
+    ("2", "2", {"centralizer.derivations", "jacobi.smash.antisymmetry",
+                "psi.bracket_hom"}),
+])
+def test_smash_inner_bracket_without_its_koszul_sign_fails_the_smash_checks(
+        monkeypatch, capsys, m, n, expected):
+    """The sign -(-1)^{|pδ||qγ|} of q·γ(p)·δ flipped in the [pδ, qγ] that
+    smash_commutator computes inline for each term pair.  The smash
+    bracket's antisymmetry and the ψ bracket homomorphism break, and the
+    centralizer generators no longer commute with the derivations."""
+    assert all_failed(capsys, m, n, lambda: plant_edit(
+        monkeypatch, smash, smash.smash_commutator,
+        "if not p_par & (mask_size(qm) + tag_parity(tb)):",
+        "if p_par & (mask_size(qm) + tag_parity(tb)):")) == expected
 
 
 def test_loop_counterexample_is_deterministic(monkeypatch, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rinehart.glmatrix import GlMatrix
 from rinehart.scalars import Scalar
 from rinehart.smash import theta_project
 from rinehart.superpoly import (
@@ -19,7 +20,6 @@ from rinehart.superpoly import (
     filt_degree,
     mask_indices,
     merge_masks,
-    mods2_linear,
     mono_apply,
     mono_mul,
     shift_basis,
@@ -235,6 +235,19 @@ def test_signatures_are_interned():
     assert sig.dotted().nvars == 1
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 3)])
+def test_signature_keeps_its_other_kind(m, n):
+    """dotted() and full() hand back the interned partner, kept after the
+    first call; a pickle still reads back as the same object."""
+    full, dot = Signature(m, n, True), Signature(m, n, False)
+    assert full.dotted() is dot and dot.full() is full
+    assert full.dotted().full() is full and dot.full().dotted() is dot
+    assert full.full() is full and dot.dotted() is dot
+    for sig in (full, dot):
+        assert pickle.loads(pickle.dumps(sig)) is sig
+        assert pickle.loads(pickle.dumps(sig.dotted())).full() is full
+
+
 def test_invalid_signature_raises_every_time_and_is_never_cached():
     for _ in range(3):
         for m, n in ((0, 1), (1, 0), (-1, 2)):
@@ -391,19 +404,54 @@ def laurent_grassmann(draw):
     return f
 
 
+def on_full(f):
+    """f over the full signature (t_0 exponent 0 on a t_0-free f)."""
+    if f.sig.includes_t0:
+        return f
+    return SuperPoly(f.sig.full(), {((0,) + e, m): c for (e, m), c in f.terms.items()})
+
+
 @settings(max_examples=300, deadline=None)
 @given(laurent_grassmann())
 def test_taylor_kernel_matches_full_expansion(f):
+    """filt_degree, and theta_project's degree-one data of f as the
+    coefficient of t_0 d/dt_0 (column 0), against the full expansion."""
     assert filt_degree(f) == ref_filt_degree(f)
+    x = VectorField.from_poly_tag(on_full(f), ("d", 0))
     try:
-        want = ref_mods2_linear(f)
+        tco, zco = ref_mods2_linear(f)
     except ValueError:
         with pytest.raises(ValueError, match="not in the vanishing ideal"):
-            mods2_linear(f)
+            theta_project(x)
     else:
-        assert mods2_linear(f) == want
+        terms = {(i, 0): c for i, c in tco.items()}
+        terms.update({(f.sig.m + k, 0): c for k, c in zco.items()})
+        assert theta_project(x) == GlMatrix(x.sig, terms)
     if all(e >= 0 for e in f.min_t_exponents()):
         assert shifted_form(f) == ref_shifted(f)
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_filt_degree_matches_the_full_expansion_at_each_order(order):
+    """f = c·t^e·B + c'·B' with B a `shift_basis` product of order `order`,
+    B' one of a higher order, e in [-3, 3]^nvars and Gaussian c, c': the
+    truncated expansion reads `order`, as the full expansion does."""
+    rng = random.Random(order)
+
+    def product(sig, k):  # a shift_basis product of order exactly k
+        mask = indices_mask(rng.sample(range(1, sig.n + 1), rng.randint(0, min(k, sig.n))))
+        slots = [0] * (2 * sig.nvars)
+        for _ in range(k - bin(mask).count("1")):
+            slots[rng.randrange(len(slots))] += 1
+        return shift_basis(sig, slots[:sig.nvars], slots[sig.nvars:], mask)
+
+    for sig in (Signature(1, 2, True), Signature(2, 1, True), Signature(2, 2, False)):
+        for _ in range(6):
+            unit = SuperPoly.monomial(sig, [rng.randint(-3, 3) for _ in range(sig.nvars)],
+                                      0, Scalar(rng.randint(1, 3), rng.randint(-2, 2)))
+            f = unit * product(sig, order)
+            f += product(sig, order + rng.randint(1, 2)) * Scalar(rng.randint(-2, 2), 1)
+            assert filt_degree(f) == ref_filt_degree(f) == order
 
 
 def test_theta_project_rejects_coefficient_outside_s():
