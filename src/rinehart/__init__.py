@@ -27,7 +27,6 @@ from .superpoly import (
 from .tensorqp import (
     QPStructure,
     TensorVec,
-    degree_zero_basis,
     induced_gl_module,
     operator_identity_check,
     loop_a_act,
@@ -35,6 +34,7 @@ from .tensorqp import (
     loop_smash_act,
     omega_extract,
     omega_greedy,
+    omega_kernel,
     phi_images,
     phi_operator,
     qp_axiom_check,

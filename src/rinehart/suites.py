@@ -55,12 +55,11 @@ from .superpoly import (
 from .tensorqp import (
     QPStructure,
     TensorVec,
-    degree_zero_basis,
     induced_gl_module,
     operator_identity_check,
     loop_a_act,
     loop_g_act,
-    omega_extract,
+    omega_kernel,
     phi_images,
     phi_operator,
     qp_axiom_check,
@@ -116,7 +115,7 @@ class Env:
 
     def __init__(self, sig: Signature, omega: GlModule, mu: MuVector):
         self.sig, self.omega, self.mu = sig, omega, mu
-        # Per-μ kernel extractions and the modules built on them, filled on first use.
+        # Per-μ kernel bases and the modules built on them, filled on first use.
         self.cache = {}
 
     @property
@@ -152,7 +151,7 @@ def _rng(cfg: SuiteConfig, name: str) -> random.Random:
 
 
 class _NoKernel(Exception):
-    """A check's kernel input is missing: the extracted basis is empty, or
+    """A check's kernel input is missing: the kernel basis is empty, or
     a module built on it was refused.  The driver fails the check with it."""
 
 
@@ -684,13 +683,14 @@ EMPTY_KERNEL = "kernel basis is empty"
 
 
 def _kernel(env: Env, mu: MuVector):
-    """The structure for μ and its extracted kernel basis, extracted once
-    per Env.  The one empty-kernel rule: a valid structure's kernel has
-    dimension dim Ω, so every check over an empty basis fails."""
+    """The structure for μ and its kernel basis (`omega_kernel`), built
+    once per Env.  The one empty-kernel rule: a valid structure's kernel
+    has dimension dim Ω, and `omega_kernel` returns [] when its run-time
+    checks fail, so every check over an empty basis fails."""
     key = ("omega", mu.values)
     if key not in env.cache:
         S = env.structure(mu)
-        env.cache[key] = S, omega_extract(degree_zero_basis(S), S)
+        env.cache[key] = S, omega_kernel(S)
     S, basis = env.cache[key]
     if not basis:
         raise _NoKernel(EMPTY_KERNEL)
@@ -748,11 +748,12 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
     z = dotted.zero_exps()
 
     def unit_action():
+        units = [TensorVec.basis(dotted, z, 0, v) for v in range(env.omega.dim)]
         for a in sig.directions():
             for b in sig.directions():
                 op = phi_operator(a, b, S)
-                for v in range(env.omega.dim):
-                    lhs = op(TensorVec.basis(dotted, z, 0, v))
+                for v, unit in enumerate(units):
+                    lhs = op(unit)
                     rhs = TensorVec.zero(dotted)
                     for u, cu in env.omega.column(a, b, v):
                         rhs._iadd_term((z, 0, u), cu)

@@ -23,10 +23,10 @@ C[t_0^{±1}] ⊗ (Ȧ ⊗ Ω), stored flat as the full A ⊗ Ω and acted on slic
 by slice (`vectorfields.t0_slices`, each piece added back by
 `vectorfields._t0_iadd`), so that a check compares the loop
 action with `shen_act` and `left_mul` on one type; the action of
-degree-zero centralizer generators; the extraction of the joint kernel
-of the odd derivation actions; the induced gl-representation on that
-kernel; and the comparison map sending a ⊗ ω to the algebra action of a
-on ω.
+degree-zero centralizer generators; the joint kernel of the odd
+derivation actions, built without a solve; the induced gl-representation
+on that kernel; and the comparison map sending a ⊗ ω to the algebra
+action of a on ω.
 """
 
 from __future__ import annotations
@@ -385,16 +385,12 @@ def t_act_gens(gens: dict, u: TensorVec, S: QPStructure) -> TensorVec:
     return out
 
 
-# ---------- kernel extraction and the induced gl-module ----------
+# ---------- the kernel of the odd actions and the induced gl-module ----------
 
-def degree_zero_basis(S: QPStructure) -> list[TensorVec]:
-    """Monomial basis ζ_I ⊗ e_j of the t-degree-zero slice."""
-    z = S.sig.zero_exps()
-    out = []
-    for mask in range(1 << S.sig.n):
-        for j in range(S.omega.dim):
-            out.append(TensorVec.basis(S.sig, z, mask, j))
-    return out
+def _odd_units(sig: Signature) -> list:
+    """The parts of ψ_{∂_k} for k = 1..n: one odd direction, coefficient 1."""
+    z = sig.zero_exps()
+    return [((sig.dir_of(("q", k)), z, 0, ONE),) for k in range(1, sig.n + 1)]
 
 
 def _solve_in(basis: list[TensorVec], targets: list[TensorVec], error: str) -> list:
@@ -408,17 +404,16 @@ def _solve_in(basis: list[TensorVec], targets: list[TensorVec], error: str) -> l
 
 
 def omega_extract(basis: list[TensorVec], S: QPStructure) -> list[TensorVec]:
-    """Basis of the joint kernel of the odd derivation actions on a span.
+    """Basis of the joint kernel of the odd derivation actions on a span,
+    by a solve and a nullspace; the oracle for `omega_kernel`.
 
     The span must be invariant under every ψ_{∂_k}; the result is split
     into parity-homogeneous vectors.
     """
     if not basis:
         return []
-    z = S.sig.zero_exps()
     images = []
-    for k in range(1, S.sig.n + 1):
-        dk = ((S.sig.dir_of(("q", k)), z, 0, ONE),)
+    for dk in _odd_units(S.sig):
         images.extend(S.psi_parts(dk, v) for v in basis)
     cols = _solve_in(basis, images, "span is not invariant under the odd actions")
     d = len(basis)
@@ -444,8 +439,7 @@ def omega_greedy(u: TensorVec, S: QPStructure) -> TensorVec:
     invariant subspace always meets the kernel."""
     if u.is_zero():
         raise ValueError("needs a nonzero start vector")
-    z = S.sig.zero_exps()
-    psis = [((S.sig.dir_of(("q", k)), z, 0, ONE),) for k in range(1, S.sig.n + 1)]
+    psis = _odd_units(S.sig)
     best = u
     for mask in sorted(range(1 << S.sig.n), key=mask_size, reverse=True):
         vec = u
@@ -458,6 +452,40 @@ def omega_greedy(u: TensorVec, S: QPStructure) -> TensorVec:
             best = vec
             break
     return best
+
+
+def omega_kernel(S: QPStructure) -> list[TensorVec]:
+    """Basis of Ω inside Ȧ ⊗ Ω: the joint kernel K of the odd derivation
+    actions ψ_{∂_k} on the t-degree-zero slice, one vector per e_j,
+    `omega_greedy` of ζ_top ⊗ e_j.  No solve is needed.
+
+    Why they span K: when μ's odd slots are 0, ∂_β(1) = 0 removes the
+    Σ_β term of `_twisted`, so ψ_{∂_k} = ∂_k ⊗ id.  Let v ∈ K be nonzero,
+    with v_d its part of lowest ζ-degree d.  The ζ-degree d - 1 part of
+    ψ_{∂_k} v is ∂_k v_d, so every ∂_k kills v_d; as Σ_k ζ_k ∂_k is d on
+    ζ-degree d, that forces d = 0.  So v ↦ (ζ^0 part of v) is injective on
+    K, and dim K ≤ dim Ω.  (The argument needs only that ψ_{∂_k} − ∂_k ⊗ id
+    never lowers the ζ-degree; the tests check that filtration property.)
+
+    Checked here: every result is killed by every ψ_{∂_k}, and the ζ^0
+    parts of the results are independent, so the results are dim Ω
+    independent vectors of K and span it.  If either check fails the
+    result is [], which every check over the kernel refuses.
+    """
+    sig = S.sig
+    z = sig.zero_exps()
+    top = (1 << sig.n) - 1
+    psis = _odd_units(sig)
+    ech = linalg.Echelon()
+    out = []
+    for j in range(S.omega.dim):
+        v = omega_greedy(TensorVec.basis(sig, z, top, j), S)
+        if any(S.psi_parts(dk, v) for dk in psis):
+            return []
+        if not ech.add({key: c for key, c in v.terms.items() if not key[1]})[0]:
+            return []
+        out.append(v)
+    return out
 
 
 def _eigen_scalar(v: TensorVec, image: TensorVec) -> Scalar:

@@ -11,11 +11,11 @@ import pytest
 from rinehart import glmatrix, sampling, smash, superpoly, tensorqp, vectorfields
 from rinehart.cli import main
 from rinehart.glmatrix import GlMatrix
-from rinehart.glmodules import GlModule, MuVector
+from rinehart.glmodules import GlModule, MuVector, natural_module
 from rinehart.parser import parse_element
 from rinehart.sampling import Sampler
 from rinehart.suites import _NoPhihat
-from rinehart.superpoly import Signature
+from rinehart.superpoly import Signature, mask_size
 from rinehart.tensorqp import QPStructure, TensorVec
 
 
@@ -221,18 +221,19 @@ EMPTY = "kernel basis is empty"
                                      "iso.bijective")}),
 ])
 def test_kernel_extraction_with_a_shifted_mu(monkeypatch, capsys, slot, expected):
-    """omega_extract run on a structure whose μ is shifted at one slot.
+    """omega_kernel run on a structure whose μ is shifted at one slot.
     The kernel is cut out by the odd actions ψ_{∂_k}, which read only the
     odd slots of μ, so an even shift (slot 0) is an equivalent mutant that
     no check can see.  An odd shift (the last slot) turns each ψ_{∂_k}
-    into ∂_k + 1, whose kernel is 0; every check over the kernel basis
-    then fails on the empty basis, and none of them passes vacuously.
-    phi.unit_action and phi.weight_shift never read the extracted kernel,
-    so they cannot fail here."""
-    orig = tensorqp.omega_extract
+    into ∂_k + 1, whose kernel is 0: the greedy vectors are not killed,
+    omega_kernel's run-time check returns [], and every check over the
+    kernel basis then fails on the empty basis, none passing vacuously.
+    phi.unit_action and phi.weight_shift never read the kernel basis, so
+    they cannot fail here."""
+    orig = tensorqp.omega_kernel
 
-    def shifted(basis, S):
-        return orig(basis, QPStructure(S.sig, S.omega, shifted_mu(S, slot)))
+    def shifted(S):
+        return orig(QPStructure(S.sig, S.omega, shifted_mu(S, slot)))
 
     plant(monkeypatch, orig, shifted)
     code = main(["check", "all", "--m", "1", "--n", "2", "--deg", "2",
@@ -240,6 +241,30 @@ def test_kernel_extraction_with_a_shifted_mu(monkeypatch, capsys, slot, expected
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert code == (1 if expected else 0)
     assert {c["id"]: c["counterexample"] for c in checks if not c["pass"]} == expected
+
+
+def test_psi_lowering_the_zeta_degree_fails_the_filtration_test(monkeypatch):
+    """ψ_{∂_k} that also emits a term two ζ-degrees lower, ζ_M ⊗ e_j with
+    the two lowest ζ of M dropped.  The bound dim K ≤ dim Ω that
+    omega_kernel rests on then has no proof, and the Tier-1 filtration
+    test fails."""
+    from test_tensorqp import psi_keeps_the_zeta_filtration
+
+    S = QPStructure(Signature(2, 3, False), natural_module(2, 3), MuVector.zero(2, 3))
+    psi_keeps_the_zeta_filtration(S)
+    orig = QPStructure.psi_parts
+
+    def lowering(S, parts, w):
+        out = orig(S, parts, w)
+        for (e, mask, j), c in w.terms.items():
+            if mask_size(mask) >= 2:
+                low = mask & (mask - 1)  # the lowest ζ dropped
+                out._iadd_term((e, low & (low - 1), j), c)
+        return out
+
+    monkeypatch.setattr(QPStructure, "psi_parts", lowering)
+    with pytest.raises(AssertionError):
+        psi_keeps_the_zeta_filtration(S)
 
 
 @pytest.mark.parametrize("m,n", [("1", "1"), ("1", "2"), ("2", "2")])

@@ -1,5 +1,5 @@
-"""The suite runner: its per-μ cache of the kernel extraction, the φ
-images and the induced module, and the rng stream each suite draws."""
+"""The suite runner: its per-μ cache of the kernel basis, the φ images
+and the induced module, and the rng stream each suite draws."""
 
 import hashlib
 import sys
@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from rinehart import suites, tensorqp
+from rinehart import linalg, suites, tensorqp
 from rinehart.cli import main
 from rinehart.suites import CheckResult, SuiteConfig, _check, build_env, run_suite
 
@@ -16,10 +16,10 @@ KERNEL_SUITES = ("phi", "annihilate", "iso")
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count the calls the suites make to the extraction, the φ images
+    """Count the calls the suites make to the kernel basis, the φ images
     and the induced module (the suites look the names up in their own
     module)."""
-    calls = {"omega_extract": 0, "phi_images": 0, "induced_gl_module": 0}
+    calls = {"omega_kernel": 0, "phi_images": 0, "induced_gl_module": 0}
     for name in calls:
         orig = getattr(suites, name)
 
@@ -31,22 +31,34 @@ def counted(monkeypatch):
     return calls
 
 
-def test_kernel_suites_extract_once(counted):
+def test_kernel_suites_extract_once(counted, monkeypatch):
+    """One kernel basis per μ, and no solve for it: the suites call
+    neither the extraction nor a nullspace."""
+    solves = {"omega_extract": 0, "nullspace": 0}
+    for module, name in ((tensorqp, "omega_extract"), (linalg, "nullspace")):
+        orig = getattr(module, name)
+
+        def wrapper(*args, _orig=orig, _name=name):
+            solves[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
     cfg = SuiteConfig(m=1, n=2, samples=3, seed=4, suites=KERNEL_SUITES)
     code, report = run_suite(cfg)
     assert code == 0 and report["failures"] == 0
-    assert counted == {"omega_extract": 1, "phi_images": 1, "induced_gl_module": 1}
+    assert counted == {"omega_kernel": 1, "phi_images": 1, "induced_gl_module": 1}
+    assert solves == {"omega_extract": 0, "nullspace": 0}
 
 
 def test_build_env_computes_nothing(counted):
     env = build_env(SuiteConfig(m=1, n=2))
     assert env.cache == {}
-    assert counted == {"omega_extract": 0, "phi_images": 0, "induced_gl_module": 0}
+    assert counted == {"omega_kernel": 0, "phi_images": 0, "induced_gl_module": 0}
 
 
 def test_annihilate_alone_builds_no_induced_module(counted):
     run_suite(SuiteConfig(m=1, n=2, samples=2, suites=("annihilate",)))
-    assert counted == {"omega_extract": 1, "phi_images": 0, "induced_gl_module": 0}
+    assert counted == {"omega_kernel": 1, "phi_images": 0, "induced_gl_module": 0}
 
 
 def test_check_phi_applies_phi_operator_only_for_the_images_and_unit_action(
@@ -64,6 +76,25 @@ def test_check_phi_applies_phi_operator_only_for_the_images_and_unit_action(
     code, report = run_suite(SuiteConfig(m=1, n=2, samples=3, seed=4, suites=("phi",)))
     assert code == 0 and report["failures"] == 0
     assert callers == {"phi_images": 16, "unit_action": 16}
+
+
+def test_unit_action_builds_each_unit_vector_once(monkeypatch):
+    """phi.unit_action applies all 16 operators at (1,2) to the same dim Ω
+    unit vectors 1 ⊗ e_v, built once, not once per operator."""
+    built = Counter()
+    orig = tensorqp.TensorVec.basis
+
+    def recorded(*args, **kwargs):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "<listcomp>":  # a frame of its own before 3.12
+            frame = frame.f_back
+        built[frame.f_code.co_name] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(tensorqp.TensorVec, "basis", staticmethod(recorded))
+    code, report = run_suite(SuiteConfig(m=1, n=2, samples=3, seed=4, suites=("phi",)))
+    assert code == 0 and report["failures"] == 0
+    assert built["unit_action"] == 4
 
 
 def test_failed_induced_module_fails_both_suites(monkeypatch):

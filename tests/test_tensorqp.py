@@ -15,7 +15,6 @@ from rinehart.superpoly import Signature, SuperPoly, mask_size, subsets_of_mask
 from rinehart.tensorqp import (
     QPStructure,
     TensorVec,
-    degree_zero_basis,
     induced_gl_module,
     operator_identity_check,
     loop_a_act,
@@ -23,6 +22,7 @@ from rinehart.tensorqp import (
     loop_smash_act,
     omega_extract,
     omega_greedy,
+    omega_kernel,
     phi_images,
     phi_operator,
     qp_axiom_check,
@@ -45,6 +45,13 @@ from rinehart.vectorfields import (
 
 def unit_vec(sig, idx, coeff=1):
     return TensorVec.basis(sig, sig.zero_exps(), 0, idx, coeff)
+
+
+def degree_zero_basis(S):
+    """Monomial basis ζ_I ⊗ e_j of the t-degree-zero slice."""
+    z = S.sig.zero_exps()
+    return [TensorVec.basis(S.sig, z, mask, j)
+            for mask in range(1 << S.sig.n) for j in range(S.omega.dim)]
 
 
 # ---------- the twisted action on the full module ----------
@@ -487,15 +494,15 @@ def test_term_level_composites_match_the_wrapper_formulas(m, n):
 
 
 def composites_keep_their_inputs(m, n):
-    """Run t_act, t_act_gens and every φ operator on the extracted kernel
-    basis at (m, n).  The composites add into containers of their own, so
+    """Run t_act, t_act_gens and every φ operator on the kernel basis at
+    (m, n).  The composites add into containers of their own, so
     the basis vectors (each also the u acted on) and the module's stored
     columns must come out equal, in term order too, to deep copies taken
     before.  Calls go through the module, so a planted t_act is seen."""
     omega = natural_module(m, n)
     _, mu = admissible_mus(m, n)
     S = QPStructure(Signature(m, n, False), omega, mu)
-    basis = omega_extract(degree_zero_basis(S), S)
+    basis = omega_kernel(S)
     assert len(basis) == omega.dim
     s = Sampler(random.Random(31 * m + n), deg=2)
     gens = {}
@@ -616,12 +623,68 @@ def test_omega_greedy(structure12, sampler):
             assert S.psi(VectorField.basis(S.sig, ("q", k)), got).is_zero()
 
 
+def psi_keeps_the_zeta_filtration(S):
+    """ψ_{∂_k}(ζ_M ⊗ e_j) - ∂_kζ_M ⊗ e_j has only terms of ζ-degree
+    ≥ |M|, for every M, j and k: the property behind omega_kernel's bound
+    dim K ≤ dim Ω.  ∂_kζ_M is taken from SuperPoly.derive; ψ goes through
+    QPStructure.psi_parts, so a planted ψ is seen."""
+    for w in degree_zero_basis(S):
+        ((z, mask, j), _), = w.terms.items()
+        for k in range(1, S.sig.n + 1):
+            dz = SuperPoly.monomial(S.sig, z, mask).derive(("q", k))
+            psi_k = ((S.sig.dir_of(("q", k)), z, 0, Scalar(1)),)
+            rest = S.psi_parts(psi_k, w) - TensorVec(
+                S.sig, {(e, dm, j): c for (e, dm), c in dz.terms.items()})
+            low = [key for key in rest.terms if mask_size(key[1]) < mask_size(mask)]
+            assert low == [], (mask, j, k)
+
+
+KERNEL_SIZES = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("m,n", KERNEL_SIZES)
+def test_omega_kernel_is_the_kernel_of_the_odd_actions(m, n):
+    """(a) the filtration property, so dim K ≤ dim Ω; (b) every kernel
+    vector is killed by every ψ_{∂_k}; (c) their ζ^0 parts are dim Ω
+    independent vectors.  Together: the vectors are a basis of K."""
+    for mu in admissible_mus(m, n):
+        S = QPStructure(Signature(m, n, False), natural_module(m, n), mu)
+        psi_keeps_the_zeta_filtration(S)
+        ker = omega_kernel(S)
+        assert len(ker) == S.omega.dim
+        for v in ker:
+            for k in range(1, n + 1):
+                assert S.psi(VectorField.basis(S.sig, ("q", k)), v).is_zero()
+        zero_parts = [{key: c for key, c in v.terms.items() if key[1] == 0} for v in ker]
+        assert linalg.rank(zero_parts) == S.omega.dim
+
+
+@pytest.mark.parametrize("m,n", KERNEL_SIZES + [(2, 1), (4, 4)])
+def test_omega_kernel_spans_the_extracted_kernel(m, n):
+    for mu in admissible_mus(m, n):
+        S = QPStructure(Signature(m, n, False), natural_module(m, n), mu)
+        ker = omega_kernel(S)
+        extracted = omega_extract(degree_zero_basis(S), S)
+        assert len(ker) == len(extracted)
+        assert linalg.rank(v.terms for v in ker + extracted) == len(ker)
+        assert all(v.parity(S.omega.parities) is not None for v in ker)
+
+
+def test_omega_kernel_refuses_dependent_vectors(monkeypatch, structure12):
+    """Greedy vectors that are killed by every ψ_{∂_k} but whose ζ^0 parts
+    are dependent fail the run-time check: the result is [].  (Vectors
+    outside the kernel are the shifted-μ mutation row's case.)"""
+    S = structure12
+    monkeypatch.setattr(tensorqp, "omega_greedy", lambda u, S: unit_vec(S.sig, 0))
+    assert omega_kernel(S) == []
+
+
 # ---------- induced gl-structure, bridge, annihilation ----------
 
 @pytest.fixture
 def extracted(structure12):
     S = structure12
-    return S, omega_extract(degree_zero_basis(S), S)
+    return S, omega_kernel(S)
 
 
 def test_phi_operator_table_on_units(extracted):
@@ -661,7 +724,7 @@ def test_induced_module_equals_the_per_operator_solves(m, n):
     column for column, whether the images are passed or built."""
     _, mu = admissible_mus(m, n)
     S = QPStructure(Signature(m, n, False), natural_module(m, n), mu)
-    basis = omega_extract(degree_zero_basis(S), S)
+    basis = omega_kernel(S)
     induced = induced_gl_module(S, basis)
     dirs = S.sig.directions()
     assert list(induced.columns) == [(a, b) for a in dirs for b in dirs]

@@ -32,7 +32,8 @@ def test_library_imports_only_the_standard_library():
 EXEMPT = {
     "solve": "perfbench/tracer.py wraps it as the linalg.solve span",
     "rref": "perfbench/tracer.py wraps it as the linalg.rref span; dense adapter over Echelon",
-    "omega_greedy": "paper construction; a suite check would move the golden hashes",
+    "omega_extract": "perfbench/tracer.py wraps it as the tensorqp.omega_extract span;"
+                     " the tests' oracle for omega_kernel",
     "loop_smash_act": "paper construction; a suite check would move the golden hashes",
     "special_partial": "paper construction; a suite check would move the golden hashes",
     "module_to_dict": "the config writer, inverse of module_from_dict; only tests write configs",
