@@ -61,7 +61,6 @@ from .tensorqp import (
     loop_g_act,
     omega_kernel,
     phi_images,
-    phi_operator,
     qp_axiom_check,
     rho_of,
     shen_act,
@@ -706,13 +705,14 @@ def _refused(build):
         raise _NoKernel(str(exc)) from exc
 
 
-def _images(env: Env, mu: MuVector) -> dict:
-    """φ_ab of each kernel basis vector for μ, built once per Env: the
-    induced module solves for them and phi.bridge sums them."""
-    key = ("phi", mu.values)
+def _images(env: Env, S: QPStructure, vectors: list) -> dict:
+    """φ_ab of each of ``vectors`` for S.μ, built once per Env and vector
+    list: the induced module solves for the kernel basis's images,
+    phi.bridge sums them, and phi.unit_action reads those of the unit
+    vectors, the same table whenever the kernel basis is the unit vectors."""
+    key = ("phi", S.mu.values, tuple(tuple(v.terms.items()) for v in vectors))
     if key not in env.cache:
-        S, basis = _kernel(env, mu)
-        env.cache[key] = phi_images(S, basis)
+        env.cache[key] = phi_images(S, vectors)
     return env.cache[key]
 
 
@@ -722,7 +722,7 @@ def _induced(env: Env, mu: MuVector) -> GlModule:
     key = ("induced", mu.values)
     if key not in env.cache:
         S, basis = _kernel(env, mu)
-        images = _images(env, mu)
+        images = _images(env, S, basis)
         try:
             env.cache[key] = induced_gl_module(S, basis, images)
         except ValueError as exc:
@@ -749,11 +749,10 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
 
     def unit_action():
         units = [TensorVec.basis(dotted, z, 0, v) for v in range(env.omega.dim)]
+        images = _images(env, S, units)
         for a in sig.directions():
             for b in sig.directions():
-                op = phi_operator(a, b, S)
-                for v, unit in enumerate(units):
-                    lhs = op(unit)
+                for v, lhs in enumerate(images[a, b]):
                     rhs = TensorVec.zero(dotted)
                     for u, cu in env.omega.column(a, b, v):
                         rhs._iadd_term((z, 0, u), cu)
@@ -761,7 +760,7 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
 
     def bridge():
         _, basis = kernel()
-        phi = _images(env, mu2)
+        phi = _images(env, S, basis)
         gen = s.x_generator(sig)
         field = psi_map({gen: Scalar(1)}, sig)
         mat = theta_project(field)
@@ -888,17 +887,29 @@ def iso_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
             yield None if lhs == rhs else f"kind={kind}"
 
     def bijective():
+        """θ on the box of t-exponents {-1, 0, 1}^m, ranked one exponent at a
+        time: the kernel has t-degree 0, so each exponent's block (a weight
+        space) maps into itself and the rank is the sum of the blocks'.  If
+        an image leaves its block, the whole box is ranked at once."""
         S, basis = kernel()
-        bound = 1
-        dom = []
-        for exps in itertools.product(range(-bound, bound + 1), repeat=dotted.nvars):
-            for mask in range(1 << dotted.n):
-                for j in range(len(basis)):
-                    dom.append(TensorVec._trusted(dotted, {(exps, mask, j): ONE}))
-        target_dim = (2 * bound + 1) ** dotted.nvars * (1 << dotted.n) * env.omega.dim
-        rk = linalg.rank(theta_transport(v, basis, S).terms for v in dom)
-        ok = rk == len(dom) == target_dim
-        return len(dom), None if ok else f"rank {rk} of {len(dom)}, target {target_dim}"
+        exponents = list(itertools.product(range(-1, 2), repeat=dotted.nvars))
+
+        def block(exps):
+            return [theta_transport(TensorVec._trusted(dotted, {(exps, mask, j): ONE}),
+                                    basis, S).terms
+                    for mask in range(1 << dotted.n) for j in range(len(basis))]
+
+        rk = 0
+        for exps in exponents:
+            images = block(exps)
+            if any(key[0] != exps for image in images for key in image):
+                rk = linalg.rank(image for e in exponents for image in block(e))
+                break
+            rk += linalg.rank(images)
+        size = len(exponents) * (1 << dotted.n) * len(basis)
+        target_dim = len(exponents) * (1 << dotted.n) * env.omega.dim
+        ok = rk == size == target_dim
+        return size, None if ok else f"rank {rk} of {size}, target {target_dim}"
 
     return [
         ("iso.equivariance", cfg.samples, equivariance),

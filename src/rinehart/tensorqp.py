@@ -505,44 +505,53 @@ def rho_of(S: QPStructure, omega_basis: list[TensorVec]) -> MuVector:
     return MuVector(S.sig.m, S.sig.n, [*weights.pop()] + [Scalar(0)] * S.sig.n)
 
 
+def _minus_unit(sig: Signature, beta: int) -> tuple:
+    """The parts of -∂_β, the minus sign in the coefficient."""
+    return ((beta, sig.zero_exps(), 0, Scalar(-1)),)
+
+
 def phi_operator(alpha: int, beta: int, S: QPStructure):
-    """The induced gl-action operator for the elementary index (α, β)."""
+    """The induced gl-action operator for the elementary index (α, β):
+    ``op(w)``, or ``op(w, base)`` with base = ψ_{-∂_β} w already built,
+    which every α ≠ 0 adds in (α = 0 ignores it)."""
     sig = S.sig
     if alpha not in sig.directions() or beta not in sig.directions():
         raise ValueError("elementary index out of range")
     z = sig.zero_exps()
-    minus_unit = ((beta, z, 0, Scalar(-1)),)  # -∂_β, the minus sign in the coefficient
+    minus_unit = _minus_unit(sig, beta)
     if alpha == 0:
-        return lambda w: S.phihat_parts(minus_unit, w)
+        return lambda w, base=None: S.phihat_parts(minus_unit, w)
     kind, i = sig.dir_tag(alpha)
     if kind == "d":
         p = sig.tpos(i)
         ti = z[:p] + (1,) + z[p + 1:]
         tinv = (z[:p] + (-1,) + z[p + 1:], 0)
 
-        def op(w):  # t_i^{-1}·ψ_{t_i ∂_β} w - ψ_{∂_β} w
+        def op(w, base=None):  # t_i^{-1}·ψ_{t_i ∂_β} w - ψ_{∂_β} w
             out = TensorVec.zero(sig)
             out._iadd(S.psi_parts(((beta, ti, 0, ONE),), w), ONE, tinv)
-            out._iadd(S.psi_parts(minus_unit, w))
+            out._iadd(S.psi_parts(minus_unit, w) if base is None else base)
             return out
         return op
     zi = 1 << (i - 1)
 
-    def op(w):  # ψ_{ζ_i ∂_β} w - ζ_i·ψ_{∂_β} w, into the fresh first term
+    def op(w, base=None):  # ψ_{ζ_i ∂_β} w - ζ_i·ψ_{∂_β} w, into the fresh first term
         out = S.psi_parts(((beta, z, zi, ONE),), w)
-        out._iadd(S.psi_parts(minus_unit, w), ONE, (z, zi))
+        out._iadd(S.psi_parts(minus_unit, w) if base is None else base, ONE, (z, zi))
         return out
     return op
 
 
-def phi_images(S: QPStructure, omega_basis: list[TensorVec]) -> dict:
-    """φ_ab of each kernel basis vector: ``{(a, b): [φ_ab(u_0), ...]}``."""
+def phi_images(S: QPStructure, vectors: list[TensorVec]) -> dict:
+    """φ_ab of each vector: ``{(a, b): [φ_ab(v_0), ...]}``, with each
+    ψ_{-∂_b} v built once and shared by every a."""
     dirs = S.sig.directions()
+    bases = {b: [S.psi_parts(_minus_unit(S.sig, b), v) for v in vectors] for b in dirs}
     images = {}
     for a in dirs:
         for b in dirs:
             op = phi_operator(a, b, S)
-            images[(a, b)] = [op(v) for v in omega_basis]
+            images[(a, b)] = [op(v, base) for v, base in zip(vectors, bases[b])]
     return images
 
 
@@ -607,11 +616,15 @@ def operator_identity_check(which: int, S: QPStructure, w: TensorVec, *,
     def psi_poly(p):
         return S.psi(QPElement.from_poly(p), w)
 
+    @lru_cache(maxsize=None)
+    def psi_1():  # ψ_1(w), built at most once per call
+        return S.psi(unit, w)
+
     if which == 1:
         pa, pb = _hom_parity(a), _hom_parity(b)
         lhs = psi_poly(a * b)
         rhs = (
-            -S.phi(a * b, S.psi(unit, w))
+            -S.phi(a * b, psi_1())
             + S.phi(a, psi_poly(b))
             + (-1) ** (pa * pb) * S.phi(b, psi_poly(a))
         )
@@ -637,34 +650,33 @@ def operator_identity_check(which: int, S: QPStructure, w: TensorVec, *,
                 continue
             tj = SuperPoly.t_var(sig, j)
             tjinv = SuperPoly.t_var(sig, j, -1)
-            inner = S.phi(tjinv, psi_poly(tj)) - S.psi(unit, w)
+            inner = S.phi(tjinv, psi_poly(tj)) - psi_1()
             rhs = rhs + S.phi(a * rj, inner)
         return lhs, rhs
     if which == 4:
         zi = SuperPoly.zeta_mask(sig, imask)
         lhs = psi_poly(zi)
-        rhs = S.phi(zi, S.psi(unit, w))
+        rhs = S.phi(zi, psi_1())
         sign = (-1) ** mask_size(imask)
         for p in range(1, sig.n + 1):
             dz = zi.derive(("q", p))
             if dz.is_zero():
                 continue
             zp = SuperPoly.zeta(sig, p)
-            inner = -psi_poly(zp) + S.phi(zp, S.psi(unit, w))
+            inner = -psi_poly(zp) + S.phi(zp, psi_1())
             rhs = rhs + sign * S.phi(dz, inner)
         return lhs, rhs
     if which == 5:
         pa = _hom_parity(a)
         lhs = S.psi(qp_product(QPElement.from_poly(a), x), w)
-        rhs = S.phi(a, S.psi(x, w))
+        psi_x = S.psi(x, w)
+        rhs = S.phi(a, psi_x)
         for p in range(1, sig.n + 1):
             da = a.derive(("q", p))
             if da.is_zero():
                 continue
             zp = SuperPoly.zeta(sig, p)
-            inner = S.psi(qp_product(QPElement.from_poly(zp), x), w) - S.phi(
-                zp, S.psi(x, w)
-            )
+            inner = S.psi(qp_product(QPElement.from_poly(zp), x), w) - S.phi(zp, psi_x)
             rhs = rhs + (-1) ** (pa + 1) * S.phi(da, inner)
         for j in range(1, sig.m + 1):
             da = a.derive(("d", j))
@@ -674,7 +686,7 @@ def operator_identity_check(which: int, S: QPStructure, w: TensorVec, *,
             tjinv = SuperPoly.t_var(sig, j, -1)
             inner = S.phi(
                 tjinv, S.psi(qp_product(QPElement.from_poly(tj), x), w)
-            ) - S.psi(x, w)
+            ) - psi_x
             rhs = rhs + S.phi(da, inner)
         return lhs, rhs
     raise ValueError("identities are numbered 1..5")

@@ -8,14 +8,14 @@ import textwrap
 
 import pytest
 
-from rinehart import glmatrix, sampling, smash, superpoly, tensorqp, vectorfields
+from rinehart import glmatrix, linalg, sampling, smash, superpoly, tensorqp, vectorfields
 from rinehart.cli import main
 from rinehart.glmatrix import GlMatrix
 from rinehart.glmodules import GlModule, MuVector, natural_module
 from rinehart.parser import parse_element
 from rinehart.sampling import Sampler
 from rinehart.suites import _NoPhihat
-from rinehart.superpoly import Signature, mask_size
+from rinehart.superpoly import Signature, SuperPoly, mask_size
 from rinehart.tensorqp import QPStructure, TensorVec
 
 
@@ -445,14 +445,50 @@ def test_theta_losing_a_vector_fails_bijectivity(monkeypatch, capsys):
     }
 
 
+def test_theta_leaking_out_of_its_block_trips_the_leak_guard(monkeypatch, capsys):
+    """θ moving the image of the first domain vector, t^-1 ⊗ e_0, into the
+    next t-exponent block (times t_1).  Every block alone still has full
+    rank, so only the leak guard sees the fault: it ranks the whole box in
+    one call, where the moved image repeats θ(1 ⊗ e_0), and the report is
+    the one a single ranking of the box gives."""
+    code, clean = checks_of(capsys, "iso")
+    assert code == 0
+    total = {c["id"]: c["cases"] for c in clean}["iso.bijective"]
+    orig = tensorqp.theta_transport
+
+    def leaking(w, omega_basis, S):
+        out = orig(w, omega_basis, S)
+        if w == TensorVec.basis(w.sig, (-1,) * w.sig.nvars, 0, 0):
+            return out.left_mul(SuperPoly.t_var(S.sig, 1))
+        return out
+
+    plant(monkeypatch, orig, leaking)
+    ranked = []
+    rank = linalg.rank
+
+    def recorded(vectors):
+        vectors = list(vectors)
+        ranked.append(len(vectors))
+        return rank(vectors)
+
+    monkeypatch.setattr(linalg, "rank", recorded)
+    code, checks = checks_of(capsys, "iso")
+    assert code == 1
+    assert ranked == [total]
+    want = [dict(c, **{"pass": False, "counterexample":
+                       f"rank {total - 1} of {total}, target {total}"})
+            if c["id"] == "iso.bijective" else c for c in clean]
+    assert checks == want
+
+
 @pytest.mark.parametrize("which,old,new", [
     (1, "+ (-1) ** (pa * pb) * S.phi(b, psi_poly(a))",
         "- (-1) ** (pa * pb) * S.phi(b, psi_poly(a))"),
     (2, "+ sign * S.phi(a, S.psi(x, w))", "- sign * S.phi(a, S.psi(x, w))"),
-    (3, "inner = S.phi(tjinv, psi_poly(tj)) - S.psi(unit, w)",
-        "inner = S.phi(tjinv, psi_poly(tj)) + S.psi(unit, w)"),
-    (4, "inner = -psi_poly(zp) + S.phi(zp, S.psi(unit, w))",
-        "inner = psi_poly(zp) + S.phi(zp, S.psi(unit, w))"),
+    (3, "inner = S.phi(tjinv, psi_poly(tj)) - psi_1()",
+        "inner = S.phi(tjinv, psi_poly(tj)) + psi_1()"),
+    (4, "inner = -psi_poly(zp) + S.phi(zp, psi_1())",
+        "inner = psi_poly(zp) + S.phi(zp, psi_1())"),
     (5, "rhs = rhs + (-1) ** (pa + 1) * S.phi(da, inner)",
         "rhs = rhs + (-1) ** pa * S.phi(da, inner)"),
 ])

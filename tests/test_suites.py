@@ -2,6 +2,7 @@
 and the induced module, and the rng stream each suite draws."""
 
 import hashlib
+import itertools
 import sys
 from collections import Counter
 
@@ -9,7 +10,18 @@ import pytest
 
 from rinehart import linalg, suites, tensorqp
 from rinehart.cli import main
-from rinehart.suites import CheckResult, SuiteConfig, _check, build_env, run_suite
+from rinehart.glmodules import natural_module
+from rinehart.scalars import Scalar
+from rinehart.suites import (
+    CheckResult,
+    SuiteConfig,
+    _check,
+    admissible_mus,
+    build_env,
+    run_suite,
+)
+from rinehart.superpoly import Signature
+from rinehart.tensorqp import QPStructure, TensorVec
 
 KERNEL_SUITES = ("phi", "annihilate", "iso")
 
@@ -62,8 +74,10 @@ def test_annihilate_alone_builds_no_induced_module(counted):
 
 
 def test_check_phi_applies_phi_operator_only_for_the_images_and_unit_action(
-        monkeypatch):
-    """phi.bridge sums the cached images instead of applying φ again."""
+        counted, monkeypatch):
+    """One image table serves the induced module, phi.bridge and
+    phi.unit_action (at (1,2) the kernel basis is the unit vectors), and
+    it applies ψ_{-∂_β} once per (β, basis vector), shared by every α."""
     callers = Counter()
     orig = tensorqp.phi_operator
 
@@ -71,11 +85,79 @@ def test_check_phi_applies_phi_operator_only_for_the_images_and_unit_action(
         callers[sys._getframe(1).f_code.co_name] += 1
         return orig(*args)
 
-    for module in (tensorqp, suites):
-        monkeypatch.setattr(module, "phi_operator", recorded)
+    monkeypatch.setattr(tensorqp, "phi_operator", recorded)
+    minus = Counter()
+    orig_psi = tensorqp.QPStructure.psi_parts
+
+    def psi_parts(S, parts, w):
+        frame = sys._getframe(1)
+        while frame and frame.f_code.co_name != "phi_images":
+            frame = frame.f_back
+        (beta, e, mask, c), *more = parts
+        if frame and not more and not (any(e) or mask) and c == -1:
+            minus[beta, tuple(w.terms.items())] += 1
+        return orig_psi(S, parts, w)
+
+    monkeypatch.setattr(tensorqp.QPStructure, "psi_parts", psi_parts)
     code, report = run_suite(SuiteConfig(m=1, n=2, samples=3, seed=4, suites=("phi",)))
     assert code == 0 and report["failures"] == 0
-    assert callers == {"phi_images": 16, "unit_action": 16}
+    assert counted["phi_images"] == 1
+    assert callers == {"phi_images": 16}
+    units = [(((0,), 0, v), Scalar(1)) for v in range(4)]
+    assert minus == {(beta, (unit,)): 1 for beta in range(4) for unit in units}
+
+
+def test_kernel_suites_twisted_calls(monkeypatch):
+    """A work guard: each φ image and each ψ_{-∂_β} v is built once, so
+    the kernel suites at (2,3) call the ψ kernel `_twisted` at most 1066
+    times (1570 when unit_action rebuilt the kernel's images and every α
+    rebuilt ψ_{-∂_β} v)."""
+    calls = Counter()
+    orig = tensorqp._twisted
+
+    def counted_twisted(*args):
+        calls["_twisted"] += 1
+        return orig(*args)
+
+    monkeypatch.setattr(tensorqp, "_twisted", counted_twisted)
+    cfg = SuiteConfig(m=2, n=3, deg=2, samples=20, seed=0, suites=KERNEL_SUITES)
+    code, report = run_suite(cfg)
+    assert code == 0 and report["failures"] == 0
+    assert calls["_twisted"] <= 1066
+
+
+def test_unit_action_never_reads_the_kernel(monkeypatch):
+    """phi.unit_action builds its own images when the kernel basis is not
+    the unit vectors, and never asks for the kernel."""
+    orig = suites._kernel
+    asked = Counter()
+
+    def kernel(env, mu):
+        frame = sys._getframe(1)
+        while frame:
+            asked[frame.f_code.co_name] += 1
+            frame = frame.f_back
+        return orig(env, mu)
+
+    monkeypatch.setattr(suites, "_kernel", kernel)
+    scaled = tensorqp.omega_kernel
+
+    def doubled(S):
+        return [v * Scalar(2) for v in scaled(S)]
+
+    monkeypatch.setattr(suites, "omega_kernel", doubled)
+    counts = Counter()
+    orig_images = suites.phi_images
+
+    def images(S, vectors):
+        counts[len(vectors)] += 1
+        return orig_images(S, vectors)
+
+    monkeypatch.setattr(suites, "phi_images", images)
+    code, report = run_suite(SuiteConfig(m=1, n=2, samples=3, seed=4, suites=("phi",)))
+    assert code == 0 and report["failures"] == 0
+    assert "unit_action" not in asked
+    assert counts == {4: 2}
 
 
 def test_unit_action_builds_each_unit_vector_once(monkeypatch):
@@ -200,3 +282,50 @@ def test_rng_stream_is_pinned(monkeypatch, capsys):
     digests = {name: hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()
                for name, rng in rngs.items()}
     assert digests == RNG_DIGESTS
+
+
+def _box_images(m, n):
+    """θ of every domain vector of iso.bijective, as the suite builds it."""
+    _, mu = admissible_mus(m, n)
+    S = QPStructure(Signature(m, n, False), natural_module(m, n), mu)
+    basis = tensorqp.omega_kernel(S)
+    return [tensorqp.theta_transport(TensorVec.basis(S.sig, exps, mask, j), basis, S).terms
+            for exps in itertools.product(range(-1, 2), repeat=m)
+            for mask in range(1 << n) for j in range(len(basis))]
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """(number of vectors, rank) of every `linalg.rank` call."""
+    calls = []
+    rank = linalg.rank
+
+    def recorded(vectors):
+        vectors = list(vectors)
+        calls.append((len(vectors), rank(vectors)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(linalg, "rank", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (2, 3)])
+def test_bijective_block_ranks_sum_to_the_box_rank(ranked, m, n):
+    """iso.bijective's per-block ranks add up to the rank of the whole box
+    in one Echelon, which is the number of cases it reports."""
+    code, report = run_suite(SuiteConfig(m=m, n=n, deg=2, samples=2, suites=("iso",)))
+    assert code == 0
+    images = _box_images(m, n)
+    ech = linalg.Echelon()
+    whole = sum(1 for v in images if ech.add(v)[0])
+    cases = {c["id"]: c["cases"] for c in report["checks"]}["iso.bijective"]
+    assert sum(rk for _, rk in ranked) == whole == cases == len(images)
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 3)])
+def test_bijective_ranks_once_per_block(ranked, m, n):
+    """One rank per t-exponent in {-1, 0, 1}^m, each over 2^n·dim Ω images."""
+    code, _ = run_suite(SuiteConfig(m=m, n=n, deg=2, samples=2, suites=("iso",)))
+    assert code == 0
+    dim = natural_module(m, n).dim
+    assert [size for size, _ in ranked] == [(1 << n) * dim] * 3 ** m

@@ -493,6 +493,27 @@ def test_term_level_composites_match_the_wrapper_formulas(m, n):
                 assert _terms(got) == _terms(_phi_operator_chain(alpha, beta, T)(u))
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
+def test_phi_images_equal_the_operators(m, n):
+    """phi_images shares each ψ_{-∂_b} v over every a, and still gives
+    φ_ab(v) as phi_operator(a, b, S)(v) does, term for term and in order,
+    for both admissible μ, random vectors and the kernel basis, and a
+    replaced φ̂ (here ψ)."""
+    omega = natural_module(m, n)
+    s = Sampler(random.Random(7 * m + n), deg=2)
+    for mu in admissible_mus(m, n):
+        S = QPStructure(Signature(m, n, False), omega, mu)
+        vs = [s.tensor(S.sig, omega) + s.tensor(S.sig, omega) for _ in range(3)]
+        vs += omega_kernel(S)
+        for T in (S, _PsiAsPhihat(S.sig, omega, mu)):
+            images = phi_images(T, vs)
+            dirs = T.sig.directions()
+            assert list(images) == [(a, b) for a in dirs for b in dirs]
+            for (a, b), got in images.items():
+                want = [phi_operator(a, b, T)(v) for v in vs]
+                assert [_terms(g) for g in got] == [_terms(w) for w in want], (a, b)
+
+
 def composites_keep_their_inputs(m, n):
     """Run t_act, t_act_gens and every φ operator on the kernel basis at
     (m, n).  The composites add into containers of their own, so
@@ -743,7 +764,8 @@ def test_induced_module_refuses_an_operator_leaving_the_kernel(monkeypatch, extr
         op = orig(alpha, beta, S)
         if (alpha, beta) != (1, 0):
             return op
-        return lambda w: op(w) + S.phi(t1, w)  # t_1·w lies outside degree zero
+        # t_1·w lies outside degree zero
+        return lambda w, base=None: op(w, base) + S.phi(t1, w)
 
     monkeypatch.setattr(tensorqp, "phi_operator", leaving)
     with pytest.raises(ValueError, match="operator does not preserve the extracted kernel"):
