@@ -30,25 +30,35 @@ class Sampler:
         self.deg = deg
         self._bits = rng.getrandbits
 
-    def below(self, n: int) -> int:
+    def below(self, n: int, count: int = 0):
         """A uniform draw from range(n): the value `rng.randrange(n)` gives,
         leaving the same stream state, from the same rejection loop on
         `getrandbits` (k = n.bit_length() bits, redrawn while ≥ n).  The
-        one bounded draw of the suites."""
+        one bounded draw of the suites.  With a count, a list of that
+        many draws, in one loop."""
         if n < 1:
             raise ValueError(f"empty range for a draw below {n}")
         k = n.bit_length()
-        r = self._bits(k)
-        while r >= n:
-            r = self._bits(k)
-        return r
+        bits = self._bits
+        if not count:
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            return r
+        out = []
+        for _ in range(count):
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            out.append(r)
+        return out
 
     def exps(self, sig: Signature) -> tuple:
-        below, d = self.below, self.deg
-        return tuple([below(2 * d + 1) - d for _ in range(sig.nvars)])
+        d = self.deg
+        return tuple([r - d for r in self.below(2 * d + 1, sig.nvars)])
 
     def pos_exps(self, sig: Signature) -> tuple:
-        return tuple([self.below(self.deg + 1) for _ in range(sig.nvars)])
+        return tuple(self.below(self.deg + 1, sig.nvars))
 
     def mask(self, n: int) -> int:
         return self.below(1 << n)

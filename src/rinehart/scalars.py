@@ -4,10 +4,11 @@ Every coefficient in this library is a Gaussian rational, so equality
 checks are zero-tolerance.  A ``Scalar`` holds ``(p + q*i) / d`` as three
 ints with ``d > 0`` and ``gcd(p, q, d) == 1``, so each value has exactly
 one form.  ``+ - * /`` and negation are integer arithmetic with at most
-one ``math.gcd`` per result, and none when ``d == 1``; no ``Fraction`` is
-built.  ``re`` and ``im`` read the components back as a plain ``int``
-when integral, a ``Fraction`` otherwise.  No floating point appears
-anywhere: a ``float`` or ``complex`` component raises ``TypeError``.
+one ``math.gcd`` per result, and none when ``d == 1`` or the factor is
+the int 1 or -1; no ``Fraction`` is built.  ``re`` and ``im`` read the
+components back as a plain ``int`` when integral, a ``Fraction``
+otherwise.  No floating point appears anywhere: a ``float`` or
+``complex`` component raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -138,6 +139,13 @@ class Scalar:
 
     def __mul__(self, other):
         if type(other) is int:
+            # ±1 keeps the triple canonical
+            if other == 1:
+                return self
+            if other == -1:
+                s = _new(Scalar)
+                s.p, s.q, s.d = -self.p, -self.q, self.d
+                return s
             return _reduced(self.p * other, self.q * other, self.d)
         if type(other) is not Scalar:
             other = _exact(other)

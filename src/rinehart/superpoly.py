@@ -15,8 +15,10 @@ add two hooks: `_entry(sig, key, c)`, which `Sparse.__init__`, the one
 public constructor, runs on every input term to refuse a key that is no
 basis key of the type and to store it normalised, and
 `_key_parity(key, *ctx)`, which `parity`/`even_odd` read.  Parts valid
-by construction (samples, summands copied out, products' operands, t_0
-slices) are stored unchecked by `Sparse._trusted`.
+by construction (samples, summands copied out, products, derivatives,
+actions, t_0 slices, and the elements of `zero` and the named
+constructors, which check their arguments once) are stored unchecked by
+`Sparse._trusted`.
 
 Two term-level kernels serve every layer above, so that none of them
 builds throwaway `SuperPoly` monomials.  `mono_mul` multiplies two
@@ -284,7 +286,8 @@ class Sparse:
 
     @classmethod
     def zero(cls, sig: Signature):
-        return cls(sig)
+        # cls(sig) refuses a signature of the wrong kind
+        return cls._trusted(sig, {}) if cls._full in (None, sig.includes_t0) else cls(sig)
 
     @classmethod
     def _trusted(cls, sig: Signature, terms: dict):
@@ -303,12 +306,17 @@ class Sparse:
         return bool(self.terms)
 
     def _iadd_term(self, key, c):
-        cur = self.terms.get(key)
-        new = c if cur is None else cur + c
-        if new:
-            self.terms[key] = new
-        elif cur is not None:
-            del self.terms[key]
+        terms = self.terms
+        cur = terms.get(key)
+        if cur is None:
+            if c:
+                terms[key] = c
+        else:
+            c = cur + c
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -415,26 +423,29 @@ class SuperPoly(Sparse):
 
     @staticmethod
     def scalar(sig: Signature, c) -> "SuperPoly":
-        return SuperPoly(sig, {(sig.zero_exps(), 0): c})
+        return SuperPoly.monomial(sig, sig.zero_exps(), 0, c)
 
     @staticmethod
     def one(sig: Signature) -> "SuperPoly":
-        return SuperPoly.scalar(sig, 1)
+        return SuperPoly._trusted(sig, {(sig.zero_exps(), 0): ONE})
 
     @staticmethod
-    def monomial(sig: Signature, exps, mask: int = 0, coeff=1) -> "SuperPoly":
-        return SuperPoly(sig, {(tuple(exps), mask): coeff})
+    def monomial(sig: Signature, exps, mask: int = 0, coeff=ONE) -> "SuperPoly":
+        exps = tuple(exps)
+        sig.check_mono(exps, mask)
+        c = Scalar.of(coeff)
+        return SuperPoly._trusted(sig, {(exps, mask): c} if c else {})
 
     @staticmethod
     def t_var(sig: Signature, i: int, power: int = 1) -> "SuperPoly":
         exps = [0] * sig.nvars
         exps[sig.tpos(i)] = power
-        return SuperPoly.monomial(sig, exps)
+        return SuperPoly._trusted(sig, {(tuple(exps), 0): ONE})
 
     @staticmethod
     def zeta(sig: Signature, k: int) -> "SuperPoly":
         sig.check_zeta(k)
-        return SuperPoly.monomial(sig, sig.zero_exps(), 1 << (k - 1))
+        return SuperPoly._trusted(sig, {(sig.zero_exps(), 1 << (k - 1)): ONE})
 
     @staticmethod
     def zeta_mask(sig: Signature, mask: int) -> "SuperPoly":
@@ -456,8 +467,7 @@ class SuperPoly(Sparse):
         if type(other) is not SuperPoly:
             return Sparse.__mul__(self, other)
         _check_same_sig(self, other)
-        out = SuperPoly(self.sig)
-        terms = out.terms
+        terms = {}
         for (ea, ma), ca in self.terms.items():
             for (eb, mb), cb in other.terms.items():
                 sign, exps, mm = mono_mul(ea, ma, eb, mb)
@@ -472,11 +482,12 @@ class SuperPoly(Sparse):
                         del terms[key]
                         continue
                 terms[key] = c
-        return out
+        return SuperPoly._trusted(self.sig, terms)
 
     def __pow__(self, power: int):
         if power < 0:
-            raise ValueError("negative powers only for unit monomials")
+            raise ValueError("negative powers are refused; "
+                             "t_var(sig, i, -k) gives t_i^-k")
         out = SuperPoly.one(self.sig)
         for _ in range(power):
             out = out * self
@@ -505,7 +516,7 @@ def derive(tag, f: SuperPoly) -> SuperPoly:
     """
     sig = f.sig
     kind, idx = sig.check_tag(tag)
-    out = SuperPoly.zero(sig)
+    out = SuperPoly._trusted(sig, {})
     if kind == "dt":
         p = sig.tpos(idx)
         for (exps, mask), c in f.terms.items():
@@ -531,8 +542,11 @@ def derive_mono(tag, sig: Signature, exps, mask: int):
     """
     kind, idx = tag
     if kind == "d":
-        if idx or sig.includes_t0:
-            return exps[sig.tpos(idx)], exps, mask
+        p = idx if sig.includes_t0 else idx - 1  # `tpos`, inline
+        if 0 <= p < sig.nvars:
+            return exps[p], exps, mask
+        if idx:
+            sig.tpos(idx)  # raises: t_idx is outside sig
         return 0, exps, mask
     if kind == "q":
         sig.check_zeta(idx)
@@ -750,7 +764,7 @@ def shift_basis(sig: Signature, pos, neg, mask: int = 0) -> SuperPoly:
     """Expand Π(t_i-1)^{pos_i} · Π(t_i^{-1}-1)^{neg_i} · ζ_mask exactly."""
     sig.check_mono(pos, mask)
     sig.check_mono(neg, 0)
-    out = SuperPoly(sig)
+    out = SuperPoly._trusted(sig, {})
     # One term per combination: the exponent tuples differ and no
     # coefficient is 0, so the terms are stored without merging.
     for combo in _iproduct(*map(_laurent_factor, pos, neg)):

@@ -55,6 +55,14 @@ def euler_key(sig: Signature, exps, mask: int, tag):
     return exps, mask, tag
 
 
+def _tagged(sig: Signature, p: SuperPoly, tag) -> dict:
+    """p·tag's terms for a checked tag, keyed as a field stores them
+    (`euler_key` maps distinct keys to distinct keys)."""
+    if tag[0] == "dt":
+        return {euler_key(sig, e, m, tag): c for (e, m), c in p.terms.items()}
+    return {(e, m, tag): c for (e, m), c in p.terms.items()}
+
+
 def field_entry(sig: Signature, key, c):
     """The key hook of fields: t^exps ζ_mask·tag for a basis tag of sig,
     stored by `euler_key`."""
@@ -82,8 +90,8 @@ class VectorField(Sparse):
 
     @staticmethod
     def from_poly_tag(coeff_poly: SuperPoly, tag) -> "VectorField":
-        terms = {(exps, mask, tag): c for (exps, mask), c in coeff_poly.terms.items()}
-        return VectorField(coeff_poly.sig, terms)
+        sig = coeff_poly.sig
+        return VectorField._trusted(sig, _tagged(sig, coeff_poly, sig.check_tag(tag)))
 
     # -- queries --
 
@@ -119,7 +127,7 @@ class VectorField(Sparse):
     def apply(self, f: SuperPoly) -> SuperPoly:
         _check_same_sig(self, f)
         sig = self.sig
-        out = SuperPoly.zero(sig)
+        out = SuperPoly._trusted(sig, {})
         for (exps, mask, tag), c in self.terms.items():
             for (e2, m2), c2 in f.terms.items():
                 k, e3, m3 = mono_apply(tag, sig, exps, mask, e2, m2)
@@ -301,14 +309,19 @@ class QPElement(Sparse):
 
     @staticmethod
     def from_field(x: VectorField) -> "QPElement":
-        out = QPElement(x.sig)  # refuses a full signature
+        out = QPElement.zero(x.sig)  # refuses a full signature
         out._iadd(x)
         return out
 
     @staticmethod
     def along(p: SuperPoly, tag) -> "QPElement":
         """p·∂ for a basis tag; the t_0-Euler tag ('d', 0) gives p ⊕ 0."""
-        return QPElement(p.sig, {(e, m, tag): c for (e, m), c in p.terms.items()})
+        sig = p.sig
+        if sig.includes_t0:
+            QPElement(sig)  # raises: QPElement needs the t_0-free signature
+        if tag != ("d", 0):
+            sig.check_tag(tag)
+        return QPElement._trusted(sig, _tagged(sig, p, tag))
 
     @staticmethod
     def of(x) -> "QPElement":

@@ -8,12 +8,15 @@ import textwrap
 
 import pytest
 
-from rinehart import glmatrix, linalg, sampling, smash, superpoly, tensorqp, vectorfields
+from rinehart import (
+    glmatrix, linalg, sampling, scalars, smash, superpoly, tensorqp, vectorfields,
+)
 from rinehart.cli import main
 from rinehart.glmatrix import GlMatrix
 from rinehart.glmodules import GlModule, MuVector, natural_module
 from rinehart.parser import parse_element
 from rinehart.sampling import Sampler
+from rinehart.scalars import Scalar
 from rinehart.suites import _NoPhihat
 from rinehart.superpoly import Signature, SuperPoly, mask_size
 from rinehart.tensorqp import QPStructure, TensorVec
@@ -548,3 +551,25 @@ def test_sampled_field_without_euler_key_fails_the_jacobi_suite(
         monkeypatch.setattr(Sampler, "_field_key", scope["_field_key"])
 
     assert all_failed(capsys, m, n, fault) == {"jacobi.error"}
+
+
+@pytest.mark.parametrize("m,n,expected", [
+    ("1", "1", {"loop.module_law"}),
+    ("1", "2", {"loop.module_law"}),
+    ("2", "2", {"loop.module_law", "qp.axiom6[complex]"}),
+])
+def test_scalar_times_minus_one_keeping_the_imaginary_sign_fails(
+        monkeypatch, capsys, m, n, expected):
+    """Scalar·(−1), which skips the gcd, negating p but not q.  Real
+    values do not see it; a complex coefficient scaled by −1 does, in the
+    loop module law and, at (2,2), the complex-field quasi-Poisson axiom 6."""
+    def fault():
+        source = textwrap.dedent(inspect.getsource(Scalar.__mul__))
+        old = "-self.p, -self.q, self.d"
+        assert source.count(old) == 1
+        scope = dict(vars(scalars))
+        exec(source.replace(old, "-self.p, self.q, self.d"), scope)
+        monkeypatch.setattr(Scalar, "__mul__", scope["__mul__"])
+        monkeypatch.setattr(Scalar, "__rmul__", scope["__mul__"])
+
+    assert all_failed(capsys, m, n, fault) == expected

@@ -243,3 +243,22 @@ def test_sampled_elements_equal_the_validated_constructions(m, n, full, deg, kin
             assert got == want
             assert stored(got) == stored(want)
     assert fast.rng.getstate() == ref.s.rng.getstate()
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_exps_replay_successive_randrange_draws(seed, deg):
+    """`exps` and `pos_exps` take their nvars values in one loop: the values
+    of nvars successive `randrange` calls, leaving the same stream state."""
+    ours, ref = random.Random(seed), random.Random(seed)
+    sampler = Sampler(ours, deg)
+    for sig in (Signature(1, 1), Signature(2, 3, False), Signature(4, 1)):
+        for _ in range(20):
+            assert sampler.exps(sig) == tuple(
+                ref.randrange(2 * deg + 1) - deg for _ in range(sig.nvars))
+            assert sampler.pos_exps(sig) == tuple(
+                ref.randrange(deg + 1) for _ in range(sig.nvars))
+            assert ours.getstate() == ref.getstate()
+    for n in (1, 2, 3, 5, 8, 9, 2 ** 40 + 1):
+        assert sampler.below(n, 6) == [ref.randrange(n) for _ in range(6)]
+        assert ours.getstate() == ref.getstate()

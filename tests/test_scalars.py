@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rinehart.scalars import Scalar, format_scalar
+from rinehart.sampling import _SCALARS
+from rinehart.scalars import Scalar, _reduced, format_scalar
 
 
 def test_field_operations_exact():
@@ -205,3 +206,29 @@ def test_suites_never_do_fraction_arithmetic(monkeypatch, capsys):
                      "--samples", "10", "--json"]) == 0
     capsys.readouterr()
     assert calls == dict.fromkeys(FRACTION_ARITHMETIC, 0)
+
+
+def _unit_product_holds(x):
+    """x·k for an int k, either side, is `_reduced`'s canonical triple;
+    ×1 is x itself and ×(−1) negates both components over the same d."""
+    for k in (1, -1, 2, -3, 0):
+        want = _reduced(x.p * k, x.q * k, x.d)
+        for got in (x * k, k * x):
+            assert type(got) is Scalar
+            assert (got.p, got.q, got.d) == (want.p, want.q, want.d)
+            assert got.d > 0 and math.gcd(got.p, got.q, got.d) == 1
+            assert_canonical(got)
+    assert x * 1 is x
+    assert (x * -1).d == x.d
+
+
+def test_unit_int_products_of_the_sampled_scalars():
+    assert len(_SCALARS) == 21
+    for x in _SCALARS:
+        _unit_product_holds(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=gaussians)
+def test_unit_int_products_of_gaussian_values(x):
+    _unit_product_holds(x)

@@ -8,6 +8,7 @@ rewrite to its dicts.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from rinehart.glmatrix import GlMatrix
 from rinehart.scalars import Scalar
 from rinehart.smash import SmashElement
-from rinehart.superpoly import Signature, SuperPoly
+from rinehart.superpoly import Signature, SuperPoly, derive, shift_basis
 from rinehart.tensorqp import TensorVec
 from rinehart.vectorfields import QPElement, VectorField
 
@@ -320,3 +321,206 @@ def test_trusted_constructions_hold_only_stored_keys(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_12
     assert seen == set(KINDS)
+
+
+# ---------- library builds that skip the key hook ----------
+
+# the signature kind each type needs; the others take either
+NEEDS = {QPElement: False, SmashElement: True}
+
+
+def _same(got, want):
+    """got holds want's terms, in want's order, as nonzero Scalars."""
+    assert type(got) is type(want) and got.sig is want.sig
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Scalar and c for c in got.terms.values())
+
+
+def _rebuilt(x):
+    """x through the public constructor: every key runs the key hook."""
+    return type(x)(x.sig, dict(x.terms))
+
+
+@pytest.mark.parametrize("full", [True, False])
+@pytest.mark.parametrize("cls", list(KINDS), ids=lambda c: c.__name__)
+def test_zero_is_the_empty_public_build(cls, full):
+    """`zero` on either signature kind: the public constructor's empty
+    element in a dict of its own, or that constructor's refusal."""
+    sig = Signature(1, 2, full)
+    if NEEDS.get(cls, full) != full:
+        with pytest.raises(ValueError) as want:
+            cls(sig)
+        with pytest.raises(ValueError) as got:
+            cls.zero(sig)
+        assert str(got.value) == str(want.value)
+        return
+    z = cls.zero(sig)
+    _same(z, cls(sig))
+    assert z.terms is not cls.zero(sig).terms
+
+
+def test_superpoly_constructors_equal_the_public_builds():
+    for sig in (FULL, DOT):
+        z = sig.zero_exps()
+        for c in (1, -3, Fraction(2, 3), Scalar(1, -1), 0, Scalar(0)):
+            _same(SuperPoly.scalar(sig, c), SuperPoly(sig, {(z, 0): c}))
+        _same(SuperPoly.one(sig), SuperPoly(sig, {(z, 0): 1}))
+        for exps in itertools.product(range(-1, 2), repeat=sig.nvars):
+            for mask in range(1 << sig.n):
+                _same(SuperPoly.monomial(sig, list(exps), mask),
+                      SuperPoly(sig, {(exps, mask): 1}))
+                for c in (Fraction(-1, 2), Scalar(0, 2), 0):
+                    _same(SuperPoly.monomial(sig, exps, mask, c),
+                          SuperPoly(sig, {(exps, mask): c}))
+        for mask in range(1 << sig.n):
+            _same(SuperPoly.zeta_mask(sig, mask), SuperPoly(sig, {(z, mask): 1}))
+        for k in range(1, sig.n + 1):
+            _same(SuperPoly.zeta(sig, k), SuperPoly(sig, {(z, 1 << (k - 1)): 1}))
+        for i in sig.tvars():
+            for power in (-2, 0, 1, 3):
+                exps = tuple(power if q == i else 0 for q in sig.tvars())
+                _same(SuperPoly.t_var(sig, i, power), SuperPoly(sig, {(exps, 0): 1}))
+
+
+def test_constants_never_share_their_terms():
+    """Containers are mutable through `_iadd_term`, so each call must give
+    a dict of its own."""
+    makers = [
+        lambda: SuperPoly.one(FULL), lambda: SuperPoly.scalar(FULL, 2),
+        lambda: SuperPoly.t_var(FULL, 1), lambda: SuperPoly.zeta(FULL, 2),
+        lambda: SuperPoly.zeta_mask(FULL, 3), lambda: SuperPoly.monomial(FULL, (1, 0)),
+        lambda: SuperPoly.zero(FULL),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a.terms is not b.terms
+        a._iadd_term(((5, 5), 1), Scalar(1))
+        assert b == make() and b != a
+
+
+def _random_poly(rng, sig):
+    return SuperPoly(sig, {
+        (tuple(rng.randint(-2, 2) for _ in range(sig.nvars)), rng.randrange(1 << sig.n)):
+        Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-1, 1))
+        for _ in range(3)})
+
+
+def test_products_derivatives_and_actions_hold_what_the_constructor_stores():
+    """`SuperPoly.__mul__`, `shift_basis`, `derive` and `VectorField.apply`
+    start from an unchecked empty element; every key they store passes
+    the key hook unchanged, in order, with a Scalar coefficient."""
+    rng = random.Random(28)
+    for sig in (FULL, DOT):
+        for _ in range(30):
+            f, g = _random_poly(rng, sig), _random_poly(rng, sig)
+            field = VectorField.zero(sig)
+            for tag in sig.tags("dtq"):
+                field += VectorField.from_poly_tag(_random_poly(rng, sig), tag)
+            pos = tuple(rng.randint(0, 2) for _ in range(sig.nvars))
+            neg = tuple(rng.randint(0, 2) for _ in range(sig.nvars))
+            results = [f * g, field.apply(f), shift_basis(sig, pos, neg, rng.randrange(4))]
+            results += [derive(tag, f) for tag in sig.tags("dtq")]
+            for got in results:
+                _same(got, _rebuilt(got))
+
+
+def test_tagged_builds_equal_the_public_builds():
+    """`VectorField.from_poly_tag`, `QPElement.along` and `from_poly` check
+    the tag once; a plain ('dt', i) is still stored by `euler_key`."""
+    rng = random.Random(5)
+    for sig in (FULL, DOT):
+        for p in [_random_poly(rng, sig) for _ in range(10)] + [SuperPoly.zero(sig)]:
+            for tag in sig.tags("dtq"):
+                terms = {(e, m, tag): c for (e, m), c in p.terms.items()}
+                _same(VectorField.from_poly_tag(p, tag), VectorField(sig, terms))
+                if not sig.includes_t0:
+                    _same(QPElement.along(p, tag), QPElement(sig, terms))
+            if not sig.includes_t0:
+                terms = {(e, m, ("d", 0)): c for (e, m), c in p.terms.items()}
+                _same(QPElement.along(p, ("d", 0)), QPElement(sig, terms))
+                _same(QPElement.from_poly(p), QPElement(sig, terms))
+
+
+REFUSED = {
+    "monomial: short exponents": (
+        lambda: SuperPoly.monomial(FULL, (0,)), ValueError, "wrong length"),
+    "monomial: mask 4 at n = 2": (
+        lambda: SuperPoly.monomial(FULL, (0, 0), 4), ValueError, "Grassmann index"),
+    "monomial: negative mask": (
+        lambda: SuperPoly.monomial(DOT, (0,), -1, 0), ValueError, "Grassmann index"),
+    "zeta_mask: mask 4 at n = 2": (
+        lambda: SuperPoly.zeta_mask(FULL, 4), ValueError, "Grassmann index"),
+    "zeta: z3 at n = 2": (lambda: SuperPoly.zeta(FULL, 3), ValueError, "variable z3"),
+    "zeta: z0": (lambda: SuperPoly.zeta(DOT, 0), ValueError, "variable z0"),
+    "t_var: t2 at m = 1": (lambda: SuperPoly.t_var(FULL, 2), ValueError, "variable t2"),
+    "t_var: t0 on dotted": (lambda: SuperPoly.t_var(DOT, 0), ValueError, "variable t0"),
+    "scalar: float": (lambda: SuperPoly.scalar(FULL, 0.5), TypeError, "exact"),
+    "scalar: float zero": (lambda: SuperPoly.scalar(DOT, 0.0), TypeError, "exact"),
+    "monomial: float": (
+        lambda: SuperPoly.monomial(FULL, (1, 0), 1, 1.5), TypeError, "exact"),
+    "field: unknown tag": (
+        lambda: VectorField.from_poly_tag(SuperPoly.one(FULL), ("x", 3)),
+        ValueError, "unknown derivation tag"),
+    "field: t0-Euler on dotted": (
+        lambda: VectorField.from_poly_tag(SuperPoly.one(DOT), ("d", 0)),
+        ValueError, "unknown derivation tag"),
+    "field: t0-Euler on dotted, zero coefficient": (
+        lambda: VectorField.from_poly_tag(SuperPoly.zero(DOT), ("d", 0)),
+        ValueError, "unknown derivation tag"),
+    "field: plain t0 on dotted": (
+        lambda: VectorField.from_poly_tag(SuperPoly.one(DOT), ("dt", 0)),
+        ValueError, "unknown derivation tag"),
+    "qp: unknown tag": (
+        lambda: QPElement.along(SuperPoly.one(DOT), ("x", 3)),
+        ValueError, "unknown derivation tag"),
+    "qp: z3 at n = 2": (
+        lambda: QPElement.along(SuperPoly.one(DOT), ("q", 3)),
+        ValueError, "unknown derivation tag"),
+    "qp: along on the full signature": (
+        lambda: QPElement.along(SuperPoly.one(FULL), ("d", 1)),
+        ValueError, "QPElement needs the t_0-free signature"),
+    "qp: from_poly on the full signature": (
+        lambda: QPElement.from_poly(SuperPoly.zero(FULL)),
+        ValueError, "QPElement needs the t_0-free signature"),
+    "qp: from_field on the full signature": (
+        lambda: QPElement.from_field(VectorField.basis(FULL, ("q", 1))),
+        ValueError, "QPElement needs the t_0-free signature"),
+    "qp: zero on the full signature": (
+        lambda: QPElement.zero(FULL), ValueError, "QPElement needs the t_0-free signature"),
+    "smash: zero on the dotted signature": (
+        lambda: SmashElement.zero(DOT), ValueError, "SmashElement needs the full signature"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_unchecked_builds_still_refuse_malformed_input(case):
+    """Each path that skips the key hook still refuses what the public
+    constructor refuses, with the same error."""
+    make, exc, match = REFUSED[case]
+    with pytest.raises(exc, match=match):
+        make()
+
+
+def test_check_all_calls_the_public_constructor_rarely(monkeypatch, capsys):
+    """Work guard: the library builds its own elements without the key
+    hook.  `check all` at (1,2) called `Sparse.__init__` 7654 times when
+    every constant and product went through it; the bound leaves room."""
+    import hashlib
+
+    from rinehart.cli import main
+    from rinehart.superpoly import Sparse
+
+    calls = []
+    init = Sparse.__init__
+
+    def counted(self, sig, terms=None):
+        calls.append(type(self))
+        init(self, sig, terms)
+
+    monkeypatch.setattr(Sparse, "__init__", counted)
+    args = ["check", "all", "--m", "1", "--n", "2", "--deg", "2", "--samples", "20",
+            "--json"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_12
+    assert len(calls) <= 400

@@ -489,3 +489,34 @@ def test_euler_derivation_is_t_times_the_plain_one():
                 for _ in range(4)})
             for i in sig.tvars():
                 assert derive(("d", i), f) == SuperPoly.t_var(sig, i) * derive(("dt", i), f)
+
+
+@pytest.mark.parametrize("includes_t0", [True, False])
+def test_derive_mono_edges(includes_t0):
+    """`derive_mono` reads the Euler position inline and keeps `tpos`'s
+    refusal: t_{m+1} and t_{-1} are outside either kind, ζ_0 and ζ_{n+1}
+    too; ('d', 0) is t_0 d/dt_0 on the full algebra and 0 on Ȧ."""
+    sig = Signature(2, 3, includes_t0)
+    exps = tuple(range(5, 5 + sig.nvars))
+    for idx in (sig.m + 1, -1):
+        with pytest.raises(ValueError, match=f"^variable t{idx} outside signature$"):
+            derive_mono(("d", idx), sig, exps, 0b101)
+    for k in (0, sig.n + 1):
+        with pytest.raises(ValueError, match=f"^variable z{k} outside signature$"):
+            derive_mono(("q", k), sig, exps, 0b101)
+    for i in sig.tvars():
+        assert derive_mono(("d", i), sig, exps, 0b101) == (exps[sig.tpos(i)], exps, 0b101)
+    want = exps[0] if includes_t0 else 0
+    assert derive_mono(("d", 0), sig, exps, 0b101) == (want, exps, 0b101)
+
+
+def test_negative_powers_are_refused_with_a_pointer_to_t_var():
+    """No power is inverted, not even of a unit monomial; the message says
+    so and names the constructor of t_i^-k."""
+    sig = Signature(1, 1)
+    t1 = SuperPoly.t_var(sig, 1)
+    for f in (t1, SuperPoly.one(sig), t1 + SuperPoly.zeta(sig, 1)):
+        with pytest.raises(ValueError, match=r"negative powers are refused; t_var\(sig, i, -k\)"):
+            f ** -1
+    assert t1 ** 3 == SuperPoly.t_var(sig, 1, 3)
+    assert SuperPoly.t_var(sig, 1, -1) * t1 == t1 ** 0 == SuperPoly.one(sig)
