@@ -29,7 +29,7 @@ class GlMatrix(Sparse):
 
     @staticmethod
     def elementary(sig: Signature, a: int, b: int) -> "GlMatrix":
-        return GlMatrix(sig, {(a, b): 1})
+        return GlMatrix._one_term(sig, (a, b), 1)
 
     def __repr__(self):
         from .parser import format_gl_matrix

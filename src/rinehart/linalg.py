@@ -2,8 +2,9 @@
 
 A vector is a dict ``{key: Scalar}`` of its nonzero entries, with any
 hashable keys, e.g. those of ``TensorVec.terms``.  `Echelon` is the one
-elimination kernel; `rank`, `nullspace`, `solve_columns` and the dense
-adapter `rref` run through it.  Dense matrices are lists of rows.
+elimination kernel; `nullspace`, `solve_columns` and the dense adapter
+`rref` run through it, and `rank` does unless the supports are disjoint.
+Dense matrices are lists of rows.
 """
 
 from __future__ import annotations
@@ -89,17 +90,38 @@ class Echelon:
         rest, x = self.reduce(vec)
         if rest:
             key = next(iter(rest))
-            inv = ONE / rest[key]
-            row = {k: c * inv for k, c in rest.items() if k != key}
-            coeffs = None if x is None else {
-                **{i: -(c * inv) for i, c in x.items()}, self.added: inv}
+            lead = rest[key]
+            if lead == ONE:  # already scaled: the division would change nothing
+                row = dict(rest)
+                del row[key]
+                coeffs = None if x is None else {
+                    **{i: -c for i, c in x.items()}, self.added: ONE}
+            else:
+                inv = ONE / lead
+                row = {k: c * inv for k, c in rest.items() if k != key}
+                coeffs = None if x is None else {
+                    **{i: -(c * inv) for i, c in x.items()}, self.added: inv}
             self.rows[key] = (len(self.rows), row, coeffs)
         self.added += 1
         return rest, x
 
 
 def rank(vectors) -> int:
-    """Dimension of the span of the sparse vectors."""
+    """Dimension of the span of the sparse vectors.  Nonzero vectors whose
+    supports (their nonzero entries) are pairwise disjoint are independent,
+    so their count is the rank; any overlap sends them all to `Echelon`."""
+    vectors = list(vectors)
+    seen = set()
+    count = 0
+    for v in vectors:
+        support = [k for k, c in v.items() if c]
+        before = len(seen)
+        seen.update(support)
+        if len(seen) != before + len(support):
+            break
+        count += bool(support)
+    else:
+        return count
     ech = Echelon()
     return sum(1 for v in vectors if ech.add(v)[0])
 

@@ -4,10 +4,10 @@ Every coefficient in this library is a Gaussian rational, so equality
 checks are zero-tolerance.  A ``Scalar`` holds ``(p + q*i) / d`` as three
 ints with ``d > 0`` and ``gcd(p, q, d) == 1``, so each value has exactly
 one form.  ``+ - * /`` and negation are integer arithmetic with at most
-one ``math.gcd`` per result, and none when ``d == 1`` or the factor is
-the int 1 or -1; no ``Fraction`` is built.  ``re`` and ``im`` read the
-components back as a plain ``int`` when integral, a ``Fraction``
-otherwise.  No floating point appears anywhere: a ``float`` or
+one ``math.gcd`` per result, and none when ``d == 1``, for a negation,
+or when the factor is the int 1 or -1; no ``Fraction`` is built.
+``re`` and ``im`` read the components back as a plain ``int`` when
+integral, a ``Fraction`` otherwise.  No floating point appears anywhere: a ``float`` or
 ``complex`` component raises ``TypeError``.
 """
 
@@ -176,7 +176,10 @@ class Scalar:
         return NotImplemented if other is None else other.__truediv__(self)
 
     def __neg__(self):
-        return _reduced(-self.p, -self.q, self.d)
+        # negating a canonical triple keeps it canonical: no gcd
+        s = _new(Scalar)
+        s.p, s.q, s.d = -self.p, -self.q, self.d
+        return s
 
     def __pos__(self):
         return self

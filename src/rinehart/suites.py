@@ -758,14 +758,17 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
                         rhs._iadd_term((z, 0, u), cu)
                     yield None if lhs == rhs else f"E_{a}_{b} on basis vector {v}"
 
-    def bridge():
+    @cache
+    def kernel_images():
         _, basis = kernel()
-        phi = _images(env, S, basis)
+        return basis, _images(env, S, basis)
+
+    def bridge():
+        basis, phi = kernel_images()
         gen = s.x_generator(sig)
         field = psi_map({gen: Scalar(1)}, sig)
         mat = theta_project(field)
-        for j, u in enumerate(basis):
-            direct = t_act(*gen, u, S)
+        for j, direct in enumerate(t_act(*gen, basis, S)):
             through = TensorVec.zero(dotted)
             for ab, c in mat.terms.items():
                 through._iadd(phi[ab][j], c)
@@ -815,8 +818,8 @@ def annihilate_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
             # Only a failed membership counts as a case of its own.
             yield f"sample not in the square ideal: {gens}"
             return
-        for u in basis:
-            yield None if t_act_gens(gens, u, S).is_zero() else f"gens={gens}"
+        for image in t_act_gens(gens, basis, S):
+            yield None if image.is_zero() else f"gens={gens}"
 
     return [("annihilate.square_ideal", max(1, cfg.samples // 2), square_ideal)]
 

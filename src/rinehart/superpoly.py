@@ -299,6 +299,13 @@ class Sparse:
         out.terms = terms
         return out
 
+    @classmethod
+    def _one_term(cls, sig: Signature, key, c):
+        """The element c·key, its key checked and stored by `_entry` once;
+        for the types whose `_full` is None, which accept any signature."""
+        key, c = cls._entry(sig, key, c)
+        return cls._trusted(sig, {key: c} if c else {})
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -340,12 +347,19 @@ class Sparse:
         return self._trusted(self.sig, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = Scalar.of(other)
-            if not s:
-                return type(self)(self.sig)
-            return self._trusted(self.sig, {k: c * s for k, c in self.terms.items()})
-        return NotImplemented
+        if type(other) is int:
+            # ×1 and ×−1 take no Scalar product; ×1 still returns a new container
+            if other == 1:
+                return self._trusted(self.sig, dict(self.terms))
+            if other == -1:
+                return -self
+        elif isinstance(other, (int, Fraction, Scalar)):
+            other = Scalar.of(other)
+        else:
+            return NotImplemented
+        if not other:
+            return type(self)(self.sig)
+        return self._trusted(self.sig, {k: c * other for k, c in self.terms.items()})
 
     def __rmul__(self, other):
         # Scalars commute; going through self.__mul__ keeps a subclass's

@@ -16,7 +16,9 @@ parts (α, exps, mask, coeff), one per term c·t^e ζ_M·∂_α, so the
 composite actions need not build QPElements, and the composites add each
 summand into one output with `Sparse._iadd`, in the term order that sums
 of containers would give: term order reaches `Echelon`'s pivot choice
-and the reports.
+and the reports.  `_twisted`, the centralizer action `t_act` and
+`t_act_gens` take a list of vectors and return one image per vector,
+doing each part's and each generator's fixed work once for the list.
 
 On top of the triple: the seven compatibility axioms; the loop module
 C[t_0^{±1}] ⊗ (Ȧ ⊗ Ω), stored flat as the full A ⊗ Ω and acted on slice
@@ -75,7 +77,7 @@ class TensorVec(Sparse):
 
     @staticmethod
     def basis(sig: Signature, exps, mask: int, idx: int, coeff=1) -> "TensorVec":
-        return TensorVec(sig, {(tuple(exps), mask, idx): coeff})
+        return TensorVec._one_term(sig, (tuple(exps), mask, idx), coeff)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -120,7 +122,7 @@ class QPStructure:
     def psi_parts(self, parts, w: TensorVec) -> TensorVec:
         if w.sig != self.sig:
             raise ValueError("signature mismatch")
-        return _twisted(self.sig, self.mu, self.omega, parts, w)
+        return _twisted(self.sig, self.mu, self.omega, parts, (w,))[0]
 
     def phihat_parts(self, parts, w: TensorVec) -> TensorVec:
         """With a = c·t^e ζ_M, each term b ⊗ v of w goes to
@@ -142,7 +144,7 @@ class QPStructure:
                     sign = -sign
                 c2 = (cw if ca is ONE else ca * cw) * sign
                 for u, cu in col:
-                    out._iadd_term((e2, m2, u), c2 * cu)
+                    out._iadd_term((e2, m2, u), c2 if cu is ONE else c2 * cu)
         return out
 
 
@@ -174,49 +176,55 @@ def _derivatives(sig: Signature, exps, mask: int) -> tuple:
 
 
 def _twisted(sig: Signature, mu: MuVector, omega: GlModule, parts,
-             w: TensorVec) -> TensorVec:
-    """Twisted action of Σ c·t^e ζ_M·∂_α over the parts (α, e, M, c): with
-    a = c·t^e ζ_M, each term b ⊗ v of w goes to a·(∂_α b + μ_α b) ⊗ v +
-    Σ_β (-1)^{|β| + (|a|+|b|)|β| + |b||α|} ∂_β(a)·b ⊗ E_{βα} v.  Without
-    t_0, ∂_0 is the algebra summand's ('d', 0), which `derive_mono` makes 0."""
+             vectors) -> list[TensorVec]:
+    """Twisted action of Σ c·t^e ζ_M·∂_α over the parts (α, e, M, c), one
+    image per vector of ``vectors``: with a = c·t^e ζ_M, each term b ⊗ v
+    of w goes to a·(∂_α b + μ_α b) ⊗ v + Σ_β (-1)^{|β| + (|a|+|b|)|β| +
+    |b||α|} ∂_β(a)·b ⊗ E_{βα} v.  Without t_0, ∂_0 is the algebra
+    summand's ('d', 0), which `derive_mono` makes 0.  A part's fixed work
+    (μ_α, the derivatives ∂_β(a) and their columns E_{βα}) is done once for
+    all the vectors, and each image gets its terms in the order a
+    one-vector call gives."""
     table = _directions(sig)
     columns = omega.columns
-    out = TensorVec.zero(sig)
+    outs = [TensorVec._trusted(sig, {}) for _ in vectors]
     for alpha, ae, am, ca in parts:
         p_alpha, tag = table[alpha]
         pa = mask_size(am) & 1
         mu_a = mu[alpha]
-        dparts = _derivatives(sig, ae, am)
-        for (be, bm, idx), cw in w.terms.items():
-            coef = cw if ca is ONE else ca * cw
-            pb = mask_size(bm) & 1
-            # ∂_α b + μ_α b: an Euler ∂_α keeps b's monomial, an odd one moves it
-            f, e, mask = derive_mono(tag, sig, be, bm)
-            if mask != bm:
-                main = ((f, e, mask), (mu_a, be, bm))
-            else:
-                main = ((mu_a + f if f else mu_a, be, bm),)
-            for c2, e2, m2 in main:
-                if not c2:
-                    continue
-                sign, e3, m3 = mono_mul(ae, am, e2, m2)
-                if sign:
-                    c3 = coef * c2
-                    out._iadd_term((e3, m3, idx), c3 if sign > 0 else -c3)
-            pab = (pa + pb) & 1
-            for beta, p_beta, f, e, mask in dparts:
-                col = columns[beta, alpha][idx]  # E_{βα} v, often 0
-                if not col:
-                    continue
-                sign, e2, m2 = mono_mul(e, mask, be, bm)
-                if not sign:
-                    continue
-                if ((pab & p_beta) + p_beta + (pb & p_alpha)) & 1:
-                    sign = -sign
-                c2 = coef * (f * sign)
-                for u, cu in col:
-                    out._iadd_term((e2, m2, u), c2 * cu)
-    return out
+        dparts = [(p_beta, f, e, mask, columns[beta, alpha])
+                  for beta, p_beta, f, e, mask in _derivatives(sig, ae, am)]
+        for w, out in zip(vectors, outs):
+            for (be, bm, idx), cw in w.terms.items():
+                coef = cw if ca is ONE else ca * cw
+                pb = mask_size(bm) & 1
+                # ∂_α b + μ_α b: an Euler ∂_α keeps b's monomial, an odd one moves it
+                f, e, mask = derive_mono(tag, sig, be, bm)
+                if mask != bm:
+                    main = ((f, e, mask), (mu_a, be, bm))
+                else:
+                    main = ((mu_a + f if f else mu_a, be, bm),)
+                for c2, e2, m2 in main:
+                    if not c2:
+                        continue
+                    sign, e3, m3 = mono_mul(ae, am, e2, m2)
+                    if sign:
+                        c3 = coef * c2
+                        out._iadd_term((e3, m3, idx), c3 if sign > 0 else -c3)
+                pab = (pa + pb) & 1
+                for p_beta, f, e, mask, cols in dparts:
+                    col = cols[idx]  # E_{βα} v, often 0
+                    if not col:
+                        continue
+                    sign, e2, m2 = mono_mul(e, mask, be, bm)
+                    if not sign:
+                        continue
+                    if ((pab & p_beta) + p_beta + (pb & p_alpha)) & 1:
+                        sign = -sign
+                    c2 = coef * (f * sign)
+                    for u, cu in col:
+                        out._iadd_term((e2, m2, u), c2 if cu is ONE else c2 * cu)
+    return outs
 
 
 # ---------- the seven compatibility axioms ----------
@@ -284,7 +292,7 @@ def shen_act(f: SuperPoly, alpha: int, w: TensorVec, mu: MuVector,
     if alpha not in sig.directions():
         raise ValueError("direction index out of range")
     parts = ((alpha, e, mask, c) for (e, mask), c in f.terms.items())
-    return _twisted(sig, mu, omega, parts, w)
+    return _twisted(sig, mu, omega, parts, (w,))[0]
 
 
 # ---------- loop module structure ----------
@@ -352,37 +360,51 @@ def loop_smash_act(u: SmashElement, w: TensorVec, S: QPStructure) -> TensorVec:
     return out
 
 
-def t_act(rbar, jmask: int, tag, u: TensorVec, S: QPStructure) -> TensorVec:
-    """Action of the centralizer generator (r̄, J, ∂) at t_0-degree zero:
+def t_act(rbar, jmask: int, tag, vectors, S: QPStructure) -> list[TensorVec]:
+    """Action of the centralizer generator (r̄, J, ∂) at t_0-degree zero on
+    each vector u of ``vectors``, one image per vector:
     Σ_{J' ⊆ J} ± t^{-r̄'} ζ_{J'} · (ψ_{t^{r̄'} ζ_{J∖J'} ∂} u
-    - r_0 t^{r̄'} ζ_{J∖J'} · φ̂_∂ u), for an Euler or odd tag ∂."""
+    - r_0 t^{r̄'} ζ_{J∖J'} · φ̂_∂ u), for an Euler or odd tag ∂.  The
+    generator's checks, subsets J' and parts are done once for the list."""
     sig, full = S.sig, S.sig.full()
     rbar = tuple(rbar)
     full.check_mono(rbar, jmask)  # a generator of the full algebra's centralizer
     alpha = sig.dir_of(full.check_tag(tag))
+    if any(u.sig != sig for u in vectors):
+        raise ValueError("signature mismatch")
+    mu, omega = S.mu, S.omega
     r0, rp = rbar[0], rbar[1:]
     neg = tuple(-x for x in rp)
     z = sig.zero_exps()
-    hat_u = S.phihat_parts(((alpha, z, 0, ONE),), u) if r0 else None
-    out = TensorVec.zero(sig)
+    if r0:
+        hats = [S.phihat_parts(((alpha, z, 0, ONE),), u) for u in vectors]
+        minus_r0 = Scalar(-r0)
+    outs = [TensorVec.zero(sig) for _ in vectors]
     for jp in subsets_of_mask(jmask):
         rest = jmask ^ jp
         sign = Scalar(-1) if (mask_size(jp) + tau(jp, rest)) & 1 else ONE
-        inner = S.psi_parts(((alpha, rp, rest, ONE),), u)  # a fresh container
-        if r0:
-            inner._iadd(hat_u, Scalar(-r0), (rp, rest))
-        out._iadd(inner, sign, (neg, jp))
+        # fresh containers, one per vector
+        inners = _twisted(sig, mu, omega, ((alpha, rp, rest, ONE),), vectors)
+        for i, inner in enumerate(inners):
+            if r0:
+                inner._iadd(hats[i], minus_r0, (rp, rest))
+            outs[i]._iadd(inner, sign, (neg, jp))
     if jmask == 0:  # the J = ∅ generator carries the correction -1 # ∂
-        out._iadd(S.psi_parts(((alpha, z, 0, Scalar(-1)),), u))
-    return out
+        for out, corr in zip(outs, _twisted(sig, mu, omega,
+                                            ((alpha, z, 0, Scalar(-1)),), vectors)):
+            out._iadd(corr)
+    return outs
 
 
-def t_act_gens(gens: dict, u: TensorVec, S: QPStructure) -> TensorVec:
-    """Extend t_act linearly over generator-coefficient dictionaries."""
-    out = TensorVec.zero(S.sig)
+def t_act_gens(gens: dict, vectors, S: QPStructure) -> list[TensorVec]:
+    """Extend t_act linearly over generator-coefficient dictionaries, one
+    image per vector of ``vectors``."""
+    outs = [TensorVec.zero(S.sig) for _ in vectors]
     for (rbar, jmask, tag), c in gens.items():
-        out._iadd(t_act(rbar, jmask, tag, u, S), Scalar.of(c))
-    return out
+        c = Scalar.of(c)
+        for out, image in zip(outs, t_act(rbar, jmask, tag, vectors, S)):
+            out._iadd(image, c)
+    return outs
 
 
 # ---------- the kernel of the odd actions and the induced gl-module ----------

@@ -86,7 +86,7 @@ class VectorField(Sparse):
 
     @staticmethod
     def basis(sig: Signature, tag, coeff=1) -> "VectorField":
-        return VectorField(sig, {(sig.zero_exps(), 0, tag): coeff})
+        return VectorField._one_term(sig, (sig.zero_exps(), 0, tag), coeff)
 
     @staticmethod
     def from_poly_tag(coeff_poly: SuperPoly, tag) -> "VectorField":

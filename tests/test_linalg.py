@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinehart.linalg import (
+    Echelon,
     nullspace,
     rank,
     rref,
     solve,
     solve_columns,
 )
-from rinehart.scalars import Scalar
+from rinehart.scalars import ONE, Scalar
 
 MAX_DIM = 12
 
@@ -322,3 +323,96 @@ def test_sparse_kernel_matches_the_dense_oracle(system):
     assert [dense(x, n) for x in solve_columns(vectors, targets)] == oracle_solve_columns(
         keys, vectors, targets)
     assert vectors + targets == snapshot
+
+
+# ---------- rank's disjoint-support shortcut ----------
+
+@st.composite
+def rank_inputs(draw):
+    """Sparse vectors keyed like ``TensorVec.terms``, shuffled: a run with
+    pairwise disjoint supports (often the whole input), possibly vectors
+    that overlap it, empty dicts, and explicit zero entries, a Scalar or
+    an int 0, in any of them."""
+    keys = draw(st.lists(st.sampled_from(TENSOR_KEYS), min_size=1, max_size=10, unique=True))
+    pool = list(keys)
+    vectors = []
+    while pool and draw(st.booleans()):
+        size = draw(st.integers(1, min(3, len(pool))))
+        vectors.append({k: draw(nonzero) for k in pool[:size]})
+        pool = pool[size:]
+    for _ in range(draw(st.integers(0, 3))):
+        support = draw(st.sets(st.sampled_from(keys), min_size=1, max_size=4))
+        vectors.append({k: draw(nonzero) for k in support})
+    vectors += [{} for _ in range(draw(st.integers(0, 2)))]
+    for v in vectors:
+        if draw(st.booleans()):
+            v[draw(st.sampled_from(keys))] = draw(st.sampled_from((Scalar(0), 0)))
+    return keys, draw(st.permutations(vectors))
+
+
+def _disjoint(vectors):
+    supports = [{k for k, c in v.items() if c} for v in vectors]
+    return sum(map(len, supports)) == len(set().union(*supports))
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=rank_inputs(), lazy=st.booleans())
+def test_rank_matches_the_dense_oracle(system, lazy):
+    """rank counts nonzero vectors with disjoint supports and eliminates
+    otherwise; either way it is the dense rank, for a list or a generator,
+    and it leaves its input alone."""
+    keys, vectors = system
+    snapshot = [dict(v) for v in vectors]
+    scalars = [{k: Scalar.of(c) for k, c in v.items()} for v in vectors]
+    want = len(naive_rref(as_columns(keys, scalars))[1]) if vectors else 0
+    got = rank(v for v in vectors) if lazy else rank(vectors)
+    assert got == want
+    if _disjoint(vectors):
+        assert got == sum(1 for v in vectors if any(v.values()))
+    assert vectors == snapshot
+
+
+def test_rank_examples():
+    one, two = Scalar(1), Scalar(2)
+    assert rank([]) == 0 and rank(iter([])) == 0
+    assert rank([{}, {"a": Scalar(0)}, {"b": 0}]) == 0
+    assert rank([{"a": one}, {"b": two, "a": 0}, {"c": one, "d": one}]) == 3
+    assert rank([{"a": one, "b": one}, {"b": two, "c": one}]) == 2  # overlap, independent
+    assert rank([{"a": one, "b": one}, {"a": two, "b": two}]) == 1  # overlap, dependent
+    assert rank({"k": one} for _ in range(3)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=sparse_systems())
+def test_unit_pivots_store_what_the_division_stores(system):
+    """A pivot whose lead is 1 skips the division: every stored row and
+    tracked coefficient equals the division path's, for inputs whose
+    pivots are unit and non-unit alike."""
+    _, vectors, _ = system
+
+    class Dividing(Echelon):
+        __slots__ = ()
+
+        def add(self, vec):
+            rest, x = self.reduce(vec)
+            if rest:
+                key = next(iter(rest))
+                inv = ONE / rest[key]
+                row = {k: c * inv for k, c in rest.items() if k != key}
+                coeffs = {**{i: -(c * inv) for i, c in x.items()}, self.added: inv}
+                self.rows[key] = (len(self.rows), row, coeffs)
+            self.added += 1
+            return rest, x
+
+    units = [{k: c / v[next(iter(v))] for k, c in v.items()} if v else v
+             for v in vectors]
+    for inputs in (vectors, units, [w for pair in zip(vectors, units) for w in pair]):
+        fast, slow = Echelon(track=True), Dividing(track=True)
+        for v in inputs:
+            assert fast.add(v) == slow.add(v)
+        assert fast.rows == slow.rows
+        for (_, row, coeffs), (_, want_row, want_coeffs) in zip(
+                fast.rows.values(), slow.rows.values()):
+            assert list(row.items()) == list(want_row.items())
+            assert list(coeffs.items()) == list(want_coeffs.items())
+            assert all(type(c) is Scalar for c in [*row.values(), *coeffs.values()])

@@ -448,15 +448,8 @@ def test_theta_losing_a_vector_fails_bijectivity(monkeypatch, capsys):
     }
 
 
-def test_theta_leaking_out_of_its_block_trips_the_leak_guard(monkeypatch, capsys):
-    """θ moving the image of the first domain vector, t^-1 ⊗ e_0, into the
-    next t-exponent block (times t_1).  Every block alone still has full
-    rank, so only the leak guard sees the fault: it ranks the whole box in
-    one call, where the moved image repeats θ(1 ⊗ e_0), and the report is
-    the one a single ranking of the box gives."""
-    code, clean = checks_of(capsys, "iso")
-    assert code == 0
-    total = {c["id"]: c["cases"] for c in clean}["iso.bijective"]
+def plant_leaking_theta(monkeypatch):
+    """θ moving the image of t^-1 ⊗ e_0 into the next block, times t_1."""
     orig = tensorqp.theta_transport
 
     def leaking(w, omega_basis, S):
@@ -466,6 +459,18 @@ def test_theta_leaking_out_of_its_block_trips_the_leak_guard(monkeypatch, capsys
         return out
 
     plant(monkeypatch, orig, leaking)
+
+
+def test_theta_leaking_out_of_its_block_trips_the_leak_guard(monkeypatch, capsys):
+    """θ moving the image of the first domain vector, t^-1 ⊗ e_0, into the
+    next t-exponent block (times t_1).  Every block alone still has full
+    rank, so only the leak guard sees the fault: it ranks the whole box in
+    one call, where the moved image repeats θ(1 ⊗ e_0), and the report is
+    the one a single ranking of the box gives."""
+    code, clean = checks_of(capsys, "iso")
+    assert code == 0
+    total = {c["id"]: c["cases"] for c in clean}["iso.bijective"]
+    plant_leaking_theta(monkeypatch)
     ranked = []
     rank = linalg.rank
 
@@ -482,6 +487,28 @@ def test_theta_leaking_out_of_its_block_trips_the_leak_guard(monkeypatch, capsys
                        f"rank {total - 1} of {total}, target {total}"})
             if c["id"] == "iso.bijective" else c for c in clean]
     assert checks == want
+
+
+def test_rank_counting_overlapping_supports_fails_its_examples_and_hides_the_leak(
+        monkeypatch, capsys):
+    """rank taking its disjoint-support shortcut where supports overlap, so
+    that it counts every nonzero vector.  Every per-block rank of
+    iso.bijective is disjoint, so no suite sees the fault alone; Tier-1's
+    rank examples fail.  Under the leaking θ of the row above, the leak
+    guard's whole-box rank now counts the repeated image, and the failing
+    report moves back to the clean one."""
+    import test_linalg
+
+    code, clean = checks_of(capsys, "iso")
+    assert code == 0
+    plant_edit(monkeypatch, linalg, linalg.rank,
+               "if len(seen) != before + len(support):", "if False:")
+    monkeypatch.setattr(test_linalg, "rank", linalg.rank)
+    with pytest.raises(AssertionError):
+        test_linalg.test_rank_examples()
+    assert checks_of(capsys, "iso") == (0, clean)
+    plant_leaking_theta(monkeypatch)
+    assert checks_of(capsys, "iso") == (0, clean)
 
 
 @pytest.mark.parametrize("which,old,new", [
@@ -516,18 +543,17 @@ def test_t_act_without_the_empty_j_correction_fails_the_square_ideal(
     phi.bridge, which compares t_act with the φ operators of θ(ψ(gen)),
     sees it when a J = ∅ generator is drawn."""
     assert all_failed(capsys, m, n, lambda: plant_edit(
-        monkeypatch, tensorqp, tensorqp.t_act,
-        "out._iadd(S.psi_parts(((alpha, z, 0, Scalar(-1)),), u))", "pass")) == expected
+        monkeypatch, tensorqp, tensorqp.t_act, "out._iadd(corr)", "pass")) == expected
 
 
 def test_t_act_adding_into_its_input_fails_the_aliasing_guard(monkeypatch):
-    """t_act accumulating into the vector u it acts on, not into a fresh
-    output: the Tier-1 guard sees u changed after the call."""
+    """t_act accumulating into the vectors it acts on, not into fresh
+    outputs: the Tier-1 guard sees them changed after the call."""
     from test_tensorqp import composites_keep_their_inputs
 
     composites_keep_their_inputs(1, 2)
     plant_edit(monkeypatch, tensorqp, tensorqp.t_act,
-               "out = TensorVec.zero(sig)", "out = u")
+               "outs = [TensorVec.zero(sig) for _ in vectors]", "outs = list(vectors)")
     with pytest.raises(AssertionError):
         composites_keep_their_inputs(1, 2)
 

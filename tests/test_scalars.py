@@ -232,3 +232,28 @@ def test_unit_int_products_of_the_sampled_scalars():
 @given(x=gaussians)
 def test_unit_int_products_of_gaussian_values(x):
     _unit_product_holds(x)
+
+
+def _negation_holds(x):
+    """-x is `_reduced`'s canonical triple for (-p, -q, d), over the same d,
+    and a new Scalar that leaves x as it was."""
+    before = (x.p, x.q, x.d)
+    want = _reduced(-x.p, -x.q, x.d)
+    got = -x
+    assert type(got) is Scalar and got is not x
+    assert (got.p, got.q, got.d) == (want.p, want.q, want.d) == (-x.p, -x.q, x.d)
+    assert_canonical(got)
+    assert got == x * -1 and -got == x
+    assert (x.p, x.q, x.d) == before
+
+
+def test_negation_of_the_sampled_scalars():
+    assert len(_SCALARS) == 21
+    for x in _SCALARS:
+        _negation_holds(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=gaussians)
+def test_negation_of_gaussian_values(x):
+    _negation_holds(x)

@@ -70,9 +70,10 @@ def test_make_x_and_t_act_reject_a_plain_tag(structure12):
     with pytest.raises(ValueError, match="no direction"):
         make_X(Signature(1, 1), (0, 1), 0, ("dt", 1))
     with pytest.raises(ValueError, match="no direction"):
-        t_act((0, 1), 0, ("dt", 1), u, S)
+        t_act((0, 1), 0, ("dt", 1), [u], S)
     assert make_X(Signature(1, 1), (0, 1), 0, ("d", 1)).is_degree_zero()
-    assert isinstance(t_act((0, 1), 0, ("d", 1), u, S), TensorVec)
+    image, = t_act((0, 1), 0, ("d", 1), [u], S)
+    assert isinstance(image, TensorVec)
 
 
 def test_smash_terms_store_no_plain_tag(sig12, sampler):

@@ -114,7 +114,7 @@ def test_arithmetic_matches_plain_dicts(cls, data):
     _check(a - b, cls, _ref_combine(ra, rb, -1))
     _check(a - a, cls, {})
     _check(-a, cls, _ref_build({k: c * -1 for k, c in ra.items()}))
-    for s in (0, 1, -3, Fraction(2, 3), Scalar(0), Scalar(Fraction(1, 2), -1)):
+    for s in (0, 1, -1, -3, Fraction(2, 3), Scalar(0), Scalar(Fraction(1, 2), -1)):
         ref = _ref_build({k: c * s for k, c in ra.items()})
         _check(a * s, cls, ref)
         _check(s * a, cls, ref)
@@ -524,3 +524,76 @@ def test_check_all_calls_the_public_constructor_rarely(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_12
     assert len(calls) <= 400
+
+
+@pytest.mark.parametrize("cls", list(KINDS), ids=lambda c: c.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_int_factors_equal_the_scalar_products(cls, data):
+    """x·k for an int k takes no Scalar product for k = ±1 and passes other
+    ints to `Scalar.__mul__`; each result equals x·Scalar(k) term for term
+    and in order, and is a container of its own that leaves x unchanged."""
+    sig, terms = KINDS[cls]
+    x = cls(sig, data.draw(terms))
+    before = list(x.terms.items())
+    for k in (1, -1, 2, -3, 0):
+        for got in (x * k, k * x):
+            _same(got, x * Scalar(k))
+            got._iadd_term(_any_key(cls), Scalar(7))
+            assert list(x.terms.items()) == before
+
+
+def _any_key(cls):
+    """One basis key of ``cls`` as stored over its KINDS signature."""
+    return {SuperPoly: ((0, 0), 0), VectorField: ((0, 0), 0, ("q", 1)),
+            QPElement: ((0,), 0, ("q", 1)), SmashElement: ((0, 0), 0, (0, 0), 0, None),
+            TensorVec: ((0,), 0, 0), GlMatrix: (0, 0)}[cls]
+
+
+def test_basis_constructors_equal_the_public_builds():
+    """`VectorField.basis`, `GlMatrix.elementary` and `TensorVec.basis`
+    check their key once and store it unchecked: each equals the public
+    build of the same term, a zero coefficient gives zero, a plain
+    ('dt', i) tag is stored by `euler_key`, and each call has a dict of
+    its own."""
+    for sig in (FULL, DOT, Signature(2, 1), Signature(2, 1, False)):
+        z = sig.zero_exps()
+        for tag in sig.tags("dtq"):
+            for c in (1, -2, Fraction(1, 3), Scalar(0, 1), 0, Scalar(0)):
+                _same(VectorField.basis(sig, tag, c), VectorField(sig, {(z, 0, tag): c}))
+            _same(VectorField.basis(sig, tag), VectorField(sig, {(z, 0, tag): 1}))
+        for a in sig.directions():
+            for b in sig.directions():
+                _same(GlMatrix.elementary(sig, a, b), GlMatrix(sig, {(a, b): 1}))
+        for mask in range(1 << sig.n):
+            for idx in (0, 3):
+                exps = tuple(range(sig.nvars))
+                _same(TensorVec.basis(sig, list(exps), mask, idx),
+                      TensorVec(sig, {(exps, mask, idx): 1}))
+                for c in (Fraction(-1, 2), Scalar(1, 1), 0):
+                    _same(TensorVec.basis(sig, exps, mask, idx, c),
+                          TensorVec(sig, {(exps, mask, idx): c}))
+    assert VectorField.basis(FULL, ("dt", 1)).terms == {((0, -1), 0, ("d", 1)): 1}
+    for make in (lambda: VectorField.basis(FULL, ("q", 1)),
+                 lambda: GlMatrix.elementary(FULL, 0, 1),
+                 lambda: TensorVec.basis(DOT, (0,), 0, 0)):
+        a, b = make(), make()
+        assert a.terms is not b.terms
+
+
+@pytest.mark.parametrize("make,exc", [
+    (lambda: VectorField.basis(DOT11, ("d", 0)), ValueError),
+    (lambda: VectorField.basis(DOT11, ("dt", 0), 0), ValueError),
+    (lambda: VectorField.basis(FULL, ("q", 3)), ValueError),
+    (lambda: VectorField.basis(FULL, ("x", 1)), ValueError),
+    (lambda: VectorField.basis(FULL, ("q", 1), 0.5), TypeError),
+    (lambda: GlMatrix.elementary(FULL, 0, 4), ValueError),
+    (lambda: GlMatrix.elementary(FULL, -1, 0), ValueError),
+    (lambda: TensorVec.basis(DOT, (0, 0), 0, 0), ValueError),
+    (lambda: TensorVec.basis(DOT, (0,), 4, 0), ValueError),
+    (lambda: TensorVec.basis(DOT, (0,), 0, -1), ValueError),
+    (lambda: TensorVec.basis(DOT, (0,), 0, 0, 1.5), TypeError),
+], ids=range(11))
+def test_basis_constructors_refuse_malformed_input(make, exc):
+    with pytest.raises(exc):
+        make()

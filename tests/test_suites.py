@@ -329,3 +329,31 @@ def test_bijective_ranks_once_per_block(ranked, m, n):
     assert code == 0
     dim = natural_module(m, n).dim
     assert [size for size, _ in ranked] == [(1 << n) * dim] * 3 ** m
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 3)])
+def test_bijective_blocks_take_the_disjoint_shortcut(monkeypatch, m, n):
+    """Each block's images t^e ζ_M ⊗ e_j are single terms at distinct
+    keys, so every per-block rank counts them without an Echelon."""
+    inside, built = [], []
+    rank = linalg.rank
+
+    class Watched(linalg.Echelon):
+        __slots__ = ()
+
+        def __init__(self, track=False):
+            built.append(bool(inside))
+            super().__init__(track)
+
+    def watched(vectors):
+        inside.append(True)
+        try:
+            return rank(vectors)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "Echelon", Watched)
+    monkeypatch.setattr(linalg, "rank", watched)
+    code, _ = run_suite(SuiteConfig(m=m, n=n, deg=2, samples=2, suites=("iso",)))
+    assert code == 0
+    assert built and True not in built

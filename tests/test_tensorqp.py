@@ -326,7 +326,7 @@ def test_t_act_is_degree_zero_slice(structure12, sampler):
         v = sampler.tensor(dot, S.omega)
         looped = t0_slices(loop_smash_act(make_X(full, *gen), t0_embed(0, v), S))
         assert set(looped) <= {0}
-        assert t_act(*gen, v, S) == looped.get(0, TensorVec.zero(dot))
+        assert t_act(*gen, [v], S) == [looped.get(0, TensorVec.zero(dot))]
 
 
 # ---------- generator action at t0-degree zero ----------
@@ -335,18 +335,19 @@ def test_t_act_examples(structure12):
     S = structure12
     dot = S.sig
     # ((1,0,...), ∅, d_1) acts as -phihat_{d_1}: on 1⊗e_1 gives 1⊗E_{0,1}e_1
-    got = t_act((1, 0), 0, ("d", 1), unit_vec(dot, 1), S)
+    got, = t_act((1, 0), 0, ("d", 1), [unit_vec(dot, 1)], S)
     assert got == unit_vec(dot, 0)
     # ((0,...), {k}, Q_l) realizes the odd elementary matrices
     for k in (1, 2):
         for l in (1, 2):
             for v in range(S.omega.dim):
-                got = t_act((0, 0), 1 << (k - 1), ("q", l), unit_vec(dot, v), S)
+                got, = t_act((0, 0), 1 << (k - 1), ("q", l), [unit_vec(dot, v)], S)
                 want = TensorVec.zero(dot)
                 for u, cu in S.omega.column(1 + k, 1 + l, v):
                     want._iadd_term((dot.zero_exps(), 0, u), cu)
                 assert got == want
-    assert t_act((1, 0), 0b1, ("d", 0), TensorVec.zero(dot), S).is_zero()
+    assert t_act((1, 0), 0b1, ("d", 0), [TensorVec.zero(dot)], S)[0].is_zero()
+    assert t_act((1, 0), 0b1, ("d", 0), [], S) == []
 
 
 def _t_act_reference(rbar, jmask, tag, u, S):
@@ -470,7 +471,7 @@ def test_term_level_composites_match_the_wrapper_formulas(m, n):
                 for jmask in (0, s.mask(n) or 1, (1 << n) - 1):
                     rbar = (r0,) + s.exps(S.sig)
                     u = vector()
-                    got = t_act(rbar, jmask, tag, u, T)
+                    got, = t_act(rbar, jmask, tag, [u], T)
                     assert got == _t_act_reference(rbar, jmask, tag, u, T), (
                         tag, rbar, jmask)
                     assert _terms(got) == _terms(_t_act_chain(rbar, jmask, tag, u, T))
@@ -479,7 +480,7 @@ def test_term_level_composites_match_the_wrapper_formulas(m, n):
             while len(gens) < len(coeffs):
                 gens[s.x_generator(S.sig.full())] = coeffs[len(gens)]
             u = vector()
-            got = t_act_gens(gens, u, T)
+            got, = t_act_gens(gens, [u], T)
             want, chain = TensorVec.zero(S.sig), TensorVec.zero(S.sig)
             for gen, c in gens.items():
                 want += _t_act_reference(*gen, u, T) * c
@@ -491,6 +492,39 @@ def test_term_level_composites_match_the_wrapper_formulas(m, n):
                 got = phi_operator(alpha, beta, T)(u)
                 assert got == _phi_operator_reference(alpha, beta, T)(u), (alpha, beta)
                 assert _terms(got) == _terms(_phi_operator_chain(alpha, beta, T)(u))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (2, 3)])
+def test_batched_t_act_equals_the_chain_per_vector(m, n):
+    """One t_act call over a list of vectors gives each vector the terms
+    of `_t_act_chain` on that vector alone, in the same order, as a
+    container of its own: for every generator tag (the odd ones too), r_0
+    zero and nonzero, J empty and full, over random vectors, the kernel
+    basis, the zero vector and a repeated vector.  t_act_gens likewise."""
+    omega = natural_module(m, n)
+    _, mu = admissible_mus(m, n)
+    S = QPStructure(Signature(m, n, False), omega, mu)
+    s = Sampler(random.Random(100 * m + n), deg=2)
+    randoms = [s.tensor(S.sig, omega) + s.tensor(S.sig, omega) for _ in range(3)]
+    vectors = randoms + omega_kernel(S) + [TensorVec.zero(S.sig), randoms[0]]
+    tags = S.sig.full().tags("dq")
+    assert ("d", 0) in tags and ("q", n) in tags
+    for tag in tags:
+        for r0 in (0, 3):
+            for jmask in (0, (1 << n) - 1):
+                rbar = (r0,) + s.exps(S.sig)
+                got = t_act(rbar, jmask, tag, vectors, S)
+                assert len({id(image) for image in got} | {id(v) for v in vectors}) == (
+                    2 * len(vectors) - 1)  # the repeated vector is one object
+                for u, image in zip(vectors, got):
+                    want = _t_act_chain(rbar, jmask, tag, u, S)
+                    assert _terms(image) == _terms(want), (tag, rbar, jmask)
+    gens = {s.x_generator(S.sig.full()): s.scalar() for _ in range(4)}
+    for u, image in zip(vectors, t_act_gens(gens, vectors, S)):
+        chain = TensorVec.zero(S.sig)
+        for gen, c in gens.items():
+            chain += _t_act_chain(*gen, u, S) * c
+        assert _terms(image) == _terms(chain), gens
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
@@ -532,10 +566,10 @@ def composites_keep_their_inputs(m, n):
             for jmask in (0, (1 << n) - 1):
                 gens[((r0,) + s.exps(S.sig), jmask, tag)] = s.scalar()
     before = copy.deepcopy(([_terms(v) for v in basis], omega.columns))
+    for gen in gens:
+        tensorqp.t_act(*gen, basis, S)
+    tensorqp.t_act_gens(gens, basis, S)
     for u in basis:
-        for gen in gens:
-            tensorqp.t_act(*gen, u, S)
-        tensorqp.t_act_gens(gens, u, S)
         for alpha in S.sig.directions():
             for beta in S.sig.directions():
                 tensorqp.phi_operator(alpha, beta, S)(u)
@@ -786,8 +820,7 @@ def test_bridge_identity(extracted, sampler):
     for _ in range(40):
         gen = sampler.x_generator(sig)
         mat = theta_project(psi_map({gen: Scalar(1)}, sig))
-        for u in basis:
-            direct = t_act(*gen, u, S)
+        for u, direct in zip(basis, t_act(*gen, basis, S)):
             through = TensorVec.zero(S.sig)
             for (a, b), c in mat.terms.items():
                 through += phi_operator(a, b, S)(u) * c
@@ -801,8 +834,7 @@ def test_square_ideal_annihilates_kernel(extracted, sampler):
     sig = S.sig.full()
     for _ in range(30):
         gens = _random_deep_gens(sampler, sig)
-        for u in basis:
-            assert t_act_gens(gens, u, S).is_zero()
+        assert all(image.is_zero() for image in t_act_gens(gens, basis, S))
 
 
 def test_weight_bookkeeping(structure12, sampler):
