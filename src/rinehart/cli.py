@@ -1,7 +1,7 @@
 """Command-line interface.
 
     rinehart check {all|koszul|...} [--m --n --deg --samples --seed
-                                     --module PATH --mu CSV --json]
+                                     --module PATH --json]
     rinehart eval act --expr FIELD --on POLY
     rinehart bracket --lhs LIT --rhs LIT [--dotted]
     rinehart x-element --r CSV --J CSV --tag D0|Qk
@@ -25,7 +25,6 @@ from .parser import (
     format_gl_matrix,
     format_smash,
     parse_element,
-    parse_scalar_literal,
 )
 from .smash import make_X, theta_project
 from .superpoly import Signature, filt_degree
@@ -55,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--samples", type=int, default=100)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--module", help="gl-module config JSON")
-    check.add_argument("--mu", help="comma-separated shift scalars")
     check.add_argument("--json", action="store_true", help="machine summary only")
 
     ev = sub.add_parser("eval", help="evaluate an action")
@@ -105,9 +103,6 @@ def _parse_tag(text: str, sig: Signature):
 
 
 def _cmd_check(args) -> int:
-    mu = None
-    if args.mu:
-        mu = tuple(parse_scalar_literal(part) for part in args.mu.split(","))
     cfg = SuiteConfig(
         m=args.m,
         n=args.n,
@@ -116,7 +111,6 @@ def _cmd_check(args) -> int:
         seed=args.seed,
         suites=(args.suite,),
         module_path=args.module,
-        mu=mu,
     )
     code, report = run_suite(cfg)
     if args.json:

@@ -15,7 +15,7 @@ gl(m+1, n) through the degree-one Taylor data.
 from __future__ import annotations
 
 from .glmatrix import GlMatrix
-from .scalars import ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar
 from .superpoly import (
     Signature,
     Sparse,
@@ -26,6 +26,8 @@ from .superpoly import (
     subsets_of_mask,
 )
 from .vectorfields import VectorField, field_entry, tag_parity
+
+_MINUS_ONE = Scalar(-1)
 
 
 def _term_parity(amask: int, bmask: int, tag) -> int:
@@ -177,18 +179,26 @@ def make_X(sig: Signature, rbar, jmask: int, tag) -> SmashElement:
     with J = ∅ it is t^{-r̄} # t^{r̄}∂ - 1 # ∂.  The tag ∂ must be an Euler
     or odd tag (a gl direction); a plain d/dt_i raises ValueError.
     """
+    return SmashElement._trusted(sig, dict(_x_terms(sig, rbar, jmask, tag)))
+
+
+def _x_terms(sig: Signature, rbar, jmask: int, tag) -> list:
+    """The terms (key, c) of `make_X`, checked, with distinct keys and the
+    shared ONE as every +1; `tensorqp.t_act` acts with them directly."""
     sig.dir_of(sig.check_tag(tag))
     rbar = tuple(rbar)
     sig.check_mono(rbar, jmask)
+    if not (jmask or any(rbar)):
+        return []  # 1 # ∂ - 1 # ∂
     neg = tuple(-r for r in rbar)
-    out = SmashElement.zero(sig)
+    out = []
     for imask in subsets_of_mask(jmask):
         rest = jmask ^ imask
-        sign = -1 if (mask_size(imask) + tau(imask, rest)) & 1 else 1
-        out._iadd_term((neg, imask, rbar, rest, tag), Scalar(sign))
+        odd = (mask_size(imask) + tau(imask, rest)) & 1
+        out.append(((neg, imask, rbar, rest, tag), _MINUS_ONE if odd else ONE))
     if jmask == 0:  # the correction -1 # ∂
         zero = sig.zero_exps()
-        out._iadd_term((zero, 0, zero, 0, tag), Scalar(-1))
+        out.append(((zero, 0, zero, 0, tag), _MINUS_ONE))
     return out
 
 

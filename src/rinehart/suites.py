@@ -82,13 +82,13 @@ from .vectorfields import (
 
 class SuiteConfig:
     """One `check` run: the signature (m, n), the sampling degree and size,
-    the seed, the suites, and an optional module config file and μ."""
+    the seed, the suites, and an optional module config file."""
 
     def __init__(self, m: int = 1, n: int = 1, deg: int = 2, samples: int = 100,
                  seed: int = 0, suites: tuple = ("all",),
-                 module_path: str | None = None, mu: tuple | None = None):
+                 module_path: str | None = None):
         self.m, self.n, self.deg, self.samples, self.seed = m, n, deg, samples, seed
-        self.suites, self.module_path, self.mu = suites, module_path, mu
+        self.suites, self.module_path = suites, module_path
 
 
 class CheckResult:
@@ -110,10 +110,11 @@ class CheckResult:
 
 
 class Env:
-    """Per-run state shared by the suites: signature, module and μ."""
+    """Per-run state shared by the suites: signature and module.  Each suite
+    takes its shifts μ from `admissible_mus`."""
 
-    def __init__(self, sig: Signature, omega: GlModule, mu: MuVector):
-        self.sig, self.omega, self.mu = sig, omega, mu
+    def __init__(self, sig: Signature, omega: GlModule):
+        self.sig, self.omega = sig, omega
         # Per-μ kernel bases and the modules built on them, filled on first use.
         self.cache = {}
 
@@ -121,8 +122,8 @@ class Env:
     def dotted(self) -> Signature:
         return self.sig.dotted()
 
-    def structure(self, mu: MuVector | None = None) -> QPStructure:
-        return QPStructure(self.dotted, self.omega, mu or self.mu)
+    def structure(self, mu: MuVector) -> QPStructure:
+        return QPStructure(self.dotted, self.omega, mu)
 
 
 def build_env(cfg: SuiteConfig) -> Env:
@@ -131,7 +132,7 @@ def build_env(cfg: SuiteConfig) -> Env:
                           f" deg={cfg.deg}, samples={cfg.samples}")
     sig = Signature(cfg.m, cfg.n, True)
     if cfg.module_path:
-        omega, mu = load_module_config(cfg.module_path)
+        omega = load_module_config(cfg.module_path)[0]  # its μ is checked on load, not used
         if (omega.m, omega.n) != (cfg.m, cfg.n):
             raise ConfigError(
                 f"module config is for gl({omega.m + 1},{omega.n}),"
@@ -139,10 +140,7 @@ def build_env(cfg: SuiteConfig) -> Env:
             )
     else:
         omega = natural_module(cfg.m, cfg.n)
-        mu = MuVector.zero(cfg.m, cfg.n)
-    if cfg.mu is not None:
-        mu = MuVector(cfg.m, cfg.n, cfg.mu)
-    return Env(sig=sig, omega=omega, mu=mu)
+    return Env(sig=sig, omega=omega)
 
 
 def _rng(cfg: SuiteConfig, name: str) -> random.Random:

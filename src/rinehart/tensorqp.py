@@ -9,26 +9,24 @@ action φ̂ that feeds the 0-th matrix row.  Directions α of gl(m+1, n)
 follow `Signature.dir_tag`; direction 0 is the algebra summand of
 Ȧ ⊕ Der(Ȧ), which a `QPElement` stores under the t_0-Euler tag ('d', 0).
 
-ψ on Ȧ ⊗ Ω and `shen_act` on the full A ⊗ Ω are one kernel, `_twisted`;
-on Ȧ direction 0 is the algebra summand, and `derive_mono` makes its
-derivative 0.  ψ and φ̂ (`QPStructure.psi_parts`, `phihat_parts`) take
-parts (α, exps, mask, coeff), one per term c·t^e ζ_M·∂_α, so the
-composite actions need not build QPElements, and the composites add each
-summand into one output with `Sparse._iadd`, in the term order that sums
-of containers would give: term order reaches `Echelon`'s pivot choice
-and the reports.  `_twisted`, the centralizer action `t_act` and
-`t_act_gens` take a list of vectors and return one image per vector,
-doing each part's and each generator's fixed work once for the list.
+ψ on Ȧ ⊗ Ω and `shen_act` on the full A ⊗ Ω are one kernel, `_twisted`,
+over a list of vectors; on Ȧ direction 0 is the algebra summand, which
+`derive_mono` does not differentiate.  ψ and φ̂ (`psi_parts`,
+`phihat_parts`) take parts (α, exps, mask, coeff), one per term
+c·t^e ζ_M·∂_α, and the composites add each summand into one output with
+`Sparse._iadd`, in the term order that sums of containers would give:
+term order reaches `Echelon`'s pivot choice and the reports.
 
-On top of the triple: the seven compatibility axioms; the loop module
-C[t_0^{±1}] ⊗ (Ȧ ⊗ Ω), stored flat as the full A ⊗ Ω and acted on slice
-by slice (`vectorfields.t0_slices`, each piece added back by
-`vectorfields._t0_iadd`), so that a check compares the loop
-action with `shen_act` and `left_mul` on one type; the action of
-degree-zero centralizer generators; the joint kernel of the odd
-derivation actions, built without a solve; the induced gl-representation
-on that kernel; and the comparison map sending a ⊗ ω to the algebra
-action of a on ω.
+Every module here is one over the smash product A # (C ⊕ Der A), and one
+kernel, `_smash_act`, applies smash terms to a t_0 slice of a list of
+vectors: `loop_smash_act`, `loop_g_act` (1 # u) and `loop_a_act` (f # 1)
+slice by slice on the loop module C[t_0^{±1}] ⊗ (Ȧ ⊗ Ω), stored flat as
+the full A ⊗ Ω (`vectorfields.t0_slices`, `_t0_iadd`) so that a check
+compares them with `shen_act` and `left_mul`, and the centralizer action
+`t_act` at t_0-degree zero on the terms of `smash.make_X`.  Also here:
+the seven compatibility axioms, the joint kernel of the odd derivation
+actions, built without a solve, the induced gl-representation on it, and
+the comparison map sending a ⊗ ω to the algebra action of a on ω.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from functools import lru_cache
 from . import linalg
 from .glmodules import GlModule, MuVector
 from .scalars import ONE, Scalar
-from .smash import SmashElement, tau
+from .smash import SmashElement, _x_terms
 from .superpoly import (
     Signature,
     Sparse,
@@ -46,7 +44,6 @@ from .superpoly import (
     derive_mono,
     mask_size,
     mono_mul,
-    subsets_of_mask,
 )
 from .vectorfields import (
     QPElement,
@@ -136,11 +133,13 @@ class QPStructure:
             p_alpha = sig.dir_parity(alpha)
             cols = columns[0, alpha]
             for (be, bm, idx), cw in w.terms.items():
-                col = cols[idx]
-                sign, e2, m2 = mono_mul(ae, am, be, bm)
-                if not (col and sign):
+                col = cols[idx]  # E_{0α} v, often 0
+                if not col:
                     continue
-                if not (mask_size(bm) & 1 and p_alpha):
+                sign, e2, m2 = mono_mul(ae, am, be, bm)
+                if not sign:
+                    continue
+                if not (bm.bit_count() & 1 and p_alpha):
                     sign = -sign
                 c2 = (cw if ca is ONE else ca * cw) * sign
                 for u, cu in col:
@@ -190,14 +189,14 @@ def _twisted(sig: Signature, mu: MuVector, omega: GlModule, parts,
     outs = [TensorVec._trusted(sig, {}) for _ in vectors]
     for alpha, ae, am, ca in parts:
         p_alpha, tag = table[alpha]
-        pa = mask_size(am) & 1
+        pa = am.bit_count() & 1
         mu_a = mu[alpha]
         dparts = [(p_beta, f, e, mask, columns[beta, alpha])
                   for beta, p_beta, f, e, mask in _derivatives(sig, ae, am)]
         for w, out in zip(vectors, outs):
             for (be, bm, idx), cw in w.terms.items():
                 coef = cw if ca is ONE else ca * cw
-                pb = mask_size(bm) & 1
+                pb = bm.bit_count() & 1
                 # ∂_α b + μ_α b: an Euler ∂_α keeps b's monomial, an odd one moves it
                 f, e, mask = derive_mono(tag, sig, be, bm)
                 if mask != bm:
@@ -295,105 +294,85 @@ def shen_act(f: SuperPoly, alpha: int, w: TensorVec, mu: MuVector,
     return _twisted(sig, mu, omega, parts, (w,))[0]
 
 
-# ---------- loop module structure ----------
+# ---------- the smash-term action ----------
 
-def loop_g_act(u: VectorField, w: TensorVec, S: QPStructure) -> TensorVec:
-    """The loop algebra (stored as Der(A), see `vectorfields.loop_bracket`)
-    on the loop module C[t_0^{±1}] ⊗ (Ȧ ⊗ Ω), stored as A ⊗ Ω, on the t_0
-    slices: (t_0^r ⊗ x)·(t_0^s ⊗ ω) = t_0^{r+s} ⊗ (ψ_x ω - r φ̂_x ω +
-    s φ_{π(x)} ω)."""
-    out = TensorVec.zero(w.sig)
-    vs = t0_slices(w)
-    for r, x in t0_slices(u).items():
-        a = x.a
-        for s, v in vs.items():
-            piece = S.psi(x, v)
-            if r:
-                piece = piece - r * S.phihat(x, v)
-            if s and a:
-                piece = piece + s * S.phi(a, v)
-            _t0_iadd(out, r + s, piece)
-    return out
-
-
-def loop_a_act(f: SuperPoly, w: TensorVec, S: QPStructure) -> TensorVec:
-    """(t_0^r ⊗ a)·(t_0^s ⊗ ω) = t_0^{r+s} ⊗ φ_a(ω), on the t_0 slices of the
-    full-signature f and w."""
-    out = TensorVec.zero(w.sig)
-    vs = t0_slices(w)
-    for r, a in t0_slices(f).items():
-        for s, v in vs.items():
-            _t0_iadd(out, r + s, S.phi(a, v))
-    return out
-
-
-def loop_smash_act(u: SmashElement, w: TensorVec, S: QPStructure) -> TensorVec:
-    """Action of A # (C ⊕ Der A) on the loop module A ⊗ Ω, termwise on the
-    t_0 slices of w:
+def _smash_act(terms, vectors, S: QPStructure, k: int) -> dict:
+    """The smash terms ((r̄, I, s̄, J, ∂), c) on the t_0 slice k of the loop
+    module, for each dotted vector v of ``vectors``:
 
     (t^{r̄}ζ_I # t^{s̄}ζ_J ∂) ∗ (t_0^k ⊗ v) = t_0^{r_0+s_0+k} ⊗
        φ_{t^{r̄'}ζ_I}( ψ_{t^{s̄'}ζ_J∂} v - s_0 φ_{t^{s̄'}ζ_J} φ̂_∂ v
-                       + k·[∂ = t_0-Euler]·φ_{t^{s̄'}ζ_J} v ).
-    """
+                       + k·[∂ = t_0-Euler]·φ_{t^{s̄'}ζ_J} v ),
+
+    and a unit term (∂ None) by φ_{t^{r̄'}ζ_I} alone.  Returns {t_0 shift:
+    [a fresh image per vector]}; φ̂_∂ v is built once per ∂, and summands
+    go in by `Sparse._iadd`, in the term order of the formula's chain."""
+    sig, mu, omega = S.sig, S.mu, S.omega
+    z = sig.zero_exps()
+    images, hats = {}, {}  # hats: α -> [φ̂_∂ v for each v]
+    for (ae, am, be, bm, tag), c in terms:
+        shift = ae[0] + be[0] + k
+        outs = images.get(shift)
+        if outs is None:
+            outs = images[shift] = [TensorVec._trusted(sig, {}) for _ in vectors]
+        if tag is None:
+            inners = vectors
+        else:
+            alpha, s0, b = sig.dir_of(tag), be[0], (be[1:], bm)
+            inners = _twisted(sig, mu, omega, ((alpha, b[0], bm, ONE),), vectors)
+            if s0:
+                if alpha not in hats:
+                    hats[alpha] = [S.phihat_parts(((alpha, z, 0, ONE),), v) for v in vectors]
+                minus_s0 = Scalar(-s0)
+                for inner, hat in zip(inners, hats[alpha]):
+                    if hat.terms:  # often empty: E_{0α} kills most of Ω
+                        inner._iadd(hat, minus_s0, b)
+            if k and alpha == 0:
+                for inner, v in zip(inners, vectors):
+                    inner._iadd(v, Scalar(k), b)
+        a = ae[1:]
+        a = (a, am) if am or a != z else None  # a unit a-side multiplies by nothing
+        for out, inner in zip(outs, inners):
+            if inner.terms:
+                out._iadd(inner, c, a)
+    return images
+
+
+def loop_smash_act(u: SmashElement, w: TensorVec, S: QPStructure) -> TensorVec:
+    """Action of A # (C ⊕ Der A) on the loop module C[t_0^{±1}] ⊗ (Ȧ ⊗ Ω),
+    stored as the full A ⊗ Ω: each t_0 slice of w by `_smash_act`, each
+    image added back at its t_0 shift."""
     if u.sig != w.sig or u.sig.dotted() != S.sig:
         raise ValueError("signature mismatch")
     out = TensorVec.zero(w.sig)
-    vs = t0_slices(w)
-    for (ae, am, be, bm, tag), c in u.terms.items():
-        r0, rp = ae[0], ae[1:]
-        apoly = SuperPoly.monomial(S.sig, rp, am)
-        if tag is None:
-            for k, v in vs.items():
-                _t0_iadd(out, r0 + k, S.phi(apoly, v), c)
-            continue
-        s0, sp = be[0], be[1:]
-        bpoly = SuperPoly.monomial(S.sig, sp, bm)
-        sub = QPElement.along(bpoly, tag)
-        hat = QPElement.along(SuperPoly.one(S.sig), tag)
-        for k, v in vs.items():
-            inner = S.psi(sub, v)
-            if s0:
-                inner = inner - s0 * S.phi(bpoly, S.phihat(hat, v))
-            if k and tag == ("d", 0):
-                inner = inner + k * S.phi(bpoly, v)
-            _t0_iadd(out, r0 + s0 + k, S.phi(apoly, inner), c)
+    for k, v in t0_slices(w).items():
+        for shift, (image,) in _smash_act(u.terms.items(), (v,), S, k).items():
+            _t0_iadd(out, shift, image)
     return out
 
 
+def loop_g_act(u: VectorField, w: TensorVec, S: QPStructure) -> TensorVec:
+    """The loop algebra (stored as Der(A), see `vectorfields.loop_bracket`)
+    on the loop module, as 1 # u: on the t_0 slices, (t_0^r ⊗ x)·(t_0^s ⊗ ω)
+    = t_0^{r+s} ⊗ (ψ_x ω - r φ̂_x ω + s φ_{π(x)} ω)."""
+    return loop_smash_act(SmashElement.from_field(u), w, S)
+
+
+def loop_a_act(f: SuperPoly, w: TensorVec, S: QPStructure) -> TensorVec:
+    """The algebra on the loop module, as f # 1: (t_0^r ⊗ a)·(t_0^s ⊗ ω) =
+    t_0^{r+s} ⊗ φ_a(ω)."""
+    return loop_smash_act(SmashElement.from_poly(f), w, S)
+
+
 def t_act(rbar, jmask: int, tag, vectors, S: QPStructure) -> list[TensorVec]:
-    """Action of the centralizer generator (r̄, J, ∂) at t_0-degree zero on
-    each vector u of ``vectors``, one image per vector:
-    Σ_{J' ⊆ J} ± t^{-r̄'} ζ_{J'} · (ψ_{t^{r̄'} ζ_{J∖J'} ∂} u
-    - r_0 t^{r̄'} ζ_{J∖J'} · φ̂_∂ u), for an Euler or odd tag ∂.  The
-    generator's checks, subsets J' and parts are done once for the list."""
-    sig, full = S.sig, S.sig.full()
-    rbar = tuple(rbar)
-    full.check_mono(rbar, jmask)  # a generator of the full algebra's centralizer
-    alpha = sig.dir_of(full.check_tag(tag))
+    """Action of the centralizer generator (r̄, J, ∂), ∂ an Euler or odd
+    tag, at t_0-degree zero on each vector of ``vectors``: the terms of
+    `smash.make_X`, whose t_0 shifts are all 0, by `_smash_act` at k = 0."""
+    sig = S.sig
+    terms = _x_terms(sig.full(), rbar, jmask, tag)
     if any(u.sig != sig for u in vectors):
         raise ValueError("signature mismatch")
-    mu, omega = S.mu, S.omega
-    r0, rp = rbar[0], rbar[1:]
-    neg = tuple(-x for x in rp)
-    z = sig.zero_exps()
-    if r0:
-        hats = [S.phihat_parts(((alpha, z, 0, ONE),), u) for u in vectors]
-        minus_r0 = Scalar(-r0)
-    outs = [TensorVec.zero(sig) for _ in vectors]
-    for jp in subsets_of_mask(jmask):
-        rest = jmask ^ jp
-        sign = Scalar(-1) if (mask_size(jp) + tau(jp, rest)) & 1 else ONE
-        # fresh containers, one per vector
-        inners = _twisted(sig, mu, omega, ((alpha, rp, rest, ONE),), vectors)
-        for i, inner in enumerate(inners):
-            if r0:
-                inner._iadd(hats[i], minus_r0, (rp, rest))
-            outs[i]._iadd(inner, sign, (neg, jp))
-    if jmask == 0:  # the J = ∅ generator carries the correction -1 # ∂
-        for out, corr in zip(outs, _twisted(sig, mu, omega,
-                                            ((alpha, z, 0, Scalar(-1)),), vectors)):
-            out._iadd(corr)
-    return outs
+    return _smash_act(terms, vectors, S, 0).get(0) or [TensorVec.zero(sig) for _ in vectors]
 
 
 def t_act_gens(gens: dict, vectors, S: QPStructure) -> list[TensorVec]:
@@ -403,7 +382,8 @@ def t_act_gens(gens: dict, vectors, S: QPStructure) -> list[TensorVec]:
     for (rbar, jmask, tag), c in gens.items():
         c = Scalar.of(c)
         for out, image in zip(outs, t_act(rbar, jmask, tag, vectors, S)):
-            out._iadd(image, c)
+            if image.terms:
+                out._iadd(image, c)
     return outs
 
 

@@ -176,22 +176,22 @@ def test_rep_check_failure_exit_code(tmp_path, capsys):
 
 
 def test_check_with_module_and_mu(tmp_path, capsys):
+    """A module config's μ is checked on load; the suites take their shifts
+    from `admissible_mus`."""
     from conftest import write_natural_config
 
     path = tmp_path / "nat.json"
     write_natural_config(path, 1, 1)
-    code = main(
-        ["check", "equalities", "--module", str(path), "--mu", "1/2,1/3+1i,0",
-         "--samples", "5"]
-    )
-    assert code == 0
+    assert main(["check", "equalities", "--module", str(path), "--samples", "5"]) == 0
 
 
-@pytest.mark.parametrize("mu", ["1+2,0,0", "0,2i+3i,0", "0,0,2i+1"])
-def test_mu_entry_with_a_tail_is_a_config_error(capsys, mu):
-    """Each entry of --mu is one scalar literal; '1+2' used to read as 3."""
-    assert main(["check", "qp", "--mu", mu, "--samples", "2"]) == 2
-    assert "expected 'end'" in capsys.readouterr().err
+def test_check_has_no_mu_option(capsys):
+    """No suite reads a shift from the command line, so `check` has no
+    --mu; argparse refuses it with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "qp", "--mu", "0,0,0", "--samples", "2"])
+    assert exc.value.code == 2
+    assert "--mu" in capsys.readouterr().err
 
 
 def test_config_scalar_with_a_tail_is_a_config_error():

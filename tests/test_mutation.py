@@ -167,14 +167,14 @@ def test_tau_zero_fails_the_check(monkeypatch, capsys, suite, expected):
 
 
 def test_psi_without_mu_fails_the_loop_check(monkeypatch, capsys):
+    """μ planted as 0 in the ψ that the smash-term kernel `_smash_act`
+    runs.  The loop actions then act for μ = 0, and loop.tensor_vs_loop,
+    which compares them with shen_act for the suite's μ, fails.  t_act runs
+    the same kernel, but there μ cancels: the products a·b of a
+    centralizer generator's terms sum to 0."""
     assert failed_checks(capsys, "loop") == (0, set())
-    orig = QPStructure.psi
-
-    def no_mu(S, x, w):
-        zero_mu = MuVector.zero(S.sig.m, S.sig.n)
-        return orig(QPStructure(S.sig, S.omega, zero_mu), x, w)
-
-    monkeypatch.setattr(QPStructure, "psi", no_mu)
+    plant_edit(monkeypatch, tensorqp, tensorqp._smash_act, "S.mu",
+               "MuVector.zero(S.sig.m, S.sig.n)")
     assert failed_checks(capsys, "loop") == (1, {"loop.tensor_vs_loop"})
 
 
@@ -329,8 +329,9 @@ def test_filt_degree_off_by_one_fails_the_filtration_checks(
 
 
 LOOP_ACTION_FAULTS = {
-    "algebra": (tensorqp, "loop_a_act", "_t0_iadd(out, r + s, S.phi(a, v))",
-                "_t0_iadd(out, r, S.phi(a, v))", {"loop.algebra_action", "loop.leibniz"}),
+    "algebra": (tensorqp, "_smash_act", "shift = ae[0] + be[0] + k",
+                "shift = ae[0] + be[0] + (k if tag else 0)",
+                {"loop.algebra_action", "loop.leibniz"}),
     "derivation": (vectorfields, "loop_apply_to_poly", "a * b * s", "a * b * -s",
                    {"loop.der_action", "loop.leibniz"}),
 }
@@ -339,8 +340,9 @@ LOOP_ACTION_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(LOOP_ACTION_FAULTS))
 @pytest.mark.parametrize("m,n", [("1", "1"), ("1", "2"), ("2", "2")])
 def test_loop_action_fault_fails_its_full_signature_check(monkeypatch, capsys, m, n, fault):
-    """A fault in one slice-by-slice loop action: `loop_a_act` adding φ_a(ω)
-    at t_0^r instead of t_0^{r+s}, or `loop_apply_to_poly` with -s·π(x)·b.
+    """A fault in one slice-by-slice loop action: the smash-term kernel
+    adding the algebra action of t_0^r ⊗ a on t_0^s ⊗ ω at t_0^r instead
+    of t_0^{r+s}, or `loop_apply_to_poly` with -s·π(x)·b.
     The same action on the same stored type, computed without the t_0
     split (`left_mul`, `VectorField.apply`), fails loop.algebra_action or
     loop.der_action; loop.leibniz, which uses both loop actions, fails too."""
@@ -532,28 +534,32 @@ def test_a_flipped_sign_in_one_operator_identity_fails_that_identity(
 
 
 @pytest.mark.parametrize("m,n,expected", [
-    ("1", "1", {"annihilate.square_ideal", "phi.bridge"}),
-    ("1", "2", {"annihilate.square_ideal"}),
-    ("2", "2", {"annihilate.square_ideal", "phi.bridge"}),
+    ("1", "1", {"annihilate.square_ideal", "centralizer.algebra", "phi.bridge"}),
+    ("1", "2", {"annihilate.square_ideal", "centralizer.algebra"}),
+    ("2", "2", {"annihilate.square_ideal", "centralizer.algebra", "phi.bridge"}),
 ])
 def test_t_act_without_the_empty_j_correction_fails_the_square_ideal(
         monkeypatch, capsys, m, n, expected):
-    """The -1 # ∂ term of a J = ∅ generator dropped from t_act.  The
-    square-ideal combinations then no longer annihilate the kernel;
-    phi.bridge, which compares t_act with the φ operators of θ(ψ(gen)),
-    sees it when a J = ∅ generator is drawn."""
+    """The -1 # ∂ term of a J = ∅ generator dropped from the terms that
+    make_X and t_act share.  The square-ideal combinations then no longer
+    annihilate the kernel, and the centralizer generators no longer close
+    under the bracket; phi.bridge, which compares t_act with the φ
+    operators of θ(ψ(gen)), sees it when a J = ∅ generator is drawn."""
     assert all_failed(capsys, m, n, lambda: plant_edit(
-        monkeypatch, tensorqp, tensorqp.t_act, "out._iadd(corr)", "pass")) == expected
+        monkeypatch, smash, smash._x_terms,
+        "out.append(((zero, 0, zero, 0, tag), _MINUS_ONE))", "pass")) == expected
 
 
 def test_t_act_adding_into_its_input_fails_the_aliasing_guard(monkeypatch):
-    """t_act accumulating into the vectors it acts on, not into fresh
-    outputs: the Tier-1 guard sees them changed after the call."""
+    """The smash-term kernel behind t_act accumulating into the vectors it
+    acts on, not into fresh outputs: the Tier-1 guard sees them changed
+    after the call."""
     from test_tensorqp import composites_keep_their_inputs
 
     composites_keep_their_inputs(1, 2)
-    plant_edit(monkeypatch, tensorqp, tensorqp.t_act,
-               "outs = [TensorVec.zero(sig) for _ in vectors]", "outs = list(vectors)")
+    plant_edit(monkeypatch, tensorqp, tensorqp._smash_act,
+               "outs = images[shift] = [TensorVec._trusted(sig, {}) for _ in vectors]",
+               "outs = images[shift] = list(vectors)")
     with pytest.raises(AssertionError):
         composites_keep_their_inputs(1, 2)
 

@@ -36,6 +36,7 @@ from rinehart.tensorqp import (
 from rinehart.vectorfields import (
     QPElement,
     VectorField,
+    _t0_iadd,
     loop_apply_to_poly,
     loop_bracket,
     t0_embed,
@@ -313,6 +314,92 @@ def test_loop_smash_act_factors(structure12, sampler):
         via_g = loop_g_act(t0_embed(be[0], qp), w, S)
         want = loop_a_act(SuperPoly.monomial(full, ae, am), via_g, S)
         assert loop_smash_act(u, w, S) == want
+
+
+def _loop_g_act_chain(u, w, S):
+    """loop_g_act as a chain of containers over the public ψ, φ and φ̂, on
+    the t_0 slices."""
+    out = TensorVec.zero(w.sig)
+    vs = t0_slices(w)
+    for r, x in t0_slices(u).items():
+        a = x.a
+        for s, v in vs.items():
+            piece = S.psi(x, v)
+            if r:
+                piece = piece - r * S.phihat(x, v)
+            if s and a:
+                piece = piece + s * S.phi(a, v)
+            _t0_iadd(out, r + s, piece)
+    return out
+
+
+def _loop_a_act_chain(f, w, S):
+    """loop_a_act the same way."""
+    out = TensorVec.zero(w.sig)
+    vs = t0_slices(w)
+    for r, a in t0_slices(f).items():
+        for s, v in vs.items():
+            _t0_iadd(out, r + s, S.phi(a, v))
+    return out
+
+
+def _loop_smash_act_chain(u, w, S):
+    """loop_smash_act the same way, termwise."""
+    out = TensorVec.zero(w.sig)
+    vs = t0_slices(w)
+    for (ae, am, be, bm, tag), c in u.terms.items():
+        r0, rp = ae[0], ae[1:]
+        apoly = SuperPoly.monomial(S.sig, rp, am)
+        if tag is None:
+            for k, v in vs.items():
+                _t0_iadd(out, r0 + k, S.phi(apoly, v), c)
+            continue
+        s0, sp = be[0], be[1:]
+        bpoly = SuperPoly.monomial(S.sig, sp, bm)
+        sub = QPElement.along(bpoly, tag)
+        hat = QPElement.along(SuperPoly.one(S.sig), tag)
+        for k, v in vs.items():
+            inner = S.psi(sub, v)
+            if s0:
+                inner = inner - s0 * S.phi(bpoly, S.phihat(hat, v))
+            if k and tag == ("d", 0):
+                inner = inner + k * S.phi(bpoly, v)
+            _t0_iadd(out, r0 + s0 + k, S.phi(apoly, inner), c)
+    return out
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+def test_loop_actions_equal_their_container_chains(m, n):
+    """loop_smash_act, loop_g_act and loop_a_act, one slice loop over the
+    smash-term kernel, equal the container chains above on multi-term
+    inputs: unit (a # 1) terms, every tag with s_0 zero and not, the
+    t_0-Euler ('d', 0) on slices k ≠ 0, the odd tags, and the zero
+    vector.  The kernel's term order is checked by the t_act tests; here
+    only values are compared."""
+    omega = natural_module(m, n)
+    _, mu = admissible_mus(m, n)
+    S = QPStructure(Signature(m, n, False), omega, mu)
+    full = S.sig.full()
+    s = Sampler(random.Random(7 * m + n), deg=2)
+    tags = [None] + full.tags("dq")
+    assert ("d", 0) in tags and ("q", n) in tags
+    for draw in range(8):
+        terms = {}
+        for i, tag in enumerate(tags):
+            s0 = (0, 1, -2)[(draw + i) % 3] if tag else 0
+            be = (s0,) + s.exps(S.sig) if tag else full.zero_exps()
+            key = (s.exps(full), s.mask(n), be, s.mask(n) if tag else 0, tag)
+            terms[key] = s.scalar()
+        u = SmashElement(full, terms) + s.smash_homogeneous(full)
+        x = s.field(full, terms=3) + s.loop_qp(full)
+        f = s.poly(full, terms=3)
+        w = t0_embed(0, s.tensor(S.sig, omega)) + t0_embed(-1, s.tensor(S.sig, omega))
+        w += s.loop_tensor(full, omega)
+        assert {0, -1} <= set(t0_slices(w))
+        for v in (w, TensorVec.zero(full)):
+            assert loop_smash_act(u, v, S) == _loop_smash_act_chain(u, v, S)
+            assert loop_g_act(x, v, S) == _loop_g_act_chain(x, v, S)
+            assert loop_a_act(f, v, S) == _loop_a_act_chain(f, v, S)
 
 
 def test_t_act_is_degree_zero_slice(structure12, sampler):

@@ -34,7 +34,6 @@ EXEMPT = {
     "rref": "perfbench/tracer.py wraps it as the linalg.rref span; dense adapter over Echelon",
     "omega_extract": "perfbench/tracer.py wraps it as the tensorqp.omega_extract span;"
                      " the tests' oracle for omega_kernel",
-    "loop_smash_act": "paper construction; a suite check would move the golden hashes",
     "special_partial": "paper construction; a suite check would move the golden hashes",
     "module_to_dict": "the config writer, inverse of module_from_dict; only tests write configs",
     "matmul": "perfbench/tracer.py wraps it as linalg.matmul; tests/test_glmodules.py's dense reference",
@@ -50,17 +49,18 @@ SHARED = {
     "basis": "TensorVec.basis and VectorField.basis both build basis vectors in suites",
     "derive": "the module function; the SuperPoly.derive method delegates to it",
     "dotted": "Signature.dotted; the suites' Env.dotted wraps it",
-    "from_field": "SmashElement.from_field in the centralizer suite; QPElement.from_field in"
-                  " QPElement.of and the Sampler",
-    "from_poly": "SmashElement.from_poly in the centralizer suite; QPElement.from_poly in"
-                 " QPElement.of, QPElement.pair, the Sampler and the qp axioms",
+    "from_field": "SmashElement.from_field in tensorqp.loop_g_act and the centralizer suite;"
+                  " QPElement.from_field in QPElement.of and the Sampler",
+    "from_poly": "SmashElement.from_poly in tensorqp.loop_a_act and the centralizer suite;"
+                 " QPElement.from_poly in QPElement.of, QPElement.pair, the Sampler and the"
+                 " qp axioms",
     "is_zero": "Scalar and Sparse each test their own zero",
     "monomial": "Sampler.monomial draws one at random; SuperPoly.monomial builds one",
     "of": "Scalar.of and QPElement.of each coerce into their own type",
     "phihat_parts": "QPStructure.phihat_parts, read by t_act and phi_operator; the qp suite's"
                     " self-test mutant overrides it",
     "scalar": "Sampler.scalar draws one at random; SuperPoly.scalar builds one",
-    "zero": "Sparse.zero; MuVector.zero is the default shift of suites.build_env",
+    "zero": "Sparse.zero; MuVector.zero is the zero shift that the tests build structures with",
 }
 
 
