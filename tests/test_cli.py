@@ -194,6 +194,20 @@ def test_check_has_no_mu_option(capsys):
     assert "--mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mu", ["1+2,0,0", "0,2i+3i,0", "0,0,2i+1"])
+def test_mu_entry_with_a_tail_is_a_config_error(tmp_path, capsys, mu):
+    """Each entry of a module config's `mu` is one scalar literal; '1+2'
+    used to read as 3. `check --module` refuses the file with exit 2."""
+    from conftest import natural_config_dict
+
+    doc = natural_config_dict(1, 1)
+    doc["mu"] = mu.split(",")
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "qp", "--module", str(path), "--samples", "2"]) == 2
+    assert "expected 'end'" in capsys.readouterr().err
+
+
 def test_config_scalar_with_a_tail_is_a_config_error():
     from conftest import natural_config_dict
     from rinehart.config import ConfigError, module_from_dict
