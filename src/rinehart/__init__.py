@@ -36,7 +36,6 @@ from .tensorqp import (
     omega_greedy,
     omega_kernel,
     phi_images,
-    phi_operator,
     qp_axiom_check,
     rho_of,
     shen_act,

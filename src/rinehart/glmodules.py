@@ -30,10 +30,6 @@ class MuVector:
         self.n = n
         self.values = values
 
-    @staticmethod
-    def zero(m: int, n: int) -> "MuVector":
-        return MuVector(m, n, (0,) * (m + n + 1))
-
     def __getitem__(self, alpha: int) -> Scalar:
         return self.values[alpha]
 

@@ -517,8 +517,8 @@ class _NoPhihat(QPStructure):
 
     __slots__ = ()
 
-    def phihat_parts(self, parts, w):
-        return TensorVec.zero(self.sig)
+    def phihat_parts(self, parts, vectors):
+        return [TensorVec.zero(self.sig) for _ in vectors]
 
 
 def _axiom_rows(S: QPStructure, s: Sampler, draws: int, label: str = "") -> list:
@@ -769,7 +769,9 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
         for j, direct in enumerate(t_act(*gen, basis, S)):
             through = TensorVec.zero(dotted)
             for ab, c in mat.terms.items():
-                through._iadd(phi[ab][j], c)
+                image = phi[ab][j]
+                if image.terms:  # often empty: most E_ab kill most of Ω
+                    through._iadd(image, c)
             yield None if direct == through else f"gen={gen}"
 
     def weight_shift():

@@ -9,24 +9,27 @@ action φ̂ that feeds the 0-th matrix row.  Directions α of gl(m+1, n)
 follow `Signature.dir_tag`; direction 0 is the algebra summand of
 Ȧ ⊕ Der(Ȧ), which a `QPElement` stores under the t_0-Euler tag ('d', 0).
 
-ψ on Ȧ ⊗ Ω and `shen_act` on the full A ⊗ Ω are one kernel, `_twisted`,
-over a list of vectors; on Ȧ direction 0 is the algebra summand, which
-`derive_mono` does not differentiate.  ψ and φ̂ (`psi_parts`,
-`phihat_parts`) take parts (α, exps, mask, coeff), one per term
-c·t^e ζ_M·∂_α, and the composites add each summand into one output with
+The structure is the one actor: every ψ and φ̂ goes through its list
+methods `psi_parts` and `phihat_parts`, which take parts (α, exps, mask,
+coeff), one per term c·t^e ζ_M·∂_α, and a list of vectors, one image per
+vector.  ψ runs the kernel `_twisted`, whose one other caller, `shen_act`
+on the full A ⊗ Ω, is the loop checks' independent reference; on Ȧ
+direction 0 is the algebra summand, which `derive_mono` does not
+differentiate.  Composites add each summand into one output with
 `Sparse._iadd`, in the term order that sums of containers would give:
 term order reaches `Echelon`'s pivot choice and the reports.
 
 Every module here is one over the smash product A # (C ⊕ Der A), and one
 kernel, `_smash_act`, applies smash terms to a t_0 slice of a list of
-vectors: `loop_smash_act`, `loop_g_act` (1 # u) and `loop_a_act` (f # 1)
-slice by slice on the loop module C[t_0^{±1}] ⊗ (Ȧ ⊗ Ω), stored flat as
-the full A ⊗ Ω (`vectorfields.t0_slices`, `_t0_iadd`) so that a check
-compares them with `shen_act` and `left_mul`, and the centralizer action
-`t_act` at t_0-degree zero on the terms of `smash.make_X`.  Also here:
-the seven compatibility axioms, the joint kernel of the odd derivation
-actions, built without a solve, the induced gl-representation on it, and
-the comparison map sending a ⊗ ω to the algebra action of a on ω.
+vectors through the structure: `loop_smash_act`, `loop_g_act` (1 # u)
+and `loop_a_act` (f # 1) slice by slice on the loop module
+C[t_0^{±1}] ⊗ (Ȧ ⊗ Ω), stored flat as the full A ⊗ Ω
+(`vectorfields.t0_slices`, `_t0_iadd`) so that a check compares them
+with `shen_act` and `left_mul`, and the centralizer action `t_act` at
+t_0-degree zero on the terms of `smash.make_X`.  Also here: the seven
+compatibility axioms, the joint kernel of the odd derivation actions,
+built without a solve, the induced gl-representation on it, and the
+comparison map sending a ⊗ ω to the algebra action of a on ω.
 """
 
 from __future__ import annotations
@@ -89,8 +92,10 @@ class TensorVec(Sparse):
 
 class QPStructure:
     """Module Ω, shift vector μ̄, and the actions φ, ψ, φ̂ on Ȧ ⊗ Ω.  ψ and
-    φ̂ take an element (`psi`, `phihat`) or its parts (α, e, M, c), one per
-    term c·t^e ζ_M·∂_α (`psi_parts`, `phihat_parts`)."""
+    φ̂ act on a list of vectors by parts (α, e, M, c), one per term
+    c·t^e ζ_M·∂_α (`psi_parts`, `phihat_parts`), and on one vector by an
+    element (`psi`, `phihat`); a subclass that overrides the list methods
+    changes every action built on them."""
 
     __slots__ = ("sig", "omega", "mu")
 
@@ -111,40 +116,42 @@ class QPStructure:
         return w.left_mul(a)
 
     def psi(self, x, w: TensorVec) -> TensorVec:
-        return self.psi_parts(_alpha_parts(self.sig, x), w)
+        return self.psi_parts(_alpha_parts(self.sig, x), (w,))[0]
 
     def phihat(self, x, w: TensorVec) -> TensorVec:
-        return self.phihat_parts(_alpha_parts(self.sig, x), w)
+        return self.phihat_parts(_alpha_parts(self.sig, x), (w,))[0]
 
-    def psi_parts(self, parts, w: TensorVec) -> TensorVec:
-        if w.sig != self.sig:
+    def psi_parts(self, parts, vectors) -> list[TensorVec]:
+        if any(w.sig != self.sig for w in vectors):
             raise ValueError("signature mismatch")
-        return _twisted(self.sig, self.mu, self.omega, parts, (w,))[0]
+        return _twisted(self.sig, self.mu, self.omega, parts, vectors)
 
-    def phihat_parts(self, parts, w: TensorVec) -> TensorVec:
-        """With a = c·t^e ζ_M, each term b ⊗ v of w goes to
-        -(-1)^{|b||α|} a·b ⊗ E_{0α} v."""
+    def phihat_parts(self, parts, vectors) -> list[TensorVec]:
+        """With a = c·t^e ζ_M, each term b ⊗ v of each vector goes to
+        -(-1)^{|b||α|} a·b ⊗ E_{0α} v; a part's column E_{0α} is looked up
+        once for all the vectors."""
         sig = self.sig
-        if w.sig != sig:
+        if any(w.sig != sig for w in vectors):
             raise ValueError("signature mismatch")
         columns = self.omega.columns
-        out = TensorVec.zero(sig)
+        outs = [TensorVec._trusted(sig, {}) for _ in vectors]
         for alpha, ae, am, ca in parts:
             p_alpha = sig.dir_parity(alpha)
             cols = columns[0, alpha]
-            for (be, bm, idx), cw in w.terms.items():
-                col = cols[idx]  # E_{0α} v, often 0
-                if not col:
-                    continue
-                sign, e2, m2 = mono_mul(ae, am, be, bm)
-                if not sign:
-                    continue
-                if not (bm.bit_count() & 1 and p_alpha):
-                    sign = -sign
-                c2 = (cw if ca is ONE else ca * cw) * sign
-                for u, cu in col:
-                    out._iadd_term((e2, m2, u), c2 if cu is ONE else c2 * cu)
-        return out
+            for w, out in zip(vectors, outs):
+                for (be, bm, idx), cw in w.terms.items():
+                    col = cols[idx]  # E_{0α} v, often 0
+                    if not col:
+                        continue
+                    sign, e2, m2 = mono_mul(ae, am, be, bm)
+                    if not sign:
+                        continue
+                    if not (bm.bit_count() & 1 and p_alpha):
+                        sign = -sign
+                    c2 = (cw if ca is ONE else ca * cw) * sign
+                    for u, cu in col:
+                        out._iadd_term((e2, m2, u), c2 if cu is ONE else c2 * cu)
+        return outs
 
 
 def _alpha_parts(sig: Signature, x):
@@ -305,9 +312,10 @@ def _smash_act(terms, vectors, S: QPStructure, k: int) -> dict:
                        + k·[∂ = t_0-Euler]·φ_{t^{s̄'}ζ_J} v ),
 
     and a unit term (∂ None) by φ_{t^{r̄'}ζ_I} alone.  Returns {t_0 shift:
-    [a fresh image per vector]}; φ̂_∂ v is built once per ∂, and summands
-    go in by `Sparse._iadd`, in the term order of the formula's chain."""
-    sig, mu, omega = S.sig, S.mu, S.omega
+    [a fresh image per vector]}.  ψ and φ̂ come from the structure's list
+    methods, φ̂_∂ once per ∂, and summands go in by `Sparse._iadd`, in the
+    term order of the formula's chain."""
+    sig = S.sig
     z = sig.zero_exps()
     images, hats = {}, {}  # hats: α -> [φ̂_∂ v for each v]
     for (ae, am, be, bm, tag), c in terms:
@@ -319,10 +327,10 @@ def _smash_act(terms, vectors, S: QPStructure, k: int) -> dict:
             inners = vectors
         else:
             alpha, s0, b = sig.dir_of(tag), be[0], (be[1:], bm)
-            inners = _twisted(sig, mu, omega, ((alpha, b[0], bm, ONE),), vectors)
+            inners = S.psi_parts(((alpha, b[0], bm, ONE),), vectors)
             if s0:
                 if alpha not in hats:
-                    hats[alpha] = [S.phihat_parts(((alpha, z, 0, ONE),), v) for v in vectors]
+                    hats[alpha] = S.phihat_parts(((alpha, z, 0, ONE),), vectors)
                 minus_s0 = Scalar(-s0)
                 for inner, hat in zip(inners, hats[alpha]):
                     if hat.terms:  # often empty: E_{0α} kills most of Ω
@@ -416,7 +424,7 @@ def omega_extract(basis: list[TensorVec], S: QPStructure) -> list[TensorVec]:
         return []
     images = []
     for dk in _odd_units(S.sig):
-        images.extend(S.psi_parts(dk, v) for v in basis)
+        images.extend(S.psi_parts(dk, basis))
     cols = _solve_in(basis, images, "span is not invariant under the odd actions")
     d = len(basis)
     # Column j stacks the coordinates of every ψ_{∂_k} of basis vector j.
@@ -447,7 +455,7 @@ def omega_greedy(u: TensorVec, S: QPStructure) -> TensorVec:
         vec = u
         for k in range(1, S.sig.n + 1):
             if mask & (1 << (k - 1)):
-                vec = S.psi_parts(psis[k - 1], vec)
+                vec, = S.psi_parts(psis[k - 1], (vec,))
                 if vec.is_zero():
                     break
         if not vec.is_zero():
@@ -469,24 +477,21 @@ def omega_kernel(S: QPStructure) -> list[TensorVec]:
     K, and dim K ≤ dim Ω.  (The argument needs only that ψ_{∂_k} − ∂_k ⊗ id
     never lowers the ζ-degree; the tests check that filtration property.)
 
-    Checked here: every result is killed by every ψ_{∂_k}, and the ζ^0
-    parts of the results are independent, so the results are dim Ω
-    independent vectors of K and span it.  If either check fails the
+    Checked here, on all the results at once: every result is killed by
+    every ψ_{∂_k}, and their ζ^0 parts are independent, so the results are
+    dim Ω independent vectors of K and span it.  If either check fails the
     result is [], which every check over the kernel refuses.
     """
     sig = S.sig
     z = sig.zero_exps()
     top = (1 << sig.n) - 1
-    psis = _odd_units(sig)
+    out = [omega_greedy(TensorVec.basis(sig, z, top, j), S) for j in range(S.omega.dim)]
+    if any(image for dk in _odd_units(sig) for image in S.psi_parts(dk, out)):
+        return []
     ech = linalg.Echelon()
-    out = []
-    for j in range(S.omega.dim):
-        v = omega_greedy(TensorVec.basis(sig, z, top, j), S)
-        if any(S.psi_parts(dk, v) for dk in psis):
-            return []
-        if not ech.add({key: c for key, c in v.terms.items() if not key[1]})[0]:
-            return []
-        out.append(v)
+    if not all(ech.add({key: c for key, c in v.terms.items() if not key[1]})[0]
+               for v in out):
+        return []
     return out
 
 
@@ -507,53 +512,42 @@ def rho_of(S: QPStructure, omega_basis: list[TensorVec]) -> MuVector:
     return MuVector(S.sig.m, S.sig.n, [*weights.pop()] + [Scalar(0)] * S.sig.n)
 
 
-def _minus_unit(sig: Signature, beta: int) -> tuple:
-    """The parts of -∂_β, the minus sign in the coefficient."""
-    return ((beta, sig.zero_exps(), 0, Scalar(-1)),)
-
-
-def phi_operator(alpha: int, beta: int, S: QPStructure):
-    """The induced gl-action operator for the elementary index (α, β):
-    ``op(w)``, or ``op(w, base)`` with base = ψ_{-∂_β} w already built,
-    which every α ≠ 0 adds in (α = 0 ignores it)."""
-    sig = S.sig
-    if alpha not in sig.directions() or beta not in sig.directions():
-        raise ValueError("elementary index out of range")
-    z = sig.zero_exps()
-    minus_unit = _minus_unit(sig, beta)
-    if alpha == 0:
-        return lambda w, base=None: S.phihat_parts(minus_unit, w)
-    kind, i = sig.dir_tag(alpha)
-    if kind == "d":
-        p = sig.tpos(i)
-        ti = z[:p] + (1,) + z[p + 1:]
-        tinv = (z[:p] + (-1,) + z[p + 1:], 0)
-
-        def op(w, base=None):  # t_i^{-1}·ψ_{t_i ∂_β} w - ψ_{∂_β} w
-            out = TensorVec.zero(sig)
-            out._iadd(S.psi_parts(((beta, ti, 0, ONE),), w), ONE, tinv)
-            out._iadd(S.psi_parts(minus_unit, w) if base is None else base)
-            return out
-        return op
-    zi = 1 << (i - 1)
-
-    def op(w, base=None):  # ψ_{ζ_i ∂_β} w - ζ_i·ψ_{∂_β} w, into the fresh first term
-        out = S.psi_parts(((beta, z, zi, ONE),), w)
-        out._iadd(S.psi_parts(minus_unit, w) if base is None else base, ONE, (z, zi))
-        return out
-    return op
-
-
 def phi_images(S: QPStructure, vectors: list[TensorVec]) -> dict:
-    """φ_ab of each vector: ``{(a, b): [φ_ab(v_0), ...]}``, with each
-    ψ_{-∂_b} v built once and shared by every a."""
-    dirs = S.sig.directions()
-    bases = {b: [S.psi_parts(_minus_unit(S.sig, b), v) for v in vectors] for b in dirs}
+    """The induced gl-action operators φ_ab on each vector: ``{(a, b):
+    [φ_ab(v_0), ...]}``.  ψ_{-∂_b} acts on the whole list once per b, shared
+    by every a; then each φ_ab acts on the whole list:
+
+        φ_0b = φ̂_{-∂_b},
+        φ_ab = t_i^{-1}·ψ_{t_i ∂_b} + ψ_{-∂_b}   (a the t_i-Euler direction),
+        φ_ab = ψ_{ζ_i ∂_b} + ζ_i·ψ_{-∂_b}        (a the ζ_i direction),
+
+    each sum added into a container of its own."""
+    sig = S.sig
+    dirs = sig.directions()
+    z = sig.zero_exps()
+    minus = Scalar(-1)
+    bases = {b: S.psi_parts(((b, z, 0, minus),), vectors) for b in dirs}
     images = {}
     for a in dirs:
+        kind, i = sig.dir_tag(a)
+        if kind == "d" and i:
+            p = sig.tpos(i)
+            ti, tinv = z[:p] + (1,) + z[p + 1:], (z[:p] + (-1,) + z[p + 1:], 0)
         for b in dirs:
-            op = phi_operator(a, b, S)
-            images[(a, b)] = [op(v, base) for v, base in zip(vectors, bases[b])]
+            if a == 0:
+                outs = S.phihat_parts(((b, z, 0, minus),), vectors)
+            elif kind == "d":
+                outs = [TensorVec._trusted(sig, {}) for _ in vectors]
+                lifted = S.psi_parts(((b, ti, 0, ONE),), vectors)
+                for out, image, base in zip(outs, lifted, bases[b]):
+                    out._iadd(image, ONE, tinv)
+                    out._iadd(base)
+            else:
+                zi = 1 << (i - 1)
+                outs = S.psi_parts(((b, z, zi, ONE),), vectors)
+                for out, base in zip(outs, bases[b]):
+                    out._iadd(base, ONE, (z, zi))
+            images[a, b] = outs
     return images
 
 
@@ -600,7 +594,7 @@ def tprime_weight(S: QPStructure, w: TensorVec) -> tuple:
     if w.is_zero():
         raise ValueError("the zero vector has no weight")
     z = S.sig.zero_exps()
-    return tuple(_eigen_scalar(w, S.psi_parts(((i, z, 0, ONE),), w))
+    return tuple(_eigen_scalar(w, S.psi_parts(((i, z, 0, ONE),), (w,))[0])
                  for i in range(S.sig.m + 1))
 
 

@@ -15,9 +15,14 @@ def zero_action_module(m, n, dim, parities=None):
                     {(a, b): [[]] * dim for a in dirs for b in dirs})
 
 
+def zero_mu(m, n):
+    """The zero shift vector at (m, n)."""
+    return MuVector(m, n, (0,) * (m + n + 1))
+
+
 def natural_config_dict(m, n):
     """The config document of the natural module at (m, n), μ = 0."""
-    return module_to_dict(natural_module(m, n), MuVector.zero(m, n))
+    return module_to_dict(natural_module(m, n), zero_mu(m, n))
 
 
 def write_natural_config(path, m, n):

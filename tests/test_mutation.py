@@ -7,13 +7,14 @@ import sys
 import textwrap
 
 import pytest
+from conftest import zero_mu
 
 from rinehart import (
     glmatrix, linalg, sampling, scalars, smash, superpoly, tensorqp, vectorfields,
 )
 from rinehart.cli import main
 from rinehart.glmatrix import GlMatrix
-from rinehart.glmodules import GlModule, MuVector, natural_module
+from rinehart.glmodules import GlModule, natural_module
 from rinehart.parser import parse_element
 from rinehart.sampling import Sampler
 from rinehart.scalars import Scalar
@@ -167,14 +168,14 @@ def test_tau_zero_fails_the_check(monkeypatch, capsys, suite, expected):
 
 
 def test_psi_without_mu_fails_the_loop_check(monkeypatch, capsys):
-    """μ planted as 0 in the ψ that the smash-term kernel `_smash_act`
-    runs.  The loop actions then act for μ = 0, and loop.tensor_vs_loop,
-    which compares them with shen_act for the suite's μ, fails.  t_act runs
-    the same kernel, but there μ cancels: the products a·b of a
-    centralizer generator's terms sum to 0."""
+    """μ planted as 0 in the structure that `loop_smash_act` hands to the
+    smash-term kernel `_smash_act`.  The loop actions then act for μ = 0,
+    and loop.tensor_vs_loop, which compares them with shen_act for the
+    suite's μ, fails."""
     assert failed_checks(capsys, "loop") == (0, set())
-    plant_edit(monkeypatch, tensorqp, tensorqp._smash_act, "S.mu",
-               "MuVector.zero(S.sig.m, S.sig.n)")
+    plant_edit(monkeypatch, tensorqp, tensorqp.loop_smash_act, "(v,), S, k)",
+               "(v,), QPStructure(S.sig, S.omega, MuVector(S.sig.m, S.sig.n,"
+               " [0] * len(S.mu.values))), k)")
     assert failed_checks(capsys, "loop") == (1, {"loop.tensor_vs_loop"})
 
 
@@ -209,7 +210,7 @@ def shifted_mu(S, slot):
     """S.mu with 1 added at ``slot``; an odd slot gets past MuVector's guard."""
     values = list(S.mu.values)
     values[slot] = values[slot] + 1
-    mu = MuVector.zero(S.sig.m, S.sig.n)
+    mu = zero_mu(S.sig.m, S.sig.n)
     mu.values = tuple(values)
     return mu
 
@@ -253,17 +254,18 @@ def test_psi_lowering_the_zeta_degree_fails_the_filtration_test(monkeypatch):
     test fails."""
     from test_tensorqp import psi_keeps_the_zeta_filtration
 
-    S = QPStructure(Signature(2, 3, False), natural_module(2, 3), MuVector.zero(2, 3))
+    S = QPStructure(Signature(2, 3, False), natural_module(2, 3), zero_mu(2, 3))
     psi_keeps_the_zeta_filtration(S)
     orig = QPStructure.psi_parts
 
-    def lowering(S, parts, w):
-        out = orig(S, parts, w)
-        for (e, mask, j), c in w.terms.items():
-            if mask_size(mask) >= 2:
-                low = mask & (mask - 1)  # the lowest ζ dropped
-                out._iadd_term((e, low & (low - 1), j), c)
-        return out
+    def lowering(S, parts, vectors):
+        outs = orig(S, parts, vectors)
+        for w, out in zip(vectors, outs):
+            for (e, mask, j), c in w.terms.items():
+                if mask_size(mask) >= 2:
+                    low = mask & (mask - 1)  # the lowest ζ dropped
+                    out._iadd_term((e, low & (low - 1), j), c)
+        return outs
 
     monkeypatch.setattr(QPStructure, "psi_parts", lowering)
     with pytest.raises(AssertionError):

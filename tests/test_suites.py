@@ -77,41 +77,35 @@ def test_check_phi_applies_phi_operator_only_for_the_images_and_unit_action(
         counted, monkeypatch):
     """One image table serves the induced module, phi.bridge and
     phi.unit_action (at (1,2) the kernel basis is the unit vectors), and
-    it applies ψ_{-∂_β} once per (β, basis vector), shared by every α."""
-    callers = Counter()
-    orig = tensorqp.phi_operator
-
-    def recorded(*args):
-        callers[sys._getframe(1).f_code.co_name] += 1
-        return orig(*args)
-
-    monkeypatch.setattr(tensorqp, "phi_operator", recorded)
+    it applies ψ_{-∂_β} once per β, to the whole list of basis vectors,
+    shared by every α."""
     minus = Counter()
     orig_psi = tensorqp.QPStructure.psi_parts
 
-    def psi_parts(S, parts, w):
+    def psi_parts(S, parts, vectors):
         frame = sys._getframe(1)
         while frame and frame.f_code.co_name != "phi_images":
             frame = frame.f_back
         (beta, e, mask, c), *more = parts
         if frame and not more and not (any(e) or mask) and c == -1:
-            minus[beta, tuple(w.terms.items())] += 1
-        return orig_psi(S, parts, w)
+            minus[beta, tuple(tuple(v.terms.items()) for v in vectors)] += 1
+        return orig_psi(S, parts, vectors)
 
     monkeypatch.setattr(tensorqp.QPStructure, "psi_parts", psi_parts)
     code, report = run_suite(SuiteConfig(m=1, n=2, samples=3, seed=4, suites=("phi",)))
     assert code == 0 and report["failures"] == 0
     assert counted["phi_images"] == 1
-    assert callers == {"phi_images": 16}
-    units = [(((0,), 0, v), Scalar(1)) for v in range(4)]
-    assert minus == {(beta, (unit,)): 1 for beta in range(4) for unit in units}
+    units = tuple(((((0,), 0, v), Scalar(1)),) for v in range(4))
+    assert minus == {(beta, units): 1 for beta in range(4)}
 
 
 def test_kernel_suites_twisted_calls(monkeypatch):
-    """A work guard: each φ image and each ψ_{-∂_β} v is built once, so
-    the kernel suites at (2,3) call the ψ kernel `_twisted` at most 1066
-    times (1570 when unit_action rebuilt the kernel's images and every α
-    rebuilt ψ_{-∂_β} v)."""
+    """A work guard: each φ image and each ψ_{-∂_β} v is built once, and
+    every ψ acts on a whole list of vectors, so the kernel suites at (2,3)
+    call the ψ kernel `_twisted` at most 281 times (476 when the φ images
+    and the kernel check applied ψ one vector at a time, 1570 when
+    unit_action rebuilt the kernel's images and every α rebuilt
+    ψ_{-∂_β} v)."""
     calls = Counter()
     orig = tensorqp._twisted
 
@@ -123,7 +117,7 @@ def test_kernel_suites_twisted_calls(monkeypatch):
     cfg = SuiteConfig(m=2, n=3, deg=2, samples=20, seed=0, suites=KERNEL_SUITES)
     code, report = run_suite(cfg)
     assert code == 0 and report["failures"] == 0
-    assert calls["_twisted"] <= 1066
+    assert calls["_twisted"] <= 281
 
 
 def test_unit_action_never_reads_the_kernel(monkeypatch):

@@ -1,9 +1,11 @@
 import copy
 import inspect
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import zero_action_module, zero_mu
 
 from rinehart import linalg, tensorqp
 from rinehart.glmodules import MuVector, natural_module, rep_check
@@ -24,7 +26,6 @@ from rinehart.tensorqp import (
     omega_greedy,
     omega_kernel,
     phi_images,
-    phi_operator,
     qp_axiom_check,
     rho_of,
     shen_act,
@@ -60,7 +61,7 @@ def degree_zero_basis(S):
 def test_shen_act_examples(sig11):
     sig = sig11
     omega = natural_module(1, 1)
-    mu = MuVector.zero(1, 1)
+    mu = zero_mu(1, 1)
     # f = 1: pure derivation part
     g = SuperPoly.monomial(sig, (2, 1), 0)
     w = TensorVec.basis(sig, (2, 1), 0, 0)
@@ -201,10 +202,8 @@ def test_qp_axioms_all_pass(structure12):
 
 
 def test_qp_axioms_zero_module():
-    from conftest import zero_action_module
-
     dot = Signature(1, 1, False)
-    zero = QPStructure(dot, zero_action_module(1, 1, 0), MuVector.zero(1, 1))
+    zero = QPStructure(dot, zero_action_module(1, 1, 0), zero_mu(1, 1))
     results = axiom_results(zero, 10, 4)
     assert len(results) == 7 and all(r.passed for r in results.values()), results
 
@@ -457,8 +456,8 @@ def _t_act_reference(rbar, jmask, tag, u, S):
     return out
 
 
-def _phi_operator_reference(alpha, beta, S):
-    """phi_operator built the same way."""
+def _phi_reference(alpha, beta, S):
+    """The induced operator φ_αβ on one vector, built the same way."""
     sig = S.sig
     tag = sig.dir_tag(beta)
     unit = QPElement.along(SuperPoly.one(sig), tag)
@@ -483,28 +482,31 @@ def _t_act_chain(rbar, jmask, tag, u, S):
     r0, rp = rbar[0], tuple(rbar[1:])
     neg = tuple(-x for x in rp)
     z = sig.zero_exps()
-    hat_u = S.phihat_parts(((alpha, z, 0, Scalar(1)),), u) if r0 else None
+    hat_u = S.phihat_parts(((alpha, z, 0, Scalar(1)),), [u])[0] if r0 else None
     out = TensorVec.zero(sig)
     for jp in subsets_of_mask(jmask):
         rest = jmask ^ jp
         sign = -1 if (mask_size(jp) + tau(jp, rest)) & 1 else 1
-        inner = S.psi_parts(((alpha, rp, rest, Scalar(1)),), u)
+        inner = S.psi_parts(((alpha, rp, rest, Scalar(1)),), [u])[0]
         if r0:
             inner += hat_u.left_mul_terms((((rp, rest), Scalar(-r0)),))
         out += inner.left_mul_terms((((neg, jp), Scalar(sign)),))
     if jmask == 0:
-        out += S.psi_parts(((alpha, z, 0, Scalar(-1)),), u)
+        out += S.psi_parts(((alpha, z, 0, Scalar(-1)),), [u])[0]
     return out
 
 
-def _phi_operator_chain(alpha, beta, S):
-    """phi_operator as the same kind of container chain."""
+def _phi_chain(alpha, beta, S):
+    """φ_αβ on one vector as the same kind of container chain."""
     sig = S.sig
-    psi = S.psi_parts
     z = sig.zero_exps()
     minus_unit = ((beta, z, 0, Scalar(-1)),)
+
+    def psi(parts, w):
+        return S.psi_parts(parts, [w])[0]
+
     if alpha == 0:
-        return lambda w: S.phihat_parts(minus_unit, w)
+        return lambda w: S.phihat_parts(minus_unit, [w])[0]
     kind, i = sig.dir_tag(alpha)
     if kind == "d":
         p = sig.tpos(i)
@@ -526,18 +528,18 @@ class _PsiAsPhihat(QPStructure):
 
     __slots__ = ()
 
-    def phihat_parts(self, parts, w):
-        return self.psi_parts(parts, w)
+    def phihat_parts(self, parts, vectors):
+        return self.psi_parts(parts, vectors)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 3)])
 def test_term_level_composites_match_the_wrapper_formulas(m, n):
-    """t_act, t_act_gens and phi_operator pass term parts to the kernels
-    and add into one output; they agree with the same formulas written
-    over SuperPoly and QPElement operators, for every generator tag (the
-    algebra summand ('d', 0), the Euler t-derivations, the odd ones), r_0
-    zero and nonzero, J empty and not, generator coefficients 0, 1, -1
-    and non-real, every elementary index (α, β), and the non-real
+    """t_act, t_act_gens and phi_images pass term parts to the kernels
+    and add into outputs of their own; they agree with the same formulas
+    written over SuperPoly and QPElement operators, for every generator
+    tag (the algebra summand ('d', 0), the Euler t-derivations, the odd
+    ones), r_0 zero and nonzero, J empty and not, generator coefficients
+    0, 1, -1 and non-real, every elementary index (α, β), and the non-real
     admissible μ; a replaced φ̂ (here ψ) is followed by all three.  Their
     terms come in the order of the container chains above."""
     omega = natural_module(m, n)
@@ -573,12 +575,11 @@ def test_term_level_composites_match_the_wrapper_formulas(m, n):
                 want += _t_act_reference(*gen, u, T) * c
                 chain += _t_act_chain(*gen, u, T) * c
             assert got == want and _terms(got) == _terms(chain), gens
-        for alpha in S.sig.directions():
-            for beta in S.sig.directions():
-                u = vector()
-                got = phi_operator(alpha, beta, T)(u)
-                assert got == _phi_operator_reference(alpha, beta, T)(u), (alpha, beta)
-                assert _terms(got) == _terms(_phi_operator_chain(alpha, beta, T)(u))
+        us = [vector() for _ in range(3)]
+        for (alpha, beta), images in phi_images(T, us).items():
+            for u, got in zip(us, images):
+                assert got == _phi_reference(alpha, beta, T)(u), (alpha, beta)
+                assert _terms(got) == _terms(_phi_chain(alpha, beta, T)(u))
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (2, 3)])
@@ -616,10 +617,10 @@ def test_batched_t_act_equals_the_chain_per_vector(m, n):
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
 def test_phi_images_equal_the_operators(m, n):
-    """phi_images shares each ψ_{-∂_b} v over every a, and still gives
-    φ_ab(v) as phi_operator(a, b, S)(v) does, term for term and in order,
-    for both admissible μ, random vectors and the kernel basis, and a
-    replaced φ̂ (here ψ)."""
+    """phi_images acts on the whole list and shares each ψ_{-∂_b} v over
+    every a, and still gives each φ_ab(v) the terms of the one-vector chain
+    `_phi_chain`, in order, for both admissible μ, random vectors and the
+    kernel basis, and a replaced φ̂ (here ψ)."""
     omega = natural_module(m, n)
     s = Sampler(random.Random(7 * m + n), deg=2)
     for mu in admissible_mus(m, n):
@@ -631,12 +632,12 @@ def test_phi_images_equal_the_operators(m, n):
             dirs = T.sig.directions()
             assert list(images) == [(a, b) for a in dirs for b in dirs]
             for (a, b), got in images.items():
-                want = [phi_operator(a, b, T)(v) for v in vs]
+                want = [_phi_chain(a, b, T)(v) for v in vs]
                 assert [_terms(g) for g in got] == [_terms(w) for w in want], (a, b)
 
 
 def composites_keep_their_inputs(m, n):
-    """Run t_act, t_act_gens and every φ operator on the kernel basis at
+    """Run t_act, t_act_gens and phi_images on the kernel basis at
     (m, n).  The composites add into containers of their own, so
     the basis vectors (each also the u acted on) and the module's stored
     columns must come out equal, in term order too, to deep copies taken
@@ -656,16 +657,69 @@ def composites_keep_their_inputs(m, n):
     for gen in gens:
         tensorqp.t_act(*gen, basis, S)
     tensorqp.t_act_gens(gens, basis, S)
-    for u in basis:
-        for alpha in S.sig.directions():
-            for beta in S.sig.directions():
-                tensorqp.phi_operator(alpha, beta, S)(u)
+    tensorqp.phi_images(S, basis)
     assert ([_terms(v) for v in basis], omega.columns) == before
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 3)])
 def test_composites_leave_their_inputs_alone(m, n):
     composites_keep_their_inputs(m, n)
+
+
+class _Doubled(QPStructure):
+    """A structure whose ψ and φ̂ act twice over."""
+
+    __slots__ = ()
+
+    def psi_parts(self, parts, vectors):
+        return [image * 2 for image in QPStructure.psi_parts(self, parts, vectors)]
+
+    def phihat_parts(self, parts, vectors):
+        return [image * 2 for image in QPStructure.phihat_parts(self, parts, vectors)]
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 3)])
+def test_every_action_goes_through_the_structure(m, n):
+    """The structure is the one actor: with ψ and φ̂ doubled by a subclass,
+    every action built on them doubles.  t_act, t_act_gens and the loop
+    action of 1 # x (x off the t_0-Euler direction, so no term is φ alone)
+    are linear in ψ and φ̂, and so is every φ_ab of phi_images; the greedy
+    kernel vectors are n ψ's of ζ_top ⊗ e_j, so they scale by 2^n; each
+    weight doubles.  An action that calls the ψ kernel directly, past the
+    structure, keeps the undoubled value and fails."""
+    omega = natural_module(m, n)
+    _, mu = admissible_mus(m, n)
+    S = QPStructure(Signature(m, n, False), omega, mu)
+    D = _Doubled(S.sig, omega, mu)
+    full = S.sig.full()
+    s = Sampler(random.Random(5 * m + n), deg=2)
+    vs = [s.tensor(S.sig, omega) + s.tensor(S.sig, omega) for _ in range(3)]
+    shown = Counter()  # comparisons of a nonzero value, as 2·0 = 0 shows nothing
+
+    def doubles(name, got, want):
+        assert got == [image * 2 for image in want], name
+        shown[name] += any(want)
+
+    for _ in range(6):
+        gen = s.x_generator(full)
+        doubles("t_act", t_act(*gen, vs, D), t_act(*gen, vs, S))
+    gens = {s.x_generator(full): s.scalar() for _ in range(3)}
+    doubles("t_act_gens", t_act_gens(gens, vs, D), t_act_gens(gens, vs, S))
+    for _ in range(4):
+        field = s.field(full, terms=3)
+        x = VectorField(full, {k: c for k, c in field.terms.items() if k[2] != ("d", 0)})
+        u = SmashElement.from_field(x)
+        w = s.loop_tensor(full, omega) + s.loop_tensor(full, omega)
+        doubles("loop_smash_act", [loop_smash_act(u, w, D)], [loop_smash_act(u, w, S)])
+    doubled = phi_images(D, vs)
+    for ab, images in phi_images(S, vs).items():
+        doubles("phi_images", doubled[ab], images)
+    # each kernel vector is n doubled ψ's of ζ_top ⊗ e_j: 2^n = 2·2^{n-1}
+    doubles("omega_kernel", omega_kernel(D), [v * 2 ** (n - 1) for v in omega_kernel(S)])
+    for _ in range(4):
+        w = TensorVec.basis(S.sig, s.exps(S.sig), s.mask(n), s.below(omega.dim), s.scalar())
+        doubles("tprime_weight", list(tprime_weight(D, w)), list(tprime_weight(S, w)))
+    assert all(shown.values()), shown
 
 
 # ---------- kernel extraction ----------
@@ -775,7 +829,7 @@ def psi_keeps_the_zeta_filtration(S):
         for k in range(1, S.sig.n + 1):
             dz = SuperPoly.monomial(S.sig, z, mask).derive(("q", k))
             psi_k = ((S.sig.dir_of(("q", k)), z, 0, Scalar(1)),)
-            rest = S.psi_parts(psi_k, w) - TensorVec(
+            rest = S.psi_parts(psi_k, [w])[0] - TensorVec(
                 S.sig, {(e, dm, j): c for (e, dm), c in dz.terms.items()})
             low = [key for key in rest.terms if mask_size(key[1]) < mask_size(mask)]
             assert low == [], (mask, j, k)
@@ -833,14 +887,14 @@ def test_phi_operator_table_on_units(extracted):
     S, basis = extracted
     dot = S.sig
     z = dot.zero_exps()
-    for a in range(4):
-        for b in range(4):
-            op = phi_operator(a, b, S)
-            for v in range(S.omega.dim):
-                want = TensorVec.zero(dot)
-                for u, cu in S.omega.column(a, b, v):
-                    want._iadd_term((z, 0, u), cu)
-                assert op(unit_vec(dot, v)) == want
+    images = phi_images(S, [unit_vec(dot, v) for v in range(S.omega.dim)])
+    assert len(images) == 16
+    for (a, b), got in images.items():
+        for v, image in enumerate(got):
+            want = TensorVec.zero(dot)
+            for u, cu in S.omega.column(a, b, v):
+                want._iadd_term((z, 0, u), cu)
+            assert image == want
 
 
 def test_phi_is_representation(extracted):
@@ -851,7 +905,7 @@ def test_phi_is_representation(extracted):
 
 def _phi_rep_reference(alpha, beta, S, basis):
     """The columns of one induced operator, each image solved on its own."""
-    op = phi_operator(alpha, beta, S)
+    op = _phi_reference(alpha, beta, S)
     cols = []
     for v in basis:
         coords = linalg.solve([u.terms for u in basis], op(v).terms)
@@ -878,25 +932,18 @@ def test_induced_module_equals_the_per_operator_solves(m, n):
 
 def test_induced_module_refuses_an_operator_leaving_the_kernel(monkeypatch, extracted):
     S, basis = extracted
-    orig = tensorqp.phi_operator
+    orig = tensorqp.phi_images
     t1 = SuperPoly.t_var(S.sig, 1)
 
-    def leaving(alpha, beta, S):
-        op = orig(alpha, beta, S)
-        if (alpha, beta) != (1, 0):
-            return op
+    def leaving(S, vectors):
+        images = orig(S, vectors)
         # t_1·w lies outside degree zero
-        return lambda w, base=None: op(w, base) + S.phi(t1, w)
+        images[1, 0] = [image + S.phi(t1, w) for image, w in zip(images[1, 0], vectors)]
+        return images
 
-    monkeypatch.setattr(tensorqp, "phi_operator", leaving)
+    monkeypatch.setattr(tensorqp, "phi_images", leaving)
     with pytest.raises(ValueError, match="operator does not preserve the extracted kernel"):
         induced_gl_module(S, basis)
-
-
-def test_phi_rejects_bad_index(extracted):
-    S, _ = extracted
-    with pytest.raises(ValueError):
-        phi_operator(9, 0, S)
 
 
 def test_bridge_identity(extracted, sampler):
@@ -904,13 +951,14 @@ def test_bridge_identity(extracted, sampler):
     projection of the identified field and the induced representation."""
     S, basis = extracted
     sig = S.sig.full()
+    images = phi_images(S, basis)
     for _ in range(40):
         gen = sampler.x_generator(sig)
         mat = theta_project(psi_map({gen: Scalar(1)}, sig))
-        for u, direct in zip(basis, t_act(*gen, basis, S)):
+        for j, direct in enumerate(t_act(*gen, basis, S)):
             through = TensorVec.zero(S.sig)
-            for (a, b), c in mat.terms.items():
-                through += phi_operator(a, b, S)(u) * c
+            for ab, c in mat.terms.items():
+                through += images[ab][j] * c
             assert direct == through
 
 

@@ -57,10 +57,9 @@ SHARED = {
     "is_zero": "Scalar and Sparse each test their own zero",
     "monomial": "Sampler.monomial draws one at random; SuperPoly.monomial builds one",
     "of": "Scalar.of and QPElement.of each coerce into their own type",
-    "phihat_parts": "QPStructure.phihat_parts, read by t_act and phi_operator; the qp suite's"
-                    " self-test mutant overrides it",
+    "phihat_parts": "QPStructure.phihat_parts, read by _smash_act, phi_images and"
+                    " QPStructure.phihat; the qp suite's self-test mutant overrides it",
     "scalar": "Sampler.scalar draws one at random; SuperPoly.scalar builds one",
-    "zero": "Sparse.zero; MuVector.zero is the zero shift that the tests build structures with",
 }
 
 
@@ -146,6 +145,23 @@ def test_shared_definition_names_are_listed():
     )
     shared = {name for name, k in counts.items() if k > 1}
     assert (sorted(shared - set(SHARED)), sorted(set(SHARED) - shared)) == ([], [])
+
+
+def test_only_the_structure_and_shen_act_call_the_psi_kernel():
+    """The structure is the one actor on Ȧ ⊗ Ω: in tensorqp.py the ψ
+    kernel `_twisted` is read only by QPStructure.psi_parts, which every ψ
+    goes through, and by shen_act, the full-signature reference that the
+    loop checks compare the loop actions with."""
+    tree = ast.parse((SRC / "tensorqp.py").read_text())
+    readers = Counter()
+    for node in tree.body:
+        scopes = node.body if isinstance(node, ast.ClassDef) else [node]
+        for scope in scopes:
+            name = getattr(scope, "name", "<module>")
+            if scope is not node:
+                name = f"{node.name}.{name}"
+            readers[name] += _reads(scope)["_twisted"]
+    assert sorted(+readers) == ["QPStructure.psi_parts", "shen_act"]
 
 
 def _annotation_names(tree):
