@@ -110,13 +110,16 @@ class CheckResult:
 
 
 class Env:
-    """Per-run state shared by the suites: signature and module.  Each suite
-    takes its shifts μ from `admissible_mus`."""
+    """Per-run state shared by the suites: the signature, the module Ω and
+    ``S``, the structure at the second shift μ₂ of `admissible_mus`, on
+    which the kernel suites check the classification step.  Env is the one
+    owner of what they share: the kernel basis, its φ images and the
+    induced module, each built on first use, once per Env."""
 
     def __init__(self, sig: Signature, omega: GlModule):
         self.sig, self.omega = sig, omega
-        # Per-μ kernel bases and the modules built on them, filled on first use.
-        self.cache = {}
+        self.S = self.structure(admissible_mus(sig.m, sig.n)[1])
+        self._basis, self._images, self._induced = None, {}, None
 
     @property
     def dotted(self) -> Signature:
@@ -124,6 +127,41 @@ class Env:
 
     def structure(self, mu: MuVector) -> QPStructure:
         return QPStructure(self.dotted, self.omega, mu)
+
+    def kernel(self) -> list[TensorVec]:
+        """The kernel basis of S (`omega_kernel`).  The one empty-kernel
+        rule: a valid structure's kernel has dimension dim Ω, and
+        `omega_kernel` returns [] when its run-time checks fail, so every
+        check over an empty basis fails."""
+        if self._basis is None:
+            self._basis = omega_kernel(self.S)
+        if not self._basis:
+            raise _NoKernel(EMPTY_KERNEL)
+        return self._basis
+
+    def images(self, vectors: list[TensorVec]) -> dict:
+        """φ_ab of each of ``vectors`` (`phi_images`), built once per vector
+        list: the induced module solves for the kernel basis's images,
+        phi.bridge sums them, and phi.unit_action reads those of the unit
+        vectors, the same table whenever the kernel basis is the unit
+        vectors."""
+        key = tuple(tuple(v.terms.items()) for v in vectors)
+        if key not in self._images:
+            self._images[key] = phi_images(self.S, vectors)
+        return self._images[key]
+
+    def induced(self) -> GlModule:
+        """The induced module on the kernel basis; a refusal is kept too,
+        and raised again for every later check that needs the module."""
+        if self._induced is None:
+            basis = self.kernel()
+            try:
+                self._induced = induced_gl_module(self.S, basis, self.images(basis))
+            except ValueError as exc:
+                self._induced = _NoKernel(str(exc))
+        if isinstance(self._induced, _NoKernel):
+            raise self._induced
+        return self._induced
 
 
 def build_env(cfg: SuiteConfig) -> Env:
@@ -150,6 +188,9 @@ def _rng(cfg: SuiteConfig, name: str) -> random.Random:
 class _NoKernel(Exception):
     """A check's kernel input is missing: the kernel basis is empty, or
     a module built on it was refused.  The driver fails the check with it."""
+
+
+EMPTY_KERNEL = "kernel basis is empty"
 
 
 def _verdicts(draws: int, case):
@@ -614,9 +655,7 @@ def equalities_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
 def loop_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
     """The loop algebra and module, stored as Der(A) and A ⊗ Ω but computed
     slice by slice, against the full-signature operations on those types."""
-    sig = env.sig
-    _, mu2 = admissible_mus(cfg.m, cfg.n)
-    S = env.structure(mu2)
+    sig, S = env.sig, env.S
 
     def module_law():
         x, y = s.loop_qp(sig), s.loop_qp(sig)
@@ -676,70 +715,12 @@ def loop_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
 
 # ---------- induced gl representation ----------
 
-EMPTY_KERNEL = "kernel basis is empty"
-
-
-def _kernel(env: Env, mu: MuVector):
-    """The structure for μ and its kernel basis (`omega_kernel`), built
-    once per Env.  The one empty-kernel rule: a valid structure's kernel
-    has dimension dim Ω, and `omega_kernel` returns [] when its run-time
-    checks fail, so every check over an empty basis fails."""
-    key = ("omega", mu.values)
-    if key not in env.cache:
-        S = env.structure(mu)
-        env.cache[key] = S, omega_kernel(S)
-    S, basis = env.cache[key]
-    if not basis:
-        raise _NoKernel(EMPTY_KERNEL)
-    return S, basis
-
-
-def _refused(build):
-    """``build()``, with its ValueError raised as `_NoKernel`: what it builds
-    on the kernel was refused, so the check that needs it fails."""
-    try:
-        return build()
-    except ValueError as exc:
-        raise _NoKernel(str(exc)) from exc
-
-
-def _images(env: Env, S: QPStructure, vectors: list) -> dict:
-    """φ_ab of each of ``vectors`` for S.μ, built once per Env and vector
-    list: the induced module solves for the kernel basis's images,
-    phi.bridge sums them, and phi.unit_action reads those of the unit
-    vectors, the same table whenever the kernel basis is the unit vectors."""
-    key = ("phi", S.mu.values, tuple(tuple(v.terms.items()) for v in vectors))
-    if key not in env.cache:
-        env.cache[key] = phi_images(S, vectors)
-    return env.cache[key]
-
-
-def _induced(env: Env, mu: MuVector) -> GlModule:
-    """The induced module on the kernel for μ, built once per Env; a refusal
-    is kept too, and raised again for every later check that needs it."""
-    key = ("induced", mu.values)
-    if key not in env.cache:
-        S, basis = _kernel(env, mu)
-        images = _images(env, S, basis)
-        try:
-            env.cache[key] = induced_gl_module(S, basis, images)
-        except ValueError as exc:
-            env.cache[key] = _NoKernel(str(exc))
-    module = env.cache[key]
-    if isinstance(module, _NoKernel):
-        raise module
-    return module
-
-
 @_suite("phi")
 def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
-    sig, dotted = env.sig, env.dotted
-    _, mu2 = admissible_mus(cfg.m, cfg.n)
-    S = env.structure(mu2)
-    kernel = cache(lambda: _kernel(env, mu2))  # looked up once, not per draw
+    sig, dotted, S = env.sig, env.dotted, env.S
 
     def gl_relations():
-        report = rep_check(_induced(env, mu2))
+        report = rep_check(env.induced())
         return len(sig.directions()) ** 4, (
             None if report.ok else str(report.violations[:3]))
 
@@ -747,7 +728,7 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
 
     def unit_action():
         units = [TensorVec.basis(dotted, z, 0, v) for v in range(env.omega.dim)]
-        images = _images(env, S, units)
+        images = env.images(units)
         for a in sig.directions():
             for b in sig.directions():
                 for v, lhs in enumerate(images[a, b]):
@@ -756,13 +737,9 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
                         rhs._iadd_term((z, 0, u), cu)
                     yield None if lhs == rhs else f"E_{a}_{b} on basis vector {v}"
 
-    @cache
-    def kernel_images():
-        _, basis = kernel()
-        return basis, _images(env, S, basis)
-
     def bridge():
-        basis, phi = kernel_images()
+        basis = env.kernel()
+        phi = env.images(basis)
         gen = s.x_generator(sig)
         field = psi_map({gen: Scalar(1)}, sig)
         mat = theta_project(field)
@@ -786,7 +763,7 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
         base = tprime_weight(S, w)
         # w = c·t^e ζ_M ⊗ e_v has weight (μ_0, e_1 + μ_1, ..., e_m + μ_m)
         (e, _, _), = w.terms
-        own = (mu2[0],) + tuple(ei + mu2[i] for i, ei in enumerate(e, 1))
+        own = (S.mu[0],) + tuple(ei + S.mu[i] for i, ei in enumerate(e, 1))
         expected = (base[0],) + tuple(
             base[i] + rbar[i - 1] for i in range(1, dotted.m + 1)
         )
@@ -805,12 +782,10 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
 
 @_suite("annihilate")
 def annihilate_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
-    sig = env.sig
-    _, mu2 = admissible_mus(cfg.m, cfg.n)
-    kernel = cache(lambda: _kernel(env, mu2))
+    sig, S = env.sig, env.S
 
     def square_ideal():
-        S, basis = kernel()
+        basis = env.kernel()
         gens = _random_deep_gens(s, sig)
         field = psi_map(gens, sig)
         degs = [filt_degree(c) for c in field.coefficient_polys().values()]
@@ -860,19 +835,20 @@ def _random_deep_gens(s: Sampler, sig: Signature) -> dict:
 
 @_suite("iso")
 def iso_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
-    dotted = env.dotted
-    _, mu2 = admissible_mus(cfg.m, cfg.n)
-
-    kernel = cache(lambda: _kernel(env, mu2))
+    dotted, S = env.dotted, env.S
 
     @cache
     def transported():
-        """The structure on the induced module, its shift read off the kernel."""
-        S, basis = kernel()
-        return _refused(lambda: QPStructure(dotted, _induced(env, mu2), rho_of(S, basis)))
+        """The structure on the induced module, its shift read off the
+        kernel; a kernel off a single weight slice fails the check."""
+        induced = env.induced()
+        try:
+            return QPStructure(dotted, induced, rho_of(S, env.kernel()))
+        except ValueError as exc:
+            raise _NoKernel(str(exc)) from exc
 
     def equivariance():
-        S, basis = kernel()
+        basis = env.kernel()
         Sprime = transported()
         w = s.tensor(dotted, Sprime.omega)
         x = s.qp_homogeneous(dotted)
@@ -894,7 +870,7 @@ def iso_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
         time: the kernel has t-degree 0, so each exponent's block (a weight
         space) maps into itself and the rank is the sum of the blocks'.  If
         an image leaves its block, the whole box is ranked at once."""
-        S, basis = kernel()
+        basis = env.kernel()
         exponents = list(itertools.product(range(-1, 2), repeat=dotted.nvars))
 
         def block(exps):

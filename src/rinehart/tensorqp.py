@@ -552,11 +552,11 @@ def phi_images(S: QPStructure, vectors: list[TensorVec]) -> dict:
 
 
 def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec],
-                      images: dict | None = None) -> GlModule:
+                      images: dict) -> GlModule:
     """The kernel basis as an explicit gl(m+1, n)-module.  ``images`` are
-    `phi_images(S, omega_basis)`, built here unless passed; every image is
-    solved in one reduction of the basis, whose coordinates are unique
-    because the basis is independent."""
+    `phi_images(S, omega_basis)`; every image is solved in one reduction
+    of the basis, whose coordinates are unique because the basis is
+    independent."""
     sig = S.sig
     parities = []
     for v in omega_basis:
@@ -564,8 +564,6 @@ def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec],
         if p is None:
             raise ValueError("kernel basis must be parity-homogeneous")
         parities.append(p)
-    if images is None:
-        images = phi_images(S, omega_basis)
     cols = iter(_solve_in(
         omega_basis, [w for ws in images.values() for w in ws],
         "operator does not preserve the extracted kernel",

@@ -1,5 +1,6 @@
-"""The suite runner: its per-μ cache of the kernel basis, the φ images
-and the induced module, and the rng stream each suite draws."""
+"""The suite runner: the Env that builds the kernel basis, the φ images
+and the induced module once per run, and the rng stream each suite
+draws."""
 
 import hashlib
 import itertools
@@ -44,7 +45,7 @@ def counted(monkeypatch):
 
 
 def test_kernel_suites_extract_once(counted, monkeypatch):
-    """One kernel basis per μ, and no solve for it: the suites call
+    """One kernel basis per run, and no solve for it: the suites call
     neither the extraction nor a nullspace."""
     solves = {"omega_extract": 0, "nullspace": 0}
     for module, name in ((tensorqp, "omega_extract"), (linalg, "nullspace")):
@@ -64,7 +65,7 @@ def test_kernel_suites_extract_once(counted, monkeypatch):
 
 def test_build_env_computes_nothing(counted):
     env = build_env(SuiteConfig(m=1, n=2))
-    assert env.cache == {}
+    assert (env._basis, env._images, env._induced) == (None, {}, None)
     assert counted == {"omega_kernel": 0, "phi_images": 0, "induced_gl_module": 0}
 
 
@@ -123,17 +124,17 @@ def test_kernel_suites_twisted_calls(monkeypatch):
 def test_unit_action_never_reads_the_kernel(monkeypatch):
     """phi.unit_action builds its own images when the kernel basis is not
     the unit vectors, and never asks for the kernel."""
-    orig = suites._kernel
+    orig = suites.Env.kernel
     asked = Counter()
 
-    def kernel(env, mu):
+    def kernel(env):
         frame = sys._getframe(1)
         while frame:
             asked[frame.f_code.co_name] += 1
             frame = frame.f_back
-        return orig(env, mu)
+        return orig(env)
 
-    monkeypatch.setattr(suites, "_kernel", kernel)
+    monkeypatch.setattr(suites.Env, "kernel", kernel)
     scaled = tensorqp.omega_kernel
 
     def doubled(S):

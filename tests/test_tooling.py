@@ -147,21 +147,40 @@ def test_shared_definition_names_are_listed():
     assert (sorted(shared - set(SHARED)), sorted(set(SHARED) - shared)) == ([], [])
 
 
+def _readers(module: str, name: str) -> list[str]:
+    """The top-level definitions and class methods of ``module`` that read
+    ``name``, as "f" or "Class.method"."""
+    tree = ast.parse((SRC / module).read_text())
+    readers = Counter()
+    for node in tree.body:
+        scopes = node.body if isinstance(node, ast.ClassDef) else [node]
+        for scope in scopes:
+            scope_name = getattr(scope, "name", "<module>")
+            if scope is not node:
+                scope_name = f"{node.name}.{scope_name}"
+            readers[scope_name] += _reads(scope)[name]
+    return sorted(+readers)
+
+
 def test_only_the_structure_and_shen_act_call_the_psi_kernel():
     """The structure is the one actor on Ȧ ⊗ Ω: in tensorqp.py the ψ
     kernel `_twisted` is read only by QPStructure.psi_parts, which every ψ
     goes through, and by shen_act, the full-signature reference that the
     loop checks compare the loop actions with."""
-    tree = ast.parse((SRC / "tensorqp.py").read_text())
-    readers = Counter()
-    for node in tree.body:
-        scopes = node.body if isinstance(node, ast.ClassDef) else [node]
-        for scope in scopes:
-            name = getattr(scope, "name", "<module>")
-            if scope is not node:
-                name = f"{node.name}.{name}"
-            readers[name] += _reads(scope)["_twisted"]
-    assert sorted(+readers) == ["QPStructure.psi_parts", "shen_act"]
+    assert _readers("tensorqp.py", "_twisted") == ["QPStructure.psi_parts", "shen_act"]
+
+
+def test_only_env_builds_the_kernel_suites_shared_state():
+    """Env is the one owner of what the kernel suites share: in suites.py
+    the kernel basis, the φ images and the induced module are built only
+    by Env's methods, so no suite builds them on a structure of its own."""
+    readers = {name: _readers("suites.py", name)
+               for name in ("omega_kernel", "phi_images", "induced_gl_module")}
+    assert readers == {
+        "omega_kernel": ["Env.kernel"],
+        "phi_images": ["Env.images"],
+        "induced_gl_module": ["Env.induced"],
+    }
 
 
 def _annotation_names(tree):
