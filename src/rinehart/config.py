@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .glmodules import GlModule, MuVector, RepReport, rep_check
+from .glmodules import GlModule, MuVector, rep_check
 from .parser import ParseError, parse_scalar_literal
 from .scalars import Scalar, format_scalar
 from .superpoly import Signature
@@ -33,10 +33,10 @@ class RepCheckFailure(ValueError):
     """Well-formed config whose action matrices are not a representation
     (CLI exit code 1)."""
 
-    def __init__(self, report: RepReport):
-        pairs = ", ".join(str(v[1]) for v in report.violations[:5])
+    def __init__(self, violations: list):
+        pairs = ", ".join(str(v[1]) for v in violations[:5])
         super().__init__(f"representation check failed: {pairs}")
-        self.report = report
+        self.violations = violations
 
 
 def _scalar(text, where: str) -> Scalar:
@@ -109,9 +109,9 @@ def module_from_dict(doc: dict) -> tuple[GlModule, MuVector]:
         mod = GlModule(m, n, dim, parity, columns)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = rep_check(mod)
-    if not report.ok:
-        raise RepCheckFailure(report)
+    violations = rep_check(mod)
+    if violations:
+        raise RepCheckFailure(violations)
     return mod, mu
 
 

@@ -91,17 +91,6 @@ def natural_module(m: int, n: int) -> GlModule:
     return GlModule(m, n, len(dirs), map(sig.dir_parity, dirs), columns)
 
 
-class RepReport:
-    """Outcome of the representation-axiom check."""
-
-    def __init__(self):
-        self.violations = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _entries(cols: list) -> list:
     """The nonzero entries of an action as (row, column, coeff) triples."""
     return [(k, j, e) for j, col in enumerate(cols) for k, e in col]
@@ -115,8 +104,9 @@ def _accumulate(acc: dict, x: list, y: list, sign: int) -> None:
             acc[(i, j)] = old + c * e if sign > 0 else old - c * e
 
 
-def rep_check(mod: GlModule) -> RepReport:
-    """Verify parity homogeneity and every supercommutator relation.
+def rep_check(mod: GlModule) -> list:
+    """The violations of parity homogeneity and of the supercommutator
+    relations, as (kind, where, text) triples; [] for a representation.
 
     Each relation [E_ab, E_cd] = δ_bc E_ad - (-1)^{|ab||cd|} δ_da E_cb is
     checked on the stored columns, as a difference R(ab, cd) that must
@@ -130,7 +120,7 @@ def rep_check(mod: GlModule) -> RepReport:
     (ab, cd), after the parity violations.  A parity violation names the
     action's first bad entry in row-major order.
     """
-    report = RepReport()
+    violations = []
     par = mod.parities
     gl_parity = mod.sig.gl_parity
     acts = mod.columns
@@ -139,9 +129,7 @@ def rep_check(mod: GlModule) -> RepReport:
         bad = min(((u, v) for v, col in enumerate(cols) for u, _ in col
                    if (par[u] + par[v]) % 2 != p), default=None)
         if bad is not None:
-            report.violations.append(
-                ("parity", (a, b), f"entry ({bad[0]},{bad[1]}) breaks parity")
-            )
+            violations.append(("parity", (a, b), f"entry ({bad[0]},{bad[1]}) breaks parity"))
     one = [[(u, ONE)] for u in range(mod.dim)]
     entries = {ab: _entries(cols) for ab, cols in acts.items()}
     pairs = list(acts)
@@ -162,7 +150,6 @@ def rep_check(mod: GlModule) -> RepReport:
             if any(diff.values()):
                 failing.update(((i, j), (j, i)))
     for i, j in sorted(failing):
-        report.violations.append(
-            ("commutator", (pairs[i], pairs[j]), "supercommutator relation fails")
-        )
-    return report
+        violations.append(
+            ("commutator", (pairs[i], pairs[j]), "supercommutator relation fails"))
+    return violations

@@ -177,9 +177,12 @@ def make_X(sig: Signature, rbar, jmask: int, tag) -> SmashElement:
 
     With J ≠ ∅ this is Σ_{I⊆J} (-1)^{|I|+τ(I,J\\I)} t^{-r̄} ζ_I # t^{r̄} ζ_{J\\I} ∂;
     with J = ∅ it is t^{-r̄} # t^{r̄}∂ - 1 # ∂.  The tag ∂ must be an Euler
-    or odd tag (a gl direction); a plain d/dt_i raises ValueError.
+    or odd tag (a gl direction); a plain d/dt_i raises ValueError, and so
+    does the t_0-free signature.
     """
-    return SmashElement._trusted(sig, dict(_x_terms(sig, rbar, jmask, tag)))
+    out = SmashElement.zero(sig)  # refuses the t_0-free signature
+    out.terms.update(_x_terms(sig, rbar, jmask, tag))
+    return out
 
 
 def _x_terms(sig: Signature, rbar, jmask: int, tag) -> list:

@@ -91,42 +91,24 @@ class SuiteConfig:
         self.suites, self.module_path = suites, module_path
 
 
-class CheckResult:
-    """Outcome of one check id; equal by value."""
-
-    def __init__(self, check: str, passed: bool, cases: int,
-                 counterexample: str | None = None):
-        self.check, self.passed = check, passed
-        self.cases, self.counterexample = cases, counterexample
-
-    def _fields(self):
-        return self.check, self.passed, self.cases, self.counterexample
-
-    def __eq__(self, other):
-        return type(other) is CheckResult and self._fields() == other._fields()
-
-    def __repr__(self):
-        return "CheckResult(%r, %r, %r, %r)" % self._fields()
-
-
 class Env:
     """Per-run state shared by the suites: the signature, the module Ω and
-    ``S``, the structure at the second shift μ₂ of `admissible_mus`, on
-    which the kernel suites check the classification step.  Env is the one
-    owner of what they share: the kernel basis, its φ images and the
-    induced module, each built on first use, once per Env."""
+    its structures at the two shifts of `admissible_mus`, ``S1`` at μ₁ and
+    ``S`` at μ₂.  The qp suite checks the axioms on both, `equalities` on
+    ``S1``, and the kernel suites check the classification step on ``S``.
+    Env is the one owner of what they share: the structures, the kernel
+    basis, its φ images and the induced module, the last three each built
+    on first use, once per Env."""
 
     def __init__(self, sig: Signature, omega: GlModule):
         self.sig, self.omega = sig, omega
-        self.S = self.structure(admissible_mus(sig.m, sig.n)[1])
+        self.S1, self.S = (QPStructure(self.dotted, omega, mu)
+                           for mu in admissible_mus(sig.m, sig.n))
         self._basis, self._images, self._induced = None, {}, None
 
     @property
     def dotted(self) -> Signature:
         return self.sig.dotted()
-
-    def structure(self, mu: MuVector) -> QPStructure:
-        return QPStructure(self.dotted, self.omega, mu)
 
     def kernel(self) -> list[TensorVec]:
         """The kernel basis of S (`omega_kernel`).  The one empty-kernel
@@ -198,7 +180,13 @@ def _verdicts(draws: int, case):
     return itertools.chain.from_iterable(case() for _ in range(draws))
 
 
-def _check(cfg: SuiteConfig, env: Env, name: str, rows) -> list[CheckResult]:
+def _result(check_id: str, cases: int, counterexample: str | None) -> dict:
+    """A check's report entry; it passes when it has no counterexample."""
+    return {"id": check_id, "pass": counterexample is None, "cases": cases,
+            "counterexample": counterexample}
+
+
+def _check(cfg: SuiteConfig, env: Env, name: str, rows) -> list[dict]:
     """Run suite ``name``: the one driver of every check.
 
     ``rows(cfg, env, s)`` declares the suite's checks on its one Sampler
@@ -206,7 +194,8 @@ def _check(cfg: SuiteConfig, env: Env, name: str, rows) -> list[CheckResult]:
     and stops at the first counterexample without resuming ``case``.  A
     row (id, None, case) is one verdict over a stated number of cases:
     ``case()`` returns (cases, verdict).  A row that raises `_NoKernel`
-    fails with its text as the counterexample."""
+    fails with its text as the counterexample.  Returns the report
+    entries (`_result`) in row order."""
     s = Sampler(_rng(cfg, name), cfg.deg)
     out = []
     for check_id, draws, case in rows(cfg, env, s):
@@ -221,7 +210,7 @@ def _check(cfg: SuiteConfig, env: Env, name: str, rows) -> list[CheckResult]:
                         break
         except _NoKernel as exc:
             bad = str(exc)
-        out.append(CheckResult(check_id, bad is None, cases, bad))
+        out.append(_result(check_id, cases, bad))
     return out
 
 
@@ -232,7 +221,7 @@ def _suite(name: str):
     """Declare a rows function as suite ``name``: ``SUITES[name](cfg, env)``
     runs its rows through the driver."""
     def register(rows):
-        def run(cfg: SuiteConfig, env: Env) -> list[CheckResult]:
+        def run(cfg: SuiteConfig, env: Env) -> list[dict]:
             return _check(cfg, env, name, rows)
         SUITES[name] = run
         return run
@@ -587,15 +576,14 @@ def _axiom_rows(S: QPStructure, s: Sampler, draws: int, label: str = "") -> list
 @_suite("qp")
 def qp_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
     draws = max(1, cfg.samples // 7)
-    mu1, mu2 = admissible_mus(cfg.m, cfg.n)
     rows = []
-    for label, mu in (("rational", mu1), ("complex", mu2)):
-        rows += _axiom_rows(env.structure(mu), s, draws, f"[{label}]")
+    for label, S in (("rational", env.S1), ("complex", env.S)):
+        rows += _axiom_rows(S, s, draws, f"[{label}]")
     # Sensitivity self-test on the defining module: killing the auxiliary
     # action must break exactly axiom 6 (witness: x = d_1, y = t_1 on 1⊗e_1,
     # whose axiom-6 right side keeps a diagonal matrix term).
     dotted = env.dotted
-    mutant = _NoPhihat(dotted, natural_module(cfg.m, cfg.n), mu1)
+    mutant = _NoPhihat(dotted, natural_module(cfg.m, cfg.n), env.S1.mu)
 
     def breaks_axiom6():
         held = {k: all(bad is None for bad in _verdicts(draws, case))
@@ -620,9 +608,7 @@ def qp_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
 
 @_suite("equalities")
 def equalities_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
-    mu1, _ = admissible_mus(cfg.m, cfg.n)
-    S = env.structure(mu1)
-    dotted = env.dotted
+    S, dotted = env.S1, env.dotted
 
     def identity(which):
         drawn = itertools.count()
@@ -720,9 +706,8 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
     sig, dotted, S = env.sig, env.dotted, env.S
 
     def gl_relations():
-        report = rep_check(env.induced())
-        return len(sig.directions()) ** 4, (
-            None if report.ok else str(report.violations[:3]))
+        violations = rep_check(env.induced())
+        return len(sig.directions()) ** 4, str(violations[:3]) if violations else None
 
     z = dotted.zero_exps()
 
@@ -985,10 +970,8 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
             import traceback
 
             traceback.print_exc()
-            checks.append(
-                CheckResult(f"{name}.error", False, 0, f"{type(exc).__name__}: {exc}")
-            )
-    failures = sum(1 for c in checks if not c.passed)
+            checks.append(_result(f"{name}.error", 0, f"{type(exc).__name__}: {exc}"))
+    failures = sum(1 for c in checks if not c["pass"])
     report = {
         "m": cfg.m,
         "n": cfg.n,
@@ -996,15 +979,7 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
         "samples": cfg.samples,
         "seed": cfg.seed,
         "suites": names,
-        "checks": [
-            {
-                "id": c.check,
-                "pass": c.passed,
-                "cases": c.cases,
-                "counterexample": c.counterexample,
-            }
-            for c in checks
-        ],
+        "checks": checks,
         "failures": failures,
     }
     return (0 if failures == 0 else 1), report

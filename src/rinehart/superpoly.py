@@ -715,38 +715,6 @@ class WeightVector:
     def __repr__(self):
         return f"WeightVector(hprime={self.hprime!r}, h={self.h!r})"
 
-    def __add__(self, other: "WeightVector") -> "WeightVector":
-        return WeightVector(
-            tuple(a + b for a, b in zip(self.hprime, other.hprime)),
-            tuple(a + b for a, b in zip(self.h, other.h)),
-        )
-
-    def __sub__(self, other: "WeightVector") -> "WeightVector":
-        return WeightVector(
-            tuple(a - b for a, b in zip(self.hprime, other.hprime)),
-            tuple(a - b for a, b in zip(self.h, other.h)),
-        )
-
-
-def eps(sig: Signature, i: int) -> WeightVector:
-    hp = [0] * sig.nvars
-    hp[sig.tpos(i)] = 1
-    return WeightVector(tuple(hp), (0,) * sig.n)
-
-
-def delta(sig: Signature, k: int) -> WeightVector:
-    sig.check_zeta(k)
-    h = [0] * sig.n
-    h[k - 1] = 1
-    return WeightVector((0,) * sig.nvars, tuple(h))
-
-
-def delta_of_mask(sig: Signature, mask: int) -> WeightVector:
-    h = [0] * sig.n
-    for k in mask_indices(mask):
-        h[k - 1] = 1
-    return WeightVector((0,) * sig.nvars, tuple(h))
-
 
 def weight_of_poly(f: SuperPoly) -> WeightVector:
     """Joint eigenvalue vector of a (t-1)/ζ-homogeneous polynomial."""
@@ -758,7 +726,7 @@ def weight_of_poly(f: SuperPoly) -> WeightVector:
     if len(keys) != 1:
         raise ValueError("not homogeneous for the shifted Euler family")
     (ue, mask), = keys
-    return WeightVector(ue, delta_of_mask(f.sig, mask).h)
+    return WeightVector(ue, tuple(mask >> k & 1 for k in range(f.sig.n)))
 
 
 # ---------- Shifted-basis products and the plus-part rewrite ----------

@@ -32,9 +32,7 @@ from .superpoly import (
     SuperPoly,
     WeightVector,
     _check_same_sig,
-    delta,
     derive_mono,
-    eps,
     mask_size,
     mono_apply,
     mono_mul,
@@ -180,13 +178,14 @@ def weight_of(x) -> WeightVector:
         raise ValueError("the zero element has no weight")
     sig = x.sig
     weights = set()
-    for tag, poly in x.plain_coefficient_polys().items():
-        base = weight_of_poly(poly)
-        if tag[0] == "dt":
-            base = base - eps(sig, tag[1])
-        else:
-            base = base - delta(sig, tag[1])
-        weights.add(base)
+    for (kind, i), poly in x.plain_coefficient_polys().items():
+        w = weight_of_poly(poly)
+        hprime, h = list(w.hprime), list(w.h)
+        if kind == "dt":  # lower by ε_i
+            hprime[sig.tpos(i)] -= 1
+        else:  # ("q", i): lower by δ_i
+            h[i - 1] -= 1
+        weights.add(WeightVector(tuple(hprime), tuple(h)))
     if len(weights) != 1:
         raise ValueError("not homogeneous for the weight families")
     return weights.pop()

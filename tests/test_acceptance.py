@@ -41,8 +41,8 @@ def _run(suite_fn, samples, grid=GRID, deg=3):
         cfg = SuiteConfig(m=m, n=n, deg=deg, samples=samples, seed=SEED)
         for res in suite_fn(cfg, build_env(cfg)):
             total += 1
-            if not res.passed:
-                failures.append(f"(m={m},n={n}) {res.check}: {res.counterexample}")
+            if not res["pass"]:
+                failures.append(f"(m={m},n={n}) {res['id']}: {res['counterexample']}")
     return total, failures
 
 
@@ -127,9 +127,9 @@ def test_criterion_11_parser():
     # bearing diagnostic and CLI exit code 2
     cfg = SuiteConfig(m=2, n=2, deg=3, samples=500, seed=SEED)
     failures = [
-        f"{r.check}: {r.counterexample}"
+        f"{r['id']}: {r['counterexample']}"
         for r in roundtrip_suite(cfg, build_env(cfg))
-        if not r.passed
+        if not r["pass"]
     ]
     for text in MALFORMED:
         code = main(["filt-deg", "--expr", text])

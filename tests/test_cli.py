@@ -37,6 +37,16 @@ def test_x_element(capsys):
     assert "#" in out and "Q1" in out
 
 
+def test_x_element_refuses_the_dotted_signature(capsys):
+    """A centralizer generator lives in the smash product over the full A:
+    on the t_0-free signature x-element is an error (exit 2), not an
+    element over the dotted algebra."""
+    assert main(["x-element", "--dotted", "--r", "1", "--J", "1", "--tag", "Q1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SmashElement needs the full signature\n"
+
+
 def test_x_element_rejects_a_repeated_index(capsys):
     """J is a subset of {1..n}: a repeated index is a config error, not
     the generator for J = {1}."""

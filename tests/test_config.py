@@ -19,7 +19,7 @@ def test_shipped_natural_config_loads():
     with res.as_file(res.files("rinehart").joinpath("data/natural_1_1.json")) as p:
         mod, mu = load_module_config(p)
     assert (mod.m, mod.n, mod.dim) == (1, 1, 3)
-    assert rep_check(mod).ok
+    assert rep_check(mod) == []
     assert all(not v for v in mu.values)
 
 
@@ -85,7 +85,7 @@ def test_rep_check_failure_is_distinct():
     doc["action"]["E_0_1"][0][1] = "2"
     with pytest.raises(RepCheckFailure) as err:
         module_from_dict(doc)
-    assert not err.value.report.ok
+    assert err.value.violations != []
 
 
 def test_scalars_survive_roundtrip(tmp_path):

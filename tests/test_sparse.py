@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rinehart.glmatrix import GlMatrix
 from rinehart.scalars import Scalar
-from rinehart.smash import SmashElement
+from rinehart.smash import SmashElement, make_X
 from rinehart.superpoly import Signature, SuperPoly, derive, shift_basis
 from rinehart.tensorqp import TensorVec
 from rinehart.vectorfields import QPElement, VectorField
@@ -489,6 +489,9 @@ REFUSED = {
         lambda: QPElement.zero(FULL), ValueError, "QPElement needs the t_0-free signature"),
     "smash: zero on the dotted signature": (
         lambda: SmashElement.zero(DOT), ValueError, "SmashElement needs the full signature"),
+    "smash: make_X on the dotted signature": (
+        lambda: make_X(DOT, (1,), 1, ("q", 1)), ValueError,
+        "SmashElement needs the full signature"),
 }
 
 

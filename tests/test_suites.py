@@ -14,7 +14,6 @@ from rinehart.cli import main
 from rinehart.glmodules import natural_module
 from rinehart.scalars import Scalar
 from rinehart.suites import (
-    CheckResult,
     SuiteConfig,
     _check,
     admissible_mus,
@@ -67,6 +66,40 @@ def test_build_env_computes_nothing(counted):
     env = build_env(SuiteConfig(m=1, n=2))
     assert (env._basis, env._images, env._induced) == (None, {}, None)
     assert counted == {"omega_kernel": 0, "phi_images": 0, "induced_gl_module": 0}
+
+
+class _CountedStructure(QPStructure):
+    """A structure that counts its ψ and φ̂ calls under its name."""
+
+    __slots__ = ("name", "used")
+
+    def psi_parts(self, parts, vectors):
+        self.used[self.name] += 1
+        return QPStructure.psi_parts(self, parts, vectors)
+
+    def phihat_parts(self, parts, vectors):
+        self.used[self.name] += 1
+        return QPStructure.phihat_parts(self, parts, vectors)
+
+
+def test_qp_and_equalities_act_through_the_env_structures():
+    """Env holds the structures at both shifts: the qp axioms act through
+    env.S1 (μ₁) and env.S (μ₂), and equalities through env.S1, so a
+    structure installed in the Env is the one these suites check."""
+    used_by = {}
+    for name in ("qp", "equalities"):
+        cfg = SuiteConfig(m=1, n=1, samples=7, seed=3, suites=(name,))
+        env = build_env(cfg)
+        used = Counter()
+        for attr in ("S1", "S"):
+            S = getattr(env, attr)
+            counted = _CountedStructure(S.sig, S.omega, S.mu)
+            counted.name, counted.used = attr, used
+            setattr(env, attr, counted)
+        results = suites.SUITES[name](cfg, env)
+        assert all(r["pass"] for r in results), results
+        used_by[name] = set(used)
+    assert used_by == {"qp": {"S1", "S"}, "equalities": {"S1"}}
 
 
 def test_annihilate_alone_builds_no_induced_module(counted):
@@ -215,9 +248,9 @@ def test_check_driver():
         ]
 
     assert _check(SuiteConfig(), None, "c", rows) == [
-        CheckResult("c.all", True, 5),
-        CheckResult("c.none", True, 0),
-        CheckResult("c.fail", False, 3, "case 2"),
+        {"id": "c.all", "pass": True, "cases": 5, "counterexample": None},
+        {"id": "c.none", "pass": True, "cases": 0, "counterexample": None},
+        {"id": "c.fail", "pass": False, "cases": 3, "counterexample": "case 2"},
     ]
     assert len(draws) == 3
 

@@ -275,8 +275,8 @@ def test_plain_tag_has_two_homes():
     assert named == ["superpoly.py", "vectorfields.py"]
 
 
-# CheckResults that suites.py builds outside the driver, keyed by the
-# building function and the id expression.
+# Check results (`_result` entries) that suites.py builds outside the
+# driver, keyed by the building function and the id expression.
 RESULTS_OUTSIDE_THE_DRIVER = {
     ("run_suite", "f'{name}.error'"): "a suite that raised: its library fault under one id",
 }
@@ -284,8 +284,8 @@ RESULTS_OUTSIDE_THE_DRIVER = {
 
 def test_suites_have_one_driver():
     """In suites.py only the driver `_check` seeds a suite's rng, builds
-    its one `Sampler` and builds `CheckResult`s, apart from the named
-    exemptions above; only `_rng` builds a `Random`."""
+    its one `Sampler` and builds check results (`_result`), apart from
+    the named exemptions above; only `_rng` builds a `Random`."""
     tree = ast.parse((SRC / "suites.py").read_text())
     calls = []
     for top in tree.body:
@@ -293,22 +293,21 @@ def test_suites_have_one_driver():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("_rng", "Sampler", "CheckResult", "Random"):
+                if name in ("_rng", "Sampler", "_result", "Random"):
                     first = ast.unparse(node.args[0]) if node.args else None
                     calls.append((getattr(top, "name", None), name, first))
     owners = {name: {top for top, called, _ in calls if called == name}
-              for name in ("_rng", "Sampler", "CheckResult", "Random")}
+              for name in ("_rng", "Sampler", "_result", "Random")}
     assert owners == {"_rng": {"_check"}, "Sampler": {"_check"},
-                      "CheckResult": {"_check", "run_suite"}, "Random": {"_rng"}}
+                      "_result": {"_check", "run_suite"}, "Random": {"_rng"}}
     outside = {(top, first) for top, name, first in calls
-               if name == "CheckResult" and top != "_check"}
+               if name == "_result" and top != "_check"}
     assert outside == set(RESULTS_OUTSIDE_THE_DRIVER)
 
 
 def test_container_arithmetic_has_one_home():
     """Every container is a `Sparse`, so `+`, `-` and negation are defined
-    in src/rinehart only by `Sparse` and the two value types `Scalar` and
-    `WeightVector`."""
+    in src/rinehart only by `Sparse` and the value type `Scalar`."""
     ops = {"__add__", "__sub__", "__neg__"}
     owners = set()
     for path in sorted(SRC.glob("*.py")):
@@ -324,7 +323,7 @@ def test_container_arithmetic_has_one_home():
                     continue
                 if names & ops:
                     owners.add(node.name)
-    assert owners == {"Sparse", "Scalar", "WeightVector"}
+    assert owners == {"Sparse", "Scalar"}
 
 
 def test_sparse_types_have_one_constructor():
