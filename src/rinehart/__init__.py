@@ -41,6 +41,7 @@ from .tensorqp import (
     shen_act,
     t_act,
     t_act_gens,
+    theta_table,
     theta_transport,
     tprime_weight,
 )

@@ -109,12 +109,14 @@ class Echelon:
 def rank(vectors) -> int:
     """Dimension of the span of the sparse vectors.  Nonzero vectors whose
     supports (their nonzero entries) are pairwise disjoint are independent,
-    so their count is the rank; any overlap sends them all to `Echelon`."""
+    so their count is the rank; any overlap sends them all to `Echelon`.
+    A vector whose coefficients are all nonzero, as every `Sparse` term map
+    is, is its own support, with no filtering entry by entry."""
     vectors = list(vectors)
     seen = set()
     count = 0
     for v in vectors:
-        support = [k for k, c in v.items() if c]
+        support = v if all(v.values()) else [k for k, c in v.items() if c]
         before = len(seen)
         seen.update(support)
         if len(seen) != before + len(support):

@@ -66,6 +66,7 @@ from .tensorqp import (
     shen_act,
     t_act,
     t_act_gens,
+    theta_table,
     theta_transport,
     tprime_weight,
 )
@@ -97,14 +98,14 @@ class Env:
     ``S`` at μ₂.  The qp suite checks the axioms on both, `equalities` on
     ``S1``, and the kernel suites check the classification step on ``S``.
     Env is the one owner of what they share: the structures, the kernel
-    basis, its φ images and the induced module, the last three each built
-    on first use, once per Env."""
+    basis, its φ images, the induced module and θ's table, the last four
+    each built on first use, once per Env."""
 
     def __init__(self, sig: Signature, omega: GlModule):
         self.sig, self.omega = sig, omega
         self.S1, self.S = (QPStructure(self.dotted, omega, mu)
                            for mu in admissible_mus(sig.m, sig.n))
-        self._basis, self._images, self._induced = None, {}, None
+        self._basis, self._images, self._induced, self._theta = None, {}, None, None
 
     @property
     def dotted(self) -> Signature:
@@ -144,6 +145,14 @@ class Env:
         if isinstance(self._induced, _NoKernel):
             raise self._induced
         return self._induced
+
+    def theta(self) -> tuple:
+        """θ's table on the kernel basis (`theta_table`): ζ_M·u_j for every
+        ζ-mask M and kernel index j, formed once per run, so that iso moves
+        every vector through θ by exponent shifts."""
+        if self._theta is None:
+            self._theta = theta_table(self.dotted, self.kernel())
+        return self._theta
 
 
 def build_env(cfg: SuiteConfig) -> Env:
@@ -833,35 +842,30 @@ def iso_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
             raise _NoKernel(str(exc)) from exc
 
     def equivariance():
-        basis = env.kernel()
         Sprime = transported()
+        table = env.theta()
         w = s.tensor(dotted, Sprime.omega)
         x = s.qp_homogeneous(dotted)
         a = s.monomial(dotted)
-        for kind in ("psi", "phihat", "phi"):
-            if kind == "psi":
-                lhs = theta_transport(Sprime.psi(x, w), basis, S)
-                rhs = S.psi(x, theta_transport(w, basis, S))
-            elif kind == "phihat":
-                lhs = theta_transport(Sprime.phihat(x, w), basis, S)
-                rhs = S.phihat(x, theta_transport(w, basis, S))
-            else:
-                lhs = theta_transport(Sprime.phi(a, w), basis, S)
-                rhs = S.phi(a, theta_transport(w, basis, S))
-            yield None if lhs == rhs else f"kind={kind}"
+        lhs = theta_transport([Sprime.psi(x, w).terms, Sprime.phihat(x, w).terms,
+                               Sprime.phi(a, w).terms], table)
+        image = TensorVec._trusted(dotted, theta_transport([w.terms], table)[0])
+        rhs = [S.psi(x, image).terms, S.phihat(x, image).terms, S.phi(a, image).terms]
+        for kind, left, right in zip(("psi", "phihat", "phi"), lhs, rhs):
+            yield None if left == right else f"kind={kind}"
 
     def bijective():
-        """θ on the box of t-exponents {-1, 0, 1}^m, ranked one exponent at a
-        time: the kernel has t-degree 0, so each exponent's block (a weight
-        space) maps into itself and the rank is the sum of the blocks'.  If
-        an image leaves its block, the whole box is ranked at once."""
-        basis = env.kernel()
+        """θ on the box of t-exponents {-1, 0, 1}^m, one exponent's block
+        of 2^n·dim Ω images per θ call and per rank: the kernel has
+        t-degree 0, so each block (a weight space) maps into itself and the
+        rank is the sum of the blocks'.  If an image leaves its block, the
+        whole box is ranked at once."""
+        table = env.theta()
         exponents = list(itertools.product(range(-1, 2), repeat=dotted.nvars))
+        units = [(mask, j) for mask in range(1 << dotted.n) for j in range(len(env.kernel()))]
 
         def block(exps):
-            return [theta_transport(TensorVec._trusted(dotted, {(exps, mask, j): ONE}),
-                                    basis, S).terms
-                    for mask in range(1 << dotted.n) for j in range(len(basis))]
+            return theta_transport([{(exps, mask, j): ONE} for mask, j in units], table)
 
         rk = 0
         for exps in exponents:
@@ -870,7 +874,7 @@ def iso_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
                 rk = linalg.rank(image for e in exponents for image in block(e))
                 break
             rk += linalg.rank(images)
-        size = len(exponents) * (1 << dotted.n) * len(basis)
+        size = len(exponents) * len(units)
         target_dim = len(exponents) * (1 << dotted.n) * env.omega.dim
         ok = rk == size == target_dim
         return size, None if ok else f"rank {rk} of {size}, target {target_dim}"

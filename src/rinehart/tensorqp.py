@@ -29,12 +29,14 @@ with `shen_act` and `left_mul`, and the centralizer action `t_act` at
 t_0-degree zero on the terms of `smash.make_X`.  Also here: the seven
 compatibility axioms, the joint kernel of the odd derivation actions,
 built without a solve, the induced gl-representation on it, and the
-comparison map sending a ⊗ ω to the algebra action of a on ω.
+comparison map θ sending a ⊗ ω to the algebra action of a on ω, read off
+a table of ζ_M·u_j built once per kernel basis.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from . import linalg
 from .glmodules import GlModule, MuVector
@@ -46,6 +48,7 @@ from .superpoly import (
     SuperPoly,
     derive_mono,
     mask_size,
+    merge_masks,
     mono_mul,
 )
 from .vectorfields import (
@@ -573,16 +576,54 @@ def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec],
     return GlModule(sig.m, sig.n, len(omega_basis), parities, columns)
 
 
-def theta_transport(w: TensorVec, omega_basis: list[TensorVec],
-                    S: QPStructure) -> TensorVec:
-    """Push a vector of the rebuilt module through the comparison map:
-    each c·t^e ζ_M ⊗ e_j goes to c·t^e ζ_M · (the j-th kernel vector)."""
-    if w.sig != S.sig:
-        raise ValueError("signature mismatch")
-    out = TensorVec.zero(S.sig)
-    for (ea, ma, j), c in w.terms.items():
-        out._iadd(omega_basis[j], c, (ea, ma))
-    return out
+def theta_table(sig: Signature, omega_basis: list[TensorVec]) -> tuple:
+    """θ's fixed work, done once per kernel basis: ``table[M][j]`` holds
+    the terms of ζ_M·u_j, u_j the j-th kernel vector, as (shift, mask,
+    label, ±c) in u_j's term order, with `merge_masks`' sign in the
+    coefficient and the terms whose ζ's repeat dropped.  ``shift`` is the
+    term's t-exponents, None when they are 0."""
+    z = sig.zero_exps()
+    table = []
+    for ma in range(1 << sig.n):
+        rows = []
+        for u in omega_basis:
+            row = []
+            for (eu, mu, label), cu in u.terms.items():
+                sign, mask = merge_masks(ma, mu)
+                if sign:
+                    row.append((None if eu == z else eu, mask, label,
+                                cu if sign > 0 else -cu))
+            rows.append(tuple(row))
+        table.append(tuple(rows))
+    return tuple(table)
+
+
+def theta_transport(vectors, table: tuple) -> list[dict]:
+    """The comparison map θ on term maps {(exps, mask, j): c} of the
+    rebuilt module, one image per map of ``vectors``: each c·t^e ζ_M ⊗ e_j
+    goes to c·t^e ζ_M·u_j, read off ``table`` (`theta_table`) as one
+    exponent shift per term of ζ_M·u_j.  The images are term maps of
+    Ȧ ⊗ Ω; their inserts and cancellations are those of `Sparse._iadd`,
+    in the order that adding c·t^e ζ_M·u_j term by term gives."""
+    outs = []
+    for w in vectors:
+        out = {}
+        for (e, ma, j), c in w.items():
+            for shift, mask, label, cu in table[ma][j]:
+                key = (e if shift is None else tuple(map(add, e, shift)), mask, label)
+                cc = cu if c is ONE else c * cu
+                cur = out.get(key)
+                if cur is None:
+                    if cc:
+                        out[key] = cc
+                else:
+                    cc = cur + cc
+                    if cc:
+                        out[key] = cc
+                    else:
+                        del out[key]
+        outs.append(out)
+    return outs
 
 
 def tprime_weight(S: QPStructure, w: TensorVec) -> tuple:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rinehart import GlModule, MuVector, QPStructure, Signature, natural_module
+from rinehart import GlModule, MuVector, QPStructure, Signature, TensorVec, natural_module
 from rinehart.config import module_to_dict
 from rinehart.sampling import Sampler
 
@@ -18,6 +18,15 @@ def zero_action_module(m, n, dim, parities=None):
 def zero_mu(m, n):
     """The zero shift vector at (m, n)."""
     return MuVector(m, n, (0,) * (m + n + 1))
+
+
+def theta_reference(w, basis):
+    """θ by its definition: c·t^e ζ_M ⊗ e_j goes to c·t^e ζ_M·basis[j],
+    one `Sparse._iadd` per term of w."""
+    out = TensorVec.zero(w.sig)
+    for (e, mask, j), c in w.terms.items():
+        out._iadd(basis[j], c, (e, mask))
+    return out
 
 
 def natural_config_dict(m, n):

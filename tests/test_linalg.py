@@ -3,6 +3,7 @@ matrices, against a naive dense Gauss-Jordan elimination."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +15,10 @@ from rinehart.linalg import (
     solve,
     solve_columns,
 )
-from rinehart.scalars import ONE, Scalar
+from rinehart.scalars import ONE, ZERO, Scalar
 
 MAX_DIM = 12
+TWO = Scalar(2)
 
 components = st.one_of(
     st.integers(-4, 4),
@@ -380,6 +382,41 @@ def test_rank_examples():
     assert rank([{"a": one, "b": one}, {"b": two, "c": one}]) == 2  # overlap, independent
     assert rank([{"a": one, "b": one}, {"a": two, "b": two}]) == 1  # overlap, dependent
     assert rank({"k": one} for _ in range(3)) == 1
+
+
+@pytest.mark.parametrize("vectors,want,eliminates", [
+    # zero entries are no support: a zero at a key another vector holds
+    # is no overlap, and a vector of zeros counts nothing
+    ([{"a": ONE, "b": ZERO}, {"b": TWO}], 2, False),
+    ([{"a": ONE, "b": 0}, {"c": TWO, "a": ZERO}, {"b": ONE}], 3, False),
+    ([{"a": ZERO, "b": 0}, {}, {"a": ONE}], 1, False),
+    ([{"a": ZERO}, {"a": 0}, {}], 0, False),
+    # every coefficient nonzero: the vector is its own support
+    ([{"a": ONE, "b": TWO}, {"c": ONE}], 2, False),
+    # overlapping supports still eliminate, explicit zeros or not
+    ([{"a": ONE, "b": ONE}, {"b": TWO, "c": ONE}], 2, True),
+    ([{"a": ONE, "b": ONE}, {"a": TWO, "b": TWO, "c": ZERO}], 1, True),
+    ([{"a": ONE}, {"b": ZERO}, {"a": TWO}], 1, True),
+])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_rank_shortcut_cases(monkeypatch, vectors, want, eliminates, lazy):
+    """rank's disjoint-support pass on zero and nonzero entries: whether it
+    builds an `Echelon`, for a list and for a generator read once (an
+    overlap found late still eliminates every vector)."""
+    import rinehart.linalg as linalg
+
+    built = []
+
+    class Watched(Echelon):
+        __slots__ = ()
+
+        def __init__(self, track=False):
+            built.append(track)
+            super().__init__(track)
+
+    monkeypatch.setattr(linalg, "Echelon", Watched)
+    got = rank(v for v in vectors) if lazy else rank(vectors)
+    assert (got, bool(built)) == (want, eliminates)
 
 
 @settings(max_examples=100, deadline=None)

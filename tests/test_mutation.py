@@ -432,18 +432,26 @@ def test_gl_bracket_without_koszul_sign_fails_the_gl_checks(monkeypatch, capsys,
     assert failed == {"jacobi.gl.antisymmetry", "jacobi.gl.super_jacobi"}
 
 
+FIRST = {((-1,), 0, 0): Scalar(1)}  # the first domain vector at (1,2): t^-1 ⊗ e_0, no ζ
+
+
+def plant_theta(monkeypatch, faulty_image):
+    """θ with the image of FIRST replaced by ``faulty_image(image)``."""
+    orig = tensorqp.theta_transport
+
+    def faulty(vectors, table):
+        vectors = list(vectors)
+        return [faulty_image(image) if w == FIRST else image
+                for w, image in zip(vectors, orig(vectors, table))]
+
+    plant(monkeypatch, orig, faulty)
+
+
 def test_theta_losing_a_vector_fails_bijectivity(monkeypatch, capsys):
     code, checks = checks_of(capsys, "iso")
     assert code == 0
     total = {c["id"]: c["cases"] for c in checks}["iso.bijective"]
-    orig = tensorqp.theta_transport
-
-    def lossy(w, omega_basis, S):
-        # the first domain vector: t^-1 ⊗ e_0 with no ζ
-        first = TensorVec.basis(w.sig, (-1,) * w.sig.nvars, 0, 0)
-        return TensorVec.zero(S.sig) if w == first else orig(w, omega_basis, S)
-
-    plant(monkeypatch, orig, lossy)
+    plant_theta(monkeypatch, lambda image: {})
     code, checks = checks_of(capsys, "iso")
     failed = {c["id"]: c["counterexample"] for c in checks if not c["pass"]}
     assert code == 1
@@ -454,15 +462,23 @@ def test_theta_losing_a_vector_fails_bijectivity(monkeypatch, capsys):
 
 def plant_leaking_theta(monkeypatch):
     """θ moving the image of t^-1 ⊗ e_0 into the next block, times t_1."""
-    orig = tensorqp.theta_transport
+    plant_theta(monkeypatch, lambda image: {
+        ((e[0] + 1, *e[1:]), mask, j): c for (e, mask, j), c in image.items()})
 
-    def leaking(w, omega_basis, S):
-        out = orig(w, omega_basis, S)
-        if w == TensorVec.basis(w.sig, (-1,) * w.sig.nvars, 0, 0):
-            return out.left_mul(SuperPoly.t_var(S.sig, 1))
-        return out
 
-    plant(monkeypatch, orig, leaking)
+def ranked_iso(monkeypatch, capsys):
+    """Exit code, JSON checks and the size of every `linalg.rank` call of
+    ``check iso`` at (1,2)."""
+    ranked = []
+    rank = linalg.rank
+
+    def recorded(vectors):
+        vectors = list(vectors)
+        ranked.append(len(vectors))
+        return rank(vectors)
+
+    monkeypatch.setattr(linalg, "rank", recorded)
+    return (*checks_of(capsys, "iso"), ranked)
 
 
 def test_theta_leaking_out_of_its_block_trips_the_leak_guard(monkeypatch, capsys):
@@ -475,22 +491,35 @@ def test_theta_leaking_out_of_its_block_trips_the_leak_guard(monkeypatch, capsys
     assert code == 0
     total = {c["id"]: c["cases"] for c in clean}["iso.bijective"]
     plant_leaking_theta(monkeypatch)
-    ranked = []
-    rank = linalg.rank
-
-    def recorded(vectors):
-        vectors = list(vectors)
-        ranked.append(len(vectors))
-        return rank(vectors)
-
-    monkeypatch.setattr(linalg, "rank", recorded)
-    code, checks = checks_of(capsys, "iso")
+    code, checks, ranked = ranked_iso(monkeypatch, capsys)
     assert code == 1
     assert ranked == [total]
     want = [dict(c, **{"pass": False, "counterexample":
                        f"rank {total - 1} of {total}, target {total}"})
             if c["id"] == "iso.bijective" else c for c in clean]
     assert checks == want
+
+
+def test_theta_dropping_the_exponent_shift_trips_the_leak_guard(monkeypatch, capsys):
+    """θ that forgets t^e: c·t^e ζ_M ⊗ e_j goes to c·ζ_M·u_j for every e.
+    The first block's images then sit at exponent 0, so the leak guard
+    ranks the whole box in one call, where every block repeats block 0:
+    rank 2^n·dim Ω = 16 of 48.  iso.equivariance sees it too, at its
+    first draw with a t-exponent."""
+    code, clean = checks_of(capsys, "iso")
+    assert code == 0
+    total = {c["id"]: c["cases"] for c in clean}["iso.bijective"]
+    plant_edit(monkeypatch, tensorqp, tensorqp.theta_transport,
+               "e if shift is None else tuple(map(add, e, shift))",
+               "tuple(0 * x for x in e) if shift is None else shift")
+    code, checks, ranked = ranked_iso(monkeypatch, capsys)
+    assert code == 1
+    assert ranked == [total]
+    failed = {c["id"]: c["counterexample"] for c in checks if not c["pass"]}
+    assert failed == {
+        "iso.equivariance": "kind=psi",
+        "iso.bijective": f"rank 16 of {total}, target {total}",
+    }
 
 
 def test_rank_counting_overlapping_supports_fails_its_examples_and_hides_the_leak(

@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 
 import pytest
+from conftest import theta_reference
 
 from rinehart import linalg, suites, tensorqp
 from rinehart.cli import main
@@ -100,6 +101,30 @@ def test_qp_and_equalities_act_through_the_env_structures():
         assert all(r["pass"] for r in results), results
         used_by[name] = set(used)
     assert used_by == {"qp": {"S1", "S"}, "equalities": {"S1"}}
+
+
+def test_iso_builds_theta_table_once_per_run(monkeypatch):
+    """θ's table is built on first use, once per run, on the kernel basis,
+    and both iso rows read it: one `theta_table` call per `check iso`,
+    none for `build_env`, and every θ call gets that one table."""
+    tables, used = [], set()
+    orig_table, orig_theta = suites.theta_table, suites.theta_transport
+
+    def table(sig, basis):
+        tables.append(orig_table(sig, basis))
+        return tables[-1]
+
+    def theta(vectors, table):
+        used.add(id(table))
+        return orig_theta(vectors, table)
+
+    monkeypatch.setattr(suites, "theta_table", table)
+    monkeypatch.setattr(suites, "theta_transport", theta)
+    env = build_env(SuiteConfig(m=1, n=2))
+    assert env._theta is None and tables == []
+    code, _ = run_suite(SuiteConfig(m=1, n=2, samples=3, seed=4, suites=("iso",)))
+    assert code == 0
+    assert len(tables) == 1 and used == {id(tables[0])}
 
 
 def test_annihilate_alone_builds_no_induced_module(counted):
@@ -317,7 +342,7 @@ def _box_images(m, n):
     _, mu = admissible_mus(m, n)
     S = QPStructure(Signature(m, n, False), natural_module(m, n), mu)
     basis = tensorqp.omega_kernel(S)
-    return [tensorqp.theta_transport(TensorVec.basis(S.sig, exps, mask, j), basis, S).terms
+    return [theta_reference(TensorVec.basis(S.sig, exps, mask, j), basis).terms
             for exps in itertools.product(range(-1, 2), repeat=m)
             for mask in range(1 << n) for j in range(len(basis))]
 

@@ -31,6 +31,7 @@ from rinehart.tensorqp import (
     shen_act,
     t_act,
     t_act_gens,
+    theta_table,
     theta_transport,
     tprime_weight,
 )
@@ -1061,6 +1062,11 @@ def test_theta_map_examples(extracted):
     assert S.phi(t1, omega0) == TensorVec(S.sig, shifted)
 
 
+def _theta(w, table):
+    """θ of one vector through the library's list map."""
+    return TensorVec._trusted(w.sig, theta_transport([w.terms], table)[0])
+
+
 def test_theta_equivariance_and_bijectivity(extracted, sampler):
     import itertools
 
@@ -1068,6 +1074,7 @@ def test_theta_equivariance_and_bijectivity(extracted, sampler):
 
     S, basis = extracted
     dot = S.sig
+    table = theta_table(dot, basis)
     induced = induced_gl_module(S, basis, phi_images(S, basis))
     rho = rho_of(S, basis)
     assert rho.values == S.mu.values  # the slice reproduces the shifts
@@ -1076,26 +1083,95 @@ def test_theta_equivariance_and_bijectivity(extracted, sampler):
         w = sampler.tensor(dot, induced)
         x = sampler.qp_homogeneous(dot)
         a = sampler.monomial(dot)
-        assert theta_transport(Sprime.psi(x, w), basis, S) == S.psi(
-            x, theta_transport(w, basis, S)
-        )
-        assert theta_transport(Sprime.phihat(x, w), basis, S) == S.phihat(
-            x, theta_transport(w, basis, S)
-        )
-        assert theta_transport(Sprime.phi(a, w), basis, S) == S.phi(
-            a, theta_transport(w, basis, S)
-        )
+        assert _theta(Sprime.psi(x, w), table) == S.psi(x, _theta(w, table))
+        assert _theta(Sprime.phihat(x, w), table) == S.phihat(x, _theta(w, table))
+        assert _theta(Sprime.phi(a, w), table) == S.phi(a, _theta(w, table))
 
     dom = []
     for exps in itertools.product((-1, 0, 1), repeat=dot.nvars):
         for mask in range(1 << dot.n):
             for j in range(induced.dim):
                 dom.append(TensorVec.basis(dot, exps, mask, j))
-    images = [theta_transport(v, basis, S) for v in dom]
-    keys = sorted({k for v in images for k in v.terms})
+    images = theta_transport([v.terms for v in dom], table)
+    keys = sorted({k for v in images for k in v})
     index = {k: i for i, k in enumerate(keys)}
     mat = [[Scalar(0)] * len(dom) for _ in keys]
     for j, v in enumerate(images):
-        for key, c in v.terms.items():
+        for key, c in v.items():
             mat[index[key]][j] = c
     assert linalg.rank(dict(enumerate(row)) for row in mat) == len(dom) == 3 * 4 * S.omega.dim
+
+
+def _theta_bases(m, n):
+    """Kernel bases to run θ on at (m, n), by name: the natural kernel
+    1 ⊗ e_j of the suites' structure, and multi-term bases on which
+    `merge_masks` also gives the signs -1 and 0 (those of item 16's
+    disguised modules, g_j = 1 ⊗ e_j + ζ_1 ⊗ e_odd and, for n ≥ 2,
+    1 ⊗ e_j + 2ζ_1ζ_2 ⊗ e_j), plus one whose terms carry t-exponents."""
+    _, mu = admissible_mus(m, n)
+    S = QPStructure(Signature(m, n, False), natural_module(m, n), mu)
+    dot, dim, odd = S.sig, S.omega.dim, m + 1
+    z = dot.zero_exps()
+
+    def vec(*terms):
+        return TensorVec(dot, {(e, mask, j): c for e, mask, j, c in terms})
+
+    bases = {
+        "natural": omega_kernel(S),
+        "zeta_1 tail": [vec((z, 0, j, 1), (z, 1, odd, 1)) for j in range(dim)],
+        "shifted tail": [vec((z, 0, j, 1), ((-1,) + z[1:], 1 << (n - 1), 0, -3))
+                         for j in range(dim)],
+    }
+    if n >= 2:
+        bases["zeta_12 tail"] = [vec((z, 0, j, 1), (z, 3, j, 2)) for j in range(dim)]
+    return dot, bases
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (2, 3)])
+def test_theta_matches_its_definition(monkeypatch, m, n):
+    """θ read off `theta_table` equals θ by its definition (one `_iadd` of
+    basis[j] per term, `conftest.theta_reference`) term for term and in
+    term order, on the whole box of iso.bijective and on random vectors
+    with overlapping images, for every basis of `_theta_bases`; the
+    multi-term bases reach `merge_masks`' signs 0 and, for n ≥ 2, -1,
+    which the natural kernel never does."""
+    import itertools
+
+    from conftest import theta_reference
+
+    dot, bases = _theta_bases(m, n)
+    rng = Sampler(random.Random(f"theta:{m}:{n}"), deg=2)
+    box = [TensorVec.basis(dot, e, mask, j)
+           for e in itertools.product((-1, 0, 1), repeat=dot.nvars)
+           for mask in range(1 << n) for j in range(m + n + 1)]
+    signs = Counter()
+    orig = tensorqp.merge_masks
+
+    def counted(ma, mb):
+        signs[name, orig(ma, mb)[0]] += 1
+        return orig(ma, mb)
+
+    monkeypatch.setattr(tensorqp, "merge_masks", counted)
+    z, odd = dot.zero_exps(), m + 1
+    # under the ζ_1 tail, θ(1 ⊗ e_0 - ζ_1 ⊗ e_odd) = 1 ⊗ e_0: two terms cancel
+    cancelling = TensorVec(dot, {(z, 0, 0): 1, (z, 1, odd): -1})
+    for name, basis in bases.items():
+        table = theta_table(dot, basis)
+        randoms = [cancelling]
+        for _ in range(40):
+            w = TensorVec.zero(dot)
+            for _ in range(rng.below(4) + 1):
+                w = w + rng.tensor(dot, natural_module(m, n))
+            randoms.append(w)
+        for vectors in (box, randoms):
+            got = theta_transport([w.terms for w in vectors], table)
+            want = [theta_reference(w, basis).terms for w in vectors]
+            assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+        if name == "zeta_1 tail":
+            assert got[0] == {(z, 0, 0): Scalar(1)}
+    reached = {name: {sign for key, sign in signs if key == name} for name in bases}
+    # ζ_1 moves past an odd ζ_M only with a sign -1, which needs n ≥ 2; the
+    # even ζ_1ζ_2 and the last ζ_n never move with one
+    assert reached == {"natural": {1}, "shifted tail": {0, 1},
+                       "zeta_1 tail": {-1, 0, 1} if n >= 2 else {0, 1},
+                       **({"zeta_12 tail": {0, 1}} if n >= 2 else {})}

@@ -172,14 +172,16 @@ def test_only_the_structure_and_shen_act_call_the_psi_kernel():
 
 def test_only_env_builds_the_kernel_suites_shared_state():
     """Env is the one owner of what the kernel suites share: in suites.py
-    the kernel basis, the φ images and the induced module are built only
-    by Env's methods, so no suite builds them on a structure of its own."""
+    the kernel basis, the φ images, the induced module and θ's table are
+    built only by Env's methods, so no suite builds them on a structure or
+    a basis of its own."""
     readers = {name: _readers("suites.py", name)
-               for name in ("omega_kernel", "phi_images", "induced_gl_module")}
+               for name in ("omega_kernel", "phi_images", "induced_gl_module", "theta_table")}
     assert readers == {
         "omega_kernel": ["Env.kernel"],
         "phi_images": ["Env.images"],
         "induced_gl_module": ["Env.induced"],
+        "theta_table": ["Env.theta"],
     }
 
 
@@ -259,6 +261,40 @@ def test_tracer_targets_resolve():
             missing.append(span)
     missing += [f"Scalar.{m}" for m in scalar_ops if not callable(vars(Scalar).get(m))]
     assert missing == []
+
+
+TRACED_KERNEL_RUN = """
+import json
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from rinehart.suites import SuiteConfig, run_suite
+code, _ = run_suite(SuiteConfig(1, 2, 2, 2, 0, ("phi", "annihilate", "iso")))
+print(json.dumps([code, {name: rec[0] for name, rec in tracer.export()["spans"].items()}]))
+"""
+
+
+def test_tracer_spans_count_the_kernel_suites_calls():
+    """Installed as ``perfbench/run.py --trace 1`` installs it, in a fresh
+    interpreter, the tracer wraps every name that SPANS lists where the
+    library calls it: on the kernel suites at (1,2) the spans of θ, ψ,
+    t_act, the induced module and rank count calls, so a per-layer metric
+    of these layers cannot read 0 because a caller moved past its span."""
+    import json
+    import os
+    import subprocess
+
+    root = SRC.parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "perfbench"),
+                                                       str(root / "src")]))
+    out = subprocess.run([sys.executable, "-c", TRACED_KERNEL_RUN], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, calls = json.loads(out.splitlines()[-1])
+    assert code == 0
+    assert set(calls) >= {span for _, _, span in _tracer_tables()[0]}
+    for span in ("tensorqp.theta_transport", "tensorqp.psi", "tensorqp.t_act",
+                 "tensorqp.induced_gl_module", "linalg.rank"):
+        assert calls[span] > 0, span
 
 
 def test_plain_tag_has_two_homes():
