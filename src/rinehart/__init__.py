@@ -53,7 +53,6 @@ from .vectorfields import (
     loop_bracket,
     qp_bracket,
     qp_product,
-    special_partial,
     t0_embed,
     t0_slices,
     vf_bracket,

@@ -309,26 +309,34 @@ def _collect_terms(e):
                    for (exps, mask, tag), c in e.terms.items()]
 
 
+def _signed_sum(pieces, pad: str = "") -> str:
+    """Join (negative, text) pieces into one signed sum: the first piece
+    bare or after "-", each later one after pad + "+" or "-" + pad; "0"
+    when there are none."""
+    out = []
+    for neg, text in pieces:
+        if out:
+            out.append(f"{pad}{'-' if neg else '+'}{pad}{text}")
+        else:
+            out.append("-" + text if neg else text)
+    return "".join(out) or "0"
+
+
 def format_element(e) -> str:
     """Canonical literal; round-trips exactly through parse_element."""
     sig, terms = _collect_terms(e)
-    if not terms:
-        return "0"
     zero_key = (sig.zero_exps(), 0, None)
     terms.sort(key=lambda t: (t[:2] + (_tag_key(t[2]),)))
     terms.sort(key=lambda t: t[:3] == zero_key)
-    out = []
+    pieces = []
     for exps, mask, tag, coeff in terms:
         neg, coeff = _sign_split(coeff)
-        text = _term_text(sig, coeff, exps, mask, tag)
-        out.append("-" + text if neg else ("+" if out else "") + text)
-    return "".join(out)
+        pieces.append((neg, _term_text(sig, coeff, exps, mask, tag)))
+    return _signed_sum(pieces)
 
 
 def format_smash(u) -> str:
     """Readable (not round-tripping) form of a smash element."""
-    if u.is_zero():
-        return "0"
     sig = u.sig
     items = sorted(u.terms.items(), key=lambda kv: (
         kv[0][0], kv[0][1], kv[0][2], kv[0][3], _tag_key(kv[0][4])
@@ -340,40 +348,25 @@ def format_smash(u) -> str:
         right = _term_text(sig, Scalar(1), be, bm, tag)
         if right.startswith("1*"):
             right = right[2:]
-        text = f"{left} # {right}"
-        if neg:
-            pieces.append(" - " + text if pieces else "-" + text)
-        else:
-            pieces.append(" + " + text if pieces else text)
-    return "".join(pieces)
+        pieces.append((neg, f"{left} # {right}"))
+    return _signed_sum(pieces, pad=" ")
 
 
 def format_gl_matrix(g) -> str:
     """Combination of elementary matrices, e.g. 'E_0_0+E_1_0'."""
-    entries = []
+    pieces = []
     for (a, b), c in sorted(g.terms.items()):
         neg, cc = _sign_split(c)
         body = f"E_{a}_{b}" if cc == 1 else f"{format_scalar(cc)}*E_{a}_{b}"
-        entries.append(("-" if neg else "+") + body)
-    if not entries:
-        return "0"
-    first = entries[0]
-    if first.startswith("+"):
-        first = first[1:]
-    return first + "".join(entries[1:])
+        pieces.append((neg, body))
+    return _signed_sum(pieces)
 
 
 def format_tensor(v) -> str:
     """Readable (not round-tripping) form of a tensor vector."""
-    if v.is_zero():
-        return "0"
     sig = v.sig
     pieces = []
     for (exps, mask, idx), c in v.sorted_terms():
         neg, cc = _sign_split(c)
-        body = _term_text(sig, cc, exps, mask, None) + f"*e{idx}"
-        if neg:
-            pieces.append("-" + body)
-        else:
-            pieces.append(("+" if pieces else "") + body)
-    return "".join(pieces)
+        pieces.append((neg, _term_text(sig, cc, exps, mask, None) + f"*e{idx}"))
+    return _signed_sum(pieces)

@@ -103,9 +103,6 @@ class Scalar:
             return value
         return Scalar(value)
 
-    def is_zero(self) -> bool:
-        return not self.p and not self.q
-
     def __bool__(self) -> bool:
         return bool(self.p or self.q)
 

@@ -15,11 +15,12 @@ gl(m+1, n) through the degree-one Taylor data.
 from __future__ import annotations
 
 from .glmatrix import GlMatrix
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 from .superpoly import (
     Signature,
     Sparse,
     SuperPoly,
+    _taylor01,
     mask_size,
     mono_apply,
     mono_mul,
@@ -260,36 +261,26 @@ def psi_map(u, sig: Signature | None = None) -> VectorField:
 def theta_project(x: VectorField) -> GlMatrix:
     """Project a vanishing-ideal field onto gl(m+1, n).
 
-    Reads the stored Euler basis in one pass over the field's terms: each
-    coefficient's constant and degree-one Taylor data (the t_i - 1 rows,
-    then the ζ_k rows, as `superpoly._taylor01` reads them) is gathered
-    in the column of its derivation, tags in the order they first occur.
-    Raises, naming the first such tag, when a coefficient is not in the
-    vanishing ideal (its constant term is nonzero).
+    Groups the field's terms by their stored Euler or odd tag, in the
+    order the tags first occur, and reads each coefficient's constant and
+    degree-one Taylor data with `superpoly._taylor01`: the t_i - 1 rows,
+    then the ζ_k rows, of the column of its derivation.  Raises, naming
+    the first such tag, when a coefficient is not in the vanishing ideal
+    (its constant term is nonzero).
     """
     sig = x.sig
     if not sig.includes_t0:
         raise ValueError("the gl projection uses the full signature")
-    m = sig.m
-    cols: dict = {}  # tag -> [const, row 0, ..., row m + n]
+    groups: dict = {}
     for (exps, mask, tag), c in x.terms.items():
-        data = cols.get(tag)
-        if data is None:
-            data = cols[tag] = [ZERO] * (m + sig.n + 2)
-        if not mask:
-            data[0] = data[0] + c
-            for p, e in enumerate(exps, 1):
-                if e:
-                    data[p] = data[p] + (c if e == 1 else c * e)
-        elif not mask & (mask - 1):
-            row = m + mask.bit_length() + 1
-            data[row] = data[row] + c
+        groups.setdefault(tag, []).append(((exps, mask), c))
     terms = {}
-    for tag, data in cols.items():
-        if data[0]:
+    for tag, group in groups.items():
+        const, lin_t, lin_z = _taylor01(sig, group)
+        if const:
             raise ValueError(f"coefficient of {tag} is not in the vanishing ideal")
         col = sig.dir_of(tag)
-        for row, c in enumerate(data[1:]):
+        for row, c in enumerate(lin_t + lin_z):
             if c:
                 terms[(row, col)] = c
     return GlMatrix._trusted(sig, terms)

@@ -60,6 +60,7 @@ which decide most questions, are read in one pass over the terms
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
@@ -611,8 +612,9 @@ def shifted_form(f: SuperPoly) -> dict:
     return out
 
 
-def _taylor01(f: SuperPoly):
-    """Constant and degree-one Taylor data of f at t = 1, ζ = 0.
+def _taylor01(sig: Signature, terms):
+    """Constant and degree-one Taylor data at t = 1, ζ = 0 of the sum of
+    `terms`, pairs ((exps, mask), c) over `sig`.
 
     Returns (const, lin_t, lin_z): t^e ζ_M · c adds c to const and c·e_p
     to lin_t[p] (the u_p = t_p - 1 coefficient) when M = ∅, and c to
@@ -622,9 +624,9 @@ def _taylor01(f: SuperPoly):
     """
     zero = Scalar(0)
     const = zero
-    lin_t = [zero] * f.sig.nvars
-    lin_z = [zero] * f.sig.n
-    for (exps, mask), c in f.terms.items():
+    lin_t = [zero] * sig.nvars
+    lin_z = [zero] * sig.n
+    for (exps, mask), c in terms:
         if not mask:
             const = const + c
             for p, e in enumerate(exps):
@@ -683,7 +685,7 @@ def filt_degree(f: SuperPoly):
     and the loop ends: a nonzero f has a nonzero expansion."""
     if f.is_zero():
         return INFINITE
-    const, lin_t, lin_z = _taylor01(f)
+    const, lin_t, lin_z = _taylor01(f.sig, f.terms.items())
     if const:
         return 0
     if any(lin_t) or any(lin_z):
@@ -696,24 +698,8 @@ def filt_degree(f: SuperPoly):
 
 # ---------- Weights under (t_i-1)d/dt_i and ζ_k ∂/∂ζ_k ----------
 
-class WeightVector:
-    """Eigenvalue vectors: hprime indexed along sig.tvars(), h along ζ's;
-    equal and hashed by value."""
-
-    __slots__ = ("hprime", "h")
-
-    def __init__(self, hprime: tuple, h: tuple):
-        self.hprime, self.h = hprime, h
-
-    def __eq__(self, other):
-        return (type(other) is WeightVector
-                and (self.hprime, self.h) == (other.hprime, other.h))
-
-    def __hash__(self):
-        return hash((self.hprime, self.h))
-
-    def __repr__(self):
-        return f"WeightVector(hprime={self.hprime!r}, h={self.h!r})"
+# Eigenvalue vectors: hprime indexed along sig.tvars(), h along ζ's.
+WeightVector = namedtuple("WeightVector", "hprime h")
 
 
 def weight_of_poly(f: SuperPoly) -> WeightVector:

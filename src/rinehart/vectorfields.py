@@ -204,59 +204,6 @@ def degree_field(sig: Signature) -> VectorField:
     return out
 
 
-def special_partial(sig: Signature, kind: str, *, i=None, j=None, p=None,
-                    p2=None, sbar=None, k=None, mask=None) -> VectorField:
-    """Weight-homogeneous shifted-power derivations.
-
-    Kinds (all coefficients are products of (t_q-1)-powers):
-      'power_dt'         (t_j-1)^p · Π_{q≠j}(t_q-1)^{s_q} · d/dt_i
-      'power_q'          (t_j-1)^p · ζ_mask · ∂_k
-      'power_zeta_dt'    (t_i-1)^p · Π_{q≠i}(t_q-1)^{s_q} · ζ_mask · d/dt_i
-      'double_power_zeta_dt'
-                         (t_i-1)^p (t_j-1)^{p2} · Π_{q≠i,j}(t_q-1)^{s_q}
-                           · ζ_mask · d/dt_i   with i ≠ j
-    """
-    one = SuperPoly.one(sig)
-
-    def tpow(q, e):
-        return (SuperPoly.t_var(sig, q) - one) ** e
-
-    def rest(sb, skip):
-        out = SuperPoly.one(sig)
-        for q, e in zip(sig.tvars(), sb):
-            if q in skip or not e:
-                continue
-            out = out * tpow(q, e)
-        return out
-
-    if kind == "power_dt":
-        if p is None or p < 1:
-            raise ValueError("needs a positive power p")
-        coeff = tpow(j, p) * rest(sbar, {j})
-        return VectorField.from_poly_tag(coeff, ("dt", i))
-    if kind == "power_q":
-        if p is None or p < 1:
-            raise ValueError("needs a positive power p")
-        coeff = tpow(j, p) * SuperPoly.zeta_mask(sig, mask or 0)
-        return VectorField.from_poly_tag(coeff, ("q", k))
-    if kind == "power_zeta_dt":
-        if p is None or p < 1:
-            raise ValueError("needs a positive power p")
-        coeff = tpow(i, p) * rest(sbar, {i}) * SuperPoly.zeta_mask(sig, mask or 0)
-        return VectorField.from_poly_tag(coeff, ("dt", i))
-    if kind == "double_power_zeta_dt":
-        if i == j:
-            raise ValueError("the double-power kind needs i ≠ j")
-        if None in (p, p2) or p < 1 or p2 < 1:
-            raise ValueError("needs positive powers p and p2")
-        coeff = (
-            tpow(i, p) * tpow(j, p2) * rest(sbar, {i, j})
-            * SuperPoly.zeta_mask(sig, mask or 0)
-        )
-        return VectorField.from_poly_tag(coeff, ("dt", i))
-    raise ValueError(f"unknown special-partial kind {kind!r}")
-
-
 # ---------- algebra ⊕ derivations ----------
 
 class QPElement(Sparse):

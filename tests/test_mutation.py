@@ -330,6 +330,42 @@ def test_filt_degree_off_by_one_fails_the_filtration_checks(
         monkeypatch, superpoly, superpoly.filt_degree, "return k", "return k - 1")) == expected
 
 
+@pytest.mark.parametrize("m,n,expected", [
+    ("1", "1", {"phi.bridge", "theta.homomorphism", "theta.table"}),
+    ("1", "2", {"phi.bridge", "theta.table"}),
+    ("2", "2", {"phi.bridge", "theta.table"}),
+])
+def test_theta_project_storing_the_transpose_fails_the_theta_checks(
+        monkeypatch, capsys, m, n, expected):
+    """theta_project stores each Taylor entry at (column, row).  The table
+    of θ on the linear fields fails, and so does the φ bridge, which acts
+    through the projected matrix; at (1,1) the homomorphism check sees it
+    too."""
+    assert all_failed(capsys, m, n, lambda: plant_edit(
+        monkeypatch, smash, smash.theta_project, "terms[(row, col)] = c",
+        "terms[(col, row)] = c")) == expected
+
+
+@pytest.mark.parametrize("m,n,expected", [
+    ("1", "1", {"annihilate.square_ideal", "filtration.mode_membership",
+                "filtration.mods2", "phi.bridge", "theta.homomorphism",
+                "theta.kernel"}),
+    ("1", "2", {"annihilate.square_ideal", "filtration.mode_membership",
+                "filtration.mods2", "filtration.plus_rewrite", "phi.bridge",
+                "theta.homomorphism"}),
+    ("2", "2", {"annihilate.square_ideal", "filtration.mods2",
+                "filtration.plus_rewrite", "phi.bridge"}),
+])
+def test_taylor01_dropping_the_exponent_fails_filtration_and_theta(
+        monkeypatch, capsys, m, n, expected):
+    """_taylor01 adds c, not c·e_p, to the u_p coefficient of t^e ζ_∅·c.
+    filt_degree and theta_project both read their degree-one data through
+    it, so filtration degrees and the gl projection go wrong together."""
+    assert all_failed(capsys, m, n, lambda: plant_edit(
+        monkeypatch, superpoly, superpoly._taylor01, "(c if e == 1 else c * e)",
+        "c")) == expected
+
+
 LOOP_ACTION_FAULTS = {
     "algebra": (tensorqp, "_smash_act", "shift = ae[0] + be[0] + k",
                 "shift = ae[0] + be[0] + (k if tag else 0)",

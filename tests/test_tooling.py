@@ -34,7 +34,6 @@ EXEMPT = {
     "rref": "perfbench/tracer.py wraps it as the linalg.rref span; dense adapter over Echelon",
     "omega_extract": "perfbench/tracer.py wraps it as the tensorqp.omega_extract span;"
                      " the tests' oracle for omega_kernel",
-    "special_partial": "paper construction; a suite check would move the golden hashes",
     "module_to_dict": "the config writer, inverse of module_from_dict; only tests write configs",
     "matmul": "perfbench/tracer.py wraps it as linalg.matmul; tests/test_glmodules.py's dense reference",
 }
@@ -54,7 +53,6 @@ SHARED = {
     "from_poly": "SmashElement.from_poly in tensorqp.loop_a_act and the centralizer suite;"
                  " QPElement.from_poly in QPElement.of, QPElement.pair, the Sampler and the"
                  " qp axioms",
-    "is_zero": "Scalar and Sparse each test their own zero",
     "monomial": "Sampler.monomial draws one at random; SuperPoly.monomial builds one",
     "of": "Scalar.of and QPElement.of each coerce into their own type",
     "phihat_parts": "QPStructure.phihat_parts, read by _smash_act, phi_images and"
@@ -168,6 +166,21 @@ def test_only_the_structure_and_shen_act_call_the_psi_kernel():
     goes through, and by shen_act, the full-signature reference that the
     loop checks compare the loop actions with."""
     assert _readers("tensorqp.py", "_twisted") == ["QPStructure.psi_parts", "shen_act"]
+
+
+def test_taylor_data_and_signed_sums_have_one_reader_each():
+    """One implementation of each job: a coefficient's constant and
+    degree-one Taylor data are read only by `superpoly._taylor01`, which
+    filt_degree and theta_project call, and the four formatters join
+    their signed terms only through `parser._signed_sum`."""
+    readers = {name: [f"{path.name}: {reader}" for path in sorted(SRC.glob("*.py"))
+                      for reader in _readers(path.name, name)]
+               for name in ("_taylor01", "_signed_sum")}
+    assert readers == {
+        "_taylor01": ["smash.py: theta_project", "superpoly.py: filt_degree"],
+        "_signed_sum": ["parser.py: format_element", "parser.py: format_gl_matrix",
+                        "parser.py: format_smash", "parser.py: format_tensor"],
+    }
 
 
 def test_only_env_builds_the_kernel_suites_shared_state():

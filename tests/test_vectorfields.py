@@ -26,7 +26,6 @@ from rinehart.vectorfields import (
     loop_bracket,
     qp_bracket,
     qp_product,
-    special_partial,
     t0_embed,
     t0_slices,
     tag_parity,
@@ -166,36 +165,10 @@ def test_mode_membership_both_directions(sig12, sampler):
             assert all(filt_degree(c) >= k for c in polys.values())
 
 
-def test_special_partial_instances():
-    sig = Signature(1, 2, True)
-    one = SuperPoly.one(sig)
-    t0 = SuperPoly.t_var(sig, 0)
-    got = special_partial(sig, "power_q", j=0, p=2, k=1, mask=0)
-    assert got == VectorField.from_poly_tag((t0 - one) ** 2, ("q", 1))
-
-    w = weight_of(got)
-    assert w.hprime == (2, 0)
-    assert w.h == (-1, 0)  # no Grassmann factor, one odd derivation
-
-    # first display kind: weight p·eps_j - eps_i + Σ_{q≠j} s_q eps_q, h-weight 0
-    got = special_partial(sig, "power_dt", i=0, j=1, p=2, sbar=(1, 1))
-    w = weight_of(got)
-    assert w.hprime == (1 - 1, 2)
-    assert w.h == (0, 0)
-
-    got = special_partial(sig, "power_q", j=1, p=1, k=2, mask=0b01)
-    w = weight_of(got)
-    assert w.hprime == (0, 1)
-    assert w.h == (1, -1)  # delta_I - delta_k
-
-    with pytest.raises(ValueError):
-        special_partial(sig, "double_power_zeta_dt", i=1, j=1, p=1, p2=1,
-                        sbar=(0, 0), mask=0)
-
-
 def test_special_partial_weights_match_adjoint(sig12, sampler):
     """The placement data is an adjoint-eigenvalue statement; check it
-    against brackets with the diagonal fields."""
+    against brackets with the diagonal fields, on a special partial
+    derivation (a shifted-power field) of each displayed kind."""
     sig = sig12
     one = SuperPoly.one(sig)
     hps = [
@@ -206,13 +179,12 @@ def test_special_partial_weights_match_adjoint(sig12, sampler):
         VectorField.from_poly_tag(SuperPoly.zeta(sig, k), ("q", k))
         for k in (1, 2)
     ]
+    # (t_0-1)(t_1-1) d/dt_1, (t_0-1) ζ_2 ∂_1, (t_0-1)(t_1-1) ζ_1 d/dt_1 and
+    # (t_0-1)(t_1-1)^2 ζ_1 ζ_2 d/dt_0
     cases = [
-        special_partial(sig, "power_dt", i=1, j=0, p=1, sbar=(0, 1)),
-        special_partial(sig, "power_q", j=0, p=1, k=1, mask=0b10),
-        special_partial(sig, "power_zeta_dt", i=1, p=1, sbar=(1, 0), mask=0b01),
-        special_partial(
-            sig, "double_power_zeta_dt", i=0, j=1, p=1, p2=2, sbar=(0, 0), mask=0b11
-        ),
+        VectorField.from_poly_tag(shift_basis(sig, pos, (0, 0), mask), tag)
+        for pos, mask, tag in [((1, 1), 0, ("dt", 1)), ((1, 0), 0b10, ("q", 1)),
+                               ((1, 1), 0b01, ("dt", 1)), ((1, 2), 0b11, ("dt", 0))]
     ]
     for x in cases:
         w = weight_of(x)
