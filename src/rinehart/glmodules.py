@@ -3,8 +3,8 @@
 A module stores each elementary matrix's action once, as sparse columns
 over a basis with a parity vector: the form the tensor-module kernels
 read.  Dense rows exist only in the config file format.  `rep_check`
-validates every supercommutator relation and the parity homogeneity of
-each action.
+validates every supercommutator relation, skipping the pairs that vanish
+by support, and the parity homogeneity of each action.
 """
 
 from __future__ import annotations
@@ -119,6 +119,12 @@ def rep_check(mod: GlModule) -> list:
     pairs fail together; the violations list them in row-major order of
     (ab, cd), after the parity violations.  A parity violation names the
     action's first bad entry in row-major order.
+
+    A pair whose R vanishes by support alone is skipped: M_ab M_cd is 0
+    when no column of M_ab is a row of M_cd (bitmasks of each action's
+    rows and columns), and a δ term is absent when its δ is 0 or its
+    action has no entry.  With both products and both δ terms gone, R = 0
+    exactly.
     """
     violations = []
     par = mod.parities
@@ -132,13 +138,24 @@ def rep_check(mod: GlModule) -> list:
             violations.append(("parity", (a, b), f"entry ({bad[0]},{bad[1]}) breaks parity"))
     one = [[(u, ONE)] for u in range(mod.dim)]
     entries = {ab: _entries(cols) for ab, cols in acts.items()}
+    row_mask, col_mask = {}, {}
+    for ab, ent in entries.items():
+        rm = cm = 0
+        for k, j, _ in ent:
+            rm |= 1 << k
+            cm |= 1 << j
+        row_mask[ab], col_mask[ab] = rm, cm
     pairs = list(acts)
     failing = set()
     for i, (a, b) in enumerate(pairs):
         mab, eab = acts[(a, b)], entries[(a, b)]
+        rab, cab = row_mask[(a, b)], col_mask[(a, b)]
         pab = gl_parity(a, b)
         for j in range(i, len(pairs)):
             c, d = pairs[j]
+            if not (cab & row_mask[(c, d)] or col_mask[(c, d)] & rab
+                    or b == c and entries[(a, d)] or d == a and entries[(c, b)]):
+                continue  # R(ab, cd) = 0 by support
             sign = -1 if pab and gl_parity(c, d) else 1
             diff = {}
             _accumulate(diff, mab, entries[(c, d)], 1)

@@ -2,9 +2,10 @@
 
 A vector is a dict ``{key: Scalar}`` of its nonzero entries, with any
 hashable keys, e.g. those of ``TensorVec.terms``.  `Echelon` is the one
-elimination kernel; `nullspace`, `solve_columns` and the dense adapter
-`rref` run through it, and `rank` does unless the supports are disjoint.
-Dense matrices are lists of rows.
+elimination kernel; `nullspace` and the dense adapter `rref` run through
+it, `rank` does unless the supports are disjoint, and `solve_columns`
+does unless every basis vector is one term at a key of its own, which it
+solves by lookup.  Dense matrices are lists of rows.
 """
 
 from __future__ import annotations
@@ -144,11 +145,41 @@ def nullspace(vectors) -> list[dict]:
 def solve_columns(vectors, targets) -> list:
     """For each target b, sparse ``{j: x_j}`` with Σ x_j·vectors[j] = b, or
     None where b is outside the span.  Only vectors independent of those
-    before them get a coordinate, as in a reduced echelon form."""
+    before them get a coordinate, as in a reduced echelon form.
+
+    When every vector has one nonzero term and no two share a key, the
+    solve is a lookup: x_j = b[key_j] / c_j, None for a nonzero entry of b
+    at a key outside the basis, and the coordinates in ascending j, as
+    `Echelon` lists them.  Any other basis goes through `Echelon`."""
+    vectors = list(vectors)
+    lookup = {}
+    for j, v in enumerate(vectors):
+        if len(v) != 1:
+            break
+        (key, c), = v.items()
+        if not c or key in lookup:
+            break
+        lookup[key] = (j, c)
+    else:
+        return [_lookup_solve(lookup, b) for b in targets]
     ech = Echelon(track=True)
     for v in vectors:
         ech.add(v)
     return [None if rest else x for rest, x in map(ech.reduce, targets)]
+
+
+def _lookup_solve(lookup: dict, b: dict):
+    """`solve_columns` of b over one-term vectors {key: (j, c_j)}."""
+    x = []
+    for key, c in b.items():
+        if c:
+            hit = lookup.get(key)
+            if hit is None:
+                return None
+            j, cj = hit
+            x.append((j, c if cj == ONE else c / cj))
+    x.sort()
+    return dict(x)
 
 
 def solve(vectors, b) -> dict | None:

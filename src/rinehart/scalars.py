@@ -5,7 +5,8 @@ checks are zero-tolerance.  A ``Scalar`` holds ``(p + q*i) / d`` as three
 ints with ``d > 0`` and ``gcd(p, q, d) == 1``, so each value has exactly
 one form.  ``+ - * /`` and negation are integer arithmetic with at most
 one ``math.gcd`` per result, and none when ``d == 1``, for a negation,
-or when the factor is the int 1 or -1; no ``Fraction`` is built.
+or when a factor is 1 or -1, as an int or as a ``Scalar`` (a copy or a
+negation of the other factor); no ``Fraction`` is built.
 ``re`` and ``im`` read the components back as a plain ``int`` when
 integral, a ``Fraction`` otherwise.  No floating point appears anywhere: a ``float`` or
 ``complex`` component raises ``TypeError``.
@@ -149,6 +150,11 @@ class Scalar:
             if other is None:
                 return NotImplemented
         a, b, c, e = self.p, self.q, other.p, other.q
+        # a real ±1 over denominator 1 is a copy or a negation: no gcd
+        if not e and other.d == 1 and (c == 1 or c == -1):
+            return self if c == 1 else -self
+        if not b and self.d == 1 and (a == 1 or a == -1):
+            return other if a == 1 else -other
         if not b and not e:
             return _reduced(a * c, 0, self.d * other.d)
         return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)

@@ -40,7 +40,7 @@ from operator import add
 
 from . import linalg
 from .glmodules import GlModule, MuVector
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 from .smash import SmashElement, _x_terms
 from .superpoly import (
     Signature,
@@ -125,8 +125,7 @@ class QPStructure:
         return self.phihat_parts(_alpha_parts(self.sig, x), (w,))[0]
 
     def psi_parts(self, parts, vectors) -> list[TensorVec]:
-        if any(w.sig != self.sig for w in vectors):
-            raise ValueError("signature mismatch")
+        _check_sigs(self.sig, vectors)
         return _twisted(self.sig, self.mu, self.omega, parts, vectors)
 
     def phihat_parts(self, parts, vectors) -> list[TensorVec]:
@@ -134,8 +133,7 @@ class QPStructure:
         -(-1)^{|b||α|} a·b ⊗ E_{0α} v; a part's column E_{0α} is looked up
         once for all the vectors."""
         sig = self.sig
-        if any(w.sig != sig for w in vectors):
-            raise ValueError("signature mismatch")
+        _check_sigs(sig, vectors)
         columns = self.omega.columns
         outs = [TensorVec._trusted(sig, {}) for _ in vectors]
         for alpha, ae, am, ca in parts:
@@ -155,6 +153,14 @@ class QPStructure:
                     for u, cu in col:
                         out._iadd_term((e2, m2, u), c2 if cu is ONE else c2 * cu)
         return outs
+
+
+def _check_sigs(sig: Signature, vectors) -> None:
+    """Refuse (ValueError) a vector over another signature; `Signature` is
+    interned, so identity is equality."""
+    for w in vectors:
+        if w.sig is not sig:
+            raise ValueError("signature mismatch")
 
 
 def _alpha_parts(sig: Signature, x):
@@ -381,8 +387,7 @@ def t_act(rbar, jmask: int, tag, vectors, S: QPStructure) -> list[TensorVec]:
     `smash.make_X`, whose t_0 shifts are all 0, by `_smash_act` at k = 0."""
     sig = S.sig
     terms = _x_terms(sig.full(), rbar, jmask, tag)
-    if any(u.sig != sig for u in vectors):
-        raise ValueError("signature mismatch")
+    _check_sigs(sig, vectors)
     return _smash_act(terms, vectors, S, 0).get(0) or [TensorVec.zero(sig) for _ in vectors]
 
 
@@ -408,8 +413,9 @@ def _odd_units(sig: Signature) -> list:
 
 def _solve_in(basis: list[TensorVec], targets: list[TensorVec], error: str) -> list:
     """Coordinates ``{i: c}`` of each target in the span of ``basis``
-    (unique when the basis is independent), from one reduction; raise
-    ValueError(error) if a target lies outside the span."""
+    (unique when the basis is independent), from one reduction, or by
+    lookup when the basis is one-term vectors (`linalg.solve_columns`);
+    raise ValueError(error) if a target lies outside the span."""
     sols = linalg.solve_columns([v.terms for v in basis], [t.terms for t in targets])
     if any(sol is None for sol in sols):
         raise ValueError(error)
@@ -499,10 +505,18 @@ def omega_kernel(S: QPStructure) -> list[TensorVec]:
 
 
 def _eigen_scalar(v: TensorVec, image: TensorVec) -> Scalar:
-    """λ with image = λ·v, or raise when v is not an eigenvector."""
+    """λ with image = λ·v, or raise when v is not an eigenvector.  The two
+    are compared term by term, without building λ·v: for λ = 0 the image
+    is empty, else it has v's keys, each with λ times v's coefficient."""
+    terms = image.terms
     key = next(iter(v.terms))
-    lam = image.terms.get(key, Scalar(0)) / v.terms[key]
-    if image != v * lam:
+    lam = terms.get(key, ZERO) / v.terms[key]
+    if lam:
+        ok = len(terms) == len(v.terms) and all(
+            terms.get(k) == lam * c for k, c in v.terms.items())
+    else:
+        ok = not terms
+    if not ok:
         raise ValueError("vector is not an eigenvector")
     return lam
 
@@ -558,8 +572,8 @@ def induced_gl_module(S: QPStructure, omega_basis: list[TensorVec],
                       images: dict) -> GlModule:
     """The kernel basis as an explicit gl(m+1, n)-module.  ``images`` are
     `phi_images(S, omega_basis)`; every image is solved in one reduction
-    of the basis, whose coordinates are unique because the basis is
-    independent."""
+    of the basis (a lookup on the unit vectors 1 ⊗ e_j), whose
+    coordinates are unique because the basis is independent."""
     sig = S.sig
     parities = []
     for v in omega_basis:

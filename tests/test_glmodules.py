@@ -9,6 +9,7 @@ from rinehart import glmodules
 from rinehart.glmodules import GlModule, MuVector, natural_module, rep_check
 from rinehart.linalg import matmul, zeros
 from rinehart.scalars import Scalar
+from rinehart.superpoly import Signature
 
 
 def dense(mod):
@@ -142,17 +143,33 @@ def dense_rep_check(mod):
 small = st.integers(-2, 2)
 
 
+def dual_module(m, n):
+    """The dual of the natural module: E_ab acts as -(-1)^{(|a|+|b|)|a|}
+    times the elementary matrix at (b, a)."""
+    sig = Signature(m, n)
+    dirs = sig.directions()
+    par = sig.dir_parity
+    columns = {(a, b): [[(b, Scalar(-(-1) ** ((par(a) + par(b)) * par(a))))] if g == a
+                        else [] for g in dirs]
+               for a in dirs for b in dirs}
+    return GlModule(m, n, len(dirs), map(par, dirs), columns)
+
+
 @st.composite
 def perturbed_modules(draw):
-    """Natural and zero modules, some with up to four entries overwritten
-    or rescaled; an entry at the wrong parity breaks homogeneity."""
+    """Natural, dual and zero modules, some with up to four entries
+    overwritten or rescaled; an entry at the wrong parity breaks
+    homogeneity.  A perturbed zero module is a random sparse one, where
+    most products vanish and a written entry often breaks a relation that
+    only a δ term shows."""
     m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    if draw(st.booleans()):
-        mod = natural_module(m, n)
-    else:
+    kind = draw(st.sampled_from(("natural", "dual", "zero")))
+    if kind == "zero":
         dim = draw(st.integers(1, 4))
         parities = draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
         mod = zero_action_module(m, n, dim, parities)
+    else:
+        mod = (natural_module if kind == "natural" else dual_module)(m, n)
     act = dense(mod)
     index = st.integers(0, m + n)
     entry = st.integers(0, mod.dim - 1)
@@ -167,6 +184,9 @@ def perturbed_modules(draw):
 @settings(max_examples=150, deadline=None)
 @given(mod=perturbed_modules())
 def test_rep_check_lists_the_dense_violations_in_order(mod):
+    """dense_rep_check evaluates every ordered pair; rep_check, which
+    evaluates each unordered pair once and skips those zero by support,
+    lists the same violations."""
     assert rep_check(mod) == dense_rep_check(mod)
 
 
@@ -212,3 +232,51 @@ def test_constructor_rejects_malformed_columns(broken, message):
     broken(columns)
     with pytest.raises(ValueError, match=message):
         GlModule(1, 1, 3, mod.parities, columns)
+
+
+# ---------- rep_check skips the pairs that vanish by support ----------
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 3)])
+def test_natural_dual_and_trivial_modules_are_representations(m, n):
+    for mod in (natural_module(m, n), dual_module(m, n), zero_action_module(m, n, 3, (0, 1, 1))):
+        assert rep_check(mod) == dense_rep_check(mod) == []
+
+
+@pytest.mark.parametrize("ab,value,first", [
+    ((0, 2), Scalar(1), ((0, 1), (1, 2))),  # [E_01, E_12] = E_02: δ_bc
+    ((1, 1), Scalar(2), ((0, 1), (1, 0))),  # [E_01, E_10] = E_00 - E_11: δ_da
+])
+def test_rep_check_sees_violations_only_a_delta_term_shows(ab, value, first):
+    """One entry, in E_ab, on the one-dimensional zero module of gl(3,1),
+    where E_ab is even for a, b ≤ 2.  A product of two actions is nonzero
+    only for E_ab·E_ab, so each failing pair sees E_ab through a δ term;
+    ``first`` is evaluated in the order that puts E_ab in its δ_bc (the
+    first case) or its δ_da (the second)."""
+    mod = zero_action_module(2, 1, 1)
+    columns = dict(mod.columns)
+    columns[ab] = [[(0, value)]]
+    broken = GlModule(2, 1, 1, mod.parities, columns)
+    violations = rep_check(broken)
+    assert violations == dense_rep_check(broken)
+    pairs = [v[1] for v in violations]
+    assert first in pairs and all(v[0] == "commutator" for v in violations)
+    for (a, b), (c, d) in pairs:
+        assert (a, b) != ab or (c, d) != ab
+        assert b == c and (a, d) == ab or d == a and (c, b) == ab
+
+
+def test_rep_check_skips_the_pairs_zero_by_support(monkeypatch):
+    """On the natural module E_ab E_cd = δ_bc E_ad, so a pair with b ≠ c
+    and d ≠ a has both products and both δ terms 0 and is skipped; an
+    evaluated pair accumulates its two products and its δ terms."""
+    mod = natural_module(2, 3)
+    calls = []
+    accumulate = glmodules._accumulate
+    monkeypatch.setattr(glmodules, "_accumulate",
+                        lambda *args: calls.append(1) or accumulate(*args))
+    assert rep_check(mod) == []
+    pairs = list(mod.columns)
+    evaluated = [(a, b, c, d) for i, (a, b) in enumerate(pairs) for c, d in pairs[i:]
+                 if b == c or d == a]
+    assert (len(pairs), len(evaluated)) == (36, 201)  # of 666 unordered pairs
+    assert len(calls) == sum(2 + (b == c) + (d == a) for a, b, c, d in evaluated)

@@ -20,40 +20,66 @@ from rinehart.scalars import ONE, ZERO, Scalar
 MAX_DIM = 12
 TWO = Scalar(2)
 
-components = st.one_of(
-    st.integers(-4, 4),
-    st.fractions(min_value=-4, max_value=4, max_denominator=5),
-)
-nonzero = st.builds(Scalar, components, components).filter(bool)
+# Every value a Scalar component can take: the ints -4..4 and the
+# fractions in [-4, 4] with denominator at most 5, 0 first so that
+# shrinking goes to 0.  The strategies draw a Scalar as a pair of indices
+# into it, plain ints, and the test bodies build it with `scalar`:
+# drawing Fractions and Scalars through Hypothesis cost most of this
+# file's time.
+COMPONENTS = tuple(sorted(
+    {Fraction(p, q) for q in range(1, 6) for p in range(-4 * q, 4 * q + 1)},
+    key=lambda x: (x.denominator, abs(x), x < 0)))
+component = st.integers(0, len(COMPONENTS) - 1)
+entries = st.tuples(component, component)
+nonzero = entries.filter(any)  # (0, 0) is the one zero
+
+
+def scalar(t) -> Scalar:
+    """The Scalar of an index pair drawn from ``entries``."""
+    return Scalar(COMPONENTS[t[0]], COMPONENTS[t[1]])
 
 
 @st.composite
 def sparse_matrices(draw, max_dim=MAX_DIM):
-    """Matrices with at most 40 % nonzero cells, some with a blanked row
-    and column, some with a row and a column that are multiples of others
-    (so that rank deficiency and kernels are common)."""
+    """Recipes (see `matrix`) of matrices with at most 40 % nonzero cells,
+    some with a blanked row and column, some with a row and a column that
+    are multiples of others (so that rank deficiency and kernels are
+    common)."""
     rows = draw(st.integers(1, max_dim))
     cols = draw(st.integers(1, max_dim))
     cells = draw(st.sets(
         st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
         max_size=int(0.4 * rows * cols),
     ))
-    mat = [[Scalar(0)] * cols for _ in range(rows)]
-    for i, j in sorted(cells):
-        mat[i][j] = draw(nonzero)
+    values = {cell: draw(nonzero) for cell in sorted(cells)}
+    row_copy = col_copy = None
     if rows > 1 and draw(st.booleans()):
-        src, dst = draw(st.permutations(range(rows)))[:2]
-        f = draw(nonzero)
-        mat[dst] = [f * x for x in mat[src]]
+        row_copy = (*draw(st.permutations(range(rows)))[:2], draw(nonzero))
     if cols > 1 and draw(st.booleans()):
-        src, dst = draw(st.permutations(range(cols)))[:2]
-        f = draw(nonzero)
+        col_copy = (*draw(st.permutations(range(cols)))[:2], draw(nonzero))
+    blank_row = draw(st.none() | st.integers(0, rows - 1))
+    blank_col = draw(st.none() | st.integers(0, cols - 1))
+    return rows, cols, values, row_copy, col_copy, blank_row, blank_col
+
+
+def matrix(recipe):
+    """The Scalar matrix of a `sparse_matrices` recipe: the drawn cells,
+    then the row and the column copied as multiples, then the blanks."""
+    rows, cols, values, row_copy, col_copy, blank_row, blank_col = recipe
+    mat = [[Scalar(0)] * cols for _ in range(rows)]
+    for (i, j), t in values.items():
+        mat[i][j] = scalar(t)
+    if row_copy is not None:
+        src, dst, f = row_copy
+        f = scalar(f)
+        mat[dst] = [f * x for x in mat[src]]
+    if col_copy is not None:
+        src, dst, f = col_copy
+        f = scalar(f)
         for row in mat:
             row[dst] = f * row[src]
-    blank_row = draw(st.none() | st.integers(0, rows - 1))
     if blank_row is not None:
         mat[blank_row] = [Scalar(0)] * cols
-    blank_col = draw(st.none() | st.integers(0, cols - 1))
     if blank_col is not None:
         for row in mat:
             row[blank_col] = Scalar(0)
@@ -128,8 +154,9 @@ def dense_solve(a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(a=sparse_matrices())
-def test_rref_is_reduced_echelon_form_and_matches_dense(a):
+@given(recipe=sparse_matrices())
+def test_rref_is_reduced_echelon_form_and_matches_dense(recipe):
+    a = matrix(recipe)
     snapshot = [list(row) for row in a]
     mat, pivots = rref(a)
     assert a == snapshot
@@ -144,8 +171,9 @@ def test_rref_is_reduced_echelon_form_and_matches_dense(a):
 
 
 @settings(max_examples=150, deadline=None)
-@given(a=sparse_matrices())
-def test_rank_and_nullspace(a):
+@given(recipe=sparse_matrices())
+def test_rank_and_nullspace(recipe):
+    a = matrix(recipe)
     cols = len(a[0])
     r = dense_rank(a)
     assert r == len(naive_rref(a)[1])
@@ -159,16 +187,15 @@ def test_rank_and_nullspace(a):
 
 
 @settings(max_examples=150, deadline=None)
-@given(a=sparse_matrices(), data=st.data())
-def test_solve(a, data):
+@given(recipe=sparse_matrices(), data=st.data())
+def test_solve(recipe, data):
+    a = matrix(recipe)
     cols = len(a[0])
     if data.draw(st.booleans()):
-        x0 = data.draw(st.lists(st.builds(Scalar, components, components),
-                                min_size=cols, max_size=cols))
-        b = matvec(a, x0)
+        x0 = data.draw(st.lists(entries, min_size=cols, max_size=cols))
+        b = matvec(a, list(map(scalar, x0)))
     else:
-        b = data.draw(st.lists(st.builds(Scalar, components, components),
-                               min_size=len(a), max_size=len(a)))
+        b = list(map(scalar, data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))))
     x = dense_solve(a, b)
     inconsistent = dense_rank([row + [bi] for row, bi in zip(a, b)]) > dense_rank(a)
     assert (x is None) == inconsistent
@@ -177,21 +204,22 @@ def test_solve(a, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(a=sparse_matrices(), data=st.data())
-def test_solve_columns(a, data):
+@given(recipe=sparse_matrices(), data=st.data())
+def test_solve_columns(recipe, data):
     """Each column solves or is None exactly when it is inconsistent; a
     repeated column (inconsistent or not) gets the same answer."""
+    a = matrix(recipe)
     cols = len(a[0])
-    entries = st.builds(Scalar, components, components)
     bs = []
     for _ in range(data.draw(st.integers(0, 4))):
         if bs and data.draw(st.booleans()):
-            bs.append(list(data.draw(st.sampled_from(bs))))
+            bs.append(list(bs[data.draw(st.integers(0, len(bs) - 1))]))
         elif data.draw(st.booleans()):
             x0 = data.draw(st.lists(entries, min_size=cols, max_size=cols))
-            bs.append(matvec(a, x0))
+            bs.append(matvec(a, list(map(scalar, x0))))
         else:
-            bs.append(data.draw(st.lists(entries, min_size=len(a), max_size=len(a))))
+            b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+            bs.append(list(map(scalar, b)))
     xs = dense_solve_columns(a, bs)
     assert len(xs) == len(bs)
     for b, x in zip(bs, xs):
@@ -226,12 +254,12 @@ def test_rref_keeps_exact_fractions():
 
 TENSOR_KEYS = [((e0, e1), mask, idx)
                for e0 in (-1, 0, 1) for e1 in (0, 2) for mask in (0, 1, 3) for idx in (0, 1)]
-entries = st.builds(Scalar, components, components)
 
 
 @st.composite
 def sparse_systems(draw):
-    """Key rows, sparse vectors and targets keyed like ``TensorVec.terms``.
+    """Recipes (see `system`) of key rows, sparse vectors and targets keyed
+    like ``TensorVec.terms``.
 
     The vectors include empty ones and repeated (rescaled) ones, so
     dependencies are common; the targets include combinations of the
@@ -239,34 +267,57 @@ def sparse_systems(draw):
     earlier targets, inconsistent ones included.
     """
     keys = draw(st.lists(st.sampled_from(TENSOR_KEYS), min_size=1, max_size=8, unique=True))
+    key_set = st.sets(st.sampled_from(tuple(keys)), max_size=len(keys))
 
     def fresh():
-        support = draw(st.sets(st.sampled_from(keys), max_size=len(keys)))
-        return {k: draw(nonzero) for k in support}
+        return ("fresh", {k: draw(nonzero) for k in draw(key_set)})
 
     vectors = []
     for _ in range(draw(st.integers(0, 9))):
         kind = draw(st.sampled_from(("fresh", "empty", "repeat")))
         if kind == "repeat" and vectors:
-            f = draw(nonzero)
-            vectors.append({k: f * c for k, c in draw(st.sampled_from(vectors)).items()})
+            vectors.append(("repeat", draw(st.integers(0, len(vectors) - 1)), draw(nonzero)))
         else:
-            vectors.append({} if kind == "empty" else fresh())
+            vectors.append(("fresh", {}) if kind == "empty" else fresh())
     targets = []
     for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(("span", "fresh", "repeat")))
         if kind == "repeat" and targets:
-            targets.append(dict(draw(st.sampled_from(targets))))
+            targets.append(("repeat", draw(st.integers(0, len(targets) - 1))))
+        elif kind == "span":
+            targets.append(("span", [draw(entries) for _ in vectors]))
+        else:
+            targets.append(fresh())
+    return sorted(keys), vectors, targets
+
+
+def system(recipe):
+    """Keys, vectors and targets of a `sparse_systems` recipe, with Scalar
+    entries: a repeat is a multiple of an earlier vector or a copy of an
+    earlier target, and a span target is a combination of every vector."""
+    keys, vector_recipes, target_recipes = recipe
+    vectors = []
+    for kind, *args in vector_recipes:
+        if kind == "repeat":
+            i, f = args
+            f = scalar(f)
+            vectors.append({k: f * c for k, c in vectors[i].items()})
+        else:
+            vectors.append({k: scalar(t) for k, t in args[0].items()})
+    targets = []
+    for kind, arg in target_recipes:
+        if kind == "repeat":
+            targets.append(dict(targets[arg]))
         elif kind == "span":
             b = {}
-            for v in vectors:
-                c = draw(entries)
+            for v, t in zip(vectors, arg):
+                c = scalar(t)
                 for k, x in v.items():
                     b[k] = b.get(k, Scalar(0)) + c * x
             targets.append({k: c for k, c in b.items() if c})
         else:
-            targets.append(fresh())
-    return sorted(keys), vectors, targets
+            targets.append({k: scalar(t) for k, t in arg.items()})
+    return keys, vectors, targets
 
 
 def as_columns(keys, vectors):
@@ -314,9 +365,9 @@ def oracle_solve_columns(keys, vectors, targets):
 
 
 @settings(max_examples=200, deadline=None)
-@given(system=sparse_systems())
-def test_sparse_kernel_matches_the_dense_oracle(system):
-    keys, vectors, targets = system
+@given(recipe=sparse_systems())
+def test_sparse_kernel_matches_the_dense_oracle(recipe):
+    keys, vectors, targets = system(recipe)
     n = len(vectors)
     snapshot = [dict(v) for v in vectors + targets]
     want_rank = len(naive_rref(as_columns(keys, vectors))[1]) if n else 0
@@ -331,10 +382,11 @@ def test_sparse_kernel_matches_the_dense_oracle(system):
 
 @st.composite
 def rank_inputs(draw):
-    """Sparse vectors keyed like ``TensorVec.terms``, shuffled: a run with
-    pairwise disjoint supports (often the whole input), possibly vectors
-    that overlap it, empty dicts, and explicit zero entries, a Scalar or
-    an int 0, in any of them."""
+    """Sparse vectors keyed like ``TensorVec.terms``, shuffled, with index
+    pairs for entries (see `rank_vectors`): a run with pairwise disjoint
+    supports (often the whole input), possibly vectors that overlap it,
+    empty dicts, and explicit zero entries, a Scalar (0, 0) or an int 0,
+    in any of them."""
     keys = draw(st.lists(st.sampled_from(TENSOR_KEYS), min_size=1, max_size=10, unique=True))
     pool = list(keys)
     vectors = []
@@ -343,13 +395,19 @@ def rank_inputs(draw):
         vectors.append({k: draw(nonzero) for k in pool[:size]})
         pool = pool[size:]
     for _ in range(draw(st.integers(0, 3))):
-        support = draw(st.sets(st.sampled_from(keys), min_size=1, max_size=4))
+        support = draw(st.sets(st.sampled_from(tuple(keys)), min_size=1, max_size=4))
         vectors.append({k: draw(nonzero) for k in support})
     vectors += [{} for _ in range(draw(st.integers(0, 2)))]
     for v in vectors:
         if draw(st.booleans()):
-            v[draw(st.sampled_from(keys))] = draw(st.sampled_from((Scalar(0), 0)))
+            v[draw(st.sampled_from(tuple(keys)))] = draw(st.sampled_from(((0, 0), 0)))
     return keys, draw(st.permutations(vectors))
+
+
+def rank_vectors(vectors):
+    """The vectors of `rank_inputs` with a Scalar for each index pair; an
+    int 0 stays an int."""
+    return [{k: scalar(t) if t != 0 else t for k, t in v.items()} for v in vectors]
 
 
 def _disjoint(vectors):
@@ -364,6 +422,7 @@ def test_rank_matches_the_dense_oracle(system, lazy):
     otherwise; either way it is the dense rank, for a list or a generator,
     and it leaves its input alone."""
     keys, vectors = system
+    vectors = rank_vectors(vectors)
     snapshot = [dict(v) for v in vectors]
     scalars = [{k: Scalar.of(c) for k, c in v.items()} for v in vectors]
     want = len(naive_rref(as_columns(keys, scalars))[1]) if vectors else 0
@@ -420,12 +479,12 @@ def test_rank_shortcut_cases(monkeypatch, vectors, want, eliminates, lazy):
 
 
 @settings(max_examples=100, deadline=None)
-@given(system=sparse_systems())
-def test_unit_pivots_store_what_the_division_stores(system):
+@given(recipe=sparse_systems())
+def test_unit_pivots_store_what_the_division_stores(recipe):
     """A pivot whose lead is 1 skips the division: every stored row and
     tracked coefficient equals the division path's, for inputs whose
     pivots are unit and non-unit alike."""
-    _, vectors, _ = system
+    _, vectors, _ = system(recipe)
 
     class Dividing(Echelon):
         __slots__ = ()
@@ -453,3 +512,109 @@ def test_unit_pivots_store_what_the_division_stores(system):
             assert list(row.items()) == list(want_row.items())
             assert list(coeffs.items()) == list(want_coeffs.items())
             assert all(type(c) is Scalar for c in [*row.values(), *coeffs.values()])
+
+
+# ---------- solve_columns' lookup over one-term vectors ----------
+
+def echelon_solve_columns(vectors, targets):
+    """solve_columns through `Echelon` alone: the reference of the lookup."""
+    ech = Echelon(track=True)
+    for v in vectors:
+        ech.add(v)
+    return [None if rest else x for rest, x in map(ech.reduce, targets)]
+
+
+class Counted(Echelon):
+    """An `Echelon` that counts its constructions in ``built``."""
+
+    __slots__ = ()
+    built = []
+
+    def __init__(self, track=False):
+        Counted.built.append(track)
+        super().__init__(track)
+
+
+@st.composite
+def one_term_systems(draw):
+    """Recipes of one-term vectors at distinct keys, in drawn (not sorted)
+    key order, with nonzero coefficients, unit or not; and targets whose
+    entries, zeros among them, sit at basis keys and at keys outside the
+    basis, empty targets included.  ``spoil`` adds a vector at a repeated
+    key or one of two terms, which the lookup must refuse."""
+    keys = draw(st.lists(st.sampled_from(TENSOR_KEYS), min_size=2, max_size=10, unique=True))
+    basis = [(k, draw(nonzero)) for k in keys[:draw(st.integers(0, len(keys)))]]
+    key_set = st.sets(st.sampled_from(tuple(keys)))
+    targets = [{k: draw(entries) for k in draw(key_set)}
+               for _ in range(draw(st.integers(0, 5)))]
+    kind = draw(st.sampled_from((None, "repeat", "two terms")))
+    if kind is None:
+        return basis, targets, None
+    if kind == "repeat" and basis:
+        extra = [draw(st.sampled_from(basis))[0]]
+    else:  # two terms, also for a repeat with no key to repeat
+        extra = draw(st.lists(st.sampled_from(tuple(keys)), min_size=2, max_size=2,
+                              unique=True))
+    at = draw(st.integers(0, len(basis)))
+    return basis, targets, (at, {k: draw(nonzero) for k in extra})
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipe=one_term_systems())
+def test_solve_columns_lookup_matches_echelon(recipe):
+    """Over one-term vectors at distinct keys, solve_columns builds no
+    `Echelon`, and gives what `Echelon` gives: the same values, Scalars,
+    in the same (ascending basis index) order, and None for a target with
+    a nonzero entry outside the basis.  A vector at a repeated key or with
+    two terms sends the whole solve to `Echelon`."""
+    import rinehart.linalg as linalg
+
+    basis, target_recipes, spoil = recipe
+    vectors = [{k: scalar(t)} for k, t in basis]
+    if spoil:
+        at, extra = spoil
+        vectors.insert(at, {k: scalar(t) for k, t in extra.items()})
+    targets = [{k: scalar(t) for k, t in b.items()} for b in target_recipes]
+    want = echelon_solve_columns(vectors, targets)
+    Counted.built.clear()
+    linalg.Echelon, echelon = Counted, linalg.Echelon
+    try:
+        got = solve_columns(vectors, targets)
+    finally:
+        linalg.Echelon = echelon
+    assert Counted.built == ([True] if spoil else [])
+    assert [x if x is None else list(x.items()) for x in got] == [
+        x if x is None else list(x.items()) for x in want]
+    assert all(type(c) is Scalar for x in got if x for c in x.values())
+
+
+def test_solve_columns_lookup_examples():
+    three = Scalar(3)
+    vectors = [{"b": TWO}, {"a": ONE}, {"c": Scalar(0, 1)}]
+    assert solve_columns(vectors, [
+        {"a": three, "b": ONE},  # coordinates in basis order, not target order
+        {"c": ONE, "b": ZERO},  # an explicit zero is no entry
+        {},
+        {"d": ONE, "a": ONE},  # a key outside the basis
+        {"d": ZERO},
+    ]) == [{0: Scalar(Fraction(1, 2)), 1: three}, {2: Scalar(0, -1)}, {}, None, {}]
+    assert solve_columns([], [{}, {"a": ONE}]) == [{}, None]
+
+
+@pytest.mark.parametrize("vectors", [
+    [{"a": ONE}, {"a": TWO}],  # a repeated key
+    [{"a": ONE}, {"b": ONE, "c": TWO}],  # two terms
+    [{"a": ONE}, {}],  # the zero vector
+    [{"a": ONE}, {"b": ZERO}],  # a zero coefficient
+])
+def test_solve_columns_falls_back_to_echelon(monkeypatch, vectors):
+    """Only one-term vectors at distinct keys with nonzero coefficients
+    take the lookup; any other basis is solved by `Echelon`."""
+    import rinehart.linalg as linalg
+
+    targets = [{"a": TWO}, {"b": ONE}, {"c": ONE}, {}]
+    want = echelon_solve_columns(vectors, targets)
+    Counted.built.clear()
+    monkeypatch.setattr(linalg, "Echelon", Counted)
+    assert solve_columns(vectors, targets) == want
+    assert Counted.built == [True]

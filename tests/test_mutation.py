@@ -10,7 +10,8 @@ import pytest
 from conftest import zero_mu
 
 from rinehart import (
-    glmatrix, linalg, sampling, scalars, smash, superpoly, tensorqp, vectorfields,
+    glmatrix, glmodules, linalg, sampling, scalars, smash, superpoly, tensorqp,
+    vectorfields,
 )
 from rinehart.cli import main
 from rinehart.glmatrix import GlMatrix
@@ -672,3 +673,63 @@ def test_scalar_times_minus_one_keeping_the_imaginary_sign_fails(
         monkeypatch.setattr(Scalar, "__rmul__", scope["__mul__"])
 
     assert all_failed(capsys, m, n, fault) == expected
+
+
+def test_unit_scalar_path_returning_self_for_minus_one_fails(monkeypatch, capsys):
+    """x·Scalar(−1) answered by x itself on the ±1 fast path of
+    `Scalar.__mul__`.  Tier-1's unit-product test fails, and so does every
+    koszul id at (1,2): a −1 coefficient lost flips signs everywhere."""
+    import test_scalars
+
+    test_scalars.test_unit_scalar_products_of_the_sampled_scalars()
+    assert failed_checks(capsys, "koszul") == (0, set())
+    source = textwrap.dedent(inspect.getsource(Scalar.__mul__))
+    old = "return self if c == 1 else -self"
+    assert source.count(old) == 1
+    scope = dict(vars(scalars))
+    exec(source.replace(old, "return self"), scope)
+    monkeypatch.setattr(Scalar, "__mul__", scope["__mul__"])
+    monkeypatch.setattr(Scalar, "__rmul__", scope["__mul__"])
+    with pytest.raises(AssertionError):
+        test_scalars.test_unit_scalar_products_of_the_sampled_scalars()
+    assert failed_checks(capsys, "koszul") == (1, {
+        "koszul.associativity", "koszul.leibniz", "koszul.supercommutativity"})
+
+
+def test_solve_lookup_accepting_a_key_outside_the_basis_fails_its_tests(
+        monkeypatch, capsys, structure12):
+    """`solve_columns`' lookup skipping a target's entry at a key outside
+    the one-term basis, where it must give None.  The suites never solve
+    an image outside the kernel span, so `check phi` still passes; Tier-1's
+    lookup examples fail, and so does the induced module's refusal of an
+    operator that leaves the kernel."""
+    import test_linalg
+    import test_tensorqp
+
+    extracted = (structure12, tensorqp.omega_kernel(structure12))
+    test_linalg.test_solve_columns_lookup_examples()
+    test_tensorqp.test_induced_module_refuses_an_operator_leaving_the_kernel(extracted)
+    plant_edit(monkeypatch, linalg, linalg._lookup_solve, "return None", "continue")
+    with pytest.raises(AssertionError):
+        test_linalg.test_solve_columns_lookup_examples()
+    with pytest.raises(pytest.fail.Exception):
+        test_tensorqp.test_induced_module_refuses_an_operator_leaving_the_kernel(extracted)
+    assert failed_checks(capsys, "phi") == (0, set())
+
+
+def test_rep_check_skip_ignoring_delta_bc_fails_the_delta_only_test(monkeypatch, capsys):
+    """rep_check's skip rule without its δ_bc clause: a pair whose products
+    vanish by support is skipped even when δ_bc·E_ad is nonzero.  Every
+    module the suites check has nonzero products wherever a δ term is, so
+    `check phi` still passes; Tier-1's violation that only δ_bc shows, a
+    lone E_02 on the zero module of gl(3,1), is no longer listed."""
+    import test_glmodules
+
+    delta_bc = ((0, 2), Scalar(1), ((0, 1), (1, 2)))
+    test_glmodules.test_rep_check_sees_violations_only_a_delta_term_shows(*delta_bc)
+    plant_edit(monkeypatch, glmodules, glmodules.rep_check,
+               "or b == c and entries[(a, d)] ", "")
+    monkeypatch.setattr(test_glmodules, "rep_check", glmodules.rep_check)
+    with pytest.raises(AssertionError):
+        test_glmodules.test_rep_check_sees_violations_only_a_delta_term_shows(*delta_bc)
+    assert failed_checks(capsys, "phi") == (0, set())

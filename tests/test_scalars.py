@@ -257,3 +257,32 @@ def test_negation_of_the_sampled_scalars():
 @given(x=gaussians)
 def test_negation_of_gaussian_values(x):
     _negation_holds(x)
+
+
+def _scalar_unit_products_hold(x):
+    """x·u and u·x for a Scalar u are `_reduced`'s canonical triple of the
+    general product; a real ±1 over denominator 1 gives x itself or a
+    negation over x's denominator, and other factors, i, 2 and 1/2 among
+    them, keep the general path."""
+    for u in (Scalar(1), Scalar(-1), Scalar(Fraction(2, 2)), Scalar(0, 1),
+              Scalar(0, -1), Scalar(2), Scalar(Fraction(1, 2)), Scalar(-1, 1)):
+        want = _reduced(x.p * u.p - x.q * u.q, x.p * u.q + x.q * u.p, x.d * u.d)
+        for got in (x * u, u * x):
+            assert type(got) is Scalar
+            assert (got.p, got.q, got.d) == (want.p, want.q, want.d)
+            assert_canonical(got)
+    assert x * Scalar(1) is x
+    if x != 1 and x != -1:  # a ±1 right factor is the one returned
+        assert Scalar(1) * x is x
+    assert (x * Scalar(-1)).d == (Scalar(-1) * x).d == x.d
+
+
+def test_unit_scalar_products_of_the_sampled_scalars():
+    for x in _SCALARS:
+        _scalar_unit_products_hold(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=gaussians)
+def test_unit_scalar_products_of_gaussian_values(x):
+    _scalar_unit_products_hold(x)

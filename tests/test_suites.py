@@ -127,6 +127,23 @@ def test_iso_builds_theta_table_once_per_run(monkeypatch):
     assert len(tables) == 1 and used == {id(tables[0])}
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])
+def test_induced_module_needs_no_echelon(monkeypatch, m, n):
+    """At the suites' μ the kernel basis is the unit vectors 1 ⊗ e_j, so
+    the induced module's solve is `solve_columns`' lookup: with `Echelon`
+    refused once the kernel basis is built, Env.induced() still succeeds
+    and reads Ω's own columns back."""
+    env = build_env(SuiteConfig(m=m, n=n))
+    basis = env.kernel()
+    assert all(len(v.terms) == 1 for v in basis)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the induced module built an Echelon")
+
+    monkeypatch.setattr(linalg, "Echelon", refused)
+    assert env.induced().columns == natural_module(m, n).columns
+
+
 def test_annihilate_alone_builds_no_induced_module(counted):
     run_suite(SuiteConfig(m=1, n=2, samples=2, suites=("annihilate",)))
     assert counted == {"omega_kernel": 1, "phi_images": 0, "induced_gl_module": 0}

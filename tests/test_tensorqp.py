@@ -982,6 +982,30 @@ def test_tprime_weight_refuses_the_zero_vector(structure12):
         tprime_weight(structure12, TensorVec.zero(structure12.sig))
 
 
+def test_eigen_scalar_compares_the_image_term_by_term():
+    """_eigen_scalar reads λ at v's first key and compares the image with
+    λ·v term by term: an eigenvector gives λ, 0 included, and an extra
+    term, a missing term, one wrong coefficient, or a nonzero image at
+    λ = 0 raise."""
+    sig = Signature(1, 2, False)
+    z = sig.zero_exps()
+    v = (TensorVec.basis(sig, z, 0, 0, 2) + TensorVec.basis(sig, (1,), 1, 1, Scalar(0, 1))
+         + TensorVec.basis(sig, (-1,), 3, 2, -3))
+    lam = Scalar(Fraction(1, 3), 1)
+    image = v * lam
+    assert tensorqp._eigen_scalar(v, image) == lam
+    assert tensorqp._eigen_scalar(v, TensorVec.zero(sig)) == 0
+    keys = list(v.terms)
+    wrong = TensorVec(sig, dict(image.terms))
+    wrong.terms[keys[-1]] = wrong.terms[keys[-1]] * 2
+    missing = TensorVec(sig, {k: c for k, c in image.terms.items() if k != keys[1]})
+    for bad in (image + TensorVec.basis(sig, z, 2, 0),  # one extra term
+                missing, wrong,
+                TensorVec.basis(sig, z, 1, 0)):  # λ = 0, the image nonzero
+        with pytest.raises(ValueError, match="not an eigenvector"):
+            tensorqp._eigen_scalar(v, bad)
+
+
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
 def test_tprime_weight_is_mu_plus_the_exponents(monkeypatch, m, n):
     """On c·t^e ζ_M ⊗ e_v, ψ of the unit is μ_0 and ψ of t_i d/dt_i is
