@@ -40,7 +40,6 @@ from .tensorqp import (
     rho_of,
     shen_act,
     t_act,
-    t_act_gens,
     theta_table,
     theta_transport,
     tprime_weight,

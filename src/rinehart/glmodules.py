@@ -33,11 +33,6 @@ class MuVector:
     def __getitem__(self, alpha: int) -> Scalar:
         return self.values[alpha]
 
-    def __eq__(self, other):
-        if not isinstance(other, MuVector):
-            return NotImplemented
-        return (self.m, self.n, self.values) == (other.m, other.n, other.values)
-
     def __repr__(self):
         return f"MuVector({self.m}, {self.n}, {[str(v) for v in self.values]})"
 

@@ -91,17 +91,10 @@ class Echelon:
         rest, x = self.reduce(vec)
         if rest:
             key = next(iter(rest))
-            lead = rest[key]
-            if lead == ONE:  # already scaled: the division would change nothing
-                row = dict(rest)
-                del row[key]
-                coeffs = None if x is None else {
-                    **{i: -c for i, c in x.items()}, self.added: ONE}
-            else:
-                inv = ONE / lead
-                row = {k: c * inv for k, c in rest.items() if k != key}
-                coeffs = None if x is None else {
-                    **{i: -(c * inv) for i, c in x.items()}, self.added: inv}
+            inv = ONE / rest[key]
+            row = {k: c * inv for k, c in rest.items() if k != key}
+            coeffs = None if x is None else {
+                **{i: -(c * inv) for i, c in x.items()}, self.added: inv}
             self.rows[key] = (len(self.rows), row, coeffs)
         self.added += 1
         return rest, x

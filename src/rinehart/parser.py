@@ -366,7 +366,7 @@ def format_tensor(v) -> str:
     """Readable (not round-tripping) form of a tensor vector."""
     sig = v.sig
     pieces = []
-    for (exps, mask, idx), c in v.sorted_terms():
+    for (exps, mask, idx), c in sorted(v.terms.items()):
         neg, cc = _sign_split(c)
         pieces.append((neg, _term_text(sig, cc, exps, mask, None) + f"*e{idx}"))
     return _signed_sum(pieces)

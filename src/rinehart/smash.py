@@ -232,21 +232,14 @@ def x_decompose(u: SmashElement) -> dict:
     return gens
 
 
-def psi_map(u, sig: Signature | None = None) -> VectorField:
-    """Identify a centralizer element with its vanishing-ideal field:
+def psi_map(gens: dict, sig: Signature) -> VectorField:
+    """Identify a centralizer element, given by its generator coefficients
+    {(r̄, J, ∂): c} (`x_decompose` of a `SmashElement`), with its
+    vanishing-ideal field:
 
       (t^{-r̄} # t^{r̄}∂ - ∂)          ↦ (t^{r̄} - 1) ∂
       Σ ± t^{-r̄}ζ_I # t^{r̄}ζ_{J\\I}∂  ↦ t^{r̄} ζ_J ∂
-
-    Accepts either a SmashElement or a generator-coefficient dict.
     """
-    if isinstance(u, SmashElement):
-        gens = x_decompose(u)
-        sig = u.sig
-    else:
-        gens = u
-        if sig is None:
-            raise ValueError("generator-coefficient input needs a signature")
     out = VectorField.zero(sig)
     one = SuperPoly.one(sig)
     for (rbar, jmask, tag), c in gens.items():

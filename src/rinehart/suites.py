@@ -43,6 +43,7 @@ from .smash import (
     psi_map,
     smash_commutator,
     theta_project,
+    x_decompose,
 )
 from .superpoly import (
     Signature,
@@ -65,7 +66,6 @@ from .tensorqp import (
     rho_of,
     shen_act,
     t_act,
-    t_act_gens,
     theta_table,
     theta_transport,
     tprime_weight,
@@ -497,17 +497,17 @@ def theta_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
 @_suite("psi")
 def psi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
     sig = env.sig
-    one = Scalar(1)
 
     def bracket_hom():
         g1 = s.x_generator(sig)
         g2 = s.x_generator(sig)
         try:
-            lhs = psi_map(smash_commutator(make_X(sig, *g1), make_X(sig, *g2)))
+            commutator = smash_commutator(make_X(sig, *g1), make_X(sig, *g2))
+            lhs = psi_map(x_decompose(commutator), sig)
         except ValueError as exc:
             yield f"g1={g1}, g2={g2}: {exc}"
             return
-        rhs = vf_bracket(psi_map({g1: one}, sig), psi_map({g2: one}, sig))
+        rhs = vf_bracket(psi_map({g1: ONE}, sig), psi_map({g2: ONE}, sig))
         yield None if lhs == rhs else f"g1={g1}, g2={g2}"
 
     return [("psi.bracket_hom", cfg.samples, bracket_hom)]
@@ -735,9 +735,9 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
         basis = env.kernel()
         phi = env.images(basis)
         gen = s.x_generator(sig)
-        field = psi_map({gen: Scalar(1)}, sig)
+        field = psi_map({gen: ONE}, sig)
         mat = theta_project(field)
-        for j, direct in enumerate(t_act(*gen, basis, S)):
+        for j, direct in enumerate(t_act({gen: ONE}, basis, S)):
             through = TensorVec.zero(dotted)
             for ab, c in mat.terms.items():
                 image = phi[ab][j]
@@ -787,7 +787,7 @@ def annihilate_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
             # Only a failed membership counts as a case of its own.
             yield f"sample not in the square ideal: {gens}"
             return
-        for image in t_act_gens(gens, basis, S):
+        for image in t_act(gens, basis, S):
             yield None if image.is_zero() else f"gens={gens}"
 
     return [("annihilate.square_ideal", max(1, cfg.samples // 2), square_ideal)]

@@ -24,11 +24,11 @@ Two term-level kernels serve every layer above, so that none of them
 builds throwaway `SuperPoly` monomials.  `mono_mul` multiplies two
 monomials (Koszul sign from the memoised `merge_masks`, exponents
 added); `SuperPoly.__mul__`, `Sparse.left_mul` (p · Σ t^e ζ_M ⊗ label,
-the algebra action on fields and tensor vectors; `left_mul_terms` takes
-p's terms, so a single monomial needs no SuperPoly; `_iadd` adds one
-scaled or monomial-multiplied element in place), `VectorField.apply`,
-`vf_bracket`, `smash_commutator`, the quasi-Poisson and loop products
-(`qp_product`, `loop_bracket`) and the `tensorqp` actions use it.
+the algebra action on fields and tensor vectors; `_iadd` adds one
+scaled or monomial-multiplied element in place, so a single monomial
+needs no SuperPoly), `VectorField.apply`, `vf_bracket`,
+`smash_commutator`, the quasi-Poisson and loop products (`qp_product`,
+`loop_bracket`) and the `tensorqp` actions use it.
 `derive_mono` applies one Euler or odd basis derivation, the stored
 basis of fields and smash terms, to one monomial (on the dotted
 algebra, ('d', 0) is the algebra summand's tag and gives 0);
@@ -371,23 +371,18 @@ class Sparse:
         """p · self for keys (exps, mask, label): each t^e ζ_M is multiplied
         on the left by the monomials of p and keeps its label."""
         _check_same_sig(self, p)
-        return self.left_mul_terms(p.terms.items())
-
-    def left_mul_terms(self, pterms):
-        """`left_mul` by the algebra element with terms ((e, M), c) in
-        `pterms`, over self's signature; one monomial needs no SuperPoly."""
         out = self._trusted(self.sig, {})
-        for mono, c in pterms:
+        for mono, c in p.terms.items():
             out._iadd(self, c, mono)
         return out
 
     def _iadd(self, other, c=ONE, mono=None):
         """self += c·other in place, or c·t^e ζ_M·other for mono = (e, M)
         and keys (exps, mask, label).  The inserts and cancellations are
-        those of `self + other * c` (or of `self + other.left_mul_terms(
-        ((mono, c),))`: one monomial maps distinct keys to distinct keys),
-        in other's term order, with neither container built.  self must
-        be a container the caller owns, and not other."""
+        those of `self + other * c` (or of `self + other.left_mul(c·t^e ζ_M)`:
+        one monomial maps distinct keys to distinct keys), in other's term
+        order, with neither container built.  self must be a container the
+        caller owns, and not other."""
         if mono is None:
             for key, cb in other.terms.items():
                 self._iadd_term(key, cb if c is ONE else cb * c)

@@ -25,8 +25,9 @@ vectors through the structure: `loop_smash_act`, `loop_g_act` (1 # u)
 and `loop_a_act` (f # 1) slice by slice on the loop module
 C[t_0^{±1}] ⊗ (Ȧ ⊗ Ω), stored flat as the full A ⊗ Ω
 (`vectorfields.t0_slices`, `_t0_iadd`) so that a check compares them
-with `shen_act` and `left_mul`, and the centralizer action `t_act` at
-t_0-degree zero on the terms of `smash.make_X`.  Also here: the seven
+with `shen_act` and `left_mul`, and the centralizer action `t_act` of a
+generator-coefficient dict {(r̄, J, ∂): c} at t_0-degree zero, generator
+by generator on the terms of `smash.make_X`.  Also here: the seven
 compatibility axioms, the joint kernel of the odd derivation actions,
 built without a solve, the induced gl-representation on it, and the
 comparison map θ sending a ⊗ ω to the algebra action of a on ω, read off
@@ -81,9 +82,6 @@ class TensorVec(Sparse):
     @staticmethod
     def basis(sig: Signature, exps, mask: int, idx: int, coeff=1) -> "TensorVec":
         return TensorVec._one_term(sig, (tuple(exps), mask, idx), coeff)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __repr__(self):
         from .parser import format_tensor
@@ -381,23 +379,19 @@ def loop_a_act(f: SuperPoly, w: TensorVec, S: QPStructure) -> TensorVec:
     return loop_smash_act(SmashElement.from_poly(f), w, S)
 
 
-def t_act(rbar, jmask: int, tag, vectors, S: QPStructure) -> list[TensorVec]:
-    """Action of the centralizer generator (r̄, J, ∂), ∂ an Euler or odd
-    tag, at t_0-degree zero on each vector of ``vectors``: the terms of
-    `smash.make_X`, whose t_0 shifts are all 0, by `_smash_act` at k = 0."""
+def t_act(gens: dict, vectors, S: QPStructure) -> list[TensorVec]:
+    """Action of the centralizer combination {(r̄, J, ∂): c}, each ∂ an
+    Euler or odd tag, at t_0-degree zero on each vector of ``vectors``:
+    generator by generator, the terms of `smash.make_X`, whose t_0 shifts
+    are all 0, by `_smash_act` at k = 0, each image added times c."""
     sig = S.sig
-    terms = _x_terms(sig.full(), rbar, jmask, tag)
+    full = sig.full()
     _check_sigs(sig, vectors)
-    return _smash_act(terms, vectors, S, 0).get(0) or [TensorVec.zero(sig) for _ in vectors]
-
-
-def t_act_gens(gens: dict, vectors, S: QPStructure) -> list[TensorVec]:
-    """Extend t_act linearly over generator-coefficient dictionaries, one
-    image per vector of ``vectors``."""
-    outs = [TensorVec.zero(S.sig) for _ in vectors]
+    outs = [TensorVec.zero(sig) for _ in vectors]
     for (rbar, jmask, tag), c in gens.items():
         c = Scalar.of(c)
-        for out, image in zip(outs, t_act(rbar, jmask, tag, vectors, S)):
+        images = _smash_act(_x_terms(full, rbar, jmask, tag), vectors, S, 0)
+        for out, image in zip(outs, images.get(0, ())):
             if image.terms:
                 out._iadd(image, c)
     return outs
@@ -487,9 +481,11 @@ def omega_kernel(S: QPStructure) -> list[TensorVec]:
     never lowers the ζ-degree; the tests check that filtration property.)
 
     Checked here, on all the results at once: every result is killed by
-    every ψ_{∂_k}, and their ζ^0 parts are independent, so the results are
-    dim Ω independent vectors of K and span it.  If either check fails the
-    result is [], which every check over the kernel refuses.
+    every ψ_{∂_k}, and their ζ^0 parts are independent (`linalg.rank` of
+    them is dim Ω, with no elimination when their supports are disjoint,
+    as at the suites' μ), so the results are dim Ω independent vectors of
+    K and span it.  If either check fails the result is [], which every
+    check over the kernel refuses.
     """
     sig = S.sig
     z = sig.zero_exps()
@@ -497,11 +493,8 @@ def omega_kernel(S: QPStructure) -> list[TensorVec]:
     out = [omega_greedy(TensorVec.basis(sig, z, top, j), S) for j in range(S.omega.dim)]
     if any(image for dk in _odd_units(sig) for image in S.psi_parts(dk, out)):
         return []
-    ech = linalg.Echelon()
-    if not all(ech.add({key: c for key, c in v.terms.items() if not key[1]})[0]
-               for v in out):
-        return []
-    return out
+    parts = [{key: c for key, c in v.terms.items() if not key[1]} for v in out]
+    return out if linalg.rank(parts) == len(out) else []
 
 
 def _eigen_scalar(v: TensorVec, image: TensorVec) -> Scalar:

@@ -294,3 +294,101 @@ def test_degenerate_deg_or_samples_is_a_config_error(args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "must be at least 1" in proc.stderr
+
+
+# ---------- user errors: exit 2, the message on stderr, no report ----------
+
+def _refused(capsys, argv, message):
+    """main(argv) exits 2 with ``error: <message...>`` on stderr and
+    prints nothing, so no report and no `.error` check id."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_module_for_another_signature_is_a_config_error(tmp_path, capsys):
+    from conftest import write_natural_config
+
+    path = tmp_path / "nat11.json"
+    write_natural_config(path, 1, 1)
+    _refused(capsys, ["check", "all", "--module", str(path), "--m", "2", "--json"],
+             "module config is for gl(2,1), run asked for gl(3,1)")
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set("mu", [0, "0", "0"]), "mu[0]: scalars must be strings, got 0"),
+    (lambda doc: doc.pop("dim"), "missing key 'dim'"),
+    (_set("m", "1"), "m, n and dim must be integers"),
+    (_set("dim", 3.0), "m, n and dim must be integers"),
+    (_set("n", 0), "need m >= 1, n >= 1 and dim >= 0"),
+    (_set("dim", -1), "need m >= 1, n >= 1 and dim >= 0"),
+    (_set("parity", [0, 0, 2]), "parity entries must be 0 or 1"),
+    (_set("mu", ["0", "0"]), "mu must list m+n+1 = 3 entries"),
+    (_set("action", []), "action must map E_a_b keys to matrices"),
+])
+def test_module_config_refusals_exit_2(tmp_path, capsys, edit, message):
+    """Each refusal of `config.module_from_dict`, read by ``check
+    --module``: the natural (1,1) config with one entry spoiled."""
+    from conftest import natural_config_dict
+
+    doc = natural_config_dict(1, 1)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    _refused(capsys, ["check", "qp", "--module", str(path), "--json"], message)
+
+
+def test_unreadable_module_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    _refused(capsys, ["check", "qp", "--module", str(missing), "--json"],
+             f"cannot read {missing}")
+
+
+def test_module_refusal_is_wrapped_as_a_config_error(tmp_path, monkeypatch, capsys):
+    """module_from_dict checks everything `GlModule` checks before it builds
+    one, so no file reaches GlModule's own refusal; a planted one shows that
+    it would still exit 2 as a config error, with GlModule's message."""
+    from conftest import write_natural_config
+    from rinehart import config
+
+    def refusing(*args):
+        raise ValueError("parity vector must list 0/1 per basis vector")
+
+    monkeypatch.setattr(config, "GlModule", refusing)
+    path = tmp_path / "nat11.json"
+    write_natural_config(path, 1, 1)
+    _refused(capsys, ["check", "qp", "--module", str(path), "--json"],
+             "parity vector must list 0/1 per basis vector")
+
+
+def test_eval_warns_of_a_zero_term(capsys):
+    """A repeated Grassmann index drops its term with a warning on stderr;
+    a warning is not an error, so eval still exits 0."""
+    assert main(["eval", "act", "--expr", "z1*z1*D1+t1*D1", "--on", "t1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1*t1^2\n"
+    assert captured.err == (
+        "warning: zero term: repeated Grassmann index z1 (at position 3)\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bracket", "--lhs", "t1", "--rhs", "D1"], "mixed brackets need --dotted"),
+    (["filt-deg", "--expr", "t1*D1"], "expected a plain polynomial"),
+    (["project-gl", "--expr", "t1-1"], "expected a pure vector field"),
+    (["weights", "--expr", "t1+D1"], "mixed element needs the t0-free signature"),
+    (["filt-deg", "--m", "1", "--n", "2", "--expr", "z3"], "index z3 out of signature"),
+    (["project-gl", "--expr", "D1*(t1-1)"], "derivation factor must be rightmost"),
+])
+def test_element_refusals_exit_2(capsys, argv, message):
+    """A bracket of a polynomial with a field on the full signature, each
+    of parse_element's refusals of a kind it was not asked for, a
+    Grassmann index past n, and a parenthesized factor after a
+    derivation."""
+    _refused(capsys, argv, message)

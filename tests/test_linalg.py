@@ -478,42 +478,6 @@ def test_rank_shortcut_cases(monkeypatch, vectors, want, eliminates, lazy):
     assert (got, bool(built)) == (want, eliminates)
 
 
-@settings(max_examples=100, deadline=None)
-@given(recipe=sparse_systems())
-def test_unit_pivots_store_what_the_division_stores(recipe):
-    """A pivot whose lead is 1 skips the division: every stored row and
-    tracked coefficient equals the division path's, for inputs whose
-    pivots are unit and non-unit alike."""
-    _, vectors, _ = system(recipe)
-
-    class Dividing(Echelon):
-        __slots__ = ()
-
-        def add(self, vec):
-            rest, x = self.reduce(vec)
-            if rest:
-                key = next(iter(rest))
-                inv = ONE / rest[key]
-                row = {k: c * inv for k, c in rest.items() if k != key}
-                coeffs = {**{i: -(c * inv) for i, c in x.items()}, self.added: inv}
-                self.rows[key] = (len(self.rows), row, coeffs)
-            self.added += 1
-            return rest, x
-
-    units = [{k: c / v[next(iter(v))] for k, c in v.items()} if v else v
-             for v in vectors]
-    for inputs in (vectors, units, [w for pair in zip(vectors, units) for w in pair]):
-        fast, slow = Echelon(track=True), Dividing(track=True)
-        for v in inputs:
-            assert fast.add(v) == slow.add(v)
-        assert fast.rows == slow.rows
-        for (_, row, coeffs), (_, want_row, want_coeffs) in zip(
-                fast.rows.values(), slow.rows.values()):
-            assert list(row.items()) == list(want_row.items())
-            assert list(coeffs.items()) == list(want_coeffs.items())
-            assert all(type(c) is Scalar for c in [*row.values(), *coeffs.values()])
-
-
 # ---------- solve_columns' lookup over one-term vectors ----------
 
 def echelon_solve_columns(vectors, targets):

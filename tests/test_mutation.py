@@ -504,14 +504,16 @@ def plant_leaking_theta(monkeypatch):
 
 
 def ranked_iso(monkeypatch, capsys):
-    """Exit code, JSON checks and the size of every `linalg.rank` call of
-    ``check iso`` at (1,2)."""
+    """Exit code, JSON checks and the size of every `linalg.rank` call that
+    iso makes in ``check iso`` at (1,2); the kernel's own rank of its ζ^0
+    parts, made from `tensorqp`, is not counted."""
     ranked = []
     rank = linalg.rank
 
     def recorded(vectors):
         vectors = list(vectors)
-        ranked.append(len(vectors))
+        if sys._getframe(1).f_globals["__name__"] == "rinehart.suites":
+            ranked.append(len(vectors))
         return rank(vectors)
 
     monkeypatch.setattr(linalg, "rank", recorded)

@@ -30,7 +30,6 @@ from rinehart.tensorqp import (
     rho_of,
     shen_act,
     t_act,
-    t_act_gens,
     theta_table,
     theta_transport,
     tprime_weight,
@@ -413,7 +412,7 @@ def test_t_act_is_degree_zero_slice(structure12, sampler):
         v = sampler.tensor(dot, S.omega)
         looped = t0_slices(loop_smash_act(make_X(full, *gen), t0_embed(0, v), S))
         assert set(looped) <= {0}
-        assert t_act(*gen, [v], S) == [looped.get(0, TensorVec.zero(dot))]
+        assert t_act({gen: 1}, [v], S) == [looped.get(0, TensorVec.zero(dot))]
 
 
 # ---------- generator action at t0-degree zero ----------
@@ -422,19 +421,19 @@ def test_t_act_examples(structure12):
     S = structure12
     dot = S.sig
     # ((1,0,...), ∅, d_1) acts as -phihat_{d_1}: on 1⊗e_1 gives 1⊗E_{0,1}e_1
-    got, = t_act((1, 0), 0, ("d", 1), [unit_vec(dot, 1)], S)
+    got, = t_act({((1, 0), 0, ("d", 1)): 1}, [unit_vec(dot, 1)], S)
     assert got == unit_vec(dot, 0)
     # ((0,...), {k}, Q_l) realizes the odd elementary matrices
     for k in (1, 2):
         for l in (1, 2):
             for v in range(S.omega.dim):
-                got, = t_act((0, 0), 1 << (k - 1), ("q", l), [unit_vec(dot, v)], S)
+                got, = t_act({((0, 0), 1 << (k - 1), ("q", l)): 1}, [unit_vec(dot, v)], S)
                 want = TensorVec.zero(dot)
                 for u, cu in S.omega.column(1 + k, 1 + l, v):
                     want._iadd_term((dot.zero_exps(), 0, u), cu)
                 assert got == want
-    assert t_act((1, 0), 0b1, ("d", 0), [TensorVec.zero(dot)], S)[0].is_zero()
-    assert t_act((1, 0), 0b1, ("d", 0), [], S) == []
+    assert t_act({((1, 0), 0b1, ("d", 0)): 1}, [TensorVec.zero(dot)], S)[0].is_zero()
+    assert t_act({((1, 0), 0b1, ("d", 0)): 1}, [], S) == []
 
 
 def _t_act_reference(rbar, jmask, tag, u, S):
@@ -476,7 +475,7 @@ def _phi_reference(alpha, beta, S):
 
 def _t_act_chain(rbar, jmask, tag, u, S):
     """t_act as a chain of containers: every summand built by `+`, `+=`
-    and `left_mul_terms`.  Its term order is the one t_act must keep,
+    and `left_mul`.  Its term order is the one t_act must keep,
     since term order reaches Echelon's pivot choice and the reports."""
     sig = S.sig
     alpha = sig.dir_of(tag)
@@ -490,8 +489,8 @@ def _t_act_chain(rbar, jmask, tag, u, S):
         sign = -1 if (mask_size(jp) + tau(jp, rest)) & 1 else 1
         inner = S.psi_parts(((alpha, rp, rest, Scalar(1)),), [u])[0]
         if r0:
-            inner += hat_u.left_mul_terms((((rp, rest), Scalar(-r0)),))
-        out += inner.left_mul_terms((((neg, jp), Scalar(sign)),))
+            inner += hat_u.left_mul(SuperPoly.monomial(sig, rp, rest, Scalar(-r0)))
+        out += inner.left_mul(SuperPoly.monomial(sig, neg, jp, Scalar(sign)))
     if jmask == 0:
         out += S.psi_parts(((alpha, z, 0, Scalar(-1)),), [u])[0]
     return out
@@ -512,12 +511,13 @@ def _phi_chain(alpha, beta, S):
     if kind == "d":
         p = sig.tpos(i)
         ti = z[:p] + (1,) + z[p + 1:]
-        tinv = (((z[:p] + (-1,) + z[p + 1:], 0), Scalar(1)),)
-        return lambda w: (psi(((beta, ti, 0, Scalar(1)),), w).left_mul_terms(tinv)
+        tinv = SuperPoly.monomial(sig, z[:p] + (-1,) + z[p + 1:], 0, Scalar(1))
+        return lambda w: (psi(((beta, ti, 0, Scalar(1)),), w).left_mul(tinv)
                           + psi(minus_unit, w))
     zk = 1 << (i - 1)
+    zeta = SuperPoly.monomial(sig, z, zk, Scalar(1))
     return lambda w: (psi(((beta, z, zk, Scalar(1)),), w)
-                      + psi(minus_unit, w).left_mul_terms((((z, zk), Scalar(1)),)))
+                      + psi(minus_unit, w).left_mul(zeta))
 
 
 def _terms(x):
@@ -535,7 +535,7 @@ class _PsiAsPhihat(QPStructure):
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 3)])
 def test_term_level_composites_match_the_wrapper_formulas(m, n):
-    """t_act, t_act_gens and phi_images pass term parts to the kernels
+    """t_act and phi_images pass term parts to the kernels
     and add into outputs of their own; they agree with the same formulas
     written over SuperPoly and QPElement operators, for every generator
     tag (the algebra summand ('d', 0), the Euler t-derivations, the odd
@@ -561,7 +561,7 @@ def test_term_level_composites_match_the_wrapper_formulas(m, n):
                 for jmask in (0, s.mask(n) or 1, (1 << n) - 1):
                     rbar = (r0,) + s.exps(S.sig)
                     u = vector()
-                    got, = t_act(rbar, jmask, tag, [u], T)
+                    got, = t_act({(rbar, jmask, tag): 1}, [u], T)
                     assert got == _t_act_reference(rbar, jmask, tag, u, T), (
                         tag, rbar, jmask)
                     assert _terms(got) == _terms(_t_act_chain(rbar, jmask, tag, u, T))
@@ -570,7 +570,7 @@ def test_term_level_composites_match_the_wrapper_formulas(m, n):
             while len(gens) < len(coeffs):
                 gens[s.x_generator(S.sig.full())] = coeffs[len(gens)]
             u = vector()
-            got, = t_act_gens(gens, [u], T)
+            got, = t_act(gens, [u], T)
             want, chain = TensorVec.zero(S.sig), TensorVec.zero(S.sig)
             for gen, c in gens.items():
                 want += _t_act_reference(*gen, u, T) * c
@@ -589,7 +589,8 @@ def test_batched_t_act_equals_the_chain_per_vector(m, n):
     of `_t_act_chain` on that vector alone, in the same order, as a
     container of its own: for every generator tag (the odd ones too), r_0
     zero and nonzero, J empty and full, over random vectors, the kernel
-    basis, the zero vector and a repeated vector.  t_act_gens likewise."""
+    basis, the zero vector and a repeated vector, and for a combination
+    of generators likewise."""
     omega = natural_module(m, n)
     _, mu = admissible_mus(m, n)
     S = QPStructure(Signature(m, n, False), omega, mu)
@@ -602,14 +603,14 @@ def test_batched_t_act_equals_the_chain_per_vector(m, n):
         for r0 in (0, 3):
             for jmask in (0, (1 << n) - 1):
                 rbar = (r0,) + s.exps(S.sig)
-                got = t_act(rbar, jmask, tag, vectors, S)
+                got = t_act({(rbar, jmask, tag): 1}, vectors, S)
                 assert len({id(image) for image in got} | {id(v) for v in vectors}) == (
                     2 * len(vectors) - 1)  # the repeated vector is one object
                 for u, image in zip(vectors, got):
                     want = _t_act_chain(rbar, jmask, tag, u, S)
                     assert _terms(image) == _terms(want), (tag, rbar, jmask)
     gens = {s.x_generator(S.sig.full()): s.scalar() for _ in range(4)}
-    for u, image in zip(vectors, t_act_gens(gens, vectors, S)):
+    for u, image in zip(vectors, t_act(gens, vectors, S)):
         chain = TensorVec.zero(S.sig)
         for gen, c in gens.items():
             chain += _t_act_chain(*gen, u, S) * c
@@ -638,11 +639,11 @@ def test_phi_images_equal_the_operators(m, n):
 
 
 def composites_keep_their_inputs(m, n):
-    """Run t_act, t_act_gens and phi_images on the kernel basis at
-    (m, n).  The composites add into containers of their own, so
-    the basis vectors (each also the u acted on) and the module's stored
-    columns must come out equal, in term order too, to deep copies taken
-    before.  Calls go through the module, so a planted t_act is seen."""
+    """Run t_act, one generator at a time and all at once, and phi_images
+    on the kernel basis at (m, n).  The composites add into containers of
+    their own, so the basis vectors (each also the u acted on) and the
+    module's stored columns must come out equal, in term order too, to
+    deep copies taken before.  Calls go through the module, so a planted t_act is seen."""
     omega = natural_module(m, n)
     _, mu = admissible_mus(m, n)
     S = QPStructure(Signature(m, n, False), omega, mu)
@@ -656,8 +657,8 @@ def composites_keep_their_inputs(m, n):
                 gens[((r0,) + s.exps(S.sig), jmask, tag)] = s.scalar()
     before = copy.deepcopy(([_terms(v) for v in basis], omega.columns))
     for gen in gens:
-        tensorqp.t_act(*gen, basis, S)
-    tensorqp.t_act_gens(gens, basis, S)
+        tensorqp.t_act({gen: 1}, basis, S)
+    tensorqp.t_act(gens, basis, S)
     tensorqp.phi_images(S, basis)
     assert ([_terms(v) for v in basis], omega.columns) == before
 
@@ -682,11 +683,11 @@ class _Doubled(QPStructure):
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 3)])
 def test_every_action_goes_through_the_structure(m, n):
     """The structure is the one actor: with ψ and φ̂ doubled by a subclass,
-    every action built on them doubles.  t_act, t_act_gens and the loop
-    action of 1 # x (x off the t_0-Euler direction, so no term is φ alone)
-    are linear in ψ and φ̂, and so is every φ_ab of phi_images; the greedy
-    kernel vectors are n ψ's of ζ_top ⊗ e_j, so they scale by 2^n; each
-    weight doubles.  An action that calls the ψ kernel directly, past the
+    every action built on them doubles.  t_act, of one generator and of
+    several, and the loop action of 1 # x (x off the t_0-Euler direction,
+    so no term is φ alone) are linear in ψ and φ̂, and so is every φ_ab
+    of phi_images; the greedy kernel vectors are n ψ's of ζ_top ⊗ e_j, so
+    they scale by 2^n; each weight doubles.  An action that calls the ψ kernel directly, past the
     structure, keeps the undoubled value and fails."""
     omega = natural_module(m, n)
     _, mu = admissible_mus(m, n)
@@ -703,9 +704,9 @@ def test_every_action_goes_through_the_structure(m, n):
 
     for _ in range(6):
         gen = s.x_generator(full)
-        doubles("t_act", t_act(*gen, vs, D), t_act(*gen, vs, S))
+        doubles("t_act", t_act({gen: 1}, vs, D), t_act({gen: 1}, vs, S))
     gens = {s.x_generator(full): s.scalar() for _ in range(3)}
-    doubles("t_act_gens", t_act_gens(gens, vs, D), t_act_gens(gens, vs, S))
+    doubles("t_act of gens", t_act(gens, vs, D), t_act(gens, vs, S))
     for _ in range(4):
         field = s.field(full, terms=3)
         x = VectorField(full, {k: c for k, c in field.terms.items() if k[2] != ("d", 0)})
@@ -948,7 +949,7 @@ def test_bridge_identity(extracted, sampler):
     for _ in range(40):
         gen = sampler.x_generator(sig)
         mat = theta_project(psi_map({gen: Scalar(1)}, sig))
-        for j, direct in enumerate(t_act(*gen, basis, S)):
+        for j, direct in enumerate(t_act({gen: 1}, basis, S)):
             through = TensorVec.zero(S.sig)
             for ab, c in mat.terms.items():
                 through += images[ab][j] * c
@@ -962,7 +963,7 @@ def test_square_ideal_annihilates_kernel(extracted, sampler):
     sig = S.sig.full()
     for _ in range(30):
         gens = _random_deep_gens(sampler, sig)
-        assert all(image.is_zero() for image in t_act_gens(gens, basis, S))
+        assert all(image.is_zero() for image in t_act(gens, basis, S))
 
 
 def test_weight_bookkeeping(structure12, sampler):
