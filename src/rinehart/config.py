@@ -65,14 +65,14 @@ def module_from_dict(doc: dict) -> tuple[GlModule, MuVector]:
         if key not in doc:
             raise ConfigError(f"missing key {key!r}")
     m, n, dim = doc["m"], doc["n"], doc["dim"]
-    if not (isinstance(m, int) and isinstance(n, int) and isinstance(dim, int)):
+    if not (type(m) is int and type(n) is int and type(dim) is int):  # no bools
         raise ConfigError("m, n and dim must be integers")
     if m < 1 or n < 1 or dim < 0:
         raise ConfigError("need m >= 1, n >= 1 and dim >= 0")
     parity = doc["parity"]
     if not isinstance(parity, list) or len(parity) != dim:
         raise ConfigError("parity must list one 0/1 entry per basis vector")
-    if any(p not in (0, 1) for p in parity):
+    if any(type(p) is not int or p not in (0, 1) for p in parity):
         raise ConfigError("parity entries must be 0 or 1")
     mu_raw = doc["mu"]
     if not isinstance(mu_raw, list) or len(mu_raw) != m + n + 1:

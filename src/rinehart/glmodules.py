@@ -72,10 +72,6 @@ class GlModule:
                                          f"at ascending rows in 0..{dim - 1}")
                 self.columns[(a, b)] = cols
 
-    def column(self, a: int, b: int, idx: int):
-        """E_{a,b} applied to the idx-th basis vector, as (row, coeff) pairs."""
-        return self.columns[(a, b)][idx]
-
 
 def natural_module(m: int, n: int) -> GlModule:
     """The defining module: E_{α,β} e_γ = δ_{β,γ} e_α."""

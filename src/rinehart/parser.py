@@ -12,7 +12,9 @@ Grammar (whitespace is skipped):
 't'i is the Laurent variable, 'z'k a Grassmann variable, 'D'i the Euler
 derivation t_i d/dt_i and 'Q'k the odd derivation; a derivation factor
 must be rightmost and unique, and a parenthesized element must be a pure
-polynomial.  A complex scalar merges its '+RAT i' tail greedily.
+polynomial.  A factor's index is checked by `Signature` (`tpos` for 't'
+and 'D', `check_zeta` for 'z' and 'Q') before anything after it is read.
+A complex scalar merges its '+RAT i' tail greedily.
 
 Canonical form: one term per (monomial, tag), sorted by (exponents,
 mask, tag) with a bare constant placed last (so a trailing pure real
@@ -137,18 +139,18 @@ class _Parser:
                 if tag is not None:
                     raise ParseError("derivation factor must be rightmost", at)
                 ch, idx = val
+                check = sig.tpos if ch in "tD" else sig.check_zeta
+                try:
+                    check(idx)
+                except ValueError:
+                    raise ParseError(f"index {ch}{idx} out of signature", at)
                 if ch == "t":
                     e = 1
                     if self.peek()[0] == "^":
                         self.take()
                         e = self.parse_signed_int()
-                    try:
-                        poly = poly * SuperPoly.t_var(sig, idx, e)
-                    except ValueError:
-                        raise ParseError(f"index t{idx} out of signature", at)
+                    poly = poly * SuperPoly.t_var(sig, idx, e)
                 elif ch == "z":
-                    if not 1 <= idx <= sig.n:
-                        raise ParseError(f"index z{idx} out of signature", at)
                     was_nonzero = bool(poly)
                     poly = poly * SuperPoly.zeta(sig, idx)
                     if was_nonzero and not poly:
@@ -156,16 +158,8 @@ class _Parser:
                             f"zero term: repeated Grassmann index z{idx}"
                             f" (at position {at})"
                         )
-                elif ch == "D":
-                    try:
-                        sig.tpos(idx)
-                    except ValueError:
-                        raise ParseError(f"index D{idx} out of signature", at)
-                    tag = ("d", idx)
-                elif ch == "Q":
-                    if not 1 <= idx <= sig.n:
-                        raise ParseError(f"index Q{idx} out of signature", at)
-                    tag = ("q", idx)
+                else:
+                    tag = ("d" if ch == "D" else "q", idx)
             elif kind == "(":
                 self.take()
                 if tag is not None:
@@ -192,7 +186,7 @@ class _Parser:
                 self.take()
                 poly, tag = self.parse_factors()
                 return poly * coeff, tag
-            return SuperPoly.scalar(self.sig, coeff), None
+            return SuperPoly.monomial(self.sig, self.sig.zero_exps(), 0, coeff), None
         if kind in ("factor", "("):
             return self.parse_factors()
         raise ParseError("expected a term", at)

@@ -84,16 +84,10 @@ class SmashElement(Sparse):
 
     # -- queries --
 
-    def degrees(self) -> set:
-        """Z^{m+1}-degrees exp(a) + exp(b) present among the terms."""
-        return {
-            tuple(x + y for x, y in zip(ae, be))
-            for (ae, _am, be, _bm, _tag) in self.terms
-        }
-
     def is_degree_zero(self) -> bool:
-        zero = self.sig.zero_exps()
-        return all(d == zero for d in self.degrees())
+        """Whether every term a # b has Z^{m+1}-degree exp(a) + exp(b) = 0."""
+        return all(x == -y for (ae, _am, be, _bm, _tag) in self.terms
+                   for x, y in zip(ae, be))
 
     def __repr__(self):
         from .parser import format_smash

@@ -93,23 +93,20 @@ class SuiteConfig:
 
 
 class Env:
-    """Per-run state shared by the suites: the signature, the module Ω and
-    its structures at the two shifts of `admissible_mus`, ``S1`` at μ₁ and
-    ``S`` at μ₂.  The qp suite checks the axioms on both, `equalities` on
-    ``S1``, and the kernel suites check the classification step on ``S``.
+    """Per-run state shared by the suites: the signature ``sig``, its t_0-free
+    form ``dotted``, the module Ω and its structures at the two shifts of
+    `admissible_mus`, ``S1`` at μ₁ and ``S`` at μ₂.  The qp suite checks
+    the axioms on both, `equalities` on ``S1``, and the kernel suites check
+    the classification step on ``S``.
     Env is the one owner of what they share: the structures, the kernel
     basis, its φ images, the induced module and θ's table, the last four
     each built on first use, once per Env."""
 
     def __init__(self, sig: Signature, omega: GlModule):
-        self.sig, self.omega = sig, omega
+        self.sig, self.omega, self.dotted = sig, omega, sig.dotted()
         self.S1, self.S = (QPStructure(self.dotted, omega, mu)
                            for mu in admissible_mus(sig.m, sig.n))
         self._basis, self._images, self._induced, self._theta = None, {}, None, None
-
-    @property
-    def dotted(self) -> Signature:
-        return self.sig.dotted()
 
     def kernel(self) -> list[TensorVec]:
         """The kernel basis of S (`omega_kernel`).  The one empty-kernel
@@ -727,7 +724,7 @@ def phi_suite(cfg: SuiteConfig, env: Env, s: Sampler) -> list:
             for b in sig.directions():
                 for v, lhs in enumerate(images[a, b]):
                     rhs = TensorVec.zero(dotted)
-                    for u, cu in env.omega.column(a, b, v):
+                    for u, cu in env.omega.columns[a, b][v]:
                         rhs._iadd_term((z, 0, u), cu)
                     yield None if lhs == rhs else f"E_{a}_{b} on basis vector {v}"
 

@@ -50,11 +50,10 @@ Also here: the filtration S ⊇ S² ⊇ ... by powers of the ideal vanishing
 at t=1, ζ=0, with an exact degree decision procedure: the order of the
 Taylor expansion in u_i = t_i - 1, found as the first nonzero
 homogeneous component, each computed alone with generalized binomials
-(t^e = Σ_j C(e, j) u^j for every integer e, so no denominator is
-cleared and no full expansion built), and eigenvalue bookkeeping for
-the commuting families (t_i-1)d/dt_i and ζ_k ∂/∂ζ_k.  Orders 0 and 1,
-which decide most questions, are read in one pass over the terms
-(`_taylor01`).
+(`_taylor_component`: t^e = Σ_j C(e, j) u^j for every integer e, so no
+denominator is cleared), and eigenvalue bookkeeping for the commuting
+families (t_i-1)d/dt_i and ζ_k ∂/∂ζ_k.  Orders 0 and 1, which decide
+most questions, are read in one pass over the terms (`_taylor01`).
 """
 
 from __future__ import annotations
@@ -432,10 +431,6 @@ class SuperPoly(Sparse):
     # -- constructors --
 
     @staticmethod
-    def scalar(sig: Signature, c) -> "SuperPoly":
-        return SuperPoly.monomial(sig, sig.zero_exps(), 0, c)
-
-    @staticmethod
     def one(sig: Signature) -> "SuperPoly":
         return SuperPoly._trusted(sig, {(sig.zero_exps(), 0): ONE})
 
@@ -456,10 +451,6 @@ class SuperPoly(Sparse):
     def zeta(sig: Signature, k: int) -> "SuperPoly":
         sig.check_zeta(k)
         return SuperPoly._trusted(sig, {(sig.zero_exps(), 1 << (k - 1)): ONE})
-
-    @staticmethod
-    def zeta_mask(sig: Signature, mask: int) -> "SuperPoly":
-        return SuperPoly.monomial(sig, sig.zero_exps(), mask)
 
     # -- queries --
 
@@ -580,33 +571,6 @@ def mono_apply(tag, sig: Signature, ea, ma: int, eb, mb: int):
 
 # ---------- Filtration by the ideal vanishing at t=1, ζ=0 ----------
 
-@lru_cache(maxsize=256)
-def _binom_row(e: int) -> tuple[int, ...]:
-    return tuple(comb(e, j) for j in range(e + 1))
-
-
-def shifted_form(f: SuperPoly) -> dict:
-    """Rewrite in u_i = t_i - 1; needs nonnegative exponents."""
-    out: dict = {}
-    for (exps, mask), c in f.terms.items():
-        if any(e < 0 for e in exps):
-            raise ValueError("negative exponent: clear denominators first")
-        rows = [_binom_row(e) for e in exps]
-        for js in _iproduct(*(range(e + 1) for e in exps)):
-            w = 1
-            for row, j in zip(rows, js):
-                w *= row[j]
-            key = (js, mask)
-            cw = c if w == 1 else c * w
-            cur = out.get(key)
-            new = cw if cur is None else cur + cw
-            if new:
-                out[key] = new
-            elif cur is not None:
-                del out[key]
-    return out
-
-
 def _taylor01(sig: Signature, terms):
     """Constant and degree-one Taylor data at t = 1, ζ = 0 of the sum of
     `terms`, pairs ((exps, mask), c) over `sig`.
@@ -649,10 +613,10 @@ def _compositions(total: int, parts: int) -> tuple:
                  for rest in _compositions(total - j, parts - 1))
 
 
-def _taylor_component(f: SuperPoly, k: int) -> bool:
-    """Whether Σ c·Π C(e_i, j_i) u^j ζ_M over the terms t^e ζ_M·c and
-    |j| + |M| = k, f's degree-k Taylor component, is nonzero.  u^j is
-    keyed by its (position, power) pairs; C(0, j) = 0 for j > 0."""
+def _taylor_component(f: SuperPoly, k: int) -> dict:
+    """f's degree-k Taylor component Σ c·Π C(e_i, j_i) u^j ζ_M over the
+    terms t^e ζ_M·c and |j| + |M| = k, as {(u^j, M): coefficient}, sums
+    that cancel kept as 0.  u^j is keyed by its (position, power) pairs."""
     comp: dict = {}
     for (exps, mask), c in f.terms.items():
         rest = k - mask.bit_count()
@@ -668,7 +632,25 @@ def _taylor_component(f: SuperPoly, k: int) -> bool:
                 key = (tuple((p, j) for (p, _e), j in zip(nz, js) if j), mask)
                 cur = comp.get(key)
                 comp[key] = c * w if cur is None else cur + c * w
-    return any(comp.values())
+    return comp
+
+
+def shifted_form(f: SuperPoly) -> dict:
+    """f in u_i = t_i - 1 as {(j, mask): c}, j a full exponent tuple: the
+    nonzero entries of f's Taylor components of degrees 0 … max(Σe + |M|).
+    Needs nonnegative exponents, for which that expansion is finite."""
+    if any(e < 0 for e in f.min_t_exponents()):
+        raise ValueError("negative exponent: clear denominators first")
+    top = max((sum(exps) + mask.bit_count() for exps, mask in f.terms), default=-1)
+    out = {}
+    for k in range(top + 1):
+        for (pairs, mask), c in _taylor_component(f, k).items():
+            if c:
+                js = [0] * f.sig.nvars
+                for p, j in pairs:
+                    js[p] = j
+                out[(tuple(js), mask)] = c
+    return out
 
 
 def filt_degree(f: SuperPoly):
@@ -686,7 +668,7 @@ def filt_degree(f: SuperPoly):
     if any(lin_t) or any(lin_z):
         return 1
     k = 2
-    while not _taylor_component(f, k):
+    while not any(_taylor_component(f, k).values()):
         k += 1
     return k
 

@@ -696,7 +696,7 @@ def operator_identity_check(which: int, S: QPStructure, w: TensorVec, *,
             rhs = rhs + S.phi(a * rj, inner)
         return lhs, rhs
     if which == 4:
-        zi = SuperPoly.zeta_mask(sig, imask)
+        zi = SuperPoly.monomial(sig, sig.zero_exps(), imask)
         lhs = psi_poly(zi)
         rhs = S.phi(zi, psi_1())
         sign = (-1) ** mask_size(imask)

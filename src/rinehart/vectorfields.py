@@ -211,8 +211,8 @@ class QPElement(Sparse):
     field by (exps, mask, tag).  The algebra summand a is stored under the
     t_0-Euler tag ('d', 0), the tag of gl direction 0: a ⊕ 0 is the field
     a·t_0 d/dt_0, which kills every t_0-free monomial (`derive_mono`).  So
-    the bracket is `vf_bracket` and the action on Ȧ is `apply`; `a` and
-    `x` are copies of the two summands, for the formulas that need
+    the bracket is `vf_bracket` and the action on Ȧ is `apply`; `a` is a
+    copy of the algebra summand, for the formulas that need
     π(a ⊕ x) = a ⊕ 0."""
 
     __slots__ = ()
@@ -239,11 +239,6 @@ class QPElement(Sparse):
         return SuperPoly._trusted(self.sig, {(e, m): c for (e, m, tag), c
                                              in self.terms.items() if tag == ("d", 0)})
 
-    @property
-    def x(self) -> VectorField:
-        return VectorField._trusted(self.sig, {key: c for key, c in self.terms.items()
-                                               if key[2] != ("d", 0)})
-
     @staticmethod
     def pair(a: SuperPoly, x: VectorField) -> "QPElement":
         """a ⊕ x."""
@@ -251,23 +246,16 @@ class QPElement(Sparse):
 
     @staticmethod
     def from_poly(a: SuperPoly) -> "QPElement":
-        return QPElement.along(a, ("d", 0))
+        """a ⊕ 0: a's terms under the t_0-Euler tag ('d', 0)."""
+        out = QPElement.zero(a.sig)  # refuses a full signature
+        out.terms = _tagged(a.sig, a, ("d", 0))
+        return out
 
     @staticmethod
     def from_field(x: VectorField) -> "QPElement":
         out = QPElement.zero(x.sig)  # refuses a full signature
         out._iadd(x)
         return out
-
-    @staticmethod
-    def along(p: SuperPoly, tag) -> "QPElement":
-        """p·∂ for a basis tag; the t_0-Euler tag ('d', 0) gives p ⊕ 0."""
-        sig = p.sig
-        if sig.includes_t0:
-            QPElement(sig)  # raises: QPElement needs the t_0-free signature
-        if tag != ("d", 0):
-            sig.check_tag(tag)
-        return QPElement._trusted(sig, _tagged(sig, p, tag))
 
     @staticmethod
     def of(x) -> "QPElement":

@@ -6,6 +6,7 @@ import pytest
 from rinehart import GlModule, MuVector, QPStructure, Signature, TensorVec, natural_module
 from rinehart.config import module_to_dict
 from rinehart.sampling import Sampler
+from rinehart.vectorfields import QPElement, VectorField
 
 
 def zero_action_module(m, n, dim, parities=None):
@@ -13,6 +14,14 @@ def zero_action_module(m, n, dim, parities=None):
     dirs = Signature(m, n).directions()
     return GlModule(m, n, dim, parities or (0,) * dim,
                     {(a, b): [[]] * dim for a in dirs for b in dirs})
+
+
+def along(p, tag):
+    """p·∂ in Ȧ ⊕ Der(Ȧ) for a basis tag; the t_0-Euler tag ('d', 0) gives
+    p ⊕ 0."""
+    if tag == ("d", 0):
+        return QPElement.from_poly(p)
+    return QPElement.from_field(VectorField.from_poly_tag(p, tag))
 
 
 def zero_mu(m, n):

@@ -332,6 +332,11 @@ def _set(key, value):
     (_set("parity", [0, 0, 2]), "parity entries must be 0 or 1"),
     (_set("mu", ["0", "0"]), "mu must list m+n+1 = 3 entries"),
     (_set("action", []), "action must map E_a_b keys to matrices"),
+    # JSON booleans are no integers, though Python's bool is an int
+    pytest.param(_set("m", True), "m, n and dim must be integers",
+                 id="edit-m is a boolean"),
+    pytest.param(_set("parity", [False, False, True]), "parity entries must be 0 or 1",
+                 id="edit-parity lists booleans"),
 ])
 def test_module_config_refusals_exit_2(tmp_path, capsys, edit, message):
     """Each refusal of `config.module_from_dict`, read by ``check

@@ -37,9 +37,9 @@ def test_natural_module_shape():
     assert mod.dim == 3
     assert mod.parities == (0, 0, 1)
     # E_{0,1} e_1 = e_0 and kills e_0
-    col = mod.column(0, 1, 1)
+    col = mod.columns[0, 1][1]
     assert col == [(0, Scalar(1))]
-    assert mod.column(0, 1, 0) == []
+    assert mod.columns[0, 1][0] == []
 
 
 def test_rep_check_passes_for_natural():

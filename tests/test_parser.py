@@ -33,8 +33,8 @@ def test_parse_examples(sig12):
 
 
 def test_parse_scalars(sig11):
-    assert parse_element("1/2+1/3i", sig11) == SuperPoly.scalar(
-        sig11, Scalar(Fraction(1, 2), Fraction(1, 3))
+    assert parse_element("1/2+1/3i", sig11) == SuperPoly.monomial(
+        sig11, sig11.zero_exps(), 0, Scalar(Fraction(1, 2), Fraction(1, 3))
     )
     assert parse_element("2i*t1", sig11) == SuperPoly.monomial(
         sig11, (0, 1), 0, Scalar(0, 2)
@@ -111,9 +111,35 @@ def test_parse_errors_carry_positions(sig11):
         parse_element("D1*t0", sig11)
 
 
+@pytest.mark.parametrize("dotted, text, index, pos", [
+    (False, "t1*t2", "t2", 3),
+    (False, "z0", "z0", 0),
+    (False, "t0*z2", "z2", 3),
+    (False, "D2", "D2", 0),
+    (False, "Q0", "Q0", 0),
+    (False, "1+Q2", "Q2", 2),
+    (False, "t2^-1", "t2", 0),
+    (False, "z1*z1*z3", "z3", 6),
+    (True, "t0", "t0", 0),
+    (True, "t1*D0", "D0", 3),
+    # the index is checked before the exponent: of two faults, the
+    # leftmost is reported
+    (False, "t9^*", "t9", 0),
+])
+def test_index_out_of_signature(sig11, dotted, text, index, pos):
+    """A factor whose index lies outside the signature is refused with one
+    message, at the factor's position: t and D indices by t-variable, z
+    and Q indices in 1..n."""
+    sig = sig11.dotted() if dotted else sig11
+    with pytest.raises(ParseError) as err:
+        parse_element(text, sig)
+    assert (err.value.message, err.value.position) == (
+        f"index {index} out of signature", pos)
+
+
 def test_format_examples(sig12):
     assert format_element(SuperPoly.zero(sig12)) == "0"
-    z12 = SuperPoly.zeta_mask(sig12, 0b11)
+    z12 = SuperPoly.monomial(sig12, sig12.zero_exps(), 0b11)
     assert format_element(-z12) == "-1*z1*z2"
     assert format_element(z12) == "1*z1*z2"
 

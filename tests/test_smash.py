@@ -59,6 +59,17 @@ def test_make_x_examples(sig11):
     assert make_X(sig, (0, 0), 0, ("d", 1)).is_zero()
 
 
+def test_degree_zero_needs_every_term_at_degree_zero(sig11):
+    """exp(a) + exp(b) = 0 for each term a # b: t1 # 1 has degree e_1, and
+    a degree-zero summand does not hide it."""
+    t1 = SmashElement.from_poly(SuperPoly.t_var(sig11, 1))
+    x = make_X(sig11, (1, 0), 0, ("q", 1))
+    assert t1.is_degree_zero() is False
+    assert (x + t1).is_degree_zero() is False
+    assert x.is_degree_zero() is True
+    assert SmashElement.zero(sig11).is_degree_zero() is True
+
+
 def test_make_x_and_t_act_reject_a_plain_tag(structure12):
     """A centralizer generator's tag is a gl direction: an Euler or odd tag.
     A plain d/dt_1 would give X((0, 1), ∅, d/dt_1) of degree -e_1, not a

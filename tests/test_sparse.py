@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import along
+
 from rinehart.glmatrix import GlMatrix
 from rinehart.scalars import Scalar
 from rinehart.smash import SmashElement, make_X
@@ -270,7 +272,7 @@ def test_keys_on_the_edge_are_accepted():
     assert VectorField(FULL, {((0, 0), 3, ("d", 0)): 1}).terms == {
         ((0, 0), 3, ("d", 0)): 1}
     assert QPElement(DOT, {((0,), 3, ("d", 0)): 1}) == QPElement.from_poly(
-        SuperPoly.zeta_mask(DOT, 3))
+        SuperPoly.monomial(DOT, (0,), 3))
     assert QPElement(DOT, {((1,), 0, ("dt", 1)): 1}).terms == {((0,), 0, ("d", 1)): 1}
     assert SmashElement(FULL, {((0, 0), 3, (0, 0), 0, None): 1}).parity() == 0
     assert GlMatrix(FULL, {(3, 0): 1, (0, 3): 1}).parity() == 1
@@ -363,7 +365,7 @@ def test_superpoly_constructors_equal_the_public_builds():
     for sig in (FULL, DOT):
         z = sig.zero_exps()
         for c in (1, -3, Fraction(2, 3), Scalar(1, -1), 0, Scalar(0)):
-            _same(SuperPoly.scalar(sig, c), SuperPoly(sig, {(z, 0): c}))
+            _same(SuperPoly.monomial(sig, z, 0, c), SuperPoly(sig, {(z, 0): c}))
         _same(SuperPoly.one(sig), SuperPoly(sig, {(z, 0): 1}))
         for exps in itertools.product(range(-1, 2), repeat=sig.nvars):
             for mask in range(1 << sig.n):
@@ -373,7 +375,7 @@ def test_superpoly_constructors_equal_the_public_builds():
                     _same(SuperPoly.monomial(sig, exps, mask, c),
                           SuperPoly(sig, {(exps, mask): c}))
         for mask in range(1 << sig.n):
-            _same(SuperPoly.zeta_mask(sig, mask), SuperPoly(sig, {(z, mask): 1}))
+            _same(SuperPoly.monomial(sig, z, mask), SuperPoly(sig, {(z, mask): 1}))
         for k in range(1, sig.n + 1):
             _same(SuperPoly.zeta(sig, k), SuperPoly(sig, {(z, 1 << (k - 1)): 1}))
         for i in sig.tvars():
@@ -386,9 +388,9 @@ def test_constants_never_share_their_terms():
     """Containers are mutable through `_iadd_term`, so each call must give
     a dict of its own."""
     makers = [
-        lambda: SuperPoly.one(FULL), lambda: SuperPoly.scalar(FULL, 2),
+        lambda: SuperPoly.one(FULL), lambda: SuperPoly.monomial(FULL, (0, 0), 0, 2),
         lambda: SuperPoly.t_var(FULL, 1), lambda: SuperPoly.zeta(FULL, 2),
-        lambda: SuperPoly.zeta_mask(FULL, 3), lambda: SuperPoly.monomial(FULL, (1, 0)),
+        lambda: SuperPoly.monomial(FULL, (0, 0), 3), lambda: SuperPoly.monomial(FULL, (1, 0)),
         lambda: SuperPoly.zero(FULL),
     ]
     for make in makers:
@@ -425,8 +427,9 @@ def test_products_derivatives_and_actions_hold_what_the_constructor_stores():
 
 
 def test_tagged_builds_equal_the_public_builds():
-    """`VectorField.from_poly_tag`, `QPElement.along` and `from_poly` check
-    the tag once; a plain ('dt', i) is still stored by `euler_key`."""
+    """`VectorField.from_poly_tag` and `QPElement.from_poly` check the tag
+    once, and so does `along` over them; a plain ('dt', i) is still stored
+    by `euler_key`."""
     rng = random.Random(5)
     for sig in (FULL, DOT):
         for p in [_random_poly(rng, sig) for _ in range(10)] + [SuperPoly.zero(sig)]:
@@ -434,10 +437,10 @@ def test_tagged_builds_equal_the_public_builds():
                 terms = {(e, m, tag): c for (e, m), c in p.terms.items()}
                 _same(VectorField.from_poly_tag(p, tag), VectorField(sig, terms))
                 if not sig.includes_t0:
-                    _same(QPElement.along(p, tag), QPElement(sig, terms))
+                    _same(along(p, tag), QPElement(sig, terms))
             if not sig.includes_t0:
                 terms = {(e, m, ("d", 0)): c for (e, m), c in p.terms.items()}
-                _same(QPElement.along(p, ("d", 0)), QPElement(sig, terms))
+                _same(along(p, ("d", 0)), QPElement(sig, terms))
                 _same(QPElement.from_poly(p), QPElement(sig, terms))
 
 
@@ -448,14 +451,13 @@ REFUSED = {
         lambda: SuperPoly.monomial(FULL, (0, 0), 4), ValueError, "Grassmann index"),
     "monomial: negative mask": (
         lambda: SuperPoly.monomial(DOT, (0,), -1, 0), ValueError, "Grassmann index"),
-    "zeta_mask: mask 4 at n = 2": (
-        lambda: SuperPoly.zeta_mask(FULL, 4), ValueError, "Grassmann index"),
     "zeta: z3 at n = 2": (lambda: SuperPoly.zeta(FULL, 3), ValueError, "variable z3"),
     "zeta: z0": (lambda: SuperPoly.zeta(DOT, 0), ValueError, "variable z0"),
     "t_var: t2 at m = 1": (lambda: SuperPoly.t_var(FULL, 2), ValueError, "variable t2"),
     "t_var: t0 on dotted": (lambda: SuperPoly.t_var(DOT, 0), ValueError, "variable t0"),
-    "scalar: float": (lambda: SuperPoly.scalar(FULL, 0.5), TypeError, "exact"),
-    "scalar: float zero": (lambda: SuperPoly.scalar(DOT, 0.0), TypeError, "exact"),
+    "scalar: float": (lambda: SuperPoly.monomial(FULL, (0, 0), 0, 0.5), TypeError, "exact"),
+    "scalar: float zero": (
+        lambda: SuperPoly.monomial(DOT, (0,), 0, 0.0), TypeError, "exact"),
     "monomial: float": (
         lambda: SuperPoly.monomial(FULL, (1, 0), 1, 1.5), TypeError, "exact"),
     "field: unknown tag": (
@@ -471,13 +473,13 @@ REFUSED = {
         lambda: VectorField.from_poly_tag(SuperPoly.one(DOT), ("dt", 0)),
         ValueError, "unknown derivation tag"),
     "qp: unknown tag": (
-        lambda: QPElement.along(SuperPoly.one(DOT), ("x", 3)),
+        lambda: along(SuperPoly.one(DOT), ("x", 3)),
         ValueError, "unknown derivation tag"),
     "qp: z3 at n = 2": (
-        lambda: QPElement.along(SuperPoly.one(DOT), ("q", 3)),
+        lambda: along(SuperPoly.one(DOT), ("q", 3)),
         ValueError, "unknown derivation tag"),
     "qp: along on the full signature": (
-        lambda: QPElement.along(SuperPoly.one(FULL), ("d", 1)),
+        lambda: along(SuperPoly.one(FULL), ("d", 1)),
         ValueError, "QPElement needs the t_0-free signature"),
     "qp: from_poly on the full signature": (
         lambda: QPElement.from_poly(SuperPoly.zero(FULL)),

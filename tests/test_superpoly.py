@@ -82,8 +82,8 @@ def test_merge_masks_against_list_oracle():
 def test_mul_examples(sig12):
     z1 = SuperPoly.zeta(sig12, 1)
     z2 = SuperPoly.zeta(sig12, 2)
-    assert z1 * z2 == SuperPoly.zeta_mask(sig12, 0b11)
-    assert z2 * z1 == -SuperPoly.zeta_mask(sig12, 0b11)
+    assert z1 * z2 == SuperPoly.monomial(sig12, sig12.zero_exps(), 0b11)
+    assert z2 * z1 == -SuperPoly.monomial(sig12, sig12.zero_exps(), 0b11)
     one = SuperPoly.one(sig12)
     t1 = SuperPoly.t_var(sig12, 1)
     t1inv = SuperPoly.t_var(sig12, 1, -1)
@@ -98,11 +98,11 @@ def test_derive_examples():
     # oracle: signed Leibniz on index lists, frozen expectation -z1
     sign, rest = list_derive(2, (1, 2))
     assert (sign, rest) == (-1, (1,))
-    z12 = SuperPoly.zeta_mask(sig, 0b011)
+    z12 = SuperPoly.monomial(sig, sig.zero_exps(), 0b011)
     assert derive(("q", 2), z12) == -SuperPoly.zeta(sig, 1)
 
-    z123 = SuperPoly.zeta_mask(sig, 0b111)
-    assert derive(("q", 1), z123) == SuperPoly.zeta_mask(sig, 0b110)
+    z123 = SuperPoly.monomial(sig, sig.zero_exps(), 0b111)
+    assert derive(("q", 1), z123) == SuperPoly.monomial(sig, sig.zero_exps(), 0b110)
 
 
 def test_derive_matches_list_oracle():
@@ -111,14 +111,14 @@ def test_derive_matches_list_oracle():
     for _ in range(200):
         idx = tuple(sorted(rng.sample(range(1, 5), rng.randint(0, 4))))
         k = rng.randint(1, 4)
-        f = SuperPoly.zeta_mask(sig, indices_mask(idx))
+        f = SuperPoly.monomial(sig, sig.zero_exps(), indices_mask(idx))
         got = derive(("q", k), f)
         want = list_derive(k, idx)
         if want is None:
             assert got.is_zero()
         else:
             sign, rest = want
-            assert got == SuperPoly.zeta_mask(sig, indices_mask(rest)) * sign
+            assert got == SuperPoly.monomial(sig, sig.zero_exps(), indices_mask(rest)) * sign
 
 
 def test_filt_degree_examples(sig11):
@@ -399,7 +399,7 @@ def laurent_grassmann(draw):
     for _ in range(draw(st.integers(0, 2))):  # into S, then S²
         f = f * draw(st.sampled_from(ideal))
     if draw(st.booleans()):  # subtract the constant Taylor term: into S
-        f = f - SuperPoly.scalar(sig, sum(
+        f = f - SuperPoly.monomial(sig, sig.zero_exps(), 0, sum(
             (c for (_e, m), c in f.terms.items() if not m), Scalar(0)))
     return f
 

@@ -5,14 +5,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import zero_action_module, zero_mu
+from conftest import along, zero_action_module, zero_mu
 
 from rinehart import linalg, tensorqp
 from rinehart.glmodules import MuVector, natural_module, rep_check
 from rinehart.sampling import Sampler
 from rinehart.scalars import Scalar
 from rinehart.smash import SmashElement, psi_map, tau, theta_project
-from rinehart.suites import admissible_mus
+from rinehart.suites import SUITES, SuiteConfig, admissible_mus, build_env
 from rinehart.superpoly import Signature, SuperPoly, mask_size, subsets_of_mask
 from rinehart.tensorqp import (
     QPStructure,
@@ -110,7 +110,7 @@ def _twisted_reference(f, alpha, w, mu, omega):
                 continue
             p_beta = sig.dir_parity(beta)
             s = (-1) ** (p_beta + ((f.parity() + pg) & p_beta) + (pg & p_alpha))
-            for u, cu in omega.column(beta, alpha, idx):
+            for u, cu in omega.columns[beta, alpha][idx]:
                 for (e, m), c in (df * g).terms.items():
                     out += TensorVec.basis(sig, e, m, u, cw * c * cu * s)
     return out
@@ -137,7 +137,7 @@ def test_twisted_action_matches_the_superpoly_formula(m, n):
                 if sig.includes_t0:
                     got = shen_act(f, alpha, w, mu, omega)
                 else:
-                    got = S.psi(QPElement.along(f, sig.dir_tag(alpha)), w)
+                    got = S.psi(along(f, sig.dir_tag(alpha)), w)
                 assert got == want, (sig, alpha, f, w)
     assert mixed
 
@@ -355,8 +355,8 @@ def _loop_smash_act_chain(u, w, S):
             continue
         s0, sp = be[0], be[1:]
         bpoly = SuperPoly.monomial(S.sig, sp, bm)
-        sub = QPElement.along(bpoly, tag)
-        hat = QPElement.along(SuperPoly.one(S.sig), tag)
+        sub = along(bpoly, tag)
+        hat = along(SuperPoly.one(S.sig), tag)
         for k, v in vs.items():
             inner = S.psi(sub, v)
             if s0:
@@ -429,7 +429,7 @@ def test_t_act_examples(structure12):
             for v in range(S.omega.dim):
                 got, = t_act({((0, 0), 1 << (k - 1), ("q", l)): 1}, [unit_vec(dot, v)], S)
                 want = TensorVec.zero(dot)
-                for u, cu in S.omega.column(1 + k, 1 + l, v):
+                for u, cu in S.omega.columns[1 + k, 1 + l][v]:
                     want._iadd_term((dot.zero_exps(), 0, u), cu)
                 assert got == want
     assert t_act({((1, 0), 0b1, ("d", 0)): 1}, [TensorVec.zero(dot)], S)[0].is_zero()
@@ -441,13 +441,13 @@ def _t_act_reference(rbar, jmask, tag, u, S):
     ψ, φ and φ̂ of the structure."""
     r0, rp = rbar[0], tuple(rbar[1:])
     neg = tuple(-x for x in rp)
-    hat = QPElement.along(SuperPoly.one(S.sig), tag)
+    hat = along(SuperPoly.one(S.sig), tag)
     out = TensorVec.zero(S.sig)
     for jp in subsets_of_mask(jmask):
         rest = jmask ^ jp
         sign = -1 if (mask_size(jp) + tau(jp, rest)) & 1 else 1
         sub = SuperPoly.monomial(S.sig, rp, rest)
-        inner = S.psi(QPElement.along(sub, tag), u)
+        inner = S.psi(along(sub, tag), u)
         if r0:
             inner = inner - r0 * S.phi(sub, S.phihat(hat, u))
         out += S.phi(SuperPoly.monomial(S.sig, neg, jp), inner) * sign
@@ -460,16 +460,16 @@ def _phi_reference(alpha, beta, S):
     """The induced operator φ_αβ on one vector, built the same way."""
     sig = S.sig
     tag = sig.dir_tag(beta)
-    unit = QPElement.along(SuperPoly.one(sig), tag)
+    unit = along(SuperPoly.one(sig), tag)
     if alpha == 0:
         return lambda w: -S.phihat(unit, w)
     kind, i = sig.dir_tag(alpha)
     if kind == "d":
         tinv = SuperPoly.t_var(sig, i, -1)
-        sub = QPElement.along(SuperPoly.t_var(sig, i), tag)
+        sub = along(SuperPoly.t_var(sig, i), tag)
         return lambda w: S.phi(tinv, S.psi(sub, w)) - S.psi(unit, w)
     zk = SuperPoly.zeta(sig, i)
-    sub = QPElement.along(zk, tag)
+    sub = along(zk, tag)
     return lambda w: S.psi(sub, w) - S.phi(zk, S.psi(unit, w))
 
 
@@ -791,7 +791,7 @@ def _omega_extract_reference(basis, S):
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
 def test_omega_extract_matches_per_candidate_greedy(m, n):
-    from rinehart.suites import admissible_mus
+    from rinehart.suites import SUITES, SuiteConfig, admissible_mus, build_env
 
     for mu in admissible_mus(m, n):
         S = QPStructure(Signature(m, n, False), natural_module(m, n), mu)
@@ -894,7 +894,7 @@ def test_phi_operator_table_on_units(extracted):
     for (a, b), got in images.items():
         for v, image in enumerate(got):
             want = TensorVec.zero(dot)
-            for u, cu in S.omega.column(a, b, v):
+            for u, cu in S.omega.columns[a, b][v]:
                 want._iadd_term((z, 0, u), cu)
             assert image == want
 
@@ -1054,24 +1054,15 @@ def test_operator_identities_examples(structure12, sampler):
     assert lhs == rhs == S.psi(x, w)
 
 
-def test_operator_identities_random(structure12, sampler):
-    S = structure12
-    dot = S.sig
-    for which in range(1, 6):
-        for _ in range(30):
-            kwargs = {"w": sampler.tensor(dot, S.omega)}
-            if which in (1, 2, 3, 5):
-                kwargs["a"] = sampler.monomial(dot)
-            if which == 1:
-                kwargs["b"] = sampler.monomial(dot)
-            if which in (2, 5):
-                kwargs["x"] = sampler.qp_homogeneous(dot)
-            if which == 3:
-                kwargs["rbar"] = sampler.exps(dot)
-            if which == 4:
-                kwargs["imask"] = sampler.mask(dot.n)
-            lhs, rhs = operator_identity_check(which, S, **kwargs)
-            assert lhs == rhs, (which, kwargs)
+def test_operator_identities_random(structure12):
+    """The equalities suite's own draws, on structure12, whose shift vector
+    has a nonzero imaginary part: every identity holds on 30 draws."""
+    cfg = SuiteConfig(m=1, n=2, samples=30)
+    env = build_env(cfg)
+    env.S1 = structure12
+    results = SUITES["equalities"](cfg, env)
+    assert [(r["id"], r["pass"], r["cases"]) for r in results] == [
+        (f"equalities.{which}", True, 30) for which in range(1, 6)]
 
 
 # ---------- the comparison map ----------

@@ -31,7 +31,7 @@ SIGS = [Signature(1, 1, False), Signature(1, 2, False), Signature(2, 1, False)]
 
 def shift_basis_reference(sig, pos, neg, mask=0):
     one = SuperPoly.one(sig)
-    out = SuperPoly.zeta_mask(sig, mask)
+    out = SuperPoly.monomial(sig, sig.zero_exps(), mask)
     for i, (p, s) in zip(sig.tvars(), zip(pos, neg)):
         if p:
             out = out * (SuperPoly.t_var(sig, i) - one) ** p
@@ -40,9 +40,15 @@ def shift_basis_reference(sig, pos, neg, mask=0):
     return out
 
 
+def _field(x):
+    """The derivation summand of x = a ⊕ δ, as a VectorField."""
+    return VectorField._trusted(x.sig, {key: c for key, c in x.terms.items()
+                                        if key[2] != ("d", 0)})
+
+
 def _even_odd(x):
     ae, ao = x.a.even_odd()
-    xe, xo = x.x.even_odd()
+    xe, xo = _field(x).even_odd()
     return QPElement.pair(ae, xe), QPElement.pair(ao, xo)
 
 
@@ -55,18 +61,18 @@ def qp_product_reference(x, y):
         px = xh.parity()
         if xh.is_zero():
             continue
-        x_out += y.x.left_mul(xh.a)
-        x_out += xh.x.left_mul(be)
+        x_out += _field(y).left_mul(xh.a)
+        x_out += _field(xh).left_mul(be)
         if not bo.is_zero():
-            scaled = xh.x.left_mul(bo)
+            scaled = _field(xh).left_mul(bo)
             x_out += scaled if px == 0 else -scaled
     return QPElement.pair(a_out, x_out)
 
 
 def qp_bracket_reference(x, y):
-    a_out = x.x.apply(y.a)
+    a_out = _field(x).apply(y.a)
     ae, ao = x.a.even_odd()
-    se, so = y.x.even_odd()
+    se, so = _field(y).even_odd()
     for apart, pa in ((ae, 0), (ao, 1)):
         if apart.is_zero():
             continue
@@ -75,7 +81,7 @@ def qp_bracket_reference(x, y):
                 continue
             sign = -1 if (pa & ps) else 1
             a_out -= spart.apply(apart) * sign
-    return QPElement.pair(a_out, vf_bracket(x.x, y.x))
+    return QPElement.pair(a_out, vf_bracket(_field(x), _field(y)))
 
 
 def loop_slices(u):

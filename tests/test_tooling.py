@@ -47,7 +47,6 @@ SHARED = {
     "_key_parity": "the Sparse hook: Sparse.parity/even_odd call it on each subclass",
     "basis": "TensorVec.basis and VectorField.basis both build basis vectors in suites",
     "derive": "the module function; the SuperPoly.derive method delegates to it",
-    "dotted": "Signature.dotted; the suites' Env.dotted wraps it",
     "from_field": "SmashElement.from_field in tensorqp.loop_g_act and the centralizer suite;"
                   " QPElement.from_field in QPElement.of and the Sampler",
     "from_poly": "SmashElement.from_poly in tensorqp.loop_a_act and the centralizer suite;"
@@ -57,30 +56,31 @@ SHARED = {
     "of": "Scalar.of and QPElement.of each coerce into their own type",
     "phihat_parts": "QPStructure.phihat_parts, read by _smash_act, phi_images and"
                     " QPStructure.phihat; the qp suite's self-test mutant overrides it",
-    "scalar": "Sampler.scalar draws one at random; SuperPoly.scalar builds one",
 }
 
 
 def _definitions(tree):
-    """Top-level functions and classes, and their non-dunder methods."""
+    """Top-level functions and classes, and their non-dunder methods, as
+    (node, is_method) pairs."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, kinds):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, kinds[:2]) and not (
                     sub.name.startswith("__") and sub.name.endswith("__")
                 ):
-                    yield sub
+                    yield sub, True
 
 
-def _reads(node):
-    """How often each name is read as ``ast.Name`` or ``ast.Attribute``."""
+def _reads(node, kinds=(ast.Name, ast.Attribute)):
+    """How often each name is read as one of ``kinds``, ``ast.Name`` or
+    ``ast.Attribute``."""
     return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if isinstance(n, kinds)
     )
 
 
@@ -115,17 +115,24 @@ def _registered(node):
 def test_every_library_name_is_reached():
     """Each definition in src/rinehart is read by library code other than
     the package exports and its own body, is registered by a decorator in
-    REGISTRARS, or is exempt with a reason."""
+    REGISTRARS, or is exempt with a reason.  A method or property counts
+    as read only through an attribute (``obj.name``), so that a local
+    variable of the same name does not keep it alive."""
     trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
-    reads = Counter()
-    for name, tree in trees.items():
-        if name != "__init__.py":
-            reads += _reads(tree)
+    library = [tree for name, tree in trees.items() if name != "__init__.py"]
+    any_read, attribute_read = (ast.Name, ast.Attribute), (ast.Attribute,)
+    reads = {kinds: sum((_reads(tree, kinds) for tree in library), Counter())
+             for kinds in (any_read, attribute_read)}
+
+    def unread(node, is_method):
+        kinds = attribute_read if is_method else any_read
+        return reads[kinds][node.name] == _reads(node, kinds)[node.name]
+
     unreached = {
         node.name: name
         for name, tree in trees.items()
-        for node in _definitions(tree)
-        if reads[node.name] == _reads(node)[node.name] and not _registered(node)
+        for node, is_method in _definitions(tree)
+        if unread(node, is_method) and not _registered(node)
     }
     unexempt = sorted(f"{mod}: {name}" for name, mod in unreached.items()
                       if name not in EXEMPT)
@@ -139,7 +146,7 @@ def test_shared_definition_names_are_listed():
     counts = Counter(
         node.name
         for path in sorted(SRC.glob("*.py"))
-        for node in _definitions(ast.parse(path.read_text(), str(path)))
+        for node, _ in _definitions(ast.parse(path.read_text(), str(path)))
     )
     shared = {name for name, k in counts.items() if k > 1}
     assert (sorted(shared - set(SHARED)), sorted(set(SHARED) - shared)) == ([], [])

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import along
+
 from rinehart.glmodules import natural_module
 from rinehart.parser import parse_element
 from rinehart.sampling import Sampler
@@ -55,7 +57,7 @@ def test_vf_apply_examples(sig11):
 
     sig = Signature(1, 2, True)
     z1 = SuperPoly.zeta(sig, 1)
-    z12 = SuperPoly.zeta_mask(sig, 0b11)
+    z12 = SuperPoly.monomial(sig, sig.zero_exps(), 0b11)
     y = VectorField.from_poly_tag(z1, ("q", 1))
     # oracle: mul(z1, derive(q1, z1 z2)) = mul(z1, z2) = z1 z2
     assert y.apply(z12) == z1 * SuperPoly.zeta(sig, 2)
@@ -441,11 +443,11 @@ def test_vf_bracket_matches_temporaries(pair):
     assert got == bracket_via_temporaries(x.sig, to_plain(x), to_plain(y))
 
 
-# ---------- QPElement.along: p·∂ with ('d', 0) as the algebra summand ----------
+# ---------- along: p·∂ with ('d', 0) as the algebra summand ----------
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_along_matches_the_per_site_constructions(m, n):
-    """QPElement.along agrees with the constructions it replaced, the
+    """`along` (conftest) agrees with the constructions it replaced, the
     ψ-subscript and φ̂-tag of the loop module; and the field f·∂_α by which
     the loop module acts slices into the QPElements spelled out here by
     cases."""
@@ -462,8 +464,8 @@ def test_along_matches_the_per_site_constructions(m, n):
         else:
             subscript = QPElement.from_field(VectorField(dot, {(exps, mask, tag): 1}))
             hat = QPElement.from_field(VectorField.basis(dot, tag))
-        assert QPElement.along(mono, tag) == subscript
-        assert QPElement.along(SuperPoly.one(dot), tag) == hat
+        assert along(mono, tag) == subscript
+        assert along(SuperPoly.one(dot), tag) == hat
 
     f = SuperPoly.monomial(full, (1,) + (-1,) * m, 1) + SuperPoly.t_var(full, 0, -2)
     for alpha in range(m + n + 1):
